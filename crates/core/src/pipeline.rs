@@ -9,19 +9,12 @@ use crate::error::UmscError;
 use crate::Result;
 use umsc_data::MultiViewDataset;
 use umsc_graph::{
-    adaptive_neighbor_affinity, cosine_distance_matrix, gaussian_affinity, knn_affinity,
-    normalized_laplacian, pairwise_sq_distances,
+    adaptive_neighbor_affinity, cosine_distance_matrix, gaussian_affinity, neighbor_graph,
+    normalized_laplacian, pairwise_sq_distances, CsrMatrix, Neighbors,
 };
 use umsc_linalg::{lanczos_smallest, LanczosConfig, Matrix, SymEigen};
 
-/// Distance metric for graph construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Metric {
-    /// Squared Euclidean distances (dense numeric views).
-    Euclidean,
-    /// Cosine distances (sparse text-like views; squared for the kernel).
-    Cosine,
-}
+pub use umsc_graph::Metric;
 
 /// Graph construction configuration: metric + graph kind.
 #[derive(Debug, Clone)]
@@ -46,6 +39,7 @@ impl Default for GraphConfig {
 /// Cosine distances are squared entrywise so the Gaussian kernel treats
 /// both metrics on the same `exp(−d²/σ²)` footing.
 pub fn view_distances(x: &Matrix, metric: Metric) -> Matrix {
+    let _span = umsc_obs::span!("graph.distances");
     match metric {
         Metric::Euclidean => pairwise_sq_distances(x),
         Metric::Cosine => {
@@ -56,22 +50,33 @@ pub fn view_distances(x: &Matrix, metric: Metric) -> Matrix {
     }
 }
 
+/// The sparse graph a k-NN or ε kind describes, built straight from the
+/// features by the streamed builder; `None` for the dense kinds.
+fn sparse_view_affinity(x: &Matrix, cfg: &GraphConfig) -> Option<CsrMatrix> {
+    let (neighbors, bandwidth) = match &cfg.kind {
+        GraphKind::Knn { k, bandwidth } => {
+            (Neighbors::Knn((*k).min(x.rows().saturating_sub(1)).max(1)), bandwidth)
+        }
+        GraphKind::Epsilon { epsilon, bandwidth } => (Neighbors::Epsilon(*epsilon), bandwidth),
+        GraphKind::Dense(_) | GraphKind::Adaptive { .. } => return None,
+    };
+    Some(neighbor_graph(x, cfg.metric, neighbors, bandwidth))
+}
+
 /// Affinity matrix for one view.
 pub fn view_affinity(x: &Matrix, cfg: &GraphConfig) -> Matrix {
+    if let Some(w) = sparse_view_affinity(x, cfg) {
+        return w.to_dense();
+    }
     let d = view_distances(x, cfg.metric);
     match &cfg.kind {
         GraphKind::Dense(bw) => gaussian_affinity(&d, bw),
-        GraphKind::Knn { k, bandwidth } => {
-            let k = (*k).min(d.rows().saturating_sub(1)).max(1);
-            knn_affinity(&d, k, bandwidth).to_dense()
-        }
         GraphKind::Adaptive { k } => {
             let k = (*k).min(d.rows().saturating_sub(1)).max(1);
+            let _span = umsc_obs::span!("graph.can");
             adaptive_neighbor_affinity(&d, k)
         }
-        GraphKind::Epsilon { epsilon, bandwidth } => {
-            umsc_graph::epsilon_affinity(&d, *epsilon, bandwidth).to_dense()
-        }
+        GraphKind::Knn { .. } | GraphKind::Epsilon { .. } => unreachable!("built sparse above"),
     }
 }
 
@@ -92,37 +97,24 @@ pub fn build_view_laplacians(data: &MultiViewDataset, cfg: &GraphConfig) -> Resu
 }
 
 /// Builds **sparse** (CSR) symmetric-normalized Laplacians per view, for
-/// [`crate::Umsc::fit_laplacians_sparse`]. k-NN and ε-ball graphs stay
-/// sparse end to end; dense/CAN graphs are built densely and converted
-/// (entries below `1e-12` dropped), which preserves semantics but not the
-/// memory advantage — prefer the sparse graph kinds at scale.
+/// [`crate::Umsc::fit_laplacians_sparse`]. k-NN and ε-ball graphs are
+/// streamed from the features and never form an `n × n` matrix;
+/// dense/CAN graphs are built densely and converted (entries below
+/// `1e-12` dropped), which preserves semantics but not the memory
+/// advantage — prefer the sparse graph kinds at scale.
 pub fn build_view_laplacians_sparse(
     data: &MultiViewDataset,
     cfg: &GraphConfig,
-) -> Result<Vec<umsc_graph::CsrMatrix>> {
+) -> Result<Vec<CsrMatrix>> {
     data.validate().map_err(UmscError::InvalidInput)?;
     if data.n() < 2 {
         return Err(UmscError::InvalidInput(format!("need at least 2 points, got {}", data.n())));
     }
     let _span = umsc_obs::span!("graph.build");
     Ok(umsc_rt::par::parallel_map(&data.views, |_, x| {
-        let d = view_distances(x, cfg.metric);
-        let w = match &cfg.kind {
-            GraphKind::Knn { k, bandwidth } => {
-                let k = (*k).min(d.rows().saturating_sub(1)).max(1);
-                knn_affinity(&d, k, bandwidth)
-            }
-            GraphKind::Epsilon { epsilon, bandwidth } => {
-                umsc_graph::epsilon_affinity(&d, *epsilon, bandwidth)
-            }
-            GraphKind::Dense(bw) => {
-                umsc_graph::CsrMatrix::from_dense(&gaussian_affinity(&d, bw), 1e-12)
-            }
-            GraphKind::Adaptive { k } => {
-                let k = (*k).min(d.rows().saturating_sub(1)).max(1);
-                umsc_graph::CsrMatrix::from_dense(&adaptive_neighbor_affinity(&d, k), 1e-12)
-            }
-        };
+        let w = sparse_view_affinity(x, cfg)
+            .unwrap_or_else(|| CsrMatrix::from_dense(&view_affinity(x, cfg), 1e-12));
+        let _span = umsc_obs::span!("graph.laplacian");
         umsc_graph::normalized_laplacian_sparse(&w)
     }))
 }
@@ -131,14 +123,18 @@ pub fn build_view_laplacians_sparse(
 /// threads (views are independent; output order — and therefore every
 /// downstream number — is identical to a sequential loop).
 pub fn build_laplacians_threaded(views: &[Matrix], cfg: &GraphConfig) -> Vec<Matrix> {
-    umsc_rt::par::parallel_map(views, |_, x| normalized_laplacian(&view_affinity(x, cfg)))
+    build_laplacians_threaded_with(umsc_rt::par::max_threads(), views, cfg)
 }
 
 /// [`build_laplacians_threaded`] with an explicit thread count — used by
 /// the determinism test (forcing parallelism on single-core machines) and
 /// the speedup bench.
 pub fn build_laplacians_threaded_with(threads: usize, views: &[Matrix], cfg: &GraphConfig) -> Vec<Matrix> {
-    umsc_rt::par::parallel_map_with(threads, views, |_, x| normalized_laplacian(&view_affinity(x, cfg)))
+    umsc_rt::par::parallel_map_with(threads, views, |_, x| {
+        let w = view_affinity(x, cfg);
+        let _span = umsc_obs::span!("graph.laplacian");
+        normalized_laplacian(&w)
+    })
 }
 
 /// Dimension threshold above which the spectral embedding switches from

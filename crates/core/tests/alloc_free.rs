@@ -7,7 +7,9 @@
 //!    fused [`WeightedSum`] operator included;
 //! 3. the sparse path's **peak live bytes** beat the dense path's by a
 //!    wide margin on a k-NN graph, and in particular never reach one
-//!    `n × n` dense matrix — the memory claim of the matrix-free design.
+//!    `n × n` dense matrix — the memory claim of the matrix-free design;
+//! 4. building those k-NN Laplacians from features stays below one
+//!    `n × n` matrix too (the streamed graph builder).
 //!
 //! Threads are pinned to one (`UMSC_THREADS=1`) because the counters are
 //! thread-local (see the module docs of `alloc_track` for why) and worker
@@ -160,5 +162,28 @@ fn sparse_path_peak_memory_beats_dense_by_4x() {
         dense_peak > 4 * sparse_peak,
         "dense/sparse peak ratio {:.2} ≤ 4 ({dense_peak} B vs {sparse_peak} B)",
         dense_peak as f64 / sparse_peak as f64
+    );
+}
+
+#[test]
+fn sparse_graph_build_peak_stays_below_one_dense_matrix() {
+    std::env::set_var("UMSC_THREADS", "1");
+
+    // Low-dimensional data keeps the O(n²·d) distance work cheap at a size
+    // where one n × n matrix (72 MB) dwarfs the O(TILE_ROWS·n + n·k) build.
+    let data = MultiViewGmm::new("alloc", 3, 1000, vec![ViewSpec::clean(3), ViewSpec::clean(4)]).generate(5);
+    let n = data.n();
+    assert_eq!(n, 3000);
+    let model = Umsc::new(UmscConfig::new(3));
+    let mut laplacians = None;
+    let peak = measure(|| {
+        laplacians = Some(build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap())
+    })
+    .peak_bytes;
+    assert_eq!(laplacians.unwrap().len(), 2);
+    let dense_matrix_bytes = (n * n * std::mem::size_of::<f64>()) as u64;
+    assert!(
+        peak < dense_matrix_bytes,
+        "graph build peaked at {peak} B ≥ one {n}x{n} matrix ({dense_matrix_bytes} B)"
     );
 }

@@ -7,6 +7,7 @@
 //! global σ to tune. Affinities always have a zero diagonal (no self loops).
 
 use crate::sparse::CsrMatrix;
+use crate::stream::{affinity_from_distances, smallest, Neighbors};
 use umsc_linalg::Matrix;
 
 /// Bandwidth policy for the Gaussian kernel.
@@ -82,26 +83,19 @@ pub fn gaussian_affinity(dist_sq: &Matrix, bandwidth: &Bandwidth) -> Matrix {
 }
 
 /// Sparse k-NN Gaussian affinity: keep each node's `k` nearest neighbours
-/// (excluding itself), then symmetrize with the max rule.
+/// (excluding itself; ties broken by the lower index), then symmetrize
+/// with the max rule.
+///
+/// `dist_sq` must be symmetric, as every distance builder here returns
+/// it. Rows go through the bounded selector of
+/// [`crate::stream::neighbor_graph`], which builds the same graph from
+/// features without the distance matrix.
 ///
 /// # Panics
 /// Panics if `k == 0` or `dist_sq` is not square.
 pub fn knn_affinity(dist_sq: &Matrix, k: usize, bandwidth: &Bandwidth) -> CsrMatrix {
-    assert!(k >= 1, "knn_affinity: k must be >= 1");
     assert!(dist_sq.is_square(), "knn_affinity: distance matrix not square");
-    let n = dist_sq.rows();
-    let dense = gaussian_affinity(dist_sq, bandwidth);
-    let mut triplets = Vec::with_capacity(n * k);
-    for i in 0..n {
-        let mut order: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-        order.sort_by(|&a, &b| {
-            dist_sq[(i, a)].partial_cmp(&dist_sq[(i, b)]).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for &j in order.iter().take(k) {
-            triplets.push((i, j, dense[(i, j)]));
-        }
-    }
-    CsrMatrix::from_triplets(n, n, &triplets).symmetrize_max()
+    affinity_from_distances(dist_sq, Neighbors::Knn(k), bandwidth)
 }
 
 /// ε-neighbourhood Gaussian affinity: keep only edges with (non-squared)
@@ -111,30 +105,15 @@ pub fn knn_affinity(dist_sq: &Matrix, k: usize, bandwidth: &Bandwidth) -> CsrMat
 ///
 /// A non-positive or non-finite ε panics; an ε below the smallest
 /// pairwise distance yields an edgeless graph (callers should check
-/// connectivity via [`crate::num_components`]).
+/// connectivity via [`crate::num_components`]). `dist_sq` must be
+/// symmetric, as for [`knn_affinity`].
 ///
 /// # Panics
 /// Panics if `dist_sq` is not square or `epsilon` is not a positive
 /// finite number.
 pub fn epsilon_affinity(dist_sq: &Matrix, epsilon: f64, bandwidth: &Bandwidth) -> CsrMatrix {
     assert!(dist_sq.is_square(), "epsilon_affinity: distance matrix not square");
-    assert!(
-        epsilon > 0.0 && epsilon.is_finite(),
-        "epsilon_affinity: need a positive finite epsilon, got {epsilon}"
-    );
-    let n = dist_sq.rows();
-    let dense = gaussian_affinity(dist_sq, bandwidth);
-    let eps_sq = epsilon * epsilon;
-    let mut triplets = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if dist_sq[(i, j)] <= eps_sq {
-                triplets.push((i, j, dense[(i, j)]));
-                triplets.push((j, i, dense[(i, j)]));
-            }
-        }
-    }
-    CsrMatrix::from_triplets(n, n, &triplets)
+    affinity_from_distances(dist_sq, Neighbors::Epsilon(epsilon), bandwidth)
 }
 
 /// Builds the affinity a config describes, densifying k-NN results (the
@@ -177,15 +156,14 @@ fn mean_distance(dist_sq: &Matrix) -> f64 {
 fn local_scales(dist_sq: &Matrix, k: usize) -> Vec<f64> {
     let n = dist_sq.rows();
     let mean = mean_distance(dist_sq);
+    let rank = k.min(n.saturating_sub(1)).saturating_sub(1);
     (0..n)
         .map(|i| {
-            let mut d: Vec<f64> = (0..n).filter(|&j| j != i).map(|j| dist_sq[(i, j)]).collect();
-            if d.is_empty() {
-                return 1.0;
+            let row = dist_sq.row(i).iter().enumerate().filter(|&(j, _)| j != i);
+            match smallest(rank + 1, row.map(|(j, &d)| (d, j))).get(rank) {
+                Some(&(d, _)) => d.sqrt().max(1e-8 * mean.max(1.0)),
+                None => 1.0,
             }
-            d.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            let idx = k.min(d.len()).saturating_sub(1);
-            d[idx].sqrt().max(1e-8 * mean.max(1.0))
         })
         .collect()
 }

@@ -19,6 +19,8 @@
 //! This is the substrate of the large-scale one-stage solver in
 //! `umsc-core::anchor`.
 
+use crate::can::write_simplex_weights;
+use crate::stream::smallest;
 use umsc_linalg::Matrix;
 
 /// Selects `m` anchor rows from `x` by D² (k-means++) sampling.
@@ -85,21 +87,9 @@ pub fn anchor_weights(x: &Matrix, anchors: &Matrix, k: usize) -> Matrix {
         for (j, d) in dist.iter_mut().enumerate() {
             *d = umsc_linalg::ops::sq_dist(x.row(i), anchors.row(j));
         }
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by(|&a, &b| dist[a].partial_cmp(&dist[b]).unwrap_or(std::cmp::Ordering::Equal));
+        let kept = smallest(k + 1, dist.iter().enumerate().map(|(j, &d)| (d, j)));
         // CAN closed form over the k nearest anchors; d_{k+1} plays γ.
-        let dk1 = if k < m { dist[order[k]] } else { dist[order[k - 1]] };
-        let top_sum: f64 = order.iter().take(k).map(|&j| dist[j]).sum();
-        let denom = k as f64 * dk1 - top_sum;
-        if denom > 1e-12 {
-            for &j in order.iter().take(k) {
-                z[(i, j)] = (dk1 - dist[j]) / denom;
-            }
-        } else {
-            for &j in order.iter().take(k) {
-                z[(i, j)] = 1.0 / k as f64;
-            }
-        }
+        write_simplex_weights(&kept, k, z.row_mut(i));
     }
     z
 }

@@ -14,7 +14,22 @@
 //! is the parameter-light graph the one-stage multi-view papers favour: the
 //! only knob is `k`, and weights vanish smoothly at the neighbourhood edge.
 
+use crate::stream::smallest;
 use umsc_linalg::Matrix;
+
+/// CAN's closed-form simplex weights over the `k` nearest candidates:
+/// `kept` holds the `k + 1` smallest `(distance, index)` pairs in
+/// ascending order (just `k` when no `(k+1)`-th exists, in which case the
+/// k-th distance plays `d_{k+1}`). Writes `out[j]` for the `k` kept `j`.
+pub(crate) fn write_simplex_weights(kept: &[(f64, usize)], k: usize, out: &mut [f64]) {
+    let dk1 = kept[k.min(kept.len() - 1)].0;
+    let top_sum: f64 = kept[..k].iter().map(|e| e.0).sum();
+    let denom = k as f64 * dk1 - top_sum;
+    for &(d, j) in &kept[..k] {
+        // Degenerate neighbourhood (all equal distances): uniform weights.
+        out[j] = if denom > 1e-12 { (dk1 - d) / denom } else { 1.0 / k as f64 };
+    }
+}
 
 /// Builds the CAN adaptive-neighbor affinity from squared distances.
 ///
@@ -27,25 +42,9 @@ pub fn adaptive_neighbor_affinity(dist_sq: &Matrix, k: usize) -> Matrix {
 
     let mut s = Matrix::zeros(n, n);
     for i in 0..n {
-        // Sorted neighbour distances, self excluded.
-        let mut order: Vec<usize> = (0..n).filter(|&j| j != i).collect();
-        order.sort_by(|&a, &b| {
-            dist_sq[(i, a)].partial_cmp(&dist_sq[(i, b)]).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        // d_{i,k+1}: the (k+1)-th smallest; if k == n-1 use the largest + gap 0.
-        let dk1 = if k < order.len() { dist_sq[(i, order[k])] } else { dist_sq[(i, order[k - 1])] };
-        let top_sum: f64 = order.iter().take(k).map(|&j| dist_sq[(i, j)]).sum();
-        let denom = k as f64 * dk1 - top_sum;
-        if denom > 1e-12 {
-            for &j in order.iter().take(k) {
-                s[(i, j)] = (dk1 - dist_sq[(i, j)]) / denom;
-            }
-        } else {
-            // Degenerate neighbourhood (all equal distances): uniform weights.
-            for &j in order.iter().take(k) {
-                s[(i, j)] = 1.0 / k as f64;
-            }
-        }
+        let row = dist_sq.row(i).iter().enumerate().filter(|&(j, _)| j != i);
+        let kept = smallest(k + 1, row.map(|(j, &d)| (d, j)));
+        write_simplex_weights(&kept, k, s.row_mut(i));
     }
     // Symmetrize.
     let mut w = Matrix::zeros(n, n);

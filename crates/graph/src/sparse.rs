@@ -89,6 +89,25 @@ impl CsrMatrix {
         CsrMatrix { rows, cols, row_ptr: ptr, col_idx: keep_col, values: keep_val }
     }
 
+    /// Assembles a matrix from CSR arrays whose rows already have strictly
+    /// ascending, in-bounds columns (checked in debug builds).
+    pub(crate) fn from_sorted_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), rows + 1);
+        debug_assert_eq!(row_ptr[rows], col_idx.len());
+        debug_assert_eq!(col_idx.len(), values.len());
+        debug_assert!((0..rows).all(|r| {
+            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+            row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&c| c < cols)
+        }));
+        CsrMatrix { rows, cols, row_ptr, col_idx, values }
+    }
+
     /// Builds from a dense matrix, keeping entries with `|v| > threshold`.
     pub fn from_dense(m: &Matrix, threshold: f64) -> Self {
         let mut triplets = Vec::new();
@@ -290,20 +309,87 @@ impl CsrMatrix {
 
     /// Symmetrizes with the max rule `max(a_ij, a_ji)` — the usual k-NN
     /// graph symmetrization (an edge exists if either endpoint chose it).
+    /// Each row is merged with the same row of the transpose (both have
+    /// sorted columns); entries whose maximum is exactly zero are dropped.
     pub fn symmetrize_max(&self) -> CsrMatrix {
         assert_eq!(self.rows, self.cols, "CsrMatrix::symmetrize_max: matrix not square");
-        use std::collections::HashMap;
-        let mut map: HashMap<(usize, usize), f64> = HashMap::with_capacity(2 * self.nnz());
+        let n = self.rows;
+        let (t_ptr, t_entries) = self.transposed_entries();
+
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(2 * self.nnz());
+        let mut values = Vec::with_capacity(2 * self.nnz());
+        for i in 0..n {
+            let mut a = self.row_entries(i).map(|(&j, &v)| (j, v)).peekable();
+            let mut b = t_entries[t_ptr[i]..t_ptr[i + 1]].iter().copied().peekable();
+            loop {
+                let (j, v) = match (a.peek(), b.peek()) {
+                    (Some(&(ja, va)), Some(&(jb, vb))) if ja == jb => {
+                        a.next();
+                        b.next();
+                        (ja, va.max(vb))
+                    }
+                    (Some(&(ja, _)), Some(&(jb, _))) if jb < ja => b.next().expect("peeked"),
+                    (Some(_), _) => a.next().expect("peeked"),
+                    (None, Some(_)) => b.next().expect("peeked"),
+                    (None, None) => break,
+                };
+                // Folding from the max rule's identity −∞ maps a NaN
+                // weight to −∞, exactly as an entry-wise max fold does.
+                let v = f64::NEG_INFINITY.max(v);
+                if v != 0.0 {
+                    col_idx.push(j);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix { rows: n, cols: n, row_ptr, col_idx, values }
+    }
+
+    /// `U + Uᵀ` for a strictly upper-triangular square `U`: row `i` is
+    /// row `i` of `Uᵀ` (columns `< i`) followed by row `i` of `U`.
+    pub(crate) fn mirror_upper(&self) -> CsrMatrix {
+        assert_eq!(self.rows, self.cols, "CsrMatrix::mirror_upper: matrix not square");
+        let n = self.rows;
+        let (t_ptr, t_entries) = self.transposed_entries();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(2 * self.nnz());
+        let mut values = Vec::with_capacity(2 * self.nnz());
+        for i in 0..n {
+            let lower = t_entries[t_ptr[i]..t_ptr[i + 1]].iter().copied();
+            for (j, v) in lower.chain(self.row_entries(i).map(|(&j, &v)| (j, v))) {
+                debug_assert!(col_idx.len() == row_ptr[i] || j > col_idx[col_idx.len() - 1]);
+                col_idx.push(j);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        CsrMatrix { rows: n, cols: n, row_ptr, col_idx, values }
+    }
+
+    /// The transpose's rows as `(row pointer, (column, value) entries)`,
+    /// by counting sort: scanning rows in order leaves every transposed
+    /// row's columns ascending. Keeps every stored entry.
+    fn transposed_entries(&self) -> (Vec<usize>, Vec<(usize, f64)>) {
+        let mut t_ptr = vec![0usize; self.cols + 1];
+        for &j in &self.col_idx {
+            t_ptr[j + 1] += 1;
+        }
+        for j in 0..self.cols {
+            t_ptr[j + 1] += t_ptr[j];
+        }
+        let mut fill = t_ptr.clone();
+        let mut entries = vec![(0usize, 0.0f64); self.nnz()];
         for i in 0..self.rows {
             for (&j, &v) in self.row_entries(i) {
-                let e = map.entry((i, j)).or_insert(f64::NEG_INFINITY);
-                *e = e.max(v);
-                let e = map.entry((j, i)).or_insert(f64::NEG_INFINITY);
-                *e = e.max(v);
+                entries[fill[j]] = (i, v);
+                fill[j] += 1;
             }
         }
-        let triplets: Vec<(usize, usize, f64)> = map.into_iter().map(|((i, j), v)| (i, j, v)).collect();
-        CsrMatrix::from_triplets(self.rows, self.cols, &triplets)
+        (t_ptr, entries)
     }
 
     /// Returns `diag(s) · A · diag(s)` (two-sided diagonal scaling, the

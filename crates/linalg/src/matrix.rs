@@ -583,10 +583,7 @@ impl Matrix {
         self.matmul_transpose_b_impl(t, other, out);
     }
 
-    /// Each output element `out[i][j] = dot(A[i], B[j])` is an independent
-    /// ascending-`k` dot product, so walking four `B` rows at once (better
-    /// ILP, `B` rows hot in L1 across the group) changes nothing bitwise
-    /// versus the one-row-at-a-time loop. `out` is fully overwritten.
+    /// One [`abt_row`] per output row; `out` is fully overwritten.
     fn matmul_transpose_b_impl(&self, threads: usize, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
@@ -606,32 +603,43 @@ impl Matrix {
         let a_data = &self.data;
         let b_data = &other.data;
         umsc_rt::par::parallel_chunks_mut_with(threads, &mut out.data, n, |i, orow| {
-            let arow = &a_data[i * k..(i + 1) * k];
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &b_data[j * k..(j + 1) * k];
-                let b1 = &b_data[(j + 1) * k..(j + 2) * k];
-                let b2 = &b_data[(j + 2) * k..(j + 3) * k];
-                let b3 = &b_data[(j + 3) * k..(j + 4) * k];
-                let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-                for ((((&a, &x0), &x1), &x2), &x3) in
-                    arow.iter().zip(b0.iter()).zip(b1.iter()).zip(b2.iter()).zip(b3.iter())
-                {
-                    a0 += a * x0;
-                    a1 += a * x1;
-                    a2 += a * x2;
-                    a3 += a * x3;
-                }
-                orow[j] = a0;
-                orow[j + 1] = a1;
-                orow[j + 2] = a2;
-                orow[j + 3] = a3;
-                j += 4;
-            }
-            for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-                *o = dot(arow, &b_data[jj * k..(jj + 1) * k]);
-            }
+            abt_row(&a_data[i * k..(i + 1) * k], b_data, orow);
         });
+    }
+
+    /// One block of the Gram matrix `self · selfᵀ`: for every `i` in
+    /// `rows` and `j` in `cols`, writes `dot(self.row(i), self.row(j))` to
+    /// `out[(i − rows.start)·ld + (j − cols.start)]`. Entries of `out`
+    /// outside those positions are left untouched, so `ld` may exceed
+    /// `cols.len()` (e.g. to write straight into the rows of a larger
+    /// matrix). Sequential: callers thread over rows.
+    ///
+    /// This is the [`Matrix::matmul_transpose_b`] kernel on row ranges:
+    /// every entry is the same ascending-`k` dot product, and because
+    /// products commute term by term the block holding `(i, j)` and the
+    /// one holding `(j, i)` agree bitwise. That lets symmetric consumers
+    /// (pairwise distances, kNN graphs) compute only the upper triangle.
+    ///
+    /// # Panics
+    /// Panics if a range exceeds `self.rows()`, `ld < cols.len()`, or
+    /// `out` is too short for `rows.len()` rows of stride `ld`.
+    pub fn gram_block_into(&self, rows: std::ops::Range<usize>, cols: std::ops::Range<usize>, out: &mut [f64], ld: usize) {
+        assert!(
+            rows.end <= self.rows && cols.end <= self.rows,
+            "Matrix::gram_block_into: ranges {rows:?}, {cols:?} exceed {} rows",
+            self.rows
+        );
+        let (m, w, k) = (rows.len(), cols.len(), self.cols);
+        assert!(ld >= w, "Matrix::gram_block_into: ld {ld} < block width {w}");
+        if m == 0 || w == 0 {
+            return;
+        }
+        let need = (m - 1) * ld + w;
+        assert!(out.len() >= need, "Matrix::gram_block_into: out holds {} < {need} entries", out.len());
+        let b_data = &self.data[cols.start * k..cols.end * k];
+        for (r, i) in rows.enumerate() {
+            abt_row(&self.data[i * k..(i + 1) * k], b_data, &mut out[r * ld..r * ld + w]);
+        }
     }
 
     /// Matrix–vector product `self · x`.
@@ -833,6 +841,40 @@ impl Matrix {
 #[inline]
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+}
+
+/// `orow[j] = dot(arow, B[j])` for the rows `B[j]` of the row-major
+/// `b_data` (`orow.len()` rows of `arow.len()` columns). Each entry is an
+/// independent ascending-`k` dot product, so walking four `B` rows at once
+/// (better ILP, `B` rows hot in L1 across the group) changes nothing
+/// bitwise versus the one-row-at-a-time loop.
+fn abt_row(arow: &[f64], b_data: &[f64], orow: &mut [f64]) {
+    let k = arow.len();
+    let n = orow.len();
+    let mut j = 0;
+    while j + 4 <= n {
+        let b0 = &b_data[j * k..(j + 1) * k];
+        let b1 = &b_data[(j + 1) * k..(j + 2) * k];
+        let b2 = &b_data[(j + 2) * k..(j + 3) * k];
+        let b3 = &b_data[(j + 3) * k..(j + 4) * k];
+        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
+        for ((((&a, &x0), &x1), &x2), &x3) in
+            arow.iter().zip(b0.iter()).zip(b1.iter()).zip(b2.iter()).zip(b3.iter())
+        {
+            a0 += a * x0;
+            a1 += a * x1;
+            a2 += a * x2;
+            a3 += a * x3;
+        }
+        orow[j] = a0;
+        orow[j + 1] = a1;
+        orow[j + 2] = a2;
+        orow[j + 3] = a3;
+        j += 4;
+    }
+    for (jj, o) in orow.iter_mut().enumerate().skip(j) {
+        *o = dot(arow, &b_data[jj * k..(jj + 1) * k]);
+    }
 }
 
 /// Packs the `k × jw` panel `B[0..k][j0..j0+jw]` into `panel`, laid out as
@@ -1087,6 +1129,25 @@ mod tests {
         let c = Matrix::from_vec(5, 3, (0..15).map(|v| (v as f64).sin()).collect());
         let expected = a.matmul(&c.transpose());
         assert!(a.matmul_transpose_b(&c).approx_eq(&expected, 1e-12));
+    }
+
+    #[test]
+    fn gram_blocks_match_full_gram_bitwise() {
+        let x = Matrix::from_fn(23, 5, |i, j| ((i * 7 + j * 3) as f64).sin() * (i as f64 - 9.5));
+        let full = x.matmul_transpose_b_with_threads(1, &x);
+        for (rows, cols) in [(0..23, 0..23), (4..9, 4..23), (17..23, 0..6), (3..3, 0..5), (5..6, 22..23)] {
+            // Stride wider than the block: the gaps must stay untouched.
+            let ld = cols.len() + 3;
+            let mut out = vec![f64::NAN; rows.len() * ld];
+            x.gram_block_into(rows.clone(), cols.clone(), &mut out, ld);
+            for (r, i) in rows.clone().enumerate() {
+                for (c, j) in cols.clone().enumerate() {
+                    assert_eq!(out[r * ld + c].to_bits(), full[(i, j)].to_bits(), "({i},{j})");
+                    assert_eq!(out[r * ld + c].to_bits(), full[(j, i)].to_bits(), "({j},{i})");
+                }
+                assert!(out[r * ld + cols.len()..(r + 1) * ld].iter().all(|v| v.is_nan()));
+            }
+        }
     }
 
     #[test]

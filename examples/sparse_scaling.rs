@@ -1,4 +1,5 @@
-//! Dense vs matrix-free sparse solve: peak memory and wall time.
+//! Dense vs matrix-free sparse solve: peak memory and wall time, plus the
+//! peak memory of building the k-NN Laplacians themselves.
 //!
 //! ```text
 //! cargo run --release --example sparse_scaling
@@ -11,7 +12,11 @@
 //! and reports wall time, the counting allocator's peak-live-bytes
 //! high-water mark, and accuracy for each. The sparse path's peak stays
 //! O(nnz + n·c) while the dense path carries O(n²) matrices through the
-//! whole solve.
+//! whole solve. The graph build is measured too: the streamed k-NN builder
+//! holds one `TILE_ROWS × n` distance tile plus `O(n·k)` selectors, so
+//! from a few tiles up (every size here, smoke included) it must stay
+//! below one `n × n` `f64` matrix; the example exits non-zero if it does
+//! not (a gate `scripts/verify.sh` relies on).
 //!
 //! The run is pinned to one thread (`UMSC_THREADS=1`): the allocation
 //! tracker's counters are thread-local, so worker threads would hide
@@ -40,14 +45,17 @@ fn human(bytes: u64) -> String {
 fn main() {
     std::env::set_var("UMSC_THREADS", "1");
     let smoke = std::env::var("UMSC_BENCH_SMOKE").is_ok();
-    let sizes: &[usize] = if smoke { &[60] } else { &[150, 300, 500] };
+    // Smoke n = 600 (~5 tiles): at n ≲ 2·TILE_ROWS the tile alone is most
+    // of an n × n matrix and the graph gate would say nothing.
+    let sizes: &[usize] = if smoke { &[200] } else { &[150, 300, 500] };
 
-    println!("{:>6}  {:^32}  {:^32} {:>7}", "", "dense", "sparse", "");
+    println!("{:>6} {:>11}  {:^32}  {:^32} {:>7}", "", "graph", "dense", "sparse", "");
     println!(
-        "{:>6} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8} {:>8}",
-        "n", "time", "peak", "ACC", "time", "peak", "ACC", "ratio"
+        "{:>6} {:>11} {:>11} {:>11} {:>8} {:>11} {:>11} {:>8} {:>8}",
+        "n", "peak", "time", "peak", "ACC", "time", "peak", "ACC", "ratio"
     );
-    println!("{}", "-".repeat(80));
+    println!("{}", "-".repeat(92));
+    let mut graph_gate_failed = false;
 
     for &n_per in sizes {
         let mut gen =
@@ -57,8 +65,14 @@ fn main() {
         let n = data.n();
 
         let model = Umsc::new(UmscConfig::new(3));
-        let sparse_ls = umsc::core::build_view_laplacians_sparse(&data, &model.config().graph_config())
-            .expect("laplacians");
+        let mut built = None;
+        let graph_peak = measure(|| {
+            built = Some(umsc::core::build_view_laplacians_sparse(&data, &model.config().graph_config()))
+        })
+        .peak_bytes;
+        let sparse_ls = built.unwrap().expect("laplacians");
+        let dense_matrix_bytes = (n * n * std::mem::size_of::<f64>()) as u64;
+        graph_gate_failed |= graph_peak >= dense_matrix_bytes;
         let dense_ls: Vec<Matrix> = sparse_ls.iter().map(CsrMatrix::to_dense).collect();
 
         let t0 = Instant::now();
@@ -77,7 +91,8 @@ fn main() {
         let acc_sparse = clustering_accuracy(&sparse_res.labels, &data.labels);
 
         println!(
-            "{n:>6} {t_dense:>11.2?} {:>11} {acc_dense:>8.4} {t_sparse:>11.2?} {:>11} {acc_sparse:>8.4} {:>7.1}x",
+            "{n:>6} {:>11} {t_dense:>11.2?} {:>11} {acc_dense:>8.4} {t_sparse:>11.2?} {:>11} {acc_sparse:>8.4} {:>7.1}x",
+            human(graph_peak),
             human(dense_peak),
             human(sparse_peak),
             dense_peak as f64 / sparse_peak.max(1) as f64
@@ -85,6 +100,10 @@ fn main() {
     }
 
     println!(
-        "\nSame Laplacians, same labels — the sparse path just never materializes an n x n\nmatrix: its peak is the CSR payload plus n x c iterates, so the dense/sparse peak\nratio grows linearly with n at fixed k-NN degree."
+        "\nSame Laplacians, same labels — the sparse path just never materializes an n x n\nmatrix: its peak is the CSR payload plus n x c iterates, so the dense/sparse peak\nratio grows linearly with n at fixed k-NN degree. The graph build streams\ndistance tiles, so it stays below one n x n matrix as well."
     );
+    if graph_gate_failed {
+        eprintln!("sparse_scaling: a k-NN graph build reached the size of one n x n f64 matrix");
+        std::process::exit(1);
+    }
 }
