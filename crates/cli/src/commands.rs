@@ -432,6 +432,16 @@ fn read_labels(path: &str) -> Result<Vec<usize>, String> {
 mod tests {
     use super::*;
 
+    /// The `umsc_obs` trace path and enable flag are process-global, and
+    /// test threads run in parallel: every test that turns tracing on
+    /// holds this lock, so one cannot clear another's trace path before
+    /// its records are written.
+    static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
+        OBS_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("umsc_cli_{tag}_{}", std::process::id()))
     }
@@ -564,6 +574,7 @@ mod tests {
     /// the trace sink is attached or not.
     #[test]
     fn blanczos_labels_identical_with_and_without_tracing() {
+        let _obs = obs_lock();
         let dir = tmp("eigtrace");
         let _ = std::fs::remove_dir_all(&dir);
         let data = umsc_data::synth::MultiViewGmm::new(
@@ -644,6 +655,7 @@ mod tests {
 
     #[test]
     fn trace_and_verbose_flow_produces_parseable_trace() {
+        let _obs = obs_lock();
         let dir = tmp("trace");
         let _ = std::fs::remove_dir_all(&dir);
         let data = umsc_data::synth::MultiViewGmm::new(

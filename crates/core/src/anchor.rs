@@ -4,30 +4,32 @@
 //! module implements the scalable variant the one-stage literature reaches
 //! for on large `n`: every view's graph is the anchor (bipartite) graph of
 //! [`umsc_graph::anchor`], whose normalized Laplacian is `I − B_v·B_vᵀ`
-//! with a thin factor `B_v ∈ R^{n×m}` (`m ≪ n` anchors). Every solver step
-//! then works matrix-free:
+//! with a thin factor `B_v ∈ R^{n×m}` (`m ≪ n` anchors). The shared BCD
+//! engine runs on an anchor view set that works matrix-free:
 //!
 //! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F` — O(n·m·c);
-//! * warm-start embedding — Lanczos on the shifted fused operator,
-//!   O(n·m) per application;
+//! * warm-start embedding — eigensolves of the shifted fused operator
+//!   `σI − Σ_v w_v B_v B_vᵀ` (`σ = Σ_v w_v + ε`), O(n·m) per application;
 //! * GPI F-step — `M = s·F + Σ_v w_v B_v(B_vᵀF) + λ·Y·Rᵀ` (the shift
 //!   `η = 2s ≥ λ_max(Σ w_v L_v)` since each normalized Laplacian is
-//!   bounded by `2I`), then a thin polar decomposition;
-//! * R/Y steps — identical to the dense path (they only touch `n × c`).
+//!   bounded by `2I`), then a thin polar decomposition; at most 20
+//!   iterations, stopping once `F` moves less than `1e-9·√c`;
+//! * R/Y steps — the engine's (they only touch `n × c`).
 //!
 //! Total per-iteration cost O(n·m·c): linear in the number of points.
 
-use crate::config::{EigSolver, Weighting};
+use crate::config::{EigSolver, UmscConfig, Weighting};
+use crate::engine::{self, frobenius_distance, ViewSet};
 use crate::error::UmscError;
-use crate::indicator::{discretize_rows, labels_to_indicator};
-use crate::solver::{copy_embedding, init_rotation, IterationStats, UmscResult};
+use crate::solver::{SolverState, StepStats, UmscResult};
+use crate::workspace::{ensure_shape, SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_data::MultiViewDataset;
-use umsc_linalg::{
-    blanczos_smallest_ws, lanczos_smallest, polar_orthogonalize, procrustes, BlanczosConfig,
-    BlanczosWorkspace, LanczosConfig, Matrix,
-};
+use umsc_linalg::{polar_orthogonalize_into, Matrix};
 use umsc_op::{DiagShift, LinOp, LowRankAnchor, WeightedSum};
+
+/// Iteration cap of the anchor F-step's GPI.
+const ANCHOR_GPI_ITERS: usize = 20;
 
 /// Configuration of the anchor-based solver.
 #[derive(Debug, Clone)]
@@ -129,10 +131,6 @@ impl AnchorUmsc {
         data.validate().map_err(UmscError::InvalidInput)?;
         let cfg = &self.config;
         let n = data.n();
-        let c = cfg.num_clusters;
-        if c == 0 || c > n {
-            return Err(UmscError::InvalidInput(format!("bad num_clusters {c} for n = {n}")));
-        }
         let mut factors = Vec::with_capacity(data.num_views());
         let mut anchors = Vec::with_capacity(data.num_views());
         let mut col_inv_sqrt = Vec::with_capacity(data.num_views());
@@ -199,228 +197,120 @@ impl AnchorUmsc {
     /// Fits from precomputed per-view normalized anchor factors `B_v`
     /// (each `n × m_v`; the affinity is `B_v·B_vᵀ`).
     pub fn fit_factors(&self, factors: &[Matrix]) -> Result<UmscResult> {
+        let cfg = self.solver_config();
+        let n = engine::validate(&cfg, factors.iter().map(Matrix::shape), false, true)?;
+        engine::fit(&cfg, &mut AnchorViews { factors, op: None }, n)
+    }
+
+    /// One block-coordinate sweep on precomputed anchor factors, advancing
+    /// `st` in place: the anchor analogue of [`crate::Umsc::one_step_solve`].
+    /// Allocation-free once `ws` is warm.
+    pub fn one_step_solve(
+        &self,
+        factors: &[Matrix],
+        st: &mut SolverState,
+        ws: &mut SolverWorkspace,
+    ) -> Result<StepStats> {
+        engine::sweep(&self.solver_config(), &mut AnchorViews { factors, op: None }, st, ws)
+    }
+
+    /// The engine's view of this configuration.
+    fn solver_config(&self) -> UmscConfig {
         let cfg = &self.config;
-        if factors.is_empty() {
-            return Err(UmscError::InvalidInput("no anchor factors given".into()));
+        UmscConfig {
+            lambda: cfg.lambda,
+            weighting: cfg.weighting.clone(),
+            max_iter: cfg.max_iter,
+            tol: cfg.tol,
+            gpi_max_iter: ANCHOR_GPI_ITERS,
+            seed: cfg.seed,
+            eig: cfg.eig,
+            ..UmscConfig::new(cfg.num_clusters)
         }
-        let n = factors[0].rows();
-        for (v, b) in factors.iter().enumerate() {
-            if b.rows() != n {
-                return Err(UmscError::InvalidInput(format!("factor {v} has {} rows, expected {n}", b.rows())));
-            }
-        }
-        let c = cfg.num_clusters;
-        if c > n {
-            return Err(UmscError::InvalidInput(format!("num_clusters {c} exceeds n = {n}")));
-        }
-        if let Weighting::Fixed(w) = &cfg.weighting {
-            if w.len() != factors.len() {
-                return Err(UmscError::InvalidInput("fixed weight count mismatch".into()));
-            }
-        }
-        if c == 1 {
-            return Ok(UmscResult {
-                labels: vec![0; n],
-                embedding: Matrix::filled(n, 1, 1.0 / (n as f64).sqrt()),
-                rotation: Matrix::identity(1),
-                indicator: Matrix::filled(n, 1, 1.0),
-                view_weights: vec![1.0 / factors.len() as f64; factors.len()],
-                history: Vec::new(),
-                converged: true,
-            });
-        }
-        if cfg.eig == EigSolver::Jacobi {
-            return Err(UmscError::InvalidInput(
-                "EigSolver::Jacobi needs a dense matrix; the anchor path supports auto/lanczos/blanczos".into(),
-            ));
-        }
-        let lambda_eff = cfg.lambda * c as f64 / (10.0 * n as f64);
-        let obs = umsc_obs::enabled();
-        let fit_start = obs.then(std::time::Instant::now);
+    }
+}
 
-        // Warm start on ONE persistent fused operator
-        // `(s+ε)·I − Σ w_v B_v B_vᵀ`: each re-weighting sweep swaps the
-        // shift and the weights in place, and under the default `Auto`
-        // policy re-converges warm-started block Lanczos from the carried
-        // Ritz subspace (see [`EigSolver`]).
-        let warm_span = umsc_obs::span!("solve.warm_start");
-        let nviews = factors.len();
-        let mut weights = self.normalize(&vec![1.0; nviews]);
-        let ops: Vec<LowRankAnchor<'_>> = factors
-            .iter()
-            .map(|b| LowRankAnchor::new(b.rows(), b.cols(), b.as_slice()))
-            .collect();
-        let mut op = DiagShift::new(
-            weights.iter().sum::<f64>() + 1e-9,
-            WeightedSum::with_weights(ops, &weights),
-        );
-        let mut eig = BlanczosWorkspace::new();
-        let mut f = Matrix::zeros(n, c);
-        anchor_embedding_solve(&op, c, cfg.eig, cfg.seed, &mut eig, &mut f)?;
-        if matches!(cfg.weighting, Weighting::Auto) {
-            let mut prev = f64::INFINITY;
-            for _ in 0..cfg.max_iter.max(1) {
-                weights = self.reweight(factors, &f);
-                op.set_sigma(weights.iter().sum::<f64>() + 1e-9);
-                op.inner_mut().set_weights(&weights);
-                anchor_embedding_solve(&op, c, cfg.eig, cfg.seed, &mut eig, &mut f)?;
-                let obj = self.embedding_objective(factors, &f);
-                if (prev - obj).abs() <= cfg.tol * (1.0 + prev.abs()) {
-                    break;
-                }
-                prev = obj;
-            }
-        } else {
-            weights = self.fixed_weights(nviews);
-            op.set_sigma(weights.iter().sum::<f64>() + 1e-9);
-            op.inner_mut().set_weights(&weights);
-            anchor_embedding_solve(&op, c, cfg.eig, cfg.seed, &mut eig, &mut f)?;
-        }
+/// The anchor view set. `op` is the shifted fused operator
+/// `σI − Σ_v w_v B_v B_vᵀ` of the warm-start eigensolves, built on first
+/// use and dropped before the sweeps, whose F-step works on the factors
+/// directly.
+struct AnchorViews<'a> {
+    factors: &'a [Matrix],
+    op: Option<DiagShift<WeightedSum<LowRankAnchor<'a>>>>,
+}
 
-        drop(warm_span);
+impl ViewSet for AnchorViews<'_> {
+    const SOLVER: &'static str = "anchor";
 
-        let mut r = init_rotation(&f)?;
-        let mut labels = discretize_rows(&f.matmul(&r));
-        let mut y = labels_to_indicator(&labels, c);
-        let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
-        let mut converged = false;
-
-        for _iter in 0..cfg.max_iter {
-            let sweep_start = obs.then(std::time::Instant::now);
-            {
-                let _span = umsc_obs::span!("solve.w_step");
-                if matches!(cfg.weighting, Weighting::Auto) {
-                    weights = self.reweight(factors, &f);
-                }
-            }
-            let s: f64 = weights.iter().sum();
-
-            // Matrix-free GPI: M = s·F + Σ w_v B_v(B_vᵀF) + λ·Y·Rᵀ.
-            {
-                let _span = umsc_obs::span!("solve.f_step");
-                let mut b_term = y.matmul_transpose_b(&r);
-                b_term.scale_mut(lambda_eff);
-                for _inner in 0..20 {
-                    umsc_obs::counter!("gpi.iters", 1);
-                    let mut m_mat = f.scale(s);
-                    for (b, &w) in factors.iter().zip(weights.iter()) {
-                        let btf = b.matmul_transpose_a(&f);
-                        let bbtf = b.matmul(&btf);
-                        m_mat.axpy(w, &bbtf);
-                    }
-                    m_mat.axpy(1.0, &b_term);
-                    let f_new = polar_orthogonalize(&m_mat)?;
-                    let delta = (&f_new - &f).frobenius_norm();
-                    f = f_new;
-                    if delta < 1e-9 * (c as f64).sqrt() {
-                        break;
-                    }
-                }
-            }
-
-            // R-step on the row-normalized embedding; Y-step by argmax.
-            {
-                let _span = umsc_obs::span!("solve.r_step");
-                let mut f_tilde = f.clone();
-                for i in 0..n {
-                    umsc_linalg::ops::normalize(f_tilde.row_mut(i));
-                }
-                r = procrustes(&f_tilde.matmul_transpose_a(&y))?;
-                umsc_obs::counter!("procrustes.updates", 1);
-            }
-            {
-                let _span = umsc_obs::span!("solve.y_step");
-                labels = discretize_rows(&f.matmul(&r));
-                y = labels_to_indicator(&labels, c);
-                umsc_obs::counter!("indicator.updates", 1);
-            }
-
-            // Bookkeeping.
-            let emb = self.embedding_objective(factors, &f);
-            let diff = &f.matmul(&r) - &y;
-            let rot = lambda_eff * diff.frobenius_norm().powi(2);
-            let objective = emb + rot;
-            let prev = history.last().map(|st: &IterationStats| st.objective);
-            history.push(IterationStats {
-                objective,
-                embedding_term: emb,
-                rotation_term: rot,
-                weights: self.normalize(&weights),
-            });
-            if obs {
-                let entry = history.last().expect("just pushed");
-                crate::telemetry::sweep(
-                    "anchor",
-                    history.len() - 1,
-                    &crate::solver::StepStats {
-                        objective,
-                        embedding_term: emb,
-                        rotation_term: rot,
-                    },
-                    prev,
-                    &entry.weights,
-                    crate::telemetry::elapsed_ns(sweep_start),
-                );
-            }
-            if let Some(p) = prev {
-                if (p - objective).abs() <= cfg.tol * (1.0 + p.abs()) {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        crate::telemetry::fit_done(
-            "anchor",
-            history.len(),
-            converged,
-            crate::telemetry::elapsed_ns(fit_start),
-        );
-
-        Ok(UmscResult {
-            labels,
-            embedding: f,
-            rotation: r,
-            indicator: y,
-            view_weights: self.normalize(&weights),
-            history,
-            converged,
-        })
+    fn num_views(&self) -> usize {
+        self.factors.len()
     }
 
-    /// `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²` per view, then the scheme's objective.
-    fn embedding_objective(&self, factors: &[Matrix], f: &Matrix) -> f64 {
-        let traces = view_traces(factors, f);
-        match &self.config.weighting {
-            Weighting::Auto => traces.iter().map(|t| t.max(0.0).sqrt()).sum(),
-            Weighting::Uniform => traces.iter().sum::<f64>() / traces.len() as f64,
-            Weighting::Fixed(w) => {
-                let s: f64 = w.iter().sum();
-                w.iter().zip(traces.iter()).map(|(&wi, &t)| wi / s * t).sum()
+    fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
+        let c = f.cols();
+        size_projections(self.factors, c, &mut scratch.proj);
+        traces.clear();
+        for (b, btf) in self.factors.iter().zip(scratch.proj.iter_mut()) {
+            b.matmul_transpose_a_into(f, btf);
+            traces.push((c as f64 - btf.frobenius_norm().powi(2)).max(0.0));
+        }
+    }
+
+    fn set_weights(&mut self, weights: &[f64]) {
+        let sigma = weights.iter().sum::<f64>() + 1e-9;
+        match &mut self.op {
+            Some(op) => {
+                op.set_sigma(sigma);
+                op.inner_mut().set_weights(weights);
+            }
+            None => {
+                let ops = self.factors.iter().map(|b| LowRankAnchor::new(b.rows(), b.cols(), b.as_slice()));
+                self.op = Some(DiagShift::new(sigma, WeightedSum::with_weights(ops.collect(), weights)));
             }
         }
     }
 
-    fn reweight(&self, factors: &[Matrix], f: &Matrix) -> Vec<f64> {
-        view_traces(factors, f).iter().map(|t| 1.0 / (2.0 * t.max(1e-10).sqrt())).collect()
+    fn operator(&self) -> &dyn LinOp {
+        self.op.as_ref().expect("the warm start sets weights before solving")
     }
 
-    fn fixed_weights(&self, nviews: usize) -> Vec<f64> {
-        match &self.config.weighting {
-            Weighting::Fixed(w) => {
-                let s: f64 = w.iter().sum();
-                w.iter().map(|&x| x / s).collect()
+    fn f_step(&mut self, weights: &[f64], f: &mut Matrix, max_iter: usize, ws: &mut SolverWorkspace) -> Result<()> {
+        let (n, c) = f.shape();
+        let s: f64 = weights.iter().sum();
+        ws.gpi.ensure(n, c);
+        ensure_shape(&mut ws.f_next, n, c);
+        size_projections(self.factors, c, &mut ws.trace.proj);
+        let SolverWorkspace { b: attraction, gpi, f_next, trace, .. } = ws;
+        for _inner in 0..max_iter {
+            umsc_obs::counter!("gpi.iters", 1);
+            gpi.m.copy_from(f);
+            gpi.m.scale_mut(s);
+            for ((b, &w), btf) in self.factors.iter().zip(weights).zip(trace.proj.iter_mut()) {
+                b.matmul_transpose_a_into(f, btf);
+                b.matmul_into(btf, &mut gpi.af);
+                gpi.m.axpy(w, &gpi.af);
             }
-            _ => vec![1.0 / nviews as f64; nviews],
+            gpi.m.axpy(1.0, attraction);
+            polar_orthogonalize_into(&gpi.m, &mut gpi.svd, f_next)?;
+            let delta = frobenius_distance(f_next, f);
+            std::mem::swap(f, f_next);
+            if delta < 1e-9 * (c as f64).sqrt() {
+                break;
+            }
         }
+        Ok(())
     }
 
-    fn normalize(&self, w: &[f64]) -> Vec<f64> {
-        let s: f64 = w.iter().sum();
-        if s > 0.0 {
-            w.iter().map(|&x| x / s).collect()
-        } else {
-            vec![1.0 / w.len().max(1) as f64; w.len()]
-        }
+    fn end_warm_start(&mut self) {
+        self.op = None;
+    }
+}
+
+/// Sizes one `m_v × c` projection buffer per factor.
+fn size_projections(factors: &[Matrix], c: usize, proj: &mut Vec<Matrix>) {
+    proj.resize_with(factors.len(), || Matrix::zeros(0, 0));
+    for (b, btf) in factors.iter().zip(proj.iter_mut()) {
+        TraceScratch::fit(btf, b.cols(), c);
     }
 }
 
@@ -641,61 +531,6 @@ fn read_matrix(r: &mut impl std::io::Read) -> std::io::Result<Matrix> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-fn view_traces(factors: &[Matrix], f: &Matrix) -> Vec<f64> {
-    let c = f.cols() as f64;
-    factors
-        .iter()
-        .map(|b| {
-            let btf = b.matmul_transpose_a(f);
-            (c - btf.frobenius_norm().powi(2)).max(0.0)
-        })
-        .collect()
-}
-
-/// Smallest eigenvectors of the shifted fused operator
-/// `(s + ε)·I − Σ w_v B_v B_vᵀ`: the largest of the fused anchor affinity,
-/// i.e. the smallest of the fused normalized Laplacian. Composed from
-/// [`umsc_op`] nodes — each `B_v B_vᵀ` stays an implicit rank-`m` factor,
-/// so one application costs O(n·m) instead of O(n²). `Jacobi` is rejected
-/// before the warm loop, so it never reaches here; warm block solves run
-/// under an `eig.warm` span for the trace.
-fn anchor_embedding_solve(
-    op: &DiagShift<WeightedSum<LowRankAnchor<'_>>>,
-    c: usize,
-    kind: EigSolver,
-    seed: u64,
-    eig: &mut BlanczosWorkspace,
-    f: &mut Matrix,
-) -> Result<()> {
-    let scalar_lanczos = |f: &mut Matrix| -> Result<()> {
-        let cfg =
-            LanczosConfig { seed, initial_subspace: (2 * c + 20).min(op.dim()), ..Default::default() };
-        let (_, vecs) = lanczos_smallest(op, c, &cfg)?;
-        copy_embedding(f, &vecs);
-        Ok(())
-    };
-    match kind {
-        EigSolver::Auto => {
-            if eig.is_warm() {
-                let _g = umsc_obs::span!("eig.warm");
-                blanczos_smallest_ws(op, c, &BlanczosConfig { seed, ..Default::default() }, eig)?;
-                copy_embedding(f, eig.subspace());
-            } else {
-                scalar_lanczos(f)?;
-                eig.seed_from(f);
-            }
-        }
-        EigSolver::Blanczos => {
-            let _g = eig.is_warm().then(|| umsc_obs::span!("eig.warm"));
-            blanczos_smallest_ws(op, c, &BlanczosConfig { seed, ..Default::default() }, eig)?;
-            copy_embedding(f, eig.subspace());
-        }
-        EigSolver::Lanczos => scalar_lanczos(f)?,
-        EigSolver::Jacobi => unreachable!("Jacobi is rejected before the anchor warm loop"),
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -860,14 +695,5 @@ mod tests {
         // Empty batch is fine.
         let empty = vec![Matrix::zeros(0, 6), Matrix::zeros(0, 8)];
         assert_eq!(model.assign(&empty).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn single_cluster_and_errors() {
-        let data = gmm(10, 6);
-        let res = AnchorUmsc::new(AnchorUmscConfig::new(1)).fit(&data).unwrap();
-        assert!(res.labels.iter().all(|&l| l == 0));
-        assert!(AnchorUmsc::new(AnchorUmscConfig::new(100)).fit(&data).is_err());
-        assert!(AnchorUmsc::new(AnchorUmscConfig::new(2)).fit_factors(&[]).is_err());
     }
 }

@@ -42,13 +42,13 @@
 
 pub mod anchor;
 pub mod config;
+mod engine;
 pub mod error;
 pub mod gpi;
 pub mod indicator;
 pub mod pipeline;
 pub mod solver;
 pub mod sparse_solver;
-pub(crate) mod telemetry;
 pub mod workspace;
 
 pub use anchor::{AnchorAssigner, AnchorModel, AnchorUmsc, AnchorUmscConfig};

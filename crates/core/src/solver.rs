@@ -1,6 +1,8 @@
-//! The unified one-stage solver (block coordinate descent).
+//! The unified one-stage solver on dense Laplacians, and the model type.
 //!
-//! See the crate docs for the objective. One outer iteration performs:
+//! [`Umsc`] is the public face of the paper's method. Every fit funnels
+//! into the shared block-coordinate-descent engine (`engine.rs`); one
+//! outer iteration performs:
 //!
 //! 1. **w-step** — closed-form view re-weighting (scheme-dependent);
 //! 2. **F-step** — GPI on `min tr(Fᵀ L̄ F) − 2λ tr(Fᵀ Y_eff Rᵀ)` over the
@@ -8,29 +10,20 @@
 //! 3. **R-step** — orthogonal Procrustes `R = UVᵀ` of `Fᵀ Y_eff`;
 //! 4. **Y-step** — exact row-wise argmax of `F·R` with empty-cluster repair.
 //!
-//! With [`Weighting::Auto`] the reported objective is the parameter-free
-//! functional `Σ_v √tr(Fᵀ L⁽ᵛ⁾ F) + λ‖FR − Y_eff‖²` (the auto-weights are
-//! its MM surrogate); with `Uniform`/`Fixed` it is the plainly weighted sum.
-//! In the paper's configuration ([`Discretization::Rotation`]) the
-//! objective is monotonically non-increasing — asserted in tests and
-//! plotted by bench figure F1.
+//! This module supplies the engine's dense view set: `Σ_v w_v L⁽ᵛ⁾`
+//! materialized into one reused `n × n` buffer, the dense QL / Lanczos
+//! cold solve of [`spectral_embedding`], and the GPI F-step with the
+//! Gershgorin shift.
 
-use crate::config::{Discretization, EigSolver, UmscConfig, Weighting};
+use crate::config::UmscConfig;
+use crate::engine::{self, ViewSet};
 use crate::error::UmscError;
 use crate::gpi::gpi_stiefel_ws;
-use crate::indicator::{
-    discretize_rows, discretize_rows_into, discretize_scaled_inplace, labels_to_indicator,
-    labels_to_indicator_into, scaled_indicator_into,
-};
 use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse, spectral_embedding};
-use crate::workspace::SolverWorkspace;
+use crate::workspace::{ensure_shape, SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_data::MultiViewDataset;
-use umsc_kmeans::{kmeans, KMeansConfig};
-use umsc_linalg::{
-    blanczos_smallest_ws, jacobi_eigen, lanczos_smallest, procrustes, procrustes_into,
-    BlanczosConfig, BlanczosWorkspace, LanczosConfig, Matrix,
-};
+use umsc_linalg::{procrustes, LinOp, Matrix};
 
 /// Snapshot of one outer iteration (for convergence plots).
 #[derive(Debug, Clone)]
@@ -124,11 +117,9 @@ impl Umsc {
     /// configured graph kind: natively sparse graphs (see
     /// [`crate::GraphKind::is_sparse`]) run the matrix-free CSR path
     /// ([`Umsc::fit_laplacians_sparse`]) — O(nnz + n·c) workspace memory
-    /// instead of O(n²) — while dense/CAN graphs, and the `KMeans`
-    /// discretization ablation (dense-path only), take [`Umsc::fit`].
+    /// instead of O(n²) — while dense/CAN graphs take [`Umsc::fit`].
     pub fn fit_auto(&self, data: &MultiViewDataset) -> Result<UmscResult> {
-        let kmeans = matches!(self.config.discretization, Discretization::KMeans { .. });
-        if self.config.graph.is_sparse() && !kmeans {
+        if self.config.graph.is_sparse() {
             let laplacians = build_view_laplacians_sparse(data, &self.config.graph_config())?;
             self.fit_laplacians_sparse(&laplacians)
         } else {
@@ -161,128 +152,13 @@ impl Umsc {
     /// Fits the model on precomputed per-view (normalized) Laplacians —
     /// the entry point when graphs come from elsewhere.
     pub fn fit_laplacians(&self, laplacians: &[Matrix]) -> Result<UmscResult> {
-        let cfg = &self.config;
-        if laplacians.is_empty() {
-            return Err(UmscError::InvalidInput("no Laplacians given".into()));
-        }
-        let n = laplacians[0].rows();
-        for (v, l) in laplacians.iter().enumerate() {
-            if !l.is_square() || l.rows() != n {
-                return Err(UmscError::InvalidInput(format!(
-                    "Laplacian {v} has shape {}x{}, expected {n}x{n}",
-                    l.rows(),
-                    l.cols()
-                )));
-            }
-        }
-        let c = cfg.num_clusters;
-        if c == 0 {
-            return Err(UmscError::InvalidInput("num_clusters is zero".into()));
-        }
-        if c > n {
-            return Err(UmscError::InvalidInput(format!("num_clusters {c} exceeds n = {n}")));
-        }
-        if let Weighting::Fixed(w) = &cfg.weighting {
-            if w.len() != laplacians.len() {
-                return Err(UmscError::InvalidInput(format!(
-                    "{} fixed weights for {} views",
-                    w.len(),
-                    laplacians.len()
-                )));
-            }
-            if w.iter().any(|&x| !x.is_finite() || x < 0.0) {
-                return Err(UmscError::InvalidInput("fixed weights must be finite and non-negative".into()));
-            }
-            if w.iter().sum::<f64>() <= 0.0 {
-                return Err(UmscError::InvalidInput("fixed weights must not all be zero".into()));
-            }
-        }
-
-        // Degenerate single-cluster case.
-        if c == 1 {
-            return Ok(UmscResult {
-                labels: vec![0; n],
-                embedding: spectral_embedding(&mean_laplacian(laplacians), 1, cfg.seed)?,
-                rotation: Matrix::identity(1),
-                indicator: Matrix::filled(n, 1, 1.0),
-                view_weights: normalized(&vec![1.0; laplacians.len()]),
-                history: Vec::new(),
-                converged: true,
-            });
-        }
-
-        match cfg.discretization {
-            Discretization::KMeans { restarts } => self.fit_two_stage(laplacians, restarts),
-            Discretization::Rotation | Discretization::ScaledRotation => self.fit_one_stage(laplacians),
-        }
+        let n = engine::validate(&self.config, laplacians.iter().map(Matrix::shape), true, false)?;
+        engine::fit(&self.config, &mut DenseViews { laplacians, a: Matrix::zeros(0, 0) }, n)
     }
 
-    /// One-stage BCD (the paper's method).
-    fn fit_one_stage(&self, laplacians: &[Matrix]) -> Result<UmscResult> {
-        let cfg = &self.config;
-        let obs = umsc_obs::enabled();
-        let fit_start = obs.then(std::time::Instant::now);
-        let mut ws = SolverWorkspace::new();
-        let mut st = self.init_solver_state_ws(laplacians, &mut ws)?;
-        let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
-        let mut converged = false;
-
-        for _iter in 0..cfg.max_iter {
-            let sweep_start = obs.then(std::time::Instant::now);
-            let stats = self.one_step_solve(laplacians, &mut st, &mut ws)?;
-            let prev = history.last().map(|s: &IterationStats| s.objective);
-            history.push(IterationStats {
-                objective: stats.objective,
-                embedding_term: stats.embedding_term,
-                rotation_term: stats.rotation_term,
-                weights: normalized(&st.weights),
-            });
-            if obs {
-                let entry = history.last().expect("just pushed");
-                crate::telemetry::sweep(
-                    "dense",
-                    history.len() - 1,
-                    &stats,
-                    prev,
-                    &entry.weights,
-                    crate::telemetry::elapsed_ns(sweep_start),
-                );
-            }
-            if let Some(p) = prev {
-                if (p - stats.objective).abs() <= cfg.tol * (1.0 + p.abs()) {
-                    converged = true;
-                    break;
-                }
-            }
-        }
-        crate::telemetry::fit_done(
-            "dense",
-            history.len(),
-            converged,
-            crate::telemetry::elapsed_ns(fit_start),
-        );
-
-        let SolverState { f, r, y, labels, weights } = st;
-        Ok(UmscResult {
-            labels,
-            embedding: f,
-            rotation: r,
-            indicator: y,
-            view_weights: normalized(&weights),
-            history,
-            converged,
-        })
-    }
-
-    /// Initializes the BCD state for [`Umsc::one_step_solve`].
-    ///
-    /// Warm-starts `F` at the solution of the relaxed problem (λ→0), i.e.
-    /// the converged (re-weighted) spectral embedding. Starting the joint
-    /// loop from the unweighted mean Laplacian instead lets noisy views
-    /// pollute the first indicator, and the alignment feedback then locks
-    /// the bad start in. The rotation is initialized by the Yu–Shi scheme
-    /// (raw argmax on F degenerates because the first Laplacian eigenvector
-    /// is near-constant).
+    /// Initializes the BCD state for [`Umsc::one_step_solve`]: the
+    /// warm-started embedding (the re-weighted spectral embedding of the
+    /// relaxed λ→0 problem) and the Yu–Shi rotation.
     ///
     /// Callers driving the solver manually must pass validated Laplacians
     /// (square, equal sizes, `c ≤ n`) — [`Umsc::fit_laplacians`] performs
@@ -291,23 +167,18 @@ impl Umsc {
         self.init_solver_state_ws(laplacians, &mut SolverWorkspace::new())
     }
 
-    /// [`Umsc::init_solver_state`] through a caller-provided workspace: the
-    /// warm-start re-weighting sweeps carry their Ritz subspace in the
-    /// workspace's block-Lanczos state, so every sweep after the first
-    /// re-converges from the previous sweep's eigenbasis instead of from
-    /// scratch (see [`EigSolver`]).
+    /// [`Umsc::init_solver_state`] accumulating the fused Laplacian of the
+    /// warm-start sweeps into the workspace's `n × n` buffer, which later
+    /// [`Umsc::one_step_solve`] calls reuse.
     pub fn init_solver_state_ws(
         &self,
         laplacians: &[Matrix],
         ws: &mut SolverWorkspace,
     ) -> Result<SolverState> {
-        let c = self.config.num_clusters;
-        let f = self.warm_start_embedding(laplacians, ws)?;
-        let r = init_rotation(&f)?;
-        let labels = discretize_rows(&f.matmul(&r));
-        let y = labels_to_indicator(&labels, c);
-        let weights = vec![1.0 / laplacians.len() as f64; laplacians.len()];
-        Ok(SolverState { f, r, y, labels, weights })
+        let mut views = DenseViews { laplacians, a: std::mem::replace(&mut ws.a, Matrix::zeros(0, 0)) };
+        let st = engine::init_state(&self.config, &mut views);
+        ws.a = views.a;
+        st
     }
 
     /// Performs one full BCD sweep (w-, F-, R-, Y-step) in place.
@@ -315,7 +186,7 @@ impl Umsc {
     /// All intermediates live in `ws`; after the first call (which sizes
     /// the buffers) the iteration body performs **zero heap allocations**
     /// — asserted by the counting-allocator test in `tests/alloc_free.rs`.
-    /// [`Umsc::fit_laplacians`] drives exactly this method; stepping it
+    /// [`Umsc::fit_laplacians`] drives exactly this sweep; stepping it
     /// manually yields the same iterates.
     pub fn one_step_solve(
         &self,
@@ -323,353 +194,73 @@ impl Umsc {
         st: &mut SolverState,
         ws: &mut SolverWorkspace,
     ) -> Result<StepStats> {
-        let cfg = &self.config;
-        let (n, c) = st.f.shape();
-        let scaled = cfg.discretization == Discretization::ScaledRotation;
-        // The alignment term ‖FR − Y‖² grows with n while the Rayleigh term
-        // tr(FᵀLF) is O(c), so λ is normalized by c/(10n): dimensionless
-        // across dataset sizes, with λ = 1 sitting inside the stable
-        // plateau of the sensitivity curve (figure F2) rather than at its
-        // edge — the alignment term refines the warm-started embedding
-        // instead of overruling the graphs.
-        let lambda_eff = cfg.lambda * c as f64 / (10.0 * n as f64);
-        ws.ensure(n, c, true);
+        let mut views = DenseViews { laplacians, a: std::mem::replace(&mut ws.a, Matrix::zeros(0, 0)) };
+        let stats = engine::sweep(&self.config, &mut views, st, ws);
+        ws.a = views.a;
+        stats
+    }
+}
 
-        // --- w-step ---
-        {
-            let _span = umsc_obs::span!("solve.w_step");
-            view_traces_into(laplacians, &st.f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
-            self.weights_from_traces_into(&ws.traces, &mut st.weights);
-        }
+/// The dense view set: `Σ_v w_v L⁽ᵛ⁾` materialized into `a`, exactly
+/// symmetrized. The first operator is the mean Laplacian `(Σ_v L⁽ᵛ⁾)/V`,
+/// which rounds differently from `Σ_v (1/V)·L⁽ᵛ⁾`.
+struct DenseViews<'a> {
+    laplacians: &'a [Matrix],
+    a: Matrix,
+}
 
-        // --- F-step ---
-        {
-            let _span = umsc_obs::span!("solve.f_step");
-            weighted_laplacian_into(laplacians, &st.weights, &mut ws.a);
-            effective_indicator(&st.y, scaled, &mut ws.sizes, &mut ws.y_eff);
-            b_matrix_into(&ws.y_eff, &st.r, lambda_eff, &mut ws.b);
-            gpi_stiefel_ws(&ws.a, &ws.b, &mut st.f, cfg.gpi_max_iter, 1e-10, &mut ws.gpi)?;
-        }
+impl ViewSet for DenseViews<'_> {
+    const SOLVER: &'static str = "dense";
 
-        // --- R-step ---
-        // Procrustes on the row-normalized embedding F̃ (Yu–Shi): each
-        // point votes equally in the alignment, so low-norm boundary
-        // rows cannot skew the rotation.
-        {
-            let _span = umsc_obs::span!("solve.r_step");
-            effective_indicator(&st.y, scaled, &mut ws.sizes, &mut ws.y_eff);
-            row_normalized_into(&st.f, &mut ws.f_tilde);
-            ws.f_tilde.matmul_transpose_a_into(&ws.y_eff, &mut ws.cc);
-            procrustes_into(&ws.cc, &mut ws.svd_r, &mut st.r)?;
-            umsc_obs::counter!("procrustes.updates", 1);
-        }
-
-        // --- Y-step --- For the plain indicator, row-wise argmax is
-        // the exact minimizer. For the scaled indicator the column
-        // scales couple the rows, so the exact block minimizer is the
-        // size-aware coordinate descent (crucial on unbalanced data).
-        {
-            let _span = umsc_obs::span!("solve.y_step");
-            st.f.matmul_into(&st.r, &mut ws.fr);
-            discretize_rows_into(&ws.fr, &mut st.labels, &mut ws.counts);
-            if scaled {
-                discretize_scaled_inplace(&ws.fr, &mut st.labels, 30, &mut ws.dsc_sizes, &mut ws.dsc_sums);
-            }
-            labels_to_indicator_into(&st.labels, &mut st.y);
-            umsc_obs::counter!("indicator.updates", 1);
-        }
-
-        // --- bookkeeping ---
-        view_traces_into(laplacians, &st.f, &mut ws.lf, &mut ws.cc, &mut ws.traces);
-        let emb = self.embedding_objective(&ws.traces);
-        effective_indicator(&st.y, scaled, &mut ws.sizes, &mut ws.y_eff);
-        let rot = lambda_eff * frobenius_distance(&ws.fr, &ws.y_eff).powi(2);
-        Ok(StepStats { objective: emb + rot, embedding_term: emb, rotation_term: rot })
+    fn num_views(&self) -> usize {
+        self.laplacians.len()
     }
 
-    /// Two-stage ablation: auto-weighted embedding, then K-means.
-    fn fit_two_stage(&self, laplacians: &[Matrix], restarts: usize) -> Result<UmscResult> {
-        let cfg = &self.config;
-        let c = cfg.num_clusters;
-        let n = laplacians[0].rows();
-        let mut eig = BlanczosWorkspace::new();
-        let mut f = Matrix::zeros(n, c);
-        let mut a = mean_laplacian(laplacians);
-        self.embedding_solve(&a, &mut f, &mut eig)?;
-        let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
-        let mut converged = false;
-        let mut weights = vec![1.0 / laplacians.len() as f64; laplacians.len()];
-
-        for _iter in 0..cfg.max_iter {
-            let traces = view_traces(laplacians, &f);
-            weights = self.weights_from_traces(&traces);
-            weighted_laplacian_into(laplacians, &weights, &mut a);
-            self.embedding_solve(&a, &mut f, &mut eig)?;
-
-            let traces = view_traces(laplacians, &f);
-            let emb = self.embedding_objective(&traces);
-            let prev = history.last().map(|s: &IterationStats| s.objective);
-            history.push(IterationStats {
-                objective: emb,
-                embedding_term: emb,
-                rotation_term: 0.0,
-                weights: normalized(&weights),
-            });
-            if let Some(p) = prev {
-                if (p - emb).abs() <= cfg.tol * (1.0 + p.abs()) {
-                    converged = true;
-                    break;
-                }
-            }
-            if matches!(cfg.weighting, Weighting::Uniform | Weighting::Fixed(_)) {
-                // Weights never change: one embedding solve is exact.
-                converged = true;
-                break;
-            }
+    fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
+        let (n, c) = f.shape();
+        TraceScratch::fit(&mut scratch.lf, n, c);
+        TraceScratch::fit(&mut scratch.cc, c, c);
+        traces.clear();
+        for l in self.laplacians {
+            l.matmul_into(f, &mut scratch.lf);
+            f.matmul_transpose_a_into(&scratch.lf, &mut scratch.cc);
+            traces.push(scratch.cc.trace());
         }
-
-        // Stage two: K-means on the (row-normalized) embedding.
-        let mut rows = f.clone();
-        for i in 0..rows.rows() {
-            umsc_linalg::ops::normalize(rows.row_mut(i));
-        }
-        let km = kmeans(&rows, &KMeansConfig::new(c).with_seed(cfg.seed).with_restarts(restarts.max(1)));
-        let labels = km.labels;
-        let y = labels_to_indicator(&labels, c);
-
-        Ok(UmscResult {
-            labels,
-            embedding: f,
-            rotation: Matrix::identity(c),
-            indicator: y,
-            view_weights: normalized(&weights),
-            history,
-            converged,
-        })
     }
 
-    /// Solves the relaxed (λ→0) problem: the re-weighted spectral
-    /// embedding iterated to stationarity (a handful of eigen-solves; with
-    /// non-adaptive weights a single solve is exact).
-    ///
-    /// The eigensolver behind each sweep is chosen by [`UmscConfig::eig`];
-    /// under the default `Auto` policy the first solve is cold and every
-    /// re-weighting sweep after it warm-starts block Lanczos from the
-    /// previous sweep's Ritz subspace (carried in `ws.eig`). The fused
-    /// Laplacian of each sweep is accumulated into `ws.a`, so the loop
-    /// body stops allocating O(n²) per round.
-    fn warm_start_embedding(&self, laplacians: &[Matrix], ws: &mut SolverWorkspace) -> Result<Matrix> {
-        let _span = umsc_obs::span!("solve.warm_start");
-        let cfg = &self.config;
-        let c = cfg.num_clusters;
-        let n = laplacians[0].rows();
-        ws.ensure(n, c, true);
-        let mut f = Matrix::zeros(n, c);
-        let a0 = mean_laplacian(laplacians);
-        self.embedding_solve(&a0, &mut f, &mut ws.eig)?;
-        let rounds = match cfg.weighting {
-            Weighting::Auto => cfg.max_iter.max(1),
-            Weighting::Uniform | Weighting::Fixed(_) => 1,
-        };
-        let mut prev_obj = f64::INFINITY;
-        for _ in 0..rounds {
-            let traces = view_traces(laplacians, &f);
-            let weights = self.weights_from_traces(&traces);
-            weighted_laplacian_into(laplacians, &weights, &mut ws.a);
-            self.embedding_solve(&ws.a, &mut f, &mut ws.eig)?;
-            let obj = self.embedding_objective(&view_traces(laplacians, &f));
-            if (prev_obj - obj).abs() <= cfg.tol * (1.0 + prev_obj.abs()) {
-                break;
-            }
-            prev_obj = obj;
+    fn set_weights(&mut self, weights: &[f64]) {
+        let n = self.laplacians[0].rows();
+        ensure_shape(&mut self.a, n, n);
+        self.a.as_mut_slice().fill(0.0);
+        for (l, &w) in self.laplacians.iter().zip(weights.iter()) {
+            self.a.axpy(w, l);
         }
-        Ok(f)
+        self.a.symmetrize_mut();
     }
 
-    /// One embedding eigensolve of the dense fused Laplacian `a` under the
-    /// configured [`EigSolver`] policy, writing the `c` smallest
-    /// eigenvectors into `f`.
-    ///
-    /// `eig` is the persistent block-Lanczos state: when it is warm (a
-    /// subspace of the right shape was left by a previous solve or seeded
-    /// via [`BlanczosWorkspace::seed_from`]), the `Auto` and `Blanczos`
-    /// policies restart from it — the whole point of carrying the
-    /// workspace across sweeps — and the solve runs under an `eig.warm`
-    /// span for the trace.
-    fn embedding_solve(&self, a: &Matrix, f: &mut Matrix, eig: &mut BlanczosWorkspace) -> Result<()> {
-        let cfg = &self.config;
-        let c = cfg.num_clusters;
-        let n = a.rows();
-        match cfg.eig {
-            EigSolver::Auto => {
-                if eig.is_warm() {
-                    let _g = umsc_obs::span!("eig.warm");
-                    let bcfg = BlanczosConfig { seed: cfg.seed, ..Default::default() };
-                    blanczos_smallest_ws(a, c, &bcfg, eig)?;
-                    copy_embedding(f, eig.subspace());
-                } else {
-                    *f = spectral_embedding(a, c, cfg.seed)?;
-                    eig.seed_from(f);
-                }
-            }
-            EigSolver::Blanczos => {
-                let _g = eig.is_warm().then(|| umsc_obs::span!("eig.warm"));
-                let bcfg = BlanczosConfig { seed: cfg.seed, ..Default::default() };
-                blanczos_smallest_ws(a, c, &bcfg, eig)?;
-                copy_embedding(f, eig.subspace());
-            }
-            EigSolver::Lanczos => {
-                let lcfg = LanczosConfig {
-                    seed: cfg.seed,
-                    initial_subspace: (2 * c + 20).min(n),
-                    ..Default::default()
-                };
-                let (_, vecs) = lanczos_smallest(a, c, &lcfg)?;
-                copy_embedding(f, &vecs);
-            }
-            EigSolver::Jacobi => {
-                let (_, vecs) = jacobi_eigen(a)?;
-                if f.shape() != (n, c) {
-                    *f = Matrix::zeros(n, c);
-                }
-                for j in 0..c {
-                    f.set_col(j, &vecs.col(j));
-                }
-            }
-        }
+    fn set_uniform(&mut self) {
+        self.set_weights(&vec![1.0; self.laplacians.len()]);
+        self.a.scale_mut(1.0 / self.laplacians.len() as f64);
+    }
+
+    fn operator(&self) -> &dyn LinOp {
+        &self.a
+    }
+
+    fn matrix(&self) -> Option<&Matrix> {
+        Some(&self.a)
+    }
+
+    /// Dense QL up to the size threshold, scalar Lanczos above it.
+    fn cold_solve(&self, c: usize, seed: u64, f: &mut Matrix) -> Result<()> {
+        *f = spectral_embedding(&self.a, c, seed)?;
         Ok(())
     }
 
-    /// Closed-form weights from the per-view embedding traces.
-    fn weights_from_traces(&self, traces: &[f64]) -> Vec<f64> {
-        let mut weights = Vec::with_capacity(traces.len());
-        self.weights_from_traces_into(traces, &mut weights);
-        weights
-    }
-
-    /// [`Umsc::weights_from_traces`] reusing the output vector's capacity.
-    pub(crate) fn weights_from_traces_into(&self, traces: &[f64], weights: &mut Vec<f64>) {
-        weights.clear();
-        match &self.config.weighting {
-            Weighting::Auto => weights.extend(traces.iter().map(|&t| 1.0 / (2.0 * t.max(1e-10).sqrt()))),
-            Weighting::Uniform => weights.resize(traces.len(), 1.0 / traces.len() as f64),
-            Weighting::Fixed(w) => {
-                let s: f64 = w.iter().sum();
-                weights.extend(w.iter().map(|&x| x / s));
-            }
-        }
-    }
-
-    /// The embedding term of the reported objective (scheme-dependent; see
-    /// module docs).
-    pub(crate) fn embedding_objective(&self, traces: &[f64]) -> f64 {
-        match &self.config.weighting {
-            Weighting::Auto => traces.iter().map(|&t| t.max(0.0).sqrt()).sum(),
-            Weighting::Uniform => traces.iter().sum::<f64>() / traces.len() as f64,
-            Weighting::Fixed(w) => {
-                let s: f64 = w.iter().sum();
-                w.iter().zip(traces.iter()).map(|(&wi, &t)| wi / s * t).sum()
-            }
-        }
-    }
-}
-
-/// `tr(Fᵀ L⁽ᵛ⁾ F)` for every view.
-fn view_traces(laplacians: &[Matrix], f: &Matrix) -> Vec<f64> {
-    let (n, c) = f.shape();
-    let mut lf = Matrix::zeros(n, c);
-    let mut cc = Matrix::zeros(c, c);
-    let mut traces = Vec::with_capacity(laplacians.len());
-    view_traces_into(laplacians, f, &mut lf, &mut cc, &mut traces);
-    traces
-}
-
-/// [`view_traces`] through caller-provided scratch (`lf` is `n × c`, `cc`
-/// is `c × c`): allocation-free once `traces` has capacity.
-fn view_traces_into(
-    laplacians: &[Matrix],
-    f: &Matrix,
-    lf: &mut Matrix,
-    cc: &mut Matrix,
-    traces: &mut Vec<f64>,
-) {
-    traces.clear();
-    for l in laplacians {
-        l.matmul_into(f, lf);
-        f.matmul_transpose_a_into(lf, cc);
-        traces.push(cc.trace());
-    }
-}
-
-/// `Σ_v w_v · L⁽ᵛ⁾`, exactly symmetrized.
-fn weighted_laplacian(laplacians: &[Matrix], weights: &[f64]) -> Matrix {
-    let n = laplacians[0].rows();
-    let mut a = Matrix::zeros(n, n);
-    weighted_laplacian_into(laplacians, weights, &mut a);
-    a
-}
-
-/// [`weighted_laplacian`] writing into an existing `n × n` matrix.
-fn weighted_laplacian_into(laplacians: &[Matrix], weights: &[f64], a: &mut Matrix) {
-    a.as_mut_slice().fill(0.0);
-    for (l, &w) in laplacians.iter().zip(weights.iter()) {
-        a.axpy(w, l);
-    }
-    a.symmetrize_mut();
-}
-
-/// Copies an eigensolver's subspace into the embedding buffer without
-/// reallocating when shapes already match (the warm-sweep steady state).
-pub(crate) fn copy_embedding(f: &mut Matrix, sub: &Matrix) {
-    if f.shape() == sub.shape() {
-        f.as_mut_slice().copy_from_slice(sub.as_slice());
-    } else {
-        *f = sub.clone();
-    }
-}
-
-/// Writes the effective indicator — `Y` itself, or the scaled
-/// `Y(YᵀY)^{-1/2}` for the scaled-rotation objective — into `out`.
-pub(crate) fn effective_indicator(y: &Matrix, scaled: bool, sizes: &mut Vec<f64>, out: &mut Matrix) {
-    if scaled {
-        scaled_indicator_into(y, sizes, out);
-    } else {
-        out.copy_from(y);
-    }
-}
-
-/// `‖A − B‖_F` without materializing the difference. Accumulates the
-/// squared residual in the same row-major order (and with the same
-/// `a + (-1.0)·b` update) as `(&a - &b).frobenius_norm()`, so the result
-/// is bitwise identical.
-pub(crate) fn frobenius_distance(a: &Matrix, b: &Matrix) -> f64 {
-    debug_assert_eq!(a.shape(), b.shape());
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(&x, &y)| {
-            // Keep the Sub impl's `x + (-1.0)·y` update verbatim.
-            #[allow(clippy::neg_multiply)]
-            let d = x + (-1.0) * y;
-            d * d
-        })
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// Unweighted mean Laplacian (initialization).
-fn mean_laplacian(laplacians: &[Matrix]) -> Matrix {
-    let mut a = weighted_laplacian(laplacians, &vec![1.0; laplacians.len()]);
-    a.scale_mut(1.0 / laplacians.len() as f64);
-    a
-}
-
-fn normalized(w: &[f64]) -> Vec<f64> {
-    let s: f64 = w.iter().sum();
-    if s > 0.0 {
-        w.iter().map(|&x| x / s).collect()
-    } else {
-        vec![1.0 / w.len().max(1) as f64; w.len()]
+    /// GPI with the Gershgorin shift of the materialized operator.
+    fn f_step(&mut self, weights: &[f64], f: &mut Matrix, max_iter: usize, ws: &mut SolverWorkspace) -> Result<()> {
+        self.set_weights(weights);
+        gpi_stiefel_ws(&self.a, &ws.b, f, max_iter, 1e-10, &mut ws.gpi)
     }
 }
 
@@ -713,25 +304,10 @@ pub fn init_rotation(f: &Matrix) -> Result<Matrix> {
     Ok(procrustes(&r)?)
 }
 
-/// Row-normalized copy into `out` (rows on the unit sphere; zero rows
-/// left as-is).
-pub(crate) fn row_normalized_into(f: &Matrix, out: &mut Matrix) {
-    out.copy_from(f);
-    for i in 0..out.rows() {
-        umsc_linalg::ops::normalize(out.row_mut(i));
-    }
-}
-
-/// `B = λ · Y_eff · Rᵀ`, the attraction term of the F-step, into `b`.
-pub(crate) fn b_matrix_into(y_eff: &Matrix, r: &Matrix, lambda: f64, b: &mut Matrix) {
-    y_eff.matmul_transpose_b_into(r, b);
-    b.scale_mut(lambda);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::GraphKind;
+    use crate::config::{Discretization, EigSolver, GraphKind, Weighting};
     use umsc_data::shapes::{rings_multiview, two_moons_multiview};
     use umsc_data::synth::{MultiViewGmm, ViewSpec};
     use umsc_metrics::clustering_accuracy;
@@ -843,15 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_weights_validated() {
-        let data = easy_gmm(9);
-        let bad = Umsc::new(UmscConfig::new(3).with_weighting(Weighting::Fixed(vec![1.0])));
-        assert!(matches!(bad.fit(&data), Err(UmscError::InvalidInput(_))));
-        let neg = Umsc::new(UmscConfig::new(3).with_weighting(Weighting::Fixed(vec![1.0, -1.0, 0.5])));
-        assert!(neg.fit(&data).is_err());
-    }
-
-    #[test]
     fn two_stage_ablation_runs_and_is_reasonable() {
         let data = easy_gmm(10);
         let cfg = UmscConfig::new(3).with_discretization(Discretization::KMeans { restarts: 5 });
@@ -868,21 +435,6 @@ mod tests {
         let res = Umsc::new(cfg).fit(&data).unwrap();
         let acc = clustering_accuracy(&res.labels, &data.labels);
         assert!(acc > 0.9, "scaled rotation ACC {acc}");
-    }
-
-    #[test]
-    fn single_cluster_trivial() {
-        let data = easy_gmm(12);
-        let res = Umsc::new(UmscConfig::new(1)).fit(&data).unwrap();
-        assert!(res.labels.iter().all(|&l| l == 0));
-        assert!(res.converged);
-    }
-
-    #[test]
-    fn more_clusters_than_points_rejected() {
-        let data = MultiViewGmm::new("tiny", 2, 2, vec![ViewSpec::clean(2)]).generate(0);
-        let res = Umsc::new(UmscConfig::new(5)).fit(&data);
-        assert!(matches!(res, Err(UmscError::InvalidInput(_))));
     }
 
     #[test]
@@ -909,14 +461,6 @@ mod tests {
         // Negative entry.
         let neg = Matrix::from_vec(2, 2, vec![0.0, -1.0, -1.0, 0.0]);
         assert!(model.fit_affinities(&[neg]).is_err());
-    }
-
-    #[test]
-    fn mismatched_laplacians_rejected() {
-        let model = Umsc::new(UmscConfig::new(2));
-        let ls = vec![Matrix::identity(4), Matrix::identity(5)];
-        assert!(model.fit_laplacians(&ls).is_err());
-        assert!(model.fit_laplacians(&[]).is_err());
     }
 
     #[test]

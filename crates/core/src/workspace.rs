@@ -1,20 +1,20 @@
 //! Reusable solver buffers.
 //!
-//! One outer BCD iteration of the unified solver touches an `n × n`
-//! fused Laplacian, several `n × c` intermediates, two SVD scratches of
-//! different shapes (the `n × c` polar factor inside GPI and the `c × c`
-//! Procrustes rotation), and a handful of label/size vectors. Allocating
-//! them per iteration dominated small-`c` profiles; [`SolverWorkspace`]
-//! owns them all so [`crate::Umsc::one_step_solve`] performs **zero heap
-//! allocations per iteration** once the workspace is warm (asserted by a
-//! counting-allocator test in `tests/alloc_free.rs`).
+//! One outer BCD iteration touches several `n × c` intermediates, two SVD
+//! scratches of different shapes (the `n × c` polar factor inside GPI and
+//! the `c × c` Procrustes rotation), per-view trace scratch and a handful
+//! of label/size vectors. Allocating them per iteration dominated
+//! small-`c` profiles; [`SolverWorkspace`] owns them all so a sweep
+//! performs **zero heap allocations** once the workspace is warm, on every
+//! view set (asserted by counting-allocator tests in
+//! `tests/alloc_free.rs`).
 //!
 //! Buffers are grow-only and shape-stable across iterations; contents are
 //! unspecified between calls — every kernel writing into them overwrites
 //! what it reads.
 
 use crate::gpi::GpiWorkspace;
-use umsc_linalg::{BlanczosWorkspace, Matrix, SvdScratch};
+use umsc_linalg::{Matrix, SvdScratch};
 
 /// Reallocates `m` only when its shape changes (contents unspecified).
 pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
@@ -24,17 +24,45 @@ pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
     }
 }
 
+/// Scratch for the per-view traces `tr(Fᵀ L⁽ᵛ⁾ F)`; each view set sizes
+/// the buffers it uses. The warm start computes traces through
+/// short-lived instances, so sizing here is not counted as a workspace
+/// realloc.
+#[derive(Debug, Clone)]
+pub(crate) struct TraceScratch {
+    /// `n × c` product `L⁽ᵛ⁾·F` (dense and CSR views).
+    pub(crate) lf: Matrix,
+    /// `c × c` product `Fᵀ·L⁽ᵛ⁾·F` (dense and CSR views).
+    pub(crate) cc: Matrix,
+    /// Per-view `m_v × c` projections `B_vᵀF` (anchor views).
+    pub(crate) proj: Vec<Matrix>,
+}
+
+impl TraceScratch {
+    pub(crate) fn new() -> Self {
+        TraceScratch { lf: Matrix::zeros(0, 0), cc: Matrix::zeros(0, 0), proj: Vec::new() }
+    }
+
+    /// Reallocates `m` when its shape differs.
+    pub(crate) fn fit(m: &mut Matrix, rows: usize, cols: usize) {
+        if m.shape() != (rows, cols) {
+            *m = Matrix::zeros(rows, cols);
+        }
+    }
+}
+
 /// Scratch buffers for the unified solver's hot loop. Create once (e.g.
 /// via [`SolverWorkspace::new`]), then pass to every
 /// [`crate::Umsc::one_step_solve`] call; shapes are fixed on first use and
 /// reused thereafter.
 #[derive(Debug, Clone)]
 pub struct SolverWorkspace {
-    /// `n × n` fused Laplacian `Σ_v w_v L⁽ᵛ⁾`.
+    /// `n × n` fused Laplacian `Σ_v w_v L⁽ᵛ⁾` of the dense
+    /// [`crate::Umsc::one_step_solve`] entry point.
     pub(crate) a: Matrix,
-    /// `n × c` sparse/dense product scratch `L·F`.
-    pub(crate) lf: Matrix,
-    /// `c × c` trace / Procrustes-input scratch.
+    /// Per-view trace scratch.
+    pub(crate) trace: TraceScratch,
+    /// `c × c` Procrustes-input scratch.
     pub(crate) cc: Matrix,
     /// `n × c` effective indicator (`Y` or `Y(YᵀY)^{-1/2}`).
     pub(crate) y_eff: Matrix,
@@ -44,13 +72,10 @@ pub struct SolverWorkspace {
     pub(crate) fr: Matrix,
     /// `n × c` row-normalized embedding `F̃`.
     pub(crate) f_tilde: Matrix,
-    /// `n × c` next-iterate scratch (sparse GPI inner loop).
+    /// `n × c` next GPI iterate (anchor F-step).
     pub(crate) f_next: Matrix,
-    /// GPI inner-loop buffers (dense path).
+    /// GPI inner-loop buffers.
     pub(crate) gpi: GpiWorkspace,
-    /// Block-Lanczos state: the Ritz subspace carried across embedding
-    /// sweeps (warm starts) plus its grow-only scratch.
-    pub(crate) eig: BlanczosWorkspace,
     /// `c × c` SVD scratch for the R-step Procrustes.
     pub(crate) svd_r: SvdScratch,
     /// Per-view traces `tr(Fᵀ L⁽ᵛ⁾ F)`.
@@ -70,7 +95,7 @@ impl SolverWorkspace {
     pub fn new() -> Self {
         SolverWorkspace {
             a: Matrix::zeros(0, 0),
-            lf: Matrix::zeros(0, 0),
+            trace: TraceScratch::new(),
             cc: Matrix::zeros(0, 0),
             y_eff: Matrix::zeros(0, 0),
             b: Matrix::zeros(0, 0),
@@ -78,7 +103,6 @@ impl SolverWorkspace {
             f_tilde: Matrix::zeros(0, 0),
             f_next: Matrix::zeros(0, 0),
             gpi: GpiWorkspace::new(),
-            eig: BlanczosWorkspace::new(),
             svd_r: SvdScratch::new(),
             traces: Vec::new(),
             sizes: Vec::new(),
@@ -88,19 +112,14 @@ impl SolverWorkspace {
         }
     }
 
-    /// Sizes the `n × c` (and, when `dense_a` is set, `n × n`) buffers.
-    /// Reallocates only when shapes change.
-    pub(crate) fn ensure(&mut self, n: usize, c: usize, dense_a: bool) {
-        if dense_a {
-            ensure_shape(&mut self.a, n, n);
-        }
-        ensure_shape(&mut self.lf, n, c);
+    /// Sizes the sweep's `n × c` and `c × c` buffers. Reallocates only
+    /// when shapes change.
+    pub(crate) fn ensure(&mut self, n: usize, c: usize) {
         ensure_shape(&mut self.cc, c, c);
         ensure_shape(&mut self.y_eff, n, c);
         ensure_shape(&mut self.b, n, c);
         ensure_shape(&mut self.fr, n, c);
         ensure_shape(&mut self.f_tilde, n, c);
-        ensure_shape(&mut self.f_next, n, c);
     }
 }
 
@@ -117,15 +136,14 @@ mod tests {
     #[test]
     fn ensure_is_idempotent_and_shape_stable() {
         let mut ws = SolverWorkspace::new();
-        ws.ensure(10, 3, true);
-        assert_eq!(ws.a.shape(), (10, 10));
-        assert_eq!(ws.lf.shape(), (10, 3));
-        let ptr = ws.lf.as_slice().as_ptr();
-        ws.ensure(10, 3, true);
-        assert_eq!(ws.lf.as_slice().as_ptr(), ptr, "ensure with same shape must not reallocate");
+        ws.ensure(10, 3);
+        assert_eq!(ws.b.shape(), (10, 3));
+        assert_eq!(ws.cc.shape(), (3, 3));
+        let ptr = ws.b.as_slice().as_ptr();
+        ws.ensure(10, 3);
+        assert_eq!(ws.b.as_slice().as_ptr(), ptr, "ensure with same shape must not reallocate");
         // Shape change reallocates.
-        ws.ensure(12, 3, false);
-        assert_eq!(ws.lf.shape(), (12, 3));
-        assert_eq!(ws.a.shape(), (10, 10), "dense_a=false leaves A untouched");
+        ws.ensure(12, 3);
+        assert_eq!(ws.b.shape(), (12, 3));
     }
 }

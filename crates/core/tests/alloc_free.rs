@@ -5,10 +5,12 @@
 //!    both rotation discretizations);
 //! 2. warm `one_step_solve_sparse` sweeps are allocation-free too — the
 //!    fused [`WeightedSum`] operator included;
-//! 3. the sparse path's **peak live bytes** beat the dense path's by a
+//! 3. warm anchor sweeps (`AnchorUmsc::one_step_solve`) are allocation-free,
+//!    the anchor GPI F-step included;
+//! 4. the sparse path's **peak live bytes** beat the dense path's by a
 //!    wide margin on a k-NN graph, and in particular never reach one
 //!    `n × n` dense matrix — the memory claim of the matrix-free design;
-//! 4. building those k-NN Laplacians from features stays below one
+//! 5. building those k-NN Laplacians from features stays below one
 //!    `n × n` matrix too (the streamed graph builder).
 //!
 //! Threads are pinned to one (`UMSC_THREADS=1`) because the counters are
@@ -16,8 +18,8 @@
 //! threads would both allocate stacks and hide their traffic.
 
 use umsc_core::{
-    build_view_laplacians, build_view_laplacians_sparse, sparse_fused_operator, Discretization,
-    SolverState, SolverWorkspace, Umsc, UmscConfig,
+    build_view_laplacians, build_view_laplacians_sparse, sparse_fused_operator, AnchorUmsc,
+    AnchorUmscConfig, Discretization, SolverState, SolverWorkspace, Umsc, UmscConfig, UmscResult,
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_linalg::{blanczos_smallest_ws, BlanczosConfig, BlanczosWorkspace, Matrix};
@@ -73,14 +75,7 @@ fn one_step_solve_sparse_is_allocation_free_once_warm() {
 
     // Seed the solver state from one full sparse fit — the state layout is
     // exactly what the sweep advances.
-    let res = model.fit_laplacians_sparse(&laplacians).unwrap();
-    let mut st = SolverState {
-        f: res.embedding,
-        r: res.rotation,
-        y: res.indicator,
-        labels: res.labels,
-        weights: res.view_weights,
-    };
+    let mut st = state_of(model.fit_laplacians_sparse(&laplacians).unwrap());
     let mut fused = sparse_fused_operator(&laplacians, &st.weights);
     let mut ws = SolverWorkspace::new();
     for _ in 0..2 {
@@ -97,6 +92,47 @@ fn one_step_solve_sparse_is_allocation_free_once_warm() {
         "warm one_step_solve_sparse touched the heap {} times",
         stats.allocations
     );
+}
+
+#[test]
+fn anchor_one_step_solve_is_allocation_free_once_warm() {
+    std::env::set_var("UMSC_THREADS", "1");
+
+    let data = gmm(20, 11);
+    let factors: Vec<Matrix> = data
+        .views
+        .iter()
+        .enumerate()
+        .map(|(v, x)| umsc_graph::anchor_view_factor(x, 15, 4, v as u64).0)
+        .collect();
+    let model = AnchorUmsc::new(AnchorUmscConfig::new(3));
+    let mut st = state_of(model.fit_factors(&factors).unwrap());
+    let mut ws = SolverWorkspace::new();
+    for _ in 0..2 {
+        model.one_step_solve(&factors, &mut st, &mut ws).unwrap();
+    }
+
+    let stats = measure(|| {
+        for _ in 0..3 {
+            model.one_step_solve(&factors, &mut st, &mut ws).unwrap();
+        }
+    });
+    assert_eq!(
+        stats.allocations, 0,
+        "warm anchor one_step_solve touched the heap {} times",
+        stats.allocations
+    );
+}
+
+/// The BCD state a fit ended in — exactly what a sweep advances.
+fn state_of(res: UmscResult) -> SolverState {
+    SolverState {
+        f: res.embedding,
+        r: res.rotation,
+        y: res.indicator,
+        labels: res.labels,
+        weights: res.view_weights,
+    }
 }
 
 #[test]

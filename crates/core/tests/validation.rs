@@ -1,0 +1,131 @@
+//! The dense, CSR and anchor fits share one validation routine and one
+//! engine, so they must accept, reject and degenerate identically:
+//!
+//! - every malformed input is an `InvalidInput` error on every path, and
+//!   none panics;
+//! - `c = 1` is the cold eigensolve of the uniform operator, so dense and
+//!   sparse fits of the same Laplacians return the same embedding;
+//! - the two-stage `KMeans` ablation runs on the sparse path too.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use umsc_core::{
+    build_view_laplacians_sparse, AnchorUmsc, AnchorUmscConfig, Discretization, Umsc, UmscConfig,
+    UmscError, UmscResult, Weighting,
+};
+use umsc_data::synth::{MultiViewGmm, ViewSpec};
+use umsc_data::MultiViewDataset;
+use umsc_graph::{anchor_view_factor, CsrMatrix};
+use umsc_linalg::Matrix;
+
+fn gmm(clusters: usize, per: usize, seed: u64) -> MultiViewDataset {
+    let views = vec![ViewSpec::clean(5), ViewSpec::clean(6), ViewSpec::clean(4)];
+    let mut gen = MultiViewGmm::new("validation", clusters, per, views);
+    gen.separation = 5.0;
+    gen.generate(seed)
+}
+
+/// The same views in all three representations.
+struct Inputs {
+    dense: Vec<Matrix>,
+    sparse: Vec<CsrMatrix>,
+    factors: Vec<Matrix>,
+}
+
+impl Inputs {
+    fn new(data: &MultiViewDataset) -> Self {
+        let sparse = build_view_laplacians_sparse(data, &UmscConfig::new(2).graph_config()).unwrap();
+        let dense = sparse.iter().map(CsrMatrix::to_dense).collect();
+        let factors = data.views.iter().map(|x| anchor_view_factor(x, 12, 4, 3).0).collect();
+        Inputs { dense, sparse, factors }
+    }
+
+    /// Fits all three paths with `c` clusters and the given weighting.
+    fn fit_all(&self, c: usize, weighting: &Weighting, disc: &Discretization) -> [umsc_core::Result<UmscResult>; 3] {
+        let cfg = UmscConfig::new(c).with_weighting(weighting.clone()).with_discretization(disc.clone());
+        let model = Umsc::new(cfg);
+        let mut anchor_cfg = AnchorUmscConfig::new(c);
+        anchor_cfg.weighting = weighting.clone();
+        [
+            model.fit_laplacians(&self.dense),
+            model.fit_laplacians_sparse(&self.sparse),
+            AnchorUmsc::new(anchor_cfg).fit_factors(&self.factors),
+        ]
+    }
+}
+
+#[test]
+fn every_path_rejects_the_same_inputs() {
+    let data = gmm(3, 10, 1);
+    let n = data.n();
+    let good = Inputs::new(&data);
+    let empty = Inputs { dense: Vec::new(), sparse: Vec::new(), factors: Vec::new() };
+    let mismatched = Inputs {
+        dense: vec![good.dense[0].clone(), Matrix::identity(n + 1)],
+        sparse: vec![good.sparse[0].clone(), CsrMatrix::identity(n + 1)],
+        factors: vec![good.factors[0].clone(), Matrix::zeros(n + 1, 12)],
+    };
+    let fixed = |w: &[f64]| Weighting::Fixed(w.to_vec());
+    let cases: Vec<(&str, &Inputs, usize, Weighting)> = vec![
+        ("no views", &empty, 3, Weighting::Auto),
+        ("size mismatch", &mismatched, 3, Weighting::Auto),
+        ("c = 0", &good, 0, Weighting::Auto),
+        ("c > n", &good, n + 1, Weighting::Auto),
+        ("fixed weight count", &good, 3, fixed(&[1.0, 2.0])),
+        ("negative fixed weight", &good, 3, fixed(&[1.0, -1.0, 0.5])),
+        ("NaN fixed weight", &good, 3, fixed(&[1.0, f64::NAN, 0.5])),
+        ("infinite fixed weight", &good, 3, fixed(&[1.0, f64::INFINITY, 0.5])),
+        ("all-zero fixed weights", &good, 3, fixed(&[0.0, 0.0, 0.0])),
+    ];
+    for (case, inputs, c, weighting) in cases {
+        let fits = catch_unwind(AssertUnwindSafe(|| inputs.fit_all(c, &weighting, &Discretization::Rotation)))
+            .unwrap_or_else(|_| panic!("{case}: a fit panicked"));
+        for (path, res) in ["dense", "sparse", "anchor"].iter().zip(fits) {
+            assert!(
+                matches!(res, Err(UmscError::InvalidInput(_))),
+                "{case}: {path} returned {:?} instead of InvalidInput",
+                res.map(|r| r.labels.len())
+            );
+        }
+    }
+    // The valid baseline passes everywhere.
+    for res in good.fit_all(3, &fixed(&[1.0, 2.0, 0.5]), &Discretization::Rotation) {
+        assert_eq!(res.unwrap().labels.len(), n);
+    }
+}
+
+#[test]
+fn single_cluster_is_the_cold_uniform_eigensolve_on_every_path() {
+    // One blob: a connected graph, so the smallest eigenvector is unique.
+    let inputs = Inputs::new(&gmm(1, 40, 2));
+    let [dense, sparse, anchor] = inputs.fit_all(1, &Weighting::Auto, &Discretization::Rotation);
+    let (dense, sparse, anchor) = (dense.unwrap(), sparse.unwrap(), anchor.unwrap());
+    for res in [&dense, &sparse, &anchor] {
+        assert!(res.labels.iter().all(|&l| l == 0));
+        assert!(res.converged && res.history.is_empty());
+        assert_eq!(res.embedding.shape(), (40, 1));
+        let norm = res.embedding.frobenius_norm();
+        assert!((norm - 1.0).abs() < 1e-9, "embedding norm {norm}");
+        assert!(res.view_weights.iter().all(|&w| (w - 1.0 / 3.0).abs() < 1e-15));
+    }
+    let dot = umsc_linalg::ops::dot(dense.embedding.as_slice(), sparse.embedding.as_slice());
+    assert!(dot.abs() > 1.0 - 1e-8, "dense and sparse c = 1 embeddings disagree: |<f_d, f_s>| = {}", dot.abs());
+}
+
+#[test]
+fn sparse_kmeans_runs_the_two_stage_loop() {
+    let data = gmm(3, 15, 3);
+    let inputs = Inputs::new(&data);
+    let kmeans = Discretization::KMeans { restarts: 3 };
+    let [dense, sparse, _] = inputs.fit_all(3, &Weighting::Auto, &kmeans);
+    let (dense, sparse) = (dense.unwrap(), sparse.unwrap());
+    assert!(!sparse.history.is_empty());
+    assert!(sparse.history.iter().all(|h| h.rotation_term == 0.0), "sparse KMeans ran the one-stage loop");
+    assert_eq!(sparse.rotation.as_slice(), Matrix::identity(3).as_slice());
+    assert!(umsc_metrics::nmi(&dense.labels, &sparse.labels) > 0.99, "dense and sparse two-stage fits disagree");
+
+    // fit_auto sends k-NN graphs to the sparse path whatever the discretization.
+    let auto = Umsc::new(UmscConfig::new(3).with_discretization(kmeans)).fit_auto(&data).unwrap();
+    assert!(auto.history.iter().all(|h| h.rotation_term == 0.0));
+    assert_eq!(auto.labels, sparse.labels);
+}
