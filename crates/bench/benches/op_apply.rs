@@ -2,14 +2,19 @@
 //! application per node kind, vector and block variants. The interesting
 //! comparisons: CSR vs dense at Laplacian-like sparsity (the sparse
 //! solver's whole premise), the overhead a 3-view `WeightedSum` adds over
-//! its raw CSR members, and a low-rank anchor factor vs the dense matrix
-//! it stands in for.
+//! its raw CSR members, and the anchor solver's low-rank operator on a
+//! real anchor factor (`k = 5` nonzeros per row, as `AnchorUmsc` builds
+//! it), timed at the anchor path's own scale.
 
 use std::hint::black_box;
-use umsc_graph::CsrMatrix;
+use umsc_graph::{anchor_weights_sparse, normalized_factor_sparse, select_anchors, CsrMatrix, SparseFactor};
 use umsc_linalg::Matrix;
 use umsc_op::{DenseOp, LinOp, LowRankAnchor, WeightedSum};
 use umsc_rt::bench::{smoke, Bench};
+use umsc_rt::Rng;
+
+/// Nearest anchors per point, as in `AnchorUmscConfig::new`.
+const ANCHOR_NEIGHBORS: usize = 5;
 
 /// Banded symmetric diagonally-dominant matrix (Laplacian-shaped, ~9
 /// non-zeros per row — k-NN-graph sparsity).
@@ -28,6 +33,17 @@ fn laplacian_like(n: usize) -> Matrix {
     }
     m.symmetrize_mut();
     m
+}
+
+/// A normalized anchor factor `B` as the anchor solver builds it: `m`
+/// D²-sampled anchors over `n` Gaussian points in 8 dimensions around 10
+/// centres, `k` nonzeros per row.
+fn anchor_factor(n: usize, m: usize) -> SparseFactor {
+    let mut rng = Rng::from_seed(17);
+    let centres = Matrix::from_fn(10, 8, |_, _| 3.0 * rng.normal());
+    let x = Matrix::from_fn(n, 8, |i, j| centres[(i % 10, j)] + rng.normal());
+    let anchors = select_anchors(&x, m, 0);
+    normalized_factor_sparse(&anchor_weights_sparse(&x, &anchors, ANCHOR_NEIGHBORS)).0
 }
 
 fn test_vector(n: usize) -> Vec<f64> {
@@ -52,12 +68,11 @@ fn spot_check(n: usize) {
     }
 }
 
-fn bench_vector_apply(samples: usize, sizes: &[usize], rank: usize) {
+fn bench_vector_apply(samples: usize, sizes: &[usize], anchor: (usize, usize)) {
     let mut g = Bench::new("op_apply_vector").sample_size(samples);
     for &n in sizes {
         let a = laplacian_like(n);
         let csrs: Vec<CsrMatrix> = (0..3).map(|_| CsrMatrix::from_dense(&a, 1e-12)).collect();
-        let z = Matrix::from_fn(n, rank, |i, j| ((i * 5 + j * 11) as f64).cos());
         let x = test_vector(n);
         let mut y = vec![0.0; n];
 
@@ -68,17 +83,20 @@ fn bench_vector_apply(samples: usize, sizes: &[usize], rank: usize) {
         let fused =
             WeightedSum::with_weights(csrs.iter().map(|c| c.as_op()).collect(), &[0.5, 0.3, 0.2]);
         g.run(&format!("weighted_sum3/{n}"), || fused.apply_into(black_box(&x), &mut y));
-        let anchor = LowRankAnchor::new(n, rank, z.as_slice());
-        g.run(&format!("low_rank{rank}/{n}"), || anchor.apply_into(black_box(&x), &mut y));
     }
+    let (n, m) = anchor;
+    let b = anchor_factor(n, m);
+    let op = LowRankAnchor::sparse(&b);
+    let x = test_vector(n);
+    let mut y = vec![0.0; n];
+    g.run(&format!("anchor_k{ANCHOR_NEIGHBORS}_m{m}/{n}"), || op.apply_into(black_box(&x), &mut y));
 }
 
-fn bench_block_apply(samples: usize, sizes: &[usize], ncols: usize, rank: usize) {
+fn bench_block_apply(samples: usize, sizes: &[usize], ncols: usize, anchor: (usize, usize)) {
     let mut g = Bench::new("op_apply_block").sample_size(samples);
     for &n in sizes {
         let a = laplacian_like(n);
         let csrs: Vec<CsrMatrix> = (0..3).map(|_| CsrMatrix::from_dense(&a, 1e-12)).collect();
-        let z = Matrix::from_fn(n, rank, |i, j| ((i * 5 + j * 11) as f64).cos());
         let x: Vec<f64> = (0..n * ncols).map(|i| ((i * 7 + 1) as f64).sin()).collect();
         let mut y = vec![0.0; n * ncols];
 
@@ -95,28 +113,32 @@ fn bench_block_apply(samples: usize, sizes: &[usize], ncols: usize, rank: usize)
         g.run(&format!("weighted_sum3/{n}x{ncols}"), || {
             fused.apply_block_into(black_box(&x), ncols, &mut y)
         });
-        let anchor = LowRankAnchor::new(n, rank, z.as_slice());
-        g.run(&format!("low_rank{rank}/{n}x{ncols}"), || {
-            anchor.apply_block_into(black_box(&x), ncols, &mut y)
-        });
     }
+    let (n, m) = anchor;
+    let b = anchor_factor(n, m);
+    let op = LowRankAnchor::sparse(&b);
+    let x: Vec<f64> = (0..n * ncols).map(|i| ((i * 7 + 1) as f64).sin()).collect();
+    let mut y = vec![0.0; n * ncols];
+    g.run(&format!("anchor_k{ANCHOR_NEIGHBORS}_m{m}/{n}x{ncols}"), || {
+        op.apply_block_into(black_box(&x), ncols, &mut y)
+    });
 }
 
 /// Untimed counting pass: with tracing on, one apply per node kind so
 /// the CSR row-chunk and GEMM dispatch counters land in the trajectory
 /// file. The timed passes above run with tracing disabled so their
 /// medians stay comparable with the pre-observability trajectory.
-fn count_dispatch_rates(n: usize, ncols: usize, rank: usize) {
+fn count_dispatch_rates(n: usize, ncols: usize, anchors: usize) {
     umsc_obs::set_enabled(true);
     let a = laplacian_like(n);
     let csr = CsrMatrix::from_dense(&a, 1e-12);
-    let z = Matrix::from_fn(n, rank, |i, j| ((i * 5 + j * 11) as f64).cos());
+    let b = anchor_factor(n, anchors);
     let x: Vec<f64> = (0..n * ncols).map(|i| ((i * 7 + 1) as f64).sin()).collect();
     let mut y = vec![0.0; n * ncols];
     csr.as_op().apply_into(&x[..n], &mut y[..n]);
     csr.as_op().apply_block_into(&x, ncols, &mut y);
     DenseOp::new(n, a.as_slice()).apply_block_into(&x, ncols, &mut y);
-    LowRankAnchor::new(n, rank, z.as_slice()).apply_block_into(&x, ncols, &mut y);
+    LowRankAnchor::sparse(&b).apply_block_into(&x, ncols, &mut y);
     for (name, value) in umsc_obs::counters_snapshot() {
         umsc_rt::bench::record_counter("op_apply", &name, value);
     }
@@ -126,13 +148,13 @@ fn count_dispatch_rates(n: usize, ncols: usize, rank: usize) {
 fn main() {
     if smoke() {
         spot_check(96);
-        bench_vector_apply(2, &[256], 16);
-        bench_block_apply(2, &[256], 4, 16);
+        bench_vector_apply(2, &[256], (256, 16));
+        bench_block_apply(2, &[256], 4, (256, 16));
         count_dispatch_rates(256, 4, 16);
     } else {
         spot_check(512);
-        bench_vector_apply(10, &[1024, 4096], 64);
-        bench_block_apply(10, &[1024, 4096], 8, 64);
+        bench_vector_apply(10, &[1024, 4096], (10_000, 200));
+        bench_block_apply(10, &[1024, 4096], 8, (10_000, 200));
         count_dispatch_rates(4096, 8, 64);
     }
 }

@@ -169,7 +169,7 @@ pub fn figure5(_profile: BenchProfile) {
 /// F4 — scalability: exact vs anchor-graph solver, runtime and ACC vs n.
 ///
 /// This backs the large-scale extension (DESIGN.md: anchor graphs give an
-/// O(n·m·c) one-stage solver). Shape target: anchor runtime grows roughly
+/// O(n·k·c) one-stage solver). Shape target: anchor runtime grows roughly
 /// linearly in n while the exact path grows superlinearly, at comparable
 /// accuracy.
 pub fn figure4(profile: BenchProfile) {

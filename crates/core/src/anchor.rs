@@ -4,19 +4,27 @@
 //! module implements the scalable variant the one-stage literature reaches
 //! for on large `n`: every view's graph is the anchor (bipartite) graph of
 //! [`umsc_graph::anchor`], whose normalized Laplacian is `I − B_v·B_vᵀ`
-//! with a thin factor `B_v ∈ R^{n×m}` (`m ≪ n` anchors). The shared BCD
-//! engine runs on an anchor view set that works matrix-free:
+//! with a thin factor `B_v ∈ R^{n×m}` (`m ≪ n` anchors). Each point links
+//! to `k` anchors, so `B_v` is stored as a [`SparseFactor`]: `n × m` CSR
+//! with at most `k` nonzeros per row plus its transpose, O(n·k) memory
+//! instead of the n·m of a dense factor. The shared BCD engine runs on an
+//! anchor view set that works matrix-free:
 //!
-//! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F` — O(n·m·c);
+//! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F` — O(nnz·c + m·c);
 //! * warm-start embedding — eigensolves of the shifted fused operator
-//!   `σI − Σ_v w_v B_v B_vᵀ` (`σ = Σ_v w_v + ε`), O(n·m) per application;
+//!   `σI − Σ_v w_v B_v B_vᵀ` (`σ = Σ_v w_v + ε`), O(nnz) per column;
 //! * GPI F-step — `M = s·F + Σ_v w_v B_v(B_vᵀF) + λ·Y·Rᵀ` (the shift
 //!   `η = 2s ≥ λ_max(Σ w_v L_v)` since each normalized Laplacian is
 //!   bounded by `2I`), then a thin polar decomposition; at most 20
 //!   iterations, stopping once `F` moves less than `1e-9·√c`;
 //! * R/Y steps — the engine's (they only touch `n × c`).
 //!
-//! Total per-iteration cost O(n·m·c): linear in the number of points.
+//! Total per-sweep cost O(nnz·c + m·c²) = O(n·k·c) plus the `n × c` polar
+//! steps: linear in the number of points and independent of `m` but for
+//! the `m × c` projections. Every sparse product is bitwise-identical to
+//! the dense one on the densified factor, so [`AnchorUmsc::fit_factors`]
+//! (dense factors, compacted once) and [`AnchorUmsc::fit_sparse_factors`]
+//! agree bit for bit.
 
 use crate::config::{EigSolver, UmscConfig, Weighting};
 use crate::engine::{self, frobenius_distance, ViewSet};
@@ -26,7 +34,7 @@ use crate::workspace::{ensure_shape, SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_data::MultiViewDataset;
 use umsc_linalg::{polar_orthogonalize_into, Matrix};
-use umsc_op::{DiagShift, LinOp, LowRankAnchor, WeightedSum};
+use umsc_op::{DiagShift, LinOp, LowRankAnchor, SparseFactor, WeightedSum};
 
 /// Iteration cap of the anchor F-step's GPI.
 const ANCHOR_GPI_ITERS: usize = 20;
@@ -118,87 +126,85 @@ impl AnchorUmsc {
         AnchorUmsc { config }
     }
 
-    /// Fits on a multi-view dataset: builds per-view anchor factors, then
-    /// runs the matrix-free one-stage loop.
+    /// Fits on a multi-view dataset: builds per-view sparse anchor
+    /// factors, then runs the matrix-free one-stage loop.
     pub fn fit(&self, data: &MultiViewDataset) -> Result<UmscResult> {
-        self.fit_model(data).map(|m| m.result)
+        self.fit_sparse_factors(&self.anchor_views(data)?.factors)
     }
 
     /// Like [`AnchorUmsc::fit`] but also returns an [`AnchorModel`] that
     /// can assign **out-of-sample** points to the learned clusters via the
     /// Nyström extension (see `AnchorModel::assign`).
     pub fn fit_model(&self, data: &MultiViewDataset) -> Result<AnchorModel> {
-        data.validate().map_err(UmscError::InvalidInput)?;
-        let cfg = &self.config;
-        let n = data.n();
-        let mut factors = Vec::with_capacity(data.num_views());
-        let mut anchors = Vec::with_capacity(data.num_views());
-        let mut col_inv_sqrt = Vec::with_capacity(data.num_views());
-        for (v, x) in data.views.iter().enumerate() {
-            let m = cfg.anchors.min(n).max(1);
-            let k = cfg.anchor_neighbors.min(m).max(1);
-            let anc = umsc_graph::select_anchors(x, m, cfg.seed ^ ((v as u64) << 32));
-            let z = umsc_graph::anchor_weights(x, &anc, k);
-            // Column scales Λ^{-1/2}, kept for out-of-sample rows.
-            let mut col_sums = vec![0.0f64; m];
-            for i in 0..n {
-                for (j, &val) in z.row(i).iter().enumerate() {
-                    col_sums[j] += val;
-                }
-            }
-            let inv: Vec<f64> =
-                col_sums.iter().map(|&s| if s > 0.0 { 1.0 / s.sqrt() } else { 0.0 }).collect();
-            let mut b = z;
-            for i in 0..n {
-                for (j, val) in b.row_mut(i).iter_mut().enumerate() {
-                    *val *= inv[j];
-                }
-            }
-            factors.push(b);
-            anchors.push(anc);
-            col_inv_sqrt.push(inv);
-        }
-        let result = self.fit_factors(&factors)?;
+        let AnchorViewData { factors, anchors, col_inv_sqrt } = self.anchor_views(data)?;
+        let result = self.fit_sparse_factors(&factors)?;
 
-        // Nyström data: per-view projections B_vᵀF and Ritz values of the
-        // fused operator on the embedding columns.
-        let weights_raw: Vec<f64> = result.view_weights.clone();
-        let projections: Vec<Matrix> =
-            factors.iter().map(|b| b.matmul_transpose_a(&result.embedding)).collect();
+        // Nyström data: per-view projections P_v = B_vᵀF and the Ritz
+        // values ρ_j = f_jᵀ(Σ_v w_v B_v P_v)_j of the fused operator on
+        // the embedding columns.
         let f = &result.embedding;
-        let mut ritz = vec![0.0f64; result.embedding.cols()];
-        for (j, r) in ritz.iter_mut().enumerate() {
-            let col = f.col(j);
-            let mut opx = vec![0.0f64; n];
-            for (b, &w) in factors.iter().zip(weights_raw.iter()) {
-                let btx = b.matvec_transpose(&col);
-                let bbtx = b.matvec(&btx);
-                for (o, &v) in opx.iter_mut().zip(bbtx.iter()) {
-                    *o += w * v;
-                }
-            }
-            *r = umsc_linalg::ops::dot(&col, &opx);
+        let (n, c) = f.shape();
+        let mut fused = Matrix::zeros(n, c);
+        let mut bp = Matrix::zeros(n, c);
+        let mut projections = Vec::with_capacity(factors.len());
+        for (b, &w) in factors.iter().zip(&result.view_weights) {
+            let mut p = Matrix::zeros(b.cols(), c);
+            b.mul_transpose_into(f.as_slice(), c, p.as_mut_slice());
+            b.mul_into(p.as_slice(), c, bp.as_mut_slice());
+            fused.axpy(w, &bp);
+            projections.push(p);
         }
-        let rotation = result.rotation.clone();
-        Ok(AnchorModel {
-            result,
-            assigner: AnchorAssigner {
-                anchors,
-                col_inv_sqrt,
-                anchor_neighbors: cfg.anchor_neighbors,
-                weights: weights_raw,
-                projections,
-                ritz,
-                rotation,
-            },
-        })
+        let ritz = (0..c).map(|j| (0..n).map(|i| f[(i, j)] * fused[(i, j)]).sum()).collect();
+        let assigner = AnchorAssigner {
+            anchors,
+            col_inv_sqrt,
+            anchor_neighbors: self.config.anchor_neighbors,
+            weights: result.view_weights.clone(),
+            projections,
+            ritz,
+            rotation: result.rotation.clone(),
+        };
+        Ok(AnchorModel { result, assigner })
     }
 
-    /// Fits from precomputed per-view normalized anchor factors `B_v`
-    /// (each `n × m_v`; the affinity is `B_v·B_vᵀ`).
+    /// Per-view anchors, sparse normalized factors and column scales.
+    fn anchor_views(&self, data: &MultiViewDataset) -> Result<AnchorViewData> {
+        data.validate().map_err(UmscError::InvalidInput)?;
+        let cfg = &self.config;
+        let m = cfg.anchors.min(data.n()).max(1);
+        let k = cfg.anchor_neighbors.min(m).max(1);
+        let nv = data.num_views();
+        let mut out = AnchorViewData {
+            factors: Vec::with_capacity(nv),
+            anchors: Vec::with_capacity(nv),
+            col_inv_sqrt: Vec::with_capacity(nv),
+        };
+        for (v, x) in data.views.iter().enumerate() {
+            let anc = umsc_graph::select_anchors(x, m, cfg.seed ^ ((v as u64) << 32));
+            let z = umsc_graph::anchor_weights_sparse(x, &anc, k);
+            let (b, inv) = umsc_graph::normalized_factor_sparse(&z);
+            out.factors.push(b);
+            out.anchors.push(anc);
+            out.col_inv_sqrt.push(inv);
+        }
+        Ok(out)
+    }
+
+    /// Fits from precomputed dense per-view normalized anchor factors `B_v`
+    /// (each `n × m_v`; the affinity is `B_v·B_vᵀ`). Each factor is
+    /// compacted once into a [`SparseFactor`]; the fit is then
+    /// [`AnchorUmsc::fit_sparse_factors`], bit for bit.
     pub fn fit_factors(&self, factors: &[Matrix]) -> Result<UmscResult> {
+        let sparse: Vec<SparseFactor> =
+            factors.iter().map(|b| SparseFactor::from_dense(b.rows(), b.cols(), b.as_slice())).collect();
+        self.fit_sparse_factors(&sparse)
+    }
+
+    /// Fits from precomputed sparse per-view normalized anchor factors
+    /// `B_v` (each `n × m_v`; the affinity is `B_v·B_vᵀ`).
+    pub fn fit_sparse_factors(&self, factors: &[SparseFactor]) -> Result<UmscResult> {
         let cfg = self.solver_config();
-        let n = engine::validate(&cfg, factors.iter().map(Matrix::shape), false, true)?;
+        let n = engine::validate(&cfg, factors.iter().map(SparseFactor::shape), false, true)?;
         engine::fit(&cfg, &mut AnchorViews { factors, op: None }, n)
     }
 
@@ -207,7 +213,7 @@ impl AnchorUmsc {
     /// Allocation-free once `ws` is warm.
     pub fn one_step_solve(
         &self,
-        factors: &[Matrix],
+        factors: &[SparseFactor],
         st: &mut SolverState,
         ws: &mut SolverWorkspace,
     ) -> Result<StepStats> {
@@ -230,12 +236,20 @@ impl AnchorUmsc {
     }
 }
 
+/// Per-view anchor data built from the features, in view order: the fit
+/// needs the factors, the Nyström assigner also the anchors and scales.
+struct AnchorViewData {
+    factors: Vec<SparseFactor>,
+    anchors: Vec<Matrix>,
+    col_inv_sqrt: Vec<Vec<f64>>,
+}
+
 /// The anchor view set. `op` is the shifted fused operator
 /// `σI − Σ_v w_v B_v B_vᵀ` of the warm-start eigensolves, built on first
 /// use and dropped before the sweeps, whose F-step works on the factors
 /// directly.
 struct AnchorViews<'a> {
-    factors: &'a [Matrix],
+    factors: &'a [SparseFactor],
     op: Option<DiagShift<WeightedSum<LowRankAnchor<'a>>>>,
 }
 
@@ -251,7 +265,7 @@ impl ViewSet for AnchorViews<'_> {
         size_projections(self.factors, c, &mut scratch.proj);
         traces.clear();
         for (b, btf) in self.factors.iter().zip(scratch.proj.iter_mut()) {
-            b.matmul_transpose_a_into(f, btf);
+            b.mul_transpose_into(f.as_slice(), c, btf.as_mut_slice());
             traces.push((c as f64 - btf.frobenius_norm().powi(2)).max(0.0));
         }
     }
@@ -264,7 +278,7 @@ impl ViewSet for AnchorViews<'_> {
                 op.inner_mut().set_weights(weights);
             }
             None => {
-                let ops = self.factors.iter().map(|b| LowRankAnchor::new(b.rows(), b.cols(), b.as_slice()));
+                let ops = self.factors.iter().map(LowRankAnchor::sparse);
                 self.op = Some(DiagShift::new(sigma, WeightedSum::with_weights(ops.collect(), weights)));
             }
         }
@@ -286,8 +300,8 @@ impl ViewSet for AnchorViews<'_> {
             gpi.m.copy_from(f);
             gpi.m.scale_mut(s);
             for ((b, &w), btf) in self.factors.iter().zip(weights).zip(trace.proj.iter_mut()) {
-                b.matmul_transpose_a_into(f, btf);
-                b.matmul_into(btf, &mut gpi.af);
+                b.mul_transpose_into(f.as_slice(), c, btf.as_mut_slice());
+                b.mul_into(btf.as_slice(), c, gpi.af.as_mut_slice());
                 gpi.m.axpy(w, &gpi.af);
             }
             gpi.m.axpy(1.0, attraction);
@@ -307,7 +321,7 @@ impl ViewSet for AnchorViews<'_> {
 }
 
 /// Sizes one `m_v × c` projection buffer per factor.
-fn size_projections(factors: &[Matrix], c: usize, proj: &mut Vec<Matrix>) {
+fn size_projections(factors: &[SparseFactor], c: usize, proj: &mut Vec<Matrix>) {
     proj.resize_with(factors.len(), || Matrix::zeros(0, 0));
     for (b, btf) in factors.iter().zip(proj.iter_mut()) {
         TraceScratch::fit(btf, b.cols(), c);
@@ -389,18 +403,14 @@ impl AnchorAssigner {
         }
         let c = self.rotation.rows();
         let mut fused = Matrix::zeros(n_new, c);
+        let mut contrib = Matrix::zeros(n_new, c);
         for (v, x) in views.iter().enumerate() {
             let m = self.anchors[v].rows();
             let k = self.anchor_neighbors.min(m).max(1);
-            let z = umsc_graph::anchor_weights(x, &self.anchors[v], k);
-            // Apply training column scales, then project.
-            let mut b = z;
-            for i in 0..n_new {
-                for (j, val) in b.row_mut(i).iter_mut().enumerate() {
-                    *val *= self.col_inv_sqrt[v][j];
-                }
-            }
-            let contrib = b.matmul(&self.projections[v]);
+            let z = umsc_graph::anchor_weights_sparse(x, &self.anchors[v], k);
+            // Training column scales, then project.
+            let b = umsc_graph::normalized_factor_with(&z, &self.col_inv_sqrt[v]);
+            b.mul_into(self.projections[v].as_slice(), c, contrib.as_mut_slice());
             fused.axpy(self.weights[v], &contrib);
         }
         for i in 0..n_new {
@@ -589,6 +599,26 @@ mod tests {
         let jac = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30).with_eig(EigSolver::Jacobi))
             .fit(&data);
         assert!(matches!(jac, Err(UmscError::InvalidInput(_))), "Jacobi must be rejected");
+    }
+
+    #[test]
+    fn dense_sparse_and_model_fits_are_bit_identical() {
+        let data = gmm(40, 12);
+        let model = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(25));
+        let sparse: Vec<SparseFactor> =
+            data.views.iter().map(|x| umsc_graph::anchor_view_factor(x, 25, 5, 0).0).collect();
+        let dense: Vec<Matrix> =
+            sparse.iter().map(|b| Matrix::from_vec(b.rows(), b.cols(), b.to_dense())).collect();
+        let a = model.fit_sparse_factors(&sparse).unwrap();
+        let b = model.fit_factors(&dense).unwrap();
+        assert_eq!(a.labels, b.labels);
+        assert_eq!(a.embedding.as_slice(), b.embedding.as_slice());
+        assert_eq!(a.view_weights, b.view_weights);
+
+        let fit = model.fit(&data).unwrap();
+        let with_model = model.fit_model(&data).unwrap().result;
+        assert_eq!(fit.labels, with_model.labels);
+        assert_eq!(fit.embedding.as_slice(), with_model.embedding.as_slice());
     }
 
     #[test]

@@ -31,9 +31,10 @@ pub fn gpi_objective(a: &Matrix, b: &Matrix, f: &Matrix) -> f64 {
 }
 
 /// [`gpi_objective`] through caller-provided scratch (`af` is `n × k`,
-/// `cc` is `k × k`): allocation-free, numerically identical. `a` is any
-/// matrix-free operator; a dense [`Matrix`] takes the same row-kernel
-/// path as `Matrix::matmul_into`, so dense results are unchanged.
+/// `cc` is `k × k`): allocation-free, numerically identical, and leaves
+/// `A·F` in `af`. `a` is any matrix-free operator; a dense [`Matrix`]
+/// takes the same row-kernel path as `Matrix::matmul_into`, so dense
+/// results are unchanged.
 fn gpi_objective_ws(a: &dyn LinOp, b: &Matrix, f: &Matrix, af: &mut Matrix, cc: &mut Matrix) -> f64 {
     a.apply_block_into(f.as_slice(), f.cols(), af.as_mut_slice());
     f.matmul_transpose_a_into(af, cc);
@@ -148,13 +149,14 @@ pub fn gpi_stiefel_op_ws(
     let GpiWorkspace { m, af, cc, svd } = ws;
 
     let _span = umsc_obs::span!("gpi.solve");
+    // Each objective evaluation leaves `A·F` of the current `F` in `af`,
+    // so every iteration applies `A` once.
     let mut prev = gpi_objective_ws(a, b, f, af, cc);
     for _ in 0..max_iter.max(1) {
         umsc_obs::counter!("gpi.iters", 1);
         // M = (ηI − A)F + B = η·F − A·F + B.
         m.copy_from(f);
         m.scale_mut(eta);
-        a.apply_block_into(f.as_slice(), k, af.as_mut_slice());
         m.axpy(-1.0, af);
         m.axpy(1.0, b);
         polar_orthogonalize_into(m, svd, f)?;

@@ -11,7 +11,9 @@
 //!    wide margin on a k-NN graph, and in particular never reach one
 //!    `n × n` dense matrix — the memory claim of the matrix-free design;
 //! 5. building those k-NN Laplacians from features stays below one
-//!    `n × n` matrix too (the streamed graph builder).
+//!    `n × n` matrix too (the streamed graph builder);
+//! 6. a whole anchor fit, graph build included, peaks below one dense
+//!    `n × m` anchor factor on top of its input (the sparse factors).
 //!
 //! Threads are pinned to one (`UMSC_THREADS=1`) because the counters are
 //! thread-local (see the module docs of `alloc_track` for why) and worker
@@ -22,6 +24,7 @@ use umsc_core::{
     AnchorUmscConfig, Discretization, SolverState, SolverWorkspace, Umsc, UmscConfig, UmscResult,
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
+use umsc_graph::SparseFactor;
 use umsc_linalg::{blanczos_smallest_ws, BlanczosConfig, BlanczosWorkspace, Matrix};
 use umsc_rt::alloc_track::{measure, CountingAlloc};
 
@@ -99,14 +102,14 @@ fn anchor_one_step_solve_is_allocation_free_once_warm() {
     std::env::set_var("UMSC_THREADS", "1");
 
     let data = gmm(20, 11);
-    let factors: Vec<Matrix> = data
+    let factors: Vec<SparseFactor> = data
         .views
         .iter()
         .enumerate()
         .map(|(v, x)| umsc_graph::anchor_view_factor(x, 15, 4, v as u64).0)
         .collect();
     let model = AnchorUmsc::new(AnchorUmscConfig::new(3));
-    let mut st = state_of(model.fit_factors(&factors).unwrap());
+    let mut st = state_of(model.fit_sparse_factors(&factors).unwrap());
     let mut ws = SolverWorkspace::new();
     for _ in 0..2 {
         model.one_step_solve(&factors, &mut st, &mut ws).unwrap();
@@ -221,5 +224,29 @@ fn sparse_graph_build_peak_stays_below_one_dense_matrix() {
     assert!(
         peak < dense_matrix_bytes,
         "graph build peaked at {peak} B ≥ one {n}x{n} matrix ({dense_matrix_bytes} B)"
+    );
+}
+
+#[test]
+fn anchor_fit_peak_stays_below_one_dense_factor() {
+    std::env::set_var("UMSC_THREADS", "1");
+
+    // Three low-dimensional views keep the input small next to one dense
+    // n × m factor (9.6 MB), which sparse factors with k = 5 nonzeros per
+    // row never come near.
+    let views = vec![ViewSpec::clean(3), ViewSpec::clean(4), ViewSpec::clean(5)];
+    let data = MultiViewGmm::new("alloc", 3, 2000, views).generate(3);
+    let (n, m) = (data.n(), 200);
+    assert_eq!(n, 6000);
+    let model = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(m));
+    let mut res = None;
+    let peak = measure(|| res = Some(model.fit(&data).unwrap())).peak_bytes;
+    assert_eq!(res.unwrap().labels.len(), n);
+    let f64_bytes = std::mem::size_of::<f64>();
+    let input_bytes: usize = data.views.iter().map(|x| x.rows() * x.cols() * f64_bytes).sum();
+    let bound = (input_bytes + n * m * f64_bytes) as u64;
+    assert!(
+        peak < bound,
+        "anchor fit peaked at {peak} B ≥ input views + one {n}x{m} dense factor ({bound} B)"
     );
 }

@@ -15,7 +15,7 @@ use umsc_core::{
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_data::MultiViewDataset;
-use umsc_graph::{anchor_view_factor, CsrMatrix};
+use umsc_graph::{anchor_view_factor, CsrMatrix, SparseFactor};
 use umsc_linalg::Matrix;
 
 fn gmm(clusters: usize, per: usize, seed: u64) -> MultiViewDataset {
@@ -29,7 +29,7 @@ fn gmm(clusters: usize, per: usize, seed: u64) -> MultiViewDataset {
 struct Inputs {
     dense: Vec<Matrix>,
     sparse: Vec<CsrMatrix>,
-    factors: Vec<Matrix>,
+    factors: Vec<SparseFactor>,
 }
 
 impl Inputs {
@@ -49,7 +49,7 @@ impl Inputs {
         [
             model.fit_laplacians(&self.dense),
             model.fit_laplacians_sparse(&self.sparse),
-            AnchorUmsc::new(anchor_cfg).fit_factors(&self.factors),
+            AnchorUmsc::new(anchor_cfg).fit_sparse_factors(&self.factors),
         ]
     }
 }
@@ -63,7 +63,7 @@ fn every_path_rejects_the_same_inputs() {
     let mismatched = Inputs {
         dense: vec![good.dense[0].clone(), Matrix::identity(n + 1)],
         sparse: vec![good.sparse[0].clone(), CsrMatrix::identity(n + 1)],
-        factors: vec![good.factors[0].clone(), Matrix::zeros(n + 1, 12)],
+        factors: vec![good.factors[0].clone(), SparseFactor::from_dense(n + 1, 12, &vec![0.0; (n + 1) * 12])],
     };
     let fixed = |w: &[f64]| Weighting::Fixed(w.to_vec());
     let cases: Vec<(&str, &Inputs, usize, Weighting)> = vec![

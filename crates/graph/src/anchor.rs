@@ -14,14 +14,22 @@
 //! * the induced point-point affinity `W = Z·Λ⁻¹·Zᵀ` (`Λ = diag(Zᵀ1)`) has
 //!   **unit row sums**, so its normalized Laplacian is `I − W`, and the
 //!   spectral embedding reduces to the top left singular vectors of the
-//!   small factor `B = Z·Λ^{-1/2}` — an O(n·m²) computation.
+//!   thin factor `B = Z·Λ^{-1/2}`.
+//!
+//! `Z` and `B` are built straight into CSR with at most `k` entries per
+//! row ([`anchor_weights_sparse`], [`normalized_factor_sparse`]): a
+//! factor costs O(n·k) memory, not O(n·m), and every product with it
+//! O(n·k) per column. The dense [`anchor_weights`] / [`normalized_factor`]
+//! are densified views of the same builders.
 //!
 //! This is the substrate of the large-scale one-stage solver in
 //! `umsc-core::anchor`.
 
 use crate::can::write_simplex_weights;
+use crate::sparse::CsrMatrix;
 use crate::stream::smallest;
 use umsc_linalg::Matrix;
+use umsc_op::SparseFactor;
 
 /// Selects `m` anchor rows from `x` by D² (k-means++) sampling.
 ///
@@ -69,64 +77,95 @@ pub fn select_anchors(x: &Matrix, m: usize, seed: u64) -> Matrix {
     anchors
 }
 
-/// Builds the point→anchor weight matrix `Z` (`n × m`, rows sum to 1):
-/// each point gets CAN-style closed-form weights over its `k` nearest
-/// anchors.
+/// Builds the point→anchor weight matrix `Z` (`n × m`, rows sum to 1) in
+/// CSR: each point gets CAN-style closed-form weights over its `k`
+/// nearest anchors, so a row stores at most `k` entries. Rows are written
+/// through one reusable `m`-length buffer and stored with ascending
+/// columns and exact zeros (a tied `d_{k+1}`) dropped; no `n × m` matrix
+/// is ever allocated.
 ///
 /// # Panics
 /// Panics if `k` is not in `1..=m`.
-pub fn anchor_weights(x: &Matrix, anchors: &Matrix, k: usize) -> Matrix {
+pub fn anchor_weights_sparse(x: &Matrix, anchors: &Matrix, k: usize) -> CsrMatrix {
     let n = x.rows();
     let m = anchors.rows();
     assert!(k >= 1 && k <= m, "anchor_weights: need 1 <= k <= m, got k={k}, m={m}");
     assert_eq!(x.cols(), anchors.cols(), "anchor_weights: feature dimension mismatch");
 
-    let mut z = Matrix::zeros(n, m);
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(n * k);
+    let mut values = Vec::with_capacity(n * k);
     let mut dist = vec![0.0f64; m];
+    let mut row = vec![0.0f64; m];
     for i in 0..n {
         for (j, d) in dist.iter_mut().enumerate() {
             *d = umsc_linalg::ops::sq_dist(x.row(i), anchors.row(j));
         }
         let kept = smallest(k + 1, dist.iter().enumerate().map(|(j, &d)| (d, j)));
         // CAN closed form over the k nearest anchors; d_{k+1} plays γ.
-        write_simplex_weights(&kept, k, z.row_mut(i));
+        write_simplex_weights(&kept, k, &mut row);
+        for (j, w) in row.iter_mut().enumerate() {
+            if *w != 0.0 {
+                col_idx.push(j);
+                values.push(*w);
+                *w = 0.0;
+            }
+        }
+        row_ptr.push(col_idx.len());
     }
-    z
+    CsrMatrix::from_sorted_parts(n, m, row_ptr, col_idx, values)
 }
 
-/// The normalized factor `B = Z·Λ^{-1/2}` with `Λ = diag(Zᵀ·1)`. The
-/// anchor-graph affinity is `W = B·Bᵀ`; its normalized Laplacian is
-/// `I − W` (unit row sums), so the spectral embedding is the top left
-/// singular subspace of `B`.
+/// [`anchor_weights_sparse`] densified (small inputs and tests).
+pub fn anchor_weights(x: &Matrix, anchors: &Matrix, k: usize) -> Matrix {
+    anchor_weights_sparse(x, anchors, k).to_dense()
+}
+
+/// The normalized factor `B = Z·Λ^{-1/2}` with `Λ = diag(Zᵀ·1)`, as a
+/// [`SparseFactor`], plus the column scales `Λ^{-1/2}` (kept to normalize
+/// out-of-sample rows the same way). The anchor-graph affinity is
+/// `W = B·Bᵀ`; its normalized Laplacian is `I − W` (unit row sums), so
+/// the spectral embedding is the top left singular subspace of `B`.
 ///
-/// Columns whose anchor attracted no weight are zero (harmless).
-pub fn normalized_factor(z: &Matrix) -> Matrix {
-    let (n, m) = z.shape();
-    let mut col_sums = vec![0.0f64; m];
-    for i in 0..n {
-        for (j, &v) in z.row(i).iter().enumerate() {
-            col_sums[j] += v;
-        }
+/// Columns whose anchor attracted no weight get scale 0 and stay empty.
+pub fn normalized_factor_sparse(z: &CsrMatrix) -> (SparseFactor, Vec<f64>) {
+    let (_, col_idx, values) = z.parts();
+    let mut col_sums = vec![0.0f64; z.cols()];
+    for (&j, &v) in col_idx.iter().zip(values) {
+        col_sums[j] += v;
     }
     let inv_sqrt: Vec<f64> =
         col_sums.iter().map(|&s| if s > 0.0 { 1.0 / s.sqrt() } else { 0.0 }).collect();
-    let mut b = z.clone();
-    for i in 0..n {
-        for (j, v) in b.row_mut(i).iter_mut().enumerate() {
-            *v *= inv_sqrt[j];
-        }
-    }
-    b
+    (normalized_factor_with(z, &inv_sqrt), inv_sqrt)
+}
+
+/// `B = Z·diag(col_inv_sqrt)` as a [`SparseFactor`]: the training
+/// normalization applied to (possibly new) rows `Z`.
+///
+/// # Panics
+/// Panics if `col_inv_sqrt.len() != z.cols()`.
+pub fn normalized_factor_with(z: &CsrMatrix, col_inv_sqrt: &[f64]) -> SparseFactor {
+    assert_eq!(col_inv_sqrt.len(), z.cols(), "normalized_factor_with: one scale per anchor");
+    let (row_ptr, col_idx, values) = z.parts();
+    let scaled = col_idx.iter().zip(values).map(|(&j, &v)| v * col_inv_sqrt[j]).collect();
+    SparseFactor::from_csr(z.rows(), z.cols(), row_ptr.to_vec(), col_idx.to_vec(), scaled)
+}
+
+/// [`normalized_factor_sparse`] of a dense `Z`, densified.
+pub fn normalized_factor(z: &Matrix) -> Matrix {
+    let (b, _) = normalized_factor_sparse(&CsrMatrix::from_dense(z, 0.0));
+    Matrix::from_vec(b.rows(), b.cols(), b.to_dense())
 }
 
 /// Convenience: distances → anchors → weights → normalized factor for one
 /// feature view. Returns `(B, anchors)`.
-pub fn anchor_view_factor(x: &Matrix, m: usize, k: usize, seed: u64) -> (Matrix, Matrix) {
+pub fn anchor_view_factor(x: &Matrix, m: usize, k: usize, seed: u64) -> (SparseFactor, Matrix) {
     let m = m.min(x.rows()).max(1);
     let k = k.min(m).max(1);
     let anchors = select_anchors(x, m, seed);
-    let z = anchor_weights(x, &anchors, k);
-    (normalized_factor(&z), anchors)
+    let (b, _) = normalized_factor_sparse(&anchor_weights_sparse(x, &anchors, k));
+    (b, anchors)
 }
 
 /// Tiny deterministic RNG (kept dependency-free like the Lanczos one).
@@ -151,6 +190,10 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn dense(b: &SparseFactor) -> Matrix {
+        Matrix::from_vec(b.rows(), b.cols(), b.to_dense())
+    }
 
     fn blobs(n_per: usize) -> (Matrix, Vec<usize>) {
         let mut rows = Vec::new();
@@ -202,6 +245,7 @@ mod tests {
     fn anchor_affinity_has_unit_row_sums() {
         let (x, _) = blobs(15);
         let (b, _) = anchor_view_factor(&x, 9, 3, 0);
+        let b = dense(&b);
         // W = BBᵀ rows sum to 1.
         let w = b.matmul_transpose_b(&b);
         for i in 0..x.rows() {
@@ -216,7 +260,7 @@ mod tests {
     #[test]
     fn anchor_embedding_separates_blobs() {
         let (x, labels) = blobs(25);
-        let (b, _) = anchor_view_factor(&x, 12, 4, 0);
+        let b = dense(&anchor_view_factor(&x, 12, 4, 0).0);
         // Embedding = top-3 left singular vectors of B.
         let svd = umsc_linalg::Svd::compute(&b).unwrap();
         let f = svd.u.columns(0, 3);
@@ -248,7 +292,7 @@ mod tests {
     fn degenerate_duplicates() {
         let x = Matrix::from_rows(&vec![vec![1.0, 1.0]; 10]);
         let (b, _) = anchor_view_factor(&x, 4, 2, 0);
-        assert!(b.as_slice().iter().all(|v| v.is_finite()));
+        assert!(b.to_dense().iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -33,7 +33,11 @@ pub mod stream;
 pub use affinity::{
     build_affinity, epsilon_affinity, gaussian_affinity, knn_affinity, AffinityConfig, Bandwidth,
 };
-pub use anchor::{anchor_view_factor, anchor_weights, normalized_factor, select_anchors};
+pub use anchor::{
+    anchor_view_factor, anchor_weights, anchor_weights_sparse, normalized_factor,
+    normalized_factor_sparse, normalized_factor_with, select_anchors,
+};
+pub use umsc_op::SparseFactor;
 pub use can::adaptive_neighbor_affinity;
 pub use components::{connected_components, connected_components_sparse, num_components};
 pub use distance::{

@@ -7,7 +7,7 @@
 //! matrix-free GPI iteration run on sparse Laplacians without densifying.
 
 use umsc_linalg::Matrix;
-use umsc_op::{CsrOp, LinOp};
+use umsc_op::{csr_rows_into, CsrOp, LinOp};
 
 /// Compressed sparse row matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,6 +132,11 @@ impl CsrMatrix {
         m
     }
 
+    /// The raw `(row_ptr, col_idx, values)` arrays.
+    pub(crate) fn parts(&self) -> (&[usize], &[usize], &[f64]) {
+        (&self.row_ptr, &self.col_idx, &self.values)
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -249,11 +254,10 @@ impl CsrMatrix {
     pub fn matmul_dense_into(&self, b: &Matrix, out: &mut Matrix) {
         let flops = 2 * self.nnz() * b.cols();
         let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-        out.as_mut_slice().fill(0.0);
         self.matmul_dense_impl(t, b, out);
     }
 
-    /// `out` must be `rows × b.cols()` and zeroed; one output row per chunk.
+    /// The operator layer's CSR row kernel; overwrites `out`.
     fn matmul_dense_impl(&self, threads: usize, b: &Matrix, out: &mut Matrix) {
         assert_eq!(self.cols, b.rows(), "CsrMatrix::matmul_dense: dimension mismatch");
         let n = b.cols();
@@ -265,19 +269,7 @@ impl CsrMatrix {
             out.cols(),
             self.rows
         );
-        if n == 0 {
-            return;
-        }
-        umsc_rt::par::parallel_chunks_mut_with(threads, out.as_mut_slice(), n, |i, orow| {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            for (&j, &v) in self.col_idx[lo..hi].iter().zip(self.values[lo..hi].iter()) {
-                let brow = b.row(j);
-                for (o, &bb) in orow.iter_mut().zip(brow.iter()) {
-                    *o += v * bb;
-                }
-            }
-        });
+        csr_rows_into(threads, &self.row_ptr, &self.col_idx, &self.values, b.as_slice(), n, out.as_mut_slice());
     }
 
     /// Transposed copy.

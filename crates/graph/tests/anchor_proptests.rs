@@ -1,9 +1,14 @@
 //! Property tests for the anchor-graph substrate: Z rows are sparse
-//! probability distributions, the induced affinity is row-stochastic, and
-//! the construction is deterministic.
+//! probability distributions, the induced affinity is row-stochastic, the
+//! construction is deterministic, and every product with a sparse factor
+//! is bitwise-identical to the dense kernel it replaced.
 
-use umsc_graph::{anchor_view_factor, anchor_weights, normalized_factor, select_anchors};
+use umsc_graph::{
+    anchor_view_factor, anchor_weights, anchor_weights_sparse, normalized_factor,
+    normalized_factor_sparse, select_anchors, SparseFactor,
+};
 use umsc_linalg::Matrix;
+use umsc_op::{LinOp, LowRankAnchor};
 use umsc_rt::check::{check, Config};
 use umsc_rt::{ensure, Rng};
 
@@ -13,6 +18,10 @@ fn cfg() -> Config {
 
 fn points(rng: &mut Rng, n: usize, d: usize) -> Matrix {
     Matrix::from_fn(n, d, |_, _| rng.gen_range_f64(-10.0, 10.0))
+}
+
+fn dense(b: &SparseFactor) -> Matrix {
+    Matrix::from_vec(b.rows(), b.cols(), b.to_dense())
 }
 
 #[test]
@@ -40,6 +49,7 @@ fn z_rows_are_sparse_distributions() {
 fn induced_affinity_row_stochastic() {
     check(&cfg(), |rng| (points(rng, 20, 2), rng.gen_range(4..9)), |(x, m)| {
         let (b, _) = anchor_view_factor(x, *m, 3.min(*m), 0);
+        let b = dense(&b);
         let w = b.matmul_transpose_b(&b);
         for i in 0..20 {
             let s: f64 = w.row(i).iter().sum();
@@ -79,4 +89,120 @@ fn anchors_are_actual_points() {
         }
         Ok(())
     });
+}
+
+/// The dense `Z Λ Zᵀ X` kernel `LowRankAnchor` ran before its factor went
+/// sparse, kept as the bitwise oracle: `T = ZᵀX` summed over ascending
+/// rows, the diagonal scale, then `Y = Z T` by the dense row kernel, both
+/// from an exact `0.0` with the zero-skip.
+fn dense_low_rank_oracle(z: &Matrix, lambda: Option<&[f64]>, x: &[f64], ncols: usize) -> Vec<f64> {
+    let (n, m) = z.shape();
+    let mut t = vec![0.0; m * ncols];
+    for (j, trow) in t.chunks_exact_mut(ncols).enumerate() {
+        for i in 0..n {
+            let a = z[(i, j)];
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in trow.iter_mut().zip(&x[i * ncols..(i + 1) * ncols]) {
+                *o += a * b;
+            }
+        }
+        if let Some(l) = lambda {
+            for v in trow.iter_mut() {
+                *v *= l[j];
+            }
+        }
+    }
+    let mut y = vec![0.0; n * ncols];
+    for (i, yrow) in y.chunks_exact_mut(ncols).enumerate() {
+        for (p, &a) in z.row(i).iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            for (o, &b) in yrow.iter_mut().zip(&t[p * ncols..(p + 1) * ncols]) {
+                *o += a * b;
+            }
+        }
+    }
+    y
+}
+
+/// Anchor factors where ties decide: random points, duplicated points on
+/// an integer grid (tied `d_{k+1}` gives exact-zero simplex weights), and
+/// all-equal points.
+fn tie_factors(rng: &mut Rng) -> Vec<(&'static str, Matrix, SparseFactor)> {
+    let n = 40;
+    let random = points(rng, n, 3);
+    let grid = Matrix::from_fn(n, 2, |_, _| rng.gen_range(0..3) as f64);
+    let same = Matrix::from_fn(n, 2, |_, _| 1.5);
+    [("random", random), ("grid", grid), ("duplicates", same)]
+        .into_iter()
+        .map(|(what, x)| {
+            let anchors = select_anchors(&x, 9, 4);
+            let z = anchor_weights(&x, &anchors, 4);
+            let (b, _) = normalized_factor_sparse(&anchor_weights_sparse(&x, &anchors, 4));
+            (what, z, b)
+        })
+        .collect()
+}
+
+#[test]
+fn sparse_low_rank_apply_matches_dense_kernel_bitwise() {
+    let mut rng = Rng::from_seed(0xa1c0);
+    let mut zero_weights = 0;
+    for (what, z, b) in tie_factors(&mut rng) {
+        let (n, m) = b.shape();
+        zero_weights += n * 4 - z.as_slice().iter().filter(|&&v| v != 0.0).count();
+        let bd = normalized_factor(&z);
+        assert_eq!(dense(&b).as_slice(), bd.as_slice(), "{what}: factor");
+        let lambda: Vec<f64> = (0..m).map(|_| rng.gen_range_f64(0.1, 2.0)).collect();
+        for ncols in [1, 3] {
+            let x: Vec<f64> = (0..n * ncols).map(|_| rng.normal()).collect();
+            for scale in [None, Some(lambda.as_slice())] {
+                let expect = dense_low_rank_oracle(&bd, scale, &x, ncols);
+                let sparse = LowRankAnchor::sparse(&b);
+                let compacted = LowRankAnchor::new(n, m, bd.as_slice());
+                let (sparse, compacted) = match scale {
+                    Some(l) => (sparse.with_scale(l), compacted.with_scale(l)),
+                    None => (sparse, compacted),
+                };
+                for threads in 1..=4 {
+                    for op in [&sparse, &compacted] {
+                        let mut y = vec![f64::NAN; n * ncols];
+                        op.apply_block_into_with(threads, &x, ncols, &mut y);
+                        assert_eq!(y, expect, "{what} ncols={ncols} threads={threads}");
+                    }
+                }
+                let mut y = vec![f64::NAN; n * ncols];
+                if ncols == 1 {
+                    sparse.apply_into(&x, &mut y);
+                } else {
+                    sparse.apply_block_into(&x, ncols, &mut y);
+                }
+                assert_eq!(y, expect, "{what} ncols={ncols} gated");
+            }
+        }
+    }
+    assert!(zero_weights > 0, "no case produced an exact-zero simplex weight");
+}
+
+#[test]
+fn sparse_factor_products_match_dense_matmuls_bitwise() {
+    let mut rng = Rng::from_seed(0xb7);
+    for (what, _, b) in tie_factors(&mut rng) {
+        let (n, m) = b.shape();
+        let bd = dense(&b);
+        let c = 3;
+        let f = Matrix::from_fn(n, c, |_, _| rng.normal());
+        let p = Matrix::from_fn(m, c, |_, _| rng.normal());
+        for threads in 1..=4 {
+            let mut btf = vec![f64::NAN; m * c];
+            b.mul_transpose_into_with(threads, f.as_slice(), c, &mut btf);
+            assert_eq!(btf, bd.matmul_transpose_a_with_threads(threads, &f).as_slice(), "{what} Bᵀ·F");
+            let mut bp = vec![f64::NAN; n * c];
+            b.mul_into_with(threads, p.as_slice(), c, &mut bp);
+            assert_eq!(bp, bd.matmul_with_threads(threads, &p).as_slice(), "{what} B·P");
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! construction they replaced.
 
 use umsc_graph::{
-    adaptive_neighbor_affinity, anchor_weights, cosine_distance_matrix, degrees, epsilon_affinity,
+    adaptive_neighbor_affinity, anchor_weights, anchor_weights_sparse, cosine_distance_matrix, degrees, epsilon_affinity,
     gaussian_affinity, knn_affinity, neighbor_graph, neighbor_graph_with_threads,
     normalized_laplacian, pairwise_sq_distances, unnormalized_laplacian, Bandwidth, CsrMatrix,
     Metric, Neighbors, TILE_ROWS,
@@ -378,6 +378,10 @@ fn can_and_anchor_selectors_match_sort_based_oracle_bitwise() {
                 let got = anchor_weights(&x, &anchors, k);
                 let expect = oracle::anchor_weights(&x, &anchors, k);
                 assert_eq!(got.as_slice(), expect.as_slice(), "anchor n={n} {what} k={k}");
+                // The CSR builder stores exactly the oracle's nonzeros.
+                let sparse = anchor_weights_sparse(&x, &anchors, k);
+                let expect_csr = CsrMatrix::from_dense(&expect, 0.0);
+                assert!(same_csr(&sparse, &expect_csr), "sparse anchor n={n} {what} k={k}");
             }
         }
     }

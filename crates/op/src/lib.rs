@@ -9,7 +9,8 @@
 //! [`WeightedSum`], [`LowRankAnchor`]) compose into exactly the
 //! expressions the paper's solver evaluates — `Σ_v w_v L_v` for the
 //! fused graph, `σI − Σ_v w_v B_v B_vᵀ` for the anchor path — without
-//! ever materializing an `n × n` matrix.
+//! ever materializing an `n × n` matrix. The anchor factors themselves
+//! are [`SparseFactor`]s: `n × m` CSR with `k` nonzeros per row.
 //!
 //! # Kernel discipline
 //!
@@ -42,8 +43,8 @@ mod sparse;
 
 pub use compose::{DiagShift, Scaled, WeightedSum};
 pub use dense::DenseOp;
-pub use lowrank::LowRankAnchor;
-pub use sparse::CsrOp;
+pub use lowrank::{LowRankAnchor, SparseFactor};
+pub use sparse::{csr_rows_into, CsrOp};
 
 /// Minimum estimated flop count before an apply engages worker threads
 /// (the same gate as the dense and CSR kernels it mirrors).

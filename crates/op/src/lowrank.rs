@@ -1,34 +1,210 @@
-//! Low-rank operator node: `Z Λ Zᵀ` for anchor/bipartite graphs.
+//! Low-rank operator node: `Z Λ Zᵀ` for anchor/bipartite graphs, over a
+//! sparse factor `Z`.
 
+use std::borrow::Cow;
+
+use crate::sparse::csr_rows_into;
 use crate::{gate_threads, new_scratch, LinOp, Scratch};
 
-/// `Z Λ Zᵀ` over a borrowed row-major `n × m` factor `Z` and optional
-/// diagonal `Λ` (`None` means identity), with `m ≪ n` — the implicit
-/// form of an anchor-graph similarity `B Bᵀ`.
+/// A sparse `n × m` factor `Z` (an anchor graph's `B = Z·Λ^{-1/2}`, with
+/// `k ≪ m` nonzeros per row), stored in CSR twice: by rows for `Z·T`, and
+/// transposed (by columns of `Z`) for `Zᵀ·X`. Both copies have strictly
+/// ascending indices and no stored zeros, so each product is the CSR row
+/// kernel and sums exactly the terms the dense row kernel would, in the
+/// same order: results are bitwise-identical to the dense products
+/// `Matrix::matmul_into` / `Matrix::matmul_transpose_a_into` on the
+/// densified factor, at any thread count.
 ///
-/// Applies cost `O(n·m)` instead of `O(n²)`: `t = Zᵀx` (each `t[j]`
-/// summed over ascending rows, partitioned by output index so the
-/// result is thread-count invariant), an order-free diagonal scale,
-/// then `y = Z t` with the dense row kernel. The intermediate `t`
-/// (length `m`, or `m × k` for blocks) lives in an internal grow-only
-/// scratch panel — allocation-free once warm.
-#[derive(Debug)]
-pub struct LowRankAnchor<'a> {
+/// Memory is `O(nnz + n + m)` words instead of `n·m`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseFactor {
     n: usize,
     m: usize,
-    z: &'a [f64],
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+    /// `Zᵀ` in CSR: `m + 1` offsets, row indices ascending per column.
+    t_ptr: Vec<usize>,
+    t_idx: Vec<usize>,
+    t_values: Vec<f64>,
+}
+
+impl SparseFactor {
+    /// Takes CSR arrays of an `n × m` factor. Exact zeros (`±0.0`) are
+    /// dropped, then the transpose is built by a counting sort.
+    ///
+    /// # Panics
+    /// Panics unless `row_ptr` holds `n + 1` non-decreasing offsets from 0
+    /// to `col_idx.len() == values.len()` and every row's column indices
+    /// are strictly ascending and below `m`.
+    pub fn from_csr(n: usize, m: usize, row_ptr: Vec<usize>, mut col_idx: Vec<usize>, mut values: Vec<f64>) -> Self {
+        assert_eq!(row_ptr.len(), n + 1, "SparseFactor::from_csr: row_ptr must have n + 1 entries");
+        assert_eq!(row_ptr[0], 0, "SparseFactor::from_csr: row_ptr must start at 0");
+        assert_eq!(row_ptr[n], col_idx.len(), "SparseFactor::from_csr: col_idx length mismatch");
+        assert_eq!(col_idx.len(), values.len(), "SparseFactor::from_csr: values length mismatch");
+        let mut kept_ptr = Vec::with_capacity(n + 1);
+        kept_ptr.push(0);
+        let mut kept = 0;
+        for i in 0..n {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            assert!(lo <= hi, "SparseFactor::from_csr: row_ptr not sorted");
+            let row = &col_idx[lo..hi];
+            assert!(
+                row.windows(2).all(|w| w[0] < w[1]) && row.iter().all(|&j| j < m),
+                "SparseFactor::from_csr: row {i} columns must be ascending and below {m}"
+            );
+            for e in lo..hi {
+                if values[e] != 0.0 {
+                    col_idx[kept] = col_idx[e];
+                    values[kept] = values[e];
+                    kept += 1;
+                }
+            }
+            kept_ptr.push(kept);
+        }
+        col_idx.truncate(kept);
+        values.truncate(kept);
+
+        // Counting sort by column; rows are visited in ascending order, so
+        // every transposed row lists its indices ascending.
+        let mut t_ptr = vec![0usize; m + 1];
+        for &j in &col_idx {
+            t_ptr[j + 1] += 1;
+        }
+        for j in 0..m {
+            t_ptr[j + 1] += t_ptr[j];
+        }
+        let mut next = t_ptr[..m].to_vec();
+        let mut t_idx = vec![0usize; kept];
+        let mut t_values = vec![0.0f64; kept];
+        for i in 0..n {
+            for e in kept_ptr[i]..kept_ptr[i + 1] {
+                let slot = &mut next[col_idx[e]];
+                t_idx[*slot] = i;
+                t_values[*slot] = values[e];
+                *slot += 1;
+            }
+        }
+        SparseFactor { n, m, row_ptr: kept_ptr, col_idx, values, t_ptr, t_idx, t_values }
+    }
+
+    /// Compacts a dense row-major `n × m` factor (exact zeros dropped).
+    ///
+    /// # Panics
+    /// Panics if `z.len() != n * m`.
+    pub fn from_dense(n: usize, m: usize, z: &[f64]) -> Self {
+        assert_eq!(z.len(), n * m, "SparseFactor::from_dense: factor is not n x m");
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for row in z.chunks_exact(m.max(1)).take(n) {
+            for (j, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    col_idx.push(j);
+                    values.push(v);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        row_ptr.resize(n + 1, 0);
+        SparseFactor::from_csr(n, m, row_ptr, col_idx, values)
+    }
+
+    /// Number of rows `n` (points).
+    pub fn rows(&self) -> usize {
+        self.n
+    }
+
+    /// Number of columns `m` (anchors).
+    pub fn cols(&self) -> usize {
+        self.m
+    }
+
+    /// `(rows, cols)`.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.n, self.m)
+    }
+
+    /// Number of stored nonzeros.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// The dense row-major `n × m` factor (small factors and tests).
+    pub fn to_dense(&self) -> Vec<f64> {
+        let mut z = vec![0.0; self.n * self.m];
+        for i in 0..self.n {
+            for e in self.row_ptr[i]..self.row_ptr[i + 1] {
+                z[i * self.m + self.col_idx[e]] = self.values[e];
+            }
+        }
+        z
+    }
+
+    /// `Y = Z·T` for a row-major `m × ncols` block `T`; overwrites the
+    /// `n × ncols` block `Y`. Threaded past the flop gate.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    pub fn mul_into(&self, t: &[f64], ncols: usize, y: &mut [f64]) {
+        self.mul_into_with(gate_threads(2 * self.nnz() * ncols), t, ncols, y);
+    }
+
+    /// `T = Zᵀ·X` for a row-major `n × ncols` block `X`; overwrites the
+    /// `m × ncols` block `T`. Threaded past the flop gate.
+    ///
+    /// # Panics
+    /// Panics on length mismatch.
+    pub fn mul_transpose_into(&self, x: &[f64], ncols: usize, t: &mut [f64]) {
+        self.mul_transpose_into_with(gate_threads(2 * self.nnz() * ncols), x, ncols, t);
+    }
+
+    /// [`SparseFactor::mul_into`] with an explicit thread count.
+    pub fn mul_into_with(&self, threads: usize, t: &[f64], ncols: usize, y: &mut [f64]) {
+        assert_eq!(t.len(), self.m * ncols, "SparseFactor::mul_into: t length mismatch");
+        assert_eq!(y.len(), self.n * ncols, "SparseFactor::mul_into: y length mismatch");
+        csr_rows_into(threads, &self.row_ptr, &self.col_idx, &self.values, t, ncols, y);
+    }
+
+    /// [`SparseFactor::mul_transpose_into`] with an explicit thread count.
+    pub fn mul_transpose_into_with(&self, threads: usize, x: &[f64], ncols: usize, t: &mut [f64]) {
+        assert_eq!(x.len(), self.n * ncols, "SparseFactor::mul_transpose_into: x length mismatch");
+        assert_eq!(t.len(), self.m * ncols, "SparseFactor::mul_transpose_into: t length mismatch");
+        csr_rows_into(threads, &self.t_ptr, &self.t_idx, &self.t_values, x, ncols, t);
+    }
+}
+
+/// `Z Λ Zᵀ` over a sparse `n × m` factor `Z` and optional diagonal `Λ`
+/// (`None` means identity), with `m ≪ n` — the implicit form of an
+/// anchor-graph similarity `B Bᵀ`.
+///
+/// Applies cost `O(nnz)` per column instead of `O(n²)`: `T = ZᵀX` (the
+/// CSR kernel on the stored transpose), an order-free diagonal scale,
+/// then `Y = Z T` (the CSR kernel on `Z`). Both products are
+/// bitwise-identical to the dense row kernels on the densified factor
+/// (see [`SparseFactor`]). The intermediate `T` (`m × ncols`) lives in an
+/// internal grow-only scratch panel — allocation-free once warm.
+#[derive(Debug)]
+pub struct LowRankAnchor<'a> {
+    z: Cow<'a, SparseFactor>,
     lambda: Option<&'a [f64]>,
     scratch: Scratch,
 }
 
 impl<'a> LowRankAnchor<'a> {
-    /// `Z Zᵀ` over a row-major `n × m` factor.
+    /// `Z Zᵀ` over a dense row-major `n × m` factor, compacted once into
+    /// a [`SparseFactor`] owned by the operator.
     ///
     /// # Panics
     /// Panics if `z.len() != n * m`.
-    pub fn new(n: usize, m: usize, z: &'a [f64]) -> Self {
+    pub fn new(n: usize, m: usize, z: &[f64]) -> Self {
         assert_eq!(z.len(), n * m, "LowRankAnchor::new: factor is not n x m");
-        LowRankAnchor { n, m, z, lambda: None, scratch: new_scratch() }
+        LowRankAnchor { z: Cow::Owned(SparseFactor::from_dense(n, m, z)), lambda: None, scratch: new_scratch() }
+    }
+
+    /// `Z Zᵀ` over a borrowed sparse factor.
+    pub fn sparse(z: &'a SparseFactor) -> Self {
+        LowRankAnchor { z: Cow::Borrowed(z), lambda: None, scratch: new_scratch() }
     }
 
     /// Adds a diagonal middle factor: the operator becomes `Z Λ Zᵀ`.
@@ -36,91 +212,52 @@ impl<'a> LowRankAnchor<'a> {
     /// # Panics
     /// Panics if `lambda.len() != m`.
     pub fn with_scale(mut self, lambda: &'a [f64]) -> Self {
-        assert_eq!(lambda.len(), self.m, "LowRankAnchor::with_scale: lambda length mismatch");
+        assert_eq!(lambda.len(), self.z.m, "LowRankAnchor::with_scale: lambda length mismatch");
         self.lambda = Some(lambda);
         self
     }
 
     /// Rank bound `m` (number of anchors).
     pub fn rank(&self) -> usize {
-        self.m
+        self.z.m
     }
 
     /// [`LinOp::apply_block_into`] with an explicit thread count
     /// (`threads <= 1` runs inline; no work-size gate). The vector apply
     /// is the `ncols == 1` case. Exposed for the bitwise-identity tests.
     pub fn apply_block_into_with(&self, threads: usize, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let (n, m) = (self.n, self.m);
+        let (n, m) = self.z.shape();
         assert_eq!(x.len(), n * ncols, "LowRankAnchor::apply_block_into: x length mismatch");
         assert_eq!(y.len(), n * ncols, "LowRankAnchor::apply_block_into: y length mismatch");
         if ncols == 0 {
             return;
         }
-        if n == 0 || m == 0 {
-            y.fill(0.0);
-            return;
-        }
         let mut scratch = self.scratch.borrow_mut();
         let t = scratch.ensure(m * ncols);
-
-        // T = Zᵀ X (m × ncols): one T-row per work unit; T[j] is summed
-        // over ascending rows i with the usual zero-skip, so the value
-        // is independent of the partition.
-        umsc_rt::par::parallel_chunks_mut_with(threads, t, ncols, |j, trow| {
-            trow.fill(0.0);
-            for i in 0..n {
-                let a = self.z[i * m + j];
-                if a == 0.0 {
-                    continue;
-                }
-                let xrow = &x[i * ncols..(i + 1) * ncols];
-                for (o, &b) in trow.iter_mut().zip(xrow.iter()) {
-                    *o += a * b;
-                }
-            }
-        });
-
+        self.z.mul_transpose_into_with(threads, x, ncols, t);
         // T ← Λ T: order-free per element.
         if let Some(lambda) = self.lambda {
-            for (j, trow) in t.chunks_exact_mut(ncols).enumerate() {
-                let l = lambda[j];
+            for (trow, &l) in t.chunks_exact_mut(ncols).zip(lambda) {
                 for v in trow {
                     *v *= l;
                 }
             }
         }
-
-        // Y = Z T: the dense row kernel (one output row per work unit,
-        // ascending-index accumulation from an exact 0.0, zero-skip).
-        let t: &[f64] = t;
-        umsc_rt::par::parallel_chunks_mut_with(threads, y, ncols, |i, yrow| {
-            yrow.fill(0.0);
-            let zrow = &self.z[i * m..(i + 1) * m];
-            for (p, &a) in zrow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let trow = &t[p * ncols..(p + 1) * ncols];
-                for (o, &b) in yrow.iter_mut().zip(trow.iter()) {
-                    *o += a * b;
-                }
-            }
-        });
+        self.z.mul_into_with(threads, t, ncols, y);
     }
 }
 
 impl LinOp for LowRankAnchor<'_> {
     fn dim(&self) -> usize {
-        self.n
+        self.z.n
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let flops = 4 * self.n * self.m;
-        self.apply_block_into_with(gate_threads(flops), x, 1, y);
+        self.apply_block_into(x, 1, y);
     }
 
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let flops = 4 * self.n * self.m * ncols;
+        let flops = 4 * self.z.nnz() * ncols;
         self.apply_block_into_with(gate_threads(flops), x, ncols, y);
     }
 }
@@ -129,6 +266,21 @@ impl LinOp for LowRankAnchor<'_> {
 mod tests {
     use super::*;
     use umsc_rt::Rng;
+
+    /// Random `n × m` factor with roughly a third of its entries zero.
+    fn random_factor(n: usize, m: usize, seed: u64) -> Vec<f64> {
+        let mut rng = Rng::from_seed(seed);
+        (0..n * m)
+            .map(|_| {
+                let v = rng.gen_range_f64(-1.0, 1.0);
+                if v.abs() < 0.33 {
+                    0.0
+                } else {
+                    v
+                }
+            })
+            .collect()
+    }
 
     fn random(len: usize, seed: u64) -> Vec<f64> {
         let mut rng = Rng::from_seed(seed);
@@ -163,7 +315,7 @@ mod tests {
     #[test]
     fn matches_dense_reference_and_is_thread_invariant() {
         for (n, m, k) in [(12, 3, 1), (40, 8, 4), (65, 16, 3)] {
-            let z = random(n * m, 1000 + n as u64);
+            let z = random_factor(n, m, 1000 + n as u64);
             let lambda = random(m, 2000 + n as u64);
             let x = random(n * k, 3000 + n as u64);
 
@@ -191,7 +343,7 @@ mod tests {
     #[test]
     fn vector_apply_is_block_with_one_column() {
         let (n, m) = (30, 5);
-        let z = random(n * m, 1);
+        let z = random_factor(n, m, 1);
         let x = random(n, 2);
         let op = LowRankAnchor::new(n, m, &z);
         assert_eq!(op.rank(), m);
@@ -200,5 +352,42 @@ mod tests {
         let mut yb = vec![f64::NAN; n];
         op.apply_block_into(&x, 1, &mut yb);
         assert_eq!(y, yb);
+    }
+
+    #[test]
+    fn factor_round_trips_and_drops_zeros() {
+        let (n, m) = (9, 4);
+        let z = random_factor(n, m, 5);
+        let f = SparseFactor::from_dense(n, m, &z);
+        assert_eq!(f.shape(), (n, m));
+        assert_eq!(f.nnz(), z.iter().filter(|&&v| v != 0.0).count());
+        assert_eq!(f.to_dense(), z);
+        // Stored zeros given to from_csr are dropped too.
+        let g = SparseFactor::from_csr(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 0.0, -0.0]);
+        assert_eq!(g.nnz(), 1);
+        assert_eq!(g.to_dense(), vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
+        // Sparse and owned (compacted) operators apply identically.
+        let x = random(n * 2, 6);
+        let (mut a, mut b) = (vec![0.0; n * 2], vec![0.0; n * 2]);
+        LowRankAnchor::new(n, m, &z).apply_block_into(&x, 2, &mut a);
+        LowRankAnchor::sparse(&f).apply_block_into(&x, 2, &mut b);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn unsorted_columns_panic() {
+        SparseFactor::from_csr(1, 3, vec![0, 2], vec![2, 1], vec![1.0, 1.0]);
+    }
+
+    #[test]
+    fn empty_shapes() {
+        let f = SparseFactor::from_dense(0, 3, &[]);
+        let mut y: Vec<f64> = Vec::new();
+        LowRankAnchor::sparse(&f).apply_block_into(&[], 2, &mut y);
+        let g = SparseFactor::from_dense(4, 0, &[]);
+        let mut y = vec![f64::NAN; 8];
+        LowRankAnchor::sparse(&g).apply_block_into(&[1.0; 8], 2, &mut y);
+        assert_eq!(y, vec![0.0; 8]);
     }
 }

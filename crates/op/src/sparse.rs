@@ -76,21 +76,40 @@ impl<'a> CsrOp<'a> {
         let n = self.n;
         assert_eq!(x.len(), n * ncols, "CsrOp::apply_block_into: x length mismatch");
         assert_eq!(y.len(), n * ncols, "CsrOp::apply_block_into: y length mismatch");
-        if n == 0 || ncols == 0 {
-            return;
-        }
-        umsc_rt::par::parallel_chunks_mut_with(threads, y, ncols, |i, yrow| {
-            yrow.fill(0.0);
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            for (&j, &v) in self.col_idx[lo..hi].iter().zip(self.values[lo..hi].iter()) {
-                let xrow = &x[j * ncols..(j + 1) * ncols];
-                for (o, &b) in yrow.iter_mut().zip(xrow.iter()) {
-                    *o += v * b;
-                }
-            }
-        });
+        csr_rows_into(threads, self.row_ptr, self.col_idx, self.values, x, ncols, y);
     }
+}
+
+/// `Y = A·X` for CSR arrays `A` (`row_ptr.len() - 1` rows) and a
+/// row-major `X` with `ncols` columns, `threads <= 1` running inline: the
+/// one CSR-times-block kernel of the workspace. One output row per work unit, overwritten and then summed
+/// over the row's stored entries in storage order from an exact `0.0`.
+/// On ascending column indices with no stored zeros that is exactly the
+/// dense row kernel's sum (ascending index, zero-skip), so results are
+/// bitwise-identical to it and to themselves at any thread count.
+pub fn csr_rows_into(
+    threads: usize,
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    values: &[f64],
+    x: &[f64],
+    ncols: usize,
+    y: &mut [f64],
+) {
+    assert_eq!(y.len(), (row_ptr.len() - 1) * ncols, "csr_rows_into: y length mismatch");
+    if ncols == 0 {
+        return;
+    }
+    umsc_rt::par::parallel_chunks_mut_with(threads, y, ncols, |i, yrow| {
+        yrow.fill(0.0);
+        let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+        for (&j, &v) in col_idx[lo..hi].iter().zip(values[lo..hi].iter()) {
+            let xrow = &x[j * ncols..(j + 1) * ncols];
+            for (o, &b) in yrow.iter_mut().zip(xrow.iter()) {
+                *o += v * b;
+            }
+        }
+    });
 }
 
 impl LinOp for CsrOp<'_> {

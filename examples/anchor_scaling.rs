@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Sweeps the dataset size and compares the dense O(n²–n³) solver against
-//! the anchor-based O(n·m·c) solver at a fixed anchor budget: accuracy
+//! the anchor-based O(n·k·c) solver at a fixed anchor budget: accuracy
 //! should stay comparable while runtime scales linearly instead.
 
 use std::time::Instant;

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # Perf-trajectory harness: runs the kernel microbenches and writes the
-# machine-readable snapshot BENCH_7.json (median ns per kernel, core
+# machine-readable snapshot BENCH_10.json (median ns per kernel, core
 # count, thread count, plus observability counter records such as the
 # blocked-vs-rowwise GEMM dispatch tallies and the cold-vs-warm block
 # Lanczos iteration counts) so future PRs can track regressions against
 # a committed baseline.
 #
 # Usage:
-#   scripts/bench.sh            # full sizes, writes BENCH_7.json
+#   scripts/bench.sh            # full sizes, writes BENCH_10.json
 #   UMSC_BENCH_SMOKE=1 scripts/bench.sh out.json   # tiny sizes, custom path
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_7.json}"
+out="${1:-BENCH_10.json}"
 jsonl="$(mktemp /tmp/umsc-bench.XXXXXX.jsonl)"
 trap 'rm -f "$jsonl"' EXIT
 
