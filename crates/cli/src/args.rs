@@ -64,6 +64,14 @@ impl Args {
         }
     }
 
+    /// Fails on the first option (in name order) that is not in `known`,
+    /// so a flag the command does not read is an error, not a no-op.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), String> {
+        match self.options.keys().filter(|k| !known.contains(&k.as_str())).min() {
+            Some(key) => Err(format!("unknown option --{key} (known: --{})", known.join(", --"))),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -100,6 +108,14 @@ mod tests {
     fn bad_parse_reported() {
         let a = Args::parse(&argv(&["x", "--n", "abc"])).unwrap();
         assert!(a.get_parsed::<usize>("n", 0).is_err());
+    }
+
+    #[test]
+    fn unknown_options_rejected_by_name() {
+        let a = Args::parse(&argv(&["cluster", "--data", "d", "--zeta", "1", "--alpha", "2"])).unwrap();
+        assert!(a.reject_unknown(&["data", "zeta", "alpha"]).is_ok());
+        let err = a.reject_unknown(&["data"]).unwrap_err();
+        assert!(err.starts_with("unknown option --alpha "), "got {err:?}");
     }
 
     #[test]

@@ -5,8 +5,7 @@ use std::path::Path;
 use umsc_baselines::standard_suite;
 use umsc_bench::report::TextTable;
 use umsc_core::{
-    AnchorAssigner, AnchorUmsc, AnchorUmscConfig, EigSolver, IterationStats, Metric, Umsc,
-    UmscConfig,
+    AnchorAssigner, AnchorUmsc, AnchorUmscConfig, IterationStats, Metric, Umsc, UmscConfig,
 };
 use umsc_data::{benchmark, BenchmarkId, MultiViewDataset};
 use umsc_metrics::MetricSuite;
@@ -70,7 +69,13 @@ fn info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Every option `cluster` reads; anything else is an error.
+const CLUSTER_OPTIONS: &[&str] = &[
+    "data", "clusters", "method", "lambda", "metric", "anchors", "seed", "out", "save-model", "trace", "verbose",
+];
+
 fn cluster(args: &Args) -> Result<(), String> {
+    args.reject_unknown(CLUSTER_OPTIONS)?;
     // Observability surface: --trace <path> points the umsc-trace/v1
     // JSONL sink at a file (and turns instruments on); --verbose turns
     // instruments on and prints the convergence + phase tables below.
@@ -91,15 +96,6 @@ fn cluster(args: &Args) -> Result<(), String> {
         "cosine" => Metric::Cosine,
         other => return Err(format!("unknown --metric {other:?} (euclidean|cosine)")),
     };
-    // Eigensolver policy for the warm-start sweeps. `jacobi` is dense-only
-    // and the solver rejects it on the matrix-free paths.
-    let eig = match args.get("eig").unwrap_or("auto") {
-        "auto" => EigSolver::Auto,
-        "lanczos" => EigSolver::Lanczos,
-        "blanczos" => EigSolver::Blanczos,
-        "jacobi" => EigSolver::Jacobi,
-        other => return Err(format!("unknown --eig {other:?} (auto|lanczos|blanczos|jacobi)")),
-    };
 
     let t0 = std::time::Instant::now();
     let (labels, weights, history) = if method_name == "anchor-umsc" {
@@ -108,8 +104,7 @@ fn cluster(args: &Args) -> Result<(), String> {
         let cfg = AnchorUmscConfig::new(c)
             .with_anchors(anchors)
             .with_lambda(lambda)
-            .with_seed(seed)
-            .with_eig(eig);
+            .with_seed(seed);
         let model = AnchorUmsc::new(cfg).fit_model(&data).map_err(|e| e.to_string())?;
         if let Some(path) = args.get("save-model") {
             model.assigner.save(Path::new(path)).map_err(|e| e.to_string())?;
@@ -119,23 +114,10 @@ fn cluster(args: &Args) -> Result<(), String> {
         (res.labels, Some(res.view_weights), Some(res.history))
     } else if method_name == "umsc" {
         let lambda: f64 = args.get_parsed("lambda", 1.0)?;
-        let cfg = UmscConfig::new(c)
-            .with_lambda(lambda)
-            .with_metric(metric)
-            .with_seed(seed)
-            .with_eig(eig);
-        let model = Umsc::new(cfg);
-        // `auto` keys the operator representation off the graph kind: the
-        // default k-NN graph runs the matrix-free CSR path, dense/CAN
-        // graphs the dense one.
-        let res = match args.get("representation").unwrap_or("auto") {
-            "auto" => model.fit_auto(&data),
-            "dense" => model.fit(&data),
-            "sparse" => umsc_core::build_view_laplacians_sparse(&data, &model.config().graph_config())
-                .and_then(|ls| model.fit_laplacians_sparse(&ls)),
-            other => return Err(format!("unknown --representation {other:?} (auto|dense|sparse)")),
-        }
-        .map_err(|e| e.to_string())?;
+        let cfg = UmscConfig::new(c).with_lambda(lambda).with_metric(metric).with_seed(seed);
+        // The graph kind picks the representation: the default k-NN graph
+        // runs the matrix-free CSR path, dense/CAN graphs the dense one.
+        let res = Umsc::new(cfg).fit_auto(&data).map_err(|e| e.to_string())?;
         (res.labels, Some(res.view_weights), Some(res.history))
     } else {
         let method = standard_suite(c)
@@ -366,8 +348,9 @@ fn trace_report(args: &Args) -> Result<(), String> {
 /// Derived view over the `blanczos.*` counters: per-solve block-iteration
 /// and restart rates, so a trace answers "did the warm start pay off?"
 /// without the reader dividing counters by hand. A trace from a run that
-/// never touched the block solver (e.g. `--eig lanczos`) has no
-/// `blanczos.solves` counter and prints nothing.
+/// never touched the block solver (a baseline method, or a `c = 1` fit
+/// that stops at the cold solve) has no `blanczos.solves` counter and
+/// prints nothing.
 fn print_eigensolver_summary(counters: &std::collections::BTreeMap<String, u64>) {
     let solves = counters.get("blanczos.solves").copied().unwrap_or(0);
     if solves == 0 {
@@ -491,87 +474,17 @@ mod tests {
     }
 
     #[test]
-    fn representation_flag_accepted_and_validated() {
-        let dir = tmp("repr");
-        let _ = std::fs::remove_dir_all(&dir);
-        let data = umsc_data::synth::MultiViewGmm::new(
-            "r",
-            2,
-            12,
-            vec![umsc_data::ViewSpec::clean(3)],
-        )
-        .generate(2);
-        umsc_data::io::save_csv(&data, &dir).unwrap();
-        for repr in ["auto", "dense", "sparse"] {
-            dispatch(&argv(&[
-                "cluster",
-                "--data",
-                dir.to_str().unwrap(),
-                "--clusters",
-                "2",
-                "--representation",
-                repr,
-            ]))
-            .unwrap();
+    fn removed_solver_flags_are_rejected() {
+        for (name, value) in [("eig", "jacobi"), ("representation", "dense")] {
+            let flag = format!("--{name}");
+            let err = dispatch(&argv(&["cluster", "--data", "unused", &flag, value])).unwrap_err();
+            assert!(err.contains(&flag), "{flag}: got {err:?}");
         }
-        let err = dispatch(&argv(&[
-            "cluster",
-            "--data",
-            dir.to_str().unwrap(),
-            "--representation",
-            "quantum",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--representation"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn eig_flag_accepted_and_validated() {
-        let dir = tmp("eig");
-        let _ = std::fs::remove_dir_all(&dir);
-        let data = umsc_data::synth::MultiViewGmm::new(
-            "e",
-            2,
-            12,
-            vec![umsc_data::ViewSpec::clean(3)],
-        )
-        .generate(4);
-        umsc_data::io::save_csv(&data, &dir).unwrap();
-        // `jacobi` rides the dense representation; the others run the
-        // default auto path.
-        for (eig, repr) in
-            [("auto", "auto"), ("lanczos", "auto"), ("blanczos", "auto"), ("jacobi", "dense")]
-        {
-            dispatch(&argv(&[
-                "cluster",
-                "--data",
-                dir.to_str().unwrap(),
-                "--clusters",
-                "2",
-                "--eig",
-                eig,
-                "--representation",
-                repr,
-            ]))
-            .unwrap();
-        }
-        let err = dispatch(&argv(&[
-            "cluster",
-            "--data",
-            dir.to_str().unwrap(),
-            "--eig",
-            "powermethod",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--eig"), "got {err:?}");
-        assert!(err.contains("auto|lanczos|blanczos|jacobi"), "got {err:?}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// ISSUE acceptance criterion: tracing is observation only — a
-    /// `--eig blanczos` run must write bitwise-identical labels whether
-    /// the trace sink is attached or not.
+    /// Tracing is observation only: a default fit, whose warm start runs
+    /// the block Lanczos solver, must write bitwise-identical labels
+    /// whether the trace sink is attached or not.
     #[test]
     fn blanczos_labels_identical_with_and_without_tracing() {
         let _obs = obs_lock();
@@ -593,8 +506,6 @@ mod tests {
             dir.to_str().unwrap(),
             "--clusters",
             "3",
-            "--eig",
-            "blanczos",
             "--out",
             plain.to_str().unwrap(),
         ]))
@@ -608,8 +519,6 @@ mod tests {
             dir.to_str().unwrap(),
             "--clusters",
             "3",
-            "--eig",
-            "blanczos",
             "--out",
             traced.to_str().unwrap(),
             "--verbose",
@@ -624,7 +533,7 @@ mod tests {
         let a = std::fs::read(&plain).unwrap();
         let b = std::fs::read(&traced).unwrap();
         assert!(!a.is_empty());
-        assert_eq!(a, b, "tracing changed --eig blanczos label output");
+        assert_eq!(a, b, "tracing changed the label output");
 
         // The traced run must have recorded block-solver activity, and
         // the report (with its eigensolver summary) must parse it.

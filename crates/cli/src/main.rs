@@ -5,7 +5,8 @@
 //! umsc info      --data DIR
 //! umsc cluster   --data DIR --clusters C [--method NAME] [--lambda X]
 //!                [--metric euclidean|cosine] [--anchors M] [--seed N]
-//!                [--out labels.csv] [--save-model FILE]
+//!                [--out labels.csv] [--save-model FILE] [--trace FILE]
+//!                [--verbose]
 //! umsc assign    --model FILE --data DIR [--out labels.csv]
 //! umsc evaluate  --pred FILE --truth FILE
 //! umsc methods

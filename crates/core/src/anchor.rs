@@ -26,7 +26,7 @@
 //! (dense factors, compacted once) and [`AnchorUmsc::fit_sparse_factors`]
 //! agree bit for bit.
 
-use crate::config::{EigSolver, UmscConfig, Weighting};
+use crate::config::{UmscConfig, Weighting};
 use crate::engine::{self, frobenius_distance, ViewSet};
 use crate::error::UmscError;
 use crate::solver::{SolverState, StepStats, UmscResult};
@@ -58,9 +58,6 @@ pub struct AnchorUmscConfig {
     pub tol: f64,
     /// Seed for anchor selection and Lanczos.
     pub seed: u64,
-    /// Eigensolver policy for the warm-start embedding sweeps (Jacobi is
-    /// dense-only and rejected by this matrix-free path).
-    pub eig: EigSolver,
 }
 
 impl AnchorUmscConfig {
@@ -75,7 +72,6 @@ impl AnchorUmscConfig {
             max_iter: 50,
             tol: 1e-6,
             seed: 0,
-            eig: EigSolver::Auto,
         }
     }
 
@@ -94,12 +90,6 @@ impl AnchorUmscConfig {
     /// Sets the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the eigensolver policy for the embedding sweeps.
-    pub fn with_eig(mut self, eig: EigSolver) -> Self {
-        self.eig = eig;
         self
     }
 }
@@ -204,7 +194,7 @@ impl AnchorUmsc {
     /// `B_v` (each `n × m_v`; the affinity is `B_v·B_vᵀ`).
     pub fn fit_sparse_factors(&self, factors: &[SparseFactor]) -> Result<UmscResult> {
         let cfg = self.solver_config();
-        let n = engine::validate(&cfg, factors.iter().map(SparseFactor::shape), false, true)?;
+        let n = engine::validate(&cfg, factors.iter().map(SparseFactor::shape), false)?;
         engine::fit(&cfg, &mut AnchorViews { factors, op: None }, n)
     }
 
@@ -230,7 +220,6 @@ impl AnchorUmsc {
             tol: cfg.tol,
             gpi_max_iter: ANCHOR_GPI_ITERS,
             seed: cfg.seed,
-            eig: cfg.eig,
             ..UmscConfig::new(cfg.num_clusters)
         }
     }
@@ -581,24 +570,6 @@ mod tests {
                 w[1].objective
             );
         }
-    }
-
-    #[test]
-    fn eig_policies_agree_and_jacobi_rejected() {
-        let data = gmm(50, 21);
-        let base = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30)).fit(&data).unwrap();
-        for eig in [EigSolver::Lanczos, EigSolver::Blanczos] {
-            let res = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30).with_eig(eig))
-                .fit(&data)
-                .unwrap();
-            assert!(
-                umsc_metrics::nmi(&base.labels, &res.labels) > 0.99,
-                "{eig:?} partition diverges"
-            );
-        }
-        let jac = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30).with_eig(EigSolver::Jacobi))
-            .fit(&data);
-        assert!(matches!(jac, Err(UmscError::InvalidInput(_))), "Jacobi must be rejected");
     }
 
     #[test]

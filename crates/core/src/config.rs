@@ -69,25 +69,6 @@ impl GraphKind {
     }
 }
 
-/// Which eigensolver services the warm-start embedding sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EigSolver {
-    /// Cold sweep through the existing path (dense tridiagonal QL below
-    /// the size threshold, scalar Lanczos above it / on the matrix-free
-    /// paths), then warm-started block Lanczos for every re-weighting
-    /// sweep after it. The default.
-    Auto,
-    /// Scalar Lanczos on every sweep (no subspace carried — the
-    /// pre-block-solver behavior, kept for ablation).
-    Lanczos,
-    /// Block Lanczos on every sweep: cold on the first, warm after.
-    Blanczos,
-    /// Full dense cyclic Jacobi on every sweep. Dense representation
-    /// only — the matrix-free (sparse/anchor) paths reject it. Slow; an
-    /// independent cross-check, not a production setting.
-    Jacobi,
-}
-
 /// Full configuration of the unified model.
 #[derive(Debug, Clone)]
 pub struct UmscConfig {
@@ -111,8 +92,6 @@ pub struct UmscConfig {
     pub gpi_max_iter: usize,
     /// Seed for anything stochastic (K-means ablation; Lanczos start).
     pub seed: u64,
-    /// Eigensolver policy for the warm-start embedding sweeps.
-    pub eig: EigSolver,
 }
 
 impl UmscConfig {
@@ -136,7 +115,6 @@ impl UmscConfig {
             tol: 1e-6,
             gpi_max_iter: 40,
             seed: 0,
-            eig: EigSolver::Auto,
         }
     }
 
@@ -182,12 +160,6 @@ impl UmscConfig {
         self
     }
 
-    /// Sets the eigensolver policy for the embedding sweeps.
-    pub fn with_eig(mut self, eig: EigSolver) -> Self {
-        self.eig = eig;
-        self
-    }
-
     /// The graph config consumed by the pipeline stage.
     pub fn graph_config(&self) -> GraphConfig {
         GraphConfig { kind: self.graph.clone(), metric: self.metric }
@@ -207,10 +179,8 @@ mod tests {
             .with_graph(GraphKind::Adaptive { k: 9 })
             .with_metric(Metric::Cosine)
             .with_max_iter(10)
-            .with_seed(3)
-            .with_eig(EigSolver::Blanczos);
+            .with_seed(3);
         assert_eq!(c.num_clusters, 4);
-        assert_eq!(c.eig, EigSolver::Blanczos);
         assert_eq!(c.lambda, 0.5);
         assert_eq!(c.discretization, Discretization::ScaledRotation);
         assert_eq!(c.weighting, Weighting::Uniform);
@@ -224,7 +194,6 @@ mod tests {
         let c = UmscConfig::new(3);
         assert_eq!(c.discretization, Discretization::Rotation);
         assert_eq!(c.weighting, Weighting::Auto);
-        assert_eq!(c.eig, EigSolver::Auto);
         assert_eq!(c.lambda, 1.0);
         assert!(matches!(c.graph, GraphKind::Knn { k: 10, bandwidth: Bandwidth::SelfTuning { k: 7 } }));
     }

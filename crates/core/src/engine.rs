@@ -7,8 +7,8 @@
 //! F-step — and this module owns everything else, once:
 //!
 //! * input validation and the `c = 1` short-circuit;
-//! * the warm start: re-weighted eigensolves under the [`EigSolver`]
-//!   policy, the first one on the uniform operator;
+//! * the warm start: a cold eigensolve of the uniform operator, then one
+//!   re-weighted, warm-started block-Lanczos solve;
 //! * the sweep: w-step, F-step (delegated), R-step (Procrustes) and
 //!   Y-step, plus the reported objective;
 //! * history, convergence, telemetry and the two-stage K-means ablation.
@@ -20,19 +20,19 @@
 //! monotonically non-increasing — asserted in tests and plotted by bench
 //! figure F1.
 
-use crate::config::{Discretization, EigSolver, UmscConfig, Weighting};
+use crate::config::{Discretization, UmscConfig, Weighting};
 use crate::error::UmscError;
 use crate::indicator::{
     discretize_rows, discretize_rows_into, discretize_scaled_inplace, labels_to_indicator,
     labels_to_indicator_into, scaled_indicator_into,
 };
+use crate::pipeline::lanczos_eigs;
 use crate::solver::{init_rotation, IterationStats, SolverState, StepStats, UmscResult};
 use crate::workspace::{SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_kmeans::{kmeans, KMeansConfig};
 use umsc_linalg::{
-    blanczos_smallest_ws, jacobi_eigen, lanczos_smallest, procrustes_into, BlanczosConfig,
-    BlanczosWorkspace, LanczosConfig, LinOp, Matrix,
+    blanczos_smallest_ws, procrustes_into, BlanczosConfig, BlanczosWorkspace, LinOp, Matrix,
 };
 
 /// One representation of the per-view graphs: everything the engine
@@ -60,15 +60,11 @@ pub(crate) trait ViewSet {
     /// operator with the same eigenvectors in the same order.
     fn operator(&self) -> &dyn LinOp;
 
-    /// The fused operator as a dense matrix, for the dense-only
-    /// eigensolvers; `None` for matrix-free view sets.
-    fn matrix(&self) -> Option<&Matrix> {
-        None
-    }
-
     /// The first eigensolve, with no subspace to warm-start from.
     fn cold_solve(&self, c: usize, seed: u64, f: &mut Matrix) -> Result<()> {
-        lanczos_embedding(self.operator(), c, seed, f)
+        let (_, vecs) = lanczos_eigs(self.operator(), c, seed)?;
+        copy_embedding(f, &vecs);
+        Ok(())
     }
 
     /// The F-step: advances `f` at the given view weights against the
@@ -94,7 +90,6 @@ pub(crate) fn validate(
     cfg: &UmscConfig,
     shapes: impl Iterator<Item = (usize, usize)>,
     square: bool,
-    matrix_free: bool,
 ) -> Result<usize> {
     let invalid = |msg: String| Err(UmscError::InvalidInput(msg));
     let shapes: Vec<(usize, usize)> = shapes.collect();
@@ -123,9 +118,6 @@ pub(crate) fn validate(
         if w.iter().sum::<f64>() <= 0.0 {
             return invalid("fixed weights must not all be zero".into());
         }
-    }
-    if matrix_free && cfg.eig == EigSolver::Jacobi {
-        return invalid("EigSolver::Jacobi needs a dense matrix; use auto, lanczos or blanczos".into());
     }
     Ok(n)
 }
@@ -200,12 +192,13 @@ fn fit_one_stage<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<UmscResu
 
 /// The BCD state after the warm start.
 ///
-/// `F` starts at the solution of the relaxed problem (λ→0), i.e. the
-/// re-weighted spectral embedding. Starting the joint loop from the
-/// unweighted mean Laplacian instead lets noisy views pollute the first
-/// indicator, and the alignment feedback then locks the bad start in. The
-/// rotation is initialized by the Yu–Shi scheme (raw argmax on F
-/// degenerates because the first Laplacian eigenvector is near-constant).
+/// `F` starts at the relaxed (λ→0) solution after one re-weighting
+/// round: the spectral embedding of the re-weighted operator. Starting
+/// the joint loop from the unweighted mean Laplacian instead lets noisy
+/// views pollute the first indicator, and the alignment feedback then
+/// locks the bad start in. The rotation is initialized by the Yu–Shi
+/// scheme (raw argmax on F degenerates because the first Laplacian
+/// eigenvector is near-constant).
 pub(crate) fn init_state<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<SolverState> {
     let f = warm_start(cfg, views)?;
     let r = init_rotation(&f)?;
@@ -215,56 +208,42 @@ pub(crate) fn init_state<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<
     Ok(SolverState { f, r, y, labels, weights: vec![1.0 / v as f64; v] })
 }
 
-/// Solves the relaxed (λ→0) problem: the re-weighted spectral embedding,
-/// first on the uniform operator, then re-weighted (one round for the
-/// non-adaptive schemes). Under the default `Auto` policy every solve
-/// after the first warm-starts block Lanczos from the previous Ritz
-/// subspace; that state lives only as long as the warm start.
+/// Solves the relaxed (λ→0) problem: the spectral embedding of the
+/// uniform operator (a cold solve), then one re-weighting round whose
+/// solve warm-starts block Lanczos from the cold solve's subspace. That
+/// state lives only as long as the warm start. Further re-weighting is
+/// left to the sweeps, whose w-step uses the same closed form.
 fn warm_start<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<Matrix> {
     let _span = umsc_obs::span!("solve.warm_start");
     views.set_uniform();
     let mut f = Matrix::zeros(views.operator().dim(), cfg.num_clusters);
     let mut eig = BlanczosWorkspace::new();
     embedding_solve(cfg, views, &mut f, &mut eig)?;
-    let rounds = match cfg.weighting {
-        Weighting::Auto => cfg.max_iter.max(1),
-        Weighting::Uniform | Weighting::Fixed(_) => 1,
-    };
-    let mut prev_obj = f64::INFINITY;
-    for _ in 0..rounds {
-        let (_, obj) = reweight_solve(cfg, views, &mut f, &mut eig)?;
-        if settled(cfg, prev_obj, obj) {
-            break;
-        }
-        prev_obj = obj;
-    }
+    reweight_solve(cfg, views, &mut f, &mut eig)?;
     Ok(f)
 }
 
 /// One re-weighting round: weights from the traces of `f`, the operator
-/// moved to them, and a new embedding solve. Returns the weights and the
-/// new embedding's objective.
+/// moved to them, and a new embedding solve. Returns the weights.
 fn reweight_solve<V: ViewSet>(
     cfg: &UmscConfig,
     views: &mut V,
     f: &mut Matrix,
     eig: &mut BlanczosWorkspace,
-) -> Result<(Vec<f64>, f64)> {
+) -> Result<Vec<f64>> {
     let mut weights = Vec::with_capacity(views.num_views());
     weights_from_traces_into(&cfg.weighting, &views.traces(f), &mut weights);
     views.set_weights(&weights);
     embedding_solve(cfg, views, f, eig)?;
-    let obj = embedding_objective(&cfg.weighting, &views.traces(f));
-    Ok((weights, obj))
+    Ok(weights)
 }
 
-/// One embedding eigensolve of the fused operator under the configured
-/// [`EigSolver`] policy, writing the `c` smallest eigenvectors into `f`.
+/// One embedding eigensolve of the fused operator, writing the `c`
+/// smallest eigenvectors into `f`.
 ///
-/// `eig` is the persistent block-Lanczos state: when it is warm (a
-/// subspace was left by a previous solve or seeded from a cold one), the
-/// `Auto` and `Blanczos` policies restart from it, and the solve runs
-/// under an `eig.warm` span for the trace.
+/// `eig` is the persistent block-Lanczos state. While it is cold, the
+/// view set's cold solve runs and seeds it; once it is warm, block
+/// Lanczos restarts from its subspace under an `eig.warm` span.
 fn embedding_solve<V: ViewSet>(
     cfg: &UmscConfig,
     views: &V,
@@ -272,32 +251,15 @@ fn embedding_solve<V: ViewSet>(
     eig: &mut BlanczosWorkspace,
 ) -> Result<()> {
     let c = cfg.num_clusters;
-    match cfg.eig {
-        EigSolver::Auto if !eig.is_warm() => {
-            views.cold_solve(c, cfg.seed, f)?;
-            eig.seed_from(f);
-        }
-        EigSolver::Auto | EigSolver::Blanczos => {
-            let _g = eig.is_warm().then(|| umsc_obs::span!("eig.warm"));
-            let bcfg = BlanczosConfig { seed: cfg.seed, ..Default::default() };
-            blanczos_smallest_ws(views.operator(), c, &bcfg, eig)?;
-            copy_embedding(f, eig.subspace());
-        }
-        EigSolver::Lanczos => lanczos_embedding(views.operator(), c, cfg.seed, f)?,
-        EigSolver::Jacobi => {
-            let a = views.matrix().expect("validate rejects Jacobi on matrix-free views");
-            let (_, vecs) = jacobi_eigen(a)?;
-            copy_embedding(f, &vecs.columns(0, c));
-        }
+    if eig.is_warm() {
+        let _span = umsc_obs::span!("eig.warm");
+        let bcfg = BlanczosConfig { seed: cfg.seed, ..Default::default() };
+        blanczos_smallest_ws(views.operator(), c, &bcfg, eig)?;
+        copy_embedding(f, eig.subspace());
+    } else {
+        views.cold_solve(c, cfg.seed, f)?;
+        eig.seed_from(f);
     }
-    Ok(())
-}
-
-/// The `c` smallest eigenvectors of `op` by scalar Lanczos, into `f`.
-fn lanczos_embedding(op: &dyn LinOp, c: usize, seed: u64, f: &mut Matrix) -> Result<()> {
-    let lcfg = LanczosConfig { seed, initial_subspace: (2 * c + 20).min(op.dim()), ..Default::default() };
-    let (_, vecs) = lanczos_smallest(op, c, &lcfg)?;
-    copy_embedding(f, &vecs);
     Ok(())
 }
 
@@ -391,8 +353,8 @@ fn fit_two_stage<V: ViewSet>(cfg: &UmscConfig, views: &mut V, n: usize, restarts
     let mut weights = vec![1.0 / views.num_views() as f64; views.num_views()];
 
     for _iter in 0..cfg.max_iter {
-        let (w, emb) = reweight_solve(cfg, views, &mut f, &mut eig)?;
-        weights = w;
+        weights = reweight_solve(cfg, views, &mut f, &mut eig)?;
+        let emb = embedding_objective(&cfg.weighting, &views.traces(&f));
         let prev = history.last().map(|s| s.objective);
         history.push(IterationStats {
             objective: emb,

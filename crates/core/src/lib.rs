@@ -52,7 +52,7 @@ pub mod sparse_solver;
 pub mod workspace;
 
 pub use anchor::{AnchorAssigner, AnchorModel, AnchorUmsc, AnchorUmscConfig};
-pub use config::{Discretization, EigSolver, GraphKind, UmscConfig, Weighting};
+pub use config::{Discretization, GraphKind, UmscConfig, Weighting};
 pub use error::UmscError;
 pub use gpi::{gpi_stiefel, gpi_stiefel_op_ws, gpi_stiefel_ws, GpiWorkspace};
 pub use indicator::{indicator_to_labels, labels_to_indicator, scaled_indicator};

@@ -12,7 +12,7 @@ use umsc_graph::{
     adaptive_neighbor_affinity, cosine_distance_matrix, gaussian_affinity, neighbor_graph,
     normalized_laplacian, pairwise_sq_distances, CsrMatrix, Neighbors,
 };
-use umsc_linalg::{lanczos_smallest, LanczosConfig, Matrix, SymEigen};
+use umsc_linalg::{lanczos_smallest, LanczosConfig, LinOp, Matrix, SymEigen};
 
 pub use umsc_graph::Metric;
 
@@ -159,10 +159,15 @@ pub fn spectral_embedding_with_values(l: &Matrix, k: usize, seed: u64) -> Result
         let eig = SymEigen::compute_unchecked(l)?;
         Ok((eig.eigenvalues[..k].to_vec(), eig.smallest(k)))
     } else {
-        let cfg = LanczosConfig { seed, initial_subspace: (2 * k + 20).min(n), ..Default::default() };
-        let (vals, vecs) = lanczos_smallest(l, k, &cfg)?;
-        Ok((vals, vecs))
+        lanczos_eigs(l, k, seed)
     }
+}
+
+/// The `k` smallest eigenpairs of `op` by scalar Lanczos: the cold solve
+/// above [`LANCZOS_THRESHOLD`] and on every matrix-free view set.
+pub(crate) fn lanczos_eigs(op: &dyn LinOp, k: usize, seed: u64) -> Result<(Vec<f64>, Matrix)> {
+    let cfg = LanczosConfig { seed, initial_subspace: (2 * k + 20).min(op.dim()), ..Default::default() };
+    Ok(lanczos_smallest(op, k, &cfg)?)
 }
 
 /// Estimates the number of clusters by the **eigengap heuristic** on the

@@ -43,11 +43,10 @@ impl Umsc {
     /// Laplacians. Mirrors [`Umsc::fit_laplacians`] without ever forming
     /// an `n × n` dense matrix; use it when graphs are k-NN/ε-ball sparse
     /// and `n` is large. Every discretization is supported, the two-stage
-    /// `KMeans` ablation included; `EigSolver::Jacobi` needs a dense
-    /// matrix and is rejected.
+    /// `KMeans` ablation included.
     pub fn fit_laplacians_sparse(&self, laplacians: &[CsrMatrix]) -> Result<UmscResult> {
         let shapes = laplacians.iter().map(|l| (l.rows(), l.cols()));
-        let n = engine::validate(self.config(), shapes, true, true)?;
+        let n = engine::validate(self.config(), shapes, true)?;
         let uniform = vec![1.0 / laplacians.len() as f64; laplacians.len()];
         let mut fused = sparse_fused_operator(laplacians, &uniform);
         engine::fit(self.config(), &mut CsrViews { laplacians, fused: &mut fused }, n)
@@ -114,7 +113,7 @@ impl ViewSet for CsrViews<'_, '_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{UmscConfig, UmscError, Weighting};
+    use crate::{UmscConfig, Weighting};
     use umsc_data::synth::{MultiViewGmm, ViewSpec};
     use umsc_graph::{knn_affinity, normalized_laplacian_sparse, pairwise_sq_distances, Bandwidth};
     use umsc_metrics::{clustering_accuracy, nmi};
@@ -183,21 +182,6 @@ mod tests {
             .fit_laplacians_sparse(&ls)
             .unwrap();
         assert!((res.view_weights[0] - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eig_policies_agree_and_jacobi_rejected() {
-        let data = gmm(25, 11);
-        let ls = sparse_laplacians(&data, 10);
-        let base = Umsc::new(UmscConfig::new(3)).fit_laplacians_sparse(&ls).unwrap();
-        for eig in [crate::EigSolver::Lanczos, crate::EigSolver::Blanczos] {
-            let res =
-                Umsc::new(UmscConfig::new(3).with_eig(eig)).fit_laplacians_sparse(&ls).unwrap();
-            assert!(nmi(&base.labels, &res.labels) > 0.99, "{eig:?} partition diverges");
-        }
-        let jac = Umsc::new(UmscConfig::new(3).with_eig(crate::EigSolver::Jacobi))
-            .fit_laplacians_sparse(&ls);
-        assert!(matches!(jac, Err(UmscError::InvalidInput(_))), "Jacobi must be rejected");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use umsc_core::{
     build_view_laplacians, build_view_laplacians_sparse, AnchorUmsc, AnchorUmscConfig,
-    Discretization, EigSolver, Umsc, UmscConfig, UmscResult, Weighting,
+    Discretization, Umsc, UmscConfig, UmscResult, Weighting,
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_data::MultiViewDataset;
@@ -51,18 +51,12 @@ fn dataset() -> MultiViewDataset {
     gen.generate(11)
 }
 
-fn umsc(weighting: Weighting, discretization: Discretization, eig: EigSolver) -> Umsc {
-    Umsc::new(
-        UmscConfig::new(3)
-            .with_weighting(weighting)
-            .with_discretization(discretization)
-            .with_eig(eig)
-            .with_seed(5),
-    )
+fn umsc(weighting: Weighting, discretization: Discretization) -> Umsc {
+    Umsc::new(UmscConfig::new(3).with_weighting(weighting).with_discretization(discretization).with_seed(5))
 }
 
-fn anchor(weighting: Weighting, eig: EigSolver) -> AnchorUmsc {
-    let mut cfg = AnchorUmscConfig::new(3).with_anchors(20).with_seed(5).with_eig(eig);
+fn anchor(weighting: Weighting) -> AnchorUmsc {
+    let mut cfg = AnchorUmscConfig::new(3).with_anchors(20).with_seed(5);
     cfg.weighting = weighting;
     AnchorUmsc::new(cfg)
 }
@@ -82,27 +76,17 @@ fn run_all() -> Vec<(String, UmscResult)> {
             ("scaled", Discretization::ScaledRotation),
             ("kmeans", Discretization::KMeans { restarts: 3 }),
         ] {
-            let res = umsc(weighting.clone(), disc, EigSolver::Auto).fit_laplacians(&dense).unwrap();
+            let res = umsc(weighting.clone(), disc).fit_laplacians(&dense).unwrap();
             out.push((format!("dense/{wname}/{dname}"), res));
         }
     }
     for (dname, disc) in [("rotation", Discretization::Rotation), ("scaled", Discretization::ScaledRotation)] {
-        let res = umsc(Weighting::Auto, disc, EigSolver::Auto).fit_laplacians_sparse(&sparse).unwrap();
+        let res = umsc(Weighting::Auto, disc).fit_laplacians_sparse(&sparse).unwrap();
         out.push((format!("sparse/auto/{dname}"), res));
     }
     for (wname, weighting) in [("auto", Weighting::Auto), ("uniform", Weighting::Uniform)] {
-        out.push((format!("anchor/{wname}"), anchor(weighting, EigSolver::Auto).fit(&data).unwrap()));
+        out.push((format!("anchor/{wname}"), anchor(weighting).fit(&data).unwrap()));
     }
-    for (ename, eig) in [("lanczos", EigSolver::Lanczos), ("blanczos", EigSolver::Blanczos)] {
-        let res = umsc(Weighting::Auto, Discretization::Rotation, eig).fit_laplacians(&dense).unwrap();
-        out.push((format!("dense/auto/rotation/{ename}"), res));
-        let res = umsc(Weighting::Auto, Discretization::Rotation, eig).fit_laplacians_sparse(&sparse).unwrap();
-        out.push((format!("sparse/auto/rotation/{ename}"), res));
-        out.push((format!("anchor/auto/{ename}"), anchor(Weighting::Auto, eig).fit(&data).unwrap()));
-    }
-    let res =
-        umsc(Weighting::Auto, Discretization::Rotation, EigSolver::Jacobi).fit_laplacians(&dense).unwrap();
-    out.push(("dense/auto/rotation/jacobi".into(), res));
     out
 }
 
@@ -247,54 +231,5 @@ const GOLDEN: &[Golden] = &[
         objectives: &[0x3fe4a5c683fb931e, 0x3fe4a39ee7885e9c, 0x3fe4a39e236a2a54],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
         embedding: 0x49fd501276821980,
-    },
-    Golden {
-        name: "dense/auto/rotation/lanczos",
-        labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c122630e7e, 0x3fffd95164485704, 0x3fffd947553e8280, 0x3fffd94600832bce],
-        weights: &[0x3fda14e4c54cfbb9, 0x3fda4fe917ee5f6d, 0x3fc73664458949b8],
-        embedding: 0x1a8a837f91a8c6d0,
-    },
-    Golden {
-        name: "sparse/auto/rotation/lanczos",
-        labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c11bcb253d, 0x3fffd95163992906, 0x3fffd947550fc2e1, 0x3fffd9460072dff7],
-        weights: &[0x3fda14e451091c3a, 0x3fda4fe99ff5e8c4, 0x3fc736641e01f603],
-        embedding: 0x4d3e83c8cc7f3c34,
-    },
-    Golden {
-        name: "anchor/auto/lanczos",
-        labels: 0xfea03cbbba3ab144,
-        objectives: &[0x4000f8f2b1c5c528, 0x4000f8aa41f8925f, 0x4000f8a9e3ebfcd9],
-        weights: &[0x3fda9d7b1d58064f, 0x3fd8d99c82aa301d, 0x3fc911d0bffb9329],
-        embedding: 0x0af58733cfcea99d,
-    },
-    Golden {
-        name: "dense/auto/rotation/blanczos",
-        labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c12263c09a, 0x3fffd9516448727f, 0x3fffd947553e8676, 0x3fffd94600832c63],
-        weights: &[0x3fda14e4c558bf8a, 0x3fda4fe917e191bf, 0x3fc73664458b5d6c],
-        embedding: 0xeb9a6f9642263042,
-    },
-    Golden {
-        name: "sparse/auto/rotation/blanczos",
-        labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c11bcbd75e, 0x3fffd95163994482, 0x3fffd947550fc6d6, 0x3fffd9460072e08a],
-        weights: &[0x3fda14e45114e00a, 0x3fda4fe99fe91b21, 0x3fc736641e0409a6],
-        embedding: 0x05830ba6520d9294,
-    },
-    Golden {
-        name: "anchor/auto/blanczos",
-        labels: 0xfea03cbbba3ab144,
-        objectives: &[0x4000f8f2b1c5c9e3, 0x4000f8aa41f892ac, 0x4000f8a9e3ebfce1],
-        weights: &[0x3fda9d7b1d5adcef, 0x3fd8d99c82a7174d, 0x3fc911d0bffc178a],
-        embedding: 0xc76f542d1ebab448,
-    },
-    Golden {
-        name: "dense/auto/rotation/jacobi",
-        labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c122630e7d, 0x3fffd95164485704, 0x3fffd947553e827c, 0x3fffd94600832bcc],
-        weights: &[0x3fda14e4c54cfbb8, 0x3fda4fe917ee5f6d, 0x3fc73664458949b8],
-        embedding: 0x62a36d37d1f201cd,
     },
 ];

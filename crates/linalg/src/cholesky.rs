@@ -1,4 +1,4 @@
-//! Cholesky factorization and SPD solves.
+//! Cholesky factorization and the PSD inverse square root.
 //!
 //! `A = L · Lᵀ` for symmetric positive-definite `A`, plus the
 //! `(YᵀY)^{-1/2}`-style inverse square root needed by the *scaled indicator*
@@ -36,33 +36,6 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix> {
         }
     }
     Ok(l)
-}
-
-/// Solves `A x = b` for SPD `A` via Cholesky (forward + back substitution).
-///
-/// # Panics
-/// Panics if shapes are inconsistent.
-pub fn cholesky_solve(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    assert_eq!(a.rows(), b.len(), "cholesky_solve: dimension mismatch");
-    let l = cholesky(a)?;
-    let n = b.len();
-    // Forward: L y = b.
-    let mut y = b.to_vec();
-    for i in 0..n {
-        for k in 0..i {
-            y[i] -= l[(i, k)] * y[k];
-        }
-        y[i] /= l[(i, i)];
-    }
-    // Back: Lᵀ x = y.
-    let mut x = y;
-    for i in (0..n).rev() {
-        for k in (i + 1)..n {
-            x[i] -= l[(k, i)] * x[k];
-        }
-        x[i] /= l[(i, i)];
-    }
-    Ok(x)
 }
 
 /// Computes `A^{-1/2}` for a symmetric positive *semi*-definite matrix via
@@ -125,17 +98,6 @@ mod tests {
         match cholesky(&a) {
             Err(LinalgError::NotPositiveDefinite { pivot, .. }) => assert_eq!(pivot, 1),
             other => panic!("expected NotPositiveDefinite, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn solve_roundtrip() {
-        let a = spd(6);
-        let x_true: Vec<f64> = (0..6).map(|i| i as f64 - 2.5).collect();
-        let b = a.matvec(&x_true);
-        let x = cholesky_solve(&a, &b).unwrap();
-        for (u, v) in x.iter().zip(x_true.iter()) {
-            assert!((u - v).abs() < 1e-8, "{u} vs {v}");
         }
     }
 

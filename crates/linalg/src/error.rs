@@ -25,11 +25,6 @@ pub enum LinalgError {
         /// Value of the offending pivot.
         value: f64,
     },
-    /// LU solve hit an (effectively) zero pivot: the matrix is singular.
-    Singular {
-        /// Index of the offending pivot.
-        pivot: usize,
-    },
     /// Input matrix was expected to be symmetric but is not.
     NotSymmetric {
         /// Largest observed asymmetry `|a_ij - a_ji|`.
@@ -49,9 +44,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::NotPositiveDefinite { pivot, value } => {
                 write!(f, "matrix is not positive definite: pivot {pivot} = {value:e}")
-            }
-            LinalgError::Singular { pivot } => {
-                write!(f, "matrix is singular: zero pivot at index {pivot}")
             }
             LinalgError::NotSymmetric { max_asymmetry } => {
                 write!(f, "matrix is not symmetric: max |a_ij - a_ji| = {max_asymmetry:e}")
@@ -80,8 +72,7 @@ mod tests {
     }
 
     #[test]
-    fn display_singular_and_shape() {
-        assert!(LinalgError::Singular { pivot: 0 }.to_string().contains("singular"));
+    fn display_invalid_shape() {
         assert!(LinalgError::InvalidShape("empty".into()).to_string().contains("empty"));
     }
 

@@ -15,11 +15,14 @@
 //!   cross-check in tests and as a robust fallback for small matrices.
 //! * [`Svd`] — singular value decomposition via one-sided Jacobi (Hestenes).
 //! * [`qr()`](qr()) — Householder QR.
-//! * [`cholesky()`](cholesky()), [`lu`] — factorizations and linear solves.
+//! * [`cholesky()`](cholesky()) and [`inverse_sqrt_psd`] — the SPD factor and the
+//!   PSD inverse square root.
 //! * [`procrustes()`](procrustes()) — orthogonal Procrustes and polar orthogonalization,
 //!   the workhorses of spectral rotation.
 //! * [`lanczos`] — partial symmetric eigensolver for large sparse operators
-//!   (used by the graph crate through the [`LinearOperator`] trait).
+//!   (used by the graph crate through the [`LinearOperator`] trait), and
+//!   [`blanczos`] — block Lanczos that warm-starts from a carried Ritz
+//!   subspace.
 //!
 //! Conventions: matrices are row-major; eigenvalues/singular values are
 //! returned in ascending/descending order as documented per routine;
@@ -31,10 +34,8 @@ pub mod blanczos;
 pub mod cholesky;
 pub mod eigen;
 pub mod error;
-pub mod generalized;
 pub mod jacobi;
 pub mod lanczos;
-pub mod lu;
 pub mod matrix;
 pub mod ops;
 pub mod procrustes;
@@ -44,9 +45,8 @@ pub mod testkit;
 pub mod tridiag;
 
 pub use blanczos::{blanczos_smallest, blanczos_smallest_ws, BlanczosConfig, BlanczosWorkspace};
-pub use cholesky::{cholesky, cholesky_solve, inverse_sqrt_psd};
+pub use cholesky::{cholesky, inverse_sqrt_psd};
 pub use eigen::SymEigen;
-pub use generalized::{generalized_eigen, GeneralizedEigen};
 pub use error::LinalgError;
 pub use jacobi::jacobi_eigen;
 pub use lanczos::{lanczos_smallest, LanczosConfig};
@@ -54,8 +54,7 @@ pub use lanczos::{lanczos_smallest, LanczosConfig};
 // (and its historical name) so downstream code keeps one import path.
 pub use umsc_op::LinOp;
 pub use umsc_op::LinOp as LinearOperator;
-pub use lu::{lu_solve, Lu};
-pub use matrix::{parse_tile_spec, Matrix};
+pub use matrix::Matrix;
 pub use procrustes::{polar_orthogonalize, polar_orthogonalize_into, procrustes, procrustes_into};
 pub use qr::{qr, QrDecomposition};
 pub use svd::{Svd, SvdScratch};

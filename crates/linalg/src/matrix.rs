@@ -145,11 +145,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume the matrix, returning its row-major data.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Entry accessor (bounds-checked).
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
@@ -251,11 +246,11 @@ impl Matrix {
     /// it saves (thread spawn is ~10µs; a flop is well under a ns here).
     const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
-    /// Default row-tile height for the cache-blocked GEMM. One tile is the
+    /// Row-tile height for the cache-blocked GEMM. One tile is the
     /// parallel grain: a worker owns `GEMM_TILE_I` consecutive output rows.
     const GEMM_TILE_I: usize = 32;
 
-    /// Default column-tile width for the cache-blocked GEMM. One packed
+    /// Column-tile width for the cache-blocked GEMM. One packed
     /// `k × GEMM_TILE_J` panel of `B` is ~`64·k` doubles, streamed through
     /// L1/L2 once per row tile instead of once per output row.
     const GEMM_TILE_J: usize = 64;
@@ -263,61 +258,6 @@ impl Matrix {
     /// Output width below which packing a `B` panel costs more than the
     /// cache locality it buys; narrower products use the plain row kernel.
     const GEMM_MIN_BLOCK_COLS: usize = 32;
-
-    /// Candidate tile geometries swept by [`Matrix::autotune_tiles`]:
-    /// the default plus neighbours trading row-tile grain (parallel
-    /// granularity) against packed-panel width (L1/L2 footprint).
-    pub const GEMM_TILE_CANDIDATES: [(usize, usize); 4] = [(16, 64), (32, 64), (32, 128), (64, 64)];
-
-    /// Tile geometry used by the implicit blocked-GEMM entry points:
-    /// the `UMSC_GEMM_TILES` environment variable (a [`parse_tile_spec`]
-    /// string like `32x64`, or `auto` to run [`Matrix::autotune_tiles`]
-    /// once; read once per process) or the built-in defaults. Tile choice
-    /// never changes results — only which cache level each packed panel
-    /// streams through.
-    pub fn gemm_tiles() -> (usize, usize) {
-        static GEMM_TILES: std::sync::OnceLock<(usize, usize)> = std::sync::OnceLock::new();
-        *GEMM_TILES.get_or_init(|| match std::env::var("UMSC_GEMM_TILES").ok() {
-            Some(v) if v.trim().eq_ignore_ascii_case("auto") => Self::autotune_tiles(),
-            Some(v) => parse_tile_spec(&v).unwrap_or((Self::GEMM_TILE_I, Self::GEMM_TILE_J)),
-            None => (Self::GEMM_TILE_I, Self::GEMM_TILE_J),
-        })
-    }
-
-    /// Times one warm 256×256 blocked product per candidate geometry in
-    /// [`Matrix::GEMM_TILE_CANDIDATES`] at the process's thread count and
-    /// returns the fastest. `UMSC_GEMM_TILES=auto` runs this once per
-    /// process (cached by [`Matrix::gemm_tiles`]); the sweep costs four
-    /// warm + four timed ~33 Mflop GEMMs at startup. Because every tile
-    /// geometry is bitwise-identical in output (asserted by tests), the
-    /// choice is pure performance policy.
-    pub fn autotune_tiles() -> (usize, usize) {
-        const N: usize = 256;
-        let mut a = Matrix::zeros(N, N);
-        let mut b = Matrix::zeros(N, N);
-        for i in 0..N {
-            for j in 0..N {
-                a[(i, j)] = ((i * 31 + j * 17 + 1) as f64).sin();
-                b[(i, j)] = ((i * 13 + j * 29 + 2) as f64).cos();
-            }
-        }
-        let threads = umsc_rt::par::max_threads();
-        let mut best = Self::GEMM_TILE_CANDIDATES[0];
-        let mut best_ns = u128::MAX;
-        for &(tile_i, tile_j) in Self::GEMM_TILE_CANDIDATES.iter() {
-            let _warm = a.matmul_tiled_with(threads, tile_i, tile_j, &b);
-            let start = std::time::Instant::now();
-            let timed = a.matmul_tiled_with(threads, tile_i, tile_j, &b);
-            let ns = start.elapsed().as_nanos();
-            // Fold a value back in so the timed product cannot be DCE'd.
-            std::hint::black_box(timed.as_slice()[0]);
-            if ns < best_ns {
-                best_ns = ns;
-                best = (tile_i, tile_j);
-            }
-        }
-        best
-    }
 
     /// Matrix product `self · other`.
     ///
@@ -410,8 +350,7 @@ impl Matrix {
         );
         if threads > 1 && other.cols >= Self::GEMM_MIN_BLOCK_COLS {
             umsc_obs::counter!("gemm.blocked", 1);
-            let (tile_i, tile_j) = Self::gemm_tiles();
-            self.matmul_blocked(threads, tile_i, tile_j, other, out);
+            self.matmul_blocked(threads, Self::GEMM_TILE_I, Self::GEMM_TILE_J, other, out);
         } else {
             umsc_obs::counter!("gemm.rowwise", 1);
             self.matmul_rowwise(threads, other, out);
@@ -666,22 +605,6 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ · x` without forming the transpose.
-    pub fn matvec_transpose(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(self.rows, x.len(), "Matrix::matvec_transpose: dimension mismatch");
-        let mut out = vec![0.0; self.cols];
-        for (i, r) in self.rows_iter().enumerate() {
-            let xi = x[i];
-            if xi == 0.0 {
-                continue;
-            }
-            for (o, &v) in out.iter_mut().zip(r.iter()) {
-                *o += xi * v;
-            }
-        }
-        out
-    }
-
     /// In-place scaling by `s`.
     pub fn scale_mut(&mut self, s: f64) {
         for v in &mut self.data {
@@ -823,18 +746,6 @@ impl Matrix {
             out.data[i * cols + self.cols..(i + 1) * cols].copy_from_slice(other.row(i));
         }
         out
-    }
-
-    /// Vertical concatenation `[self ; other]`.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "Matrix::vstack: column count mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Matrix { rows: self.rows + other.rows, cols: self.cols, data }
     }
 }
 
@@ -1013,21 +924,6 @@ impl Neg for &Matrix {
     }
 }
 
-/// Parses a blocked-GEMM tile spec of the form `MRxNC` (row-tile ×
-/// column-tile, e.g. `32x64`; the separator is `x` or `X`, surrounding
-/// whitespace is ignored). Returns `None` unless both sides are positive
-/// integers. This is the format of the `UMSC_GEMM_TILES` environment
-/// variable — see [`Matrix::gemm_tiles`].
-pub fn parse_tile_spec(spec: &str) -> Option<(usize, usize)> {
-    let (i, j) = spec.trim().split_once(['x', 'X'])?;
-    let tile_i = i.trim().parse::<usize>().ok()?;
-    let tile_j = j.trim().parse::<usize>().ok()?;
-    if tile_i == 0 || tile_j == 0 {
-        return None;
-    }
-    Some((tile_i, tile_j))
-}
-
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
@@ -1156,8 +1052,6 @@ mod tests {
         let x = vec![1.0, -2.0, 0.5];
         let y = a.matvec(&x);
         assert_eq!(y, vec![1.0 - 4.0 + 1.5, 4.0 - 10.0 + 3.0]);
-        let yt = a.matvec_transpose(&[2.0, -1.0]);
-        assert_eq!(yt, vec![2.0 - 4.0, 4.0 - 5.0, 6.0 - 6.0]);
     }
 
     #[test]
@@ -1214,9 +1108,6 @@ mod tests {
         let h = a.hstack(&a);
         assert_eq!(h.shape(), (2, 4));
         assert_eq!(h[(1, 3)], 1.0);
-        let v = a.vstack(&a);
-        assert_eq!(v.shape(), (4, 2));
-        assert_eq!(v[(3, 1)], 1.0);
     }
 
     #[test]
@@ -1338,57 +1229,6 @@ mod tests {
                 );
             }
         }
-        // Whatever geometry UMSC_GEMM_TILES resolved to for this process,
-        // the implicit path agrees with the naive kernel bitwise.
-        let (ti, tj) = Matrix::gemm_tiles();
-        assert_eq!(
-            a.matmul_tiled_with(3, ti, tj, &b).as_slice(),
-            reference.as_slice(),
-            "env-selected tile {ti}x{tj} diverges"
-        );
-    }
-
-    #[test]
-    fn tile_spec_parsing() {
-        assert_eq!(parse_tile_spec("32x64"), Some((32, 64)));
-        assert_eq!(parse_tile_spec(" 8 X 16 "), Some((8, 16)));
-        assert_eq!(parse_tile_spec("1x1"), Some((1, 1)));
-        for bad in ["", "x", "32", "32x", "x64", "0x64", "32x0", "-4x8", "axb", "32x64x128"] {
-            assert_eq!(parse_tile_spec(bad), None, "accepted {bad:?}");
-        }
-        // Tile geometry is positive whichever way it was chosen.
-        let (ti, tj) = Matrix::gemm_tiles();
-        assert!(ti >= 1 && tj >= 1);
-    }
-
-    #[test]
-    fn autotune_picks_a_candidate_and_all_candidates_agree_bitwise() {
-        let choice = Matrix::autotune_tiles();
-        assert!(
-            Matrix::GEMM_TILE_CANDIDATES.contains(&choice),
-            "autotune returned non-candidate geometry {choice:?}"
-        );
-        // Whatever the sweep picks is pure policy: every candidate (and
-        // therefore `UMSC_GEMM_TILES=auto`) produces bitwise-identical
-        // products.
-        let a = random_with_zeros(67, 53, 901);
-        let b = random_with_zeros(53, 71, 902);
-        let reference = a.matmul_naive_with(1, &b);
-        for &(ti, tj) in Matrix::GEMM_TILE_CANDIDATES.iter() {
-            for t in [1, 3] {
-                assert_eq!(
-                    a.matmul_tiled_with(t, ti, tj, &b).as_slice(),
-                    reference.as_slice(),
-                    "candidate tile {ti}x{tj} at {t} threads diverges"
-                );
-            }
-        }
-        let (ti, tj) = choice;
-        assert_eq!(
-            a.matmul_tiled_with(umsc_rt::par::max_threads(), ti, tj, &b).as_slice(),
-            reference.as_slice(),
-            "autotuned tile {ti}x{tj} diverges"
-        );
     }
 
     #[test]

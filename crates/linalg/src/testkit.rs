@@ -38,21 +38,6 @@ pub fn vector(rng: &mut Rng, n: usize, lo: f64, hi: f64) -> Vec<f64> {
     (0..n).map(|_| rng.gen_range_f64(lo, hi)).collect()
 }
 
-/// An `n × d` point cloud drawn from `c` Gaussian blobs with centers in a
-/// `±spread` box; returns the points and their blob labels. Blob `i`'s
-/// points are contiguous and every blob is non-empty (sizes differ by at
-/// most one).
-pub fn labeled_points(rng: &mut Rng, n: usize, d: usize, c: usize, spread: f64) -> (Matrix, Vec<usize>) {
-    assert!(c >= 1 && n >= c, "labeled_points: need n >= c >= 1");
-    let centers = Matrix::from_fn(c, d, |_, _| rng.gen_range_f64(-spread, spread));
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        labels.push(i * c / n);
-    }
-    let x = Matrix::from_fn(n, d, |i, j| centers[(labels[i], j)] + rng.normal());
-    (x, labels)
-}
-
 /// Matrices shrink by uniform entrywise moves that preserve the shape and
 /// any symmetry of the input: all-zeros, half-scale, and truncation.
 /// (Entrywise-independent shrinks would break generator invariants like
@@ -85,12 +70,6 @@ mod tests {
         assert!(p.is_symmetric(1e-12));
         assert!(crate::cholesky(&p).is_ok(), "spd_matrix must be SPD");
         assert_eq!(vector(&mut rng, 7, -1.0, 1.0).len(), 7);
-        let (x, labels) = labeled_points(&mut rng, 10, 3, 4, 5.0);
-        assert_eq!(x.shape(), (10, 3));
-        assert_eq!(labels.len(), 10);
-        let mut seen: Vec<usize> = labels.clone();
-        seen.dedup();
-        assert_eq!(seen, vec![0, 1, 2, 3], "every blob non-empty, contiguous");
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //! their defining algebraic identities on arbitrary well-scaled inputs, and
 //! the two independent eigensolver implementations must agree.
 
-use umsc_linalg::testkit::{matrix, spd_matrix, sym_matrix, vector};
-use umsc_linalg::{
-    cholesky, cholesky_solve, jacobi_eigen, lu_solve, polar_orthogonalize, procrustes, qr, Matrix,
-    Svd, SymEigen,
-};
+use umsc_linalg::testkit::{matrix, spd_matrix, sym_matrix};
+use umsc_linalg::{cholesky, jacobi_eigen, polar_orthogonalize, procrustes, qr, Matrix, Svd, SymEigen};
 use umsc_rt::check::{check, Config};
 use umsc_rt::ensure;
 
@@ -95,43 +92,12 @@ fn qr_identities() {
 }
 
 #[test]
-fn cholesky_solve_roundtrip() {
-    check(
-        &cfg(),
-        |rng| (spd_matrix(rng, 5), vector(rng, 5, -3.0, 3.0)),
-        |(a, x)| {
-            let b = a.matvec(x);
-            let solved = cholesky_solve(a, &b).unwrap();
-            for (u, v) in solved.iter().zip(x.iter()) {
-                ensure!((u - v).abs() < 1e-6 * (1.0 + v.abs()));
-            }
-            let l = cholesky(a).unwrap();
-            ensure!(l.matmul_transpose_b(&l).approx_eq(a, 1e-8 * (1.0 + a.max_abs())));
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn lu_solve_roundtrip() {
-    check(
-        &cfg(),
-        |rng| (vector(rng, 5, -3.0, 3.0), matrix(rng, 5, 5)),
-        |(x, a)| {
-            // Diagonally dominate to guarantee invertibility.
-            let mut a = a.clone();
-            for i in 0..5 {
-                let rowsum: f64 = a.row(i).iter().map(|v| v.abs()).sum();
-                a[(i, i)] += rowsum + 1.0;
-            }
-            let b = a.matvec(x);
-            let solved = lu_solve(&a, &b).unwrap();
-            for (u, v) in solved.iter().zip(x.iter()) {
-                ensure!((u - v).abs() < 1e-7 * (1.0 + v.abs()));
-            }
-            Ok(())
-        },
-    );
+fn cholesky_reconstructs() {
+    check(&cfg(), |rng| spd_matrix(rng, 5), |a| {
+        let l = cholesky(a).unwrap();
+        ensure!(l.matmul_transpose_b(&l).approx_eq(a, 1e-8 * (1.0 + a.max_abs())));
+        Ok(())
+    });
 }
 
 #[test]

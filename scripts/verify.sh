@@ -10,6 +10,10 @@ cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --offline --all-targets -- -D warnings
 
+# The end-to-end benchmark is its own cargo workspace over the public API:
+# it must keep compiling, so an API deletion that breaks it fails here.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 smoke_json="$(mktemp /tmp/umsc-verify-bench.XXXXXX.json)"
 trap 'rm -f "$smoke_json"' EXIT
 UMSC_BENCH_SMOKE=1 scripts/bench.sh "$smoke_json"
@@ -48,4 +52,4 @@ grep -q '"schema":"umsc-trace/v1"' "$trace_json" \
 cargo run -q --release --offline -p umsc-cli -- trace-report --trace "$trace_json" \
     || { echo "verify: trace-report failed to parse the trace" >&2; exit 1; }
 
-echo "verify: OK (offline build + tests + clippy + bench smoke + sparse-scaling smoke + alloc gate + trace smoke)"
+echo "verify: OK (offline build + tests + clippy + perfbench build + bench smoke + sparse-scaling smoke + alloc gate + trace smoke)"
