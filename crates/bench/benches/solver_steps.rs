@@ -17,7 +17,7 @@ use umsc_core::indicator::{discretize_rows, labels_to_indicator};
 use umsc_core::pipeline::{
     build_laplacians_threaded_with, build_view_laplacians, spectral_embedding, GraphConfig,
 };
-use umsc_core::{gpi_stiefel, init_rotation};
+use umsc_core::{gpi_stiefel_op_ws, init_rotation, GpiWorkspace};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_linalg::{blanczos_smallest_ws, procrustes, BlanczosConfig, BlanczosWorkspace, Matrix};
 use umsc_rt::bench::{smoke, Bench};
@@ -42,6 +42,11 @@ fn setup(per_cluster: usize) -> (Vec<Matrix>, Matrix, Matrix, Matrix, umsc_data:
     (laplacians, fused, f, y, data)
 }
 
+/// The dense solver's GPI shift: the Gershgorin bound plus a margin.
+fn gershgorin_shift(a: &Matrix) -> f64 {
+    a.gershgorin_upper_bound().max(0.0) + 1e-9
+}
+
 fn bench_solver_blocks(samples: usize, per_cluster: usize, assert_warm_speedup: bool) {
     let (laplacians, fused, f, y, data) = setup(per_cluster);
     let n = fused.rows();
@@ -62,11 +67,16 @@ fn bench_solver_blocks(samples: usize, per_cluster: usize, assert_warm_speedup: 
         blanczos_smallest_ws(black_box(&fused), 5, &bcfg, &mut ws).unwrap();
         ws.values()[0]
     });
+    // Every sample restarts from the drifted operator's Ritz subspace;
+    // without the re-seed, samples after the first would re-solve `fused`
+    // from its own converged subspace.
     let mut warm_ws = BlanczosWorkspace::new();
     let mut drifted = fused.clone();
     drifted.axpy(0.05, &laplacians[0]);
     blanczos_smallest_ws(&drifted, 5, &bcfg, &mut warm_ws).unwrap();
+    let drifted_ritz = warm_ws.subspace().clone();
     let warm = g.run("embedding_eigensolve_warm", || {
+        warm_ws.seed_from(&drifted_ritz);
         blanczos_smallest_ws(black_box(&fused), 5, &bcfg, &mut warm_ws).unwrap();
         warm_ws.values()[0]
     });
@@ -90,8 +100,13 @@ fn bench_solver_blocks(samples: usize, per_cluster: usize, assert_warm_speedup: 
     }
 
     let b_mat = y.matmul_transpose_b(&Matrix::identity(5)).scale(0.01);
+    let eta = gershgorin_shift(&fused);
+    let mut gpi_ws = GpiWorkspace::new();
     g.run("gpi_f_step_40_inner", || {
-        gpi_stiefel(black_box(&fused), black_box(&b_mat), black_box(&f), 40, 1e-10).unwrap()
+        let mut f_gpi = f.clone();
+        gpi_stiefel_op_ws(black_box(&fused), eta, black_box(&b_mat), &mut f_gpi, 40, 1e-10, &mut gpi_ws)
+            .unwrap();
+        f_gpi
     });
     g.run("procrustes_r_step", || procrustes(black_box(&f.matmul_transpose_a(&y))).unwrap());
     let fr = f.clone();
@@ -181,7 +196,10 @@ fn count_dispatch_rates(gemm_sizes: &[usize], per_cluster: usize) {
     }
     let (laplacians, fused, f, y, _data) = setup(per_cluster);
     let b_mat = y.matmul_transpose_b(&Matrix::identity(5)).scale(0.01);
-    black_box(gpi_stiefel(&fused, &b_mat, &f, 40, 1e-10).unwrap());
+    let mut f_gpi = f.clone();
+    gpi_stiefel_op_ws(&fused, gershgorin_shift(&fused), &b_mat, &mut f_gpi, 40, 1e-10, &mut GpiWorkspace::new())
+        .unwrap();
+    black_box(f_gpi);
     black_box(spectral_embedding(&fused, 5, 0).unwrap());
 
     // One cold + one warm block eigensolve so the `blanczos.*` counters

@@ -87,10 +87,11 @@ fn cluster(args: &Args) -> Result<(), String> {
         umsc_obs::set_enabled(true);
     }
 
+    let method_name = args.get("method").unwrap_or("umsc").to_ascii_lowercase();
+    reject_unread(args, &method_name)?;
     let data = load(args)?;
     let c: usize = args.get_parsed("clusters", data.num_clusters)?;
     let seed: u64 = args.get_parsed("seed", 0)?;
-    let method_name = args.get("method").unwrap_or("umsc").to_ascii_lowercase();
     let metric = match args.get("metric").unwrap_or("euclidean") {
         "euclidean" => Metric::Euclidean,
         "cosine" => Metric::Cosine,
@@ -154,6 +155,21 @@ fn cluster(args: &Args) -> Result<(), String> {
         println!("trace:   {path} (umsc-trace/v1; inspect with `umsc trace-report --trace {path}`)");
     }
     Ok(())
+}
+
+/// Fails on an option of `cluster` that `method` does not read: the anchor
+/// graph is Euclidean, only `anchor-umsc` has anchors and a model to
+/// save, and the baselines take neither λ nor a metric.
+fn reject_unread(args: &Args, method: &str) -> Result<(), String> {
+    let unread: &[&str] = match method {
+        "anchor-umsc" => &["metric"],
+        "umsc" => &["anchors", "save-model"],
+        _ => &["lambda", "metric", "anchors", "save-model"],
+    };
+    match unread.iter().find(|&&key| args.get(key).is_some()) {
+        Some(key) => Err(format!("--{key} is not read by --method {method}")),
+        None => Ok(()),
+    }
 }
 
 /// `--verbose` convergence table: one row per outer sweep with the
@@ -479,6 +495,22 @@ mod tests {
             let flag = format!("--{name}");
             let err = dispatch(&argv(&["cluster", "--data", "unused", &flag, value])).unwrap_err();
             assert!(err.contains(&flag), "{flag}: got {err:?}");
+        }
+    }
+
+    #[test]
+    fn options_the_method_does_not_read_are_rejected() {
+        for (method, name, value) in [
+            ("anchor-umsc", "metric", "cosine"),
+            ("umsc", "anchors", "10"),
+            ("umsc", "save-model", "model.bin"),
+            ("amgl", "lambda", "2"),
+            ("amgl", "metric", "cosine"),
+        ] {
+            let flag = format!("--{name}");
+            let err = dispatch(&argv(&["cluster", "--data", "unused", "--method", method, &flag, value]))
+                .unwrap_err();
+            assert!(err.contains(&flag) && err.contains(method), "{method} {flag}: got {err:?}");
         }
     }
 

@@ -3,16 +3,18 @@
 //! ```text
 //! umsc generate  --benchmark MSRC-v1 [--seed N] --out DIR
 //! umsc info      --data DIR
-//! umsc cluster   --data DIR --clusters C [--method NAME] [--lambda X]
-//!                [--metric euclidean|cosine] [--anchors M] [--seed N]
-//!                [--out labels.csv] [--save-model FILE] [--trace FILE]
-//!                [--verbose]
+//! umsc cluster   --data DIR --clusters C [--method NAME] [--seed N]
+//!                [--out labels.csv] [--trace FILE] [--verbose]
+//!                [--lambda X]                       (umsc, anchor-umsc)
+//!                [--metric euclidean|cosine]        (umsc)
+//!                [--anchors M] [--save-model FILE]  (anchor-umsc)
 //! umsc assign    --model FILE --data DIR [--out labels.csv]
 //! umsc evaluate  --pred FILE --truth FILE
 //! umsc methods
 //! ```
 //!
 //! `DIR` uses the CSV layout of `umsc_data::io` (`view_K.csv` + `labels.csv`).
+//! `cluster` rejects an option its method does not read.
 
 mod args;
 mod commands;

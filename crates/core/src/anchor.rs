@@ -11,12 +11,16 @@
 //! anchor view set that works matrix-free:
 //!
 //! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F` — O(nnz·c + m·c);
-//! * warm-start embedding — eigensolves of the shifted fused operator
-//!   `σI − Σ_v w_v B_v B_vᵀ` (`σ = Σ_v w_v + ε`), O(nnz) per column;
-//! * GPI F-step — `M = s·F + Σ_v w_v B_v(B_vᵀF) + λ·Y·Rᵀ` (the shift
-//!   `η = 2s ≥ λ_max(Σ w_v L_v)` since each normalized Laplacian is
-//!   bounded by `2I`), then a thin polar decomposition; at most 20
-//!   iterations, stopping once `F` moves less than `1e-9·√c`;
+//! * one persistent shifted fused operator `σI − Σ_v w_v B_v B_vᵀ`
+//!   (`σ = Σ_v w_v + ε`, see [`anchor_fused_operator`]), O(nnz) per
+//!   column, moved to new weights in place — the warm-start eigensolves
+//!   and the F-step both run on it;
+//! * GPI F-step — the engine's [`crate::gpi_stiefel_op_ws`] with the shift
+//!   `η = 2·Σ_v w_v + ε` (each normalized Laplacian is bounded by `2I`),
+//!   so each iteration forms `M = s·F + Σ_v w_v B_v(B_vᵀF) + λ·Y·Rᵀ` with
+//!   `s = η − σ = Σ_v w_v`, then a thin polar decomposition; at most 20
+//!   iterations, stopping once the GPI objective changes by less than
+//!   `1e-10` relative;
 //! * R/Y steps — the engine's (they only touch `n × c`).
 //!
 //! Total per-sweep cost O(nnz·c + m·c²) = O(n·k·c) plus the `n × c` polar
@@ -27,17 +31,37 @@
 //! agree bit for bit.
 
 use crate::config::{UmscConfig, Weighting};
-use crate::engine::{self, frobenius_distance, ViewSet};
+use crate::engine::{self, ViewSet};
 use crate::error::UmscError;
 use crate::solver::{SolverState, StepStats, UmscResult};
-use crate::workspace::{ensure_shape, SolverWorkspace, TraceScratch};
+use crate::workspace::{SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_data::MultiViewDataset;
-use umsc_linalg::{polar_orthogonalize_into, Matrix};
+use umsc_linalg::Matrix;
 use umsc_op::{DiagShift, LinOp, LowRankAnchor, SparseFactor, WeightedSum};
 
 /// Iteration cap of the anchor F-step's GPI.
 const ANCHOR_GPI_ITERS: usize = 20;
+
+/// The shifted fused operator `σI − Σ_v w_v B_v B_vᵀ` (`σ = Σ_v w_v + ε`)
+/// over borrowed anchor factors: `Σ_v w_v L_v + εI` with
+/// `L_v = I − B_v B_vᵀ`, so its smallest eigenvectors are the fused
+/// Laplacian's. The anchor path's stand-in for
+/// [`crate::sparse_fused_operator`]: reuse one instance across sweeps of
+/// [`AnchorUmsc::one_step_solve`], which moves it to each sweep's weights
+/// in place.
+pub fn anchor_fused_operator<'a>(
+    factors: &'a [SparseFactor],
+    weights: &[f64],
+) -> DiagShift<WeightedSum<LowRankAnchor<'a>>> {
+    let ops = factors.iter().map(LowRankAnchor::sparse).collect();
+    DiagShift::new(anchor_shift(weights), WeightedSum::with_weights(ops, weights))
+}
+
+/// The shift `σ = Σ_v w_v + ε` of [`anchor_fused_operator`].
+fn anchor_shift(weights: &[f64]) -> f64 {
+    weights.iter().sum::<f64>() + 1e-9
+}
 
 /// Configuration of the anchor-based solver.
 #[derive(Debug, Clone)]
@@ -195,19 +219,25 @@ impl AnchorUmsc {
     pub fn fit_sparse_factors(&self, factors: &[SparseFactor]) -> Result<UmscResult> {
         let cfg = self.solver_config();
         let n = engine::validate(&cfg, factors.iter().map(SparseFactor::shape), false)?;
-        engine::fit(&cfg, &mut AnchorViews { factors, op: None }, n)
+        let uniform = vec![1.0 / factors.len() as f64; factors.len()];
+        let mut fused = anchor_fused_operator(factors, &uniform);
+        engine::fit(&cfg, &mut AnchorViews { factors, fused: &mut fused }, n)
     }
 
     /// One block-coordinate sweep on precomputed anchor factors, advancing
-    /// `st` in place: the anchor analogue of [`crate::Umsc::one_step_solve`].
-    /// Allocation-free once `ws` is warm.
+    /// `st` in place: the anchor analogue of
+    /// [`crate::Umsc::one_step_solve_sparse`]. `fused` must wrap `factors`
+    /// (build it with [`anchor_fused_operator`]); its weights are
+    /// overwritten by the sweep. Allocation-free once `ws` and `fused`
+    /// are warm.
     pub fn one_step_solve(
         &self,
         factors: &[SparseFactor],
+        fused: &mut DiagShift<WeightedSum<LowRankAnchor<'_>>>,
         st: &mut SolverState,
         ws: &mut SolverWorkspace,
     ) -> Result<StepStats> {
-        engine::sweep(&self.solver_config(), &mut AnchorViews { factors, op: None }, st, ws)
+        engine::sweep(&self.solver_config(), &mut AnchorViews { factors, fused }, st, ws)
     }
 
     /// The engine's view of this configuration.
@@ -233,16 +263,14 @@ struct AnchorViewData {
     col_inv_sqrt: Vec<Vec<f64>>,
 }
 
-/// The anchor view set. `op` is the shifted fused operator
-/// `σI − Σ_v w_v B_v B_vᵀ` of the warm-start eigensolves, built on first
-/// use and dropped before the sweeps, whose F-step works on the factors
-/// directly.
-struct AnchorViews<'a> {
+/// The anchor view set: a persistent shifted fused operator
+/// `σI − Σ_v w_v B_v B_vᵀ` (see [`anchor_fused_operator`]) over the views.
+struct AnchorViews<'a, 'b, 'c> {
     factors: &'a [SparseFactor],
-    op: Option<DiagShift<WeightedSum<LowRankAnchor<'a>>>>,
+    fused: &'b mut DiagShift<WeightedSum<LowRankAnchor<'c>>>,
 }
 
-impl ViewSet for AnchorViews<'_> {
+impl ViewSet for AnchorViews<'_, '_, '_> {
     const SOLVER: &'static str = "anchor";
 
     fn num_views(&self) -> usize {
@@ -260,52 +288,18 @@ impl ViewSet for AnchorViews<'_> {
     }
 
     fn set_weights(&mut self, weights: &[f64]) {
-        let sigma = weights.iter().sum::<f64>() + 1e-9;
-        match &mut self.op {
-            Some(op) => {
-                op.set_sigma(sigma);
-                op.inner_mut().set_weights(weights);
-            }
-            None => {
-                let ops = self.factors.iter().map(LowRankAnchor::sparse);
-                self.op = Some(DiagShift::new(sigma, WeightedSum::with_weights(ops.collect(), weights)));
-            }
-        }
+        self.fused.set_sigma(anchor_shift(weights));
+        self.fused.inner_mut().set_weights(weights);
     }
 
     fn operator(&self) -> &dyn LinOp {
-        self.op.as_ref().expect("the warm start sets weights before solving")
+        &*self.fused
     }
 
-    fn f_step(&mut self, weights: &[f64], f: &mut Matrix, max_iter: usize, ws: &mut SolverWorkspace) -> Result<()> {
-        let (n, c) = f.shape();
-        let s: f64 = weights.iter().sum();
-        ws.gpi.ensure(n, c);
-        ensure_shape(&mut ws.f_next, n, c);
-        size_projections(self.factors, c, &mut ws.trace.proj);
-        let SolverWorkspace { b: attraction, gpi, f_next, trace, .. } = ws;
-        for _inner in 0..max_iter {
-            umsc_obs::counter!("gpi.iters", 1);
-            gpi.m.copy_from(f);
-            gpi.m.scale_mut(s);
-            for ((b, &w), btf) in self.factors.iter().zip(weights).zip(trace.proj.iter_mut()) {
-                b.mul_transpose_into(f.as_slice(), c, btf.as_mut_slice());
-                b.mul_into(btf.as_slice(), c, gpi.af.as_mut_slice());
-                gpi.m.axpy(w, &gpi.af);
-            }
-            gpi.m.axpy(1.0, attraction);
-            polar_orthogonalize_into(&gpi.m, &mut gpi.svd, f_next)?;
-            let delta = frobenius_distance(f_next, f);
-            std::mem::swap(f, f_next);
-            if delta < 1e-9 * (c as f64).sqrt() {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    fn end_warm_start(&mut self) {
-        self.op = None;
+    /// The operator is `Σ_v w_v L_v + εI` and each anchor Laplacian
+    /// satisfies `L_v ⪯ 2I`, so `η = 2·Σ_v w_v + ε` bounds its `λ_max`.
+    fn gpi_shift(&self, weights: &[f64]) -> f64 {
+        2.0 * weights.iter().sum::<f64>() + 1e-9
     }
 }
 

@@ -3,13 +3,15 @@
 //! The paper's method is a single BCD on one objective (see the crate
 //! docs). The dense, CSR and anchor fits differ only in how the per-view
 //! graphs are stored, so each storage implements [`ViewSet`] — per-view
-//! traces, a persistent fused operator, the cold eigensolve and the
-//! F-step — and this module owns everything else, once:
+//! traces, a persistent fused operator, the cold eigensolve and a
+//! spectral bound of that operator — and this module owns everything
+//! else, once:
 //!
 //! * input validation and the `c = 1` short-circuit;
 //! * the warm start: a cold eigensolve of the uniform operator, then one
 //!   re-weighted, warm-started block-Lanczos solve;
-//! * the sweep: w-step, F-step (delegated), R-step (Procrustes) and
+//! * the sweep: w-step, F-step (one [`gpi_stiefel_op_ws`] run on the
+//!   view set's operator, shifted by its bound), R-step (Procrustes) and
 //!   Y-step, plus the reported objective;
 //! * history, convergence, telemetry and the two-stage K-means ablation.
 //!
@@ -22,6 +24,7 @@
 
 use crate::config::{Discretization, UmscConfig, Weighting};
 use crate::error::UmscError;
+use crate::gpi::gpi_stiefel_op_ws;
 use crate::indicator::{
     discretize_rows, discretize_rows_into, discretize_scaled_inplace, labels_to_indicator,
     labels_to_indicator_into, scaled_indicator_into,
@@ -56,8 +59,9 @@ pub(crate) trait ViewSet {
         self.set_weights(&vec![1.0 / v as f64; v]);
     }
 
-    /// The fused operator at the current weights: `Σ_v w_v L⁽ᵛ⁾` or an
-    /// operator with the same eigenvectors in the same order.
+    /// The fused operator at the current weights: `Σ_v w_v L⁽ᵛ⁾` plus at
+    /// most a multiple of `I`, which moves neither its eigenvectors nor
+    /// the F-step's minimizer over the Stiefel manifold.
     fn operator(&self) -> &dyn LinOp;
 
     /// The first eigensolve, with no subspace to warm-start from.
@@ -67,12 +71,9 @@ pub(crate) trait ViewSet {
         Ok(())
     }
 
-    /// The F-step: advances `f` at the given view weights against the
-    /// attraction term `ws.b`.
-    fn f_step(&mut self, weights: &[f64], f: &mut Matrix, max_iter: usize, ws: &mut SolverWorkspace) -> Result<()>;
-
-    /// Frees what only the warm start needs, before the sweeps.
-    fn end_warm_start(&mut self) {}
+    /// The GPI shift `η ≥ λ_max` of [`ViewSet::operator`] once `weights`
+    /// are set.
+    fn gpi_shift(&self, weights: &[f64]) -> f64;
 
     /// [`ViewSet::traces_into`] through short-lived scratch, so nothing
     /// sized here stays alive across an eigensolve.
@@ -100,6 +101,9 @@ pub(crate) fn validate(
         if rows != n || (square && cols != n) {
             return invalid(format!("view {v} has shape {rows}x{cols}, expected {n} rows"));
         }
+    }
+    if cfg.gpi_max_iter == 0 {
+        return invalid("gpi_max_iter is zero".into());
     }
     let c = cfg.num_clusters;
     if c == 0 {
@@ -149,7 +153,6 @@ fn fit_one_stage<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<UmscResu
     let obs = umsc_obs::enabled();
     let fit_start = obs.then(std::time::Instant::now);
     let mut st = init_state(cfg, views)?;
-    views.end_warm_start();
     let mut ws = SolverWorkspace::new();
     let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
     let mut converged = false;
@@ -300,7 +303,9 @@ pub(crate) fn sweep<V: ViewSet>(
         effective_indicator(&st.y, scaled, &mut ws.sizes, &mut ws.y_eff);
         ws.y_eff.matmul_transpose_b_into(&st.r, &mut ws.b);
         ws.b.scale_mut(lambda_eff);
-        views.f_step(&st.weights, &mut st.f, cfg.gpi_max_iter, ws)?;
+        views.set_weights(&st.weights);
+        let eta = views.gpi_shift(&st.weights);
+        gpi_stiefel_op_ws(views.operator(), eta, &ws.b, &mut st.f, cfg.gpi_max_iter, 1e-10, &mut ws.gpi)?;
     }
 
     // --- R-step --- Procrustes on the row-normalized embedding F̃
@@ -476,7 +481,7 @@ fn effective_indicator(y: &Matrix, scaled: bool, sizes: &mut Vec<f64>, out: &mut
 /// squared residual in the same row-major order (and with the same
 /// `a + (-1.0)·b` update) as `(&a - &b).frobenius_norm()`, so the result
 /// is bitwise identical.
-pub(crate) fn frobenius_distance(a: &Matrix, b: &Matrix) -> f64 {
+fn frobenius_distance(a: &Matrix, b: &Matrix) -> f64 {
     debug_assert_eq!(a.shape(), b.shape());
     a.as_slice()
         .iter()

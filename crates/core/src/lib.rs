@@ -51,10 +51,10 @@ pub mod solver;
 pub mod sparse_solver;
 pub mod workspace;
 
-pub use anchor::{AnchorAssigner, AnchorModel, AnchorUmsc, AnchorUmscConfig};
+pub use anchor::{anchor_fused_operator, AnchorAssigner, AnchorModel, AnchorUmsc, AnchorUmscConfig};
 pub use config::{Discretization, GraphKind, UmscConfig, Weighting};
 pub use error::UmscError;
-pub use gpi::{gpi_stiefel, gpi_stiefel_op_ws, gpi_stiefel_ws, GpiWorkspace};
+pub use gpi::{gpi_stiefel_op_ws, GpiWorkspace};
 pub use indicator::{indicator_to_labels, labels_to_indicator, scaled_indicator};
 pub use pipeline::{
     build_view_laplacians, build_view_laplacians_sparse, estimate_num_clusters,

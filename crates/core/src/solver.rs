@@ -12,13 +12,12 @@
 //!
 //! This module supplies the engine's dense view set: `Σ_v w_v L⁽ᵛ⁾`
 //! materialized into one reused `n × n` buffer, the dense QL / Lanczos
-//! cold solve of [`spectral_embedding`], and the GPI F-step with the
-//! Gershgorin shift.
+//! cold solve of [`spectral_embedding`], and the Gershgorin bound as the
+//! GPI shift.
 
 use crate::config::UmscConfig;
 use crate::engine::{self, ViewSet};
 use crate::error::UmscError;
-use crate::gpi::gpi_stiefel_ws;
 use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse, spectral_embedding};
 use crate::workspace::{ensure_shape, SolverWorkspace, TraceScratch};
 use crate::Result;
@@ -253,10 +252,10 @@ impl ViewSet for DenseViews<'_> {
         Ok(())
     }
 
-    /// GPI with the Gershgorin shift of the materialized operator.
-    fn f_step(&mut self, weights: &[f64], f: &mut Matrix, max_iter: usize, ws: &mut SolverWorkspace) -> Result<()> {
-        self.set_weights(weights);
-        gpi_stiefel_ws(&self.a, &ws.b, f, max_iter, 1e-10, &mut ws.gpi)
+    /// The Gershgorin bound of the materialized operator, with a small
+    /// margin so `ηI − A` stays PSD under rounding.
+    fn gpi_shift(&self, _weights: &[f64]) -> f64 {
+        self.a.gershgorin_upper_bound().max(0.0) + 1e-9
     }
 }
 

@@ -12,15 +12,14 @@
 //! * traces `tr(Fᵀ L_v F)` via one sparse×dense product per view —
 //!   O(nnz·c);
 //! * the cold eigensolve is scalar Lanczos on the fused operator;
-//! * GPI F-step through [`gpi_stiefel_op_ws`] with the spectral bound
-//!   `η = 2Σ_v w_v` (normalized Laplacians satisfy `L ⪯ 2I`).
+//! * the GPI F-step shifts by the spectral bound `η = 2Σ_v w_v`
+//!   (normalized Laplacians satisfy `L ⪯ 2I`).
 //!
 //! Workspace memory is O(nnz + n·c): nothing on this path asks for an
 //! `n × n` buffer (asserted by the peak-memory tests in
 //! `tests/alloc_free.rs`).
 
 use crate::engine::{self, ViewSet};
-use crate::gpi::gpi_stiefel_op_ws;
 use crate::solver::{SolverState, StepStats, Umsc, UmscResult};
 use crate::workspace::{SolverWorkspace, TraceScratch};
 use crate::Result;
@@ -101,12 +100,10 @@ impl ViewSet for CsrViews<'_, '_, '_> {
         &*self.fused
     }
 
-    /// Matrix-free GPI: normalized Laplacians satisfy `L ⪯ 2I`, so
-    /// `η = 2·Σ_v w_v` bounds `λ_max` of the fused operator.
-    fn f_step(&mut self, weights: &[f64], f: &mut Matrix, max_iter: usize, ws: &mut SolverWorkspace) -> Result<()> {
-        self.fused.set_weights(weights);
-        let eta = 2.0 * weights.iter().sum::<f64>() + 1e-9;
-        gpi_stiefel_op_ws(&*self.fused, eta, &ws.b, f, max_iter, 1e-10, &mut ws.gpi)
+    /// Normalized Laplacians satisfy `L ⪯ 2I`, so `η = 2·Σ_v w_v` bounds
+    /// `λ_max` of the fused operator.
+    fn gpi_shift(&self, weights: &[f64]) -> f64 {
+        2.0 * weights.iter().sum::<f64>() + 1e-9
     }
 }
 

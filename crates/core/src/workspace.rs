@@ -72,8 +72,6 @@ pub struct SolverWorkspace {
     pub(crate) fr: Matrix,
     /// `n × c` row-normalized embedding `F̃`.
     pub(crate) f_tilde: Matrix,
-    /// `n × c` next GPI iterate (anchor F-step).
-    pub(crate) f_next: Matrix,
     /// GPI inner-loop buffers.
     pub(crate) gpi: GpiWorkspace,
     /// `c × c` SVD scratch for the R-step Procrustes.
@@ -101,7 +99,6 @@ impl SolverWorkspace {
             b: Matrix::zeros(0, 0),
             fr: Matrix::zeros(0, 0),
             f_tilde: Matrix::zeros(0, 0),
-            f_next: Matrix::zeros(0, 0),
             gpi: GpiWorkspace::new(),
             svd_r: SvdScratch::new(),
             traces: Vec::new(),

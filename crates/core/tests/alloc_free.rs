@@ -6,7 +6,7 @@
 //! 2. warm `one_step_solve_sparse` sweeps are allocation-free too — the
 //!    fused [`WeightedSum`] operator included;
 //! 3. warm anchor sweeps (`AnchorUmsc::one_step_solve`) are allocation-free,
-//!    the anchor GPI F-step included;
+//!    the persistent anchor fused operator included;
 //! 4. the sparse path's **peak live bytes** beat the dense path's by a
 //!    wide margin on a k-NN graph, and in particular never reach one
 //!    `n × n` dense matrix — the memory claim of the matrix-free design;
@@ -20,8 +20,9 @@
 //! threads would both allocate stacks and hide their traffic.
 
 use umsc_core::{
-    build_view_laplacians, build_view_laplacians_sparse, sparse_fused_operator, AnchorUmsc,
-    AnchorUmscConfig, Discretization, SolverState, SolverWorkspace, Umsc, UmscConfig, UmscResult,
+    anchor_fused_operator, build_view_laplacians, build_view_laplacians_sparse,
+    sparse_fused_operator, AnchorUmsc, AnchorUmscConfig, Discretization, SolverState,
+    SolverWorkspace, Umsc, UmscConfig, UmscResult,
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_graph::SparseFactor;
@@ -110,14 +111,15 @@ fn anchor_one_step_solve_is_allocation_free_once_warm() {
         .collect();
     let model = AnchorUmsc::new(AnchorUmscConfig::new(3));
     let mut st = state_of(model.fit_sparse_factors(&factors).unwrap());
+    let mut fused = anchor_fused_operator(&factors, &st.weights);
     let mut ws = SolverWorkspace::new();
     for _ in 0..2 {
-        model.one_step_solve(&factors, &mut st, &mut ws).unwrap();
+        model.one_step_solve(&factors, &mut fused, &mut st, &mut ws).unwrap();
     }
 
     let stats = measure(|| {
         for _ in 0..3 {
-            model.one_step_solve(&factors, &mut st, &mut ws).unwrap();
+            model.one_step_solve(&factors, &mut fused, &mut st, &mut ws).unwrap();
         }
     });
     assert_eq!(

@@ -9,7 +9,9 @@
 //!
 //! The table below was recorded from the solvers before they were merged
 //! into one block-coordinate-descent engine; a refactor that moves a
-//! single bit fails here. To print a fresh table (for a deliberate
+//! single bit fails here. The two anchor rows were recorded again when the
+//! anchor F-step moved onto the shared GPI loop, a deliberate change of
+//! its rounding (same labels and sweep counts, objectives within 6 ULP). To print a fresh table (for a deliberate
 //! numerical change only), run
 //! `cargo test -p umsc-core --test golden_bits -- --ignored --nocapture`.
 
@@ -221,15 +223,15 @@ const GOLDEN: &[Golden] = &[
     Golden {
         name: "anchor/auto",
         labels: 0xfea03cbbba3ab144,
-        objectives: &[0x4000f8f2b1c5c52a, 0x4000f8aa41f8924f, 0x4000f8a9e3ebfcd2],
-        weights: &[0x3fda9d7b1d57d230, 0x3fd8d99c82aa65ad, 0x3fc911d0bffb9047],
-        embedding: 0x1c5499a219467f87,
+        objectives: &[0x4000f8f2b1c5c52a, 0x4000f8aa41f89251, 0x4000f8a9e3ebfcd3],
+        weights: &[0x3fda9d7b1d57d226, 0x3fd8d99c82aa65b2, 0x3fc911d0bffb904c],
+        embedding: 0x4d4f8558718c2c4b,
     },
     Golden {
         name: "anchor/uniform",
         labels: 0x88df13cb62d03ea6,
-        objectives: &[0x3fe4a5c683fb931e, 0x3fe4a39ee7885e9c, 0x3fe4a39e236a2a54],
+        objectives: &[0x3fe4a5c683fb9321, 0x3fe4a39ee7885e96, 0x3fe4a39e236a2a56],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0x49fd501276821980,
+        embedding: 0xf8a516eea09072af,
     },
 ];

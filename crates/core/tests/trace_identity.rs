@@ -36,8 +36,9 @@ fn trace_path(tag: &str) -> std::path::PathBuf {
 
 /// Runs `fit` once with tracing off and once with tracing on (JSONL sink
 /// pointed at a scratch file), asserts the trace was actually written,
-/// and returns both results for the bitwise comparison.
-fn run_off_then_on(tag: &str, fit: impl Fn() -> UmscResult) -> (UmscResult, UmscResult) {
+/// and returns both results for the bitwise comparison, plus the traced
+/// run's counters.
+fn run_off_then_on(tag: &str, fit: impl Fn() -> UmscResult) -> (UmscResult, UmscResult, Vec<(String, u64)>) {
     let _guard = TEST_LOCK.lock().unwrap();
     // Belt and braces: a previous test in this binary must not leak state.
     umsc_obs::set_trace_path(None);
@@ -50,6 +51,7 @@ fn run_off_then_on(tag: &str, fit: impl Fn() -> UmscResult) -> (UmscResult, Umsc
     let _ = std::fs::remove_file(&path);
     umsc_obs::set_trace_path(Some(path.to_str().unwrap()));
     let on = fit();
+    let counters = umsc_obs::counters_snapshot();
     umsc_obs::set_trace_path(None);
     umsc_obs::set_enabled(false);
     umsc_obs::reset();
@@ -64,7 +66,7 @@ fn run_off_then_on(tag: &str, fit: impl Fn() -> UmscResult) -> (UmscResult, Umsc
         trace.lines().all(|l| l.contains("\"schema\":\"umsc-trace/v1\"")),
         "{tag}: trace contains unversioned lines"
     );
-    (off, on)
+    (off, on, counters)
 }
 
 /// Bitwise comparison of everything a caller can observe in a result.
@@ -87,7 +89,7 @@ fn assert_identical(tag: &str, a: &UmscResult, b: &UmscResult) {
 #[test]
 fn dense_solver_is_bitwise_identical_with_tracing() {
     let data = dataset();
-    let (off, on) = run_off_then_on("dense", || {
+    let (off, on, _) = run_off_then_on("dense", || {
         Umsc::new(UmscConfig::new(3).with_seed(11)).fit(&data).unwrap()
     });
     assert_identical("dense", &off, &on);
@@ -99,16 +101,36 @@ fn sparse_solver_is_bitwise_identical_with_tracing() {
     let model = Umsc::new(UmscConfig::new(3).with_seed(11));
     let laplacians =
         umsc_core::build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap();
-    let (off, on) = run_off_then_on("sparse", || model.fit_laplacians_sparse(&laplacians).unwrap());
+    let (off, on, _) = run_off_then_on("sparse", || model.fit_laplacians_sparse(&laplacians).unwrap());
     assert_identical("sparse", &off, &on);
 }
 
 #[test]
 fn anchor_solver_is_bitwise_identical_with_tracing() {
     let data = dataset();
-    let (off, on) = run_off_then_on("anchor", || {
+    let (off, on, _) = run_off_then_on("anchor", || {
         let cfg = AnchorUmscConfig::new(3).with_anchors(12).with_seed(11);
         AnchorUmsc::new(cfg).fit_model(&data).unwrap().result
     });
     assert_identical("anchor", &off, &on);
+}
+
+/// With a one-iteration cap every F-step's GPI ends at its cap, on the
+/// dense and the sparse path alike (the anchor fit fixes its own cap).
+#[test]
+fn capped_gpi_is_counted_once_per_f_step() {
+    let data = dataset();
+    let model = Umsc::new(UmscConfig { gpi_max_iter: 1, ..UmscConfig::new(3).with_seed(11) });
+    let laplacians =
+        umsc_core::build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap();
+    let fits: [(&str, &dyn Fn() -> UmscResult); 2] = [
+        ("dense-capped", &|| model.fit(&data).unwrap()),
+        ("sparse-capped", &|| model.fit_laplacians_sparse(&laplacians).unwrap()),
+    ];
+    for (tag, fit) in fits {
+        let (off, on, counters) = run_off_then_on(tag, fit);
+        assert_identical(tag, &off, &on);
+        let capped = counters.iter().find(|(name, _)| name == "gpi.capped").map_or(0, |&(_, v)| v);
+        assert_eq!(capped, on.history.len() as u64, "{tag}: one gpi.capped per F-step");
+    }
 }

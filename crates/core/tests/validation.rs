@@ -1,8 +1,8 @@
 //! The dense, CSR and anchor fits share one validation routine and one
 //! engine, so they must accept, reject and degenerate identically:
 //!
-//! - every malformed input is an `InvalidInput` error on every path, and
-//!   none panics;
+//! - every malformed input is an `InvalidInput` error on every path that
+//!   accepts it, and none panics;
 //! - `c = 1` is the cold eigensolve of the uniform operator, so dense and
 //!   sparse fits of the same Laplacians return the same embedding;
 //! - the two-stage `KMeans` ablation runs on the sparse path too.
@@ -87,6 +87,20 @@ fn every_path_rejects_the_same_inputs() {
                 res.map(|r| r.labels.len())
             );
         }
+    }
+    // The anchor fit fixes its own GPI cap, so only the dense and sparse
+    // configs can ask for zero GPI iterations.
+    let model = Umsc::new(UmscConfig { gpi_max_iter: 0, ..UmscConfig::new(3) });
+    let fits = catch_unwind(AssertUnwindSafe(|| {
+        [("dense", model.fit_laplacians(&good.dense)), ("sparse", model.fit_laplacians_sparse(&good.sparse))]
+    }))
+    .unwrap_or_else(|_| panic!("gpi_max_iter = 0: a fit panicked"));
+    for (path, res) in fits {
+        assert!(
+            matches!(res, Err(UmscError::InvalidInput(_))),
+            "gpi_max_iter = 0: {path} returned {:?} instead of InvalidInput",
+            res.map(|r| r.labels.len())
+        );
     }
     // The valid baseline passes everywhere.
     for res in good.fit_all(3, &fixed(&[1.0, 2.0, 0.5]), &Discretization::Rotation) {
