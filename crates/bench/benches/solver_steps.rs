@@ -7,7 +7,10 @@
 //! Also measures the threaded vs sequential per-view Laplacian build and
 //! the cache-blocked GEMM against the naive row kernel (the speedup lines
 //! are only meaningful on a multi-core machine; the ≥2x GEMM assertion is
-//! gated on ≥4 cores so single-core CI still records honest numbers).
+//! gated on ≥4 cores so single-core CI still records honest numbers), and
+//! the GPI polar step (`linalg.polar`, perfbench's name for that layer) at
+//! the benchmark workloads' `n × c` shapes: its Gram route against the
+//! SVD of the iterate it replaced.
 //!
 //! `UMSC_BENCH_SMOKE=1` shrinks every problem to smoke scale so
 //! `scripts/verify.sh` can exercise the harness end to end in seconds.
@@ -19,7 +22,10 @@ use umsc_core::pipeline::{
 };
 use umsc_core::{gpi_stiefel_op_ws, init_rotation, GpiWorkspace};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
-use umsc_linalg::{blanczos_smallest_ws, procrustes, BlanczosConfig, BlanczosWorkspace, Matrix};
+use umsc_linalg::{
+    blanczos_smallest_ws, polar_orthogonalize_into, procrustes, qr, BlanczosConfig,
+    BlanczosWorkspace, Matrix, Svd, SvdScratch,
+};
 use umsc_rt::bench::{smoke, Bench};
 
 fn setup(per_cluster: usize) -> (Vec<Matrix>, Matrix, Matrix, Matrix, umsc_data::MultiViewDataset) {
@@ -182,6 +188,42 @@ fn bench_square_gemm(samples: usize, sizes: &[usize]) {
     }
 }
 
+/// The GPI polar step at `n × c`: `gram` is `polar_orthogonalize_into`
+/// (two thin GEMMs around a `c × c` eigensolve), `svd` the one-sided
+/// Jacobi SVD of the iterate followed by `U Vᵀ`, which it replaced as the
+/// default route.
+fn bench_polar(samples: usize, shapes: &[(usize, usize)]) {
+    let mut g = Bench::new("linalg.polar").sample_size(samples);
+    for &(n, c) in shapes {
+        // A GPI-like iterate: a shifted orthonormal frame plus a small
+        // pull, so cond(M) stays near 1 as on the benchmark workloads.
+        let frame = qr(&Matrix::from_fn(n, c, |i, j| ((i * 31 + j * 17) as f64).sin())).q;
+        let pull = Matrix::from_fn(n, c, |i, j| ((i * 13 + j * 7) as f64).cos());
+        let mut m = frame.scale(2.0);
+        m.axpy(0.02, &pull);
+
+        let mut out = Matrix::zeros(n, c);
+        let mut ws = SvdScratch::new();
+        let mut svd_ws = SvdScratch::new();
+        let mut svd_out = Matrix::zeros(n, c);
+        let svd_route = |ws: &mut SvdScratch, out: &mut Matrix| {
+            Svd::compute_scratch(black_box(&m), ws).unwrap();
+            ws.u.matmul_transpose_b_into(&ws.v, out);
+        };
+        // Both routes must give the same polar factor before either is timed.
+        polar_orthogonalize_into(&m, &mut ws, &mut out).unwrap();
+        svd_route(&mut svd_ws, &mut svd_out);
+        let dist = (&out - &svd_out).max_abs();
+        assert!(dist <= 1e-12, "polar routes differ by {dist:e} at {n}x{c}");
+
+        let gram = g.run(&format!("gram/{n}x{c}"), || {
+            polar_orthogonalize_into(black_box(&m), &mut ws, &mut out).unwrap();
+        });
+        let svd = g.run(&format!("svd/{n}x{c}"), || svd_route(&mut svd_ws, &mut svd_out));
+        println!("linalg.polar at {n}x{c}: gram route {:.2}x faster than svd", svd.median_ns / gram.median_ns);
+    }
+}
+
 /// Untimed counting pass: with tracing on, re-run one iteration of the
 /// workloads so the observability counters tally which kernel paths the
 /// dispatcher actually picked at these sizes. Separate from the timed
@@ -231,10 +273,13 @@ fn main() {
     if smoke() {
         bench_solver_blocks(2, 8, false);
         bench_square_gemm(2, &[48]);
+        bench_polar(2, &[(40, 4)]);
         count_dispatch_rates(&[48], 8);
     } else {
         bench_solver_blocks(10, 50, true);
         bench_square_gemm(5, &[128, 256, 512]);
+        // The shapes of orl-can, handwritten-knn and gmm-anchor.
+        bench_polar(10, &[(400, 40), (2000, 10), (10000, 10)]);
         count_dispatch_rates(&[128, 256, 512], 50);
     }
 }

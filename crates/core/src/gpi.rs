@@ -15,6 +15,10 @@
 //! M ← (ηI − A)·F + B,    F ← U Vᵀ  where  M = U Σ Vᵀ (thin SVD).
 //! ```
 //!
+//! The projection `F ← U Vᵀ` is the polar factor of `M`, computed by
+//! [`polar_orthogonalize_into`] as `M·(MᵀM)^{-1/2}` from the `k × k` Gram
+//! matrix (the SVD of `M` serves only ill-conditioned iterates).
+//!
 //! This is the `F`-step of the unified solver, and [`gpi_stiefel_op_ws`]
 //! is its only loop: the engine's sweep calls it once per F-step on every
 //! view set, passing the set's fused operator `A` (the weighted fused

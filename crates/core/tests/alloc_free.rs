@@ -13,7 +13,9 @@
 //! 5. building those k-NN Laplacians from features stays below one
 //!    `n × n` matrix too (the streamed graph builder);
 //! 6. a whole anchor fit, graph build included, peaks below one dense
-//!    `n × m` anchor factor on top of its input (the sparse factors).
+//!    `n × m` anchor factor on top of its input (the sparse factors);
+//! 7. a warm polar step (`polar_orthogonalize_into`) is allocation-free on
+//!    its Gram route and on its SVD fallback.
 //!
 //! Threads are pinned to one (`UMSC_THREADS=1`) because the counters are
 //! thread-local (see the module docs of `alloc_track` for why) and worker
@@ -26,7 +28,10 @@ use umsc_core::{
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_graph::SparseFactor;
-use umsc_linalg::{blanczos_smallest_ws, BlanczosConfig, BlanczosWorkspace, Matrix};
+use umsc_linalg::{
+    blanczos_smallest_ws, polar_orthogonalize_into, BlanczosConfig, BlanczosWorkspace, Matrix,
+    SvdScratch,
+};
 use umsc_rt::alloc_track::{measure, CountingAlloc};
 
 #[global_allocator]
@@ -171,6 +176,27 @@ fn warm_blanczos_solve_is_allocation_free() {
         "warm blanczos solve touched the heap {} times",
         stats.allocations
     );
+}
+
+#[test]
+fn warm_polar_step_is_allocation_free_on_both_routes() {
+    std::env::set_var("UMSC_THREADS", "1");
+
+    // A GPI-shaped, well-conditioned iterate takes the Gram route; a
+    // rank-1 one of the same shape takes the SVD fallback.
+    let (n, c) = (60, 4);
+    let gram_route =
+        Matrix::from_fn(n, c, |i, j| ((i * 7 + j * 3) as f64).sin() + if i % c == j { 1.0 } else { 0.0 });
+    let fallback = Matrix::from_fn(n, c, |i, j| (i + 1) as f64 * (j + 1) as f64);
+    let mut out = Matrix::zeros(n, c);
+    // Only the fallback fills the scratch's SVD factors.
+    for (m, svd_u_shape) in [(&gram_route, (0, 0)), (&fallback, (n, c))] {
+        let mut ws = SvdScratch::new();
+        polar_orthogonalize_into(m, &mut ws, &mut out).unwrap();
+        assert_eq!(ws.u.shape(), svd_u_shape, "polar step took the other route");
+        let stats = measure(|| polar_orthogonalize_into(m, &mut ws, &mut out).unwrap());
+        assert_eq!(stats.allocations, 0, "warm polar step touched the heap {} times", stats.allocations);
+    }
 }
 
 #[test]

@@ -30,6 +30,22 @@ fn dataset() -> MultiViewDataset {
     gen.generate(7)
 }
 
+/// The fixture of `golden_bits.rs`.
+fn golden_dataset() -> MultiViewDataset {
+    let mut gen = MultiViewGmm::new(
+        "golden",
+        3,
+        16,
+        vec![ViewSpec::clean(5), ViewSpec::clean(7), ViewSpec { signal: 0.6, ..ViewSpec::clean(4) }],
+    );
+    gen.separation = 3.0;
+    gen.generate(11)
+}
+
+fn counter(counters: &[(String, u64)], name: &str) -> u64 {
+    counters.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v)
+}
+
 fn trace_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("umsc_trace_identity_{tag}_{}.jsonl", std::process::id()))
 }
@@ -130,7 +146,29 @@ fn capped_gpi_is_counted_once_per_f_step() {
     for (tag, fit) in fits {
         let (off, on, counters) = run_off_then_on(tag, fit);
         assert_identical(tag, &off, &on);
-        let capped = counters.iter().find(|(name, _)| name == "gpi.capped").map_or(0, |&(_, v)| v);
+        let capped = counter(&counters, "gpi.capped");
         assert_eq!(capped, on.history.len() as u64, "{tag}: one gpi.capped per F-step");
+    }
+}
+
+/// Every GPI iterate of the golden fixture is well conditioned, so no
+/// polar step leaves the Gram route on any of the three paths.
+#[test]
+fn golden_fits_never_take_the_polar_svd_fallback() {
+    let data = golden_dataset();
+    let model = Umsc::new(UmscConfig::new(3).with_seed(5));
+    let laplacians =
+        umsc_core::build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap();
+    let anchor = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(20).with_seed(5));
+    let fits: [(&str, &dyn Fn() -> UmscResult); 3] = [
+        ("golden-dense", &|| model.fit(&data).unwrap()),
+        ("golden-sparse", &|| model.fit_laplacians_sparse(&laplacians).unwrap()),
+        ("golden-anchor", &|| anchor.fit(&data).unwrap()),
+    ];
+    for (tag, fit) in fits {
+        let (off, on, counters) = run_off_then_on(tag, fit);
+        assert_identical(tag, &off, &on);
+        assert!(counter(&counters, "gpi.iters") > 0, "{tag}: no GPI iteration was traced");
+        assert_eq!(counter(&counters, "polar.svd_fallback"), 0, "{tag}: polar step fell back to the SVD");
     }
 }

@@ -15,10 +15,11 @@
 //!   cross-check in tests and as a robust fallback for small matrices.
 //! * [`Svd`] — singular value decomposition via one-sided Jacobi (Hestenes).
 //! * [`qr()`](qr()) — Householder QR.
-//! * [`cholesky()`](cholesky()) and [`inverse_sqrt_psd`] — the SPD factor and the
-//!   PSD inverse square root.
-//! * [`procrustes()`](procrustes()) — orthogonal Procrustes and polar orthogonalization,
-//!   the workhorses of spectral rotation.
+//! * [`cholesky()`](cholesky()) — the SPD factor.
+//! * [`procrustes()`](procrustes()) and [`polar_orthogonalize`] — orthogonal
+//!   Procrustes and the GPI polar step (from the `c×c` Gram matrix, with
+//!   the SVD as the ill-conditioned fallback), the workhorses of spectral
+//!   rotation.
 //! * [`lanczos`] — partial symmetric eigensolver for large sparse operators
 //!   (used by the graph crate through the [`LinearOperator`] trait), and
 //!   [`blanczos`] — block Lanczos that warm-starts from a carried Ritz
@@ -45,7 +46,7 @@ pub mod testkit;
 pub mod tridiag;
 
 pub use blanczos::{blanczos_smallest, blanczos_smallest_ws, BlanczosConfig, BlanczosWorkspace};
-pub use cholesky::{cholesky, inverse_sqrt_psd};
+pub use cholesky::cholesky;
 pub use eigen::SymEigen;
 pub use error::LinalgError;
 pub use jacobi::jacobi_eigen;

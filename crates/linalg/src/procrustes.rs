@@ -7,11 +7,24 @@
 //! * [`polar_orthogonalize`] — nearest matrix with orthonormal columns to a
 //!   given `n × k` matrix, the projection step of the GPI Stiefel solver.
 //!
-//! Both reduce to a thin SVD (`M = U Σ Vᵀ ⇒ R = U Vᵀ`).
+//! Both return the polar factor `U Vᵀ` of the thin SVD `M = U Σ Vᵀ`.
+//! [`procrustes`] computes it from that SVD. [`polar_orthogonalize`] forms
+//! it as `M·(MᵀM)^{-1/2}` from a `k × k` eigensolve of the Gram matrix,
+//! and falls back to the SVD of `M` when `MᵀM` is ill-conditioned.
 
+use crate::eigen::tql2;
 use crate::matrix::Matrix;
-use crate::svd::{Svd, SvdScratch};
+use crate::svd::{ensure_shape, Svd, SvdScratch};
+use crate::tridiag::tridiagonalize_into;
 use crate::Result;
+
+/// Smallest `λ_min / λ_max` of `MᵀM` (that is, `cond(M) ≤ √1000 ≈ 31.6`)
+/// for which the polar factor is formed from the Gram matrix. Forming
+/// `MᵀM` squares the condition number, so the Gram route's columns drift
+/// from orthonormal like `ε·cond(M)²`. Over random inputs of up to 60×8
+/// the worst `max |FᵀF − I|` measured 3.7e-13 at this bound and 3.2e-12
+/// at `cond(M) = 99`; GPI iterates sit near `cond(M) = 1`.
+const GRAM_MIN_EIG_RATIO: f64 = 1e-3;
 
 /// Solves the orthogonal Procrustes problem `max_{RᵀR = I} tr(Rᵀ M)`.
 ///
@@ -41,7 +54,8 @@ pub fn procrustes_into(m: &Matrix, ws: &mut SvdScratch, out: &mut Matrix) -> Res
 }
 
 /// Projects an `n × k` matrix (`n ≥ k`) onto the Stiefel manifold: returns
-/// the nearest matrix with orthonormal columns, `U Vᵀ` from the thin SVD.
+/// the nearest matrix with orthonormal columns, the polar factor `U Vᵀ` of
+/// the thin SVD `M = U Σ Vᵀ`.
 ///
 /// This is the `F ← UVᵀ` step of Generalized Power Iteration: it maximizes
 /// `tr(Fᵀ M)` over `FᵀF = I`.
@@ -58,15 +72,61 @@ pub fn polar_orthogonalize(m: &Matrix) -> Result<Matrix> {
 /// [`SvdScratch`]: allocation-free once the scratch is warm. Numerically
 /// identical to the allocating version.
 ///
+/// The polar factor is `M·(MᵀM)^{-1/2}`: two thin GEMMs around a `k × k`
+/// eigensolve (Householder + QL) of the Gram matrix `G = MᵀM`, so the
+/// O(n·k²) work runs in the threaded GEMM kernels. When
+/// `λ_min(G) < 1e-3·λ_max(G)` (`cond(M) > 31.6`, including zero and
+/// rank-deficient `M`) that loses orthogonality, and the SVD of `M` is
+/// used instead; each such call counts one `polar.svd_fallback`.
+///
 /// # Panics
 /// Panics if `n < k` or `out` has a different shape.
 pub fn polar_orthogonalize_into(m: &Matrix, ws: &mut SvdScratch, out: &mut Matrix) -> Result<()> {
     let (n, k) = m.shape();
     assert!(n >= k, "polar_orthogonalize: need rows >= cols, got {n}x{k}");
     assert_eq!(out.shape(), m.shape(), "polar_orthogonalize_into: out shape mismatch");
+    if polar_from_gram(m, ws, out) {
+        return Ok(());
+    }
+    umsc_obs::counter!("polar.svd_fallback", 1);
     Svd::compute_scratch(m, ws)?;
     ws.u.matmul_transpose_b_into(&ws.v, out);
     Ok(())
+}
+
+/// The Gram route of [`polar_orthogonalize_into`]: writes
+/// `M·(MᵀM)^{-1/2}` into `out` and returns `true`, or returns `false`
+/// without touching `out` when `MᵀM` fails the conditioning bound (or is
+/// not finite, or its QL sweep does not converge).
+///
+/// `G^{-1/2} = Z·diag(λ^{-1/2})·Zᵀ` does not depend on the order of the
+/// eigenpairs, so the QL output is used unsorted.
+fn polar_from_gram(m: &Matrix, ws: &mut SvdScratch, out: &mut Matrix) -> bool {
+    let k = m.cols();
+    ensure_shape(&mut ws.gram, k, k);
+    ensure_shape(&mut ws.w, k, k);
+    // Every entry of MᵀM sums the same products in the same order as its
+    // mirror, so G is exactly symmetric.
+    m.matmul_transpose_a_into(m, &mut ws.gram);
+    tridiagonalize_into(&ws.gram, &mut ws.z, &mut ws.d, &mut ws.e);
+    if tql2(&mut ws.d, &mut ws.e, &mut ws.z).is_err() {
+        return false;
+    }
+    let lambda_max = ws.d.iter().fold(0.0f64, |a, &b| a.max(b));
+    // Written so that a NaN eigenvalue fails the test too.
+    let well_conditioned =
+        lambda_max.is_finite() && ws.d.iter().all(|&l| l > 0.0 && l >= GRAM_MIN_EIG_RATIO * lambda_max);
+    if !well_conditioned {
+        return false;
+    }
+    for i in 0..k {
+        for (j, &l) in ws.d.iter().enumerate() {
+            ws.gram[(i, j)] = ws.z[(i, j)] / l.sqrt();
+        }
+    }
+    ws.gram.matmul_transpose_b_into(&ws.z, &mut ws.w);
+    m.matmul_into(&ws.w, out);
+    true
 }
 
 /// Value of the Procrustes objective `tr(Rᵀ M)` — exposed for tests and

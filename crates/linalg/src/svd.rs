@@ -4,8 +4,9 @@
 //! singular values **descending**. One-sided Jacobi orthogonalizes the
 //! columns of a working copy of `A` with plane rotations accumulated into
 //! `V`; it is simple, backward-stable and accurate for the small-to-medium
-//! problems this workspace solves (Procrustes `c×c` targets, GPI `n×c`
-//! polar factors).
+//! problems this workspace solves (Procrustes `c×c` targets, and the GPI
+//! `n×c` polar factors whose `c×c` Gram matrix is too ill-conditioned to
+//! use; see [`crate::procrustes::polar_orthogonalize_into`]).
 //!
 //! Columns of `U` that correspond to zero singular values are completed to
 //! an orthonormal set (Gram–Schmidt against the standard basis), so `UᵀU = I`
@@ -39,6 +40,10 @@ pub struct Svd {
 /// first allocation-free. Buffers are reallocated only when the input shape
 /// changes; they never shrink. Results land in the public `u` / `s` / `v`
 /// fields and are valid until the next [`Svd::compute_scratch`] call.
+///
+/// The scratch also carries the `k × k` buffers of the polar factor's Gram
+/// route ([`crate::procrustes::polar_orthogonalize_into`]), so one scratch
+/// serves both of its routes.
 #[derive(Debug, Clone)]
 pub struct SvdScratch {
     /// Left singular vectors of the last decomposition, `m × k`.
@@ -54,6 +59,16 @@ pub struct SvdScratch {
     svals: Vec<f64>,
     order: Vec<usize>,
     cand: Vec<f64>,
+    /// Gram route: `MᵀM`, then `Z·diag(λ^{-1/2})`.
+    pub(crate) gram: Matrix,
+    /// Gram route: eigenvectors `Z` of `MᵀM`.
+    pub(crate) z: Matrix,
+    /// Gram route: `W = (MᵀM)^{-1/2}`.
+    pub(crate) w: Matrix,
+    /// Gram route: diagonal, then eigenvalues, of `MᵀM`.
+    pub(crate) d: Vec<f64>,
+    /// Gram route: off-diagonal of the tridiagonalized `MᵀM`.
+    pub(crate) e: Vec<f64>,
 }
 
 impl SvdScratch {
@@ -71,6 +86,11 @@ impl SvdScratch {
             svals: Vec::new(),
             order: Vec::new(),
             cand: Vec::new(),
+            gram: z(),
+            z: z(),
+            w: z(),
+            d: Vec::new(),
+            e: Vec::new(),
         }
     }
 }
@@ -83,7 +103,7 @@ impl Default for SvdScratch {
 
 /// Reallocates `buf` only when its shape differs. Contents are unspecified
 /// afterwards — the caller must overwrite every entry it reads back.
-fn ensure_shape(buf: &mut Matrix, rows: usize, cols: usize) {
+pub(crate) fn ensure_shape(buf: &mut Matrix, rows: usize, cols: usize) {
     if buf.shape() != (rows, cols) {
         *buf = Matrix::zeros(rows, cols);
     }

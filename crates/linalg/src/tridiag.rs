@@ -46,14 +46,33 @@ impl Tridiagonal {
 /// # Panics
 /// Panics if `a` is not square.
 pub fn tridiagonalize(a: &Matrix) -> Tridiagonal {
+    let (mut q, mut diagonal, mut off_diagonal) = (Matrix::zeros(0, 0), Vec::new(), Vec::new());
+    tridiagonalize_into(a, &mut q, &mut diagonal, &mut off_diagonal);
+    Tridiagonal { diagonal, off_diagonal, q }
+}
+
+/// [`tridiagonalize`] on caller buffers: writes `Q` into `z`, the diagonal
+/// into `d` and the off-diagonal into `e` (the [`Tridiagonal`] fields).
+/// `z` is reallocated only when its shape differs from `a`'s and `d`/`e`
+/// only when their capacity is short, so repeated calls on one shape are
+/// allocation-free. Whatever the buffers held before is ignored.
+///
+/// # Panics
+/// Panics if `a` is not square.
+pub fn tridiagonalize_into(a: &Matrix, z: &mut Matrix, d: &mut Vec<f64>, e: &mut Vec<f64>) {
     assert!(a.is_square(), "tridiagonalize: matrix is {}x{}, not square", a.rows(), a.cols());
     let n = a.rows();
-    let mut z = a.clone();
-    let mut d = vec![0.0_f64; n];
-    let mut e = vec![0.0_f64; n];
+    if z.shape() != a.shape() {
+        *z = Matrix::zeros(n, n);
+    }
+    z.copy_from(a);
+    d.clear();
+    d.resize(n, 0.0);
+    e.clear();
+    e.resize(n, 0.0);
 
     if n == 0 {
-        return Tridiagonal { diagonal: d, off_diagonal: e, q: z };
+        return;
     }
 
     // Householder reduction, processing rows from the bottom up.
@@ -130,8 +149,6 @@ pub fn tridiagonalize(a: &Matrix) -> Tridiagonal {
             z[(i, j)] = 0.0;
         }
     }
-
-    Tridiagonal { diagonal: d, off_diagonal: e, q: z }
 }
 
 #[cfg(test)]
@@ -195,6 +212,23 @@ mod tests {
         a[(0, 0)] = 1.0;
         a[(3, 3)] = 2.0;
         check_decomposition(&a, 1e-12);
+    }
+
+    #[test]
+    fn into_with_dirty_buffers_matches_allocating_version_bitwise() {
+        // One set of buffers across two shapes, each visited twice: stale
+        // contents and a shape change must not leak into the result.
+        let (mut z, mut d, mut e) = (Matrix::filled(2, 2, f64::NAN), vec![f64::NAN; 9], vec![f64::NAN; 1]);
+        let small = sym(4, |i, j| ((i * 5 + j * 3) as f64).cos() + if i == j { 1.0 } else { 0.0 });
+        let large = sym(7, |i, j| ((i * 31 + j * 17) as f64).sin() + if i == j { 2.0 } else { 0.0 });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for a in [&large, &small, &large, &small] {
+            let want = tridiagonalize(a);
+            tridiagonalize_into(a, &mut z, &mut d, &mut e);
+            assert_eq!(bits(z.as_slice()), bits(want.q.as_slice()));
+            assert_eq!(bits(&d), bits(&want.diagonal));
+            assert_eq!(bits(&e), bits(&want.off_diagonal));
+        }
     }
 
     #[test]

@@ -125,6 +125,41 @@ fn polar_projects_to_stiefel() {
     });
 }
 
+/// `U·diag(s)·Vᵀ` with orthonormal `U` (`n × k`), orthogonal `V` and
+/// singular values spread geometrically from `scale` down to
+/// `scale / cond`, in a random order.
+fn with_condition(rng: &mut umsc_rt::Rng, cond: f64) -> Matrix {
+    let k = rng.gen_range(1..9);
+    let n = k + rng.gen_range(0..60);
+    let u = qr(&matrix(rng, n, k)).q;
+    let v = qr(&matrix(rng, k, k)).q;
+    let scale = rng.gen_range_f64(0.1, 10.0);
+    let mut s: Vec<f64> =
+        (0..k).map(|i| scale * cond.powf(-(i as f64) / (k.max(2) - 1) as f64)).collect();
+    rng.shuffle(&mut s);
+    let us = Matrix::from_fn(n, k, |i, j| u[(i, j)] * s[j]);
+    us.matmul_transpose_b(&v)
+}
+
+/// The polar factor matches the SVD oracle `U Vᵀ` on both sides of the
+/// Gram route's conditioning bound (`cond(M) ≤ √1000 ≈ 31.6`): the Gram
+/// route up to 30, the SVD fallback from 35.
+#[test]
+fn polar_matches_svd_oracle_across_condition_numbers() {
+    for cond in [1.0, 10.0, 30.0, 35.0, 99.0, 1e3, 1e5] {
+        check(&Config::cases(24), |rng| with_condition(rng, cond), |m| {
+            let f = polar_orthogonalize(m).unwrap();
+            let svd = Svd::compute(m).unwrap();
+            let oracle = svd.u.matmul_transpose_b(&svd.v);
+            let dist = (&f - &oracle).max_abs();
+            ensure!(dist <= 1e-12, "cond {cond}: max |F − F_svd| = {dist:e}");
+            let ortho = (&f.matmul_transpose_a(&f) - &Matrix::identity(m.cols())).max_abs();
+            ensure!(ortho <= 1e-12, "cond {cond}: max |FᵀF − I| = {ortho:e}");
+            Ok(())
+        });
+    }
+}
+
 #[test]
 fn matmul_associativity() {
     check(

@@ -20,6 +20,10 @@ UMSC_BENCH_SMOKE=1 scripts/bench.sh "$smoke_json"
 [ -s "$smoke_json" ] || { echo "verify: bench smoke wrote an empty snapshot" >&2; exit 1; }
 grep -q '"schema":"umsc-bench-trajectory/v1"' "$smoke_json" \
     || { echo "verify: bench snapshot missing schema marker" >&2; exit 1; }
+# The polar-step kernels carry perfbench's layer name; renaming or
+# deleting them would break the trajectory's link to that layer.
+grep -q '"group":"linalg.polar"' "$smoke_json" \
+    || { echo "verify: bench snapshot missing the linalg.polar kernels" >&2; exit 1; }
 
 # Sparse-vs-dense scaling demo must run end to end at smoke scale (it
 # re-asserts the O(nnz + n·c) memory story outside the test harness).
