@@ -1,5 +1,5 @@
 //! Microbench: per-block cost of the unified solver — the ablation bench
-//! for the design choices DESIGN.md calls out (warm-start eigensolve vs
+//! for the design choices DESIGN.md calls out (embedding eigensolve vs
 //! GPI inner iteration vs Procrustes vs Y-step). The eigensolve dominates;
 //! everything downstream is cheap, which is why the one-stage loop costs
 //! little more than a single two-stage embedding.
@@ -23,8 +23,8 @@ use umsc_core::pipeline::{
 use umsc_core::{gpi_stiefel_op_ws, init_rotation, GpiWorkspace};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_linalg::{
-    blanczos_smallest_ws, polar_orthogonalize_into, procrustes, qr, BlanczosConfig,
-    BlanczosWorkspace, Matrix, Svd, SvdScratch,
+    lanczos_smallest, polar_orthogonalize_into, procrustes, qr, LanczosConfig, Matrix, Svd,
+    SvdScratch,
 };
 use umsc_rt::bench::{smoke, Bench};
 
@@ -48,62 +48,27 @@ fn setup(per_cluster: usize) -> (Vec<Matrix>, Matrix, Matrix, Matrix, umsc_data:
     (laplacians, fused, f, y, data)
 }
 
+/// The Lanczos configuration of the engine's embedding solve for `c = 5`.
+fn embedding_lanczos_config(n: usize) -> LanczosConfig {
+    LanczosConfig { seed: 0, initial_subspace: (2 * 5 + 20).min(n), ..Default::default() }
+}
+
 /// The dense solver's GPI shift: the Gershgorin bound plus a margin.
 fn gershgorin_shift(a: &Matrix) -> f64 {
     a.gershgorin_upper_bound().max(0.0) + 1e-9
 }
 
-fn bench_solver_blocks(samples: usize, per_cluster: usize, assert_warm_speedup: bool) {
+fn bench_solver_blocks(samples: usize, per_cluster: usize) {
     let (laplacians, fused, f, y, data) = setup(per_cluster);
     let n = fused.rows();
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut g = Bench::new(&format!("solver_steps_n{n}_c5")).sample_size(samples);
 
-    let cold =
-        g.run("embedding_eigensolve", || spectral_embedding(black_box(&fused), 5, 0).unwrap());
-
-    // The tentpole comparison: cold block Lanczos (fresh workspace, random
-    // start block every sample) vs warm (the carried Ritz subspace — the
-    // per-sweep cost once the solver's re-weighting loop is near
-    // equilibrium, where consecutive fused operators differ only by a
-    // small weight drift).
-    let bcfg = BlanczosConfig::default();
-    g.run("embedding_eigensolve_cold_blanczos", || {
-        let mut ws = BlanczosWorkspace::new();
-        blanczos_smallest_ws(black_box(&fused), 5, &bcfg, &mut ws).unwrap();
-        ws.values()[0]
+    // The engine's embedding solve on this kNN graph: scalar Lanczos on
+    // the fused operator, with the subspace the engine starts from.
+    let lcfg = embedding_lanczos_config(n);
+    g.run("embedding_eigensolve", || {
+        lanczos_smallest(black_box(&fused), 5, &lcfg).unwrap()
     });
-    // Every sample restarts from the drifted operator's Ritz subspace;
-    // without the re-seed, samples after the first would re-solve `fused`
-    // from its own converged subspace.
-    let mut warm_ws = BlanczosWorkspace::new();
-    let mut drifted = fused.clone();
-    drifted.axpy(0.05, &laplacians[0]);
-    blanczos_smallest_ws(&drifted, 5, &bcfg, &mut warm_ws).unwrap();
-    let drifted_ritz = warm_ws.subspace().clone();
-    let warm = g.run("embedding_eigensolve_warm", || {
-        warm_ws.seed_from(&drifted_ritz);
-        blanczos_smallest_ws(black_box(&fused), 5, &bcfg, &mut warm_ws).unwrap();
-        warm_ws.values()[0]
-    });
-    println!(
-        "embedding eigensolve warm-start speedup: {:.2}x (cold {:.0}ns, warm {:.0}ns)",
-        cold.median_ns / warm.median_ns,
-        cold.median_ns,
-        warm.median_ns
-    );
-    // Warm sweeps must cost at most half a cold eigensolve. Gated like the
-    // GEMM assertion: only enforced with real parallelism and full-size
-    // problems, so smoke runs and single-core CI still record honest
-    // numbers without flaking.
-    if assert_warm_speedup && cores >= 4 && umsc_rt::par::max_threads() >= 4 {
-        assert!(
-            warm.median_ns <= 0.5 * cold.median_ns,
-            "warm eigensolve {:.0}ns > 0.5x cold {:.0}ns",
-            warm.median_ns,
-            cold.median_ns
-        );
-    }
 
     let b_mat = y.matmul_transpose_b(&Matrix::identity(5)).scale(0.01);
     let eta = gershgorin_shift(&fused);
@@ -236,7 +201,7 @@ fn count_dispatch_rates(gemm_sizes: &[usize], per_cluster: usize) {
         let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 17) as f64).cos());
         black_box(a.matmul(&b));
     }
-    let (laplacians, fused, f, y, _data) = setup(per_cluster);
+    let (_laplacians, fused, f, y, _data) = setup(per_cluster);
     let b_mat = y.matmul_transpose_b(&Matrix::identity(5)).scale(0.01);
     let mut f_gpi = f.clone();
     gpi_stiefel_op_ws(&fused, gershgorin_shift(&fused), &b_mat, &mut f_gpi, 40, 1e-10, &mut GpiWorkspace::new())
@@ -244,24 +209,9 @@ fn count_dispatch_rates(gemm_sizes: &[usize], per_cluster: usize) {
     black_box(f_gpi);
     black_box(spectral_embedding(&fused, 5, 0).unwrap());
 
-    // One cold + one warm block eigensolve so the `blanczos.*` counters
-    // land in the snapshot, plus the iteration counts the warm-start
-    // story rests on: the carried subspace must re-converge in strictly
-    // fewer block iterations than the cold solve.
-    let bcfg = BlanczosConfig::default();
-    let mut ws = BlanczosWorkspace::new();
-    let mut drifted = fused.clone();
-    drifted.axpy(0.05, &laplacians[0]);
-    blanczos_smallest_ws(&drifted, 5, &bcfg, &mut ws).unwrap();
-    let cold_iters = ws.last_iters();
-    blanczos_smallest_ws(&fused, 5, &bcfg, &mut ws).unwrap();
-    let warm_iters = ws.last_iters();
-    assert!(
-        warm_iters < cold_iters,
-        "warm blanczos took {warm_iters} block iterations, cold took {cold_iters}"
-    );
-    umsc_rt::bench::record_counter("solver_steps", "blanczos.iters_cold", cold_iters as u64);
-    umsc_rt::bench::record_counter("solver_steps", "blanczos.iters_warm", warm_iters as u64);
+    // One embedding eigensolve so the `lanczos.*` counters land in the
+    // snapshot.
+    black_box(lanczos_smallest(&fused, 5, &embedding_lanczos_config(fused.rows())).unwrap());
 
     for (name, value) in umsc_obs::counters_snapshot() {
         umsc_rt::bench::record_counter("solver_steps", &name, value);
@@ -271,12 +221,12 @@ fn count_dispatch_rates(gemm_sizes: &[usize], per_cluster: usize) {
 
 fn main() {
     if smoke() {
-        bench_solver_blocks(2, 8, false);
+        bench_solver_blocks(2, 8);
         bench_square_gemm(2, &[48]);
         bench_polar(2, &[(40, 4)]);
         count_dispatch_rates(&[48], 8);
     } else {
-        bench_solver_blocks(10, 50, true);
+        bench_solver_blocks(10, 50);
         bench_square_gemm(5, &[128, 256, 512]);
         // The shapes of orl-can, handwritten-knn and gmm-anchor.
         bench_polar(10, &[(400, 40), (2000, 10), (10000, 10)]);

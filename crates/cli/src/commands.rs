@@ -357,35 +357,7 @@ fn trace_report(args: &Args) -> Result<(), String> {
         println!("\ncounters:");
         print!("{}", table.render());
     }
-    print_eigensolver_summary(&counters);
     Ok(())
-}
-
-/// Derived view over the `blanczos.*` counters: per-solve block-iteration
-/// and restart rates, so a trace answers "did the warm start pay off?"
-/// without the reader dividing counters by hand. A trace from a run that
-/// never touched the block solver (a baseline method, or a `c = 1` fit
-/// that stops at the cold solve) has no `blanczos.solves` counter and
-/// prints nothing.
-fn print_eigensolver_summary(counters: &std::collections::BTreeMap<String, u64>) {
-    let solves = counters.get("blanczos.solves").copied().unwrap_or(0);
-    if solves == 0 {
-        return;
-    }
-    let per_solve = |key: &str| {
-        let total = counters.get(key).copied().unwrap_or(0);
-        (total, total as f64 / solves as f64)
-    };
-    let (iters, iters_rate) = per_solve("blanczos.iters");
-    let (restarts, restarts_rate) = per_solve("blanczos.restarts");
-    let (deflated, deflated_rate) = per_solve("blanczos.deflated");
-    let mut table = TextTable::new(&["metric", "total", "per solve"]);
-    table.row(vec!["solves".into(), solves.to_string(), "-".into()]);
-    table.row(vec!["block iterations".into(), iters.to_string(), format!("{iters_rate:.2}")]);
-    table.row(vec!["restarts".into(), restarts.to_string(), format!("{restarts_rate:.2}")]);
-    table.row(vec!["deflated columns".into(), deflated.to_string(), format!("{deflated_rate:.2}")]);
-    println!("\nblock eigensolver ({solves} solves):");
-    print!("{}", table.render());
 }
 
 fn assign(args: &Args) -> Result<(), String> {
@@ -514,11 +486,11 @@ mod tests {
         }
     }
 
-    /// Tracing is observation only: a default fit, whose warm start runs
-    /// the block Lanczos solver, must write bitwise-identical labels
-    /// whether the trace sink is attached or not.
+    /// Tracing is observation only: a default fit, whose embedding
+    /// solves run Lanczos, must write bitwise-identical labels whether the
+    /// trace sink is attached or not.
     #[test]
-    fn blanczos_labels_identical_with_and_without_tracing() {
+    fn labels_identical_with_and_without_tracing() {
         let _obs = obs_lock();
         let dir = tmp("eigtrace");
         let _ = std::fs::remove_dir_all(&dir);
@@ -567,10 +539,13 @@ mod tests {
         assert!(!a.is_empty());
         assert_eq!(a, b, "tracing changed the label output");
 
-        // The traced run must have recorded block-solver activity, and
-        // the report (with its eigensolver summary) must parse it.
+        // The traced run must have recorded eigensolver activity, and
+        // the report must parse it.
         let raw = std::fs::read_to_string(&trace).unwrap();
-        assert!(raw.contains("blanczos.solves"), "trace has no blanczos counters");
+        assert!(
+            raw.contains("lanczos.iters"),
+            "trace has no lanczos counters"
+        );
         dispatch(&argv(&["trace-report", "--trace", trace.to_str().unwrap()])).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

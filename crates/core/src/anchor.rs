@@ -13,7 +13,7 @@
 //! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F` — O(nnz·c + m·c);
 //! * one persistent shifted fused operator `σI − Σ_v w_v B_v B_vᵀ`
 //!   (`σ = Σ_v w_v + ε`, see [`anchor_fused_operator`]), O(nnz) per
-//!   column, moved to new weights in place — the warm-start eigensolves
+//!   column, moved to new weights in place — the embedding eigensolves
 //!   and the F-step both run on it;
 //! * GPI F-step — the engine's [`crate::gpi_stiefel_op_ws`] with the shift
 //!   `η = 2·Σ_v w_v + ε` (each normalized Laplacian is bounded by `2I`),

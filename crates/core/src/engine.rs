@@ -3,13 +3,14 @@
 //! The paper's method is a single BCD on one objective (see the crate
 //! docs). The dense, CSR and anchor fits differ only in how the per-view
 //! graphs are stored, so each storage implements [`ViewSet`] — per-view
-//! traces, a persistent fused operator, the cold eigensolve and a
+//! traces, a persistent fused operator, the embedding eigensolve and a
 //! spectral bound of that operator — and this module owns everything
 //! else, once:
 //!
 //! * input validation and the `c = 1` short-circuit;
-//! * the warm start: a cold eigensolve of the uniform operator, then one
-//!   re-weighted, warm-started block-Lanczos solve;
+//! * the warm start: an embedding eigensolve of the uniform operator,
+//!   then one re-weighting round and a second solve of the re-weighted
+//!   operator;
 //! * the sweep: w-step, F-step (one [`gpi_stiefel_op_ws`] run on the
 //!   view set's operator, shifted by its bound), R-step (Procrustes) and
 //!   Y-step, plus the reported objective;
@@ -34,9 +35,7 @@ use crate::solver::{init_rotation, IterationStats, SolverState, StepStats, UmscR
 use crate::workspace::{SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_kmeans::{kmeans, KMeansConfig};
-use umsc_linalg::{
-    blanczos_smallest_ws, procrustes_into, BlanczosConfig, BlanczosWorkspace, LinOp, Matrix,
-};
+use umsc_linalg::{procrustes_into, LinOp, Matrix};
 
 /// One representation of the per-view graphs: everything the engine
 /// needs that depends on how the views are stored.
@@ -64,11 +63,10 @@ pub(crate) trait ViewSet {
     /// the F-step's minimizer over the Stiefel manifold.
     fn operator(&self) -> &dyn LinOp;
 
-    /// The first eigensolve, with no subspace to warm-start from.
-    fn cold_solve(&self, c: usize, seed: u64, f: &mut Matrix) -> Result<()> {
-        let (_, vecs) = lanczos_eigs(self.operator(), c, seed)?;
-        copy_embedding(f, &vecs);
-        Ok(())
+    /// The `c` smallest eigenvectors of [`ViewSet::operator`]: every
+    /// embedding eigensolve of a fit.
+    fn embedding_solve(&self, c: usize, seed: u64) -> Result<Matrix> {
+        Ok(lanczos_eigs(self.operator(), c, seed)?.1)
     }
 
     /// The GPI shift `η ≥ λ_max` of [`ViewSet::operator`] once `weights`
@@ -130,11 +128,9 @@ pub(crate) fn validate(
 pub(crate) fn fit<V: ViewSet>(cfg: &UmscConfig, views: &mut V, n: usize) -> Result<UmscResult> {
     if cfg.num_clusters == 1 {
         views.set_uniform();
-        let mut f = Matrix::zeros(n, 1);
-        views.cold_solve(1, cfg.seed, &mut f)?;
         return Ok(UmscResult {
             labels: vec![0; n],
-            embedding: f,
+            embedding: views.embedding_solve(1, cfg.seed)?,
             rotation: Matrix::identity(1),
             indicator: Matrix::filled(n, 1, 1.0),
             view_weights: normalized(&vec![1.0; views.num_views()]),
@@ -143,7 +139,7 @@ pub(crate) fn fit<V: ViewSet>(cfg: &UmscConfig, views: &mut V, n: usize) -> Resu
         });
     }
     match cfg.discretization {
-        Discretization::KMeans { restarts } => fit_two_stage(cfg, views, n, restarts),
+        Discretization::KMeans { restarts } => fit_two_stage(cfg, views, restarts),
         Discretization::Rotation | Discretization::ScaledRotation => fit_one_stage(cfg, views),
     }
 }
@@ -212,58 +208,25 @@ pub(crate) fn init_state<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<
 }
 
 /// Solves the relaxed (λ→0) problem: the spectral embedding of the
-/// uniform operator (a cold solve), then one re-weighting round whose
-/// solve warm-starts block Lanczos from the cold solve's subspace. That
-/// state lives only as long as the warm start. Further re-weighting is
-/// left to the sweeps, whose w-step uses the same closed form.
+/// uniform operator, then one re-weighting round and the embedding of the
+/// re-weighted operator. Further re-weighting is left to the sweeps,
+/// whose w-step uses the same closed form.
 fn warm_start<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<Matrix> {
     let _span = umsc_obs::span!("solve.warm_start");
     views.set_uniform();
-    let mut f = Matrix::zeros(views.operator().dim(), cfg.num_clusters);
-    let mut eig = BlanczosWorkspace::new();
-    embedding_solve(cfg, views, &mut f, &mut eig)?;
-    reweight_solve(cfg, views, &mut f, &mut eig)?;
+    let mut f = views.embedding_solve(cfg.num_clusters, cfg.seed)?;
+    reweight_solve(cfg, views, &mut f)?;
     Ok(f)
 }
 
 /// One re-weighting round: weights from the traces of `f`, the operator
 /// moved to them, and a new embedding solve. Returns the weights.
-fn reweight_solve<V: ViewSet>(
-    cfg: &UmscConfig,
-    views: &mut V,
-    f: &mut Matrix,
-    eig: &mut BlanczosWorkspace,
-) -> Result<Vec<f64>> {
+fn reweight_solve<V: ViewSet>(cfg: &UmscConfig, views: &mut V, f: &mut Matrix) -> Result<Vec<f64>> {
     let mut weights = Vec::with_capacity(views.num_views());
     weights_from_traces_into(&cfg.weighting, &views.traces(f), &mut weights);
     views.set_weights(&weights);
-    embedding_solve(cfg, views, f, eig)?;
+    *f = views.embedding_solve(cfg.num_clusters, cfg.seed)?;
     Ok(weights)
-}
-
-/// One embedding eigensolve of the fused operator, writing the `c`
-/// smallest eigenvectors into `f`.
-///
-/// `eig` is the persistent block-Lanczos state. While it is cold, the
-/// view set's cold solve runs and seeds it; once it is warm, block
-/// Lanczos restarts from its subspace under an `eig.warm` span.
-fn embedding_solve<V: ViewSet>(
-    cfg: &UmscConfig,
-    views: &V,
-    f: &mut Matrix,
-    eig: &mut BlanczosWorkspace,
-) -> Result<()> {
-    let c = cfg.num_clusters;
-    if eig.is_warm() {
-        let _span = umsc_obs::span!("eig.warm");
-        let bcfg = BlanczosConfig { seed: cfg.seed, ..Default::default() };
-        blanczos_smallest_ws(views.operator(), c, &bcfg, eig)?;
-        copy_embedding(f, eig.subspace());
-    } else {
-        views.cold_solve(c, cfg.seed, f)?;
-        eig.seed_from(f);
-    }
-    Ok(())
 }
 
 /// Performs one full BCD sweep (w-, F-, R-, Y-step) in place.
@@ -347,18 +310,16 @@ pub(crate) fn sweep<V: ViewSet>(
 }
 
 /// Two-stage ablation: auto-weighted embedding, then K-means.
-fn fit_two_stage<V: ViewSet>(cfg: &UmscConfig, views: &mut V, n: usize, restarts: usize) -> Result<UmscResult> {
+fn fit_two_stage<V: ViewSet>(cfg: &UmscConfig, views: &mut V, restarts: usize) -> Result<UmscResult> {
     let c = cfg.num_clusters;
-    let mut eig = BlanczosWorkspace::new();
-    let mut f = Matrix::zeros(n, c);
     views.set_uniform();
-    embedding_solve(cfg, views, &mut f, &mut eig)?;
+    let mut f = views.embedding_solve(c, cfg.seed)?;
     let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
     let mut converged = false;
     let mut weights = vec![1.0 / views.num_views() as f64; views.num_views()];
 
     for _iter in 0..cfg.max_iter {
-        weights = reweight_solve(cfg, views, &mut f, &mut eig)?;
+        weights = reweight_solve(cfg, views, &mut f)?;
         let emb = embedding_objective(&cfg.weighting, &views.traces(&f));
         let prev = history.last().map(|s| s.objective);
         history.push(IterationStats {
@@ -454,16 +415,6 @@ pub(crate) fn normalized(w: &[f64]) -> Vec<f64> {
         w.iter().map(|&x| x / s).collect()
     } else {
         vec![1.0 / w.len().max(1) as f64; w.len()]
-    }
-}
-
-/// Copies an eigensolver's subspace into the embedding buffer without
-/// reallocating when shapes already match (the warm-sweep steady state).
-fn copy_embedding(f: &mut Matrix, sub: &Matrix) {
-    if f.shape() == sub.shape() {
-        f.as_mut_slice().copy_from_slice(sub.as_slice());
-    } else {
-        *f = sub.clone();
     }
 }
 

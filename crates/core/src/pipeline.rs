@@ -138,7 +138,14 @@ pub fn build_laplacians_threaded_with(threads: usize, views: &[Matrix], cfg: &Gr
 }
 
 /// Dimension threshold above which the spectral embedding switches from
-/// the dense eigensolver to Lanczos.
+/// the dense QL eigensolver to scalar Lanczos.
+///
+/// This is a correctness guard, not a speed knob: a Krylov space grown
+/// from one start vector holds one direction per eigenspace, so on a
+/// disconnected graph Lanczos can return fewer copies of the repeated eigenvalue 0
+/// than there are components (2 of 3 on the anchor operator of a
+/// well-separated three-cluster GMM). Below the threshold QL returns
+/// every copy; above it the dense `O(n³)` solve is too slow to keep.
 const LANCZOS_THRESHOLD: usize = 600;
 
 /// `k` smallest eigenvectors of a symmetric (Laplacian-like) matrix,
@@ -163,8 +170,8 @@ pub fn spectral_embedding_with_values(l: &Matrix, k: usize, seed: u64) -> Result
     }
 }
 
-/// The `k` smallest eigenpairs of `op` by scalar Lanczos: the cold solve
-/// above [`LANCZOS_THRESHOLD`] and on every matrix-free view set.
+/// The `k` smallest eigenpairs of `op` by scalar Lanczos: the embedding
+/// solve above [`LANCZOS_THRESHOLD`] and on every matrix-free view set.
 pub(crate) fn lanczos_eigs(op: &dyn LinOp, k: usize, seed: u64) -> Result<(Vec<f64>, Matrix)> {
     let cfg = LanczosConfig { seed, initial_subspace: (2 * k + 20).min(op.dim()), ..Default::default() };
     Ok(lanczos_smallest(op, k, &cfg)?)
@@ -287,6 +294,30 @@ mod tests {
         let p1 = dense.matmul_transpose_b(&dense);
         let p2 = iter.matmul_transpose_b(&iter);
         assert!((&p1 - &p2).frobenius_norm() < 1e-5, "{}", (&p1 - &p2).frobenius_norm());
+    }
+
+    #[test]
+    fn dense_embedding_keeps_every_copy_of_a_repeated_zero_eigenvalue() {
+        // Three connected components (paths of 30, 40 and 50 nodes): the
+        // Laplacian's eigenvalue 0 has multiplicity 3, which the dense
+        // solver below LANCZOS_THRESHOLD must return in full.
+        let sizes = [30, 40, 50];
+        let n: usize = sizes.iter().sum();
+        assert!(n <= LANCZOS_THRESHOLD);
+        let mut l = Matrix::zeros(n, n);
+        let mut start = 0;
+        for &size in &sizes {
+            for i in start..start + size - 1 {
+                l[(i, i)] += 1.0;
+                l[(i + 1, i + 1)] += 1.0;
+                l[(i, i + 1)] = -1.0;
+                l[(i + 1, i)] = -1.0;
+            }
+            start += size;
+        }
+        let (vals, vecs) = spectral_embedding_with_values(&l, 3, 0).unwrap();
+        assert_eq!(vecs.shape(), (n, 3));
+        assert!(vals.iter().all(|&v| v.abs() < 1e-10), "{vals:?}");
     }
 
     #[test]

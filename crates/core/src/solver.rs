@@ -12,7 +12,7 @@
 //!
 //! This module supplies the engine's dense view set: `Σ_v w_v L⁽ᵛ⁾`
 //! materialized into one reused `n × n` buffer, the dense QL / Lanczos
-//! cold solve of [`spectral_embedding`], and the Gershgorin bound as the
+//! embedding solve of [`spectral_embedding`], and the Gershgorin bound as the
 //! GPI shift.
 
 use crate::config::UmscConfig;
@@ -247,9 +247,8 @@ impl ViewSet for DenseViews<'_> {
     }
 
     /// Dense QL up to the size threshold, scalar Lanczos above it.
-    fn cold_solve(&self, c: usize, seed: u64, f: &mut Matrix) -> Result<()> {
-        *f = spectral_embedding(&self.a, c, seed)?;
-        Ok(())
+    fn embedding_solve(&self, c: usize, seed: u64) -> Result<Matrix> {
+        spectral_embedding(&self.a, c, seed)
     }
 
     /// The Gershgorin bound of the materialized operator, with a small

@@ -11,7 +11,7 @@
 //!   O(nnz) per application, weights swapped in place per sweep;
 //! * traces `tr(Fᵀ L_v F)` via one sparse×dense product per view —
 //!   O(nnz·c);
-//! * the cold eigensolve is scalar Lanczos on the fused operator;
+//! * the embedding eigensolve is scalar Lanczos on the fused operator;
 //! * the GPI F-step shifts by the spectral bound `η = 2Σ_v w_v`
 //!   (normalized Laplacians satisfy `L ⪯ 2I`).
 //!

@@ -12,8 +12,9 @@
 //!    `n × n` dense matrix — the memory claim of the matrix-free design;
 //! 5. building those k-NN Laplacians from features stays below one
 //!    `n × n` matrix too (the streamed graph builder);
-//! 6. a whole anchor fit, graph build included, peaks below one dense
-//!    `n × m` anchor factor on top of its input (the sparse factors);
+//! 6. a whole anchor fit, graph build included, peaks below 0.6 of one
+//!    dense `n × m` anchor factor on top of its input (the sparse
+//!    factors);
 //! 7. a warm polar step (`polar_orthogonalize_into`) is allocation-free on
 //!    its Gram route and on its SVD fallback.
 //!
@@ -28,10 +29,7 @@ use umsc_core::{
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_graph::SparseFactor;
-use umsc_linalg::{
-    blanczos_smallest_ws, polar_orthogonalize_into, BlanczosConfig, BlanczosWorkspace, Matrix,
-    SvdScratch,
-};
+use umsc_linalg::{polar_orthogonalize_into, Matrix, SvdScratch};
 use umsc_rt::alloc_track::{measure, CountingAlloc};
 
 #[global_allocator]
@@ -146,39 +144,6 @@ fn state_of(res: UmscResult) -> SolverState {
 }
 
 #[test]
-fn warm_blanczos_solve_is_allocation_free() {
-    std::env::set_var("UMSC_THREADS", "1");
-
-    // The exact shape of a solver sweep: a fused dense Laplacian whose
-    // view weights drift slightly between eigensolves.
-    let data = gmm(20, 10);
-    let model = Umsc::new(UmscConfig::new(3));
-    let laplacians = build_view_laplacians(&data, &model.config().graph_config()).unwrap();
-    let n = laplacians[0].rows();
-    let mut a = Matrix::zeros(n, n);
-    for l in &laplacians {
-        a.axpy(1.0 / laplacians.len() as f64, l);
-    }
-
-    let cfg = BlanczosConfig::default();
-    let mut ws = BlanczosWorkspace::new();
-    // Cold solve sizes every grow-only buffer; a drifted warm solve
-    // exercises the full warm path (expansion, reorth, projected solves)
-    // inside the already-reserved capacity.
-    blanczos_smallest_ws(&a, 3, &cfg, &mut ws).unwrap();
-    a.axpy(0.02, &laplacians[0]);
-    blanczos_smallest_ws(&a, 3, &cfg, &mut ws).unwrap();
-
-    a.axpy(0.02, &laplacians[1]);
-    let stats = measure(|| blanczos_smallest_ws(&a, 3, &cfg, &mut ws).unwrap());
-    assert_eq!(
-        stats.allocations, 0,
-        "warm blanczos solve touched the heap {} times",
-        stats.allocations
-    );
-}
-
-#[test]
 fn warm_polar_step_is_allocation_free_on_both_routes() {
     std::env::set_var("UMSC_THREADS", "1");
 
@@ -256,12 +221,12 @@ fn sparse_graph_build_peak_stays_below_one_dense_matrix() {
 }
 
 #[test]
-fn anchor_fit_peak_stays_below_one_dense_factor() {
+fn anchor_fit_peak_stays_below_six_tenths_of_a_dense_factor() {
     std::env::set_var("UMSC_THREADS", "1");
 
     // Three low-dimensional views keep the input small next to one dense
     // n × m factor (9.6 MB), which sparse factors with k = 5 nonzeros per
-    // row never come near.
+    // row never come near: the whole fit stays under 0.6 of one.
     let views = vec![ViewSpec::clean(3), ViewSpec::clean(4), ViewSpec::clean(5)];
     let data = MultiViewGmm::new("alloc", 3, 2000, views).generate(3);
     let (n, m) = (data.n(), 200);
@@ -272,9 +237,9 @@ fn anchor_fit_peak_stays_below_one_dense_factor() {
     assert_eq!(res.unwrap().labels.len(), n);
     let f64_bytes = std::mem::size_of::<f64>();
     let input_bytes: usize = data.views.iter().map(|x| x.rows() * x.cols() * f64_bytes).sum();
-    let bound = (input_bytes + n * m * f64_bytes) as u64;
+    let bound = (input_bytes + n * m * f64_bytes * 6 / 10) as u64;
     assert!(
         peak < bound,
-        "anchor fit peaked at {peak} B ≥ input views + one {n}x{m} dense factor ({bound} B)"
+        "anchor fit peaked at {peak} B ≥ input views + 0.6 × one {n}x{m} dense factor ({bound} B)"
     );
 }

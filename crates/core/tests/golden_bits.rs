@@ -9,13 +9,17 @@
 //!
 //! The table was first recorded from the solvers before they were merged
 //! into one block-coordinate-descent engine; a refactor that moves a
-//! single bit fails here. It has been re-recorded for two deliberate
+//! single bit fails here. It has been re-recorded for three deliberate
 //! changes of rounding, each time with the same labels and sweep counts:
 //! the anchor rows when the anchor F-step moved onto the shared GPI loop
-//! (objectives within 6 ULP), and every GPI row when the polar step moved
+//! (objectives within 6 ULP); every GPI row when the polar step moved
 //! from the SVD of the `n × c` iterate to its `c × c` Gram matrix
 //! (objectives within 13 ULP; the three k-means rows, whose embedding
-//! never passes through GPI, did not move). To print a fresh table (for a
+//! never passes through GPI, did not move); and every row when the
+//! re-weighted embedding solves stopped warm-starting block Lanczos and
+//! ran the view set's own solve (objectives within 1.5e5 ULP, 2e-11
+//! relative, on the auto-weighted dense and sparse rows, within 50 ULP on
+//! the others). To print a fresh table (for a
 //! deliberate numerical change only), run
 //! `cargo test -p umsc-core --test golden_bits -- --ignored --nocapture`.
 
@@ -150,92 +154,92 @@ const GOLDEN: &[Golden] = &[
     Golden {
         name: "dense/auto/rotation",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c12263c074, 0x3fffd9516448720c, 0x3fffd947553e8664, 0x3fffd94600832c5e],
-        weights: &[0x3fda14e4c55885dc, 0x3fda4fe917e1ce21, 0x3fc73664458b5807],
-        embedding: 0xc87dc48c40583fd5,
+        objectives: &[0x3fffd9c122630e80, 0x3fffd95164485708, 0x3fffd947553e8281, 0x3fffd94600832bce],
+        weights: &[0x3fda14e4c54cfbb7, 0x3fda4fe917ee5f6c, 0x3fc73664458949b9],
+        embedding: 0x71de8569d058ba2c,
     },
     Golden {
         name: "dense/auto/scaled",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3ffd16145d33c61d, 0x3ffd15b739468966, 0x3ffd15aeaa9fee5b, 0x3ffd15ad8aa9c550],
-        weights: &[0x3fda1d801d2b16dd, 0x3fda3cc65ab521d0, 0x3fc74b73103f8ea8],
-        embedding: 0x1bd4c2258ca3f625,
+        objectives: &[0x3ffd16145d3322e8, 0x3ffd15b739467059, 0x3ffd15aeaa9feac1, 0x3ffd15ad8aa9c4c9],
+        weights: &[0x3fda1d801d1f672a, 0x3fda3cc65ac1e49a, 0x3fc74b73103d6878],
+        embedding: 0xd4c1f67ee9c77b3c,
     },
     Golden {
         name: "dense/auto/kmeans",
         labels: 0x044493e202f4a906,
-        objectives: &[0x3ffd178ed5b1791f, 0x3ffd108d38ebff7a, 0x3ffd1036460eb53a, 0x3ffd102e3c1a413b, 0x3ffd102d2e7cc363],
-        weights: &[0x3fda20849682f857, 0x3fda360e408956b1, 0x3fc752da51e761ed],
-        embedding: 0xb140d095a0f6bd3a,
+        objectives: &[0x3ffd178ed5af4476, 0x3ffd108d38eb503e, 0x3ffd1036460ec6ac, 0x3ffd102e3c1a52ac, 0x3ffd102d2e7cc92c],
+        weights: &[0x3fda20849712ab97, 0x3fda360e403421a5, 0x3fc752da51726584],
+        embedding: 0xee0725fbde4e6d1f,
     },
     Golden {
         name: "dense/uniform/rotation",
         labels: 0x238361c65f32ff06,
-        objectives: &[0x3fe2f61e73f0d6f6, 0x3fe2f61c56ffa0cd],
+        objectives: &[0x3fe2f61e73f0d6fa, 0x3fe2f61c56ffa0ca],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0x0f29173e2e8b0dd5,
+        embedding: 0xc25d36bfab0981a8,
     },
     Golden {
         name: "dense/uniform/scaled",
         labels: 0x238361c65f32ff06,
-        objectives: &[0x3fdab8c62ee67071, 0x3fdab8c5906cc5b1],
+        objectives: &[0x3fdab8c62ee67075, 0x3fdab8c5906cc5b2],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0xaa773aaadf673c65,
+        embedding: 0xcd688df5c59428c4,
     },
     Golden {
         name: "dense/uniform/kmeans",
         labels: 0xfb73ee89ef8eecc4,
-        objectives: &[0x3fda9539257ffd7b],
+        objectives: &[0x3fda9539257ffdad],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0x12d0f463b4b45c00,
+        embedding: 0x27a98fbdc61e82ce,
     },
     Golden {
         name: "dense/fixed/rotation",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fdd34aa3ab5d228, 0x3fdd34a8a6c990b0],
+        objectives: &[0x3fdd34aa3ab5d240, 0x3fdd34a8a6c990b6],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0x2187dc98f0eb574a,
+        embedding: 0xd0b5f45e1091aa16,
     },
     Golden {
         name: "dense/fixed/scaled",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fd226c24b5c21ba, 0x3fd226c2148cfa32],
+        objectives: &[0x3fd226c24b5c21b8, 0x3fd226c2148cfa2e],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0x64e1663fb9bb3d1c,
+        embedding: 0x0b7a101f4a477f21,
     },
     Golden {
         name: "dense/fixed/kmeans",
         labels: 0x044493e202f4a906,
-        objectives: &[0x3fd210664acf05b2],
+        objectives: &[0x3fd210664acf05d5],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0x35d0c94958be20a0,
+        embedding: 0x191fc07b9e03e5f8,
     },
     Golden {
         name: "sparse/auto/rotation",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c11bcbd73c, 0x3fffd95163994412, 0x3fffd947550fc6c7, 0x3fffd9460072e081],
-        weights: &[0x3fda14e45114a65e, 0x3fda4fe99fe95782, 0x3fc736641e04043e],
-        embedding: 0xbb259fb739c443f0,
+        objectives: &[0x3fffd9c11bcb253c, 0x3fffd95163992904, 0x3fffd947550fc2e0, 0x3fffd9460072dff9],
+        weights: &[0x3fda14e451091c3b, 0x3fda4fe99ff5e8c5, 0x3fc736641e01f602],
+        embedding: 0x6841929e3bcaf0ed,
     },
     Golden {
         name: "sparse/auto/scaled",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3ffd1614565b5bda, 0x3ffd15b73844e3ef, 0x3ffd15aeaa759ed4, 0x3ffd15ad8aa2500e],
-        weights: &[0x3fda1d7fa725ce23, 0x3fda3cc6ea8a5d46, 0x3fc74b72dc9fa92b],
-        embedding: 0x25dad1f1b6131d48,
+        objectives: &[0x3ffd1614565ab8ab, 0x3ffd15b73844cae1, 0x3ffd15aeaa759b37, 0x3ffd15ad8aa24f83],
+        weights: &[0x3fda1d7fa71a1e88, 0x3fda3cc6ea971fee, 0x3fc74b72dc9d8311],
+        embedding: 0xb1229ca803c7d6c2,
     },
     Golden {
         name: "anchor/auto",
         labels: 0xfea03cbbba3ab144,
-        objectives: &[0x4000f8f2b1c5c52f, 0x4000f8aa41f8925e, 0x4000f8a9e3ebfcca],
-        weights: &[0x3fda9d7b1d57d22f, 0x3fd8d99c82aa659f, 0x3fc911d0bffb9065],
-        embedding: 0x3f731642a0047d3e,
+        objectives: &[0x4000f8f2b1c5c52f, 0x4000f8aa41f8925b, 0x4000f8a9e3ebfccd],
+        weights: &[0x3fda9d7b1d58064c, 0x3fd8d99c82aa3020, 0x3fc911d0bffb9323],
+        embedding: 0x69f295fa4c8172db,
     },
     Golden {
         name: "anchor/uniform",
         labels: 0x88df13cb62d03ea6,
-        objectives: &[0x3fe4a5c683fb931c, 0x3fe4a39ee7885e90, 0x3fe4a39e236a2a54],
+        objectives: &[0x3fe4a5c683fb9314, 0x3fe4a39ee7885e7c, 0x3fe4a39e236a2a4b],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0x759579bfe84b1552,
+        embedding: 0x177de446f0e07177,
     },
 ];

@@ -30,6 +30,7 @@ use crate::sparse::CsrMatrix;
 use crate::stream::smallest;
 use umsc_linalg::Matrix;
 use umsc_op::SparseFactor;
+use umsc_rt::SplitMix64;
 
 /// Selects `m` anchor rows from `x` by D² (k-means++) sampling.
 ///
@@ -166,25 +167,6 @@ pub fn anchor_view_factor(x: &Matrix, m: usize, k: usize, seed: u64) -> (SparseF
     let anchors = select_anchors(x, m, seed);
     let (b, _) = normalized_factor_sparse(&anchor_weights_sparse(x, &anchors, k));
     (b, anchors)
-}
-
-/// Tiny deterministic RNG (kept dependency-free like the Lanczos one).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> Self {
-        SplitMix64(seed.wrapping_add(0x9E3779B97F4A7C15))
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 #[cfg(test)]

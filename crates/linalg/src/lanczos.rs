@@ -23,6 +23,7 @@ use crate::matrix::Matrix;
 use crate::ops::{axpy, dot, normalize};
 use crate::Result;
 use umsc_op::{DenseOp, LinOp};
+use umsc_rt::SplitMix64;
 
 impl LinOp for Matrix {
     fn dim(&self) -> usize {
@@ -204,26 +205,6 @@ fn random_unit(n: usize, rng: &mut SplitMix64) -> Vec<f64> {
         v[0] = 1.0;
     }
     v
-}
-
-/// Tiny deterministic RNG (SplitMix64) so this crate stays dependency-free.
-/// Shared with the block solver in [`crate::blanczos`].
-pub(crate) struct SplitMix64(u64);
-
-impl SplitMix64 {
-    pub(crate) fn new(seed: u64) -> Self {
-        SplitMix64(seed.wrapping_add(0x9E3779B97F4A7C15))
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-    pub(crate) fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 #[cfg(test)]

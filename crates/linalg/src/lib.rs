@@ -21,9 +21,9 @@
 //!   the SVD as the ill-conditioned fallback), the workhorses of spectral
 //!   rotation.
 //! * [`lanczos`] — partial symmetric eigensolver for large sparse operators
-//!   (used by the graph crate through the [`LinearOperator`] trait), and
-//!   [`blanczos`] — block Lanczos that warm-starts from a carried Ritz
-//!   subspace.
+//!   (used by the graph crate through the [`LinearOperator`] trait): the
+//!   one Krylov solver, behind every embedding solve above the dense
+//!   size threshold and on every matrix-free path.
 //!
 //! Conventions: matrices are row-major; eigenvalues/singular values are
 //! returned in ascending/descending order as documented per routine;
@@ -31,7 +31,6 @@
 //! errors), while algorithmic failures (non-convergence, non-PSD input)
 //! return [`LinalgError`].
 
-pub mod blanczos;
 pub mod cholesky;
 pub mod eigen;
 pub mod error;
@@ -45,7 +44,6 @@ pub mod svd;
 pub mod testkit;
 pub mod tridiag;
 
-pub use blanczos::{blanczos_smallest, blanczos_smallest_ws, BlanczosConfig, BlanczosWorkspace};
 pub use cholesky::cholesky;
 pub use eigen::SymEigen;
 pub use error::LinalgError;

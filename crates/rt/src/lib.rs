@@ -8,7 +8,9 @@
 //!
 //! * [`rng`] — a splitmix64-seeded xoshiro256\*\* PRNG with the helpers
 //!   the dataset generators and k-means++ actually use (`gen_range`,
-//!   standard normals, `shuffle`, `choose_weighted`). Replaces `rand`.
+//!   standard normals, `shuffle`, `choose_weighted`), plus the standalone
+//!   [`SplitMix64`] stream behind Lanczos start vectors and D² anchor
+//!   sampling. Replaces `rand`.
 //!   The stream is pinned by golden-value tests: dataset seeds documented
 //!   in papers/experiments stay reproducible across refactors.
 //! * [`par`] — a std-only scoped thread pool capped at
@@ -38,4 +40,4 @@ pub mod par;
 pub mod rng;
 
 pub use check::{check, Config, Shrink};
-pub use rng::Rng;
+pub use rng::{Rng, SplitMix64};

@@ -2,8 +2,8 @@
 # Perf-trajectory harness: runs the kernel microbenches and writes the
 # machine-readable snapshot BENCH_13.json (median ns per kernel, core
 # count, thread count, plus observability counter records such as the
-# blocked-vs-rowwise GEMM dispatch tallies and the cold-vs-warm block
-# Lanczos iteration counts) so future PRs can track regressions against
+# blocked-vs-rowwise GEMM dispatch tallies and the Lanczos iteration
+# count of one embedding eigensolve) so future PRs can track regressions against
 # a committed baseline.
 #
 # Usage:
