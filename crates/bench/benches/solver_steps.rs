@@ -22,10 +22,7 @@ use umsc_core::pipeline::{
 };
 use umsc_core::{gpi_stiefel_op_ws, init_rotation, GpiWorkspace};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
-use umsc_linalg::{
-    lanczos_smallest, polar_orthogonalize_into, procrustes, qr, LanczosConfig, Matrix, Svd,
-    SvdScratch,
-};
+use umsc_linalg::{polar_orthogonalize_into, procrustes, qr, Matrix, Svd, SvdScratch};
 use umsc_rt::bench::{smoke, Bench};
 
 fn setup(per_cluster: usize) -> (Vec<Matrix>, Matrix, Matrix, Matrix, umsc_data::MultiViewDataset) {
@@ -48,11 +45,6 @@ fn setup(per_cluster: usize) -> (Vec<Matrix>, Matrix, Matrix, Matrix, umsc_data:
     (laplacians, fused, f, y, data)
 }
 
-/// The Lanczos configuration of the engine's embedding solve for `c = 5`.
-fn embedding_lanczos_config(n: usize) -> LanczosConfig {
-    LanczosConfig { seed: 0, initial_subspace: (2 * 5 + 20).min(n), ..Default::default() }
-}
-
 /// The dense solver's GPI shift: the Gershgorin bound plus a margin.
 fn gershgorin_shift(a: &Matrix) -> f64 {
     a.gershgorin_upper_bound().max(0.0) + 1e-9
@@ -63,12 +55,8 @@ fn bench_solver_blocks(samples: usize, per_cluster: usize) {
     let n = fused.rows();
     let mut g = Bench::new(&format!("solver_steps_n{n}_c5")).sample_size(samples);
 
-    // The engine's embedding solve on this kNN graph: scalar Lanczos on
-    // the fused operator, with the subspace the engine starts from.
-    let lcfg = embedding_lanczos_config(n);
-    g.run("embedding_eigensolve", || {
-        lanczos_smallest(black_box(&fused), 5, &lcfg).unwrap()
-    });
+    // The engine's embedding solve on this kNN graph.
+    g.run("embedding_eigensolve", || spectral_embedding(black_box(&fused), 5, 0).unwrap());
 
     let b_mat = y.matmul_transpose_b(&Matrix::identity(5)).scale(0.01);
     let eta = gershgorin_shift(&fused);
@@ -207,11 +195,9 @@ fn count_dispatch_rates(gemm_sizes: &[usize], per_cluster: usize) {
     gpi_stiefel_op_ws(&fused, gershgorin_shift(&fused), &b_mat, &mut f_gpi, 40, 1e-10, &mut GpiWorkspace::new())
         .unwrap();
     black_box(f_gpi);
-    black_box(spectral_embedding(&fused, 5, 0).unwrap());
-
     // One embedding eigensolve so the `lanczos.*` counters land in the
     // snapshot.
-    black_box(lanczos_smallest(&fused, 5, &embedding_lanczos_config(fused.rows())).unwrap());
+    black_box(spectral_embedding(&fused, 5, 0).unwrap());
 
     for (name, value) in umsc_obs::counters_snapshot() {
         umsc_rt::bench::record_counter("solver_steps", &name, value);

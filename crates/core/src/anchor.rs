@@ -587,6 +587,28 @@ mod tests {
     }
 
     #[test]
+    fn uniform_operator_keeps_one_zero_eigenvalue_per_separated_cluster() {
+        // Well-separated clusters whose anchor graphs fall apart into one
+        // component per cluster: the uniform operator `σI − Σ_v B_v B_vᵀ/V`
+        // has the eigenvalue ε = 1e-9 with multiplicity c. A single Lanczos
+        // run returned 2 of 3 copies at (c, seed) = (3, 35) and 3 of 6 at
+        // (6, 33).
+        for (c, seed) in [(3, 35), (6, 33)] {
+            let mut gen = MultiViewGmm::new("sep", c, 60, vec![ViewSpec::clean(10), ViewSpec::clean(14)]);
+            gen.separation = 12.0;
+            let data = gen.generate(seed);
+            let model = AnchorUmsc::new(AnchorUmscConfig::new(c).with_anchors(60));
+            let factors = model.anchor_views(&data).unwrap().factors;
+            let uniform = vec![0.5; 2];
+            let fused = anchor_fused_operator(&factors, &uniform);
+            let (vals, _) = crate::spectral_embedding_with_values(&fused, c, 0).unwrap();
+            assert!(vals.iter().all(|&v| (v - 1e-9).abs() < 1e-9), "(c, seed) = ({c}, {seed}): {vals:?}");
+            let acc = clustering_accuracy(&model.fit(&data).unwrap().labels, &data.labels);
+            assert_eq!(acc, 1.0, "(c, seed) = ({c}, {seed})");
+        }
+    }
+
+    #[test]
     fn anchors_clamped_to_n() {
         let data = gmm(5, 3); // n = 15 < default anchors
         let res = AnchorUmsc::new(AnchorUmscConfig::new(3)).fit(&data).unwrap();

@@ -3,14 +3,14 @@
 //! The paper's method is a single BCD on one objective (see the crate
 //! docs). The dense, CSR and anchor fits differ only in how the per-view
 //! graphs are stored, so each storage implements [`ViewSet`] — per-view
-//! traces, a persistent fused operator, the embedding eigensolve and a
-//! spectral bound of that operator — and this module owns everything
-//! else, once:
+//! traces, a persistent fused operator and a spectral bound of that
+//! operator — and this module owns everything else, once:
 //!
 //! * input validation and the `c = 1` short-circuit;
 //! * the warm start: an embedding eigensolve of the uniform operator,
 //!   then one re-weighting round and a second solve of the re-weighted
-//!   operator;
+//!   operator — each one [`spectral_embedding`] (scalar Lanczos) on the
+//!   view set's operator, whatever the storage or size;
 //! * the sweep: w-step, F-step (one [`gpi_stiefel_op_ws`] run on the
 //!   view set's operator, shifted by its bound), R-step (Procrustes) and
 //!   Y-step, plus the reported objective;
@@ -30,7 +30,7 @@ use crate::indicator::{
     discretize_rows, discretize_rows_into, discretize_scaled_inplace, labels_to_indicator,
     labels_to_indicator_into, scaled_indicator_into,
 };
-use crate::pipeline::lanczos_eigs;
+use crate::pipeline::spectral_embedding;
 use crate::solver::{init_rotation, IterationStats, SolverState, StepStats, UmscResult};
 use crate::workspace::{SolverWorkspace, TraceScratch};
 use crate::Result;
@@ -52,34 +52,29 @@ pub(crate) trait ViewSet {
     /// Swaps the view weights of the persistent fused operator in place.
     fn set_weights(&mut self, weights: &[f64]);
 
-    /// Points the fused operator at uniform weights (the first solve).
-    fn set_uniform(&mut self) {
-        let v = self.num_views();
-        self.set_weights(&vec![1.0 / v as f64; v]);
-    }
-
     /// The fused operator at the current weights: `Σ_v w_v L⁽ᵛ⁾` plus at
     /// most a multiple of `I`, which moves neither its eigenvectors nor
-    /// the F-step's minimizer over the Stiefel manifold.
+    /// the F-step's minimizer over the Stiefel manifold. Every embedding
+    /// eigensolve of a fit is [`spectral_embedding`] on it.
     fn operator(&self) -> &dyn LinOp;
-
-    /// The `c` smallest eigenvectors of [`ViewSet::operator`]: every
-    /// embedding eigensolve of a fit.
-    fn embedding_solve(&self, c: usize, seed: u64) -> Result<Matrix> {
-        Ok(lanczos_eigs(self.operator(), c, seed)?.1)
-    }
 
     /// The GPI shift `η ≥ λ_max` of [`ViewSet::operator`] once `weights`
     /// are set.
     fn gpi_shift(&self, weights: &[f64]) -> f64;
+}
 
-    /// [`ViewSet::traces_into`] through short-lived scratch, so nothing
-    /// sized here stays alive across an eigensolve.
-    fn traces(&self, f: &Matrix) -> Vec<f64> {
-        let mut traces = Vec::with_capacity(self.num_views());
-        self.traces_into(f, &mut TraceScratch::new(), &mut traces);
-        traces
-    }
+/// Points the fused operator at uniform weights (the first solve).
+fn set_uniform<V: ViewSet>(views: &mut V) {
+    let v = views.num_views();
+    views.set_weights(&vec![1.0 / v as f64; v]);
+}
+
+/// [`ViewSet::traces_into`] through short-lived scratch, so nothing
+/// sized here stays alive across an eigensolve.
+fn traces<V: ViewSet>(views: &V, f: &Matrix) -> Vec<f64> {
+    let mut traces = Vec::with_capacity(views.num_views());
+    views.traces_into(f, &mut TraceScratch::new(), &mut traces);
+    traces
 }
 
 /// Checks what every fit requires and returns `n`. `shapes` are the
@@ -127,10 +122,10 @@ pub(crate) fn validate(
 /// Fits validated views (see [`validate`], which returned `n`).
 pub(crate) fn fit<V: ViewSet>(cfg: &UmscConfig, views: &mut V, n: usize) -> Result<UmscResult> {
     if cfg.num_clusters == 1 {
-        views.set_uniform();
+        set_uniform(views);
         return Ok(UmscResult {
             labels: vec![0; n],
-            embedding: views.embedding_solve(1, cfg.seed)?,
+            embedding: spectral_embedding(views.operator(), 1, cfg.seed)?,
             rotation: Matrix::identity(1),
             indicator: Matrix::filled(n, 1, 1.0),
             view_weights: normalized(&vec![1.0; views.num_views()]),
@@ -213,8 +208,8 @@ pub(crate) fn init_state<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<
 /// whose w-step uses the same closed form.
 fn warm_start<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<Matrix> {
     let _span = umsc_obs::span!("solve.warm_start");
-    views.set_uniform();
-    let mut f = views.embedding_solve(cfg.num_clusters, cfg.seed)?;
+    set_uniform(views);
+    let mut f = spectral_embedding(views.operator(), cfg.num_clusters, cfg.seed)?;
     reweight_solve(cfg, views, &mut f)?;
     Ok(f)
 }
@@ -223,9 +218,9 @@ fn warm_start<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<Matrix> {
 /// moved to them, and a new embedding solve. Returns the weights.
 fn reweight_solve<V: ViewSet>(cfg: &UmscConfig, views: &mut V, f: &mut Matrix) -> Result<Vec<f64>> {
     let mut weights = Vec::with_capacity(views.num_views());
-    weights_from_traces_into(&cfg.weighting, &views.traces(f), &mut weights);
+    weights_from_traces_into(&cfg.weighting, &traces(views, f), &mut weights);
     views.set_weights(&weights);
-    *f = views.embedding_solve(cfg.num_clusters, cfg.seed)?;
+    *f = spectral_embedding(views.operator(), cfg.num_clusters, cfg.seed)?;
     Ok(weights)
 }
 
@@ -312,15 +307,15 @@ pub(crate) fn sweep<V: ViewSet>(
 /// Two-stage ablation: auto-weighted embedding, then K-means.
 fn fit_two_stage<V: ViewSet>(cfg: &UmscConfig, views: &mut V, restarts: usize) -> Result<UmscResult> {
     let c = cfg.num_clusters;
-    views.set_uniform();
-    let mut f = views.embedding_solve(c, cfg.seed)?;
+    set_uniform(views);
+    let mut f = spectral_embedding(views.operator(), c, cfg.seed)?;
     let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
     let mut converged = false;
     let mut weights = vec![1.0 / views.num_views() as f64; views.num_views()];
 
     for _iter in 0..cfg.max_iter {
         weights = reweight_solve(cfg, views, &mut f)?;
-        let emb = embedding_objective(&cfg.weighting, &views.traces(&f));
+        let emb = embedding_objective(&cfg.weighting, &traces(views, &f));
         let prev = history.last().map(|s| s.objective);
         history.push(IterationStats {
             objective: emb,

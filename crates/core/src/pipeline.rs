@@ -12,7 +12,7 @@ use umsc_graph::{
     adaptive_neighbor_affinity, cosine_distance_matrix, gaussian_affinity, neighbor_graph,
     normalized_laplacian, pairwise_sq_distances, CsrMatrix, Neighbors,
 };
-use umsc_linalg::{lanczos_smallest, LanczosConfig, LinOp, Matrix, SymEigen};
+use umsc_linalg::{lanczos_smallest, LanczosConfig, LinOp, Matrix};
 
 pub use umsc_graph::Metric;
 
@@ -137,44 +137,25 @@ pub fn build_laplacians_threaded_with(threads: usize, views: &[Matrix], cfg: &Gr
     })
 }
 
-/// Dimension threshold above which the spectral embedding switches from
-/// the dense QL eigensolver to scalar Lanczos.
-///
-/// This is a correctness guard, not a speed knob: a Krylov space grown
-/// from one start vector holds one direction per eigenspace, so on a
-/// disconnected graph Lanczos can return fewer copies of the repeated eigenvalue 0
-/// than there are components (2 of 3 on the anchor operator of a
-/// well-separated three-cluster GMM). Below the threshold QL returns
-/// every copy; above it the dense `O(n³)` solve is too slow to keep.
-const LANCZOS_THRESHOLD: usize = 600;
-
-/// `k` smallest eigenvectors of a symmetric (Laplacian-like) matrix,
-/// choosing the dense or iterative solver by problem size.
-pub fn spectral_embedding(l: &Matrix, k: usize, seed: u64) -> Result<Matrix> {
+/// `k` smallest eigenvectors of a symmetric (Laplacian-like) operator.
+pub fn spectral_embedding(l: &dyn LinOp, k: usize, seed: u64) -> Result<Matrix> {
     spectral_embedding_with_values(l, k, seed).map(|(_, vecs)| vecs)
 }
 
 /// Like [`spectral_embedding`] but also returns the `k` smallest
 /// eigenvalues (ascending) — used e.g. for eigengap-based view selection.
-pub fn spectral_embedding_with_values(l: &Matrix, k: usize, seed: u64) -> Result<(Vec<f64>, Matrix)> {
+///
+/// Scalar Lanczos with a start subspace of `2k + 20`, at every size and
+/// on every operator; every copy of a repeated eigenvalue (one per
+/// connected component for the eigenvalue 0) is returned.
+pub fn spectral_embedding_with_values(l: &dyn LinOp, k: usize, seed: u64) -> Result<(Vec<f64>, Matrix)> {
     let _span = umsc_obs::span!("spectral.embedding");
-    let n = l.rows();
-    if k > n {
+    let n = l.dim();
+    if k == 0 || k > n {
         return Err(UmscError::InvalidInput(format!("requested {k} eigenvectors of an {n}-dim Laplacian")));
     }
-    if n <= LANCZOS_THRESHOLD {
-        let eig = SymEigen::compute_unchecked(l)?;
-        Ok((eig.eigenvalues[..k].to_vec(), eig.smallest(k)))
-    } else {
-        lanczos_eigs(l, k, seed)
-    }
-}
-
-/// The `k` smallest eigenpairs of `op` by scalar Lanczos: the embedding
-/// solve above [`LANCZOS_THRESHOLD`] and on every matrix-free view set.
-pub(crate) fn lanczos_eigs(op: &dyn LinOp, k: usize, seed: u64) -> Result<(Vec<f64>, Matrix)> {
-    let cfg = LanczosConfig { seed, initial_subspace: (2 * k + 20).min(op.dim()), ..Default::default() };
-    Ok(lanczos_smallest(op, k, &cfg)?)
+    let cfg = LanczosConfig { seed, initial_subspace: (2 * k + 20).min(n), ..Default::default() };
+    Ok(lanczos_smallest(l, k, &cfg)?)
 }
 
 /// Estimates the number of clusters by the **eigengap heuristic** on the
@@ -218,6 +199,7 @@ mod tests {
     use super::*;
     use umsc_data::shapes::two_moons_multiview;
     use umsc_data::synth::{MultiViewGmm, ViewSpec};
+    use umsc_linalg::SymEigen;
 
     #[test]
     fn laplacians_one_per_view() {
@@ -283,27 +265,12 @@ mod tests {
     }
 
     #[test]
-    fn embedding_solvers_agree_across_threshold() {
-        // Same Laplacian, dense vs Lanczos path must span the same subspace.
-        let data = two_moons_multiview(60, 0.06, 3);
-        let ls = build_view_laplacians(&data, &GraphConfig::default()).unwrap();
-        let dense = spectral_embedding(&ls[0], 2, 0).unwrap();
-        let cfg = LanczosConfig::default();
-        let (_, iter) = lanczos_smallest(&ls[0], 2, &cfg).unwrap();
-        // Subspace agreement: projector difference small.
-        let p1 = dense.matmul_transpose_b(&dense);
-        let p2 = iter.matmul_transpose_b(&iter);
-        assert!((&p1 - &p2).frobenius_norm() < 1e-5, "{}", (&p1 - &p2).frobenius_norm());
-    }
-
-    #[test]
-    fn dense_embedding_keeps_every_copy_of_a_repeated_zero_eigenvalue() {
+    fn embedding_keeps_every_copy_of_a_repeated_zero_eigenvalue() {
         // Three connected components (paths of 30, 40 and 50 nodes): the
-        // Laplacian's eigenvalue 0 has multiplicity 3, which the dense
-        // solver below LANCZOS_THRESHOLD must return in full.
+        // Laplacian's eigenvalue 0 has multiplicity 3, one copy per
+        // component, and the embedding must return all three.
         let sizes = [30, 40, 50];
         let n: usize = sizes.iter().sum();
-        assert!(n <= LANCZOS_THRESHOLD);
         let mut l = Matrix::zeros(n, n);
         let mut start = 0;
         for &size in &sizes {
@@ -324,6 +291,17 @@ mod tests {
     fn embedding_too_many_vectors_rejected() {
         let l = Matrix::identity(3);
         assert!(spectral_embedding(&l, 4, 0).is_err());
+    }
+
+    #[test]
+    fn embedding_of_zero_vectors_rejected() {
+        let l = Matrix::identity(3);
+        for result in [spectral_embedding(&l, 0, 0), spectral_embedding_with_values(&l, 0, 0).map(|(_, v)| v)] {
+            match result {
+                Err(UmscError::InvalidInput(msg)) => assert!(msg.contains("requested 0"), "{msg}"),
+                other => panic!("expected InvalidInput, got {other:?}"),
+            }
+        }
     }
 
     #[test]

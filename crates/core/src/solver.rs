@@ -11,14 +11,14 @@
 //! 4. **Y-step** — exact row-wise argmax of `F·R` with empty-cluster repair.
 //!
 //! This module supplies the engine's dense view set: `Σ_v w_v L⁽ᵛ⁾`
-//! materialized into one reused `n × n` buffer, the dense QL / Lanczos
-//! embedding solve of [`spectral_embedding`], and the Gershgorin bound as the
-//! GPI shift.
+//! materialized into one reused `n × n` buffer, with the Gershgorin bound
+//! as the GPI shift. Its embedding eigensolves are the engine's, the same
+//! scalar Lanczos as on the matrix-free view sets.
 
 use crate::config::UmscConfig;
 use crate::engine::{self, ViewSet};
 use crate::error::UmscError;
-use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse, spectral_embedding};
+use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse};
 use crate::workspace::{ensure_shape, SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_data::MultiViewDataset;
@@ -201,8 +201,7 @@ impl Umsc {
 }
 
 /// The dense view set: `Σ_v w_v L⁽ᵛ⁾` materialized into `a`, exactly
-/// symmetrized. The first operator is the mean Laplacian `(Σ_v L⁽ᵛ⁾)/V`,
-/// which rounds differently from `Σ_v (1/V)·L⁽ᵛ⁾`.
+/// symmetrized.
 struct DenseViews<'a> {
     laplacians: &'a [Matrix],
     a: Matrix,
@@ -237,18 +236,8 @@ impl ViewSet for DenseViews<'_> {
         self.a.symmetrize_mut();
     }
 
-    fn set_uniform(&mut self) {
-        self.set_weights(&vec![1.0; self.laplacians.len()]);
-        self.a.scale_mut(1.0 / self.laplacians.len() as f64);
-    }
-
     fn operator(&self) -> &dyn LinOp {
         &self.a
-    }
-
-    /// Dense QL up to the size threshold, scalar Lanczos above it.
-    fn embedding_solve(&self, c: usize, seed: u64) -> Result<Matrix> {
-        spectral_embedding(&self.a, c, seed)
     }
 
     /// The Gershgorin bound of the materialized operator, with a small

@@ -9,7 +9,7 @@
 //!
 //! The table was first recorded from the solvers before they were merged
 //! into one block-coordinate-descent engine; a refactor that moves a
-//! single bit fails here. It has been re-recorded for three deliberate
+//! single bit fails here. It has been re-recorded for four deliberate
 //! changes of rounding, each time with the same labels and sweep counts:
 //! the anchor rows when the anchor F-step moved onto the shared GPI loop
 //! (objectives within 6 ULP); every GPI row when the polar step moved
@@ -19,7 +19,11 @@
 //! re-weighted embedding solves stopped warm-starting block Lanczos and
 //! ran the view set's own solve (objectives within 1.5e5 ULP, 2e-11
 //! relative, on the auto-weighted dense and sparse rows, within 50 ULP on
-//! the others). To print a fresh table (for a
+//! the others); the nine dense rows when the dense embedding solves
+//! moved from Householder + QL to the scalar Lanczos of the other paths
+//! and the first operator from `(Σ_v L⁽ᵛ⁾)/V` to `Σ_v (1/V)·L⁽ᵛ⁾`
+//! (objectives within 50 ULP; the sparse and anchor rows did not move).
+//! To print a fresh table (for a
 //! deliberate numerical change only), run
 //! `cargo test -p umsc-core --test golden_bits -- --ignored --nocapture`.
 
@@ -154,65 +158,65 @@ const GOLDEN: &[Golden] = &[
     Golden {
         name: "dense/auto/rotation",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c122630e80, 0x3fffd95164485708, 0x3fffd947553e8281, 0x3fffd94600832bce],
-        weights: &[0x3fda14e4c54cfbb7, 0x3fda4fe917ee5f6c, 0x3fc73664458949b9],
-        embedding: 0x71de8569d058ba2c,
+        objectives: &[0x3fffd9c122630e7f, 0x3fffd95164485705, 0x3fffd947553e827c, 0x3fffd94600832bcc],
+        weights: &[0x3fda14e4c54cfbb7, 0x3fda4fe917ee5f6b, 0x3fc73664458949b9],
+        embedding: 0xfa00366b3a57fd3d,
     },
     Golden {
         name: "dense/auto/scaled",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3ffd16145d3322e8, 0x3ffd15b739467059, 0x3ffd15aeaa9feac1, 0x3ffd15ad8aa9c4c9],
-        weights: &[0x3fda1d801d1f672a, 0x3fda3cc65ac1e49a, 0x3fc74b73103d6878],
-        embedding: 0xd4c1f67ee9c77b3c,
+        objectives: &[0x3ffd16145d3322e9, 0x3ffd15b739467059, 0x3ffd15aeaa9feac3, 0x3ffd15ad8aa9c4ca],
+        weights: &[0x3fda1d801d1f6728, 0x3fda3cc65ac1e49a, 0x3fc74b73103d6878],
+        embedding: 0x3f3327e6c77db6f7,
     },
     Golden {
         name: "dense/auto/kmeans",
         labels: 0x044493e202f4a906,
-        objectives: &[0x3ffd178ed5af4476, 0x3ffd108d38eb503e, 0x3ffd1036460ec6ac, 0x3ffd102e3c1a52ac, 0x3ffd102d2e7cc92c],
-        weights: &[0x3fda20849712ab97, 0x3fda360e403421a5, 0x3fc752da51726584],
-        embedding: 0xee0725fbde4e6d1f,
+        objectives: &[0x3ffd178ed5af4457, 0x3ffd108d38eb5016, 0x3ffd1036460ec68e, 0x3ffd102e3c1a528e, 0x3ffd102d2e7cc914],
+        weights: &[0x3fda20849712ab9a, 0x3fda360e403421a4, 0x3fc752da51726584],
+        embedding: 0xca888b78dfcb7b5b,
     },
     Golden {
         name: "dense/uniform/rotation",
         labels: 0x238361c65f32ff06,
-        objectives: &[0x3fe2f61e73f0d6fa, 0x3fe2f61c56ffa0ca],
+        objectives: &[0x3fe2f61e73f0d6f4, 0x3fe2f61c56ffa0cc],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0xc25d36bfab0981a8,
+        embedding: 0x67e93f0adc3119d0,
     },
     Golden {
         name: "dense/uniform/scaled",
         labels: 0x238361c65f32ff06,
-        objectives: &[0x3fdab8c62ee67075, 0x3fdab8c5906cc5b2],
+        objectives: &[0x3fdab8c62ee67074, 0x3fdab8c5906cc5b0],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0xcd688df5c59428c4,
+        embedding: 0x6a17941609c9c256,
     },
     Golden {
         name: "dense/uniform/kmeans",
         labels: 0xfb73ee89ef8eecc4,
-        objectives: &[0x3fda9539257ffdad],
+        objectives: &[0x3fda9539257ffd7b],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0x27a98fbdc61e82ce,
+        embedding: 0x33bd967cbccf099c,
     },
     Golden {
         name: "dense/fixed/rotation",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fdd34aa3ab5d240, 0x3fdd34a8a6c990b6],
+        objectives: &[0x3fdd34aa3ab5d248, 0x3fdd34a8a6c990b6],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0xd0b5f45e1091aa16,
+        embedding: 0xfa9a1cdf94e09e93,
     },
     Golden {
         name: "dense/fixed/scaled",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fd226c24b5c21b8, 0x3fd226c2148cfa2e],
+        objectives: &[0x3fd226c24b5c21b7, 0x3fd226c2148cfa2f],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0x0b7a101f4a477f21,
+        embedding: 0x6dce2ee59b8c5c84,
     },
     Golden {
         name: "dense/fixed/kmeans",
         labels: 0x044493e202f4a906,
-        objectives: &[0x3fd210664acf05d5],
+        objectives: &[0x3fd210664acf05b2],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0x191fc07b9e03e5f8,
+        embedding: 0x2822ed8a42032a4f,
     },
     Golden {
         name: "sparse/auto/rotation",

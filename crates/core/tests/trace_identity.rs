@@ -152,7 +152,9 @@ fn capped_gpi_is_counted_once_per_f_step() {
 }
 
 /// Every GPI iterate of the golden fixture is well conditioned, so no
-/// polar step leaves the Gram route on any of the three paths.
+/// polar step leaves the Gram route on any of the three paths; nor does
+/// any Lanczos restart recover an eigenpair there, so every embedding
+/// solve of those fits returns its first run's pairs.
 #[test]
 fn golden_fits_never_take_the_polar_svd_fallback() {
     let data = golden_dataset();
@@ -170,5 +172,21 @@ fn golden_fits_never_take_the_polar_svd_fallback() {
         assert_identical(tag, &off, &on);
         assert!(counter(&counters, "gpi.iters") > 0, "{tag}: no GPI iteration was traced");
         assert_eq!(counter(&counters, "polar.svd_fallback"), 0, "{tag}: polar step fell back to the SVD");
+        assert_eq!(counter(&counters, "lanczos.recovered"), 0, "{tag}: a Lanczos restart recovered a pair");
     }
+}
+
+/// Well-separated clusters whose anchor graphs fall apart into one
+/// component per cluster: the first Lanczos run of the embedding solve
+/// misses copies of the repeated eigenvalue, and the restart runs that
+/// recover them are counted without moving a bit of the fit.
+#[test]
+fn recovered_eigenpairs_are_counted_and_leave_the_fit_alone() {
+    let mut gen = MultiViewGmm::new("separated", 3, 60, vec![ViewSpec::clean(10), ViewSpec::clean(14)]);
+    gen.separation = 12.0;
+    let data = gen.generate(35);
+    let model = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(60));
+    let (off, on, counters) = run_off_then_on("recovered", || model.fit(&data).unwrap());
+    assert_identical("recovered", &off, &on);
+    assert!(counter(&counters, "lanczos.recovered") > 0, "no Lanczos restart recovered a pair");
 }

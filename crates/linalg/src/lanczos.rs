@@ -2,13 +2,22 @@
 //! operator.
 //!
 //! Dense eigendecomposition is O(n³); spectral clustering only needs the
-//! `c` smallest eigenvectors of a (sparse) graph Laplacian. [`lanczos_smallest`]
+//! `c` smallest eigenvectors of a graph Laplacian. [`lanczos_smallest`]
 //! builds a Krylov basis with **full reorthogonalization** (robust, simple,
 //! O(n·m²) for subspace size `m`) against any [`LinOp`], solves the
 //! small tridiagonal eigenproblem with the same QL sweep as the dense path,
 //! and expands the subspace until the wanted Ritz pairs converge. When the
 //! subspace reaches `n` the method is exact, so it cannot fail to converge —
 //! it can only get slow — which keeps the API total.
+//!
+//! A Krylov space grown from one start vector holds one direction per
+//! eigenspace, so a single run can converge while missing copies of a
+//! repeated eigenvalue — the eigenvalue 0 of a graph with several
+//! connected components. [`lanczos_smallest`] therefore locks the
+//! converged pairs and runs again from a fresh start vector orthogonal to
+//! them, swapping in every Ritz value that lands below the current k-th
+//! one, until a run recovers nothing (each recovered pair counts once in
+//! `lanczos.recovered`).
 //!
 //! The operator abstraction itself lives in `umsc-op` (the former
 //! `LinearOperator` trait promoted out of this module); this crate
@@ -55,7 +64,7 @@ pub struct LanczosConfig {
     /// Subspace size at which convergence is first checked; grows from
     /// there. Clamped to `[k+2, n]` internally.
     pub initial_subspace: usize,
-    /// Seed for the deterministic start vector.
+    /// Seed for the deterministic start vectors.
     pub seed: u64,
 }
 
@@ -65,9 +74,12 @@ impl Default for LanczosConfig {
     }
 }
 
-/// Computes the `k` smallest eigenpairs of symmetric `op`.
+/// Computes the `k` smallest eigenpairs of symmetric `op`, every copy of
+/// a repeated eigenvalue included.
 ///
-/// Returns `(eigenvalues ascending, eigenvectors as columns)`.
+/// Returns `(eigenvalues ascending, eigenvectors as columns)`. When no
+/// restart run recovers a pair, the result is the first run's, bit for
+/// bit.
 ///
 /// # Panics
 /// Panics if `k > n` or `k == 0`.
@@ -76,18 +88,83 @@ pub fn lanczos_smallest(op: &dyn LinOp, k: usize, cfg: &LanczosConfig) -> Result
     assert!(k >= 1, "lanczos_smallest: k must be >= 1");
     assert!(k <= n, "lanczos_smallest: requested {k} eigenpairs of a {n}-dim operator");
 
+    let _span = umsc_obs::span!("lanczos.solve");
     let mut rng = SplitMix64::new(cfg.seed);
+    let start = random_unit(n, &mut rng);
+    let mut pairs = lanczos_run(op, k, cfg.initial_subspace.max(k + 2), cfg.tol, &[], start, &mut rng)?;
+
+    // At k = n there is no complement to search.
+    if k < n {
+        recover_missed_copies(op, cfg, &mut pairs, &mut rng)?;
+    }
+
+    let mut vectors = Matrix::zeros(n, k);
+    for (col, v) in pairs.vectors.iter().enumerate() {
+        vectors.set_col(col, v);
+    }
+    Ok((pairs.values, vectors))
+}
+
+/// Locks the converged `pairs` and searches their orthogonal complement
+/// for its smallest eigenvalue. One below the k-th locked value is a copy
+/// the earlier runs missed: it is swapped in and the search repeats.
+/// Every swap lowers the sum of the k values by more than `tol·scale`, so
+/// the loop ends; when nothing is swapped, `pairs` is left untouched.
+fn recover_missed_copies(op: &dyn LinOp, cfg: &LanczosConfig, pairs: &mut RitzPairs, rng: &mut SplitMix64) -> Result<()> {
+    let (n, k) = (op.dim(), pairs.values.len());
+    while let Some(start) = orthogonal_start(n, rng, &pairs.vectors, &[]) {
+        // `initial_subspace` was sized for k pairs; the probe wants one,
+        // so it checks from the smallest subspace that holds it.
+        let probe = lanczos_run(op, 1, 3, cfg.tol, &pairs.vectors, start, rng)?;
+        let theta = probe.values[0];
+        if theta >= pairs.values[k - 1] - cfg.tol * pairs.scale {
+            break;
+        }
+        umsc_obs::counter!("lanczos.recovered", 1);
+        pairs.values.pop();
+        pairs.vectors.pop();
+        let at = pairs.values.partition_point(|&v| v <= theta);
+        pairs.values.insert(at, theta);
+        pairs.vectors.insert(at, probe.vectors.into_iter().next().expect("one pair requested"));
+    }
+    Ok(())
+}
+
+/// Ritz pairs of one Lanczos run: values ascending, unit vectors, and the
+/// spectral scale (largest |Ritz value|, at least 1) the tolerance is
+/// relative to.
+struct RitzPairs {
+    values: Vec<f64>,
+    vectors: Vec<Vec<f64>>,
+    scale: f64,
+}
+
+/// One Lanczos run from unit `start` (orthogonal to `locked`) on the
+/// orthogonal complement of the `locked` vectors: every basis vector is
+/// reorthogonalized against them as well as against the basis, so the run
+/// sees the operator restricted to that complement. Returns the `k`
+/// smallest Ritz pairs once their residual estimates are below
+/// `tol·scale`, checked first at a subspace of `check_at` and then at 1.5×
+/// steps, or exactly once the basis spans the complement.
+fn lanczos_run(
+    op: &dyn LinOp,
+    k: usize,
+    check_at: usize,
+    tol: f64,
+    locked: &[Vec<f64>],
+    start: Vec<f64>,
+    rng: &mut SplitMix64,
+) -> Result<RitzPairs> {
+    let n = op.dim();
+    let dim = n - locked.len();
     // Krylov basis vectors (rows, for contiguity) and tridiagonal entries.
-    let mut basis: Vec<Vec<f64>> = Vec::new();
+    let mut basis: Vec<Vec<f64>> = vec![start];
     let mut alpha: Vec<f64> = Vec::new();
     let mut beta: Vec<f64> = Vec::new(); // beta[j] couples basis[j] and basis[j+1]
 
-    basis.push(random_unit(n, &mut rng));
-
-    let mut check_at = cfg.initial_subspace.max(k + 2).min(n.max(1));
+    let mut check_at = check_at.min(dim.max(1));
     let mut work = vec![0.0; n];
 
-    let _span = umsc_obs::span!("lanczos.solve");
     loop {
         // One Lanczos expansion step. `apply_into` overwrites `work`.
         umsc_obs::counter!("lanczos.iters", 1);
@@ -100,27 +177,21 @@ pub fn lanczos_smallest(op: &dyn LinOp, k: usize, cfg: &LanczosConfig) -> Result
         if j > 0 {
             axpy(-beta[j - 1], &basis[j - 1], &mut work);
         }
-        for b in &basis {
+        for b in locked.iter().chain(&basis) {
             let c = dot(b, &work);
             axpy(-c, b, &mut work);
         }
         let b_j = normalize(&mut work);
 
         let m = basis.len();
-        let done_expanding = m == n;
+        let done_expanding = m == dim;
         if !done_expanding {
             if b_j <= 1e-12 {
                 // Breakdown: invariant subspace captured. Restart direction.
-                let mut fresh = random_unit(n, &mut rng);
-                for b in &basis {
-                    let c = dot(b, &fresh);
-                    axpy(-c, b, &mut fresh);
-                }
-                if normalize(&mut fresh) <= 1e-12 {
-                    // Basis already spans R^n numerically; solve exactly.
-                    let pairs = ritz_pairs(&basis[..alpha.len()], &alpha, &beta, k, None)?;
-                    return Ok(pairs.expect("tol=None always yields pairs"));
-                }
+                let Some(fresh) = orthogonal_start(n, rng, locked, &basis) else {
+                    // Basis already spans the complement numerically; solve exactly.
+                    return exact_pairs(&basis, &alpha, &beta, k);
+                };
                 beta.push(0.0);
                 basis.push(fresh);
             } else {
@@ -131,32 +202,28 @@ pub fn lanczos_smallest(op: &dyn LinOp, k: usize, cfg: &LanczosConfig) -> Result
 
         let m = basis.len();
         if done_expanding {
-            let pairs = ritz_pairs(&basis[..alpha.len()], &alpha, &beta, k, None)?;
-            return Ok(pairs.expect("tol=None always yields pairs"));
+            return exact_pairs(&basis, &alpha, &beta, k);
         }
         if m >= check_at {
             // Convergence probe on the completed alpha.len()-step
             // factorization (the freshly pushed vector is not yet processed).
-            if let Some(result) = ritz_pairs(&basis[..alpha.len()], &alpha, &beta, k, Some(cfg.tol))? {
+            if let Some(result) = ritz_pairs(&basis[..alpha.len()], &alpha, &beta, k, Some(tol))? {
                 return Ok(result);
             }
-            check_at = (check_at + check_at / 2 + 1).min(n);
+            check_at = (check_at + check_at / 2 + 1).min(dim);
         }
     }
+}
+/// The Ritz pairs of a basis that spans the whole search space.
+fn exact_pairs(basis: &[Vec<f64>], alpha: &[f64], beta: &[f64], k: usize) -> Result<RitzPairs> {
+    Ok(ritz_pairs(&basis[..alpha.len()], alpha, beta, k, None)?.expect("tol=None always yields pairs"))
 }
 
 /// Solves the projected tridiagonal problem and maps Ritz vectors back.
 ///
 /// With `tol = Some(t)`, returns `Ok(None)` when the k-th residual estimate
 /// exceeds `t` (not yet converged); with `tol = None` always returns pairs.
-#[allow(clippy::type_complexity)]
-fn ritz_pairs(
-    basis: &[Vec<f64>],
-    alpha: &[f64],
-    beta: &[f64],
-    k: usize,
-    tol: Option<f64>,
-) -> Result<Option<(Vec<f64>, Matrix)>> {
+fn ritz_pairs(basis: &[Vec<f64>], alpha: &[f64], beta: &[f64], k: usize, tol: Option<f64>) -> Result<Option<RitzPairs>> {
     let m = alpha.len();
     debug_assert!(basis.len() >= m);
     let mut d = alpha.to_vec();
@@ -186,17 +253,17 @@ fn ritz_pairs(
 
     let n = basis[0].len();
     let mut values = Vec::with_capacity(k);
-    let mut vectors = Matrix::zeros(n, k);
-    for (col, &i) in order.iter().take(k).enumerate() {
+    let mut vectors = Vec::with_capacity(k);
+    for &i in order.iter().take(k) {
         values.push(d[i]);
         let mut v = vec![0.0; n];
         for (j, b) in basis.iter().take(m).enumerate() {
             axpy(z[(j, i)], b, &mut v);
         }
         normalize(&mut v);
-        vectors.set_col(col, &v);
+        vectors.push(v);
     }
-    Ok(Some((values, vectors)))
+    Ok(Some(RitzPairs { values, vectors, scale }))
 }
 
 fn random_unit(n: usize, rng: &mut SplitMix64) -> Vec<f64> {
@@ -205,6 +272,17 @@ fn random_unit(n: usize, rng: &mut SplitMix64) -> Vec<f64> {
         v[0] = 1.0;
     }
     v
+}
+
+/// A seeded unit vector orthogonal to `locked` and `basis`, or `None` when
+/// they already span the space numerically.
+fn orthogonal_start(n: usize, rng: &mut SplitMix64, locked: &[Vec<f64>], basis: &[Vec<f64>]) -> Option<Vec<f64>> {
+    let mut fresh = random_unit(n, rng);
+    for b in locked.iter().chain(basis) {
+        let c = dot(b, &fresh);
+        axpy(-c, b, &mut fresh);
+    }
+    (normalize(&mut fresh) > 1e-12).then_some(fresh)
 }
 
 #[cfg(test)]
@@ -278,6 +356,28 @@ mod tests {
         let (vals, _) = lanczos_smallest(&a, 2, &LanczosConfig::default()).unwrap();
         assert!(vals[0].abs() < 1e-7);
         assert!(vals[1].abs() < 1e-7, "second zero eigenvalue missed: {vals:?}");
+    }
+
+    #[test]
+    fn keeps_every_copy_of_a_repeated_eigenvalue() {
+        // Eigenvalue 1 with multiplicity 3 inside a spread spectrum: one
+        // Krylov space sees a single direction of its eigenspace and
+        // converges on [0.5, 1, 2, 3, 4] long before it could break down.
+        let n = 200;
+        let diag: Vec<f64> =
+            (0..n).map(|i| if i == 0 { 0.5 } else if i <= 3 { 1.0 } else { (i - 2) as f64 }).collect();
+        let a = Matrix::from_diag(&diag);
+        let (vals, vecs) = lanczos_smallest(&a, 5, &LanczosConfig::default()).unwrap();
+        for (v, want) in vals.iter().zip([0.5, 1.0, 1.0, 1.0, 2.0]) {
+            assert!((v - want).abs() < 1e-7, "{vals:?}");
+        }
+        assert!(vecs.matmul_transpose_a(&vecs).approx_eq(&Matrix::identity(5), 1e-8));
+        for (i, &val) in vals.iter().enumerate() {
+            let v = vecs.col(i);
+            let av = a.matvec(&v);
+            let res: f64 = av.iter().zip(v.iter()).map(|(x, y)| (x - val * y).powi(2)).sum::<f64>().sqrt();
+            assert!(res < 1e-6, "residual {res}");
+        }
     }
 
     #[test]

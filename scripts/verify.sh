@@ -24,6 +24,9 @@ grep -q '"schema":"umsc-bench-trajectory/v1"' "$smoke_json" \
 # deleting them would break the trajectory's link to that layer.
 grep -q '"group":"linalg.polar"' "$smoke_json" \
     || { echo "verify: bench snapshot missing the linalg.polar kernels" >&2; exit 1; }
+# Likewise the eigensolve kernels carry the `lanczos.solve` span's name.
+grep -q '"group":"lanczos.solve"' "$smoke_json" \
+    || { echo "verify: bench snapshot missing the lanczos.solve kernels" >&2; exit 1; }
 
 # Sparse-vs-dense scaling demo must run end to end at smoke scale (it
 # re-asserts the O(nnz + n·c) memory story outside the test harness).
