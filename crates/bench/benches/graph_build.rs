@@ -1,6 +1,9 @@
-//! Microbench: graph construction — distances, Gaussian/CAN affinities,
-//! Laplacians — per dataset size, plus the streamed k-NN builder against
-//! the distance-matrix route it replaced.
+//! Microbench: graph construction per dataset size, each kernel under the
+//! trace span of the fit phase it times — distances (`graph.distances`),
+//! the k-NN and Gaussian affinities (`graph.knn_select`), CAN
+//! (`graph.can`), Laplacians (`graph.laplacian`) — plus the whole k-NN
+//! build from features (`graph.build`): the streamed builder against the
+//! distance-matrix route it replaced.
 
 use std::hint::black_box;
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
@@ -13,22 +16,29 @@ use umsc_rt::bench::{smoke, Bench};
 fn main() {
     let (dense_sizes, knn_sizes): (&[usize], &[usize]) =
         if smoke() { (&[50], &[100]) } else { (&[50, 100, 200], &[100, 500]) };
-    let mut g = Bench::new("graph_build").sample_size(10);
+    let group = |name: &str| Bench::new(name).sample_size(10);
+    let (mut distances, mut select, mut can, mut laplacian, mut build) = (
+        group("graph.distances"),
+        group("graph.knn_select"),
+        group("graph.can"),
+        group("graph.laplacian"),
+        group("graph.build"),
+    );
     for &n_per in dense_sizes {
         let data = MultiViewGmm::new("bench", 4, n_per, vec![ViewSpec::clean(32)]).generate(1);
         let x = &data.views[0];
         let n = x.rows();
-        g.run(&format!("pairwise_distances/{n}"), || pairwise_sq_distances(black_box(x)));
+        distances.run(&format!("pairwise_distances/{n}"), || pairwise_sq_distances(black_box(x)));
         let d = pairwise_sq_distances(x);
-        g.run(&format!("gaussian_self_tuning/{n}"), || {
+        select.run(&format!("gaussian_self_tuning/{n}"), || {
             gaussian_affinity(black_box(&d), &Bandwidth::SelfTuning { k: 7 })
         });
-        g.run(&format!("knn_graph_k10/{n}"), || {
+        select.run(&format!("knn_graph_k10/{n}"), || {
             knn_affinity(black_box(&d), 10, &Bandwidth::SelfTuning { k: 7 })
         });
-        g.run(&format!("can_adaptive_k10/{n}"), || adaptive_neighbor_affinity(black_box(&d), 10));
+        can.run(&format!("can_adaptive_k10/{n}"), || adaptive_neighbor_affinity(black_box(&d), 10));
         let w = gaussian_affinity(&d, &Bandwidth::SelfTuning { k: 7 });
-        g.run(&format!("normalized_laplacian/{n}"), || normalized_laplacian(black_box(&w)));
+        laplacian.run(&format!("normalized_laplacian/{n}"), || normalized_laplacian(black_box(&w)));
     }
     // The default k-NN graph (k = 10, self-tuning σ) from features: the
     // streamed builder vs the full distance matrix plus the selector.
@@ -37,10 +47,10 @@ fn main() {
         let data = MultiViewGmm::new("bench", 4, n_per, vec![ViewSpec::clean(64)]).generate(2);
         let x = &data.views[0];
         let n = x.rows();
-        g.run(&format!("knn_streamed/{n}"), || {
+        build.run(&format!("knn_streamed/{n}"), || {
             neighbor_graph(black_box(x), Metric::Euclidean, Neighbors::Knn(10), &bw)
         });
-        g.run(&format!("distances_plus_knn/{n}"), || {
+        build.run(&format!("distances_plus_knn/{n}"), || {
             knn_affinity(&pairwise_sq_distances(black_box(x)), 10, &bw)
         });
     }

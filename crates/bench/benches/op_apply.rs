@@ -1,13 +1,16 @@
 //! Microbench: the matrix-free operator layer (`umsc-op`) — one operator
-//! application per node kind, vector and block variants. The interesting
-//! comparisons: CSR vs dense at Laplacian-like sparsity (the sparse
-//! solver's whole premise), the overhead a 3-view `WeightedSum` adds over
-//! its raw CSR members, and the anchor solver's low-rank operator on a
-//! real anchor factor (`k = 5` nonzeros per row, as `AnchorUmsc` builds
-//! it), timed at the anchor path's own scale.
+//! application per node kind, under perfbench's `op.apply_block` layer: a
+//! vector apply is the one-column block (`dense/{n}`), a block apply has
+//! `{n}x{ncols}` in its id. The interesting comparisons: CSR vs dense on
+//! the same normalized k-NN Laplacian (the sparse solver's whole premise),
+//! the overhead a 3-view `WeightedSum` adds over its raw CSR members, and
+//! the anchor solver's low-rank operator on a real anchor factor (`k = 5`
+//! nonzeros per row, as `AnchorUmsc` builds it), timed at the anchor
+//! path's own scale.
 
 use std::hint::black_box;
-use umsc_graph::{anchor_weights_sparse, normalized_factor_sparse, select_anchors, CsrMatrix, SparseFactor};
+use umsc_bench::inputs::knn_laplacian;
+use umsc_graph::{anchor_weights_sparse, normalized_factor_sparse, select_anchors, SparseFactor};
 use umsc_linalg::Matrix;
 use umsc_op::{DenseOp, LinOp, LowRankAnchor, WeightedSum};
 use umsc_rt::bench::{smoke, Bench};
@@ -15,25 +18,6 @@ use umsc_rt::Rng;
 
 /// Nearest anchors per point, as in `AnchorUmscConfig::new`.
 const ANCHOR_NEIGHBORS: usize = 5;
-
-/// Banded symmetric diagonally-dominant matrix (Laplacian-shaped, ~9
-/// non-zeros per row — k-NN-graph sparsity).
-fn laplacian_like(n: usize) -> Matrix {
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        let mut deg = 0.0;
-        for off in 1..=4usize {
-            let j = (i + off) % n;
-            let w = 0.5 + 0.5 * ((i * 7 + j) as f64).sin().abs();
-            m[(i, j)] = -w;
-            m[(j, i)] = -w;
-            deg += w;
-        }
-        m[(i, i)] += 2.0 * deg;
-    }
-    m.symmetrize_mut();
-    m
-}
 
 /// A normalized anchor factor `B` as the anchor solver builds it: `m`
 /// D²-sampled anchors over `n` Gaussian points in 8 dimensions around 10
@@ -53,8 +37,8 @@ fn test_vector(n: usize) -> Vec<f64> {
 /// The operator views must agree bitwise before their timings mean
 /// anything: CSR and dense wrap the very same matrix here.
 fn spot_check(n: usize) {
-    let a = laplacian_like(n);
-    let csr = CsrMatrix::from_dense(&a, 1e-12);
+    let csr = knn_laplacian(n);
+    let a = csr.to_dense();
     let dense_op = DenseOp::new(n, a.as_slice());
     let x = test_vector(n);
     let (mut yd, mut ys, mut yw) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
@@ -69,10 +53,10 @@ fn spot_check(n: usize) {
 }
 
 fn bench_vector_apply(samples: usize, sizes: &[usize], anchor: (usize, usize)) {
-    let mut g = Bench::new("op_apply_vector").sample_size(samples);
+    let mut g = Bench::new("op.apply_block").sample_size(samples);
     for &n in sizes {
-        let a = laplacian_like(n);
-        let csrs: Vec<CsrMatrix> = (0..3).map(|_| CsrMatrix::from_dense(&a, 1e-12)).collect();
+        let csrs = vec![knn_laplacian(n); 3];
+        let a = csrs[0].to_dense();
         let x = test_vector(n);
         let mut y = vec![0.0; n];
 
@@ -93,10 +77,10 @@ fn bench_vector_apply(samples: usize, sizes: &[usize], anchor: (usize, usize)) {
 }
 
 fn bench_block_apply(samples: usize, sizes: &[usize], ncols: usize, anchor: (usize, usize)) {
-    let mut g = Bench::new("op_apply_block").sample_size(samples);
+    let mut g = Bench::new("op.apply_block").sample_size(samples);
     for &n in sizes {
-        let a = laplacian_like(n);
-        let csrs: Vec<CsrMatrix> = (0..3).map(|_| CsrMatrix::from_dense(&a, 1e-12)).collect();
+        let csrs = vec![knn_laplacian(n); 3];
+        let a = csrs[0].to_dense();
         let x: Vec<f64> = (0..n * ncols).map(|i| ((i * 7 + 1) as f64).sin()).collect();
         let mut y = vec![0.0; n * ncols];
 
@@ -125,13 +109,13 @@ fn bench_block_apply(samples: usize, sizes: &[usize], ncols: usize, anchor: (usi
 }
 
 /// Untimed counting pass: with tracing on, one apply per node kind so
-/// the CSR row-chunk and GEMM dispatch counters land in the trajectory
-/// file. The timed passes above run with tracing disabled so their
-/// medians stay comparable with the pre-observability trajectory.
+/// the CSR row-chunk counter lands in the trajectory file. The timed
+/// passes above run with tracing disabled so their medians stay
+/// comparable with the pre-observability trajectory.
 fn count_dispatch_rates(n: usize, ncols: usize, anchors: usize) {
     umsc_obs::set_enabled(true);
-    let a = laplacian_like(n);
-    let csr = CsrMatrix::from_dense(&a, 1e-12);
+    let csr = knn_laplacian(n);
+    let a = csr.to_dense();
     let b = anchor_factor(n, anchors);
     let x: Vec<f64> = (0..n * ncols).map(|i| ((i * 7 + 1) as f64).sin()).collect();
     let mut y = vec![0.0; n * ncols];
@@ -140,7 +124,7 @@ fn count_dispatch_rates(n: usize, ncols: usize, anchors: usize) {
     DenseOp::new(n, a.as_slice()).apply_block_into(&x, ncols, &mut y);
     LowRankAnchor::sparse(&b).apply_block_into(&x, ncols, &mut y);
     for (name, value) in umsc_obs::counters_snapshot() {
-        umsc_rt::bench::record_counter("op_apply", &name, value);
+        umsc_rt::bench::record_counter("op.apply_block", &name, value);
     }
     umsc_obs::set_enabled(false);
 }

@@ -1,7 +1,7 @@
 //! Regenerates the paper's figures (as data series). Usage:
 //!
 //! ```text
-//! cargo run --release -p umsc-bench --bin figures -- [f1|f2|f3|all] [--full]
+//! cargo run --release -p umsc-bench --bin figures -- [f1|f2|f3|f4|f5|all] [--full]
 //! ```
 
 use umsc_bench::figures;

@@ -8,15 +8,17 @@
 //!
 //! ```text
 //! cargo run --release -p umsc-bench --bin tables  -- [t1|t2|t3|ablation|all] [--full] [--seeds N]
-//! cargo run --release -p umsc-bench --bin figures -- [f1|f2|f3|all] [--full]
+//! cargo run --release -p umsc-bench --bin figures -- [f1|f2|f3|f4|f5|all] [--full]
 //! ```
 //!
 //! The default **quick profile** subsamples each benchmark to ≤240 points
 //! and uses 5 seeds so the whole suite runs in minutes on a laptop core;
 //! `--full` uses the published dataset sizes and 10 seeds (hours).
-//! Criterion microbenches for the substrate live in `benches/`.
+//! Microbenches for the substrate live in `benches/`; [`inputs`] holds the
+//! operators they share.
 
 pub mod figures;
+pub mod inputs;
 pub mod json;
 pub mod report;
 pub mod runner;

@@ -77,22 +77,27 @@ fn traces<V: ViewSet>(views: &V, f: &Matrix) -> Vec<f64> {
     traces
 }
 
-/// Checks what every fit requires and returns `n`. `shapes` are the
-/// per-view matrix shapes: `n × n` Laplacians when `square`, otherwise
-/// `n × m_v` factors.
+/// Checks what every fit requires and returns `n`. `views` holds each
+/// view's matrix shape — `n × n` Laplacians when `square`, otherwise
+/// `n × m_v` factors — and whether all its stored entries are finite: a
+/// NaN or infinite entry would turn into a NaN trace, which the w-step
+/// would read as the best view.
 pub(crate) fn validate(
     cfg: &UmscConfig,
-    shapes: impl Iterator<Item = (usize, usize)>,
+    views: impl Iterator<Item = ((usize, usize), bool)>,
     square: bool,
 ) -> Result<usize> {
     let invalid = |msg: String| Err(UmscError::InvalidInput(msg));
-    let shapes: Vec<(usize, usize)> = shapes.collect();
-    let Some(&(n, _)) = shapes.first() else {
+    let views: Vec<((usize, usize), bool)> = views.collect();
+    let Some(&((n, _), _)) = views.first() else {
         return invalid("no views given".into());
     };
-    for (v, &(rows, cols)) in shapes.iter().enumerate() {
+    for (v, &((rows, cols), finite)) in views.iter().enumerate() {
         if rows != n || (square && cols != n) {
             return invalid(format!("view {v} has shape {rows}x{cols}, expected {n} rows"));
+        }
+        if !finite {
+            return invalid(format!("view {v} has a non-finite entry"));
         }
     }
     if cfg.gpi_max_iter == 0 {
@@ -106,8 +111,8 @@ pub(crate) fn validate(
         return invalid(format!("num_clusters {c} exceeds n = {n}"));
     }
     if let Weighting::Fixed(w) = &cfg.weighting {
-        if w.len() != shapes.len() {
-            return invalid(format!("{} fixed weights for {} views", w.len(), shapes.len()));
+        if w.len() != views.len() {
+            return invalid(format!("{} fixed weights for {} views", w.len(), views.len()));
         }
         if w.iter().any(|&x| !x.is_finite() || x < 0.0) {
             return invalid("fixed weights must be finite and non-negative".into());

@@ -45,8 +45,8 @@ mod tests {
     fn display_and_source() {
         let e = UmscError::InvalidInput("no views".into());
         assert!(e.to_string().contains("no views"));
-        let e = UmscError::from(LinalgError::NotPositiveDefinite { pivot: 1, value: -1.0 });
-        assert!(e.to_string().contains("positive definite"));
+        let e = UmscError::from(LinalgError::NoConvergence { routine: "tql2", max_iter: 50 });
+        assert!(e.to_string().contains("did not converge"));
         use std::error::Error;
         assert!(e.source().is_some());
     }

@@ -157,7 +157,7 @@ pub fn gpi_stiefel_op_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use umsc_linalg::{qr, SymEigen};
+    use umsc_linalg::{polar_orthogonalize, SymEigen};
 
     fn sym(n: usize, f: impl Fn(usize, usize) -> f64) -> Matrix {
         let mut m = Matrix::from_fn(n, n, |i, j| f(i.min(j), i.max(j)));
@@ -166,7 +166,7 @@ mod tests {
     }
 
     fn stiefel_init(n: usize, k: usize) -> Matrix {
-        qr(&Matrix::from_fn(n, k, |i, j| ((i * 3 + j * 5 + 1) as f64).sin())).q
+        polar_orthogonalize(&Matrix::from_fn(n, k, |i, j| ((i * 3 + j * 5 + 1) as f64).sin())).unwrap()
     }
 
     /// GPI on a dense matrix from `f0`, shifted by its Gershgorin bound.

@@ -151,7 +151,8 @@ impl Umsc {
     /// Fits the model on precomputed per-view (normalized) Laplacians —
     /// the entry point when graphs come from elsewhere.
     pub fn fit_laplacians(&self, laplacians: &[Matrix]) -> Result<UmscResult> {
-        let n = engine::validate(&self.config, laplacians.iter().map(Matrix::shape), true)?;
+        let views = laplacians.iter().map(|l| (l.shape(), l.as_slice().iter().all(|v| v.is_finite())));
+        let n = engine::validate(&self.config, views, true)?;
         engine::fit(&self.config, &mut DenseViews { laplacians, a: Matrix::zeros(0, 0) }, n)
     }
 

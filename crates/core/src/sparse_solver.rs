@@ -9,8 +9,7 @@
 //! * the fused Laplacian `Σ_v w_v L_v` is a [`WeightedSum`] over borrowed
 //!   [`CsrOp`] views (see [`sparse_fused_operator`]) — never materialized,
 //!   O(nnz) per application, weights swapped in place per sweep;
-//! * traces `tr(Fᵀ L_v F)` via one sparse×dense product per view —
-//!   O(nnz·c);
+//! * traces `tr(Fᵀ L_v F)` via one block apply per view — O(nnz·c);
 //! * the embedding eigensolve is scalar Lanczos on the fused operator;
 //! * the GPI F-step shifts by the spectral bound `η = 2Σ_v w_v`
 //!   (normalized Laplacians satisfy `L ⪯ 2I`).
@@ -44,8 +43,8 @@ impl Umsc {
     /// and `n` is large. Every discretization is supported, the two-stage
     /// `KMeans` ablation included.
     pub fn fit_laplacians_sparse(&self, laplacians: &[CsrMatrix]) -> Result<UmscResult> {
-        let shapes = laplacians.iter().map(|l| (l.rows(), l.cols()));
-        let n = engine::validate(self.config(), shapes, true)?;
+        let views = laplacians.iter().map(|l| ((l.rows(), l.cols()), l.is_finite()));
+        let n = engine::validate(self.config(), views, true)?;
         let uniform = vec![1.0 / laplacians.len() as f64; laplacians.len()];
         let mut fused = sparse_fused_operator(laplacians, &uniform);
         engine::fit(self.config(), &mut CsrViews { laplacians, fused: &mut fused }, n)
@@ -86,7 +85,7 @@ impl ViewSet for CsrViews<'_, '_, '_> {
         TraceScratch::fit(&mut scratch.cc, c, c);
         traces.clear();
         for l in self.laplacians {
-            l.matmul_dense_into(f, &mut scratch.lf);
+            l.apply_block_into(f.as_slice(), c, scratch.lf.as_mut_slice());
             f.matmul_transpose_a_into(&scratch.lf, &mut scratch.cc);
             traces.push(scratch.cc.trace());
         }
@@ -191,11 +190,11 @@ mod tests {
         let mut y = vec![0.0; n];
         fused.set_weights(&[0.6, 0.4]);
         fused.apply_into(&x, &mut y);
-        // Reference: per-view spmv accumulated in view order.
+        // Reference: per-view applies accumulated in view order.
         let mut expect = vec![0.0; n];
         let mut tmp = vec![0.0; n];
         for (l, w) in ls.iter().zip([0.6, 0.4]) {
-            l.spmv(&x, &mut tmp);
+            l.apply_into(&x, &mut tmp);
             for (e, &t) in expect.iter_mut().zip(tmp.iter()) {
                 *e += w * t;
             }

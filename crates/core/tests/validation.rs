@@ -2,7 +2,8 @@
 //! engine, so they must accept, reject and degenerate identically:
 //!
 //! - every malformed input is an `InvalidInput` error on every path that
-//!   accepts it, and none panics;
+//!   accepts it, and none panics; a non-finite Laplacian or factor entry
+//!   is one, named by its view;
 //! - `c = 1` is the cold eigensolve of the uniform operator, so dense and
 //!   sparse fits of the same Laplacians return the same embedding;
 //! - the two-stage `KMeans` ablation runs on the sparse path too.
@@ -142,4 +143,55 @@ fn sparse_kmeans_runs_the_two_stage_loop() {
     let auto = Umsc::new(UmscConfig::new(3).with_discretization(kmeans)).fit_auto(&data).unwrap();
     assert!(auto.history.iter().all(|h| h.rotation_term == 0.0));
     assert_eq!(auto.labels, sparse.labels);
+}
+
+/// Asserts `res` is the `InvalidInput` error naming view 1.
+fn assert_rejects_view_one(path: &str, res: umsc_core::Result<UmscResult>) {
+    match res {
+        Err(UmscError::InvalidInput(msg)) => assert!(msg.contains("view 1"), "{path}: message {msg:?} does not name view 1"),
+        other => panic!("{path}: returned {:?} instead of InvalidInput", other.map(|r| r.view_weights)),
+    }
+}
+
+/// The row of view 1 that gets a non-finite entry.
+const ROW: usize = 5;
+
+#[test]
+fn dense_fit_rejects_a_non_finite_laplacian() {
+    let mut inputs = Inputs::new(&gmm(3, 10, 4));
+    inputs.dense[1][(ROW, ROW)] = f64::NAN;
+    assert_rejects_view_one("dense", Umsc::new(UmscConfig::new(3)).fit_laplacians(&inputs.dense));
+    inputs.dense[1][(ROW, ROW)] = f64::INFINITY;
+    assert_rejects_view_one("dense", Umsc::new(UmscConfig::new(3)).fit_laplacians(&inputs.dense));
+}
+
+#[test]
+fn sparse_fit_rejects_a_non_finite_laplacian() {
+    let inputs = Inputs::new(&gmm(3, 10, 4));
+    let l = &inputs.sparse[1];
+    let mut triplets: Vec<(usize, usize, f64)> =
+        (0..l.rows()).flat_map(|r| l.row_entries(r).map(move |(&c, &v)| (r, c, v))).collect();
+    // Duplicates are summed, so the stored diagonal entry becomes NaN.
+    triplets.push((ROW, ROW, f64::NAN));
+    let mut sparse = inputs.sparse.clone();
+    sparse[1] = CsrMatrix::from_triplets(l.rows(), l.cols(), &triplets);
+    assert!(sparse[1].get(ROW, ROW).is_nan());
+    assert_rejects_view_one("sparse", Umsc::new(UmscConfig::new(3)).fit_laplacians_sparse(&sparse));
+}
+
+#[test]
+fn anchor_fits_reject_a_non_finite_factor() {
+    let inputs = Inputs::new(&gmm(3, 10, 4));
+    let (n, m) = inputs.factors[1].shape();
+    let mut z = inputs.factors[1].to_dense();
+    let j = (0..m).find(|&j| z[ROW * m + j] != 0.0).expect("row has a stored entry");
+    z[ROW * m + j] = f64::NAN;
+    let mut dense: Vec<Matrix> =
+        inputs.factors.iter().map(|b| Matrix::from_vec(b.rows(), b.cols(), b.to_dense())).collect();
+    dense[1] = Matrix::from_vec(n, m, z.clone());
+    let mut sparse = inputs.factors.clone();
+    sparse[1] = SparseFactor::from_dense(n, m, &z);
+    let model = AnchorUmsc::new(AnchorUmscConfig::new(3));
+    assert_rejects_view_one("anchor (dense factors)", model.fit_factors(&dense));
+    assert_rejects_view_one("anchor (sparse factors)", model.fit_sparse_factors(&sparse));
 }

@@ -137,7 +137,7 @@ mod tests {
         let l = normalized_laplacian(&w);
         let d = degrees(&w);
         let v: Vec<f64> = d.iter().map(|x| x.sqrt()).collect();
-        let lv = l.matvec(&v);
+        let lv = l.matmul(&Matrix::from_vec(v.len(), 1, v)).as_slice().to_vec();
         assert!(lv.iter().all(|&x| x.abs() < 1e-12), "{lv:?}");
     }
 

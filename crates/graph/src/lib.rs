@@ -3,9 +3,10 @@
 //! Similarity-graph construction and graph Laplacians — the substrate every
 //! spectral clustering method in this workspace stands on.
 //!
-//! * [`CsrMatrix`] — compressed sparse row matrix with `spmv`, dense
-//!   bridging, and a [`umsc_op::LinOp`] impl (see `CsrMatrix::as_op`) so
-//!   Lanczos and the matrix-free GPI run on sparse Laplacians directly.
+//! * [`CsrMatrix`] — compressed sparse row storage with dense bridging; its
+//!   products go only through its [`umsc_op::LinOp`] view
+//!   (`CsrMatrix::as_op`), so Lanczos and the matrix-free GPI run on sparse
+//!   Laplacians directly.
 //! * [`distance`] — pairwise squared-Euclidean / cosine distance matrices,
 //!   filled from upper-triangular Gram tiles.
 //! * [`stream`] — the k-NN / ε graph builder that streams those tiles

@@ -1,13 +1,14 @@
 //! Compressed sparse row (CSR) matrix.
 //!
 //! Just enough sparse linear algebra for spectral graph work: construction
-//! from triplets or dense, `spmv`, row iteration, transpose, symmetrization,
-//! and diagonal scaling (for normalized Laplacians). Implements
-//! [`LinOp`] (via [`CsrMatrix::as_op`]) so the Lanczos solver and the
+//! from triplets or dense, row iteration, transpose, symmetrization, and
+//! diagonal scaling (for normalized Laplacians). Products live in the
+//! operator layer: [`CsrMatrix`] implements [`LinOp`] through
+//! [`CsrMatrix::as_op`], so the Lanczos solver, the traces and the
 //! matrix-free GPI iteration run on sparse Laplacians without densifying.
 
 use umsc_linalg::Matrix;
-use umsc_op::{csr_rows_into, CsrOp, LinOp};
+use umsc_op::{CsrOp, LinOp};
 
 /// Compressed sparse row matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -152,6 +153,11 @@ impl CsrMatrix {
         self.values.len()
     }
 
+    /// True when every stored entry is finite.
+    pub fn is_finite(&self) -> bool {
+        self.values.iter().all(|v| v.is_finite())
+    }
+
     /// `(column indices, values)` iterator over the stored entries of row `i`.
     pub fn row_entries(&self, i: usize) -> std::iter::Zip<std::slice::Iter<'_, usize>, std::slice::Iter<'_, f64>> {
         assert!(i < self.rows, "CsrMatrix::row_entries: row {i} out of bounds");
@@ -171,105 +177,16 @@ impl CsrMatrix {
         }
     }
 
-    /// Approximate flop count below which threading a sparse kernel costs
-    /// more than it saves (same calibration as the dense GEMM gate).
-    const PAR_FLOP_THRESHOLD: usize = 1 << 18;
-
-    /// Sparse matrix–vector product `y = A·x`.
-    ///
-    /// Threaded over contiguous row blocks when the matrix carries enough
-    /// non-zeros to pay for the spawn; each `y[i]` is one independent
-    /// ascending-index dot product either way, so the result is
-    /// bitwise-identical to the sequential loop.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        let flops = 2 * self.nnz();
-        let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-        self.spmv_with_threads(t, x, y);
-    }
-
-    /// [`CsrMatrix::spmv`] with an explicit thread count (`threads <= 1`
-    /// runs inline; no work-size gate).
-    pub fn spmv_with_threads(&self, threads: usize, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "CsrMatrix::spmv: x length mismatch");
-        assert_eq!(y.len(), self.rows, "CsrMatrix::spmv: y length mismatch");
-        if self.rows == 0 {
-            return;
-        }
-        let rows_per = self.rows.div_ceil(threads.max(1));
-        umsc_obs::counter!("spmv.row_chunks", self.rows.div_ceil(rows_per));
-        umsc_rt::par::parallel_chunks_mut_with(threads, y, rows_per, |ci, ychunk| {
-            let base = ci * rows_per;
-            for (off, out) in ychunk.iter_mut().enumerate() {
-                let i = base + off;
-                let lo = self.row_ptr[i];
-                let hi = self.row_ptr[i + 1];
-                *out = self.col_idx[lo..hi]
-                    .iter()
-                    .zip(self.values[lo..hi].iter())
-                    .map(|(&j, &v)| v * x[j])
-                    .sum();
-            }
-        });
-    }
-
     /// Borrowed operator-layer view of this matrix (must be square).
     ///
-    /// The returned [`CsrOp`] shares this matrix's storage and mirrors
-    /// [`CsrMatrix::spmv`] / [`CsrMatrix::matmul_dense_into`] kernel for
-    /// kernel, so its applies are bitwise-identical to those paths.
+    /// The returned [`CsrOp`] shares this matrix's storage; its applies
+    /// are the workspace's CSR kernels.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn as_op(&self) -> CsrOp<'_> {
         assert_eq!(self.rows, self.cols, "CsrMatrix::as_op: operator must be square");
         CsrOp::new(self.rows, &self.row_ptr, &self.col_idx, &self.values)
-    }
-
-    /// Dense product `A · B` with a dense right factor (`rows × B.cols()`).
-    ///
-    /// Threaded over output rows past the work-size gate; per-row
-    /// accumulation order is unchanged, so results are bitwise-identical
-    /// to the sequential loop.
-    pub fn matmul_dense(&self, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, b.cols());
-        self.matmul_dense_into(b, &mut out);
-        out
-    }
-
-    /// [`CsrMatrix::matmul_dense`] with an explicit thread count.
-    pub fn matmul_dense_with_threads(&self, threads: usize, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, b.cols());
-        self.matmul_dense_impl(threads, b, &mut out);
-        out
-    }
-
-    /// Writes `A · B` into `out` without allocating. Every entry of `out`
-    /// is overwritten.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or if `out` is not `rows × B.cols()`.
-    pub fn matmul_dense_into(&self, b: &Matrix, out: &mut Matrix) {
-        let flops = 2 * self.nnz() * b.cols();
-        let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-        self.matmul_dense_impl(t, b, out);
-    }
-
-    /// The operator layer's CSR row kernel; overwrites `out`.
-    fn matmul_dense_impl(&self, threads: usize, b: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.cols, b.rows(), "CsrMatrix::matmul_dense: dimension mismatch");
-        let n = b.cols();
-        assert_eq!(
-            out.shape(),
-            (self.rows, n),
-            "CsrMatrix::matmul_dense_into: out is {}x{}, expected {}x{n}",
-            out.rows(),
-            out.cols(),
-            self.rows
-        );
-        csr_rows_into(threads, &self.row_ptr, &self.col_idx, &self.values, b.as_slice(), n, out.as_mut_slice());
     }
 
     /// Transposed copy.
@@ -466,20 +383,21 @@ mod tests {
     }
 
     #[test]
-    fn spmv_matches_dense() {
+    fn apply_matches_dense() {
         let m = example();
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![0.0; 3];
-        m.spmv(&x, &mut y);
-        assert_eq!(y, m.to_dense().matvec(&x));
+        m.apply_into(&x, &mut y);
+        assert_eq!(y.as_slice(), m.to_dense().matmul(&Matrix::from_vec(3, 1, x)).as_slice());
     }
 
     #[test]
-    fn matmul_dense_matches() {
+    fn block_apply_matches_dense() {
         let m = example();
         let b = Matrix::from_fn(3, 2, |i, j| (i + j) as f64);
-        let prod = m.matmul_dense(&b);
-        assert!(prod.approx_eq(&m.to_dense().matmul(&b), 1e-14));
+        let mut y = vec![f64::NAN; 6];
+        m.apply_block_into(b.as_slice(), 2, &mut y);
+        assert_eq!(y.as_slice(), m.to_dense().matmul(&b).as_slice());
     }
 
     #[test]
@@ -552,7 +470,7 @@ mod tests {
         assert_eq!(z.get(2, 3), 0.0);
         let i = CsrMatrix::identity(3);
         let mut y = vec![0.0; 3];
-        i.spmv(&[1.0, 2.0, 3.0], &mut y);
+        i.apply_into(&[1.0, 2.0, 3.0], &mut y);
         assert_eq!(y, vec![1.0, 2.0, 3.0]);
     }
 
@@ -581,61 +499,24 @@ mod tests {
     }
 
     #[test]
-    fn threaded_spmv_is_bitwise_identical() {
-        let m = random_sparse(103, 59, 7);
-        let mut rng = umsc_rt::Rng::from_seed(8);
-        let x: Vec<f64> = (0..59).map(|_| rng.normal()).collect();
-        let mut seq = vec![0.0; 103];
-        m.spmv_with_threads(1, &x, &mut seq);
-        for t in [2, 3, 4, 8] {
-            let mut par = vec![f64::NAN; 103];
-            m.spmv_with_threads(t, &x, &mut par);
-            assert_eq!(seq, par, "spmv differs at {t} threads");
-        }
-        let mut gated = vec![0.0; 103];
-        m.spmv(&x, &mut gated);
-        assert_eq!(seq, gated);
-        // Empty matrix: no-op.
-        let z = CsrMatrix::zeros(0, 4);
-        let mut y: Vec<f64> = Vec::new();
-        z.spmv_with_threads(4, &[0.0; 4], &mut y);
-    }
-
-    #[test]
-    fn threaded_matmul_dense_is_bitwise_identical() {
-        let m = random_sparse(67, 41, 9);
-        let mut rng = umsc_rt::Rng::from_seed(10);
-        let b = Matrix::from_fn(41, 13, |_, _| rng.normal());
-        let seq = m.matmul_dense_with_threads(1, &b);
-        for t in [2, 3, 5, 8] {
-            let par = m.matmul_dense_with_threads(t, &b);
-            assert_eq!(seq.as_slice(), par.as_slice(), "matmul_dense differs at {t} threads");
-        }
-        assert_eq!(m.matmul_dense(&b).as_slice(), seq.as_slice());
-        // _into overwrites a dirty buffer and matches.
-        let mut out = Matrix::filled(67, 13, f64::NAN);
-        m.matmul_dense_into(&b, &mut out);
-        assert_eq!(out.as_slice(), seq.as_slice());
-        // Zero-width right factor.
-        assert_eq!(m.matmul_dense_with_threads(4, &Matrix::zeros(41, 0)).shape(), (67, 0));
-    }
-
-    #[test]
-    fn operator_view_is_bitwise_identical_to_csr_kernels() {
+    fn operator_view_matches_the_dense_kernels() {
+        // Ascending columns and no stored zeros: the CSR block kernel sums
+        // exactly the dense row kernel's terms in the same order.
         let m = random_sparse(53, 53, 17).symmetrize();
         let mut rng = umsc_rt::Rng::from_seed(18);
         let x: Vec<f64> = (0..53).map(|_| rng.normal()).collect();
         let b = Matrix::from_fn(53, 5, |_, _| rng.normal());
+        let dense = m.to_dense();
 
-        let mut spmv = vec![0.0; 53];
-        m.spmv(&x, &mut spmv);
-        let mut via_op = vec![f64::NAN; 53];
-        m.apply_into(&x, &mut via_op);
-        assert_eq!(spmv, via_op);
-
-        let dense_prod = m.matmul_dense(&b);
         let mut block = vec![f64::NAN; 53 * 5];
-        m.as_op().apply_block_into(b.as_slice(), 5, &mut block);
-        assert_eq!(dense_prod.as_slice(), block.as_slice());
+        m.apply_block_into(b.as_slice(), 5, &mut block);
+        assert_eq!(block.as_slice(), dense.matmul(&b).as_slice());
+
+        let mut y = vec![f64::NAN; 53];
+        m.apply_into(&x, &mut y);
+        let want = dense.matmul(&Matrix::from_vec(53, 1, x));
+        for (got, want) in y.iter().zip(want.as_slice()) {
+            assert!((got - want).abs() <= 1e-12 * (1.0 + want.abs()), "{got} vs {want}");
+        }
     }
 }

@@ -8,7 +8,7 @@ use umsc_graph::{
     normalized_factor_sparse, select_anchors, SparseFactor,
 };
 use umsc_linalg::Matrix;
-use umsc_op::{LinOp, LowRankAnchor};
+use umsc_op::{dense_rows_into, LinOp, LowRankAnchor};
 use umsc_rt::check::{check, Config};
 use umsc_rt::{ensure, Rng};
 
@@ -91,11 +91,11 @@ fn anchors_are_actual_points() {
     });
 }
 
-/// The dense `Z Λ Zᵀ X` kernel `LowRankAnchor` ran before its factor went
+/// The dense `Z Zᵀ X` kernel `LowRankAnchor` ran before its factor went
 /// sparse, kept as the bitwise oracle: `T = ZᵀX` summed over ascending
-/// rows, the diagonal scale, then `Y = Z T` by the dense row kernel, both
-/// from an exact `0.0` with the zero-skip.
-fn dense_low_rank_oracle(z: &Matrix, lambda: Option<&[f64]>, x: &[f64], ncols: usize) -> Vec<f64> {
+/// rows, then `Y = Z T` by the dense row kernel, both from an exact `0.0`
+/// with the zero-skip.
+fn dense_low_rank_oracle(z: &Matrix, x: &[f64], ncols: usize) -> Vec<f64> {
     let (n, m) = z.shape();
     let mut t = vec![0.0; m * ncols];
     for (j, trow) in t.chunks_exact_mut(ncols).enumerate() {
@@ -106,11 +106,6 @@ fn dense_low_rank_oracle(z: &Matrix, lambda: Option<&[f64]>, x: &[f64], ncols: u
             }
             for (o, &b) in trow.iter_mut().zip(&x[i * ncols..(i + 1) * ncols]) {
                 *o += a * b;
-            }
-        }
-        if let Some(l) = lambda {
-            for v in trow.iter_mut() {
-                *v *= l[j];
             }
         }
     }
@@ -156,32 +151,25 @@ fn sparse_low_rank_apply_matches_dense_kernel_bitwise() {
         zero_weights += n * 4 - z.as_slice().iter().filter(|&&v| v != 0.0).count();
         let bd = normalized_factor(&z);
         assert_eq!(dense(&b).as_slice(), bd.as_slice(), "{what}: factor");
-        let lambda: Vec<f64> = (0..m).map(|_| rng.gen_range_f64(0.1, 2.0)).collect();
         for ncols in [1, 3] {
             let x: Vec<f64> = (0..n * ncols).map(|_| rng.normal()).collect();
-            for scale in [None, Some(lambda.as_slice())] {
-                let expect = dense_low_rank_oracle(&bd, scale, &x, ncols);
-                let sparse = LowRankAnchor::sparse(&b);
-                let compacted = LowRankAnchor::new(n, m, bd.as_slice());
-                let (sparse, compacted) = match scale {
-                    Some(l) => (sparse.with_scale(l), compacted.with_scale(l)),
-                    None => (sparse, compacted),
-                };
-                for threads in 1..=4 {
-                    for op in [&sparse, &compacted] {
-                        let mut y = vec![f64::NAN; n * ncols];
-                        op.apply_block_into_with(threads, &x, ncols, &mut y);
-                        assert_eq!(y, expect, "{what} ncols={ncols} threads={threads}");
-                    }
+            let expect = dense_low_rank_oracle(&bd, &x, ncols);
+            let sparse = LowRankAnchor::sparse(&b);
+            let compacted = LowRankAnchor::new(n, m, bd.as_slice());
+            for threads in 1..=4 {
+                for op in [&sparse, &compacted] {
+                    let mut y = vec![f64::NAN; n * ncols];
+                    op.apply_block_into_with(threads, &x, ncols, &mut y);
+                    assert_eq!(y, expect, "{what} ncols={ncols} threads={threads}");
                 }
-                let mut y = vec![f64::NAN; n * ncols];
-                if ncols == 1 {
-                    sparse.apply_into(&x, &mut y);
-                } else {
-                    sparse.apply_block_into(&x, ncols, &mut y);
-                }
-                assert_eq!(y, expect, "{what} ncols={ncols} gated");
             }
+            let mut y = vec![f64::NAN; n * ncols];
+            if ncols == 1 {
+                sparse.apply_into(&x, &mut y);
+            } else {
+                sparse.apply_block_into(&x, ncols, &mut y);
+            }
+            assert_eq!(y, expect, "{what} ncols={ncols} gated");
         }
     }
     assert!(zero_weights > 0, "no case produced an exact-zero simplex weight");
@@ -202,7 +190,9 @@ fn sparse_factor_products_match_dense_matmuls_bitwise() {
             assert_eq!(btf, bd.matmul_transpose_a_with_threads(threads, &f).as_slice(), "{what} Bᵀ·F");
             let mut bp = vec![f64::NAN; n * c];
             b.mul_into_with(threads, p.as_slice(), c, &mut bp);
-            assert_eq!(bp, bd.matmul_with_threads(threads, &p).as_slice(), "{what} B·P");
+            let mut dense_bp = vec![f64::NAN; n * c];
+            dense_rows_into(threads, bd.as_slice(), m, p.as_slice(), c, &mut dense_bp);
+            assert_eq!(bp, dense_bp, "{what} B·P");
         }
     }
 }

@@ -1,22 +1,24 @@
 //! Dense symmetric eigendecomposition.
 //!
-//! [`SymEigen::compute`] runs Householder tridiagonalization
-//! ([`crate::tridiag`]) followed by the implicit-shift QL sweep with
-//! eigenvector accumulation (EISPACK `tql2` lineage). Eigenvalues are
-//! returned in **ascending** order with matching eigenvector columns — the
-//! order spectral clustering wants (the smallest Laplacian eigenvectors form
-//! the embedding).
+//! [`tql2`] is the implicit-shift QL sweep with eigenvector accumulation
+//! (EISPACK `tql2` lineage): the Lanczos solver runs it on its Ritz
+//! tridiagonal and the polar step, after [`crate::tridiag`], on the
+//! `c × c` Gram matrix. [`SymEigen::compute`] chains the two on a whole
+//! dense matrix; no fit calls it, and it stays as the test oracle the
+//! Krylov and polar paths are checked against. Eigenvalues are returned in
+//! **ascending** order with matching eigenvector columns.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;
 use crate::ops::pythag;
-use crate::tridiag::tridiagonalize;
+use crate::tridiag::tridiagonalize_into;
 use crate::Result;
 
 /// Maximum QL iterations per eigenvalue before declaring non-convergence.
 const MAX_QL_ITER: usize = 50;
 
-/// Eigendecomposition `A = V · diag(λ) · Vᵀ` of a real symmetric matrix.
+/// Eigendecomposition `A = V · diag(λ) · Vᵀ` of a real symmetric matrix:
+/// the dense test oracle for the eigensolvers a fit runs.
 ///
 /// ```
 /// use umsc_linalg::{Matrix, SymEigen};
@@ -53,20 +55,8 @@ impl SymEigen {
         if a.rows() > 0 && asym > tol {
             return Err(LinalgError::NotSymmetric { max_asymmetry: asym });
         }
-        Self::compute_unchecked(a)
-    }
-
-    /// Like [`SymEigen::compute`] but skips the symmetry check (the lower
-    /// triangle is what the reduction reads).
-    pub fn compute_unchecked(a: &Matrix) -> Result<SymEigen> {
-        let n = a.rows();
-        if n == 0 {
-            return Ok(SymEigen { eigenvalues: Vec::new(), eigenvectors: Matrix::zeros(0, 0) });
-        }
-        let tri = tridiagonalize(a);
-        let mut d = tri.diagonal;
-        let mut e = tri.off_diagonal;
-        let mut z = tri.q;
+        let (mut z, mut d, mut e) = (Matrix::zeros(0, 0), Vec::new(), Vec::new());
+        tridiagonalize_into(a, &mut z, &mut d, &mut e);
         tql2(&mut d, &mut e, &mut z)?;
         sort_ascending(&mut d, &mut z);
         Ok(SymEigen { eigenvalues: d, eigenvectors: z })
@@ -86,23 +76,8 @@ impl SymEigen {
         self.eigenvectors.columns(0, k)
     }
 
-    /// Returns the `k` eigenvectors with the largest eigenvalues as an
-    /// `n × k` matrix (columns ordered by **descending** eigenvalue).
-    ///
-    /// # Panics
-    /// Panics if `k > n`.
-    pub fn largest(&self, k: usize) -> Matrix {
-        let n = self.eigenvalues.len();
-        assert!(k <= n, "SymEigen::largest: requested {k} of {n} eigenpairs");
-        let mut out = Matrix::zeros(self.eigenvectors.rows(), k);
-        for (dst, src) in (0..k).map(|j| (j, n - 1 - j)) {
-            out.set_col(dst, &self.eigenvectors.col(src));
-        }
-        out
-    }
-
     /// Largest residual `‖A·v_i − λ_i·v_i‖∞` over all eigenpairs; a cheap
-    /// a-posteriori quality check used by tests and debug assertions.
+    /// a-posteriori quality check for tests.
     pub fn max_residual(&self, a: &Matrix) -> f64 {
         let av = a.matmul(&self.eigenvectors);
         let mut worst = 0.0f64;
@@ -302,15 +277,13 @@ mod tests {
     }
 
     #[test]
-    fn smallest_and_largest_selectors() {
+    fn smallest_selector() {
         let a = Matrix::from_diag(&[1.0, 2.0, 3.0]);
         let eig = SymEigen::compute(&a).unwrap();
         let s = eig.smallest(2);
         assert_eq!(s.shape(), (3, 2));
         // Column 0 is the eigenvector of λ=1, i.e. e0.
         assert!((s[(0, 0)].abs() - 1.0).abs() < 1e-12);
-        let l = eig.largest(1);
-        assert!((l[(2, 0)].abs() - 1.0).abs() < 1e-12);
     }
 
     #[test]

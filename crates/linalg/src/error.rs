@@ -18,22 +18,11 @@ pub enum LinalgError {
         /// Iteration limit that was exhausted.
         max_iter: usize,
     },
-    /// Cholesky (or another SPD-only routine) found a non-positive pivot.
-    NotPositiveDefinite {
-        /// Index of the offending pivot.
-        pivot: usize,
-        /// Value of the offending pivot.
-        value: f64,
-    },
     /// Input matrix was expected to be symmetric but is not.
     NotSymmetric {
         /// Largest observed asymmetry `|a_ij - a_ji|`.
         max_asymmetry: f64,
     },
-    /// The input is empty or otherwise has an unusable shape for the
-    /// requested decomposition (e.g. asking for more eigenpairs than the
-    /// dimension).
-    InvalidShape(String),
 }
 
 impl fmt::Display for LinalgError {
@@ -42,13 +31,9 @@ impl fmt::Display for LinalgError {
             LinalgError::NoConvergence { routine, max_iter } => {
                 write!(f, "{routine} did not converge within {max_iter} iterations")
             }
-            LinalgError::NotPositiveDefinite { pivot, value } => {
-                write!(f, "matrix is not positive definite: pivot {pivot} = {value:e}")
-            }
             LinalgError::NotSymmetric { max_asymmetry } => {
                 write!(f, "matrix is not symmetric: max |a_ij - a_ji| = {max_asymmetry:e}")
             }
-            LinalgError::InvalidShape(msg) => write!(f, "invalid shape: {msg}"),
         }
     }
 }
@@ -63,17 +48,6 @@ mod tests {
     fn display_no_convergence() {
         let e = LinalgError::NoConvergence { routine: "tql2", max_iter: 30 };
         assert_eq!(e.to_string(), "tql2 did not converge within 30 iterations");
-    }
-
-    #[test]
-    fn display_not_positive_definite() {
-        let e = LinalgError::NotPositiveDefinite { pivot: 2, value: -1.0 };
-        assert!(e.to_string().contains("pivot 2"));
-    }
-
-    #[test]
-    fn display_invalid_shape() {
-        assert!(LinalgError::InvalidShape("empty".into()).to_string().contains("empty"));
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Cyclic Jacobi eigensolver for real symmetric matrices.
 //!
-//! Slower than the tridiagonal QL route in [`crate::eigen`] but extremely
-//! robust and simple to audit, which makes it the perfect *independent
-//! cross-check*: the property tests require both solvers to agree on random
-//! matrices. It is also the preferred solver for tiny matrices (the `c×c`
-//! problems in spectral rotation) where its overhead is irrelevant.
+//! Slower than the tridiagonal QL route in [`crate::eigen`] but robust and
+//! simple to audit, which makes it an *independent cross-check*: the
+//! property tests require both solvers to agree on random matrices. No fit
+//! calls it; it is a test oracle.
 
 use crate::error::LinalgError;
 use crate::matrix::Matrix;

@@ -19,8 +19,7 @@
 //! one, until a run recovers nothing (each recovered pair counts once in
 //! `lanczos.recovered`).
 //!
-//! The operator abstraction itself lives in `umsc-op` (the former
-//! `LinearOperator` trait promoted out of this module); this crate
+//! The operator abstraction itself lives in `umsc-op`; this crate
 //! provides the [`Matrix`] implementation so dense operators drop in
 //! anywhere a `&dyn LinOp` is expected.
 //!
@@ -40,15 +39,15 @@ impl LinOp for Matrix {
         self.rows()
     }
 
-    /// Same values as [`Matrix::matvec_into`] (identical per-row dot
-    /// products), threaded past the shared flop gate.
+    /// [`umsc_op::dense_rows_into`] on a one-column block, threaded past
+    /// the shared flop gate.
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         debug_assert!(self.is_square());
         DenseOp::new(self.rows(), self.as_slice()).apply_into(x, y);
     }
 
     /// Bitwise-identical to [`Matrix::matmul_into`] on an `n × k` right
-    /// factor: the row kernel the GEMM dispatch reduces to.
+    /// factor: both run [`umsc_op::dense_rows_into`].
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
         debug_assert!(self.is_square());
         DenseOp::new(self.rows(), self.as_slice()).apply_block_into(x, ncols, y);
@@ -307,7 +306,8 @@ mod tests {
         // Residual check: ‖A v − λ v‖ small.
         for (i, &val) in vals.iter().enumerate() {
             let v = vecs.col(i);
-            let av = a.matvec(&v);
+            let mut av = vec![0.0; v.len()];
+            a.apply_into(&v, &mut av);
             let res: f64 = av.iter().zip(v.iter()).map(|(x, y)| (x - val * y).powi(2)).sum::<f64>().sqrt();
             assert!(res < 1e-6, "residual {res}");
         }
@@ -374,7 +374,8 @@ mod tests {
         assert!(vecs.matmul_transpose_a(&vecs).approx_eq(&Matrix::identity(5), 1e-8));
         for (i, &val) in vals.iter().enumerate() {
             let v = vecs.col(i);
-            let av = a.matvec(&v);
+            let mut av = vec![0.0; v.len()];
+            a.apply_into(&v, &mut av);
             let res: f64 = av.iter().zip(v.iter()).map(|(x, y)| (x - val * y).powi(2)).sum::<f64>().sqrt();
             assert!(res < 1e-6, "residual {res}");
         }

@@ -2,8 +2,9 @@
 //!
 //! [`Matrix`] is the single dense container used across the workspace. It is
 //! deliberately simple: a `Vec<f64>` plus a shape, with the operations the
-//! spectral-clustering pipeline actually needs (GEMM in the three transpose
-//! flavours, transposition, column slicing, norms, Gershgorin bounds).
+//! spectral-clustering pipeline actually needs (products in the three
+//! transpose flavours, transposition, column slicing, norms, Gershgorin
+//! bounds).
 //!
 //! Hot loops follow the `i-k-j` ordering so the innermost loop streams over
 //! contiguous rows of both operands (see the Rust Performance Book's advice
@@ -12,7 +13,9 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
-/// Dense row-major matrix of `f64`.
+/// Dense row-major matrix of `f64`. Entries are read and written through
+/// `m[(i, j)]` (bounds-checked). `from_diag`, `columns`, `transpose` and
+/// `approx_eq` serve the tests and the test oracles; no fit calls them.
 ///
 /// ```
 /// use umsc_linalg::Matrix;
@@ -123,11 +126,6 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
-    /// True when the matrix has no entries.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// True when `rows == cols`.
     pub fn is_square(&self) -> bool {
         self.rows == self.cols
@@ -143,20 +141,6 @@ impl Matrix {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Entry accessor (bounds-checked).
-    #[inline]
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        assert!(i < self.rows && j < self.cols, "Matrix::get: index ({i},{j}) out of bounds for {}x{}", self.rows, self.cols);
-        self.data[i * self.cols + j]
-    }
-
-    /// Entry setter (bounds-checked).
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        assert!(i < self.rows && j < self.cols, "Matrix::set: index ({i},{j}) out of bounds for {}x{}", self.rows, self.cols);
-        self.data[i * self.cols + j] = v;
     }
 
     /// Row `i` as a contiguous slice.
@@ -242,180 +226,42 @@ impl Matrix {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Approximate flop count below which threading a GEMM costs more than
-    /// it saves (thread spawn is ~10µs; a flop is well under a ns here).
-    const PAR_FLOP_THRESHOLD: usize = 1 << 18;
-
-    /// Row-tile height for the cache-blocked GEMM. One tile is the
-    /// parallel grain: a worker owns `GEMM_TILE_I` consecutive output rows.
-    const GEMM_TILE_I: usize = 32;
-
-    /// Column-tile width for the cache-blocked GEMM. One packed
-    /// `k × GEMM_TILE_J` panel of `B` is ~`64·k` doubles, streamed through
-    /// L1/L2 once per row tile instead of once per output row.
-    const GEMM_TILE_J: usize = 64;
-
-    /// Output width below which packing a `B` panel costs more than the
-    /// cache locality it buys; narrower products use the plain row kernel.
-    const GEMM_MIN_BLOCK_COLS: usize = 32;
-
     /// Matrix product `self · other`.
     ///
-    /// Large products run on up to `umsc_rt::par::max_threads()` threads
-    /// through a cache-blocked, packed kernel (see [`Matrix::matmul_tiled_with`]).
-    /// Every output element is accumulated in the same order as the naive
-    /// sequential triple loop (`p` ascending from an exact `0.0`, with the
-    /// same zero-skip branch), so the result is bitwise-identical regardless
-    /// of thread count, tile size, or which kernel path runs.
+    /// Runs the workspace's dense row kernel [`umsc_op::dense_rows_into`],
+    /// threaded past the flop gate [`umsc_op::gate_threads`]. Every output
+    /// element is accumulated in the order of the sequential triple loop
+    /// (`p` ascending from an exact `0.0`, skipping exact zeros of `self`),
+    /// so the result is bitwise-identical for any thread count.
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let flops = 2 * self.rows * self.cols * other.cols;
-        let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-        self.matmul_with_threads(t, other)
-    }
-
-    /// [`Matrix::matmul`] with an explicit thread count (`threads <= 1`
-    /// runs inline; no work-size gate).
-    pub fn matmul_with_threads(&self, threads: usize, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_dispatch(threads, other, &mut out);
+        self.matmul_into(other, &mut out);
         out
     }
 
-    /// Writes `self · other` into `out` without allocating (beyond the
-    /// kernel's thread-local packing buffers for wide products). Every
-    /// entry of `out` is overwritten. Threading is gated on the same
-    /// work-size threshold as [`Matrix::matmul`].
+    /// Writes `self · other` into `out` without allocating. Every entry of
+    /// `out` is overwritten.
     ///
     /// # Panics
     /// Panics if the inner dimensions do not match or `out` is not
     /// `self.rows × other.cols`.
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
-        let flops = 2 * self.rows * self.cols * other.cols;
-        let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-        out.data.fill(0.0);
-        self.matmul_dispatch(t, other, out);
-    }
-
-    /// Cache-blocked GEMM with explicit thread count and tile sizes — the
-    /// testing/tuning hook behind [`Matrix::matmul`]. Always takes the
-    /// blocked/packed path, whatever the shape.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions do not match, or a tile size is 0.
-    pub fn matmul_tiled_with(&self, threads: usize, tile_i: usize, tile_j: usize, other: &Matrix) -> Matrix {
-        self.assert_matmul_shapes(other);
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_blocked(threads, tile_i, tile_j, other, &mut out);
-        out
-    }
-
-    /// Forces the naive row kernel regardless of output width: the baseline
-    /// the benches compare the blocked kernel against. `threads <= 1` runs
-    /// inline. Bitwise-identical to every other matmul entry point.
-    ///
-    /// # Panics
-    /// Panics if the inner dimensions do not match.
-    pub fn matmul_naive_with(&self, threads: usize, other: &Matrix) -> Matrix {
-        self.assert_matmul_shapes(other);
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        self.matmul_rowwise(threads, other, &mut out);
-        out
-    }
-
-    fn assert_matmul_shapes(&self, other: &Matrix) {
         assert_eq!(
             self.cols, other.rows,
             "Matrix::matmul: inner dimension mismatch ({}x{} · {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-    }
-
-    /// Shared entry point for the allocating and `_into` products: checks
-    /// shapes, then picks the blocked kernel for wide outputs when running
-    /// threaded and the plain row kernel otherwise. The blocked kernel's win
-    /// is parallel scaling over row tiles; sequentially its packing overhead
-    /// costs ~20% (measured, BENCH_2.json `square_gemm`), so one-thread
-    /// products stay on the row kernel. `out` must be `rows × other.cols`
-    /// and zeroed.
-    fn matmul_dispatch(&self, threads: usize, other: &Matrix, out: &mut Matrix) {
-        self.assert_matmul_shapes(other);
         assert_eq!(
             out.shape(),
             (self.rows, other.cols),
             "Matrix::matmul_into: out is {}x{}, expected {}x{}",
             out.rows, out.cols, self.rows, other.cols
         );
-        if threads > 1 && other.cols >= Self::GEMM_MIN_BLOCK_COLS {
-            umsc_obs::counter!("gemm.blocked", 1);
-            self.matmul_blocked(threads, Self::GEMM_TILE_I, Self::GEMM_TILE_J, other, out);
-        } else {
-            umsc_obs::counter!("gemm.rowwise", 1);
-            self.matmul_rowwise(threads, other, out);
-        }
-    }
-
-    /// Naive row kernel: each output row is one independent `i-k-j` sweep.
-    /// Right for narrow outputs (the solver's `n × c` products) where a
-    /// whole row of `B` already fits in L1 and packing would be overhead.
-    fn matmul_rowwise(&self, threads: usize, other: &Matrix, out: &mut Matrix) {
-        let (k, n) = (self.cols, other.cols);
-        if n == 0 {
-            return;
-        }
-        umsc_rt::par::parallel_chunks_mut_with(threads, &mut out.data, n, |i, orow| {
-            let arow = &self.data[i * k..(i + 1) * k];
-            for (p, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in orow.iter_mut().zip(brow.iter()) {
-                    *o += a * b;
-                }
-            }
-        });
-    }
-
-    /// Cache-blocked, packed GEMM kernel.
-    ///
-    /// The output is tiled `tile_i × tile_j`. Workers own contiguous runs of
-    /// row tiles (so reassembly is trivially in order); for each column tile
-    /// the worker packs the corresponding `k × jw` panel of `B` into a
-    /// thread-local [`umsc_rt::par::PanelBuf`] laid out in strips of 4
-    /// columns, then runs a 4-accumulator micro-kernel over the full `k`
-    /// extent per output row. Keeping `k` un-tiled preserves the naive
-    /// kernel's accumulation order (ascending `p` from `0.0` with the
-    /// zero-skip on `a`), which is what makes the result bitwise-identical
-    /// to the sequential path; the locality win comes from `i`/`j` tiling
-    /// alone, which only reorders independent output elements.
-    fn matmul_blocked(&self, threads: usize, tile_i: usize, tile_j: usize, other: &Matrix, out: &mut Matrix) {
-        assert!(tile_i > 0 && tile_j > 0, "Matrix::matmul_blocked: tile sizes must be positive");
-        let (k, n) = (self.cols, other.cols);
-        if n == 0 {
-            return;
-        }
-        let a_data = &self.data;
-        let b_data = &other.data;
-        umsc_rt::par::parallel_chunks_mut_with(threads, &mut out.data, tile_i * n, |tile, chunk| {
-            let i0 = tile * tile_i;
-            let rows_here = chunk.len() / n;
-            let mut panel = umsc_rt::par::PanelBuf::new();
-            let mut j0 = 0;
-            while j0 < n {
-                let jw = tile_j.min(n - j0);
-                let p = panel.ensure(k * jw);
-                pack_panel(b_data, k, n, j0, jw, p);
-                for ii in 0..rows_here {
-                    let arow = &a_data[(i0 + ii) * k..(i0 + ii + 1) * k];
-                    let orow = &mut chunk[ii * n + j0..ii * n + j0 + jw];
-                    gemm_micro_row(arow, p, jw, orow);
-                }
-                j0 += jw;
-            }
-        });
+        let threads = umsc_op::gate_threads(2 * self.rows * self.cols * other.cols);
+        umsc_op::dense_rows_into(threads, &self.data, self.cols, &other.data, other.cols, &mut out.data);
     }
 
     /// Matrix product `selfᵀ · other` without forming the transpose.
@@ -426,8 +272,7 @@ impl Matrix {
     /// the result is bitwise-identical for any thread count.
     pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
         let flops = 2 * self.rows * self.cols * other.cols;
-        let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-        self.matmul_transpose_a_with_threads(t, other)
+        self.matmul_transpose_a_with_threads(umsc_op::gate_threads(flops), other)
     }
 
     /// [`Matrix::matmul_transpose_a`] with an explicit thread count
@@ -446,9 +291,8 @@ impl Matrix {
     /// `self.cols × other.cols`.
     pub fn matmul_transpose_a_into(&self, other: &Matrix, out: &mut Matrix) {
         let flops = 2 * self.rows * self.cols * other.cols;
-        let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
         out.data.fill(0.0);
-        self.matmul_transpose_a_impl(t, other, out);
+        self.matmul_transpose_a_impl(umsc_op::gate_threads(flops), other, out);
     }
 
     /// `out` must be `cols × other.cols` and zeroed. Each worker owns a
@@ -499,8 +343,7 @@ impl Matrix {
     /// to the sequential loop for any thread count.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         let flops = 2 * self.rows * self.cols * other.rows;
-        let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-        self.matmul_transpose_b_with_threads(t, other)
+        self.matmul_transpose_b_with_threads(umsc_op::gate_threads(flops), other)
     }
 
     /// [`Matrix::matmul_transpose_b`] with an explicit thread count.
@@ -518,8 +361,7 @@ impl Matrix {
     /// `self.rows × other.rows`.
     pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
         let flops = 2 * self.rows * self.cols * other.rows;
-        let t = if flops >= Self::PAR_FLOP_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-        self.matmul_transpose_b_impl(t, other, out);
+        self.matmul_transpose_b_impl(umsc_op::gate_threads(flops), other, out);
     }
 
     /// One [`abt_row`] per output row; `out` is fully overwritten.
@@ -578,30 +420,6 @@ impl Matrix {
         let b_data = &self.data[cols.start * k..cols.end * k];
         for (r, i) in rows.enumerate() {
             abt_row(&self.data[i * k..(i + 1) * k], b_data, &mut out[r * ld..r * ld + w]);
-        }
-    }
-
-    /// Matrix–vector product `self · x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// Writes `self · x` into `y` without allocating. Every entry of `y`
-    /// is overwritten.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols` or `y.len() != rows`.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(self.cols, x.len(), "Matrix::matvec: dimension mismatch");
-        assert_eq!(self.rows, y.len(), "Matrix::matvec_into: output length mismatch");
-        if self.cols == 0 {
-            y.fill(0.0);
-            return;
-        }
-        for (yi, r) in y.iter_mut().zip(self.data.chunks_exact(self.cols)) {
-            *yi = dot(r, x);
         }
     }
 
@@ -788,72 +606,6 @@ fn abt_row(arow: &[f64], b_data: &[f64], orow: &mut [f64]) {
     }
 }
 
-/// Packs the `k × jw` panel `B[0..k][j0..j0+jw]` into `panel`, laid out as
-/// strips of 4 columns: strip `s` occupies `panel[s·4k..(s+1)·4k]` with the
-/// 4 values of row `p` adjacent at offset `4p`. A final partial strip of
-/// `jw % 4` columns follows the same scheme with width `jw % 4`. Packing
-/// only copies values, so it cannot perturb the arithmetic downstream.
-fn pack_panel(b: &[f64], k: usize, n: usize, j0: usize, jw: usize, panel: &mut [f64]) {
-    let strips = jw / 4;
-    let rem = jw % 4;
-    for (p, brow) in b.chunks_exact(n.max(1)).take(k).enumerate() {
-        let brow = &brow[j0..j0 + jw];
-        for (s, quad) in brow.chunks_exact(4).enumerate() {
-            panel[s * 4 * k + p * 4..s * 4 * k + p * 4 + 4].copy_from_slice(quad);
-        }
-        if rem > 0 {
-            let base = strips * 4 * k + p * rem;
-            panel[base..base + rem].copy_from_slice(&brow[strips * 4..]);
-        }
-    }
-}
-
-/// Micro-kernel: one output row against one packed panel. For each 4-column
-/// strip, four register accumulators run the full-`k` loop in ascending `p`
-/// order starting from exact `0.0`, with the same `a == 0.0` skip as the
-/// naive kernel — so each of the four columns sees precisely the operation
-/// sequence of the sequential triple loop, just interleaved across
-/// independent accumulators. Stores overwrite `orow` (which the callers
-/// pre-zero), matching the naive kernel's `0.0 + Σ` memory accumulation.
-fn gemm_micro_row(arow: &[f64], panel: &[f64], jw: usize, orow: &mut [f64]) {
-    let k = arow.len();
-    let strips = jw / 4;
-    let rem = jw % 4;
-    for s in 0..strips {
-        let strip = &panel[s * 4 * k..(s + 1) * 4 * k];
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for (&a, quad) in arow.iter().zip(strip.chunks_exact(4)) {
-            if a == 0.0 {
-                continue;
-            }
-            a0 += a * quad[0];
-            a1 += a * quad[1];
-            a2 += a * quad[2];
-            a3 += a * quad[3];
-        }
-        let o = &mut orow[s * 4..s * 4 + 4];
-        o[0] = a0;
-        o[1] = a1;
-        o[2] = a2;
-        o[3] = a3;
-    }
-    if rem > 0 {
-        let strip = &panel[strips * 4 * k..strips * 4 * k + rem * k];
-        let mut acc = [0.0f64; 4];
-        for (&a, part) in arow.iter().zip(strip.chunks_exact(rem)) {
-            if a == 0.0 {
-                continue;
-            }
-            for (t, &b) in part.iter().enumerate() {
-                acc[t] += a * b;
-            }
-        }
-        for (o, &v) in orow[strips * 4..].iter_mut().zip(acc.iter()) {
-            *o = v;
-        }
-    }
-}
-
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
     #[inline]
@@ -974,7 +726,7 @@ mod tests {
         let f = Matrix::from_fn(2, 2, |i, j| (i * 10 + j) as f64);
         assert_eq!(f[(1, 0)], 10.0);
 
-        assert!(Matrix::zeros(0, 0).is_empty());
+        assert!(Matrix::zeros(0, 0).as_slice().is_empty());
         assert!(!a23().is_square());
     }
 
@@ -994,7 +746,7 @@ mod tests {
         assert_eq!(m[(0, 0)], 9.0);
         assert_eq!(m[(1, 0)], 8.0);
         m.row_mut(0)[1] = -1.0;
-        assert_eq!(m.get(0, 1), -1.0);
+        assert_eq!(m[(0, 1)], -1.0);
     }
 
     #[test]
@@ -1044,14 +796,6 @@ mod tests {
                 assert!(out[r * ld + cols.len()..(r + 1) * ld].iter().all(|v| v.is_nan()));
             }
         }
-    }
-
-    #[test]
-    fn matvec_agrees_with_matmul() {
-        let a = a23();
-        let x = vec![1.0, -2.0, 0.5];
-        let y = a.matvec(&x);
-        assert_eq!(y, vec![1.0 - 4.0 + 1.5, 4.0 - 10.0 + 3.0]);
     }
 
     #[test]
@@ -1136,21 +880,25 @@ mod tests {
         let _ = a23().matmul(&a23());
     }
 
+    /// `a · b` through the row kernel at an explicit thread count.
+    fn matmul_at(threads: usize, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::filled(a.rows(), b.cols(), f64::NAN);
+        umsc_op::dense_rows_into(threads, a.as_slice(), a.cols(), b.as_slice(), b.cols(), out.as_mut_slice());
+        out
+    }
+
     #[test]
     fn threaded_matmul_is_bitwise_identical() {
-        let mut rng = umsc_rt::Rng::from_seed(31);
         // Odd sizes so row blocks split unevenly; a sprinkle of exact zeros
         // exercises the zero-skip branch under threading too.
-        let a = Matrix::from_fn(37, 29, |_, _| {
-            if rng.next_f64() < 0.1 { 0.0 } else { rng.normal() }
-        });
-        let b = Matrix::from_fn(29, 41, |_, _| rng.normal());
-        let seq = a.matmul_with_threads(1, &b);
+        let a = random_with_zeros(37, 29, 31);
+        let b = random_with_zeros(29, 41, 32);
+        let seq = matmul_at(1, &a, &b);
+        assert_eq!(seq.as_slice(), naive_matmul(&a, &b).as_slice());
         for t in [2, 3, 4, 8] {
-            let par = a.matmul_with_threads(t, &b);
-            assert_eq!(seq.as_slice(), par.as_slice(), "matmul differs at {t} threads");
+            assert_eq!(seq.as_slice(), matmul_at(t, &a, &b).as_slice(), "matmul differs at {t} threads");
         }
-        // The implicit path agrees as well (whatever thread count it picks).
+        // The gated path agrees as well (whatever thread count it picks).
         assert_eq!(a.matmul(&b).as_slice(), seq.as_slice());
     }
 
@@ -1169,18 +917,22 @@ mod tests {
 
     #[test]
     fn threaded_matmul_edge_shapes() {
-        let a = Matrix::zeros(0, 3);
-        let b = Matrix::zeros(3, 4);
-        assert_eq!(a.matmul_with_threads(4, &b).shape(), (0, 4));
-        let a = Matrix::zeros(3, 2);
-        let b = Matrix::zeros(2, 0);
-        assert_eq!(a.matmul_with_threads(4, &b).shape(), (3, 0));
+        assert_eq!(matmul_at(4, &Matrix::zeros(0, 3), &Matrix::zeros(3, 4)).shape(), (0, 4));
+        assert_eq!(matmul_at(4, &Matrix::zeros(3, 2), &Matrix::zeros(2, 0)).shape(), (3, 0));
+        // k = 0: every entry is the empty sum.
+        let kz = matmul_at(4, &Matrix::zeros(3, 0), &Matrix::zeros(0, 4));
+        assert_eq!(kz.as_slice(), &[0.0; 12]);
         let a = Matrix::from_vec(1, 1, vec![2.0]);
-        assert_eq!(a.matmul_with_threads(9, &a)[(0, 0)], 4.0);
+        assert_eq!(matmul_at(9, &a, &a)[(0, 0)], 4.0);
+        // Inner and outer products.
+        let r = random_with_zeros(1, 19, 103);
+        let c = random_with_zeros(19, 1, 104);
+        assert_eq!(matmul_at(3, &r, &c).as_slice(), naive_matmul(&r, &c).as_slice());
+        assert_eq!(matmul_at(3, &c, &r).as_slice(), naive_matmul(&c, &r).as_slice());
     }
 
     /// The reference kernel: the naive sequential `i-p-j` triple loop the
-    /// blocked/threaded paths must match bitwise.
+    /// threaded row kernel must match bitwise.
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         let mut out = Matrix::zeros(m, n);
@@ -1205,56 +957,6 @@ mod tests {
         Matrix::from_fn(rows, cols, |_, _| {
             if rng.next_f64() < 0.15 { 0.0 } else { rng.normal() }
         })
-    }
-
-    #[test]
-    fn blocked_matmul_is_bitwise_identical_to_naive() {
-        // Wide enough (n = 70 ≥ 32) that the implicit path takes the
-        // blocked kernel; dims deliberately not multiples of any tile.
-        let a = random_with_zeros(45, 37, 101);
-        let b = random_with_zeros(37, 70, 102);
-        let reference = naive_matmul(&a, &b);
-        assert_eq!(a.matmul(&b).as_slice(), reference.as_slice());
-        for t in [1, 2, 3, 8] {
-            let got = a.matmul_with_threads(t, &b);
-            assert_eq!(got.as_slice(), reference.as_slice(), "matmul differs at {t} threads");
-        }
-        for (ti, tj) in [(1, 1), (1, 4), (3, 5), (8, 16), (32, 64), (64, 128)] {
-            for t in [1, 3] {
-                let got = a.matmul_tiled_with(t, ti, tj, &b);
-                assert_eq!(
-                    got.as_slice(),
-                    reference.as_slice(),
-                    "tiled matmul differs at tile {ti}x{tj}, {t} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_matmul_edge_geometry() {
-        // 1×1.
-        let a = Matrix::from_vec(1, 1, vec![3.0]);
-        assert_eq!(a.matmul_tiled_with(4, 1, 1, &a).as_slice(), &[9.0]);
-        // 1×k · k×1 (inner product) and k×1 · 1×k (outer product).
-        let r = random_with_zeros(1, 19, 103);
-        let c = random_with_zeros(19, 1, 104);
-        assert_eq!(r.matmul_tiled_with(3, 2, 2, &c).as_slice(), naive_matmul(&r, &c).as_slice());
-        assert_eq!(c.matmul_tiled_with(3, 2, 2, &r).as_slice(), naive_matmul(&c, &r).as_slice());
-        // Empty shapes: n == 0, k == 0, m == 0.
-        assert_eq!(Matrix::zeros(3, 2).matmul_tiled_with(4, 8, 8, &Matrix::zeros(2, 0)).shape(), (3, 0));
-        let kz = Matrix::zeros(3, 0).matmul_tiled_with(4, 8, 8, &Matrix::zeros(0, 4));
-        assert_eq!(kz.shape(), (3, 4));
-        assert!(kz.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(Matrix::zeros(0, 3).matmul_tiled_with(4, 8, 8, &Matrix::zeros(3, 4)).shape(), (0, 4));
-        // Remainder strips: jw % 4 ∈ {1, 2, 3} via n = 33, 34, 35.
-        for n in [33, 34, 35] {
-            let a = random_with_zeros(9, 11, 200 + n as u64);
-            let b = random_with_zeros(11, n, 300 + n as u64);
-            let reference = naive_matmul(&a, &b);
-            assert_eq!(a.matmul(&b).as_slice(), reference.as_slice(), "n = {n}");
-            assert_eq!(a.matmul_tiled_with(2, 4, 16, &b).as_slice(), reference.as_slice(), "n = {n} tiled");
-        }
     }
 
     #[test]
@@ -1292,11 +994,6 @@ mod tests {
         a.matmul_transpose_b_into(&d, &mut out);
         assert_eq!(out.as_slice(), a.matmul_transpose_b(&d).as_slice());
 
-        let x: Vec<f64> = (0..34).map(|i| (i as f64).cos()).collect();
-        let mut y = vec![f64::NAN; 21];
-        a.matvec_into(&x, &mut y);
-        assert_eq!(y, a.matvec(&x));
-
         let mut t = Matrix::filled(34, 21, f64::NAN);
         a.transpose_into(&mut t);
         assert_eq!(t.as_slice(), a.transpose().as_slice());
@@ -1304,14 +1001,6 @@ mod tests {
         let mut cp = Matrix::filled(21, 34, f64::NAN);
         cp.copy_from(&a);
         assert_eq!(cp.as_slice(), a.as_slice());
-    }
-
-    #[test]
-    fn matvec_into_zero_width_fills_zeros() {
-        let a = Matrix::zeros(3, 0);
-        let mut y = vec![f64::NAN; 3];
-        a.matvec_into(&[], &mut y);
-        assert_eq!(y, vec![0.0; 3]);
     }
 
     #[test]

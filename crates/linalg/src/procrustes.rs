@@ -129,15 +129,14 @@ fn polar_from_gram(m: &Matrix, ws: &mut SvdScratch, out: &mut Matrix) -> bool {
     true
 }
 
-/// Value of the Procrustes objective `tr(Rᵀ M)` — exposed for tests and
-/// for monitoring GPI inner-loop monotonicity.
-pub fn alignment(r: &Matrix, m: &Matrix) -> f64 {
-    r.matmul_transpose_a(m).trace()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The Procrustes objective `tr(Rᵀ M)`.
+    fn alignment(r: &Matrix, m: &Matrix) -> f64 {
+        r.matmul_transpose_a(m).trace()
+    }
 
     fn rotation2(theta: f64) -> Matrix {
         Matrix::from_vec(2, 2, vec![theta.cos(), -theta.sin(), theta.sin(), theta.cos()])
@@ -182,14 +181,14 @@ mod tests {
         let f = polar_orthogonalize(&m).unwrap();
         assert_eq!(f.shape(), (6, 3));
         assert!(f.matmul_transpose_a(&f).approx_eq(&Matrix::identity(3), 1e-10));
-        // tr(FᵀM) is maximal: compare against QR's Q factor.
-        let q = crate::qr::qr(&m).q;
+        // tr(FᵀM) is maximal: compare against another orthonormal frame.
+        let q = polar_orthogonalize(&m.map(f64::sin)).unwrap();
         assert!(alignment(&f, &m) >= alignment(&q, &m) - 1e-9);
     }
 
     #[test]
     fn polar_of_orthonormal_is_identity_operation() {
-        let q = crate::qr::qr(&Matrix::from_fn(5, 2, |i, j| ((i + j * 3) as f64).sin())).q;
+        let q = polar_orthogonalize(&Matrix::from_fn(5, 2, |i, j| ((i + j * 3) as f64).sin())).unwrap();
         let f = polar_orthogonalize(&q).unwrap();
         assert!(f.approx_eq(&q, 1e-10));
     }

@@ -68,7 +68,8 @@ mod tests {
         assert!(s.is_symmetric(0.0));
         let p = spd_matrix(&mut rng, 4);
         assert!(p.is_symmetric(1e-12));
-        assert!(crate::cholesky(&p).is_ok(), "spd_matrix must be SPD");
+        let eig = crate::SymEigen::compute(&p).unwrap();
+        assert!(eig.eigenvalues[0] >= 1.0 - 1e-9, "spd_matrix must be SPD: {:?}", eig.eigenvalues);
         assert_eq!(vector(&mut rng, 7, -1.0, 1.0).len(), 7);
     }
 

@@ -7,55 +7,16 @@
 
 use crate::matrix::Matrix;
 
-/// Result of tridiagonalizing a symmetric matrix: `A = Q · T · Qᵀ`.
-#[derive(Debug, Clone)]
-pub struct Tridiagonal {
-    /// Diagonal of `T` (length `n`).
-    pub diagonal: Vec<f64>,
-    /// Sub/super-diagonal of `T` (length `n`; entry 0 is always 0 so that
-    /// `off_diagonal[i]` couples rows `i-1` and `i`, matching the QL sweep).
-    pub off_diagonal: Vec<f64>,
-    /// Accumulated orthogonal transform `Q` (columns are the Householder
-    /// product applied to the standard basis).
-    pub q: Matrix,
-}
-
-impl Tridiagonal {
-    /// Reconstructs the dense tridiagonal matrix `T` (mostly for tests).
-    pub fn to_dense(&self) -> Matrix {
-        let n = self.diagonal.len();
-        let mut t = Matrix::zeros(n, n);
-        for i in 0..n {
-            t[(i, i)] = self.diagonal[i];
-            if i > 0 {
-                t[(i, i - 1)] = self.off_diagonal[i];
-                t[(i - 1, i)] = self.off_diagonal[i];
-            }
-        }
-        t
-    }
-}
-
-/// Reduces symmetric `a` to tridiagonal form with accumulated transforms.
-///
-/// The input is *assumed* symmetric; only its lower triangle is read in the
-/// reduction proper (mirroring the classic algorithm). Use
-/// [`Matrix::symmetrize_mut`] first if the input is only symmetric up to
-/// floating-point noise.
-///
-/// # Panics
-/// Panics if `a` is not square.
-pub fn tridiagonalize(a: &Matrix) -> Tridiagonal {
-    let (mut q, mut diagonal, mut off_diagonal) = (Matrix::zeros(0, 0), Vec::new(), Vec::new());
-    tridiagonalize_into(a, &mut q, &mut diagonal, &mut off_diagonal);
-    Tridiagonal { diagonal, off_diagonal, q }
-}
-
-/// [`tridiagonalize`] on caller buffers: writes `Q` into `z`, the diagonal
-/// into `d` and the off-diagonal into `e` (the [`Tridiagonal`] fields).
+/// Reduces symmetric `a` to tridiagonal form `A = Q·T·Qᵀ` with
+/// accumulated transforms, on caller buffers: writes `Q` into `z`, the
+/// diagonal of `T` into `d` and its sub-diagonal into `e` (`e[0] = 0`, so
+/// `e[i]` couples rows `i − 1` and `i`, as the QL sweep expects).
 /// `z` is reallocated only when its shape differs from `a`'s and `d`/`e`
 /// only when their capacity is short, so repeated calls on one shape are
 /// allocation-free. Whatever the buffers held before is ignored.
+///
+/// The input is *assumed* symmetric; only its lower triangle is read in the
+/// reduction proper (mirroring the classic algorithm).
 ///
 /// # Panics
 /// Panics if `a` is not square.
@@ -161,28 +122,39 @@ mod tests {
         m
     }
 
+    /// `(Q, d, e)` on fresh buffers.
+    fn tridiagonalize(a: &Matrix) -> (Matrix, Vec<f64>, Vec<f64>) {
+        let (mut z, mut d, mut e) = (Matrix::zeros(0, 0), Vec::new(), Vec::new());
+        tridiagonalize_into(a, &mut z, &mut d, &mut e);
+        (z, d, e)
+    }
+
     fn check_decomposition(a: &Matrix, tol: f64) {
-        let t = tridiagonalize(a);
+        let (q, d, e) = tridiagonalize(a);
         let n = a.rows();
         // Q is orthogonal.
-        let qtq = t.q.matmul_transpose_a(&t.q);
+        let qtq = q.matmul_transpose_a(&q);
         assert!(qtq.approx_eq(&Matrix::identity(n), tol), "QᵀQ != I: {qtq:?}");
-        // Q T Qᵀ reconstructs A.
-        let recon = t.q.matmul(&t.to_dense()).matmul_transpose_b(&t.q);
+        // Q T Qᵀ reconstructs A, with T built only from d and e.
+        let t = Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+            0 => d[i],
+            1 => e[i.max(j)],
+            _ => 0.0,
+        });
+        let recon = q.matmul(&t).matmul_transpose_b(&q);
         assert!(recon.approx_eq(a, tol), "Q T Qᵀ != A");
-        // T is genuinely tridiagonal (to_dense built only from d/e by
-        // construction) and preserves the trace.
-        let trace_t: f64 = t.diagonal.iter().sum();
+        // T preserves the trace.
+        let trace_t: f64 = d.iter().sum();
         assert!((trace_t - a.trace()).abs() < tol * n.max(1) as f64);
     }
 
     #[test]
     fn empty_and_trivial() {
-        let t = tridiagonalize(&Matrix::zeros(0, 0));
-        assert!(t.diagonal.is_empty());
-        let t = tridiagonalize(&Matrix::from_vec(1, 1, vec![7.0]));
-        assert_eq!(t.diagonal, vec![7.0]);
-        assert_eq!(t.q[(0, 0)], 1.0);
+        let (_, d, _) = tridiagonalize(&Matrix::zeros(0, 0));
+        assert!(d.is_empty());
+        let (q, d, _) = tridiagonalize(&Matrix::from_vec(1, 1, vec![7.0]));
+        assert_eq!(d, vec![7.0]);
+        assert_eq!(q[(0, 0)], 1.0);
     }
 
     #[test]
@@ -215,7 +187,7 @@ mod tests {
     }
 
     #[test]
-    fn into_with_dirty_buffers_matches_allocating_version_bitwise() {
+    fn dirty_buffers_match_fresh_buffers_bitwise() {
         // One set of buffers across two shapes, each visited twice: stale
         // contents and a shape change must not leak into the result.
         let (mut z, mut d, mut e) = (Matrix::filled(2, 2, f64::NAN), vec![f64::NAN; 9], vec![f64::NAN; 1]);
@@ -223,11 +195,11 @@ mod tests {
         let large = sym(7, |i, j| ((i * 31 + j * 17) as f64).sin() + if i == j { 2.0 } else { 0.0 });
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for a in [&large, &small, &large, &small] {
-            let want = tridiagonalize(a);
+            let (want_q, want_d, want_e) = tridiagonalize(a);
             tridiagonalize_into(a, &mut z, &mut d, &mut e);
-            assert_eq!(bits(z.as_slice()), bits(want.q.as_slice()));
-            assert_eq!(bits(&d), bits(&want.diagonal));
-            assert_eq!(bits(&e), bits(&want.off_diagonal));
+            assert_eq!(bits(z.as_slice()), bits(want_q.as_slice()));
+            assert_eq!(bits(&d), bits(&want_d));
+            assert_eq!(bits(&e), bits(&want_e));
         }
     }
 

@@ -35,7 +35,7 @@ fn jacobi_smallest(a: &Matrix, k: usize) -> Vec<f64> {
 fn residuals_ok(a: &Matrix, vals: &[f64], vecs: &Matrix, tol: f64) -> Result<(), String> {
     let n = a.rows();
     for (i, &lambda) in vals.iter().enumerate() {
-        let v: Vec<f64> = (0..n).map(|r| vecs.get(r, i)).collect();
+        let v: Vec<f64> = (0..n).map(|r| vecs[(r, i)]).collect();
         let mut av = vec![0.0; n];
         a.apply_into(&v, &mut av);
         let res: f64 = av
@@ -90,7 +90,7 @@ fn lanczos_over_diag_shift_matches_jacobi() {
 
             let mut dense = a.scale(-1.0);
             for i in 0..n {
-                dense.set(i, i, sigma - a.get(i, i));
+                dense[(i, i)] = sigma - a[(i, i)];
             }
             let scale = 1.0 + dense.max_abs();
             for (got, want) in vals.iter().zip(jacobi_smallest(&dense, k)) {
@@ -129,7 +129,7 @@ fn lanczos_over_shifted_low_rank_matches_jacobi() {
                 dense.axpy(-w, &bbt);
             }
             for i in 0..n {
-                dense.set(i, i, dense.get(i, i) + shift);
+                dense[(i, i)] += shift;
             }
             let scale = 1.0 + dense.max_abs();
             for (got, want) in vals.iter().zip(jacobi_smallest(&dense, k)) {

@@ -175,7 +175,7 @@ pub fn reset_counters() {
 /// path is a single relaxed atomic load and branch.
 ///
 /// ```
-/// umsc_obs::counter!("gemm.blocked", 1);
+/// umsc_obs::counter!("spmv.row_chunks", 4);
 /// ```
 #[macro_export]
 macro_rules! counter {

@@ -1,41 +1,6 @@
-//! Composite operator nodes: scaling, diagonal shift, weighted sums.
+//! Composite operator nodes: diagonal shift, weighted sums.
 
 use crate::{map_indexed_gated, new_scratch, LinOp, Scratch};
-
-/// `α · A` for an inner operator `A`.
-///
-/// The inner apply runs first (with its own gate and scratch); the
-/// elementwise scale is order-independent per element, so the result is
-/// bitwise-identical for any thread count.
-#[derive(Debug)]
-pub struct Scaled<T> {
-    alpha: f64,
-    inner: T,
-}
-
-impl<T: LinOp> Scaled<T> {
-    pub fn new(alpha: f64, inner: T) -> Self {
-        Scaled { alpha, inner }
-    }
-}
-
-impl<T: LinOp> LinOp for Scaled<T> {
-    fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply_into(x, y);
-        let alpha = self.alpha;
-        map_indexed_gated(y.len(), y, |_, v| *v *= alpha);
-    }
-
-    fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        self.inner.apply_block_into(x, ncols, y);
-        let alpha = self.alpha;
-        map_indexed_gated(y.len(), y, |_, v| *v *= alpha);
-    }
-}
 
 /// `σI − A`: the spectral-shift node the GPI F-step and the anchor
 /// embedding both need (turn a Laplacian into the positive-definite
@@ -56,20 +21,10 @@ impl<T: LinOp> DiagShift<T> {
         DiagShift { sigma, inner }
     }
 
-    /// The shift `σ`.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Replaces the shift (e.g. when solver weights change between
     /// outer iterations).
     pub fn set_sigma(&mut self, sigma: f64) {
         self.sigma = sigma;
-    }
-
-    /// The wrapped operator.
-    pub fn inner(&self) -> &T {
-        &self.inner
     }
 
     /// Mutable access to the wrapped operator (weight updates).
@@ -114,15 +69,6 @@ pub struct WeightedSum<T> {
 }
 
 impl<T: LinOp> WeightedSum<T> {
-    /// Uniform unit weights; the operator is then plain `Σ_v A_v`.
-    ///
-    /// # Panics
-    /// Panics if `ops` is empty or the views disagree on dimension.
-    pub fn new(ops: Vec<T>) -> Self {
-        let weights = vec![1.0; ops.len()];
-        Self::with_weights(ops, &weights)
-    }
-
     /// Weighted sum `Σ_v w_v A_v`.
     ///
     /// # Panics
@@ -143,16 +89,6 @@ impl<T: LinOp> WeightedSum<T> {
     pub fn set_weights(&mut self, weights: &[f64]) {
         assert_eq!(weights.len(), self.ops.len(), "WeightedSum: weights length mismatch");
         self.weights.copy_from_slice(weights);
-    }
-
-    /// Current per-view weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// The per-view operators.
-    pub fn ops(&self) -> &[T] {
-        &self.ops
     }
 
     /// Shared accumulation: `tmp = A_v·X` per view, then `y += w_v·tmp`.
@@ -206,30 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn scaled_matches_manual() {
-        let n = 9;
-        let a = random(n * n, 3);
-        let x = random(n, 4);
-        let op = Scaled::new(-2.5, DenseOp::new(n, &a));
-
-        let mut expect = vec![0.0; n];
-        DenseOp::new(n, &a).apply_into(&x, &mut expect);
-        for v in &mut expect {
-            *v *= -2.5;
-        }
-        let mut y = vec![f64::NAN; n];
-        op.apply_into(&x, &mut y);
-        assert_eq!(y, expect);
-    }
-
-    #[test]
     fn diag_shift_matches_manual() {
         let n = 8;
         let k = 3;
         let a = random(n * n, 5);
         let x = random(n * k, 6);
         let op = DiagShift::new(1.75, DenseOp::new(n, &a));
-        assert_eq!(op.sigma(), 1.75);
 
         let mut expect = vec![0.0; n * k];
         DenseOp::new(n, &a).apply_block_into(&x, k, &mut expect);
@@ -255,7 +173,7 @@ mod tests {
         let mut expect = vec![0.0; n * k];
         let mut tmp = vec![0.0; n * k];
         for (d, &w) in views.iter().zip(weights.iter()) {
-            DenseOp::new(n, d).apply_block_into_with(1, &x, k, &mut tmp);
+            crate::dense_rows_into(1, d, n, &x, k, &mut tmp);
             for (e, &t) in expect.iter_mut().zip(tmp.iter()) {
                 *e += w * t;
             }
@@ -269,7 +187,7 @@ mod tests {
         let mut expect_v = vec![0.0; n];
         let mut tmp_v = vec![0.0; n];
         for (d, &w) in views.iter().zip(weights.iter()) {
-            DenseOp::new(n, d).apply_into_with(1, &xv, &mut tmp_v);
+            crate::dense_rows_into(1, d, n, &xv, 1, &mut tmp_v);
             for (e, &t) in expect_v.iter_mut().zip(tmp_v.iter()) {
                 *e += w * t;
             }
@@ -283,12 +201,11 @@ mod tests {
     fn set_weights_updates_result() {
         let n = 6;
         let a = random(n * n, 9);
-        let mut wsum = WeightedSum::new(vec![DenseOp::new(n, &a)]);
+        let mut wsum = WeightedSum::with_weights(vec![DenseOp::new(n, &a)], &[1.0]);
         let x = random(n, 10);
         let mut y0 = vec![0.0; n];
         wsum.apply_into(&x, &mut y0);
         wsum.set_weights(&[2.0]);
-        assert_eq!(wsum.weights(), &[2.0]);
         let mut y1 = vec![0.0; n];
         wsum.apply_into(&x, &mut y1);
         for (a0, a1) in y0.iter().zip(y1.iter()) {
@@ -299,6 +216,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one view")]
     fn empty_weighted_sum_panics() {
-        WeightedSum::<DenseOp<'static>>::new(Vec::new());
+        WeightedSum::<DenseOp<'static>>::with_weights(Vec::new(), &[]);
     }
 }

@@ -4,12 +4,10 @@ use crate::{gate_threads, LinOp};
 
 /// A dense symmetric operator over a borrowed row-major `n × n` slice.
 ///
-/// The kernels mirror the dense `Matrix` paths exactly — one output
-/// row per work unit, per-element accumulation in ascending index order
-/// from an exact `0.0`, zero-skip on the left factor — so applies are
-/// bitwise-identical to `Matrix::matvec_into` / `Matrix::matmul_into`
-/// for any thread count. No scratch is needed: applies write straight
-/// into the caller's buffers.
+/// Vector and block applies both run [`dense_rows_into`] (a vector is a
+/// block of one column), the kernel behind `Matrix::matmul*` too, so they
+/// are bitwise-identical to `Matrix::matmul_into` for any thread count.
+/// No scratch is needed: applies write straight into the caller's buffers.
 #[derive(Clone, Copy, Debug)]
 pub struct DenseOp<'a> {
     n: usize,
@@ -25,52 +23,55 @@ impl<'a> DenseOp<'a> {
         assert_eq!(data.len(), n * n, "DenseOp::new: data is not n x n");
         DenseOp { n, data }
     }
+}
 
-    /// [`LinOp::apply_into`] with an explicit thread count (`threads <= 1`
-    /// runs inline; no work-size gate). Exposed for the bitwise-identity
-    /// tests; results are identical for every `threads`.
-    pub fn apply_into_with(&self, threads: usize, x: &[f64], y: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(x.len(), n, "DenseOp::apply_into: x length mismatch");
-        assert_eq!(y.len(), n, "DenseOp::apply_into: y length mismatch");
-        if n == 0 {
-            return;
-        }
-        let rows_per = n.div_ceil(threads.max(1));
-        umsc_rt::par::parallel_chunks_mut_with(threads, y, rows_per, |ci, ychunk| {
-            let base = ci * rows_per;
-            for (off, out) in ychunk.iter_mut().enumerate() {
-                let row = &self.data[(base + off) * n..(base + off + 1) * n];
-                *out = row.iter().zip(x.iter()).map(|(&a, &b)| a * b).sum();
-            }
-        });
+/// `Y = A·X` for a row-major `A` with `k` columns and a row-major `X`
+/// (`k × ncols`), writing the row-major `Y` (`y.len() / ncols` rows),
+/// `threads <= 1` running inline: the one dense-times-block kernel of the
+/// workspace. One output row per work unit, overwritten and then
+/// accumulated `i-p-j` — ascending `p` from an exact `0.0`, skipping
+/// exact zeros of `A` — so each output row streams contiguous rows of `X`
+/// and results are bitwise-identical at any thread count. A one-column
+/// `X` (a vector apply) runs the same sum in a register.
+///
+/// # Panics
+/// Panics if `a` does not hold `y.len() / ncols` rows of `k` entries or
+/// `x.len() != k * ncols`.
+pub fn dense_rows_into(threads: usize, a: &[f64], k: usize, x: &[f64], ncols: usize, y: &mut [f64]) {
+    if ncols == 0 {
+        return;
     }
-
-    /// [`LinOp::apply_block_into`] with an explicit thread count. One
-    /// output row per work unit, accumulated left-to-right with the same
-    /// zero-skip as the dense row-kernel GEMM — bitwise-identical to
-    /// `Matrix::matmul_into` for any `threads`.
-    pub fn apply_block_into_with(&self, threads: usize, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(x.len(), n * ncols, "DenseOp::apply_block_into: x length mismatch");
-        assert_eq!(y.len(), n * ncols, "DenseOp::apply_block_into: y length mismatch");
-        if n == 0 || ncols == 0 {
-            return;
-        }
-        umsc_rt::par::parallel_chunks_mut_with(threads, y, ncols, |i, yrow| {
-            yrow.fill(0.0);
-            let arow = &self.data[i * n..(i + 1) * n];
-            for (p, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let xrow = &x[p * ncols..(p + 1) * ncols];
-                for (o, &b) in yrow.iter_mut().zip(xrow.iter()) {
-                    *o += a * b;
+    assert_eq!(x.len(), k * ncols, "dense_rows_into: x length mismatch");
+    assert!(
+        y.len().is_multiple_of(ncols) && a.len() == y.len() / ncols * k,
+        "dense_rows_into: a holds {} entries, y {} for {ncols} columns and k = {k}",
+        a.len(),
+        y.len()
+    );
+    if ncols == 1 {
+        // A vector: the same sum, held in a register instead of `y`.
+        umsc_rt::par::parallel_chunks_mut_with(threads, y, 1, |i, yi| {
+            let mut acc = 0.0;
+            for (&av, &b) in a[i * k..(i + 1) * k].iter().zip(x) {
+                if av != 0.0 {
+                    acc += av * b;
                 }
             }
+            yi[0] = acc;
         });
+        return;
     }
+    umsc_rt::par::parallel_chunks_mut_with(threads, y, ncols, |i, yrow| {
+        yrow.fill(0.0);
+        for (p, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+            if av == 0.0 {
+                continue;
+            }
+            for (o, &b) in yrow.iter_mut().zip(&x[p * ncols..(p + 1) * ncols]) {
+                *o += av * b;
+            }
+        }
+    });
 }
 
 impl LinOp for DenseOp<'_> {
@@ -79,13 +80,17 @@ impl LinOp for DenseOp<'_> {
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let flops = 2 * self.n * self.n;
-        self.apply_into_with(gate_threads(flops), x, y);
+        let n = self.n;
+        assert_eq!(x.len(), n, "DenseOp::apply_into: x length mismatch");
+        assert_eq!(y.len(), n, "DenseOp::apply_into: y length mismatch");
+        dense_rows_into(gate_threads(2 * n * n), self.data, n, x, 1, y);
     }
 
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let flops = 2 * self.n * self.n * ncols;
-        self.apply_block_into_with(gate_threads(flops), x, ncols, y);
+        let n = self.n;
+        assert_eq!(x.len(), n * ncols, "DenseOp::apply_block_into: x length mismatch");
+        assert_eq!(y.len(), n * ncols, "DenseOp::apply_block_into: y length mismatch");
+        dense_rows_into(gate_threads(2 * n * n * ncols), self.data, n, x, ncols, y);
     }
 }
 
@@ -122,16 +127,12 @@ mod tests {
             let op = DenseOp::new(n, &a);
 
             let mut reference = vec![f64::NAN; n];
-            op.apply_into_with(1, &x, &mut reference);
-            // Vector apply accumulates without zero-skip: compare to dots.
-            let naive: Vec<f64> = (0..n)
-                .map(|i| a[i * n..(i + 1) * n].iter().zip(&x).map(|(&p, &q)| p * q).sum())
-                .collect();
-            assert_eq!(reference, naive);
+            op.apply_into(&x, &mut reference);
+            assert_eq!(reference, naive_apply(n, &a, &x, 1));
 
-            for threads in [2, 3, 8] {
+            for threads in [1, 2, 3, 8] {
                 let mut y = vec![f64::NAN; n];
-                op.apply_into_with(threads, &x, &mut y);
+                dense_rows_into(threads, &a, n, &x, 1, &mut y);
                 assert_eq!(y, reference, "n={n} threads={threads}");
             }
         }
@@ -149,12 +150,23 @@ mod tests {
             let op = DenseOp::new(n, &a);
 
             let mut reference = vec![f64::NAN; n * k];
-            op.apply_block_into_with(1, &x, k, &mut reference);
+            dense_rows_into(1, &a, n, &x, k, &mut reference);
             assert_eq!(reference, naive_apply(n, &a, &x, k));
+            let mut gated = vec![f64::NAN; n * k];
+            op.apply_block_into(&x, k, &mut gated);
+            assert_eq!(gated, reference, "n={n} k={k} gated");
+            // Each column alone (the vector path) gives the same bits.
+            for c in 0..k {
+                let xc: Vec<f64> = (0..n).map(|i| x[i * k + c]).collect();
+                let mut yc = vec![f64::NAN; n];
+                op.apply_into(&xc, &mut yc);
+                let rc: Vec<f64> = (0..n).map(|i| reference[i * k + c]).collect();
+                assert_eq!(yc, rc, "n={n} k={k} column {c}");
+            }
 
             for threads in [2, 4, 9] {
                 let mut y = vec![f64::NAN; n * k];
-                op.apply_block_into_with(threads, &x, k, &mut y);
+                dense_rows_into(threads, &a, n, &x, k, &mut y);
                 assert_eq!(y, reference, "n={n} k={k} threads={threads}");
             }
         }

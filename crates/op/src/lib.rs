@@ -5,8 +5,8 @@
 //! Laplacian through its action `x ↦ A·x`; nothing downstream requires
 //! the `n × n` entries themselves. This crate makes that observation a
 //! first-class abstraction: [`LinOp`] is the action, and the operator
-//! *nodes* ([`DenseOp`], [`CsrOp`], [`Scaled`], [`DiagShift`],
-//! [`WeightedSum`], [`LowRankAnchor`]) compose into exactly the
+//! *nodes* ([`DenseOp`], [`CsrOp`], [`DiagShift`], [`WeightedSum`],
+//! [`LowRankAnchor`]) compose into exactly the
 //! expressions the paper's solver evaluates — `Σ_v w_v L_v` for the
 //! fused graph, `σI − Σ_v w_v B_v B_vᵀ` for the anchor path — without
 //! ever materializing an `n × n` matrix. The anchor factors themselves
@@ -14,13 +14,14 @@
 //!
 //! # Kernel discipline
 //!
-//! Every node follows the same three rules as the in-tree GEMM/spmv
-//! kernels:
+//! Every `A·X` product in the workspace runs one of two row kernels,
+//! [`dense_rows_into`] or [`csr_rows_into`] (`Matrix::matmul*` and the
+//! anchor factors call them too), and every node follows three rules:
 //!
 //! * **Parallel past a work-size gate.** Applies thread via
-//!   [`umsc_rt::par`] once the estimated flop count reaches
-//!   [`PAR_FLOP_THRESHOLD`]; below it they run inline so small problems
-//!   never pay thread-spawn latency.
+//!   [`umsc_rt::par`] once [`gate_threads`] says the estimated flop count
+//!   pays for the spawn; below it they run inline so small problems never
+//!   pay thread-spawn latency. It is the workspace's one flop gate.
 //! * **Bitwise identity.** Work is partitioned so that every output
 //!   element is accumulated in the same order (ascending index, from an
 //!   exact `0.0`) regardless of thread count. Parallel results are
@@ -41,18 +42,19 @@ mod dense;
 mod lowrank;
 mod sparse;
 
-pub use compose::{DiagShift, Scaled, WeightedSum};
-pub use dense::DenseOp;
+pub use compose::{DiagShift, WeightedSum};
+pub use dense::{dense_rows_into, DenseOp};
 pub use lowrank::{LowRankAnchor, SparseFactor};
 pub use sparse::{csr_rows_into, CsrOp};
 
-/// Minimum estimated flop count before an apply engages worker threads
-/// (the same gate as the dense and CSR kernels it mirrors).
-pub const PAR_FLOP_THRESHOLD: usize = 1 << 18;
+/// Minimum estimated flop count before a product engages worker threads:
+/// a thread spawn costs ~10 µs, a flop well under a ns.
+const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
 /// Thread count for a job of `flops` floating-point operations: all
-/// available threads past the gate, inline below it.
-pub(crate) fn gate_threads(flops: usize) -> usize {
+/// available threads past the workspace's one flop gate, inline below it.
+/// Every gated product (the operator nodes, `Matrix::matmul*`) asks here.
+pub fn gate_threads(flops: usize) -> usize {
     if flops >= PAR_FLOP_THRESHOLD {
         umsc_rt::par::max_threads()
     } else {

@@ -1,4 +1,4 @@
-//! Low-rank operator node: `Z Λ Zᵀ` for anchor/bipartite graphs, over a
+//! Low-rank operator node: `Z Zᵀ` for anchor/bipartite graphs, over a
 //! sparse factor `Z`.
 
 use std::borrow::Cow;
@@ -130,6 +130,11 @@ impl SparseFactor {
         self.values.len()
     }
 
+    /// True when every stored entry is finite.
+    pub fn is_finite(&self) -> bool {
+        self.values.iter().all(|v| v.is_finite())
+    }
+
     /// The dense row-major `n × m` factor (small factors and tests).
     pub fn to_dense(&self) -> Vec<f64> {
         let mut z = vec![0.0; self.n * self.m];
@@ -174,20 +179,18 @@ impl SparseFactor {
     }
 }
 
-/// `Z Λ Zᵀ` over a sparse `n × m` factor `Z` and optional diagonal `Λ`
-/// (`None` means identity), with `m ≪ n` — the implicit form of an
-/// anchor-graph similarity `B Bᵀ`.
+/// `Z Zᵀ` over a sparse `n × m` factor `Z` with `m ≪ n` — the implicit
+/// form of an anchor-graph similarity `B Bᵀ`.
 ///
 /// Applies cost `O(nnz)` per column instead of `O(n²)`: `T = ZᵀX` (the
-/// CSR kernel on the stored transpose), an order-free diagonal scale,
-/// then `Y = Z T` (the CSR kernel on `Z`). Both products are
+/// CSR kernel on the stored transpose), then `Y = Z T` (the CSR kernel
+/// on `Z`). Both products are
 /// bitwise-identical to the dense row kernels on the densified factor
 /// (see [`SparseFactor`]). The intermediate `T` (`m × ncols`) lives in an
 /// internal grow-only scratch panel — allocation-free once warm.
 #[derive(Debug)]
 pub struct LowRankAnchor<'a> {
     z: Cow<'a, SparseFactor>,
-    lambda: Option<&'a [f64]>,
     scratch: Scratch,
 }
 
@@ -199,27 +202,12 @@ impl<'a> LowRankAnchor<'a> {
     /// Panics if `z.len() != n * m`.
     pub fn new(n: usize, m: usize, z: &[f64]) -> Self {
         assert_eq!(z.len(), n * m, "LowRankAnchor::new: factor is not n x m");
-        LowRankAnchor { z: Cow::Owned(SparseFactor::from_dense(n, m, z)), lambda: None, scratch: new_scratch() }
+        LowRankAnchor { z: Cow::Owned(SparseFactor::from_dense(n, m, z)), scratch: new_scratch() }
     }
 
     /// `Z Zᵀ` over a borrowed sparse factor.
     pub fn sparse(z: &'a SparseFactor) -> Self {
-        LowRankAnchor { z: Cow::Borrowed(z), lambda: None, scratch: new_scratch() }
-    }
-
-    /// Adds a diagonal middle factor: the operator becomes `Z Λ Zᵀ`.
-    ///
-    /// # Panics
-    /// Panics if `lambda.len() != m`.
-    pub fn with_scale(mut self, lambda: &'a [f64]) -> Self {
-        assert_eq!(lambda.len(), self.z.m, "LowRankAnchor::with_scale: lambda length mismatch");
-        self.lambda = Some(lambda);
-        self
-    }
-
-    /// Rank bound `m` (number of anchors).
-    pub fn rank(&self) -> usize {
-        self.z.m
+        LowRankAnchor { z: Cow::Borrowed(z), scratch: new_scratch() }
     }
 
     /// [`LinOp::apply_block_into`] with an explicit thread count
@@ -235,14 +223,6 @@ impl<'a> LowRankAnchor<'a> {
         let mut scratch = self.scratch.borrow_mut();
         let t = scratch.ensure(m * ncols);
         self.z.mul_transpose_into_with(threads, x, ncols, t);
-        // T ← Λ T: order-free per element.
-        if let Some(lambda) = self.lambda {
-            for (trow, &l) in t.chunks_exact_mut(ncols).zip(lambda) {
-                for v in trow {
-                    *v *= l;
-                }
-            }
-        }
         self.z.mul_into_with(threads, t, ncols, y);
     }
 }
@@ -287,8 +267,8 @@ mod tests {
         (0..len).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect()
     }
 
-    /// Dense reference `Z Λ Zᵀ X` computed by naive triple loops.
-    fn naive(n: usize, m: usize, z: &[f64], lambda: Option<&[f64]>, x: &[f64], k: usize) -> Vec<f64> {
+    /// Dense reference `Z Zᵀ X` computed by naive triple loops.
+    fn naive(n: usize, m: usize, z: &[f64], x: &[f64], k: usize) -> Vec<f64> {
         let mut t = vec![0.0; m * k];
         for j in 0..m {
             for c in 0..k {
@@ -296,7 +276,7 @@ mod tests {
                 for i in 0..n {
                     acc += z[i * m + j] * x[i * k + c];
                 }
-                t[j * k + c] = acc * lambda.map_or(1.0, |l| l[j]);
+                t[j * k + c] = acc;
             }
         }
         let mut y = vec![0.0; n * k];
@@ -316,26 +296,20 @@ mod tests {
     fn matches_dense_reference_and_is_thread_invariant() {
         for (n, m, k) in [(12, 3, 1), (40, 8, 4), (65, 16, 3)] {
             let z = random_factor(n, m, 1000 + n as u64);
-            let lambda = random(m, 2000 + n as u64);
             let x = random(n * k, 3000 + n as u64);
+            let op = LowRankAnchor::new(n, m, &z);
 
-            for with_lambda in [false, true] {
-                let op = LowRankAnchor::new(n, m, &z);
-                let op = if with_lambda { op.with_scale(&lambda) } else { op };
-                let lref = with_lambda.then_some(lambda.as_slice());
+            let mut reference = vec![f64::NAN; n * k];
+            op.apply_block_into_with(1, &x, k, &mut reference);
+            let expect = naive(n, m, &z, &x, k);
+            for (r, e) in reference.iter().zip(expect.iter()) {
+                assert!((r - e).abs() < 1e-13, "n={n} m={m} k={k}");
+            }
 
-                let mut reference = vec![f64::NAN; n * k];
-                op.apply_block_into_with(1, &x, k, &mut reference);
-                let expect = naive(n, m, &z, lref, &x, k);
-                for (r, e) in reference.iter().zip(expect.iter()) {
-                    assert!((r - e).abs() < 1e-13, "n={n} m={m} k={k}");
-                }
-
-                for threads in [2, 3, 7] {
-                    let mut y = vec![f64::NAN; n * k];
-                    op.apply_block_into_with(threads, &x, k, &mut y);
-                    assert_eq!(y, reference, "n={n} m={m} k={k} threads={threads}");
-                }
+            for threads in [2, 3, 7] {
+                let mut y = vec![f64::NAN; n * k];
+                op.apply_block_into_with(threads, &x, k, &mut y);
+                assert_eq!(y, reference, "n={n} m={m} k={k} threads={threads}");
             }
         }
     }
@@ -346,7 +320,6 @@ mod tests {
         let z = random_factor(n, m, 1);
         let x = random(n, 2);
         let op = LowRankAnchor::new(n, m, &z);
-        assert_eq!(op.rank(), m);
         let mut y = vec![f64::NAN; n];
         op.apply_into(&x, &mut y);
         let mut yb = vec![f64::NAN; n];

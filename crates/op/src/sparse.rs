@@ -7,10 +7,9 @@ use crate::{gate_threads, LinOp};
 /// This is the operator-layer view of `umsc_graph::CsrMatrix` (which
 /// implements [`LinOp`] by constructing one); keeping the node itself
 /// slice-based lets `umsc-op` sit below the graph crate in the
-/// dependency stack. The kernels mirror `CsrMatrix::spmv` /
-/// `CsrMatrix::matmul_dense_into` exactly: per-row sums in CSR storage
-/// order, one output row per work unit, so results are
-/// bitwise-identical to those paths for any thread count.
+/// dependency stack, and makes it the only home of the CSR products:
+/// per-row sums in CSR storage order, one output row per work unit, so
+/// results are bitwise-identical for any thread count.
 #[derive(Clone, Copy, Debug)]
 pub struct CsrOp<'a> {
     n: usize,
@@ -42,51 +41,17 @@ impl<'a> CsrOp<'a> {
     pub fn nnz(&self) -> usize {
         self.row_ptr[self.n]
     }
-
-    /// [`LinOp::apply_into`] with an explicit thread count (`threads <= 1`
-    /// runs inline; no work-size gate). Mirrors `CsrMatrix::spmv_with_threads`.
-    pub fn apply_into_with(&self, threads: usize, x: &[f64], y: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(x.len(), n, "CsrOp::apply_into: x length mismatch");
-        assert_eq!(y.len(), n, "CsrOp::apply_into: y length mismatch");
-        if n == 0 {
-            return;
-        }
-        let rows_per = n.div_ceil(threads.max(1));
-        umsc_obs::counter!("spmv.row_chunks", n.div_ceil(rows_per));
-        umsc_rt::par::parallel_chunks_mut_with(threads, y, rows_per, |ci, ychunk| {
-            let base = ci * rows_per;
-            for (off, out) in ychunk.iter_mut().enumerate() {
-                let i = base + off;
-                let lo = self.row_ptr[i];
-                let hi = self.row_ptr[i + 1];
-                *out = self.col_idx[lo..hi]
-                    .iter()
-                    .zip(self.values[lo..hi].iter())
-                    .map(|(&j, &v)| v * x[j])
-                    .sum();
-            }
-        });
-    }
-
-    /// [`LinOp::apply_block_into`] with an explicit thread count. One
-    /// output row per work unit, accumulated in CSR storage order —
-    /// mirrors `CsrMatrix::matmul_dense_into`.
-    pub fn apply_block_into_with(&self, threads: usize, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(x.len(), n * ncols, "CsrOp::apply_block_into: x length mismatch");
-        assert_eq!(y.len(), n * ncols, "CsrOp::apply_block_into: y length mismatch");
-        csr_rows_into(threads, self.row_ptr, self.col_idx, self.values, x, ncols, y);
-    }
 }
 
 /// `Y = A·X` for CSR arrays `A` (`row_ptr.len() - 1` rows) and a
 /// row-major `X` with `ncols` columns, `threads <= 1` running inline: the
-/// one CSR-times-block kernel of the workspace. One output row per work unit, overwritten and then summed
-/// over the row's stored entries in storage order from an exact `0.0`.
+/// one CSR-times-block kernel of the workspace. One output row per work
+/// unit, overwritten and then summed over the row's stored entries in
+/// storage order from an exact `0.0`.
 /// On ascending column indices with no stored zeros that is exactly the
 /// dense row kernel's sum (ascending index, zero-skip), so results are
-/// bitwise-identical to it and to themselves at any thread count.
+/// bitwise-identical to it and to themselves at any thread count. A
+/// one-column `X` (a vector apply) runs the same sum in a register.
 pub fn csr_rows_into(
     threads: usize,
     row_ptr: &[usize],
@@ -98,6 +63,18 @@ pub fn csr_rows_into(
 ) {
     assert_eq!(y.len(), (row_ptr.len() - 1) * ncols, "csr_rows_into: y length mismatch");
     if ncols == 0 {
+        return;
+    }
+    if ncols == 1 {
+        // A vector: the same sum, held in a register instead of `y`.
+        umsc_rt::par::parallel_chunks_mut_with(threads, y, 1, |i, yi| {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            let mut acc = 0.0;
+            for (&j, &v) in col_idx[lo..hi].iter().zip(values[lo..hi].iter()) {
+                acc += v * x[j];
+            }
+            yi[0] = acc;
+        });
         return;
     }
     umsc_rt::par::parallel_chunks_mut_with(threads, y, ncols, |i, yrow| {
@@ -118,13 +95,23 @@ impl LinOp for CsrOp<'_> {
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let flops = 2 * self.nnz();
-        self.apply_into_with(gate_threads(flops), x, y);
+        let n = self.n;
+        assert_eq!(x.len(), n, "CsrOp::apply_into: x length mismatch");
+        assert_eq!(y.len(), n, "CsrOp::apply_into: y length mismatch");
+        let threads = gate_threads(2 * self.nnz());
+        if n > 0 {
+            // One contiguous run of rows per worker.
+            umsc_obs::counter!("spmv.row_chunks", n.div_ceil(n.div_ceil(threads.max(1))));
+        }
+        csr_rows_into(threads, self.row_ptr, self.col_idx, self.values, x, 1, y);
     }
 
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let flops = 2 * self.nnz() * ncols;
-        self.apply_block_into_with(gate_threads(flops), x, ncols, y);
+        let n = self.n;
+        assert_eq!(x.len(), n * ncols, "CsrOp::apply_block_into: x length mismatch");
+        assert_eq!(y.len(), n * ncols, "CsrOp::apply_block_into: y length mismatch");
+        let threads = gate_threads(2 * self.nnz() * ncols);
+        csr_rows_into(threads, self.row_ptr, self.col_idx, self.values, x, ncols, y);
     }
 }
 
@@ -164,7 +151,7 @@ mod tests {
             let x: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
 
             let mut reference = vec![f64::NAN; n];
-            op.apply_into_with(1, &x, &mut reference);
+            op.apply_into(&x, &mut reference);
             // CSR rows are ascending-index, so the dense dot is the same sum.
             let naive: Vec<f64> = (0..n)
                 .map(|i| dense[i * n..(i + 1) * n].iter().zip(&x).map(|(&a, &b)| a * b).sum())
@@ -173,9 +160,9 @@ mod tests {
                 assert!((r - nv).abs() < 1e-12);
             }
 
-            for threads in [2, 5, 16] {
+            for threads in [1, 2, 5, 16] {
                 let mut y = vec![f64::NAN; n];
-                op.apply_into_with(threads, &x, &mut y);
+                csr_rows_into(threads, &rp, &ci, &vals, &x, 1, &mut y);
                 assert_eq!(y, reference, "n={n} threads={threads}");
             }
         }
@@ -190,10 +177,21 @@ mod tests {
             let x: Vec<f64> = (0..n * k).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
 
             let mut reference = vec![f64::NAN; n * k];
-            op.apply_block_into_with(1, &x, k, &mut reference);
+            csr_rows_into(1, &rp, &ci, &vals, &x, k, &mut reference);
+            let mut gated = vec![f64::NAN; n * k];
+            op.apply_block_into(&x, k, &mut gated);
+            assert_eq!(gated, reference, "n={n} k={k} gated");
+            // Each column alone (the vector path) gives the same bits.
+            for c in 0..k {
+                let xc: Vec<f64> = (0..n).map(|i| x[i * k + c]).collect();
+                let mut yc = vec![f64::NAN; n];
+                op.apply_into(&xc, &mut yc);
+                let rc: Vec<f64> = (0..n).map(|i| reference[i * k + c]).collect();
+                assert_eq!(yc, rc, "n={n} k={k} column {c}");
+            }
             for threads in [2, 4, 11] {
                 let mut y = vec![f64::NAN; n * k];
-                op.apply_block_into_with(threads, &x, k, &mut y);
+                csr_rows_into(threads, &rp, &ci, &vals, &x, k, &mut y);
                 assert_eq!(y, reference, "n={n} k={k} threads={threads}");
             }
         }

@@ -6,7 +6,7 @@
 //! allocates stacks, and the counters are thread-local — the point here
 //! is the nodes' own memory behavior, not the runtime's.
 
-use umsc_op::{CsrOp, DenseOp, DiagShift, LinOp, LowRankAnchor, Scaled, WeightedSum};
+use umsc_op::{CsrOp, DenseOp, DiagShift, LinOp, LowRankAnchor, WeightedSum};
 use umsc_rt::alloc_track::{measure, CountingAlloc};
 use umsc_rt::Rng;
 
@@ -70,17 +70,12 @@ fn all_nodes_are_allocation_free_once_warm() {
 
     let dense = random(n * n, 10);
     assert_warm_applies_are_alloc_free(&DenseOp::new(n, &dense), "DenseOp");
-    assert_warm_applies_are_alloc_free(&Scaled::new(0.5, DenseOp::new(n, &dense)), "Scaled");
 
     let (rp, ci, vals) = random_csr(n, 6, 11);
     assert_warm_applies_are_alloc_free(&CsrOp::new(n, &rp, &ci, &vals), "CsrOp");
 
     let z = random(n * m, 12);
-    let lambda = random(m, 13);
-    assert_warm_applies_are_alloc_free(
-        &LowRankAnchor::new(n, m, &z).with_scale(&lambda),
-        "LowRankAnchor",
-    );
+    assert_warm_applies_are_alloc_free(&LowRankAnchor::new(n, m, &z), "LowRankAnchor");
 
     // The solver's fused operator: σI − Σ_v w_v L_v over CSR views.
     let views: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> =

@@ -152,16 +152,12 @@ where
     });
 }
 
-/// Reusable scratch buffer for packed GEMM panels (and similar worker-local
-/// staging areas).
+/// Reusable grow-only scratch buffer (the operator nodes' staging areas).
 ///
-/// Blocked kernels copy a tile of the right-hand operand into a contiguous
-/// buffer so the micro-kernel streams it linearly. Workers create one
-/// `PanelBuf` per contiguous work chunk and call [`PanelBuf::ensure`] once
-/// per tile: the allocation happens at the first (largest) request and is
-/// reused for every subsequent tile, so packing costs no further heap
-/// traffic. Contents are *not* zeroed between uses — packing overwrites
-/// every slot it reads back.
+/// [`PanelBuf::ensure`] allocates at the first (largest) request and
+/// reuses the buffer for every later one, so repeated use costs no further
+/// heap traffic. Contents are *not* zeroed between uses — callers
+/// overwrite every slot they read back.
 #[derive(Debug, Default)]
 pub struct PanelBuf {
     buf: Vec<f64>,

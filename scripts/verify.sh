@@ -20,13 +20,25 @@ UMSC_BENCH_SMOKE=1 scripts/bench.sh "$smoke_json"
 [ -s "$smoke_json" ] || { echo "verify: bench smoke wrote an empty snapshot" >&2; exit 1; }
 grep -q '"schema":"umsc-bench-trajectory/v1"' "$smoke_json" \
     || { echo "verify: bench snapshot missing schema marker" >&2; exit 1; }
-# The polar-step kernels carry perfbench's layer name; renaming or
-# deleting them would break the trajectory's link to that layer.
-grep -q '"group":"linalg.polar"' "$smoke_json" \
-    || { echo "verify: bench snapshot missing the linalg.polar kernels" >&2; exit 1; }
-# Likewise the eigensolve kernels carry the `lanczos.solve` span's name.
-grep -q '"group":"lanczos.solve"' "$smoke_json" \
-    || { echo "verify: bench snapshot missing the lanczos.solve kernels" >&2; exit 1; }
+# Every bench group carries the name of the phase it times — a `span!`
+# name in the non-test source of crates/*/src (each file up to its first
+# `#[cfg(test)]`, comment lines skipped) or a BENCHMARK.json per-layer name
+# without its `_s` suffix — so a trajectory regression points at a phase.
+phases="$( { find crates -path '*/src/*' -name '*.rs' -print0 \
+                 | xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 }
+                                 !skip && !/^[[:space:]]*\/\// { print }' \
+                 | grep -oE 'span!\("[^"]+"' | sed 's/^span!("//; s/"$//'
+             sed -n '/"per_layer"/,/\]/p' BENCHMARK.json \
+                 | grep -oE '"name": *"[^"]+"' | sed 's/.*"\([^"]*\)"$/\1/; s/_s$//'; } | sort -u)"
+for group in $(grep -oE '"group":"[^"]*"' "$smoke_json" | sed 's/^"group":"//; s/"$//' | sort -u); do
+    grep -qxF "$group" <<< "$phases" \
+        || { echo "verify: bench group '$group' is neither a span nor a perfbench layer" >&2; exit 1; }
+done
+# The polar-step and eigensolve kernels must stay in the trajectory.
+for group in linalg.polar lanczos.solve; do
+    grep -q "\"group\":\"$group\"" "$smoke_json" \
+        || { echo "verify: bench snapshot missing the $group kernels" >&2; exit 1; }
+done
 
 # Sparse-vs-dense scaling demo must run end to end at smoke scale (it
 # re-asserts the O(nnz + n·c) memory story outside the test harness).
