@@ -116,9 +116,7 @@ fn cluster(args: &Args) -> Result<(), String> {
     } else if method_name == "umsc" {
         let lambda: f64 = args.get_parsed("lambda", 1.0)?;
         let cfg = UmscConfig::new(c).with_lambda(lambda).with_metric(metric).with_seed(seed);
-        // The graph kind picks the representation: the default k-NN graph
-        // runs the matrix-free CSR path, dense/CAN graphs the dense one.
-        let res = Umsc::new(cfg).fit_auto(&data).map_err(|e| e.to_string())?;
+        let res = Umsc::new(cfg).fit(&data).map_err(|e| e.to_string())?;
         (res.labels, Some(res.view_weights), Some(res.history))
     } else {
         let method = standard_suite(c)

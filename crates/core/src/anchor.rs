@@ -218,7 +218,7 @@ impl AnchorUmsc {
     /// `B_v` (each `n × m_v`; the affinity is `B_v·B_vᵀ`).
     pub fn fit_sparse_factors(&self, factors: &[SparseFactor]) -> Result<UmscResult> {
         let cfg = self.solver_config();
-        let n = engine::validate(&cfg, factors.iter().map(|b| (b.shape(), b.is_finite())), false)?;
+        let n = engine::validate(&cfg, factors.iter().map(|b| (b.shape(), b.is_finite(), true)), false)?;
         let uniform = vec![1.0 / factors.len() as f64; factors.len()];
         let mut fused = anchor_fused_operator(factors, &uniform);
         engine::fit(&cfg, &mut AnchorViews { factors, fused: &mut fused }, n)
@@ -226,7 +226,7 @@ impl AnchorUmsc {
 
     /// One block-coordinate sweep on precomputed anchor factors, advancing
     /// `st` in place: the anchor analogue of
-    /// [`crate::Umsc::one_step_solve_sparse`]. `fused` must wrap `factors`
+    /// [`crate::Umsc::one_step_solve`]. `fused` must wrap `factors`
     /// (build it with [`anchor_fused_operator`]); its weights are
     /// overwritten by the sweep. Allocation-free once `ws` and `fused`
     /// are warm.

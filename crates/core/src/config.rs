@@ -59,16 +59,6 @@ pub enum GraphKind {
     },
 }
 
-impl GraphKind {
-    /// Whether this graph kind has a natively sparse (CSR) construction,
-    /// i.e. whether the matrix-free solver path avoids O(n²) memory end to
-    /// end. Dense and CAN graphs build an `n × n` affinity first, so they
-    /// gain nothing from the sparse representation.
-    pub fn is_sparse(&self) -> bool {
-        matches!(self, GraphKind::Knn { .. } | GraphKind::Epsilon { .. })
-    }
-}
-
 /// Full configuration of the unified model.
 #[derive(Debug, Clone)]
 pub struct UmscConfig {

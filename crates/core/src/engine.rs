@@ -79,25 +79,29 @@ fn traces<V: ViewSet>(views: &V, f: &Matrix) -> Vec<f64> {
 
 /// Checks what every fit requires and returns `n`. `views` holds each
 /// view's matrix shape — `n × n` Laplacians when `square`, otherwise
-/// `n × m_v` factors — and whether all its stored entries are finite: a
-/// NaN or infinite entry would turn into a NaN trace, which the w-step
-/// would read as the best view.
+/// `n × m_v` factors — whether all its stored entries are finite (a NaN
+/// or infinite entry would turn into a NaN trace, which the w-step would
+/// read as the best view) and whether it is symmetric (the eigensolves
+/// and the GPI shift assume a symmetric operator; factors pass `true`).
 pub(crate) fn validate(
     cfg: &UmscConfig,
-    views: impl Iterator<Item = ((usize, usize), bool)>,
+    views: impl Iterator<Item = ((usize, usize), bool, bool)>,
     square: bool,
 ) -> Result<usize> {
     let invalid = |msg: String| Err(UmscError::InvalidInput(msg));
-    let views: Vec<((usize, usize), bool)> = views.collect();
-    let Some(&((n, _), _)) = views.first() else {
+    let views: Vec<((usize, usize), bool, bool)> = views.collect();
+    let Some(&((n, _), _, _)) = views.first() else {
         return invalid("no views given".into());
     };
-    for (v, &((rows, cols), finite)) in views.iter().enumerate() {
+    for (v, &((rows, cols), finite, symmetric)) in views.iter().enumerate() {
         if rows != n || (square && cols != n) {
             return invalid(format!("view {v} has shape {rows}x{cols}, expected {n} rows"));
         }
         if !finite {
             return invalid(format!("view {v} has a non-finite entry"));
+        }
+        if !symmetric {
+            return invalid(format!("view {v} is not symmetric"));
         }
     }
     if cfg.gpi_max_iter == 0 {

@@ -61,7 +61,7 @@ pub use pipeline::{
     spectral_embedding, spectral_embedding_with_values, GraphConfig, Metric,
 };
 pub use solver::{init_rotation, IterationStats, SolverState, StepStats, Umsc, UmscResult};
-pub use sparse_solver::sparse_fused_operator;
+pub use sparse_solver::{sparse_fused_operator, FusedLaplacian};
 pub use workspace::SolverWorkspace;
 
 /// Result alias for this crate.

@@ -80,55 +80,58 @@ pub fn view_affinity(x: &Matrix, cfg: &GraphConfig) -> Matrix {
     }
 }
 
-/// Builds the symmetric-normalized Laplacian of every view.
-///
-/// Validates the dataset first; all solver entry points funnel through
-/// here. Views are independent, so on multi-core machines they are built
-/// on scoped threads (one per view, capped by the available parallelism);
-/// the output order — and therefore every downstream number — is identical
-/// to the sequential path.
-pub fn build_view_laplacians(data: &MultiViewDataset, cfg: &GraphConfig) -> Result<Vec<Matrix>> {
+/// Checks a dataset before any graph is built from it.
+fn check_dataset(data: &MultiViewDataset) -> Result<()> {
     data.validate().map_err(UmscError::InvalidInput)?;
     if data.n() < 2 {
         return Err(UmscError::InvalidInput(format!("need at least 2 points, got {}", data.n())));
     }
-    let _span = umsc_obs::span!("graph.build");
-    Ok(build_laplacians_threaded(&data.views, cfg))
+    Ok(())
 }
 
-/// Builds **sparse** (CSR) symmetric-normalized Laplacians per view, for
-/// [`crate::Umsc::fit_laplacians_sparse`]. k-NN and ε-ball graphs are
+/// Builds the dense symmetric-normalized Laplacian of every view (the
+/// baselines' graphs; [`crate::Umsc`] fits take
+/// [`build_view_laplacians_sparse`]).
+///
+/// Validates the dataset first. Views are independent, so on multi-core
+/// machines they are built on scoped threads (one per view, capped by the
+/// available parallelism); the output order — and therefore every
+/// downstream number — is identical to the sequential path.
+pub fn build_view_laplacians(data: &MultiViewDataset, cfg: &GraphConfig) -> Result<Vec<Matrix>> {
+    check_dataset(data)?;
+    let _span = umsc_obs::span!("graph.build");
+    Ok(build_laplacians_threaded_with(umsc_rt::par::max_threads(), &data.views, cfg))
+}
+
+/// Builds **sparse** (CSR) symmetric-normalized Laplacians per view — the
+/// graphs of every [`crate::Umsc::fit`]. k-NN and ε-ball graphs are
 /// streamed from the features and never form an `n × n` matrix;
-/// dense/CAN graphs are built densely and converted (entries below
-/// `1e-12` dropped), which preserves semantics but not the memory
-/// advantage — prefer the sparse graph kinds at scale.
+/// dense/CAN graphs are the dense [`normalized_laplacian`] compacted at
+/// its exact zeros, the same values as [`build_view_laplacians`] but
+/// without the memory advantage — prefer the sparse graph kinds at scale.
 pub fn build_view_laplacians_sparse(
     data: &MultiViewDataset,
     cfg: &GraphConfig,
 ) -> Result<Vec<CsrMatrix>> {
-    data.validate().map_err(UmscError::InvalidInput)?;
-    if data.n() < 2 {
-        return Err(UmscError::InvalidInput(format!("need at least 2 points, got {}", data.n())));
-    }
+    check_dataset(data)?;
     let _span = umsc_obs::span!("graph.build");
-    Ok(umsc_rt::par::parallel_map(&data.views, |_, x| {
-        let w = sparse_view_affinity(x, cfg)
-            .unwrap_or_else(|| CsrMatrix::from_dense(&view_affinity(x, cfg), 1e-12));
-        let _span = umsc_obs::span!("graph.laplacian");
-        umsc_graph::normalized_laplacian_sparse(&w)
+    Ok(umsc_rt::par::parallel_map(&data.views, |_, x| match sparse_view_affinity(x, cfg) {
+        Some(w) => {
+            let _span = umsc_obs::span!("graph.laplacian");
+            umsc_graph::normalized_laplacian_sparse(&w)
+        }
+        None => {
+            let w = view_affinity(x, cfg);
+            let _span = umsc_obs::span!("graph.laplacian");
+            CsrMatrix::from_dense(&normalized_laplacian(&w), 0.0)
+        }
     }))
 }
 
-/// Per-view Laplacian construction on up to `umsc_rt::par::max_threads()`
-/// threads (views are independent; output order — and therefore every
-/// downstream number — is identical to a sequential loop).
-pub fn build_laplacians_threaded(views: &[Matrix], cfg: &GraphConfig) -> Vec<Matrix> {
-    build_laplacians_threaded_with(umsc_rt::par::max_threads(), views, cfg)
-}
-
-/// [`build_laplacians_threaded`] with an explicit thread count — used by
-/// the determinism test (forcing parallelism on single-core machines) and
-/// the speedup bench.
+/// Dense per-view Laplacians on up to `threads` threads (views are
+/// independent; output order — and therefore every downstream number —
+/// is identical to a sequential loop). The thread count is explicit so
+/// the determinism test can force parallelism on a single-core machine.
 pub fn build_laplacians_threaded_with(threads: usize, views: &[Matrix], cfg: &GraphConfig) -> Vec<Matrix> {
     umsc_rt::par::parallel_map_with(threads, views, |_, x| {
         let w = view_affinity(x, cfg);
@@ -159,8 +162,9 @@ pub fn spectral_embedding_with_values(l: &dyn LinOp, k: usize, seed: u64) -> Res
 }
 
 /// Estimates the number of clusters by the **eigengap heuristic** on the
-/// fused (average) normalized Laplacian: the `k ∈ candidates` maximizing
-/// `λ_{k+1} − λ_k`.
+/// fused (average) normalized Laplacian — [`crate::sparse_fused_operator`]
+/// at uniform weights over [`build_view_laplacians_sparse`]: the
+/// `k ∈ candidates` maximizing `λ_{k+1} − λ_k`.
 ///
 /// Returns the chosen `k` and the full `(k, gap)` diagnostic list so
 /// callers can inspect how decisive the choice was.
@@ -170,17 +174,14 @@ pub fn estimate_num_clusters(
     candidates: std::ops::RangeInclusive<usize>,
     seed: u64,
 ) -> Result<(usize, Vec<(usize, f64)>)> {
-    let laplacians = build_view_laplacians(data, cfg)?;
+    let laplacians = build_view_laplacians_sparse(data, cfg)?;
     let n = data.n();
     let lo = (*candidates.start()).max(1);
     let hi = (*candidates.end()).min(n.saturating_sub(1));
     if lo > hi {
         return Err(UmscError::InvalidInput(format!("empty candidate range {lo}..={hi} for n = {n}")));
     }
-    let mut fused = Matrix::zeros(n, n);
-    for l in &laplacians {
-        fused.axpy(1.0 / laplacians.len() as f64, l);
-    }
+    let fused = crate::sparse_fused_operator(&laplacians, &vec![1.0 / laplacians.len() as f64; laplacians.len()]);
     let (vals, _) = spectral_embedding_with_values(&fused, (hi + 1).min(n), seed)?;
     let gaps: Vec<(usize, f64)> = (lo..=hi)
         .filter(|&k| k < vals.len())
@@ -313,10 +314,15 @@ mod tests {
         for (a, b) in dense.iter().zip(sparse.iter()) {
             assert!(b.to_dense().approx_eq(a, 1e-12));
         }
-        // Dense kind converts without error.
-        let cfg = GraphConfig { kind: GraphKind::Dense(umsc_graph::Bandwidth::MeanDistance), metric: Metric::Euclidean };
-        let sparse = build_view_laplacians_sparse(&data, &cfg).unwrap();
-        assert_eq!(sparse.len(), 3);
+        // Dense kinds compact the dense Laplacian: the same bits.
+        for kind in [GraphKind::Dense(umsc_graph::Bandwidth::MeanDistance), GraphKind::Adaptive { k: 6 }] {
+            let cfg = GraphConfig { kind, metric: Metric::Euclidean };
+            let dense = build_view_laplacians(&data, &cfg).unwrap();
+            let sparse = build_view_laplacians_sparse(&data, &cfg).unwrap();
+            for (a, b) in dense.iter().zip(sparse.iter()) {
+                assert_eq!(b.to_dense().as_slice(), a.as_slice());
+            }
+        }
     }
 
     #[test]
@@ -332,7 +338,7 @@ mod tests {
         // plus the implicit path.
         for threaded in [
             build_laplacians_threaded_with(4, &data.views, &cfg),
-            build_laplacians_threaded(&data.views, &cfg),
+            build_view_laplacians(&data, &cfg).unwrap(),
         ] {
             assert_eq!(sequential.len(), threaded.len());
             for (a, b) in sequential.iter().zip(threaded.iter()) {

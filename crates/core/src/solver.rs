@@ -1,4 +1,4 @@
-//! The unified one-stage solver on dense Laplacians, and the model type.
+//! The unified one-stage solver and the model type.
 //!
 //! [`Umsc`] is the public face of the paper's method. Every fit funnels
 //! into the shared block-coordinate-descent engine (`engine.rs`); one
@@ -10,19 +10,20 @@
 //! 3. **R-step** — orthogonal Procrustes `R = UVᵀ` of `Fᵀ Y_eff`;
 //! 4. **Y-step** — exact row-wise argmax of `F·R` with empty-cluster repair.
 //!
-//! This module supplies the engine's dense view set: `Σ_v w_v L⁽ᵛ⁾`
-//! materialized into one reused `n × n` buffer, with the Gershgorin bound
-//! as the GPI shift. Its embedding eigensolves are the engine's, the same
-//! scalar Lanczos as on the matrix-free view sets.
+//! Every entry point — features, affinities, dense or CSR Laplacians —
+//! ends in one fit on CSR Laplacians, whose view set is the
+//! [`FusedLaplacian`] of `sparse_solver.rs`.
 
 use crate::config::UmscConfig;
-use crate::engine::{self, ViewSet};
+use crate::engine;
 use crate::error::UmscError;
-use crate::pipeline::{build_view_laplacians, build_view_laplacians_sparse};
-use crate::workspace::{ensure_shape, SolverWorkspace, TraceScratch};
+use crate::pipeline::build_view_laplacians_sparse;
+use crate::sparse_solver::{sparse_fused_operator, FusedLaplacian};
+use crate::workspace::SolverWorkspace;
 use crate::Result;
 use umsc_data::MultiViewDataset;
-use umsc_linalg::{procrustes, LinOp, Matrix};
+use umsc_graph::CsrMatrix;
+use umsc_linalg::{procrustes, Matrix};
 
 /// Snapshot of one outer iteration (for convergence plots).
 #[derive(Debug, Clone)]
@@ -104,33 +105,25 @@ impl Umsc {
         &self.config
     }
 
-    /// Fits the model on a multi-view dataset (builds per-view graphs from
-    /// the configured metric/graph kind, then calls
-    /// [`Umsc::fit_laplacians`]).
+    /// Fits the model on a multi-view dataset: builds each view's CSR
+    /// Laplacian from the configured metric and graph kind
+    /// ([`build_view_laplacians_sparse`]), then calls
+    /// [`Umsc::fit_laplacians_sparse`].
     pub fn fit(&self, data: &MultiViewDataset) -> Result<UmscResult> {
-        let laplacians = build_view_laplacians(data, &self.config.graph_config())?;
-        self.fit_laplacians(&laplacians)
+        let laplacians = build_view_laplacians_sparse(data, &self.config.graph_config())?;
+        self.fit_laplacians_sparse(&laplacians)
     }
 
-    /// Like [`Umsc::fit`], but picks the operator representation from the
-    /// configured graph kind: natively sparse graphs (see
-    /// [`crate::GraphKind::is_sparse`]) run the matrix-free CSR path
-    /// ([`Umsc::fit_laplacians_sparse`]) — O(nnz + n·c) workspace memory
-    /// instead of O(n²) — while dense/CAN graphs take [`Umsc::fit`].
+    /// The same fit as [`Umsc::fit`], bit for bit.
     pub fn fit_auto(&self, data: &MultiViewDataset) -> Result<UmscResult> {
-        if self.config.graph.is_sparse() {
-            let laplacians = build_view_laplacians_sparse(data, &self.config.graph_config())?;
-            self.fit_laplacians_sparse(&laplacians)
-        } else {
-            self.fit(data)
-        }
+        self.fit(data)
     }
 
     /// Fits the model on precomputed per-view **affinity** matrices
     /// (symmetric, non-negative, zero diagonal) — for users who build
-    /// their own graphs. Each affinity is turned into its
-    /// symmetric-normalized Laplacian and passed to
-    /// [`Umsc::fit_laplacians`].
+    /// their own graphs. Each affinity's symmetric-normalized Laplacian is
+    /// compacted at its exact zeros as soon as it is built (as in
+    /// [`Umsc::fit_laplacians`]) and the CSR views are fitted.
     pub fn fit_affinities(&self, affinities: &[Matrix]) -> Result<UmscResult> {
         for (v, w) in affinities.iter().enumerate() {
             if !w.is_square() {
@@ -143,108 +136,63 @@ impl Umsc {
                 return Err(UmscError::InvalidInput(format!("affinity {v} has negative or non-finite entries")));
             }
         }
-        let laplacians: Vec<Matrix> =
-            affinities.iter().map(umsc_graph::normalized_laplacian).collect();
-        self.fit_laplacians(&laplacians)
+        let laplacians: Vec<CsrMatrix> =
+            affinities.iter().map(|w| CsrMatrix::from_dense(&umsc_graph::normalized_laplacian(w), 0.0)).collect();
+        self.fit_laplacians_sparse(&laplacians)
     }
 
-    /// Fits the model on precomputed per-view (normalized) Laplacians —
-    /// the entry point when graphs come from elsewhere.
+    /// Fits the model on precomputed dense per-view Laplacians: each is
+    /// compacted at its exact zeros, then fitted by
+    /// [`Umsc::fit_laplacians_sparse`]. Dropping exact zeros moves no
+    /// bit of any product, so this is the fit of the dense matrices.
     pub fn fit_laplacians(&self, laplacians: &[Matrix]) -> Result<UmscResult> {
-        let views = laplacians.iter().map(|l| (l.shape(), l.as_slice().iter().all(|v| v.is_finite())));
+        let compact: Vec<CsrMatrix> = laplacians.iter().map(|l| CsrMatrix::from_dense(l, 0.0)).collect();
+        self.fit_laplacians_sparse(&compact)
+    }
+
+    /// Fits the model on precomputed CSR per-view Laplacians — the entry
+    /// point every other fit ends in. Any symmetric Laplacian is accepted,
+    /// normalized or not: the GPI shift is the Gershgorin bound of the
+    /// fused matrix. A view that is not symmetric within
+    /// `1e-8·max(max|L|, 1)` is an `InvalidInput` error, as is a
+    /// non-finite entry.
+    pub fn fit_laplacians_sparse(&self, laplacians: &[CsrMatrix]) -> Result<UmscResult> {
+        let views = laplacians.iter().map(|l| {
+            let symmetric = l.is_symmetric(1e-8 * l.max_abs().max(1.0));
+            ((l.rows(), l.cols()), l.is_finite(), symmetric)
+        });
         let n = engine::validate(&self.config, views, true)?;
-        engine::fit(&self.config, &mut DenseViews { laplacians, a: Matrix::zeros(0, 0) }, n)
+        let uniform = vec![1.0 / laplacians.len() as f64; laplacians.len()];
+        engine::fit(&self.config, &mut sparse_fused_operator(laplacians, &uniform), n)
     }
 
     /// Initializes the BCD state for [`Umsc::one_step_solve`]: the
     /// warm-started embedding (the re-weighted spectral embedding of the
-    /// relaxed λ→0 problem) and the Yu–Shi rotation.
+    /// relaxed λ→0 problem) and the Yu–Shi rotation. `fused` (built with
+    /// [`sparse_fused_operator`]) is left at the warm start's weights.
     ///
     /// Callers driving the solver manually must pass validated Laplacians
-    /// (square, equal sizes, `c ≤ n`) — [`Umsc::fit_laplacians`] performs
-    /// that validation before dispatching here.
-    pub fn init_solver_state(&self, laplacians: &[Matrix]) -> Result<SolverState> {
-        self.init_solver_state_ws(laplacians, &mut SolverWorkspace::new())
+    /// (symmetric, equal sizes, `c ≤ n`) — [`Umsc::fit_laplacians_sparse`]
+    /// performs that validation before dispatching here.
+    pub fn init_solver_state(&self, fused: &mut FusedLaplacian<'_>) -> Result<SolverState> {
+        engine::init_state(&self.config, fused)
     }
 
-    /// [`Umsc::init_solver_state`] accumulating the fused Laplacian of the
-    /// warm start into the workspace's `n × n` buffer, which later
-    /// [`Umsc::one_step_solve`] calls reuse.
-    pub fn init_solver_state_ws(
-        &self,
-        laplacians: &[Matrix],
-        ws: &mut SolverWorkspace,
-    ) -> Result<SolverState> {
-        let mut views = DenseViews { laplacians, a: std::mem::replace(&mut ws.a, Matrix::zeros(0, 0)) };
-        let st = engine::init_state(&self.config, &mut views);
-        ws.a = views.a;
-        st
-    }
-
-    /// Performs one full BCD sweep (w-, F-, R-, Y-step) in place.
+    /// Performs one full BCD sweep (w-, F-, R-, Y-step) in place, moving
+    /// `fused` to the sweep's weights.
     ///
     /// All intermediates live in `ws`; after the first call (which sizes
     /// the buffers) the iteration body performs **zero heap allocations**
     /// — asserted by the counting-allocator test in `tests/alloc_free.rs`.
-    /// [`Umsc::fit_laplacians`] drives exactly this sweep; stepping it
-    /// manually yields the same iterates.
+    /// [`Umsc::fit_laplacians_sparse`] drives exactly this sweep; stepping
+    /// it manually yields the same iterates.
     pub fn one_step_solve(
         &self,
-        laplacians: &[Matrix],
+        fused: &mut FusedLaplacian<'_>,
         st: &mut SolverState,
         ws: &mut SolverWorkspace,
     ) -> Result<StepStats> {
-        let mut views = DenseViews { laplacians, a: std::mem::replace(&mut ws.a, Matrix::zeros(0, 0)) };
-        let stats = engine::sweep(&self.config, &mut views, st, ws);
-        ws.a = views.a;
-        stats
-    }
-}
-
-/// The dense view set: `Σ_v w_v L⁽ᵛ⁾` materialized into `a`, exactly
-/// symmetrized.
-struct DenseViews<'a> {
-    laplacians: &'a [Matrix],
-    a: Matrix,
-}
-
-impl ViewSet for DenseViews<'_> {
-    const SOLVER: &'static str = "dense";
-
-    fn num_views(&self) -> usize {
-        self.laplacians.len()
-    }
-
-    fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
-        let (n, c) = f.shape();
-        TraceScratch::fit(&mut scratch.lf, n, c);
-        TraceScratch::fit(&mut scratch.cc, c, c);
-        traces.clear();
-        for l in self.laplacians {
-            l.matmul_into(f, &mut scratch.lf);
-            f.matmul_transpose_a_into(&scratch.lf, &mut scratch.cc);
-            traces.push(scratch.cc.trace());
-        }
-    }
-
-    fn set_weights(&mut self, weights: &[f64]) {
-        let n = self.laplacians[0].rows();
-        ensure_shape(&mut self.a, n, n);
-        self.a.as_mut_slice().fill(0.0);
-        for (l, &w) in self.laplacians.iter().zip(weights.iter()) {
-            self.a.axpy(w, l);
-        }
-        self.a.symmetrize_mut();
-    }
-
-    fn operator(&self) -> &dyn LinOp {
-        &self.a
-    }
-
-    /// The Gershgorin bound of the materialized operator, with a small
-    /// margin so `ηI − A` stays PSD under rounding.
-    fn gpi_shift(&self, _weights: &[f64]) -> f64 {
-        self.a.gershgorin_upper_bound().max(0.0) + 1e-9
+        engine::sweep(&self.config, fused, st, ws)
     }
 }
 
@@ -434,6 +382,19 @@ mod tests {
             .collect();
         let via_aff = model.fit_affinities(&affinities).unwrap();
         assert_eq!(direct.labels, via_aff.labels);
+    }
+
+    #[test]
+    fn fit_and_fit_auto_agree_bit_for_bit() {
+        let data = easy_gmm(16);
+        for graph in [UmscConfig::new(3).graph, GraphKind::Adaptive { k: 8 }] {
+            let model = Umsc::new(UmscConfig::new(3).with_graph(graph.clone()));
+            let (a, b) = (model.fit(&data).unwrap(), model.fit_auto(&data).unwrap());
+            assert_eq!(a.labels, b.labels, "{graph:?}: labels differ");
+            let bits = |r: &UmscResult| r.history.iter().map(|h| h.objective.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&a), bits(&b), "{graph:?}: objectives differ");
+            assert_eq!(a.embedding.as_slice(), b.embedding.as_slice(), "{graph:?}: embeddings differ");
+        }
     }
 
     #[test]

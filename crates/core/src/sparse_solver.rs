@@ -1,82 +1,138 @@
-//! Sparse-Laplacian path for the unified solver.
+//! The one Laplacian view set of every [`crate::Umsc`] fit, [`FusedLaplacian`].
 //!
-//! The dense path densifies k-NN graphs into `n × n` matrices — O(n²)
-//! memory regardless of sparsity. This module gives [`Umsc`] a second
-//! entry point, [`Umsc::fit_laplacians_sparse`], that keeps every view's
-//! normalized Laplacian in CSR form and runs the same block coordinate
-//! descent engine matrix-free through the [`umsc_op`] operator layer:
-//!
-//! * the fused Laplacian `Σ_v w_v L_v` is a [`WeightedSum`] over borrowed
-//!   [`CsrOp`] views (see [`sparse_fused_operator`]) — never materialized,
-//!   O(nnz) per application, weights swapped in place per sweep;
-//! * traces `tr(Fᵀ L_v F)` via one block apply per view — O(nnz·c);
-//! * the embedding eigensolve is scalar Lanczos on the fused operator;
-//! * the GPI F-step shifts by the spectral bound `η = 2Σ_v w_v`
-//!   (normalized Laplacians satisfy `L ⪯ 2I`).
-//!
-//! Workspace memory is O(nnz + n·c): nothing on this path asks for an
-//! `n × n` buffer (asserted by the peak-memory tests in
-//! `tests/alloc_free.rs`).
+//! The objective reaches the views only through the fused Laplacian
+//! `Σ_v w_v L⁽ᵛ⁾` (the embedding eigensolves and every GPI F-step) and the
+//! per-view traces `tr(Fᵀ L⁽ᵛ⁾ F)` (one CSR block apply per view). The
+//! fused Laplacian is one CSR matrix on the union of the views' patterns:
+//! a weight change merges each view's sorted row into the union row, in
+//! view order — the summation order of a dense `Σ_v w_v L⁽ᵛ⁾`, so dense
+//! Laplacians compacted at their exact zeros fit bit for bit as the dense
+//! matrices did. Its applies are [`umsc_op::csr_rows_into`], and its GPI
+//! shift is its Gershgorin bound, so any symmetric Laplacian is accepted.
+//! Memory is O(nnz + n·c); no `n × n` buffer (`tests/alloc_free.rs`).
 
-use crate::engine::{self, ViewSet};
-use crate::solver::{SolverState, StepStats, Umsc, UmscResult};
-use crate::workspace::{SolverWorkspace, TraceScratch};
-use crate::Result;
+use crate::engine::ViewSet;
+use crate::workspace::TraceScratch;
 use umsc_graph::CsrMatrix;
 use umsc_linalg::{LinOp, Matrix};
-use umsc_op::{CsrOp, WeightedSum};
+use umsc_op::CsrOp;
 
-/// The fused operator `Σ_v w_v L_v` over borrowed CSR Laplacians — the
-/// sparse path's stand-in for the dense weighted Laplacian. Reuse one
-/// instance across sweeps and call [`WeightedSum::set_weights`] as the
-/// w-step updates weights; applications stay allocation-free once the
-/// internal scratch is warm.
-pub fn sparse_fused_operator<'a>(laplacians: &'a [CsrMatrix], weights: &[f64]) -> WeightedSum<CsrOp<'a>> {
-    let ops: Vec<CsrOp<'a>> = laplacians.iter().map(|l| l.as_op()).collect();
-    WeightedSum::with_weights(ops, weights)
+/// `Σ_v w_v L⁽ᵛ⁾` over borrowed CSR Laplacians, stored as one CSR
+/// matrix on the union of their patterns. Build it with
+/// [`sparse_fused_operator`], reuse it across sweeps, and move it to new
+/// weights in place with [`FusedLaplacian::set_weights`]; applies and
+/// weight changes never touch the heap.
+#[derive(Debug)]
+pub struct FusedLaplacian<'a> {
+    views: &'a [CsrMatrix],
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
 }
 
-impl Umsc {
-    /// Fits the model on precomputed **sparse** per-view normalized
-    /// Laplacians. Mirrors [`Umsc::fit_laplacians`] without ever forming
-    /// an `n × n` dense matrix; use it when graphs are k-NN/ε-ball sparse
-    /// and `n` is large. Every discretization is supported, the two-stage
-    /// `KMeans` ablation included.
-    pub fn fit_laplacians_sparse(&self, laplacians: &[CsrMatrix]) -> Result<UmscResult> {
-        let views = laplacians.iter().map(|l| ((l.rows(), l.cols()), l.is_finite()));
-        let n = engine::validate(self.config(), views, true)?;
-        let uniform = vec![1.0 / laplacians.len() as f64; laplacians.len()];
-        let mut fused = sparse_fused_operator(laplacians, &uniform);
-        engine::fit(self.config(), &mut CsrViews { laplacians, fused: &mut fused }, n)
+/// The fused Laplacian of `views` at `weights` — the operator every
+/// `Umsc` fit applies. Reuse one instance across
+/// [`crate::Umsc::one_step_solve`] calls, which move it to each sweep's weights.
+///
+/// # Panics
+/// Panics if `views` is empty, the views are not all `n × n` with
+/// the same `n`, or `weights.len()` differs from the view count.
+pub fn sparse_fused_operator<'a>(views: &'a [CsrMatrix], weights: &[f64]) -> FusedLaplacian<'a> {
+    // A counting pass sizes the union pattern exactly; a second fills it.
+    let n = views[0].rows();
+    assert!(views.iter().all(|l| l.rows() == n && l.cols() == n), "FusedLaplacian: views must all be {n}x{n}");
+    let mut seen = vec![usize::MAX; n];
+    let mut total = 0;
+    (0..n).for_each(|i| union_row(views, i, &mut seen, |_| total += 1));
+    seen.fill(usize::MAX);
+    let (mut row_ptr, mut col_idx) = (Vec::with_capacity(n + 1), Vec::with_capacity(total));
+    row_ptr.push(0);
+    for i in 0..n {
+        union_row(views, i, &mut seen, |j| col_idx.push(j));
+        col_idx[row_ptr[i]..].sort_unstable();
+        row_ptr.push(col_idx.len());
+    }
+    let mut fused = FusedLaplacian { views, row_ptr, values: vec![0.0; total], col_idx };
+    fused.set_weights(weights);
+    fused
+}
+
+impl FusedLaplacian<'_> {
+    /// Rewrites the stored values as `Σ_v w_v L⁽ᵛ⁾`: each entry sums its
+    /// views' terms in view order from an exact `0.0`.
+    ///
+    /// # Panics
+    /// Panics if `weights.len()` differs from the view count.
+    pub fn set_weights(&mut self, weights: &[f64]) {
+        assert_eq!(weights.len(), self.views.len(), "FusedLaplacian: weights length mismatch");
+        self.values.fill(0.0);
+        for i in 0..self.dim() {
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            let (cols, vals) = (&self.col_idx[lo..hi], &mut self.values[lo..hi]);
+            for (l, &w) in self.views.iter().zip(weights) {
+                // Both rows ascend, so one forward cursor finds every entry.
+                let mut k = 0;
+                for (&j, &v) in l.row_entries(i) {
+                    while cols[k] != j {
+                        k += 1;
+                    }
+                    vals[k] += w * v;
+                }
+            }
+        }
     }
 
-    /// One block-coordinate sweep of the sparse path: the exact analogue
-    /// of [`Umsc::one_step_solve`] with the fused Laplacian kept implicit
-    /// as a [`WeightedSum`] operator. `fused` must wrap `laplacians` (build
-    /// it with [`sparse_fused_operator`]); its weights are overwritten by
-    /// the sweep. Memory stays O(nnz + n·c).
-    pub fn one_step_solve_sparse(
-        &self,
-        laplacians: &[CsrMatrix],
-        fused: &mut WeightedSum<CsrOp<'_>>,
-        st: &mut SolverState,
-        ws: &mut SolverWorkspace,
-    ) -> Result<StepStats> {
-        engine::sweep(self.config(), &mut CsrViews { laplacians, fused }, st, ws)
+    /// The Gershgorin bound `max_i (a_ii + Σ_{j≠i} |a_ij|)` of the stored
+    /// matrix (0 when it is not finite).
+    fn gershgorin_upper_bound(&self) -> f64 {
+        let row_bound = |i: usize| {
+            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
+            let entries = self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]);
+            let diag = entries.clone().find(|(&j, _)| j == i).map_or(0.0, |(_, &v)| v);
+            diag + entries.filter(|(&j, _)| j != i).map(|(_, v)| v.abs()).sum::<f64>()
+        };
+        let bound = (0..self.dim()).map(row_bound).fold(f64::NEG_INFINITY, f64::max);
+        if bound.is_finite() {
+            bound
+        } else {
+            0.0
+        }
     }
 }
 
-/// The CSR view set: a persistent [`WeightedSum`] over the views.
-struct CsrViews<'a, 'b, 'c> {
-    laplacians: &'a [CsrMatrix],
-    fused: &'b mut WeightedSum<CsrOp<'c>>,
+/// Calls `push` once for every column in row `i` of any view, in
+/// first-seen order; `seen[j] == i` marks column `j` as pushed for row
+/// `i`, so rows must come in ascending order.
+fn union_row(views: &[CsrMatrix], i: usize, seen: &mut [usize], mut push: impl FnMut(usize)) {
+    for l in views {
+        for (&j, _) in l.row_entries(i) {
+            if seen[j] != i {
+                seen[j] = i;
+                push(j);
+            }
+        }
+    }
 }
 
-impl ViewSet for CsrViews<'_, '_, '_> {
+impl LinOp for FusedLaplacian<'_> {
+    fn dim(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        CsrOp::new(self.dim(), &self.row_ptr, &self.col_idx, &self.values).apply_into(x, y);
+    }
+
+    fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
+        CsrOp::new(self.dim(), &self.row_ptr, &self.col_idx, &self.values).apply_block_into(x, ncols, y);
+    }
+}
+
+impl ViewSet for FusedLaplacian<'_> {
     const SOLVER: &'static str = "sparse";
 
     fn num_views(&self) -> usize {
-        self.laplacians.len()
+        self.views.len()
     }
 
     fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
@@ -84,7 +140,7 @@ impl ViewSet for CsrViews<'_, '_, '_> {
         TraceScratch::fit(&mut scratch.lf, n, c);
         TraceScratch::fit(&mut scratch.cc, c, c);
         traces.clear();
-        for l in self.laplacians {
+        for l in self.views {
             l.apply_block_into(f.as_slice(), c, scratch.lf.as_mut_slice());
             f.matmul_transpose_a_into(&scratch.lf, &mut scratch.cc);
             traces.push(scratch.cc.trace());
@@ -92,27 +148,27 @@ impl ViewSet for CsrViews<'_, '_, '_> {
     }
 
     fn set_weights(&mut self, weights: &[f64]) {
-        self.fused.set_weights(weights);
+        FusedLaplacian::set_weights(self, weights);
     }
 
     fn operator(&self) -> &dyn LinOp {
-        &*self.fused
+        self
     }
 
-    /// Normalized Laplacians satisfy `L ⪯ 2I`, so `η = 2·Σ_v w_v` bounds
-    /// `λ_max` of the fused operator.
-    fn gpi_shift(&self, weights: &[f64]) -> f64 {
-        2.0 * weights.iter().sum::<f64>() + 1e-9
+    /// The Gershgorin bound of the stored fused matrix, with a small
+    /// margin so `ηI − A` stays PSD under rounding.
+    fn gpi_shift(&self, _weights: &[f64]) -> f64 {
+        self.gershgorin_upper_bound().max(0.0) + 1e-9
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{UmscConfig, Weighting};
+    use crate::{Umsc, UmscConfig, Weighting};
     use umsc_data::synth::{MultiViewGmm, ViewSpec};
     use umsc_graph::{knn_affinity, normalized_laplacian_sparse, pairwise_sq_distances, Bandwidth};
-    use umsc_metrics::{clustering_accuracy, nmi};
+    use umsc_metrics::clustering_accuracy;
 
     fn sparse_laplacians(data: &umsc_data::MultiViewDataset, k: usize) -> Vec<CsrMatrix> {
         data.views
@@ -133,16 +189,18 @@ mod tests {
 
     #[test]
     fn sparse_path_matches_dense_path() {
-        // Same k-NN Laplacians through both doors.
+        // Same k-NN Laplacians through both doors: the dense one compacts
+        // at exact zeros, so the two fits are one solve, bit for bit.
         let data = gmm(25, 1);
         let model = Umsc::new(UmscConfig::new(3));
         let sparse_ls = sparse_laplacians(&data, 10);
         let dense_ls: Vec<Matrix> = sparse_ls.iter().map(|l| l.to_dense()).collect();
         let dense = model.fit_laplacians(&dense_ls).unwrap();
         let sparse = model.fit_laplacians_sparse(&sparse_ls).unwrap();
-        // Partitions agree (solvers differ in eigensolver internals, so
-        // demand partition identity, not bitwise equality).
-        assert!(nmi(&dense.labels, &sparse.labels) > 0.99, "partitions diverge");
+        assert_eq!(dense.labels, sparse.labels);
+        let bits = |r: &crate::UmscResult| r.history.iter().map(|h| h.objective.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dense), bits(&sparse), "objectives differ");
+        assert_eq!(dense.embedding.as_slice(), sparse.embedding.as_slice(), "embeddings differ");
         let acc = clustering_accuracy(&sparse.labels, &data.labels);
         assert!(acc > 0.95, "sparse path ACC {acc}");
     }
@@ -181,24 +239,24 @@ mod tests {
     }
 
     #[test]
-    fn fused_operator_weights_swap_in_place() {
+    fn fused_operator_matches_the_dense_weighted_sum() {
         let data = gmm(15, 7);
         let ls = sparse_laplacians(&data, 6);
         let mut fused = sparse_fused_operator(&ls, &[0.25, 0.75]);
-        let n = fused.dim();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) as f64).sin()).collect();
-        let mut y = vec![0.0; n];
         fused.set_weights(&[0.6, 0.4]);
-        fused.apply_into(&x, &mut y);
-        // Reference: per-view applies accumulated in view order.
-        let mut expect = vec![0.0; n];
-        let mut tmp = vec![0.0; n];
+        // Reference: the dense sum, accumulated in view order.
+        let n = fused.dim();
+        let mut dense = Matrix::zeros(n, n);
         for (l, w) in ls.iter().zip([0.6, 0.4]) {
-            l.apply_into(&x, &mut tmp);
-            for (e, &t) in expect.iter_mut().zip(tmp.iter()) {
-                *e += w * t;
-            }
+            dense.axpy(w, &l.to_dense());
         }
-        assert_eq!(y, expect, "fused operator diverges from per-view reference");
+        let x = Matrix::from_fn(n, 3, |i, j| ((i * 13 + j * 5 + 1) as f64).sin());
+        let mut y = vec![0.0; n * 3];
+        fused.apply_block_into(x.as_slice(), 3, &mut y);
+        assert_eq!(y.as_slice(), dense.matmul(&x).as_slice(), "fused apply diverges from the dense sum");
+        let (mut yv, xv) = (vec![0.0; n], x.col(1));
+        fused.apply_into(&xv, &mut yv);
+        assert_eq!(yv.as_slice(), dense.matmul(&Matrix::from_vec(n, 1, xv)).as_slice());
+        assert_eq!(fused.gershgorin_upper_bound(), dense.gershgorin_upper_bound());
     }
 }

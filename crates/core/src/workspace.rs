@@ -5,9 +5,9 @@
 //! the `c × c` Procrustes rotation), per-view trace scratch and a handful
 //! of label/size vectors. Allocating them per iteration dominated
 //! small-`c` profiles; [`SolverWorkspace`] owns them all so a sweep
-//! performs **zero heap allocations** once the workspace is warm, on every
-//! view set (asserted by counting-allocator tests in
-//! `tests/alloc_free.rs`).
+//! performs **zero heap allocations** once warm, on every view set
+//! (`tests/alloc_free.rs`). None is `n × n`: the fused Laplacian is the
+//! view set's own storage.
 //!
 //! Buffers are grow-only and shape-stable across iterations; contents are
 //! unspecified between calls — every kernel writing into them overwrites
@@ -30,9 +30,9 @@ pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
 /// realloc.
 #[derive(Debug, Clone)]
 pub(crate) struct TraceScratch {
-    /// `n × c` product `L⁽ᵛ⁾·F` (dense and CSR views).
+    /// `n × c` product `L⁽ᵛ⁾·F` (Laplacian views).
     pub(crate) lf: Matrix,
-    /// `c × c` product `Fᵀ·L⁽ᵛ⁾·F` (dense and CSR views).
+    /// `c × c` product `Fᵀ·L⁽ᵛ⁾·F` (Laplacian views).
     pub(crate) cc: Matrix,
     /// Per-view `m_v × c` projections `B_vᵀF` (anchor views).
     pub(crate) proj: Vec<Matrix>,
@@ -57,9 +57,6 @@ impl TraceScratch {
 /// reused thereafter.
 #[derive(Debug, Clone)]
 pub struct SolverWorkspace {
-    /// `n × n` fused Laplacian `Σ_v w_v L⁽ᵛ⁾` of the dense
-    /// [`crate::Umsc::one_step_solve`] entry point.
-    pub(crate) a: Matrix,
     /// Per-view trace scratch.
     pub(crate) trace: TraceScratch,
     /// `c × c` Procrustes-input scratch.
@@ -92,7 +89,6 @@ impl SolverWorkspace {
     /// An empty workspace; every buffer is sized on first use.
     pub fn new() -> Self {
         SolverWorkspace {
-            a: Matrix::zeros(0, 0),
             trace: TraceScratch::new(),
             cc: Matrix::zeros(0, 0),
             y_eff: Matrix::zeros(0, 0),

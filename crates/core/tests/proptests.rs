@@ -3,8 +3,9 @@
 //! F, orthogonal R, indicator Y with no empty clusters), a monotone
 //! objective, normalized weights, and deterministic output.
 
-use umsc_core::{Discretization, Umsc, UmscConfig};
+use umsc_core::{Discretization, Umsc, UmscConfig, UmscResult};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
+use umsc_graph::{knn_affinity, pairwise_sq_distances, unnormalized_laplacian, Bandwidth, CsrMatrix};
 use umsc_linalg::Matrix;
 use umsc_rt::check::{check, Config};
 use umsc_rt::{ensure, Rng, Shrink};
@@ -134,6 +135,35 @@ fn two_stage_also_valid() {
         for w in res.history.windows(2) {
             ensure!(w[1].objective <= w[0].objective + 1e-6 * (1.0 + w[0].objective.abs()));
         }
+        Ok(())
+    });
+}
+
+/// Whether every history step stays within the monotonicity tolerance.
+fn non_increasing(res: &UmscResult) -> bool {
+    res.history.windows(2).all(|w| w[1].objective <= w[0].objective + 1e-6 * (1.0 + w[0].objective.abs()))
+}
+
+/// Unnormalized k-NN Laplacians `D − W` have `λ_max` far above 2, so a
+/// GPI shift assuming normalized Laplacians (`L ⪯ 2I`) would no longer
+/// make each F-step a descent step. Both Laplacian entries shift by the
+/// fused Gershgorin bound and stay monotone.
+#[test]
+fn unnormalized_laplacians_stay_monotone_on_both_entries() {
+    check(&cases(12), scenario, |s| {
+        let data = generate(s);
+        let dense: Vec<Matrix> = data
+            .views
+            .iter()
+            .map(|x| {
+                let k = 10.min(x.rows() - 1);
+                unnormalized_laplacian(&knn_affinity(&pairwise_sq_distances(x), k, &Bandwidth::SelfTuning { k: 7 }).to_dense())
+            })
+            .collect();
+        let sparse: Vec<CsrMatrix> = dense.iter().map(|l| CsrMatrix::from_dense(l, 0.0)).collect();
+        let model = Umsc::new(UmscConfig::new(s.c).with_lambda(s.lambda).with_seed(s.seed));
+        ensure!(non_increasing(&model.fit_laplacians(&dense).unwrap()), "dense entry's objective rose");
+        ensure!(non_increasing(&model.fit_laplacians_sparse(&sparse).unwrap()), "sparse entry's objective rose");
         Ok(())
     });
 }

@@ -132,7 +132,8 @@ fn anchor_solver_is_bitwise_identical_with_tracing() {
 }
 
 /// With a one-iteration cap every F-step's GPI ends at its cap, on the
-/// dense and the sparse path alike (the anchor fit fixes its own cap).
+/// fit from features and the CSR entry alike (the anchor fit fixes its
+/// own cap).
 #[test]
 fn capped_gpi_is_counted_once_per_f_step() {
     let data = dataset();

@@ -1,9 +1,10 @@
-//! The dense, CSR and anchor fits share one validation routine and one
-//! engine, so they must accept, reject and degenerate identically:
+//! The dense-input, CSR and anchor fits share one validation routine and
+//! one engine, so they must accept, reject and degenerate identically:
 //!
 //! - every malformed input is an `InvalidInput` error on every path that
 //!   accepts it, and none panics; a non-finite Laplacian or factor entry
-//!   is one, named by its view;
+//!   is one, named by its view, and so is a Laplacian that is not
+//!   symmetric;
 //! - `c = 1` is the cold eigensolve of the uniform operator, so dense and
 //!   sparse fits of the same Laplacians return the same embedding;
 //! - the two-stage `KMeans` ablation runs on the sparse path too.
@@ -103,6 +104,19 @@ fn every_path_rejects_the_same_inputs() {
             res.map(|r| r.labels.len())
         );
     }
+    // A Laplacian that is not symmetric within 1e-8·max|L| is rejected,
+    // naming its view, on both Laplacian entries.
+    let mut dense = good.dense.clone();
+    dense[1][(ROW, ROW + 1)] += 1e-3;
+    let sparse: Vec<CsrMatrix> = dense.iter().map(|l| CsrMatrix::from_dense(l, 0.0)).collect();
+    let model = Umsc::new(UmscConfig::new(3));
+    let fits = catch_unwind(AssertUnwindSafe(|| {
+        [("dense", model.fit_laplacians(&dense)), ("sparse", model.fit_laplacians_sparse(&sparse))]
+    }))
+    .unwrap_or_else(|_| panic!("asymmetric Laplacian: a fit panicked"));
+    for (path, res) in fits {
+        assert_rejects_view_one(path, res);
+    }
     // The valid baseline passes everywhere.
     for res in good.fit_all(3, &fixed(&[1.0, 2.0, 0.5]), &Discretization::Rotation) {
         assert_eq!(res.unwrap().labels.len(), n);
@@ -137,10 +151,10 @@ fn sparse_kmeans_runs_the_two_stage_loop() {
     assert!(!sparse.history.is_empty());
     assert!(sparse.history.iter().all(|h| h.rotation_term == 0.0), "sparse KMeans ran the one-stage loop");
     assert_eq!(sparse.rotation.as_slice(), Matrix::identity(3).as_slice());
-    assert!(umsc_metrics::nmi(&dense.labels, &sparse.labels) > 0.99, "dense and sparse two-stage fits disagree");
+    assert_eq!(dense.labels, sparse.labels, "dense and sparse two-stage fits disagree");
 
-    // fit_auto sends k-NN graphs to the sparse path whatever the discretization.
-    let auto = Umsc::new(UmscConfig::new(3).with_discretization(kmeans)).fit_auto(&data).unwrap();
+    // A fit from features runs the same CSR solve whatever the discretization.
+    let auto = Umsc::new(UmscConfig::new(3).with_discretization(kmeans)).fit(&data).unwrap();
     assert!(auto.history.iter().all(|h| h.rotation_term == 0.0));
     assert_eq!(auto.labels, sparse.labels);
 }

@@ -109,17 +109,23 @@ impl CsrMatrix {
         CsrMatrix { rows, cols, row_ptr, col_idx, values }
     }
 
-    /// Builds from a dense matrix, keeping entries with `|v| > threshold`.
+    /// Builds from a dense matrix in one row scan, dropping entries with
+    /// `|v| ≤ threshold` (a NaN is kept, so a finiteness check on the
+    /// result still sees it).
     pub fn from_dense(m: &Matrix, threshold: f64) -> Self {
-        let mut triplets = Vec::new();
+        let (mut row_ptr, mut col_idx, mut values) = (vec![0], Vec::new(), Vec::new());
         for i in 0..m.rows() {
-            for (j, &v) in m.row(i).iter().enumerate() {
-                if v.abs() > threshold {
-                    triplets.push((i, j, v));
-                }
+            for (j, &v) in m.row(i).iter().enumerate().filter(|(_, v)| v.abs() > threshold || v.is_nan()) {
+                col_idx.push(j);
+                values.push(v);
             }
+            row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_triplets(m.rows(), m.cols(), &triplets)
+        // Growth can leave room for twice the entries, and a fit holds the
+        // result throughout.
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
+        CsrMatrix { rows: m.rows(), cols: m.cols(), row_ptr, col_idx, values }
     }
 
     /// Densifies (small matrices / tests).
@@ -156,6 +162,18 @@ impl CsrMatrix {
     /// True when every stored entry is finite.
     pub fn is_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())
+    }
+
+    /// Largest stored magnitude `max |a_ij|` (0 when nothing is stored).
+    pub fn max_abs(&self) -> f64 {
+        self.values.iter().fold(0.0f64, |m, v| m.max(v.abs()))
+    }
+
+    /// Whether the matrix is square with `|a_ij − a_ji| ≤ tol` for every
+    /// stored entry (an entry missing from the pattern reads 0).
+    pub fn is_symmetric(&self, tol: f64) -> bool {
+        self.rows == self.cols
+            && (0..self.rows).all(|i| self.row_entries(i).all(|(&j, &v)| (v - self.get(j, i)).abs() <= tol))
     }
 
     /// `(column indices, values)` iterator over the stored entries of row `i`.
@@ -380,6 +398,19 @@ mod tests {
         let s = CsrMatrix::from_dense(&d, 0.0);
         assert_eq!(s.nnz(), 3);
         assert!(s.to_dense().approx_eq(&d, 0.0));
+    }
+
+    #[test]
+    fn dense_compaction_keeps_nan_and_symmetry_reads_missing_entries_as_zero() {
+        let d = Matrix::from_vec(2, 2, vec![f64::NAN, 0.0, -0.0, 1.0]);
+        let s = CsrMatrix::from_dense(&d, 0.0);
+        assert_eq!(s.nnz(), 2);
+        assert!(!s.is_finite());
+        let m = example();
+        assert_eq!(m.max_abs(), 4.0);
+        assert!(!m.is_symmetric(1.0), "a_21 = 4 against a missing a_12");
+        assert!(m.symmetrize().is_symmetric(0.0));
+        assert!(!CsrMatrix::zeros(2, 3).is_symmetric(0.0), "not square");
     }
 
     #[test]

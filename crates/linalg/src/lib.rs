@@ -24,8 +24,9 @@
 //!
 //! Test oracles, which no fit calls: [`SymEigen`] (the full dense
 //! eigendecomposition, Householder + QL), [`jacobi_eigen`] (cyclic Jacobi,
-//! an independent cross-check of it), [`Svd::compute`] and [`testkit`]
-//! (seeded generators for the property tests).
+//! an independent cross-check of it), [`Svd::compute`],
+//! [`Matrix::gershgorin_upper_bound`] and [`testkit`] (seeded generators
+//! for the property tests).
 //!
 //! Conventions: matrices are row-major; eigenvalues/singular values are
 //! returned in ascending/descending order as documented per routine;

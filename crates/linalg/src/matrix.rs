@@ -530,7 +530,8 @@ impl Matrix {
     /// Gershgorin upper bound on the largest eigenvalue of a symmetric
     /// matrix: `max_i (a_ii + Σ_{j≠i} |a_ij|)`.
     ///
-    /// Used by the GPI Stiefel solver to pick a safe shift `η ≥ λ_max`.
+    /// No fit calls it: the GPI shift is the same bound of the fused CSR
+    /// Laplacian, whose tests compare against this dense form bit for bit.
     pub fn gershgorin_upper_bound(&self) -> f64 {
         assert!(self.is_square(), "gershgorin_upper_bound: matrix is not square");
         let mut bound = f64::NEG_INFINITY;

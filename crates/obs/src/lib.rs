@@ -386,7 +386,7 @@ fn record_head(event: &str) -> String {
 /// One solver sweep's telemetry, emitted as an `event: "sweep"` line.
 #[derive(Clone, Copy, Debug)]
 pub struct SweepRecord<'a> {
-    /// Solver flavor: `"dense"`, `"sparse"`, or `"anchor"`.
+    /// Solver flavor: `"sparse"` (every `Umsc` fit) or `"anchor"`.
     pub solver: &'static str,
     /// Zero-based sweep index.
     pub iter: usize,

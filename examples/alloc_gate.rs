@@ -1,6 +1,7 @@
 //! Allocation-regression gate driven by `scripts/verify.sh`.
 //!
-//! Runs one dense, one sparse and one anchor fit with telemetry on and
+//! Runs one k-NN fit, one CAN-graph fit (the dense graph builder) and one
+//! anchor fit with telemetry on and
 //! prints the `workspace.realloc` counter — the number of times a solver
 //! workspace buffer had to be re-shaped (and therefore reallocated). Each
 //! fit sizes its buffers once; every warm sweep after that must reuse
@@ -11,7 +12,7 @@
 //!
 //! Output (stable, machine-readable): `workspace.realloc=<n>`.
 
-use umsc_core::{AnchorUmsc, AnchorUmscConfig, Umsc, UmscConfig};
+use umsc_core::{AnchorUmsc, AnchorUmscConfig, GraphKind, Umsc, UmscConfig};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 
 fn main() {
@@ -27,12 +28,13 @@ fn main() {
     gen.separation = 6.0;
     let data = gen.generate(7);
 
-    let model = Umsc::new(UmscConfig::new(3).with_max_iter(30));
-    let dense = model.fit(&data).expect("dense fit failed");
-    let sparse = model.fit_auto(&data).expect("sparse fit failed");
+    let knn = Umsc::new(UmscConfig::new(3).with_max_iter(30)).fit(&data).expect("k-NN fit failed");
+    let can = Umsc::new(UmscConfig::new(3).with_max_iter(30).with_graph(GraphKind::Adaptive { k: 10 }))
+        .fit(&data)
+        .expect("CAN fit failed");
     let anchor = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(30)).fit(&data).expect("anchor fit failed");
-    assert_eq!(dense.labels.len(), data.n());
-    assert_eq!(sparse.labels.len(), data.n());
+    assert_eq!(knn.labels.len(), data.n());
+    assert_eq!(can.labels.len(), data.n());
     assert_eq!(anchor.labels.len(), data.n());
 
     let realloc = umsc_obs::counters_snapshot()

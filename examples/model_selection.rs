@@ -10,9 +10,8 @@
 //! **silhouette** / **Calinski–Harabasz** indices of each candidate
 //! clustering in embedding space — then compares against the planted truth.
 
-use umsc::core::pipeline::{build_view_laplacians, spectral_embedding_with_values};
+use umsc::core::estimate_num_clusters;
 use umsc::data::synth::{MultiViewGmm, ViewSpec};
-use umsc::linalg::Matrix;
 use umsc::metrics::{calinski_harabasz, clustering_accuracy, silhouette_score};
 use umsc::{Umsc, UmscConfig};
 
@@ -27,27 +26,14 @@ fn main() {
     gen.separation = 4.5;
     let data = gen.generate(11);
 
-    // Fused (average) Laplacian spectrum for the eigengap heuristic.
-    let model = Umsc::new(UmscConfig::new(2));
-    let laplacians = build_view_laplacians(&data, &model.config().graph_config()).expect("graphs");
-    let n = data.n();
-    let mut fused = Matrix::zeros(n, n);
-    for l in &laplacians {
-        fused.axpy(1.0 / laplacians.len() as f64, l);
+    // Eigengaps λ_c − λ_{c−1} of the fused (average) Laplacian.
+    let graph = UmscConfig::new(2).graph_config();
+    let (best_gap, gaps) = estimate_num_clusters(&data, &graph, 1..=9, 0).expect("spectrum");
+    println!("fused Laplacian eigengaps:");
+    for (c, gap) in &gaps {
+        println!("  λ_{c:<2} − λ_{:<2} = {gap:.5}", c - 1);
     }
-    let kmax = 10;
-    let (vals, _) = spectral_embedding_with_values(&fused, kmax + 1, 0).expect("spectrum");
-
-    println!("fused Laplacian spectrum (smallest {}):", kmax + 1);
-    for (i, v) in vals.iter().enumerate() {
-        println!("  λ_{i:<2} = {v:.5}");
-    }
-    let best_gap = (1..kmax).max_by(|&a, &b| {
-        let ga = vals[a] - vals[a - 1];
-        let gb = vals[b] - vals[b - 1];
-        ga.partial_cmp(&gb).unwrap()
-    });
-    println!("\neigengap heuristic suggests c = {:?}", best_gap);
+    println!("\neigengap heuristic suggests c = {best_gap}");
 
     println!("\n{:>3} {:>12} {:>10} {:>12}", "c", "silhouette", "CH index", "ACC vs truth");
     println!("{}", "-".repeat(42));
