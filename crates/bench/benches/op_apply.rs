@@ -4,15 +4,17 @@
 //! `{n}x{ncols}` in its id. The interesting comparisons: CSR vs dense on
 //! the same normalized k-NN Laplacian (the sparse solver's whole premise),
 //! the overhead a 3-view `WeightedSum` adds over its raw CSR members, and
-//! the anchor solver's low-rank operator on a real anchor factor (`k = 5`
-//! nonzeros per row, as `AnchorUmsc` builds it), timed at the anchor
-//! path's own scale.
+//! the anchor solver's fused operator (`anchor_fused_operator`) over three
+//! real anchor factors (`k = 5` nonzeros per row, as `AnchorUmsc` builds
+//! them), timed at the gmm-anchor workload's shape (n = 10 000, 200
+//! anchors per view).
 
 use std::hint::black_box;
 use umsc_bench::inputs::knn_laplacian;
 use umsc_graph::{anchor_weights_sparse, normalized_factor_sparse, select_anchors, SparseFactor};
 use umsc_linalg::Matrix;
-use umsc_op::{DenseOp, LinOp, LowRankAnchor, WeightedSum};
+use umsc_core::{anchor_fused_operator, AnchorLaplacian};
+use umsc_op::{DenseOp, LinOp, WeightedSum};
 use umsc_rt::bench::{smoke, Bench};
 use umsc_rt::Rng;
 
@@ -22,12 +24,18 @@ const ANCHOR_NEIGHBORS: usize = 5;
 /// A normalized anchor factor `B` as the anchor solver builds it: `m`
 /// D²-sampled anchors over `n` Gaussian points in 8 dimensions around 10
 /// centres, `k` nonzeros per row.
-fn anchor_factor(n: usize, m: usize) -> SparseFactor {
-    let mut rng = Rng::from_seed(17);
+fn anchor_factor(n: usize, m: usize, seed: u64) -> SparseFactor {
+    let mut rng = Rng::from_seed(seed);
     let centres = Matrix::from_fn(10, 8, |_, _| 3.0 * rng.normal());
     let x = Matrix::from_fn(n, 8, |i, j| centres[(i % 10, j)] + rng.normal());
     let anchors = select_anchors(&x, m, 0);
     normalized_factor_sparse(&anchor_weights_sparse(&x, &anchors, ANCHOR_NEIGHBORS)).0
+}
+
+/// The anchor solver's fused operator over three views' factors.
+fn anchor_operator(n: usize, m: usize) -> AnchorLaplacian {
+    let factors: Vec<SparseFactor> = (0..3).map(|v| anchor_factor(n, m, 17 + v)).collect();
+    anchor_fused_operator(&factors, &[0.5, 0.3, 0.2])
 }
 
 fn test_vector(n: usize) -> Vec<f64> {
@@ -69,11 +77,10 @@ fn bench_vector_apply(samples: usize, sizes: &[usize], anchor: (usize, usize)) {
         g.run(&format!("weighted_sum3/{n}"), || fused.apply_into(black_box(&x), &mut y));
     }
     let (n, m) = anchor;
-    let b = anchor_factor(n, m);
-    let op = LowRankAnchor::sparse(&b);
+    let op = anchor_operator(n, m);
     let x = test_vector(n);
     let mut y = vec![0.0; n];
-    g.run(&format!("anchor_k{ANCHOR_NEIGHBORS}_m{m}/{n}"), || op.apply_into(black_box(&x), &mut y));
+    g.run(&format!("anchor3_k{ANCHOR_NEIGHBORS}_m{m}/{n}"), || op.apply_into(black_box(&x), &mut y));
 }
 
 fn bench_block_apply(samples: usize, sizes: &[usize], ncols: usize, anchor: (usize, usize)) {
@@ -99,11 +106,10 @@ fn bench_block_apply(samples: usize, sizes: &[usize], ncols: usize, anchor: (usi
         });
     }
     let (n, m) = anchor;
-    let b = anchor_factor(n, m);
-    let op = LowRankAnchor::sparse(&b);
+    let op = anchor_operator(n, m);
     let x: Vec<f64> = (0..n * ncols).map(|i| ((i * 7 + 1) as f64).sin()).collect();
     let mut y = vec![0.0; n * ncols];
-    g.run(&format!("anchor_k{ANCHOR_NEIGHBORS}_m{m}/{n}x{ncols}"), || {
+    g.run(&format!("anchor3_k{ANCHOR_NEIGHBORS}_m{m}/{n}x{ncols}"), || {
         op.apply_block_into(black_box(&x), ncols, &mut y)
     });
 }
@@ -116,13 +122,13 @@ fn count_dispatch_rates(n: usize, ncols: usize, anchors: usize) {
     umsc_obs::set_enabled(true);
     let csr = knn_laplacian(n);
     let a = csr.to_dense();
-    let b = anchor_factor(n, anchors);
+    let anchor = anchor_operator(n, anchors);
     let x: Vec<f64> = (0..n * ncols).map(|i| ((i * 7 + 1) as f64).sin()).collect();
     let mut y = vec![0.0; n * ncols];
     csr.as_op().apply_into(&x[..n], &mut y[..n]);
     csr.as_op().apply_block_into(&x, ncols, &mut y);
     DenseOp::new(n, a.as_slice()).apply_block_into(&x, ncols, &mut y);
-    LowRankAnchor::sparse(&b).apply_block_into(&x, ncols, &mut y);
+    anchor.apply_block_into(&x, ncols, &mut y);
     for (name, value) in umsc_obs::counters_snapshot() {
         umsc_rt::bench::record_counter("op.apply_block", &name, value);
     }

@@ -7,20 +7,19 @@
 //! with a thin factor `B_v ∈ R^{n×m}` (`m ≪ n` anchors). Each point links
 //! to `k` anchors, so `B_v` is stored as a [`SparseFactor`]: `n × m` CSR
 //! with at most `k` nonzeros per row plus its transpose, O(n·k) memory
-//! instead of the n·m of a dense factor. The shared BCD engine runs on an
-//! anchor view set that works matrix-free:
+//! instead of the n·m of a dense factor. The shared BCD engine runs on one
+//! view set, [`AnchorLaplacian`], that works matrix-free:
 //!
-//! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F` — O(nnz·c + m·c);
-//! * one persistent shifted fused operator `σI − Σ_v w_v B_v B_vᵀ`
-//!   (`σ = Σ_v w_v + ε`, see [`anchor_fused_operator`]), O(nnz) per
-//!   column, moved to new weights in place — the embedding eigensolves
-//!   and the F-step both run on it;
+//! * the operator `Σ_v w_v L_v − (Σ_v w_v)·I = B̂·diag(−w ⊗ 1_m)·B̂ᵀ`
+//!   over one stacked factor `B̂ = [B_1 … B_V]`, O(nnz) per column; the
+//!   embedding eigensolves and the F-step both run on it;
+//! * `tr(Fᵀ L_v F) = c − ‖B_vᵀF‖²_F`, each `B_vᵀF` a row block of one
+//!   `B̂ᵀF` — O(nnz·c + m·c);
 //! * GPI F-step — the engine's [`crate::gpi_stiefel_op_ws`] with the shift
-//!   `η = 2·Σ_v w_v + ε` (each normalized Laplacian is bounded by `2I`),
-//!   so each iteration forms `M = s·F + Σ_v w_v B_v(B_vᵀF) + λ·Y·Rᵀ` with
-//!   `s = η − σ = Σ_v w_v`, then a thin polar decomposition; at most 20
-//!   iterations, stopping once the GPI objective changes by less than
-//!   `1e-10` relative;
+//!   `η = Σ_v w_v` (each `B_v B_vᵀ` has its spectrum in `[0, 1]`), so each
+//!   iteration forms `M = Σ_v w_v·F + Σ_v w_v B_v(B_vᵀF) + λ·Y·Rᵀ`, then a
+//!   thin polar decomposition; at most 20 iterations, stopping once the
+//!   GPI objective changes by less than `1e-10` relative;
 //! * R/Y steps — the engine's (they only touch `n × c`).
 //!
 //! Total per-sweep cost O(nnz·c + m·c²) = O(n·k·c) plus the `n × c` polar
@@ -30,6 +29,8 @@
 //! (dense factors, compacted once) and [`AnchorUmsc::fit_sparse_factors`]
 //! agree bit for bit.
 
+use std::cell::RefCell;
+
 use crate::config::{UmscConfig, Weighting};
 use crate::engine::{self, ViewSet};
 use crate::error::UmscError;
@@ -38,29 +39,118 @@ use crate::workspace::{SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_data::MultiViewDataset;
 use umsc_linalg::Matrix;
-use umsc_op::{DiagShift, LinOp, LowRankAnchor, SparseFactor, WeightedSum};
+use umsc_op::{gate_threads, LinOp, SparseFactor};
+use umsc_rt::par::PanelBuf;
 
 /// Iteration cap of the anchor F-step's GPI.
 const ANCHOR_GPI_ITERS: usize = 20;
 
-/// The shifted fused operator `σI − Σ_v w_v B_v B_vᵀ` (`σ = Σ_v w_v + ε`)
-/// over borrowed anchor factors: `Σ_v w_v L_v + εI` with
-/// `L_v = I − B_v B_vᵀ`, so its smallest eigenvectors are the fused
-/// Laplacian's. The anchor path's stand-in for
-/// [`crate::sparse_fused_operator`]: reuse one instance across sweeps of
-/// [`AnchorUmsc::one_step_solve`], which moves it to each sweep's weights
-/// in place.
-pub fn anchor_fused_operator<'a>(
-    factors: &'a [SparseFactor],
-    weights: &[f64],
-) -> DiagShift<WeightedSum<LowRankAnchor<'a>>> {
-    let ops = factors.iter().map(LowRankAnchor::sparse).collect();
-    DiagShift::new(anchor_shift(weights), WeightedSum::with_weights(ops, weights))
+/// The anchor fused operator `Σ_v w_v L_v − (Σ_v w_v)·I = −Σ_v w_v B_v B_vᵀ`
+/// (`L_v = I − B_v B_vᵀ`): one stacked factor `B̂ = [B_1 … B_V]` and one
+/// scale per stacked column, `−w_v` on view `v`'s block. An apply is
+/// `T = B̂ᵀX`, `T ← diag(scale)·T`, `Y = B̂·T`: two CSR row kernels,
+/// bitwise-identical at any thread count. Reuse one instance (from
+/// [`anchor_fused_operator`]) across [`AnchorUmsc::one_step_solve`]
+/// calls; once warm, applies and weight changes never touch the heap.
+#[derive(Debug)]
+pub struct AnchorLaplacian {
+    stacked: SparseFactor,
+    /// View `v` owns the stacked columns `offsets[v]..offsets[v + 1]`.
+    offsets: Vec<usize>,
+    /// `−w_v` on every column of view `v`.
+    scale: Vec<f64>,
+    /// `Σ_v w_v`, the GPI shift.
+    weight_sum: f64,
+    /// The `Σ_v m_v × ncols` intermediate `B̂ᵀX`.
+    scratch: RefCell<PanelBuf>,
 }
 
-/// The shift `σ = Σ_v w_v + ε` of [`anchor_fused_operator`].
-fn anchor_shift(weights: &[f64]) -> f64 {
-    weights.iter().sum::<f64>() + 1e-9
+/// Stacks the views' anchor factors into their fused operator at
+/// `weights`.
+///
+/// # Panics
+/// Panics if `factors` is empty, the factors differ in row count, or
+/// `weights.len()` differs from the factor count.
+pub fn anchor_fused_operator(factors: &[SparseFactor], weights: &[f64]) -> AnchorLaplacian {
+    let mut offsets = vec![0];
+    offsets.extend(factors.iter().scan(0, |end, b| {
+        *end += b.cols();
+        Some(*end)
+    }));
+    let stacked = SparseFactor::hstack(factors);
+    let scale = vec![0.0; stacked.cols()];
+    let mut fused = AnchorLaplacian { stacked, offsets, scale, weight_sum: 0.0, scratch: RefCell::default() };
+    fused.set_weights(weights);
+    fused
+}
+
+impl AnchorLaplacian {
+    /// Moves the operator to new view weights by rewriting its column
+    /// scales.
+    ///
+    /// # Panics
+    /// Panics if `weights.len()` differs from the view count.
+    pub fn set_weights(&mut self, weights: &[f64]) {
+        assert_eq!(weights.len(), self.num_views(), "AnchorLaplacian: weights length mismatch");
+        for (block, &w) in self.offsets.windows(2).zip(weights) {
+            self.scale[block[0]..block[1]].fill(-w);
+        }
+        self.weight_sum = weights.iter().sum();
+    }
+
+    /// [`LinOp::apply_block_into`] on `threads` threads (`<= 1` inline).
+    fn apply_with(&self, threads: usize, x: &[f64], ncols: usize, y: &mut [f64]) {
+        let mut scratch = self.scratch.borrow_mut();
+        let t = scratch.ensure(self.stacked.cols() * ncols);
+        self.stacked.mul_transpose_into_with(threads, x, ncols, t);
+        for (row, &s) in t.chunks_exact_mut(ncols.max(1)).zip(&self.scale) {
+            row.iter_mut().for_each(|v| *v *= s);
+        }
+        self.stacked.mul_into_with(threads, t, ncols, y);
+    }
+}
+
+impl LinOp for AnchorLaplacian {
+    fn dim(&self) -> usize {
+        self.stacked.rows()
+    }
+
+    fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
+        self.apply_with(gate_threads(4 * self.stacked.nnz() * ncols), x, ncols, y);
+    }
+}
+
+impl ViewSet for AnchorLaplacian {
+    const SOLVER: &'static str = "anchor";
+
+    fn num_views(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `c − ‖B_vᵀF‖²_F` per view, each `B_vᵀF` a row block of one `B̂ᵀF`.
+    fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
+        let c = f.cols();
+        TraceScratch::fit(&mut scratch.prod, self.stacked.cols(), c);
+        self.stacked.mul_transpose_into(f.as_slice(), c, scratch.prod.as_mut_slice());
+        traces.clear();
+        for block in self.offsets.windows(2) {
+            // The norm summed as `Matrix::frobenius_norm` sums it.
+            let proj = &scratch.prod.as_slice()[block[0] * c..block[1] * c];
+            let norm = proj.iter().map(|v| v * v).sum::<f64>().sqrt();
+            traces.push((c as f64 - norm.powi(2)).max(0.0));
+        }
+    }
+
+    fn set_weights(&mut self, weights: &[f64]) {
+        AnchorLaplacian::set_weights(self, weights);
+    }
+
+    /// Each `B_v B_vᵀ` has its spectrum in `[0, 1]`, so the operator's
+    /// lies in `[−Σw, 0]` and `η = Σw` leaves
+    /// `ηI − A = Σw·I + Σ_v w_v B_v B_vᵀ` positive semidefinite.
+    fn gpi_shift(&self) -> f64 {
+        self.weight_sum
+    }
 }
 
 /// Configuration of the anchor-based solver.
@@ -141,34 +231,33 @@ impl AnchorUmsc {
     }
 
     /// Fits on a multi-view dataset: builds per-view sparse anchor
-    /// factors, then runs the matrix-free one-stage loop.
+    /// factors, stacks them into one operator, then runs the matrix-free
+    /// one-stage loop.
     pub fn fit(&self, data: &MultiViewDataset) -> Result<UmscResult> {
-        self.fit_sparse_factors(&self.anchor_views(data)?.factors)
+        let AnchorViewData { mut fused, n, .. } = self.anchor_views(data)?;
+        engine::fit(&self.solver_config(), &mut fused, n)
     }
 
     /// Like [`AnchorUmsc::fit`] but also returns an [`AnchorModel`] that
     /// can assign **out-of-sample** points to the learned clusters via the
     /// Nyström extension (see `AnchorModel::assign`).
     pub fn fit_model(&self, data: &MultiViewDataset) -> Result<AnchorModel> {
-        let AnchorViewData { factors, anchors, col_inv_sqrt } = self.anchor_views(data)?;
-        let result = self.fit_sparse_factors(&factors)?;
+        let AnchorViewData { mut fused, n, anchors, col_inv_sqrt } = self.anchor_views(data)?;
+        let result = engine::fit(&self.solver_config(), &mut fused, n)?;
 
-        // Nyström data: per-view projections P_v = B_vᵀF and the Ritz
-        // values ρ_j = f_jᵀ(Σ_v w_v B_v P_v)_j of the fused operator on
-        // the embedding columns.
+        // Nyström data: per-view projections P_v = B_vᵀF, the row blocks
+        // of B̂ᵀF, and the Ritz values ρ_j = f_jᵀ(Σ_v w_v B_v B_vᵀ f_j)
+        // = −f_jᵀ(A f_j) of the fused operator A at the fit's weights.
         let f = &result.embedding;
-        let (n, c) = f.shape();
-        let mut fused = Matrix::zeros(n, c);
-        let mut bp = Matrix::zeros(n, c);
-        let mut projections = Vec::with_capacity(factors.len());
-        for (b, &w) in factors.iter().zip(&result.view_weights) {
-            let mut p = Matrix::zeros(b.cols(), c);
-            b.mul_transpose_into(f.as_slice(), c, p.as_mut_slice());
-            b.mul_into(p.as_slice(), c, bp.as_mut_slice());
-            fused.axpy(w, &bp);
-            projections.push(p);
-        }
-        let ritz = (0..c).map(|j| (0..n).map(|i| f[(i, j)] * fused[(i, j)]).sum()).collect();
+        let c = f.cols();
+        let mut btf = vec![0.0; fused.stacked.cols() * c];
+        fused.stacked.mul_transpose_into(f.as_slice(), c, &mut btf);
+        let block = |b: &[usize]| Matrix::from_vec(b[1] - b[0], c, btf[b[0] * c..b[1] * c].to_vec());
+        let projections = fused.offsets.windows(2).map(block).collect();
+        fused.set_weights(&result.view_weights);
+        let mut af = Matrix::zeros(n, c);
+        fused.apply_block_into(f.as_slice(), c, af.as_mut_slice());
+        let ritz = (0..c).map(|j| -(0..n).map(|i| f[(i, j)] * af[(i, j)]).sum::<f64>()).collect();
         let assigner = AnchorAssigner {
             anchors,
             col_inv_sqrt,
@@ -181,27 +270,35 @@ impl AnchorUmsc {
         Ok(AnchorModel { result, assigner })
     }
 
-    /// Per-view anchors, sparse normalized factors and column scales.
+    /// Per-view anchors and column scales, and the views' factors stacked
+    /// into the fused operator; the per-view factors are dropped here.
     fn anchor_views(&self, data: &MultiViewDataset) -> Result<AnchorViewData> {
         data.validate().map_err(UmscError::InvalidInput)?;
+        let _span = umsc_obs::span!("graph.build");
         let cfg = &self.config;
         let m = cfg.anchors.min(data.n()).max(1);
         let k = cfg.anchor_neighbors.min(m).max(1);
         let nv = data.num_views();
-        let mut out = AnchorViewData {
-            factors: Vec::with_capacity(nv),
-            anchors: Vec::with_capacity(nv),
-            col_inv_sqrt: Vec::with_capacity(nv),
-        };
+        let (mut factors, mut anchors, mut col_inv_sqrt) =
+            (Vec::with_capacity(nv), Vec::with_capacity(nv), Vec::with_capacity(nv));
         for (v, x) in data.views.iter().enumerate() {
             let anc = umsc_graph::select_anchors(x, m, cfg.seed ^ ((v as u64) << 32));
             let z = umsc_graph::anchor_weights_sparse(x, &anc, k);
             let (b, inv) = umsc_graph::normalized_factor_sparse(&z);
-            out.factors.push(b);
-            out.anchors.push(anc);
-            out.col_inv_sqrt.push(inv);
+            factors.push(b);
+            anchors.push(anc);
+            col_inv_sqrt.push(inv);
         }
-        Ok(out)
+        let (fused, n) = self.stack(&factors)?;
+        Ok(AnchorViewData { fused, n, anchors, col_inv_sqrt })
+    }
+
+    /// Validates per-view factors and stacks them into the fused operator
+    /// (at uniform weights); returns it with `n`.
+    fn stack(&self, factors: &[SparseFactor]) -> Result<(AnchorLaplacian, usize)> {
+        let views = factors.iter().map(|b| (b.shape(), b.is_finite(), true));
+        let n = engine::validate(&self.solver_config(), views, false)?;
+        Ok((anchor_fused_operator(factors, &vec![1.0 / factors.len() as f64; factors.len()]), n))
     }
 
     /// Fits from precomputed dense per-view normalized anchor factors `B_v`
@@ -209,35 +306,30 @@ impl AnchorUmsc {
     /// compacted once into a [`SparseFactor`]; the fit is then
     /// [`AnchorUmsc::fit_sparse_factors`], bit for bit.
     pub fn fit_factors(&self, factors: &[Matrix]) -> Result<UmscResult> {
-        let sparse: Vec<SparseFactor> =
-            factors.iter().map(|b| SparseFactor::from_dense(b.rows(), b.cols(), b.as_slice())).collect();
-        self.fit_sparse_factors(&sparse)
+        let sparse = factors.iter().map(|b| SparseFactor::from_dense(b.rows(), b.cols(), b.as_slice()));
+        let (mut fused, n) = self.stack(&sparse.collect::<Vec<_>>())?;
+        engine::fit(&self.solver_config(), &mut fused, n)
     }
 
     /// Fits from precomputed sparse per-view normalized anchor factors
     /// `B_v` (each `n × m_v`; the affinity is `B_v·B_vᵀ`).
     pub fn fit_sparse_factors(&self, factors: &[SparseFactor]) -> Result<UmscResult> {
-        let cfg = self.solver_config();
-        let n = engine::validate(&cfg, factors.iter().map(|b| (b.shape(), b.is_finite(), true)), false)?;
-        let uniform = vec![1.0 / factors.len() as f64; factors.len()];
-        let mut fused = anchor_fused_operator(factors, &uniform);
-        engine::fit(&cfg, &mut AnchorViews { factors, fused: &mut fused }, n)
+        let (mut fused, n) = self.stack(factors)?;
+        engine::fit(&self.solver_config(), &mut fused, n)
     }
 
-    /// One block-coordinate sweep on precomputed anchor factors, advancing
-    /// `st` in place: the anchor analogue of
-    /// [`crate::Umsc::one_step_solve`]. `fused` must wrap `factors`
-    /// (build it with [`anchor_fused_operator`]); its weights are
-    /// overwritten by the sweep. Allocation-free once `ws` and `fused`
-    /// are warm.
+    /// One block-coordinate sweep on an anchor fused operator (build it
+    /// with [`anchor_fused_operator`]), advancing `st` in place: the
+    /// anchor analogue of [`crate::Umsc::one_step_solve`]. The sweep moves
+    /// `fused` to its weights. Allocation-free once `ws` and `fused` are
+    /// warm.
     pub fn one_step_solve(
         &self,
-        factors: &[SparseFactor],
-        fused: &mut DiagShift<WeightedSum<LowRankAnchor<'_>>>,
+        fused: &mut AnchorLaplacian,
         st: &mut SolverState,
         ws: &mut SolverWorkspace,
     ) -> Result<StepStats> {
-        engine::sweep(&self.solver_config(), &mut AnchorViews { factors, fused }, st, ws)
+        engine::sweep(&self.solver_config(), fused, st, ws)
     }
 
     /// The engine's view of this configuration.
@@ -255,60 +347,13 @@ impl AnchorUmsc {
     }
 }
 
-/// Per-view anchor data built from the features, in view order: the fit
-/// needs the factors, the Nyström assigner also the anchors and scales.
+/// What a fit from features needs of its views: the fused operator and
+/// `n`; the Nyström assigner also the anchors and column scales.
 struct AnchorViewData {
-    factors: Vec<SparseFactor>,
+    fused: AnchorLaplacian,
+    n: usize,
     anchors: Vec<Matrix>,
     col_inv_sqrt: Vec<Vec<f64>>,
-}
-
-/// The anchor view set: a persistent shifted fused operator
-/// `σI − Σ_v w_v B_v B_vᵀ` (see [`anchor_fused_operator`]) over the views.
-struct AnchorViews<'a, 'b, 'c> {
-    factors: &'a [SparseFactor],
-    fused: &'b mut DiagShift<WeightedSum<LowRankAnchor<'c>>>,
-}
-
-impl ViewSet for AnchorViews<'_, '_, '_> {
-    const SOLVER: &'static str = "anchor";
-
-    fn num_views(&self) -> usize {
-        self.factors.len()
-    }
-
-    fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
-        let c = f.cols();
-        size_projections(self.factors, c, &mut scratch.proj);
-        traces.clear();
-        for (b, btf) in self.factors.iter().zip(scratch.proj.iter_mut()) {
-            b.mul_transpose_into(f.as_slice(), c, btf.as_mut_slice());
-            traces.push((c as f64 - btf.frobenius_norm().powi(2)).max(0.0));
-        }
-    }
-
-    fn set_weights(&mut self, weights: &[f64]) {
-        self.fused.set_sigma(anchor_shift(weights));
-        self.fused.inner_mut().set_weights(weights);
-    }
-
-    fn operator(&self) -> &dyn LinOp {
-        &*self.fused
-    }
-
-    /// The operator is `Σ_v w_v L_v + εI` and each anchor Laplacian
-    /// satisfies `L_v ⪯ 2I`, so `η = 2·Σ_v w_v + ε` bounds its `λ_max`.
-    fn gpi_shift(&self, weights: &[f64]) -> f64 {
-        2.0 * weights.iter().sum::<f64>() + 1e-9
-    }
-}
-
-/// Sizes one `m_v × c` projection buffer per factor.
-fn size_projections(factors: &[SparseFactor], c: usize, proj: &mut Vec<Matrix>) {
-    proj.resize_with(factors.len(), || Matrix::zeros(0, 0));
-    for (b, btf) in factors.iter().zip(proj.iter_mut()) {
-        TraceScratch::fit(btf, b.cols(), c);
-    }
 }
 
 /// A fitted anchor model able to assign out-of-sample points.
@@ -418,8 +463,7 @@ impl AnchorAssigner {
         use std::io::Write;
         let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
         out.write_all(MODEL_MAGIC)?;
-        write_u64(&mut out, self.anchors.len() as u64)?;
-        write_u64(&mut out, self.anchor_neighbors as u64)?;
+        write_block(&mut out, &[self.anchors.len(), self.anchor_neighbors], &[])?;
         write_matrix(&mut out, &self.rotation)?;
         write_vec(&mut out, &self.ritz)?;
         write_vec(&mut out, &self.weights)?;
@@ -432,35 +476,49 @@ impl AnchorAssigner {
     }
 
     /// Loads an assigner previously written by [`AnchorAssigner::save`].
+    ///
+    /// # Errors
+    /// `InvalidData` unless the file holds a model whose fields have the
+    /// shapes [`AnchorAssigner::assign`] reads: one weight per view, a
+    /// `c × c` rotation, `c` Ritz values, and per view at least one
+    /// anchor, one column scale per anchor and an `m_v × c` projection.
     pub fn load(path: &std::path::Path) -> std::io::Result<AnchorAssigner> {
         use std::io::Read;
         let mut input = std::io::BufReader::new(std::fs::File::open(path)?);
         let mut magic = [0u8; 8];
         input.read_exact(&mut magic)?;
         if &magic != MODEL_MAGIC {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("{}: not an umsc anchor model (bad magic)", path.display()),
-            ));
+            return Err(invalid_data(format!("{}: not an umsc anchor model (bad magic)", path.display())));
         }
         let nviews = read_u64(&mut input)? as usize;
         if nviews == 0 || nviews > 1024 {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "implausible view count"));
+            return Err(invalid_data("implausible view count"));
         }
         let anchor_neighbors = read_u64(&mut input)? as usize;
         let rotation = read_matrix(&mut input)?;
         let ritz = read_vec(&mut input)?;
         let weights = read_vec(&mut input)?;
-        let mut anchors = Vec::with_capacity(nviews);
-        let mut col_inv_sqrt = Vec::with_capacity(nviews);
-        let mut projections = Vec::with_capacity(nviews);
+        let (mut anchors, mut col_inv_sqrt, mut projections) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..nviews {
             anchors.push(read_matrix(&mut input)?);
             col_inv_sqrt.push(read_vec(&mut input)?);
             projections.push(read_matrix(&mut input)?);
         }
-        if weights.len() != nviews {
-            return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "weight count mismatch"));
+        let c = rotation.rows();
+        if weights.len() != nviews || rotation.cols() != c || ritz.len() != c {
+            return Err(invalid_data(format!(
+                "{} weights for {nviews} views, a {c}x{} rotation and {} Ritz values",
+                weights.len(),
+                rotation.cols(),
+                ritz.len()
+            )));
+        }
+        for (v, (a, p)) in anchors.iter().zip(&projections).enumerate() {
+            let m = a.rows();
+            if m == 0 || col_inv_sqrt[v].len() != m || p.shape() != (m, c) {
+                let (s, (pr, pc)) = (col_inv_sqrt[v].len(), p.shape());
+                return Err(invalid_data(format!("view {v}: {m} anchors, {s} column scales, a {pr}x{pc} projection")));
+            }
         }
         Ok(AnchorAssigner { anchors, col_inv_sqrt, anchor_neighbors, weights, projections, ritz, rotation })
     }
@@ -468,8 +526,24 @@ impl AnchorAssigner {
 
 const MODEL_MAGIC: &[u8; 8] = b"UMSCAM01";
 
-fn write_u64(w: &mut impl std::io::Write, v: u64) -> std::io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+fn invalid_data(msg: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
+}
+
+/// Little-endian `u64` header words, then the `f64` payload.
+fn write_block(w: &mut impl std::io::Write, header: &[usize], data: &[f64]) -> std::io::Result<()> {
+    for &h in header {
+        w.write_all(&(h as u64).to_le_bytes())?;
+    }
+    data.iter().try_for_each(|x| w.write_all(&x.to_le_bytes()))
+}
+
+fn write_vec(w: &mut impl std::io::Write, v: &[f64]) -> std::io::Result<()> {
+    write_block(w, &[v.len()], v)
+}
+
+fn write_matrix(w: &mut impl std::io::Write, m: &Matrix) -> std::io::Result<()> {
+    write_block(w, &[m.rows(), m.cols()], m.as_slice())
 }
 
 fn read_u64(r: &mut impl std::io::Read) -> std::io::Result<u64> {
@@ -478,50 +552,22 @@ fn read_u64(r: &mut impl std::io::Read) -> std::io::Result<u64> {
     Ok(u64::from_le_bytes(buf))
 }
 
-fn write_vec(w: &mut impl std::io::Write, v: &[f64]) -> std::io::Result<()> {
-    write_u64(w, v.len() as u64)?;
-    for &x in v {
-        w.write_all(&x.to_le_bytes())?;
+/// `len` little-endian `f64`s.
+fn read_f64s(r: &mut impl std::io::Read, len: usize) -> std::io::Result<Vec<f64>> {
+    if len > (1 << 28) {
+        return Err(invalid_data("implausible block length"));
     }
-    Ok(())
+    (0..len).map(|_| read_u64(r).map(f64::from_bits)).collect()
 }
 
 fn read_vec(r: &mut impl std::io::Read) -> std::io::Result<Vec<f64>> {
     let len = read_u64(r)? as usize;
-    if len > (1 << 28) {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "implausible vector length"));
-    }
-    let mut out = Vec::with_capacity(len);
-    let mut buf = [0u8; 8];
-    for _ in 0..len {
-        r.read_exact(&mut buf)?;
-        out.push(f64::from_le_bytes(buf));
-    }
-    Ok(out)
-}
-
-fn write_matrix(w: &mut impl std::io::Write, m: &Matrix) -> std::io::Result<()> {
-    write_u64(w, m.rows() as u64)?;
-    write_u64(w, m.cols() as u64)?;
-    for &x in m.as_slice() {
-        w.write_all(&x.to_le_bytes())?;
-    }
-    Ok(())
+    read_f64s(r, len)
 }
 
 fn read_matrix(r: &mut impl std::io::Read) -> std::io::Result<Matrix> {
-    let rows = read_u64(r)? as usize;
-    let cols = read_u64(r)? as usize;
-    if rows.saturating_mul(cols) > (1 << 28) {
-        return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "implausible matrix size"));
-    }
-    let mut data = Vec::with_capacity(rows * cols);
-    let mut buf = [0u8; 8];
-    for _ in 0..rows * cols {
-        r.read_exact(&mut buf)?;
-        data.push(f64::from_le_bytes(buf));
-    }
-    Ok(Matrix::from_vec(rows, cols, data))
+    let (rows, cols) = (read_u64(r)? as usize, read_u64(r)? as usize);
+    Ok(Matrix::from_vec(rows, cols, read_f64s(r, rows.saturating_mul(cols))?))
 }
 
 #[cfg(test)]
@@ -589,22 +635,77 @@ mod tests {
     #[test]
     fn uniform_operator_keeps_one_zero_eigenvalue_per_separated_cluster() {
         // Well-separated clusters whose anchor graphs fall apart into one
-        // component per cluster: the uniform operator `σI − Σ_v B_v B_vᵀ/V`
-        // has the eigenvalue ε = 1e-9 with multiplicity c. A single Lanczos
-        // run returned 2 of 3 copies at (c, seed) = (3, 35) and 3 of 6 at
+        // component per cluster: each `B_v B_vᵀ` has the eigenvalue 1 once
+        // per component, so the uniform operator `−Σ_v B_v B_vᵀ/V` has the
+        // eigenvalue −Σw = −1 with multiplicity c. A single Lanczos run
+        // returned 2 of 3 copies at (c, seed) = (3, 35) and 3 of 6 at
         // (6, 33).
         for (c, seed) in [(3, 35), (6, 33)] {
             let mut gen = MultiViewGmm::new("sep", c, 60, vec![ViewSpec::clean(10), ViewSpec::clean(14)]);
             gen.separation = 12.0;
             let data = gen.generate(seed);
             let model = AnchorUmsc::new(AnchorUmscConfig::new(c).with_anchors(60));
-            let factors = model.anchor_views(&data).unwrap().factors;
-            let uniform = vec![0.5; 2];
-            let fused = anchor_fused_operator(&factors, &uniform);
+            let fused = model.anchor_views(&data).unwrap().fused;
             let (vals, _) = crate::spectral_embedding_with_values(&fused, c, 0).unwrap();
-            assert!(vals.iter().all(|&v| (v - 1e-9).abs() < 1e-9), "(c, seed) = ({c}, {seed}): {vals:?}");
+            assert!(vals.iter().all(|&v| (v + 1.0).abs() < 1e-9), "(c, seed) = ({c}, {seed}): {vals:?}");
             let acc = clustering_accuracy(&model.fit(&data).unwrap().labels, &data.labels);
             assert_eq!(acc, 1.0, "(c, seed) = ({c}, {seed})");
+        }
+    }
+
+    /// Two views with different anchor counts, so the blocks differ in width.
+    fn two_factors(data: &MultiViewDataset) -> Vec<SparseFactor> {
+        [25, 18].iter().zip(&data.views).map(|(&m, x)| umsc_graph::anchor_view_factor(x, m, 5, 3).0).collect()
+    }
+
+    #[test]
+    fn fused_operator_matches_the_dense_stacked_products() {
+        let data = gmm(30, 13);
+        let factors = two_factors(&data);
+        let mut fused = anchor_fused_operator(&factors, &[0.5, 0.5]);
+        fused.set_weights(&[0.3, 0.9]);
+        assert_eq!(fused.gpi_shift(), 0.3 + 0.9);
+        // Reference: the dense row kernels on the densified stack,
+        // B̂d·(diag(−w)·(B̂dᵀX)).
+        let (n, vm) = fused.stacked.shape();
+        let bd = Matrix::from_vec(n, vm, fused.stacked.to_dense());
+        for ncols in [1, 3] {
+            let x = Matrix::from_fn(n, ncols, |i, j| ((i * 13 + j * 5 + 1) as f64).sin());
+            let mut t = bd.matmul_transpose_a(&x);
+            for j in 0..vm {
+                let w = if j < fused.offsets[1] { 0.3 } else { 0.9 };
+                t.row_mut(j).iter_mut().for_each(|v| *v *= -w);
+            }
+            let expect = bd.matmul(&t);
+            for threads in [1, 2] {
+                let mut y = vec![f64::NAN; n * ncols];
+                fused.apply_with(threads, x.as_slice(), ncols, &mut y);
+                assert_eq!(y.as_slice(), expect.as_slice(), "ncols={ncols} threads={threads}");
+            }
+            let mut y = vec![f64::NAN; n * ncols];
+            if ncols == 1 {
+                fused.apply_into(x.as_slice(), &mut y);
+            } else {
+                fused.apply_block_into(x.as_slice(), ncols, &mut y);
+            }
+            assert_eq!(y.as_slice(), expect.as_slice(), "ncols={ncols} gated");
+        }
+    }
+
+    #[test]
+    fn fused_traces_match_the_per_view_projections() {
+        let data = gmm(30, 14);
+        let factors = two_factors(&data);
+        let fused = anchor_fused_operator(&factors, &[0.5, 0.5]);
+        let f = Matrix::from_fn(fused.dim(), 3, |i, j| ((i * 7 + j * 11 + 2) as f64).cos() / 6.0);
+        let mut traces = Vec::new();
+        fused.traces_into(&f, &mut TraceScratch::new(), &mut traces);
+        assert_eq!(traces.len(), 2);
+        for (b, &t) in factors.iter().zip(&traces) {
+            let mut btf = Matrix::zeros(b.cols(), 3);
+            b.mul_transpose_into(f.as_slice(), 3, btf.as_mut_slice());
+            let expect = (3.0 - btf.frobenius_norm().powi(2)).max(0.0);
+            assert_eq!(t.to_bits(), expect.to_bits());
         }
     }
 
@@ -697,6 +798,26 @@ mod tests {
         std::fs::write(&path, b"definitely not a model").unwrap();
         let err = AnchorAssigner::load(&path).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn load_rejects_fields_of_the_wrong_shape() {
+        let train = gmm(20, 15);
+        let model = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(15)).fit_model(&train).unwrap();
+        let path = std::env::temp_dir().join(format!("umsc_cut_model_{}.bin", std::process::id()));
+        for field in ["ritz", "projection", "col_inv_sqrt", "rotation"] {
+            let mut assigner = model.assigner.clone();
+            match field {
+                "ritz" => assigner.ritz.truncate(2),
+                "projection" => assigner.projections[1] = Matrix::zeros(assigner.projections[1].rows() - 1, 3),
+                "col_inv_sqrt" => assigner.col_inv_sqrt[0].truncate(1),
+                _ => assigner.rotation = Matrix::zeros(3, 2),
+            }
+            assigner.save(&path).unwrap();
+            let err = AnchorAssigner::load(&path).expect_err(field);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{field}: {err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -2,9 +2,9 @@
 //!
 //! The paper's method is a single BCD on one objective (see the crate
 //! docs). The dense, CSR and anchor fits differ only in how the per-view
-//! graphs are stored, so each storage implements [`ViewSet`] — per-view
-//! traces, a persistent fused operator and a spectral bound of that
-//! operator — and this module owns everything else, once:
+//! graphs are stored, so each storage implements [`ViewSet`] — a
+//! persistent fused operator, its per-view traces and a spectral bound —
+//! and this module owns everything else, once:
 //!
 //! * input validation and the `c = 1` short-circuit;
 //! * the warm start: an embedding eigensolve of the uniform operator,
@@ -38,8 +38,12 @@ use umsc_kmeans::{kmeans, KMeansConfig};
 use umsc_linalg::{procrustes_into, LinOp, Matrix};
 
 /// One representation of the per-view graphs: everything the engine
-/// needs that depends on how the views are stored.
-pub(crate) trait ViewSet {
+/// needs that depends on how the views are stored. The set is itself the
+/// fused operator at its current weights: `Σ_v w_v L⁽ᵛ⁾` plus at most a
+/// multiple of `I`, which moves neither its eigenvectors nor the F-step's
+/// minimizer over the Stiefel manifold. Every embedding eigensolve of a
+/// fit is [`spectral_embedding`] on it.
+pub(crate) trait ViewSet: LinOp {
     /// Solver label of the sweep and fit telemetry records.
     const SOLVER: &'static str;
 
@@ -49,18 +53,11 @@ pub(crate) trait ViewSet {
     /// `tr(Fᵀ L⁽ᵛ⁾ F)` for every view, in view order, into `traces`.
     fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>);
 
-    /// Swaps the view weights of the persistent fused operator in place.
+    /// Moves the fused operator to new view weights in place.
     fn set_weights(&mut self, weights: &[f64]);
 
-    /// The fused operator at the current weights: `Σ_v w_v L⁽ᵛ⁾` plus at
-    /// most a multiple of `I`, which moves neither its eigenvectors nor
-    /// the F-step's minimizer over the Stiefel manifold. Every embedding
-    /// eigensolve of a fit is [`spectral_embedding`] on it.
-    fn operator(&self) -> &dyn LinOp;
-
-    /// The GPI shift `η ≥ λ_max` of [`ViewSet::operator`] once `weights`
-    /// are set.
-    fn gpi_shift(&self, weights: &[f64]) -> f64;
+    /// The GPI shift `η ≥ λ_max` of the operator at its current weights.
+    fn gpi_shift(&self) -> f64;
 }
 
 /// Points the fused operator at uniform weights (the first solve).
@@ -134,7 +131,7 @@ pub(crate) fn fit<V: ViewSet>(cfg: &UmscConfig, views: &mut V, n: usize) -> Resu
         set_uniform(views);
         return Ok(UmscResult {
             labels: vec![0; n],
-            embedding: spectral_embedding(views.operator(), 1, cfg.seed)?,
+            embedding: spectral_embedding(views, 1, cfg.seed)?,
             rotation: Matrix::identity(1),
             indicator: Matrix::filled(n, 1, 1.0),
             view_weights: normalized(&vec![1.0; views.num_views()]),
@@ -218,7 +215,7 @@ pub(crate) fn init_state<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<
 fn warm_start<V: ViewSet>(cfg: &UmscConfig, views: &mut V) -> Result<Matrix> {
     let _span = umsc_obs::span!("solve.warm_start");
     set_uniform(views);
-    let mut f = spectral_embedding(views.operator(), cfg.num_clusters, cfg.seed)?;
+    let mut f = spectral_embedding(views, cfg.num_clusters, cfg.seed)?;
     reweight_solve(cfg, views, &mut f)?;
     Ok(f)
 }
@@ -229,7 +226,7 @@ fn reweight_solve<V: ViewSet>(cfg: &UmscConfig, views: &mut V, f: &mut Matrix) -
     let mut weights = Vec::with_capacity(views.num_views());
     weights_from_traces_into(&cfg.weighting, &traces(views, f), &mut weights);
     views.set_weights(&weights);
-    *f = spectral_embedding(views.operator(), cfg.num_clusters, cfg.seed)?;
+    *f = spectral_embedding(views, cfg.num_clusters, cfg.seed)?;
     Ok(weights)
 }
 
@@ -271,8 +268,8 @@ pub(crate) fn sweep<V: ViewSet>(
         ws.y_eff.matmul_transpose_b_into(&st.r, &mut ws.b);
         ws.b.scale_mut(lambda_eff);
         views.set_weights(&st.weights);
-        let eta = views.gpi_shift(&st.weights);
-        gpi_stiefel_op_ws(views.operator(), eta, &ws.b, &mut st.f, cfg.gpi_max_iter, 1e-10, &mut ws.gpi)?;
+        let eta = views.gpi_shift();
+        gpi_stiefel_op_ws(views, eta, &ws.b, &mut st.f, cfg.gpi_max_iter, 1e-10, &mut ws.gpi)?;
     }
 
     // --- R-step --- Procrustes on the row-normalized embedding F̃
@@ -317,7 +314,7 @@ pub(crate) fn sweep<V: ViewSet>(
 fn fit_two_stage<V: ViewSet>(cfg: &UmscConfig, views: &mut V, restarts: usize) -> Result<UmscResult> {
     let c = cfg.num_clusters;
     set_uniform(views);
-    let mut f = spectral_embedding(views.operator(), c, cfg.seed)?;
+    let mut f = spectral_embedding(views, c, cfg.seed)?;
     let mut history: Vec<IterationStats> = Vec::with_capacity(cfg.max_iter);
     let mut converged = false;
     let mut weights = vec![1.0 / views.num_views() as f64; views.num_views()];

@@ -51,7 +51,9 @@ pub mod solver;
 pub mod sparse_solver;
 pub mod workspace;
 
-pub use anchor::{anchor_fused_operator, AnchorAssigner, AnchorModel, AnchorUmsc, AnchorUmscConfig};
+pub use anchor::{
+    anchor_fused_operator, AnchorAssigner, AnchorLaplacian, AnchorModel, AnchorUmsc, AnchorUmscConfig,
+};
 pub use config::{Discretization, GraphKind, UmscConfig, Weighting};
 pub use error::UmscError;
 pub use gpi::{gpi_stiefel_op_ws, GpiWorkspace};

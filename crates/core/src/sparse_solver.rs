@@ -137,12 +137,12 @@ impl ViewSet for FusedLaplacian<'_> {
 
     fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
         let (n, c) = f.shape();
-        TraceScratch::fit(&mut scratch.lf, n, c);
+        TraceScratch::fit(&mut scratch.prod, n, c);
         TraceScratch::fit(&mut scratch.cc, c, c);
         traces.clear();
         for l in self.views {
-            l.apply_block_into(f.as_slice(), c, scratch.lf.as_mut_slice());
-            f.matmul_transpose_a_into(&scratch.lf, &mut scratch.cc);
+            l.apply_block_into(f.as_slice(), c, scratch.prod.as_mut_slice());
+            f.matmul_transpose_a_into(&scratch.prod, &mut scratch.cc);
             traces.push(scratch.cc.trace());
         }
     }
@@ -151,13 +151,9 @@ impl ViewSet for FusedLaplacian<'_> {
         FusedLaplacian::set_weights(self, weights);
     }
 
-    fn operator(&self) -> &dyn LinOp {
-        self
-    }
-
     /// The Gershgorin bound of the stored fused matrix, with a small
     /// margin so `ηI − A` stays PSD under rounding.
-    fn gpi_shift(&self, _weights: &[f64]) -> f64 {
+    fn gpi_shift(&self) -> f64 {
         self.gershgorin_upper_bound().max(0.0) + 1e-9
     }
 }

@@ -30,17 +30,16 @@ pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
 /// realloc.
 #[derive(Debug, Clone)]
 pub(crate) struct TraceScratch {
-    /// `n × c` product `L⁽ᵛ⁾·F` (Laplacian views).
-    pub(crate) lf: Matrix,
+    /// `n × c` product `L⁽ᵛ⁾·F` (Laplacian views), or the stacked
+    /// `Σ_v m_v × c` projection `B̂ᵀF` (anchor views).
+    pub(crate) prod: Matrix,
     /// `c × c` product `Fᵀ·L⁽ᵛ⁾·F` (Laplacian views).
     pub(crate) cc: Matrix,
-    /// Per-view `m_v × c` projections `B_vᵀF` (anchor views).
-    pub(crate) proj: Vec<Matrix>,
 }
 
 impl TraceScratch {
     pub(crate) fn new() -> Self {
-        TraceScratch { lf: Matrix::zeros(0, 0), cc: Matrix::zeros(0, 0), proj: Vec::new() }
+        TraceScratch { prod: Matrix::zeros(0, 0), cc: Matrix::zeros(0, 0) }
     }
 
     /// Reallocates `m` when its shape differs.

@@ -86,12 +86,12 @@ fn anchor_one_step_solve_is_allocation_free_once_warm() {
     let mut fused = anchor_fused_operator(&factors, &st.weights);
     let mut ws = SolverWorkspace::new();
     for _ in 0..2 {
-        model.one_step_solve(&factors, &mut fused, &mut st, &mut ws).unwrap();
+        model.one_step_solve(&mut fused, &mut st, &mut ws).unwrap();
     }
 
     let stats = measure(|| {
         for _ in 0..3 {
-            model.one_step_solve(&factors, &mut fused, &mut st, &mut ws).unwrap();
+            model.one_step_solve(&mut fused, &mut st, &mut ws).unwrap();
         }
     });
     assert_eq!(

@@ -50,11 +50,17 @@ fn trace_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("umsc_trace_identity_{tag}_{}.jsonl", std::process::id()))
 }
 
+/// What the traced run recorded: its counters and the names of its spans.
+struct Recorded {
+    counters: Vec<(String, u64)>,
+    spans: Vec<String>,
+}
+
 /// Runs `fit` once with tracing off and once with tracing on (JSONL sink
 /// pointed at a scratch file), asserts the trace was actually written,
-/// and returns both results for the bitwise comparison, plus the traced
-/// run's counters.
-fn run_off_then_on(tag: &str, fit: impl Fn() -> UmscResult) -> (UmscResult, UmscResult, Vec<(String, u64)>) {
+/// and returns both results for the bitwise comparison, plus what the
+/// traced run recorded.
+fn run_off_then_on(tag: &str, fit: impl Fn() -> UmscResult) -> (UmscResult, UmscResult, Recorded) {
     let _guard = TEST_LOCK.lock().unwrap();
     // Belt and braces: a previous test in this binary must not leak state.
     umsc_obs::set_trace_path(None);
@@ -68,6 +74,7 @@ fn run_off_then_on(tag: &str, fit: impl Fn() -> UmscResult) -> (UmscResult, Umsc
     umsc_obs::set_trace_path(Some(path.to_str().unwrap()));
     let on = fit();
     let counters = umsc_obs::counters_snapshot();
+    let spans = umsc_obs::spans_snapshot().into_iter().map(|(name, _)| name).collect();
     umsc_obs::set_trace_path(None);
     umsc_obs::set_enabled(false);
     umsc_obs::reset();
@@ -82,7 +89,7 @@ fn run_off_then_on(tag: &str, fit: impl Fn() -> UmscResult) -> (UmscResult, Umsc
         trace.lines().all(|l| l.contains("\"schema\":\"umsc-trace/v1\"")),
         "{tag}: trace contains unversioned lines"
     );
-    (off, on, counters)
+    (off, on, Recorded { counters, spans })
 }
 
 /// Bitwise comparison of everything a caller can observe in a result.
@@ -131,6 +138,18 @@ fn anchor_solver_is_bitwise_identical_with_tracing() {
     assert_identical("anchor", &off, &on);
 }
 
+/// A traced anchor fit sees its graph phase: the whole build and its
+/// anchor selection and anchor weights.
+#[test]
+fn traced_anchor_fit_records_its_graph_spans() {
+    let data = dataset();
+    let model = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(12).with_seed(11));
+    let (_, _, recorded) = run_off_then_on("anchor-graph", || model.fit(&data).unwrap());
+    for span in ["graph.build", "graph.anchor_select", "graph.anchor_weights"] {
+        assert!(recorded.spans.iter().any(|s| s == span), "no {span} span in {:?}", recorded.spans);
+    }
+}
+
 /// With a one-iteration cap every F-step's GPI ends at its cap, on the
 /// fit from features and the CSR entry alike (the anchor fit fixes its
 /// own cap).
@@ -145,9 +164,9 @@ fn capped_gpi_is_counted_once_per_f_step() {
         ("sparse-capped", &|| model.fit_laplacians_sparse(&laplacians).unwrap()),
     ];
     for (tag, fit) in fits {
-        let (off, on, counters) = run_off_then_on(tag, fit);
+        let (off, on, recorded) = run_off_then_on(tag, fit);
         assert_identical(tag, &off, &on);
-        let capped = counter(&counters, "gpi.capped");
+        let capped = counter(&recorded.counters, "gpi.capped");
         assert_eq!(capped, on.history.len() as u64, "{tag}: one gpi.capped per F-step");
     }
 }
@@ -169,11 +188,12 @@ fn golden_fits_never_take_the_polar_svd_fallback() {
         ("golden-anchor", &|| anchor.fit(&data).unwrap()),
     ];
     for (tag, fit) in fits {
-        let (off, on, counters) = run_off_then_on(tag, fit);
+        let (off, on, recorded) = run_off_then_on(tag, fit);
         assert_identical(tag, &off, &on);
-        assert!(counter(&counters, "gpi.iters") > 0, "{tag}: no GPI iteration was traced");
-        assert_eq!(counter(&counters, "polar.svd_fallback"), 0, "{tag}: polar step fell back to the SVD");
-        assert_eq!(counter(&counters, "lanczos.recovered"), 0, "{tag}: a Lanczos restart recovered a pair");
+        let counters = &recorded.counters;
+        assert!(counter(counters, "gpi.iters") > 0, "{tag}: no GPI iteration was traced");
+        assert_eq!(counter(counters, "polar.svd_fallback"), 0, "{tag}: polar step fell back to the SVD");
+        assert_eq!(counter(counters, "lanczos.recovered"), 0, "{tag}: a Lanczos restart recovered a pair");
     }
 }
 
@@ -187,7 +207,7 @@ fn recovered_eigenpairs_are_counted_and_leave_the_fit_alone() {
     gen.separation = 12.0;
     let data = gen.generate(35);
     let model = AnchorUmsc::new(AnchorUmscConfig::new(3).with_anchors(60));
-    let (off, on, counters) = run_off_then_on("recovered", || model.fit(&data).unwrap());
+    let (off, on, recorded) = run_off_then_on("recovered", || model.fit(&data).unwrap());
     assert_identical("recovered", &off, &on);
-    assert!(counter(&counters, "lanczos.recovered") > 0, "no Lanczos restart recovered a pair");
+    assert!(counter(&recorded.counters, "lanczos.recovered") > 0, "no Lanczos restart recovered a pair");
 }

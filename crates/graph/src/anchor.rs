@@ -39,6 +39,7 @@ use umsc_rt::SplitMix64;
 /// # Panics
 /// Panics if `m == 0` or `m > x.rows()`.
 pub fn select_anchors(x: &Matrix, m: usize, seed: u64) -> Matrix {
+    let _span = umsc_obs::span!("graph.anchor_select");
     let n = x.rows();
     assert!(m >= 1, "select_anchors: m must be >= 1");
     assert!(m <= n, "select_anchors: m = {m} exceeds n = {n}");
@@ -88,6 +89,7 @@ pub fn select_anchors(x: &Matrix, m: usize, seed: u64) -> Matrix {
 /// # Panics
 /// Panics if `k` is not in `1..=m`.
 pub fn anchor_weights_sparse(x: &Matrix, anchors: &Matrix, k: usize) -> CsrMatrix {
+    let _span = umsc_obs::span!("graph.anchor_weights");
     let n = x.rows();
     let m = anchors.rows();
     assert!(k >= 1 && k <= m, "anchor_weights: need 1 <= k <= m, got k={k}, m={m}");

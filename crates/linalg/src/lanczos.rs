@@ -39,13 +39,6 @@ impl LinOp for Matrix {
         self.rows()
     }
 
-    /// [`umsc_op::dense_rows_into`] on a one-column block, threaded past
-    /// the shared flop gate.
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert!(self.is_square());
-        DenseOp::new(self.rows(), self.as_slice()).apply_into(x, y);
-    }
-
     /// Bitwise-identical to [`Matrix::matmul_into`] on an `n × k` right
     /// factor: both run [`umsc_op::dense_rows_into`].
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {

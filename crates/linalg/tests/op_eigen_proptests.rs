@@ -103,7 +103,7 @@ fn lanczos_over_diag_shift_matches_jacobi() {
 
 #[test]
 fn lanczos_over_shifted_low_rank_matches_jacobi() {
-    // The anchor pipeline's operator shape: σI − Σ_v w_v B_v B_vᵀ with
+    // A shifted weighted sum of low-rank terms, σI − Σ_v w_v B_v B_vᵀ with
     // tall-thin factors, never materialized.
     let (n, m, k) = (14, 4, 3);
     check(

@@ -2,10 +2,10 @@
 
 use crate::{map_indexed_gated, new_scratch, LinOp, Scratch};
 
-/// `σI − A`: the spectral-shift node the GPI F-step and the anchor
-/// embedding both need (turn a Laplacian into the positive-definite
-/// operator `ηI − Σ_v w_v L_v` whose *top* eigenvectors are the
-/// Laplacian's bottom ones).
+/// `σI − A`: a spectral shift (turns a Laplacian into the
+/// positive-definite operator `ηI − Σ_v w_v L_v` whose *top* eigenvectors
+/// are the Laplacian's bottom ones). No fit applies it; it composes
+/// reference operators for tests and benchmarks.
 ///
 /// No scratch: the inner result lands in `y`, then each element is
 /// replaced by `σ·x[i] − y[i]` — order-independent per element, hence
@@ -20,28 +20,11 @@ impl<T: LinOp> DiagShift<T> {
     pub fn new(sigma: f64, inner: T) -> Self {
         DiagShift { sigma, inner }
     }
-
-    /// Replaces the shift (e.g. when solver weights change between
-    /// outer iterations).
-    pub fn set_sigma(&mut self, sigma: f64) {
-        self.sigma = sigma;
-    }
-
-    /// Mutable access to the wrapped operator (weight updates).
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
 }
 
 impl<T: LinOp> LinOp for DiagShift<T> {
     fn dim(&self) -> usize {
         self.inner.dim()
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.inner.apply_into(x, y);
-        let sigma = self.sigma;
-        map_indexed_gated(y.len(), y, |i, v| *v = sigma * x[i] - *v);
     }
 
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
@@ -51,16 +34,15 @@ impl<T: LinOp> LinOp for DiagShift<T> {
     }
 }
 
-/// `Σ_v w_v · A_v`: the fused multi-view operator.
+/// `Σ_v w_v · A_v`: a weighted sum of operators.
 ///
-/// This subsumes the solver's old private `WeightedSparseOp`: each view
-/// applies into an internal scratch panel (reused across calls), then
-/// accumulates into `y` in view order — `y` starts from an exact `0.0`
-/// and views are added sequentially, so the accumulation order is fixed
-/// regardless of thread count and matches the sequential reference
-/// bitwise. The node owns its views; build it once outside the solver
-/// loop and update the weights in place with
-/// [`set_weights`](WeightedSum::set_weights) to stay allocation-free.
+/// Each view applies into an internal scratch panel (reused across
+/// calls), then accumulates into `y` in view order — `y` starts from an
+/// exact `0.0` and views are added sequentially, so the accumulation order
+/// is fixed regardless of thread count and matches the sequential
+/// reference bitwise. The node owns its views and fixes its weights at
+/// construction. No fit applies it (the fits run one fused operator per
+/// view set); it composes reference operators for tests and benchmarks.
 #[derive(Debug)]
 pub struct WeightedSum<T> {
     ops: Vec<T>,
@@ -81,30 +63,6 @@ impl<T: LinOp> WeightedSum<T> {
         assert_eq!(weights.len(), ops.len(), "WeightedSum: weights length mismatch");
         WeightedSum { ops, weights: weights.to_vec(), scratch: new_scratch() }
     }
-
-    /// Replaces the per-view weights in place (no allocation).
-    ///
-    /// # Panics
-    /// Panics if `weights.len() != ops.len()`.
-    pub fn set_weights(&mut self, weights: &[f64]) {
-        assert_eq!(weights.len(), self.ops.len(), "WeightedSum: weights length mismatch");
-        self.weights.copy_from_slice(weights);
-    }
-
-    /// Shared accumulation: `tmp = A_v·X` per view, then `y += w_v·tmp`.
-    fn accumulate(&self, x: &[f64], len: usize, y: &mut [f64], block: Option<usize>) {
-        y.fill(0.0);
-        let mut scratch = self.scratch.borrow_mut();
-        let tmp = scratch.ensure(len);
-        for (op, &w) in self.ops.iter().zip(self.weights.iter()) {
-            match block {
-                Some(ncols) => op.apply_block_into(x, ncols, tmp),
-                None => op.apply_into(x, tmp),
-            }
-            let t: &[f64] = tmp;
-            map_indexed_gated(len, y, |i, v| *v += w * t[i]);
-        }
-    }
 }
 
 impl<T: LinOp> LinOp for WeightedSum<T> {
@@ -112,21 +70,19 @@ impl<T: LinOp> LinOp for WeightedSum<T> {
         self.ops[0].dim()
     }
 
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let n = self.dim();
-        assert_eq!(x.len(), n, "WeightedSum::apply_into: x length mismatch");
-        assert_eq!(y.len(), n, "WeightedSum::apply_into: y length mismatch");
-        self.accumulate(x, n, y, None);
-    }
-
+    /// `tmp = A_v·X` per view, then `y += w_v·tmp`.
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let n = self.dim();
-        assert_eq!(x.len(), n * ncols, "WeightedSum::apply_block_into: x length mismatch");
-        assert_eq!(y.len(), n * ncols, "WeightedSum::apply_block_into: y length mismatch");
-        if ncols == 0 {
-            return;
+        let len = self.dim() * ncols;
+        assert_eq!(x.len(), len, "WeightedSum::apply_block_into: x length mismatch");
+        assert_eq!(y.len(), len, "WeightedSum::apply_block_into: y length mismatch");
+        y.fill(0.0);
+        let mut scratch = self.scratch.borrow_mut();
+        let tmp = scratch.ensure(len);
+        for (op, &w) in self.ops.iter().zip(self.weights.iter()) {
+            op.apply_block_into(x, ncols, tmp);
+            let t: &[f64] = tmp;
+            map_indexed_gated(len, y, |i, v| *v += w * t[i]);
         }
-        self.accumulate(x, n * ncols, y, Some(ncols));
     }
 }
 
@@ -195,22 +151,6 @@ mod tests {
         let mut yv = vec![f64::NAN; n];
         wsum.apply_into(&xv, &mut yv);
         assert_eq!(yv, expect_v);
-    }
-
-    #[test]
-    fn set_weights_updates_result() {
-        let n = 6;
-        let a = random(n * n, 9);
-        let mut wsum = WeightedSum::with_weights(vec![DenseOp::new(n, &a)], &[1.0]);
-        let x = random(n, 10);
-        let mut y0 = vec![0.0; n];
-        wsum.apply_into(&x, &mut y0);
-        wsum.set_weights(&[2.0]);
-        let mut y1 = vec![0.0; n];
-        wsum.apply_into(&x, &mut y1);
-        for (a0, a1) in y0.iter().zip(y1.iter()) {
-            assert_eq!(2.0 * a0, *a1);
-        }
     }
 
     #[test]

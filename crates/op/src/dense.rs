@@ -79,13 +79,6 @@ impl LinOp for DenseOp<'_> {
         self.n
     }
 
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        let n = self.n;
-        assert_eq!(x.len(), n, "DenseOp::apply_into: x length mismatch");
-        assert_eq!(y.len(), n, "DenseOp::apply_into: y length mismatch");
-        dense_rows_into(gate_threads(2 * n * n), self.data, n, x, 1, y);
-    }
-
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
         let n = self.n;
         assert_eq!(x.len(), n * ncols, "DenseOp::apply_block_into: x length mismatch");

@@ -4,13 +4,15 @@
 //! The one-stage solver and both eigensolvers only ever need the fused
 //! Laplacian through its action `x ↦ A·x`; nothing downstream requires
 //! the `n × n` entries themselves. This crate makes that observation a
-//! first-class abstraction: [`LinOp`] is the action, and the operator
-//! *nodes* ([`DenseOp`], [`CsrOp`], [`DiagShift`], [`WeightedSum`],
-//! [`LowRankAnchor`]) compose into exactly the
-//! expressions the paper's solver evaluates — `Σ_v w_v L_v` for the
-//! fused graph, `σI − Σ_v w_v B_v B_vᵀ` for the anchor path — without
-//! ever materializing an `n × n` matrix. The anchor factors themselves
-//! are [`SparseFactor`]s: `n × m` CSR with `k` nonzeros per row.
+//! first-class abstraction: [`LinOp`] is the action. The fits' two
+//! operators (in `umsc-core`) never materialize an `n × n` matrix: one
+//! CSR `Σ_v w_v L_v` for Laplacian views, and `−Σ_v w_v B_v B_vᵀ` for the
+//! anchor path as `B̂·diag(−w ⊗ 1_m)·B̂ᵀ` over one stacked factor
+//! `B̂ = [B_1 … B_V]` ([`SparseFactor::hstack`]). Anchor factors are
+//! [`SparseFactor`]s: `n × m` CSR with `k` nonzeros per row. The nodes
+//! ([`DenseOp`], [`CsrOp`], [`DiagShift`], [`WeightedSum`],
+//! [`LowRankAnchor`]) wrap raw storage and compose reference operators
+//! for tests and benchmarks.
 //!
 //! # Kernel discipline
 //!
@@ -99,10 +101,7 @@ pub(crate) fn new_scratch() -> Scratch {
 ///   prior contents of `y`).
 /// * [`apply_block_into`](LinOp::apply_block_into) computes `Y = A·X`
 ///   for row-major `n × k` blocks, also overwriting `Y` entirely. The
-///   provided default forwards column-by-column through two temporary
-///   vectors and therefore **allocates**; every node in this crate
-///   overrides it with an allocation-free parallel kernel, and
-///   performance-sensitive implementors should do the same.
+///   provided vector apply is the one-column block.
 ///
 /// Implementations may use interior mutability for scratch space (see
 /// [`WeightedSum`], [`LowRankAnchor`]); the trait deliberately takes
@@ -111,34 +110,18 @@ pub trait LinOp {
     /// Dimension `n` of the (square) operator.
     fn dim(&self) -> usize;
 
-    /// `y = A·x`. Overwrites every element of `y`.
-    ///
-    /// # Panics
-    /// Panics if `x.len()` or `y.len()` differ from [`dim`](LinOp::dim).
-    fn apply_into(&self, x: &[f64], y: &mut [f64]);
-
     /// `Y = A·X` for row-major `n × ncols` blocks. Overwrites `Y`.
     ///
     /// # Panics
     /// Panics if `x.len()` or `y.len()` differ from `dim() * ncols`.
-    fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let n = self.dim();
-        assert_eq!(x.len(), n * ncols, "LinOp::apply_block_into: x length mismatch");
-        assert_eq!(y.len(), n * ncols, "LinOp::apply_block_into: y length mismatch");
-        if ncols == 0 {
-            return;
-        }
-        let mut xc = vec![0.0; n];
-        let mut yc = vec![0.0; n];
-        for j in 0..ncols {
-            for (i, v) in xc.iter_mut().enumerate() {
-                *v = x[i * ncols + j];
-            }
-            self.apply_into(&xc, &mut yc);
-            for (i, &v) in yc.iter().enumerate() {
-                y[i * ncols + j] = v;
-            }
-        }
+    fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]);
+
+    /// `y = A·x`: the one-column block. Overwrites every element of `y`.
+    ///
+    /// # Panics
+    /// Panics if `x.len()` or `y.len()` differ from [`dim`](LinOp::dim).
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.apply_block_into(x, 1, y);
     }
 }
 
@@ -158,35 +141,30 @@ impl<T: LinOp + ?Sized> LinOp for &T {
 mod tests {
     use super::*;
 
-    /// The default block apply (column-by-column through `apply_into`)
-    /// must agree exactly with an overridden block kernel: both reduce
-    /// to the same per-element dot products.
-    struct NoOverride<'a>(DenseOp<'a>);
+    /// The provided vector apply is the one-column block of an
+    /// implementor's own block kernel.
+    struct BlockOnly<'a>(DenseOp<'a>);
 
-    impl LinOp for NoOverride<'_> {
+    impl LinOp for BlockOnly<'_> {
         fn dim(&self) -> usize {
             self.0.dim()
         }
-        fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-            self.0.apply_into(x, y)
+        fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
+            self.0.apply_block_into(x, ncols, y)
         }
-        // apply_block_into: trait default.
+        // apply_into: trait default.
     }
 
     #[test]
-    fn default_block_apply_matches_override() {
+    fn default_vector_apply_is_the_one_column_block() {
         let n = 7;
-        let k = 3;
         let mut rng = umsc_rt::Rng::from_seed(11);
         let a: Vec<f64> = (0..n * n).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
-        let x: Vec<f64> = (0..n * k).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
-        let op = DenseOp::new(n, &a);
-        let plain = NoOverride(DenseOp::new(n, &a));
-
-        let mut y0 = vec![f64::NAN; n * k];
-        let mut y1 = vec![f64::NAN; n * k];
-        op.apply_block_into(&x, k, &mut y0);
-        plain.apply_block_into(&x, k, &mut y1);
+        let x: Vec<f64> = (0..n).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect();
+        let mut y0 = vec![f64::NAN; n];
+        let mut y1 = vec![f64::NAN; n];
+        dense_rows_into(1, &a, n, &x, 1, &mut y0);
+        BlockOnly(DenseOp::new(n, &a)).apply_into(&x, &mut y1);
         assert_eq!(y0, y1);
     }
 

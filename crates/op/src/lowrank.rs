@@ -1,7 +1,7 @@
 //! Low-rank operator node: `Z Zᵀ` for anchor/bipartite graphs, over a
 //! sparse factor `Z`.
 
-use std::borrow::Cow;
+use std::marker::PhantomData;
 
 use crate::sparse::csr_rows_into;
 use crate::{gate_threads, new_scratch, LinOp, Scratch};
@@ -110,6 +110,36 @@ impl SparseFactor {
         SparseFactor::from_csr(n, m, row_ptr, col_idx, values)
     }
 
+    /// `[Z_1 … Z_V]`: the parts side by side, row `i` listing each part's
+    /// row `i` in part order with its columns shifted past the parts
+    /// before it. The transpose comes from the counting sort of
+    /// [`SparseFactor::from_csr`], so the rows of block `v` of the stacked
+    /// transpose are exactly the rows of `Z_vᵀ`.
+    ///
+    /// # Panics
+    /// Panics if `parts` is empty or the parts differ in row count.
+    pub fn hstack(parts: &[SparseFactor]) -> Self {
+        assert!(!parts.is_empty(), "SparseFactor::hstack: no parts");
+        let n = parts[0].n;
+        assert!(parts.iter().all(|z| z.n == n), "SparseFactor::hstack: parts differ in row count");
+        let nnz = parts.iter().map(SparseFactor::nnz).sum();
+        let (mut row_ptr, mut col_idx, mut values) =
+            (Vec::with_capacity(n + 1), Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        row_ptr.push(0);
+        for i in 0..n {
+            let mut offset = 0;
+            for z in parts {
+                let (lo, hi) = (z.row_ptr[i], z.row_ptr[i + 1]);
+                col_idx.extend(z.col_idx[lo..hi].iter().map(|&j| j + offset));
+                values.extend_from_slice(&z.values[lo..hi]);
+                offset += z.m;
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let m = parts.iter().map(|z| z.m).sum();
+        SparseFactor::from_csr(n, m, row_ptr, col_idx, values)
+    }
+
     /// Number of rows `n` (points).
     pub fn rows(&self) -> usize {
         self.n
@@ -190,11 +220,14 @@ impl SparseFactor {
 /// internal grow-only scratch panel — allocation-free once warm.
 #[derive(Debug)]
 pub struct LowRankAnchor<'a> {
-    z: Cow<'a, SparseFactor>,
+    z: SparseFactor,
     scratch: Scratch,
+    /// The operator owns its factor; the lifetime only keeps the type's
+    /// name `LowRankAnchor<'_>` valid for existing callers.
+    _named: PhantomData<&'a ()>,
 }
 
-impl<'a> LowRankAnchor<'a> {
+impl LowRankAnchor<'_> {
     /// `Z Zᵀ` over a dense row-major `n × m` factor, compacted once into
     /// a [`SparseFactor`] owned by the operator.
     ///
@@ -202,12 +235,7 @@ impl<'a> LowRankAnchor<'a> {
     /// Panics if `z.len() != n * m`.
     pub fn new(n: usize, m: usize, z: &[f64]) -> Self {
         assert_eq!(z.len(), n * m, "LowRankAnchor::new: factor is not n x m");
-        LowRankAnchor { z: Cow::Owned(SparseFactor::from_dense(n, m, z)), scratch: new_scratch() }
-    }
-
-    /// `Z Zᵀ` over a borrowed sparse factor.
-    pub fn sparse(z: &'a SparseFactor) -> Self {
-        LowRankAnchor { z: Cow::Borrowed(z), scratch: new_scratch() }
+        LowRankAnchor { z: SparseFactor::from_dense(n, m, z), scratch: new_scratch(), _named: PhantomData }
     }
 
     /// [`LinOp::apply_block_into`] with an explicit thread count
@@ -230,10 +258,6 @@ impl<'a> LowRankAnchor<'a> {
 impl LinOp for LowRankAnchor<'_> {
     fn dim(&self) -> usize {
         self.z.n
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.apply_block_into(x, 1, y);
     }
 
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
@@ -339,12 +363,34 @@ mod tests {
         let g = SparseFactor::from_csr(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 0.0, -0.0]);
         assert_eq!(g.nnz(), 1);
         assert_eq!(g.to_dense(), vec![1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        // Sparse and owned (compacted) operators apply identically.
-        let x = random(n * 2, 6);
-        let (mut a, mut b) = (vec![0.0; n * 2], vec![0.0; n * 2]);
-        LowRankAnchor::new(n, m, &z).apply_block_into(&x, 2, &mut a);
-        LowRankAnchor::sparse(&f).apply_block_into(&x, 2, &mut b);
-        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn hstack_densifies_to_the_column_concatenation() {
+        let n = 11;
+        let widths = [4, 1, 6];
+        let dense: Vec<Vec<f64>> =
+            widths.iter().enumerate().map(|(v, &m)| random_factor(n, m, 40 + v as u64)).collect();
+        let parts: Vec<SparseFactor> =
+            dense.iter().zip(widths).map(|(z, m)| SparseFactor::from_dense(n, m, z)).collect();
+        let stacked = SparseFactor::hstack(&parts);
+        assert_eq!(stacked.shape(), (n, 11));
+        assert_eq!(stacked.nnz(), parts.iter().map(SparseFactor::nnz).sum::<usize>());
+        let expect: Vec<f64> = (0..n)
+            .flat_map(|i| dense.iter().zip(widths).flat_map(move |(z, m)| z[i * m..(i + 1) * m].to_vec()))
+            .collect();
+        assert_eq!(stacked.to_dense(), expect);
+        // The stacked transpose is the parts' transposes, block by block.
+        let x = random(n * 2, 7);
+        let mut t = vec![f64::NAN; 11 * 2];
+        stacked.mul_transpose_into(&x, 2, &mut t);
+        let mut at = 0;
+        for (z, m) in parts.iter().zip(widths) {
+            let mut tv = vec![f64::NAN; m * 2];
+            z.mul_transpose_into(&x, 2, &mut tv);
+            assert_eq!(t[at..at + m * 2], tv[..]);
+            at += m * 2;
+        }
     }
 
     #[test]
@@ -355,12 +401,10 @@ mod tests {
 
     #[test]
     fn empty_shapes() {
-        let f = SparseFactor::from_dense(0, 3, &[]);
         let mut y: Vec<f64> = Vec::new();
-        LowRankAnchor::sparse(&f).apply_block_into(&[], 2, &mut y);
-        let g = SparseFactor::from_dense(4, 0, &[]);
+        LowRankAnchor::new(0, 3, &[]).apply_block_into(&[], 2, &mut y);
         let mut y = vec![f64::NAN; 8];
-        LowRankAnchor::sparse(&g).apply_block_into(&[1.0; 8], 2, &mut y);
+        LowRankAnchor::new(4, 0, &[]).apply_block_into(&[1.0; 8], 2, &mut y);
         assert_eq!(y, vec![0.0; 8]);
     }
 }

@@ -77,15 +77,11 @@ fn all_nodes_are_allocation_free_once_warm() {
     let z = random(n * m, 12);
     assert_warm_applies_are_alloc_free(&LowRankAnchor::new(n, m, &z), "LowRankAnchor");
 
-    // The solver's fused operator: σI − Σ_v w_v L_v over CSR views.
+    // A composed operator: σI − Σ_v w_v A_v over CSR views.
     let views: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> =
         (0..3).map(|v| random_csr(n, 5, 20 + v)).collect();
     let ops: Vec<CsrOp<'_>> =
         views.iter().map(|(rp, ci, vals)| CsrOp::new(n, rp, ci, vals)).collect();
-    let mut fused = WeightedSum::with_weights(ops, &[0.3, 0.5, 0.2]);
+    let fused = WeightedSum::with_weights(ops, &[0.3, 0.5, 0.2]);
     assert_warm_applies_are_alloc_free(&DiagShift::new(2.0, &fused), "DiagShift(WeightedSum)");
-
-    // Weight updates between iterations must not allocate either.
-    let stats = measure(|| fused.set_weights(&[0.2, 0.2, 0.6]));
-    assert_eq!(stats.allocations, 0, "set_weights allocated");
 }
