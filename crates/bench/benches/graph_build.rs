@@ -1,9 +1,11 @@
 //! Microbench: graph construction per dataset size, each kernel under the
-//! trace span of the fit phase it times — distances (`graph.distances`),
-//! the k-NN and Gaussian affinities (`graph.knn_select`), CAN
-//! (`graph.can`), Laplacians (`graph.laplacian`) — plus the whole k-NN
-//! build from features (`graph.build`): the streamed builder against the
-//! distance-matrix route it replaced.
+//! trace span or perfbench layer of the fit phase it times — distances
+//! (`graph.distances`), the k-NN and Gaussian affinities
+//! (`graph.knn_select`), the CAN front-end over precomputed distances
+//! (`graph.can`), Laplacians (`graph.laplacian`) — plus whole builds from
+//! features (`graph.build`): the streamed k-NN builder against the
+//! distance-matrix route it replaced, and the streamed CAN build that CAN
+//! fits run.
 
 use std::hint::black_box;
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
@@ -41,17 +43,21 @@ fn main() {
         laplacian.run(&format!("normalized_laplacian/{n}"), || normalized_laplacian(black_box(&w)));
     }
     // The default k-NN graph (k = 10, self-tuning σ) from features: the
-    // streamed builder vs the full distance matrix plus the selector.
+    // streamed builder vs the full distance matrix plus the selector; and
+    // the streamed CAN graph (k = 10), the route of every CAN fit.
     let bw = Bandwidth::SelfTuning { k: 7 };
     for &n_per in knn_sizes {
         let data = MultiViewGmm::new("bench", 4, n_per, vec![ViewSpec::clean(64)]).generate(2);
         let x = &data.views[0];
         let n = x.rows();
         build.run(&format!("knn_streamed/{n}"), || {
-            neighbor_graph(black_box(x), Metric::Euclidean, Neighbors::Knn(10), &bw)
+            neighbor_graph(black_box(x), Metric::Euclidean, Neighbors::Knn { k: 10, bandwidth: bw })
         });
         build.run(&format!("distances_plus_knn/{n}"), || {
             knn_affinity(&pairwise_sq_distances(black_box(x)), 10, &bw)
+        });
+        build.run(&format!("can_streamed/{n}"), || {
+            neighbor_graph(black_box(x), Metric::Euclidean, Neighbors::Adaptive { k: 10 })
         });
     }
 }

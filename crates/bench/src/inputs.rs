@@ -14,6 +14,6 @@ pub fn knn_laplacian(n: usize) -> CsrMatrix {
     let mut rng = Rng::from_seed(17);
     let centres = Matrix::from_fn(8, 16, |_, _| 3.0 * rng.normal());
     let x = Matrix::from_fn(n, 16, |i, j| centres[(i % 8, j)] + rng.normal());
-    let w = neighbor_graph(&x, Metric::Euclidean, Neighbors::Knn(10), &Bandwidth::SelfTuning { k: 7 });
+    let w = neighbor_graph(&x, Metric::Euclidean, Neighbors::Knn { k: 10, bandwidth: Bandwidth::SelfTuning { k: 7 } });
     normalized_laplacian_sparse(&w)
 }

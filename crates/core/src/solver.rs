@@ -123,7 +123,9 @@ impl Umsc {
     /// (symmetric, non-negative, zero diagonal) — for users who build
     /// their own graphs. Each affinity's symmetric-normalized Laplacian is
     /// compacted at its exact zeros as soon as it is built (as in
-    /// [`Umsc::fit_laplacians`]) and the CSR views are fitted.
+    /// [`Umsc::fit_laplacians`]) and the CSR views are fitted. The dense
+    /// and CSR Laplacians share one formula, so [`crate::pipeline::view_affinity`]'s
+    /// graphs fit to the bits of [`Umsc::fit`].
     pub fn fit_affinities(&self, affinities: &[Matrix]) -> Result<UmscResult> {
         for (v, w) in affinities.iter().enumerate() {
             if !w.is_square() {
@@ -381,7 +383,11 @@ mod tests {
             .map(|x| crate::pipeline::view_affinity(x, &model.config().graph_config()))
             .collect();
         let via_aff = model.fit_affinities(&affinities).unwrap();
+        // One Laplacian formula: the same fit, bit for bit.
         assert_eq!(direct.labels, via_aff.labels);
+        let bits = |r: &UmscResult| r.history.iter().map(|h| h.objective.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&direct), bits(&via_aff), "objectives differ");
+        assert_eq!(direct.embedding.as_slice(), via_aff.embedding.as_slice(), "embeddings differ");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 
 use umsc_core::{
     anchor_fused_operator, build_view_laplacians_sparse, sparse_fused_operator, AnchorUmsc,
-    AnchorUmscConfig, Discretization, SolverState, SolverWorkspace, Umsc, UmscConfig, UmscResult,
+    AnchorUmscConfig, Discretization, GraphKind, SolverState, SolverWorkspace, Umsc, UmscConfig,
+    UmscResult,
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_graph::SparseFactor;
@@ -172,18 +173,21 @@ fn sparse_graph_build_peak_stays_below_one_dense_matrix() {
     let data = MultiViewGmm::new("alloc", 3, 1000, vec![ViewSpec::clean(3), ViewSpec::clean(4)]).generate(5);
     let n = data.n();
     assert_eq!(n, 3000);
-    let model = Umsc::new(UmscConfig::new(3));
-    let mut laplacians = None;
-    let peak = measure(|| {
-        laplacians = Some(build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap())
-    })
-    .peak_bytes;
-    assert_eq!(laplacians.unwrap().len(), 2);
     let dense_matrix_bytes = (n * n * std::mem::size_of::<f64>()) as u64;
-    assert!(
-        peak < dense_matrix_bytes,
-        "graph build peaked at {peak} B ≥ one {n}x{n} matrix ({dense_matrix_bytes} B)"
-    );
+    // The default k-NN graph and the CAN graph: both streamed.
+    for graph in [UmscConfig::new(3).graph, GraphKind::Adaptive { k: 10 }] {
+        let model = Umsc::new(UmscConfig::new(3).with_graph(graph.clone()));
+        let mut laplacians = None;
+        let peak = measure(|| {
+            laplacians = Some(build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap())
+        })
+        .peak_bytes;
+        assert_eq!(laplacians.unwrap().len(), 2);
+        assert!(
+            peak < dense_matrix_bytes,
+            "{graph:?} graph build peaked at {peak} B ≥ one {n}x{n} matrix ({dense_matrix_bytes} B)"
+        );
+    }
 }
 
 #[test]

@@ -30,14 +30,18 @@
 //! and the two anchor rows when `σI − Σ_v w_v B_v B_vᵀ` over per-view
 //! factors gave way to `−Σ_v w_v B_v B_vᵀ` over one stacked factor
 //! (objectives within 30 ULP, weights within 8 ULP; the other rows did
-//! not move).
+//! not move); and the nine dense rows when the dense normalized Laplacian
+//! took the CSR formula `−(w_ij·(sᵢ·sⱼ))` (objectives within 8 ULP,
+//! weights within 4 ULP; the auto rows landed on the sparse rows' bits,
+//! which `dense_and_sparse_laplacians_fit_to_the_same_bits` now pins).
+//! The `can/auto/rotation` row fits a CAN graph from features.
 //! To print a fresh table (for a
 //! deliberate numerical change only), run
 //! `cargo test -p umsc-core --test golden_bits -- --ignored --nocapture`.
 
 use umsc_core::{
     build_view_laplacians, build_view_laplacians_sparse, AnchorUmsc, AnchorUmscConfig,
-    Discretization, Umsc, UmscConfig, UmscResult, Weighting,
+    Discretization, GraphKind, Umsc, UmscConfig, UmscResult, Weighting,
 };
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_data::MultiViewDataset;
@@ -106,6 +110,8 @@ fn run_all() -> Vec<(String, UmscResult)> {
         let res = umsc(Weighting::Auto, disc).fit_laplacians_sparse(&sparse).unwrap();
         out.push((format!("sparse/auto/{dname}"), res));
     }
+    let can = Umsc::new(UmscConfig::new(3).with_graph(GraphKind::Adaptive { k: 10 }).with_seed(5));
+    out.push(("can/auto/rotation".to_string(), can.fit(&data).unwrap()));
     for (wname, weighting) in [("auto", Weighting::Auto), ("uniform", Weighting::Uniform)] {
         out.push((format!("anchor/{wname}"), anchor(weighting).fit(&data).unwrap()));
     }
@@ -141,6 +147,21 @@ fn every_solver_path_reproduces_its_golden_bits() {
     }
 }
 
+/// The dense and CSR Laplacians of one graph hold the same bits, so the
+/// auto-weighted dense and sparse rows are one fit.
+#[test]
+fn dense_and_sparse_laplacians_fit_to_the_same_bits() {
+    let results = run_all();
+    let row = |name: &str| &results.iter().find(|(n, _)| n == name).expect("case present").1;
+    for disc in ["rotation", "scaled"] {
+        let (dense, sparse) = (row(&format!("dense/auto/{disc}")), row(&format!("sparse/auto/{disc}")));
+        assert_eq!(labels_hash(dense), labels_hash(sparse), "{disc}: labels differ");
+        assert_eq!(objective_bits(dense), objective_bits(sparse), "{disc}: objectives differ");
+        assert_eq!(weight_bits(dense), weight_bits(sparse), "{disc}: weights differ");
+        assert_eq!(embedding_hash(dense), embedding_hash(sparse), "{disc}: embeddings differ");
+    }
+}
+
 fn hex_list(bits: &[u64]) -> String {
     bits.iter().map(|b| format!("{b:#018x}")).collect::<Vec<_>>().join(", ")
 }
@@ -166,65 +187,65 @@ const GOLDEN: &[Golden] = &[
     Golden {
         name: "dense/auto/rotation",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fffd9c122630e7f, 0x3fffd95164485705, 0x3fffd947553e827c, 0x3fffd94600832bcc],
-        weights: &[0x3fda14e4c54cfbb7, 0x3fda4fe917ee5f6b, 0x3fc73664458949b9],
-        embedding: 0xfa00366b3a57fd3d,
+        objectives: &[0x3fffd9c122630e81, 0x3fffd95164485702, 0x3fffd947553e827f, 0x3fffd94600832bcd],
+        weights: &[0x3fda14e4c54cfbb9, 0x3fda4fe917ee5f6b, 0x3fc73664458949b7],
+        embedding: 0x2a91b3dbd879b96b,
     },
     Golden {
         name: "dense/auto/scaled",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3ffd16145d3322e9, 0x3ffd15b739467059, 0x3ffd15aeaa9feac3, 0x3ffd15ad8aa9c4ca],
-        weights: &[0x3fda1d801d1f6728, 0x3fda3cc65ac1e49a, 0x3fc74b73103d6878],
-        embedding: 0x3f3327e6c77db6f7,
+        objectives: &[0x3ffd16145d3322eb, 0x3ffd15b739467053, 0x3ffd15aeaa9feac4, 0x3ffd15ad8aa9c4ca],
+        weights: &[0x3fda1d801d1f672c, 0x3fda3cc65ac1e49a, 0x3fc74b73103d6879],
+        embedding: 0xfb09f5745147e298,
     },
     Golden {
         name: "dense/auto/kmeans",
         labels: 0x044493e202f4a906,
-        objectives: &[0x3ffd178ed5af4457, 0x3ffd108d38eb5016, 0x3ffd1036460ec68e, 0x3ffd102e3c1a528e, 0x3ffd102d2e7cc914],
-        weights: &[0x3fda20849712ab9a, 0x3fda360e403421a4, 0x3fc752da51726584],
-        embedding: 0xca888b78dfcb7b5b,
+        objectives: &[0x3ffd178ed5af4458, 0x3ffd108d38eb5016, 0x3ffd1036460ec68e, 0x3ffd102e3c1a5290, 0x3ffd102d2e7cc912],
+        weights: &[0x3fda20849712ab99, 0x3fda360e403421a5, 0x3fc752da51726584],
+        embedding: 0x9525bb12a6067db0,
     },
     Golden {
         name: "dense/uniform/rotation",
         labels: 0x238361c65f32ff06,
-        objectives: &[0x3fe2f61e73f0d6f4, 0x3fe2f61c56ffa0cc],
+        objectives: &[0x3fe2f61e73f0d6f8, 0x3fe2f61c56ffa0ce],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0x67e93f0adc3119d0,
+        embedding: 0xe1c5c24f39925829,
     },
     Golden {
         name: "dense/uniform/scaled",
         labels: 0x238361c65f32ff06,
-        objectives: &[0x3fdab8c62ee67074, 0x3fdab8c5906cc5b0],
+        objectives: &[0x3fdab8c62ee67076, 0x3fdab8c5906cc5b0],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0x6a17941609c9c256,
+        embedding: 0x4becc00816be7b79,
     },
     Golden {
         name: "dense/uniform/kmeans",
         labels: 0xfb73ee89ef8eecc4,
-        objectives: &[0x3fda9539257ffd7b],
+        objectives: &[0x3fda9539257ffd78],
         weights: &[0x3fd5555555555555, 0x3fd5555555555555, 0x3fd5555555555555],
-        embedding: 0x33bd967cbccf099c,
+        embedding: 0x6b335511771f9e7a,
     },
     Golden {
         name: "dense/fixed/rotation",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fdd34aa3ab5d248, 0x3fdd34a8a6c990b6],
+        objectives: &[0x3fdd34aa3ab5d240, 0x3fdd34a8a6c990b6],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0xfa9a1cdf94e09e93,
+        embedding: 0xbf8a12605265799e,
     },
     Golden {
         name: "dense/fixed/scaled",
         labels: 0x035c85518049ace7,
-        objectives: &[0x3fd226c24b5c21b7, 0x3fd226c2148cfa2f],
+        objectives: &[0x3fd226c24b5c21b8, 0x3fd226c2148cfa2e],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0x6dce2ee59b8c5c84,
+        embedding: 0xf16241867d30c9aa,
     },
     Golden {
         name: "dense/fixed/kmeans",
         labels: 0x044493e202f4a906,
-        objectives: &[0x3fd210664acf05b2],
+        objectives: &[0x3fd210664acf05b4],
         weights: &[0x3fe2492492492492, 0x3fd2492492492492, 0x3fc2492492492492],
-        embedding: 0x2822ed8a42032a4f,
+        embedding: 0xd441e34e01647cab,
     },
     Golden {
         name: "sparse/auto/rotation",
@@ -239,6 +260,13 @@ const GOLDEN: &[Golden] = &[
         objectives: &[0x3ffd16145d3322eb, 0x3ffd15b739467053, 0x3ffd15aeaa9feac4, 0x3ffd15ad8aa9c4ca],
         weights: &[0x3fda1d801d1f672c, 0x3fda3cc65ac1e49a, 0x3fc74b73103d6879],
         embedding: 0xfb09f5745147e298,
+    },
+    Golden {
+        name: "can/auto/rotation",
+        labels: 0x185fef774a80e4c4,
+        objectives: &[0x3ffd80a071b8250a, 0x3ffd7f4e43716786, 0x3ffd7f244f0f6763, 0x3ffd7f1d6951ef45, 0x3ffd7f1c2e81e77f],
+        weights: &[0x3fd8f240049d6038, 0x3fdb668944dea954, 0x3fc74e6d6d07ece7],
+        embedding: 0xd4581d55f31040c6,
     },
     Golden {
         name: "anchor/auto",

@@ -11,7 +11,7 @@
 
 use std::sync::Mutex;
 
-use umsc_core::{AnchorUmsc, AnchorUmscConfig, Umsc, UmscConfig, UmscResult};
+use umsc_core::{AnchorUmsc, AnchorUmscConfig, GraphKind, Umsc, UmscConfig, UmscResult};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_data::MultiViewDataset;
 
@@ -148,6 +148,21 @@ fn traced_anchor_fit_records_its_graph_spans() {
     for span in ["graph.build", "graph.anchor_select", "graph.anchor_weights"] {
         assert!(recorded.spans.iter().any(|s| s == span), "no {span} span in {:?}", recorded.spans);
     }
+}
+
+/// A traced CAN fit builds its graph by the streamed route: distance
+/// tiles and the neighbour selector under the whole build, then the
+/// Laplacian; there is no separate CAN phase.
+#[test]
+fn traced_can_fit_records_the_streamed_graph_spans() {
+    let data = dataset();
+    let model = Umsc::new(UmscConfig::new(3).with_graph(GraphKind::Adaptive { k: 10 }).with_seed(11));
+    let (off, on, recorded) = run_off_then_on("can-graph", || model.fit(&data).unwrap());
+    assert_identical("can-graph", &off, &on);
+    for span in ["graph.build", "graph.distances", "graph.knn_select", "graph.laplacian"] {
+        assert!(recorded.spans.iter().any(|s| s == span), "no {span} span in {:?}", recorded.spans);
+    }
+    assert!(!recorded.spans.iter().any(|s| s == "graph.can"), "{:?}", recorded.spans);
 }
 
 /// With a one-iteration cap every F-step's GPI ends at its cap, on the

@@ -11,7 +11,7 @@ use crate::stream::{affinity_from_distances, smallest, Neighbors};
 use umsc_linalg::Matrix;
 
 /// Bandwidth policy for the Gaussian kernel.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Bandwidth {
     /// Fixed global σ: `w_ij = exp(−d²_ij / (2σ²))`.
     Global(f64),
@@ -29,16 +29,6 @@ impl Default for Bandwidth {
     fn default() -> Self {
         Bandwidth::SelfTuning { k: 7 }
     }
-}
-
-/// How to build an affinity from a distance matrix.
-#[derive(Debug, Clone, Default)]
-pub struct AffinityConfig {
-    /// Kernel bandwidth policy.
-    pub bandwidth: Bandwidth,
-    /// When `Some(k)`, keep only each node's `k` nearest neighbours and
-    /// symmetrize with the max rule (standard k-NN graph).
-    pub knn: Option<usize>,
 }
 
 /// Dense Gaussian affinity from squared distances.
@@ -95,7 +85,7 @@ pub fn gaussian_affinity(dist_sq: &Matrix, bandwidth: &Bandwidth) -> Matrix {
 /// Panics if `k == 0` or `dist_sq` is not square.
 pub fn knn_affinity(dist_sq: &Matrix, k: usize, bandwidth: &Bandwidth) -> CsrMatrix {
     assert!(dist_sq.is_square(), "knn_affinity: distance matrix not square");
-    affinity_from_distances(dist_sq, Neighbors::Knn(k), bandwidth)
+    affinity_from_distances(dist_sq, Neighbors::Knn { k, bandwidth: *bandwidth })
 }
 
 /// ε-neighbourhood Gaussian affinity: keep only edges with (non-squared)
@@ -113,16 +103,7 @@ pub fn knn_affinity(dist_sq: &Matrix, k: usize, bandwidth: &Bandwidth) -> CsrMat
 /// finite number.
 pub fn epsilon_affinity(dist_sq: &Matrix, epsilon: f64, bandwidth: &Bandwidth) -> CsrMatrix {
     assert!(dist_sq.is_square(), "epsilon_affinity: distance matrix not square");
-    affinity_from_distances(dist_sq, Neighbors::Epsilon(epsilon), bandwidth)
-}
-
-/// Builds the affinity a config describes, densifying k-NN results (the
-/// pipeline operates on dense Laplacians at benchmark scale).
-pub fn build_affinity(dist_sq: &Matrix, cfg: &AffinityConfig) -> Matrix {
-    match cfg.knn {
-        Some(k) => knn_affinity(dist_sq, k, &cfg.bandwidth).to_dense(),
-        None => gaussian_affinity(dist_sq, &cfg.bandwidth),
-    }
+    affinity_from_distances(dist_sq, Neighbors::Epsilon { epsilon, bandwidth: *bandwidth })
 }
 
 fn fill_symmetric(w: &mut Matrix, mut f: impl FnMut(usize, usize) -> f64) {
@@ -255,18 +236,6 @@ mod tests {
         assert!(w.as_slice().iter().all(|v| v.is_finite()));
         // All-duplicate points: full affinity.
         assert!(w[(0, 1)] > 0.99);
-    }
-
-    #[test]
-    fn build_affinity_dispatch() {
-        let d = pairwise_sq_distances(&two_blobs());
-        let dense = build_affinity(&d, &AffinityConfig { bandwidth: Bandwidth::Global(1.0), knn: None });
-        let sparse = build_affinity(&d, &AffinityConfig { bandwidth: Bandwidth::Global(1.0), knn: Some(2) });
-        assert_eq!(dense.shape(), (6, 6));
-        assert_eq!(sparse.shape(), (6, 6));
-        // Sparsified graph has strictly fewer positive entries.
-        let nnz = |m: &Matrix| m.as_slice().iter().filter(|&&v| v > 0.0).count();
-        assert!(nnz(&sparse) < nnz(&dense));
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub fn anchor_weights_sparse(x: &Matrix, anchors: &Matrix, k: usize) -> CsrMatri
         }
         let kept = smallest(k + 1, dist.iter().enumerate().map(|(j, &d)| (d, j)));
         // CAN closed form over the k nearest anchors; d_{k+1} plays γ.
-        write_simplex_weights(&kept, k, &mut row);
+        write_simplex_weights(&kept, k, |j, w| row[j] = w);
         for (j, w) in row.iter_mut().enumerate() {
             if *w != 0.0 {
                 col_idx.push(j);

@@ -10,28 +10,39 @@
 //! ```
 //!
 //! zero otherwise (distances squared, sorted ascending, self excluded).
-//! Rows sum to one; the returned graph is symmetrized as `(S + Sᵀ)/2`. This
-//! is the parameter-light graph the one-stage multi-view papers favour: the
-//! only knob is `k`, and weights vanish smoothly at the neighbourhood edge.
+//! Rows sum to one; the graph is symmetrized as `(S + Sᵀ)/2`. This is the
+//! parameter-light graph the one-stage multi-view papers favour: the only
+//! knob is `k`, and weights vanish smoothly at the neighbourhood edge.
+//!
+//! CAN is a kind of the streamed builder ([`crate::Neighbors::Adaptive`]):
+//! its selectors keep `k + 1` neighbours per row, `write_simplex_weights`
+//! weights the kept row, and the CSR merge with the transpose applies the
+//! mean rule, so no `n × n` matrix is formed.
+//! [`adaptive_neighbor_affinity`] is the densified front-end over
+//! precomputed distances.
 
-use crate::stream::smallest;
+use crate::stream::{affinity_from_distances, Neighbors};
 use umsc_linalg::Matrix;
 
 /// CAN's closed-form simplex weights over the `k` nearest candidates:
 /// `kept` holds the `k + 1` smallest `(distance, index)` pairs in
 /// ascending order (just `k` when no `(k+1)`-th exists, in which case the
-/// k-th distance plays `d_{k+1}`). Writes `out[j]` for the `k` kept `j`.
-pub(crate) fn write_simplex_weights(kept: &[(f64, usize)], k: usize, out: &mut [f64]) {
+/// k-th distance plays `d_{k+1}`). Calls `out(j, s_j)` for the `k` kept
+/// `j`, nearest first.
+pub(crate) fn write_simplex_weights(kept: &[(f64, usize)], k: usize, mut out: impl FnMut(usize, f64)) {
     let dk1 = kept[k.min(kept.len() - 1)].0;
     let top_sum: f64 = kept[..k].iter().map(|e| e.0).sum();
     let denom = k as f64 * dk1 - top_sum;
     for &(d, j) in &kept[..k] {
         // Degenerate neighbourhood (all equal distances): uniform weights.
-        out[j] = if denom > 1e-12 { (dk1 - d) / denom } else { 1.0 / k as f64 };
+        out(j, if denom > 1e-12 { (dk1 - d) / denom } else { 1.0 / k as f64 });
     }
 }
 
-/// Builds the CAN adaptive-neighbor affinity from squared distances.
+/// The CAN adaptive-neighbor affinity of precomputed squared distances,
+/// densified: the streamed builder's CAN graph with `dist_sq` fed as one
+/// block. `dist_sq` must be symmetric, as every distance builder here
+/// returns it.
 ///
 /// # Panics
 /// Panics if `dist_sq` is not square or `k` is not in `1..n`.
@@ -39,21 +50,7 @@ pub fn adaptive_neighbor_affinity(dist_sq: &Matrix, k: usize) -> Matrix {
     assert!(dist_sq.is_square(), "adaptive_neighbor_affinity: distance matrix not square");
     let n = dist_sq.rows();
     assert!(k >= 1 && k < n, "adaptive_neighbor_affinity: need 1 <= k < n, got k={k}, n={n}");
-
-    let mut s = Matrix::zeros(n, n);
-    for i in 0..n {
-        let row = dist_sq.row(i).iter().enumerate().filter(|&(j, _)| j != i);
-        let kept = smallest(k + 1, row.map(|(j, &d)| (d, j)));
-        write_simplex_weights(&kept, k, s.row_mut(i));
-    }
-    // Symmetrize.
-    let mut w = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            w[(i, j)] = 0.5 * (s[(i, j)] + s[(j, i)]);
-        }
-    }
-    w
+    affinity_from_distances(dist_sq, Neighbors::Adaptive { k }).to_dense()
 }
 
 #[cfg(test)]

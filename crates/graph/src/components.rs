@@ -5,7 +5,6 @@
 //! multiplicity than `c` and the spectral embedding becomes ambiguous. The
 //! generators and benchmarks assert against that.
 
-use crate::sparse::CsrMatrix;
 use umsc_linalg::Matrix;
 
 /// Labels each vertex with its connected-component id (0-based, in order of
@@ -45,42 +44,6 @@ pub fn connected_components(w: &Matrix, threshold: f64) -> Vec<usize> {
 /// Number of connected components of a dense affinity.
 pub fn num_components(w: &Matrix, threshold: f64) -> usize {
     connected_components(w, threshold).iter().max().map_or(0, |m| m + 1)
-}
-
-/// Connected-component labels for a sparse affinity.
-pub fn connected_components_sparse(w: &CsrMatrix, threshold: f64) -> Vec<usize> {
-    assert_eq!(w.rows(), w.cols(), "connected_components_sparse: affinity not square");
-    let n = w.rows();
-    // Build an undirected adjacency list once.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        for (&j, &v) in w.row_entries(i) {
-            if v > threshold {
-                adj[i].push(j);
-                adj[j].push(i);
-            }
-        }
-    }
-    let mut label = vec![usize::MAX; n];
-    let mut next = 0usize;
-    let mut stack = Vec::new();
-    for start in 0..n {
-        if label[start] != usize::MAX {
-            continue;
-        }
-        label[start] = next;
-        stack.push(start);
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if label[v] == usize::MAX {
-                    label[v] = next;
-                    stack.push(v);
-                }
-            }
-        }
-        next += 1;
-    }
-    label
 }
 
 #[cfg(test)]
@@ -130,24 +93,6 @@ mod tests {
         let mut w = Matrix::zeros(2, 2);
         w[(0, 1)] = 1.0; // only one direction stored
         assert_eq!(num_components(&w, 0.0), 1);
-    }
-
-    #[test]
-    fn sparse_matches_dense() {
-        let mut w = Matrix::zeros(6, 6);
-        for &(a, b) in &[(0usize, 1usize), (2, 3), (3, 4)] {
-            w[(a, b)] = 1.0;
-            w[(b, a)] = 1.0;
-        }
-        let ws = CsrMatrix::from_dense(&w, 0.0);
-        let dense_labels = connected_components(&w, 0.0);
-        let sparse_labels = connected_components_sparse(&ws, 0.0);
-        // Same partition (labels may differ by renaming).
-        for i in 0..6 {
-            for j in 0..6 {
-                assert_eq!(dense_labels[i] == dense_labels[j], sparse_labels[i] == sparse_labels[j]);
-            }
-        }
     }
 
     #[test]

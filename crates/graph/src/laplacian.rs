@@ -6,7 +6,11 @@
 //! * symmetric-normalized: `L_sym = I − D^{-1/2} W D^{-1/2}` — the paper's
 //!   choice (its spectrum lives in `[0, 2]` and its Rayleigh quotients are
 //!   the relaxed normalized-cut objective)
-//! * random-walk: `L_rw = I − D^{-1} W`
+//!
+//! The normalized Laplacian has one formula, dense and CSR alike: with
+//! `sᵢ = dᵢ^{-1/2}`, `l_ij = −(w_ij·(sᵢ·sⱼ))` and `l_ii = 1 + (−(w_ii·(sᵢ·sᵢ)))`,
+//! so [`normalized_laplacian`] and [`normalized_laplacian_sparse`] of one
+//! graph hold the same bits.
 //!
 //! Isolated vertices (zero degree) are handled by treating `d^{-1/2}` as 0,
 //! which leaves the corresponding row/column of the normalized Laplacian at
@@ -32,10 +36,12 @@ pub fn unnormalized_laplacian(w: &Matrix) -> Matrix {
     l
 }
 
-/// Symmetric-normalized Laplacian `L = I − D^{-1/2} W D^{-1/2}` (dense).
+/// Symmetric-normalized Laplacian `L = I − D^{-1/2} W D^{-1/2}` (dense),
+/// by the formula of [`normalized_laplacian_sparse`] (see the module docs).
 ///
-/// The result is exactly symmetrized to absorb floating-point noise so it
-/// can feed the symmetric eigensolver directly.
+/// The result is exactly symmetrized, so a `W` symmetric only up to
+/// rounding still feeds the symmetric eigensolver directly; on an exactly
+/// symmetric `W` that moves no bit.
 pub fn normalized_laplacian(w: &Matrix) -> Matrix {
     let d = degrees(w);
     let n = w.rows();
@@ -43,26 +49,11 @@ pub fn normalized_laplacian(w: &Matrix) -> Matrix {
     let mut l = Matrix::zeros(n, n);
     for i in 0..n {
         for j in 0..n {
-            let v = -inv_sqrt[i] * w[(i, j)] * inv_sqrt[j];
+            let v = -(w[(i, j)] * (inv_sqrt[i] * inv_sqrt[j]));
             l[(i, j)] = if i == j { 1.0 + v } else { v };
         }
     }
     l.symmetrize_mut();
-    l
-}
-
-/// Random-walk Laplacian `L = I − D^{-1} W` (dense, generally asymmetric).
-pub fn random_walk_laplacian(w: &Matrix) -> Matrix {
-    let d = degrees(w);
-    let n = w.rows();
-    let mut l = Matrix::zeros(n, n);
-    for i in 0..n {
-        let inv = if d[i] > 0.0 { 1.0 / d[i] } else { 0.0 };
-        for j in 0..n {
-            let v = -inv * w[(i, j)];
-            l[(i, j)] = if i == j { 1.0 + v } else { v };
-        }
-    }
     l
 }
 
@@ -164,8 +155,6 @@ mod tests {
         let l = normalized_laplacian(&w);
         assert!(l.as_slice().iter().all(|v| v.is_finite()));
         assert_eq!(l[(2, 2)], 1.0);
-        let lrw = random_walk_laplacian(&w);
-        assert!(lrw.as_slice().iter().all(|v| v.is_finite()));
         let lu = unnormalized_laplacian(&w);
         assert_eq!(lu[(2, 2)], 0.0);
     }
@@ -217,20 +206,17 @@ mod tests {
     }
 
     #[test]
-    fn random_walk_row_sums_zero_on_connected() {
-        let l = random_walk_laplacian(&cycle4());
-        for i in 0..4 {
-            let s: f64 = l.row(i).iter().sum();
-            assert!(s.abs() < 1e-14);
-        }
-    }
-
-    #[test]
     fn sparse_matches_dense() {
-        let w = cycle4();
-        let ws = CsrMatrix::from_dense(&w, 0.0);
-        let ls = normalized_laplacian_sparse(&ws);
-        assert!(ls.to_dense().approx_eq(&normalized_laplacian(&w), 1e-14));
+        // Heterogeneous degrees, a self loop and an isolated vertex: one
+        // formula, the same bits.
+        let mut w = Matrix::zeros(5, 5);
+        for (i, j, v) in [(0, 1, 3.0), (1, 2, 0.7), (2, 3, 1.3), (3, 0, 0.1), (0, 2, 2.9)] {
+            w[(i, j)] = v;
+            w[(j, i)] = v;
+        }
+        w[(1, 1)] = 0.4;
+        let ls = normalized_laplacian_sparse(&CsrMatrix::from_dense(&w, 0.0));
+        assert_eq!(ls.to_dense().as_slice(), normalized_laplacian(&w).as_slice());
     }
 
     #[test]

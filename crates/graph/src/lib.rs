@@ -9,16 +9,17 @@
 //!   Laplacians directly.
 //! * [`distance`] — pairwise squared-Euclidean / cosine distance matrices,
 //!   filled from upper-triangular Gram tiles.
-//! * [`stream`] — the k-NN / ε graph builder that streams those tiles
-//!   through bounded per-row top-k selectors into CSR, never holding an
-//!   `n × n` matrix.
+//! * [`stream`] — the one builder of every sparse graph kind (k-NN, ε,
+//!   CAN): it streams those tiles through bounded per-row top-k selectors
+//!   into CSR, never holding an `n × n` matrix.
 //! * [`affinity`] — Gaussian (RBF) affinities with global or self-tuning
-//!   (Zelnik-Manor & Perona) bandwidths, dense or k-NN–sparsified.
+//!   (Zelnik-Manor & Perona) bandwidths: the dense kernel, and the k-NN /
+//!   ε front-ends over precomputed distances.
 //! * [`can`] — CAN adaptive-neighbor graphs (Nie et al. 2014): closed-form
 //!   simplex-projected neighbor weights, the parameter-light alternative the
-//!   paper family favours.
-//! * [`laplacian`] — unnormalized / symmetric-normalized / random-walk
-//!   Laplacians, dense and sparse.
+//!   paper family favours; a streamed kind plus its dense front-end.
+//! * [`laplacian`] — unnormalized and symmetric-normalized Laplacians; the
+//!   normalized one has one formula, dense and CSR.
 //! * [`components`] — connected components (sanity checks; a graph with
 //!   more components than clusters makes the embedding degenerate).
 
@@ -31,23 +32,18 @@ pub mod laplacian;
 pub mod sparse;
 pub mod stream;
 
-pub use affinity::{
-    build_affinity, epsilon_affinity, gaussian_affinity, knn_affinity, AffinityConfig, Bandwidth,
-};
+pub use affinity::{epsilon_affinity, gaussian_affinity, knn_affinity, Bandwidth};
 pub use anchor::{
     anchor_view_factor, anchor_weights, anchor_weights_sparse, normalized_factor,
     normalized_factor_sparse, normalized_factor_with, select_anchors,
 };
 pub use umsc_op::SparseFactor;
 pub use can::adaptive_neighbor_affinity;
-pub use components::{connected_components, connected_components_sparse, num_components};
+pub use components::{connected_components, num_components};
 pub use distance::{
     cosine_distance_matrix, cosine_distance_matrix_with_threads, pairwise_sq_distances,
     pairwise_sq_distances_with_threads, Metric, TILE_ROWS,
 };
-pub use laplacian::{
-    degrees, normalized_laplacian, normalized_laplacian_sparse, random_walk_laplacian,
-    unnormalized_laplacian,
-};
+pub use laplacian::{degrees, normalized_laplacian, normalized_laplacian_sparse, unnormalized_laplacian};
 pub use sparse::CsrMatrix;
 pub use stream::{neighbor_graph, neighbor_graph_with_threads, Neighbors};

@@ -1,8 +1,9 @@
 //! Compressed sparse row (CSR) matrix.
 //!
 //! Just enough sparse linear algebra for spectral graph work: construction
-//! from triplets or dense, row iteration, transpose, symmetrization, and
-//! diagonal scaling (for normalized Laplacians). Products live in the
+//! from triplets or dense, row iteration, a counting-sort transpose, mean-
+//! and max-rule symmetrization by merging each row with the transpose's,
+//! and diagonal scaling (for normalized Laplacians). Products live in the
 //! operator layer: [`CsrMatrix`] implements [`LinOp`] through
 //! [`CsrMatrix::as_op`], so the Lanczos solver, the traces and the
 //! matrix-free GPI iteration run on sparse Laplacians without densifying.
@@ -207,64 +208,88 @@ impl CsrMatrix {
         CsrOp::new(self.rows, &self.row_ptr, &self.col_idx, &self.values)
     }
 
-    /// Transposed copy.
+    /// Transposed copy, by counting sort: scanning rows in order leaves
+    /// every transposed row's columns ascending. Keeps every stored entry.
     pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &j in &self.col_idx {
+            row_ptr[j + 1] += 1;
+        }
+        for j in 0..self.cols {
+            row_ptr[j + 1] += row_ptr[j];
+        }
+        let mut fill = row_ptr.clone();
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut values = vec![0.0f64; self.nnz()];
         for i in 0..self.rows {
             for (&j, &v) in self.row_entries(i) {
-                triplets.push((j, i, v));
+                col_idx[fill[j]] = i;
+                values[fill[j]] = v;
+                fill[j] += 1;
             }
         }
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
+        CsrMatrix { rows: self.cols, cols: self.rows, row_ptr, col_idx, values }
     }
 
-    /// Symmetrizes a square matrix as `(A + Aᵀ)/2`.
+    /// Symmetrizes a square matrix with the mean rule `(A + Aᵀ)/2` — the
+    /// CAN graph's symmetrization. Entries whose mean is exactly zero are
+    /// dropped.
     ///
     /// # Panics
     /// Panics if the matrix is not square.
     pub fn symmetrize(&self) -> CsrMatrix {
-        assert_eq!(self.rows, self.cols, "CsrMatrix::symmetrize: matrix not square");
-        let mut triplets = Vec::with_capacity(2 * self.nnz());
-        for i in 0..self.rows {
-            for (&j, &v) in self.row_entries(i) {
-                triplets.push((i, j, 0.5 * v));
-                triplets.push((j, i, 0.5 * v));
-            }
-        }
-        CsrMatrix::from_triplets(self.rows, self.cols, &triplets)
+        self.merge_transpose(0.0, |a, b| 0.5 * (a + b))
     }
 
     /// Symmetrizes with the max rule `max(a_ij, a_ji)` — the usual k-NN
     /// graph symmetrization (an edge exists if either endpoint chose it).
-    /// Each row is merged with the same row of the transpose (both have
-    /// sorted columns); entries whose maximum is exactly zero are dropped.
+    /// Entries whose maximum is exactly zero are dropped.
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square.
     pub fn symmetrize_max(&self) -> CsrMatrix {
-        assert_eq!(self.rows, self.cols, "CsrMatrix::symmetrize_max: matrix not square");
-        let n = self.rows;
-        let (t_ptr, t_entries) = self.transposed_entries();
+        // Folding from the max rule's identity −∞ maps a NaN weight to −∞,
+        // exactly as an entry-wise max fold does.
+        self.merge_transpose(f64::NEG_INFINITY, |a, b| f64::NEG_INFINITY.max(a.max(b)))
+    }
 
+    /// Each row merged with the same row of the transpose (both have
+    /// sorted columns): column `j` of row `i` becomes `rule(a_ij, a_ji)`,
+    /// an entry missing from the pattern reading `missing`; results that
+    /// are exactly zero are dropped.
+    fn merge_transpose(&self, missing: f64, rule: impl Fn(f64, f64) -> f64) -> CsrMatrix {
+        assert_eq!(self.rows, self.cols, "CsrMatrix::symmetrize: matrix not square");
+        let n = self.rows;
+        let t = self.transpose();
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0);
         let mut col_idx = Vec::with_capacity(2 * self.nnz());
         let mut values = Vec::with_capacity(2 * self.nnz());
         for i in 0..n {
-            let mut a = self.row_entries(i).map(|(&j, &v)| (j, v)).peekable();
-            let mut b = t_entries[t_ptr[i]..t_ptr[i + 1]].iter().copied().peekable();
+            let mut a = self.row_entries(i).peekable();
+            let mut b = t.row_entries(i).peekable();
             loop {
-                let (j, v) = match (a.peek(), b.peek()) {
-                    (Some(&(ja, va)), Some(&(jb, vb))) if ja == jb => {
+                let (j, va, vb) = match (a.peek(), b.peek()) {
+                    (Some(&(&ja, &va)), Some(&(&jb, &vb))) if ja == jb => {
                         a.next();
                         b.next();
-                        (ja, va.max(vb))
+                        (ja, va, vb)
                     }
-                    (Some(&(ja, _)), Some(&(jb, _))) if jb < ja => b.next().expect("peeked"),
-                    (Some(_), _) => a.next().expect("peeked"),
-                    (None, Some(_)) => b.next().expect("peeked"),
+                    (Some(&(&ja, _)), Some(&(&jb, &vb))) if jb < ja => {
+                        b.next();
+                        (jb, missing, vb)
+                    }
+                    (Some(&(&ja, &va)), _) => {
+                        a.next();
+                        (ja, va, missing)
+                    }
+                    (None, Some(&(&jb, &vb))) => {
+                        b.next();
+                        (jb, missing, vb)
+                    }
                     (None, None) => break,
                 };
-                // Folding from the max rule's identity −∞ maps a NaN
-                // weight to −∞, exactly as an entry-wise max fold does.
-                let v = f64::NEG_INFINITY.max(v);
+                let v = rule(va, vb);
                 if v != 0.0 {
                     col_idx.push(j);
                     values.push(v);
@@ -280,14 +305,13 @@ impl CsrMatrix {
     pub(crate) fn mirror_upper(&self) -> CsrMatrix {
         assert_eq!(self.rows, self.cols, "CsrMatrix::mirror_upper: matrix not square");
         let n = self.rows;
-        let (t_ptr, t_entries) = self.transposed_entries();
+        let t = self.transpose();
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0);
         let mut col_idx = Vec::with_capacity(2 * self.nnz());
         let mut values = Vec::with_capacity(2 * self.nnz());
         for i in 0..n {
-            let lower = t_entries[t_ptr[i]..t_ptr[i + 1]].iter().copied();
-            for (j, v) in lower.chain(self.row_entries(i).map(|(&j, &v)| (j, v))) {
+            for (&j, &v) in t.row_entries(i).chain(self.row_entries(i)) {
                 debug_assert!(col_idx.len() == row_ptr[i] || j > col_idx[col_idx.len() - 1]);
                 col_idx.push(j);
                 values.push(v);
@@ -295,28 +319,6 @@ impl CsrMatrix {
             row_ptr.push(col_idx.len());
         }
         CsrMatrix { rows: n, cols: n, row_ptr, col_idx, values }
-    }
-
-    /// The transpose's rows as `(row pointer, (column, value) entries)`,
-    /// by counting sort: scanning rows in order leaves every transposed
-    /// row's columns ascending. Keeps every stored entry.
-    fn transposed_entries(&self) -> (Vec<usize>, Vec<(usize, f64)>) {
-        let mut t_ptr = vec![0usize; self.cols + 1];
-        for &j in &self.col_idx {
-            t_ptr[j + 1] += 1;
-        }
-        for j in 0..self.cols {
-            t_ptr[j + 1] += t_ptr[j];
-        }
-        let mut fill = t_ptr.clone();
-        let mut entries = vec![(0usize, 0.0f64); self.nnz()];
-        for i in 0..self.rows {
-            for (&j, &v) in self.row_entries(i) {
-                entries[fill[j]] = (i, v);
-                fill[j] += 1;
-            }
-        }
-        (t_ptr, entries)
     }
 
     /// Returns `diag(s) · A · diag(s)` (two-sided diagonal scaling, the

@@ -1,4 +1,4 @@
-//! Streamed k-NN / ε graph construction: no `n × n` matrix per view.
+//! Streamed k-NN / ε / CAN graph construction: no `n × n` matrix per view.
 //!
 //! [`neighbor_graph`] walks the rows of a view in blocks of
 //! [`TILE_ROWS`]. For the block `[lo, hi)` it computes only the
@@ -17,30 +17,60 @@
 //!   the `SelfTuning` floor), the sum of `sqrt(d)` over `j > i` runs
 //!   sequentially in row-major order, the summation order of the dense
 //!   `mean_distance`.
-//! * **Edges.** `σᵢ` comes from the kept distances, and the Gaussian is
-//!   evaluated only on kept k-NN edges (or the ε edges), which go straight
-//!   into CSR.
+//! * **Edges.** Gaussian kinds take `σᵢ` from the kept distances and
+//!   evaluate the kernel only on kept k-NN edges (or the ε edges); CAN
+//!   keeps `k + 1` per row and puts its closed-form simplex weights on the
+//!   `k` nearest. Edges go straight into CSR and are symmetrized there:
+//!   k-NN by the max rule, CAN by the mean rule `(S + Sᵀ)/2`, ε by
+//!   mirroring its upper triangle.
 //!
 //! Memory per view in flight is one tile plus the selectors,
-//! `O(TILE_ROWS·n + n·kk)`, against the `3·n²` doubles of building the
-//! distance and dense Gaussian matrices. The precomputed-distance entry
-//! points [`crate::knn_affinity`] and [`crate::epsilon_affinity`] feed
-//! whole rows of a matrix through the same selector, so there is one
-//! selection implementation.
+//! `O(TILE_ROWS·n + n·kk)`, against the `n²` doubles of each distance,
+//! affinity or Laplacian matrix of the dense route. The precomputed-distance
+//! entry points [`crate::knn_affinity`], [`crate::epsilon_affinity`] and
+//! [`crate::adaptive_neighbor_affinity`] feed whole rows of a matrix
+//! through the same selector, so there is one selection implementation.
 
 use crate::affinity::Bandwidth;
+use crate::can::write_simplex_weights;
 use crate::distance::{default_threads, tile_row, Metric, TILE_ROWS};
 use crate::sparse::CsrMatrix;
 use umsc_linalg::Matrix;
 
-/// Which edges a sparse Gaussian graph keeps.
+/// Which edges a sparse graph keeps, and how they are weighted.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Neighbors {
-    /// Each node's `k` nearest neighbours (clamped to `n − 1`),
-    /// symmetrized with the max rule.
-    Knn(usize),
-    /// Every pair within (non-squared) distance ε.
-    Epsilon(f64),
+    /// Gaussian weights on each node's `k` nearest neighbours (clamped to
+    /// `n − 1`), symmetrized with the max rule.
+    Knn {
+        /// Neighbours kept per node.
+        k: usize,
+        /// Kernel bandwidth policy.
+        bandwidth: Bandwidth,
+    },
+    /// Gaussian weights on every pair within (non-squared) distance ε.
+    Epsilon {
+        /// The radius ε.
+        epsilon: f64,
+        /// Kernel bandwidth policy.
+        bandwidth: Bandwidth,
+    },
+    /// CAN simplex weights (see [`crate::can`]) on each node's `k` nearest
+    /// neighbours (clamped to `n − 1`), symmetrized as `(S + Sᵀ)/2`.
+    Adaptive {
+        /// Neighbours kept per node.
+        k: usize,
+    },
+}
+
+impl Neighbors {
+    /// The Gaussian kinds' bandwidth; `None` for CAN.
+    fn bandwidth(&self) -> Option<&Bandwidth> {
+        match self {
+            Neighbors::Knn { bandwidth, .. } | Neighbors::Epsilon { bandwidth, .. } => Some(bandwidth),
+            Neighbors::Adaptive { .. } => None,
+        }
+    }
 }
 
 /// Rows of the transposed feed handled per work chunk: their selectors
@@ -107,11 +137,11 @@ impl Kernel {
 }
 
 /// Per-view graph state fed one distance tile at a time.
-struct Builder<'a> {
+struct Builder {
     n: usize,
     neighbors: Neighbors,
-    bandwidth: &'a Bandwidth,
-    /// Selector width: enough for the k-NN edges and the self-tuning rank.
+    /// Selector width: enough for the edges (CAN's `k + 1`, whose last
+    /// distance plays γ) and the self-tuning rank.
     kk: usize,
     /// `n × kk` selector slots, row-major.
     slots: Vec<(f64, usize)>,
@@ -123,32 +153,38 @@ struct Builder<'a> {
     upper: Vec<(usize, f64)>,
 }
 
-impl<'a> Builder<'a> {
-    fn new(n: usize, neighbors: Neighbors, bandwidth: &'a Bandwidth) -> Self {
-        match neighbors {
-            Neighbors::Knn(k) => assert!(k >= 1, "knn_affinity: k must be >= 1"),
-            Neighbors::Epsilon(eps) => assert!(
-                eps > 0.0 && eps.is_finite(),
-                "epsilon_affinity: need a positive finite epsilon, got {eps}"
-            ),
-        }
-        if let Bandwidth::Global(sigma) = bandwidth {
+impl Builder {
+    fn new(n: usize, neighbors: Neighbors) -> Self {
+        let edges = match neighbors {
+            Neighbors::Knn { k, .. } => {
+                assert!(k >= 1, "knn_affinity: k must be >= 1");
+                k
+            }
+            Neighbors::Epsilon { epsilon, .. } => {
+                assert!(
+                    epsilon > 0.0 && epsilon.is_finite(),
+                    "epsilon_affinity: need a positive finite epsilon, got {epsilon}"
+                );
+                0
+            }
+            Neighbors::Adaptive { k } => {
+                assert!(k >= 1, "adaptive_neighbor_affinity: k must be >= 1");
+                k.saturating_add(1)
+            }
+        };
+        let bandwidth = neighbors.bandwidth();
+        if let Some(Bandwidth::Global(sigma)) = bandwidth {
             assert!(*sigma > 0.0, "gaussian_affinity: Global bandwidth must be positive, got {sigma}");
         }
         let rank = match bandwidth {
-            Bandwidth::SelfTuning { k } => (*k).max(1),
+            Some(Bandwidth::SelfTuning { k }) => (*k).max(1),
             _ => 0,
         };
-        let edges = match neighbors {
-            Neighbors::Knn(k) => k,
-            Neighbors::Epsilon(_) => 0,
-        };
         let kk = edges.max(rank).min(n.saturating_sub(1));
-        let needs_mean = !matches!(bandwidth, Bandwidth::Global(_));
+        let needs_mean = matches!(bandwidth, Some(Bandwidth::MeanDistance | Bandwidth::SelfTuning { .. }));
         Builder {
             n,
             neighbors,
-            bandwidth,
             kk,
             slots: vec![EMPTY; n * kk],
             mean_sum: needs_mean.then_some(0.0),
@@ -191,8 +227,8 @@ impl<'a> Builder<'a> {
                     *sum += d.sqrt();
                 }
             }
-            if let Neighbors::Epsilon(eps) = self.neighbors {
-                let eps_sq = eps * eps;
+            if let Neighbors::Epsilon { epsilon, .. } = self.neighbors {
+                let eps_sq = epsilon * epsilon;
                 let kept = above.iter().enumerate().filter(|&(_, &d)| d <= eps_sq);
                 self.upper.extend(kept.map(|(c, &d)| (i + 1 + c, d)));
                 self.upper_ptr.push(self.upper.len());
@@ -205,13 +241,13 @@ impl<'a> Builder<'a> {
         &self.slots[i * self.kk..(i + 1) * self.kk]
     }
 
-    fn kernel(&self) -> Kernel {
+    fn kernel(&self, bandwidth: &Bandwidth) -> Kernel {
         let n = self.n;
         let mean = match self.mean_sum {
             Some(sum) if n >= 2 => sum / (n * (n - 1) / 2) as f64,
             _ => 1.0,
         };
-        match self.bandwidth {
+        match bandwidth {
             Bandwidth::Global(sigma) => Kernel::Global(2.0 * sigma * sigma),
             Bandwidth::MeanDistance => {
                 let sigma = mean.max(f64::MIN_POSITIVE);
@@ -229,74 +265,68 @@ impl<'a> Builder<'a> {
         }
     }
 
-    /// Gaussian weights on the kept edges as CSR: k-NN rows symmetrized
-    /// with the max rule, the ε graph's upper triangle mirrored.
+    /// The kept edges' weights as CSR, rows sorted and exact zeros
+    /// dropped, then symmetrized: k-NN by the max rule, CAN by the mean
+    /// rule, the ε graph's upper triangle mirrored.
     fn finish(self) -> CsrMatrix {
         let n = self.n;
-        let kernel = self.kernel();
+        let kernel = self.neighbors.bandwidth().map(|bw| self.kernel(bw));
+        let gaussian = |i: usize, j: usize, d: f64| kernel.as_ref().expect("a Gaussian kind").weight(i, j, d);
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0);
-        let mut entries: Vec<(usize, f64)> = Vec::new();
-        match self.neighbors {
-            Neighbors::Knn(k) => {
-                let k = k.min(n.saturating_sub(1));
-                entries.reserve(n * k);
-                for i in 0..n {
-                    let start = entries.len();
-                    for &(d, j) in &self.kept(i)[..k] {
-                        let w = kernel.weight(i, j, d);
-                        if w != 0.0 {
-                            entries.push((j, w));
-                        }
-                    }
-                    entries[start..].sort_unstable_by_key(|e| e.0);
-                    row_ptr.push(entries.len());
+        let mut entries: Vec<(usize, f64)> = Vec::with_capacity(n * self.kk);
+        let mut row: Vec<(usize, f64)> = Vec::new();
+        for i in 0..n {
+            row.clear();
+            match self.neighbors {
+                Neighbors::Knn { k, .. } => {
+                    let kept = &self.kept(i)[..k.min(n - 1)];
+                    row.extend(kept.iter().map(|&(d, j)| (j, gaussian(i, j, d))));
                 }
-            }
-            Neighbors::Epsilon(_) => {
-                for i in 0..n {
-                    let row = &self.upper[self.upper_ptr[i]..self.upper_ptr[i + 1]];
-                    let weighted = row.iter().map(|&(j, d)| (j, kernel.weight(i, j, d)));
-                    entries.extend(weighted.filter(|e| e.1 != 0.0));
-                    row_ptr.push(entries.len());
+                Neighbors::Epsilon { .. } => {
+                    let upper = &self.upper[self.upper_ptr[i]..self.upper_ptr[i + 1]];
+                    row.extend(upper.iter().map(|&(j, d)| (j, gaussian(i, j, d))));
                 }
+                Neighbors::Adaptive { k } if n >= 2 => {
+                    write_simplex_weights(self.kept(i), k.min(n - 1), |j, s| row.push((j, s)));
+                }
+                Neighbors::Adaptive { .. } => {}
             }
+            row.sort_unstable_by_key(|e| e.0);
+            entries.extend(row.iter().filter(|e| e.1 != 0.0));
+            row_ptr.push(entries.len());
         }
         let (col_idx, values) = entries.into_iter().unzip();
         let w = CsrMatrix::from_sorted_parts(n, n, row_ptr, col_idx, values);
         match self.neighbors {
-            Neighbors::Knn(_) => w.symmetrize_max(),
-            Neighbors::Epsilon(_) => w.mirror_upper(),
+            Neighbors::Knn { .. } => w.symmetrize_max(),
+            Neighbors::Epsilon { .. } => w.mirror_upper(),
+            Neighbors::Adaptive { .. } => w.symmetrize(),
         }
     }
 }
 
-/// Sparse Gaussian k-NN or ε graph of the rows of `x`, streamed through
+/// Sparse k-NN, ε or CAN graph of the rows of `x`, streamed through
 /// upper-triangular distance tiles (see the module docs). Equal, entry for
-/// entry, to [`crate::knn_affinity`] / [`crate::epsilon_affinity`] on the
-/// full distance matrix of `x` under `metric`. Large inputs are threaded;
-/// see [`neighbor_graph_with_threads`].
+/// entry, to [`crate::knn_affinity`] / [`crate::epsilon_affinity`] /
+/// [`crate::adaptive_neighbor_affinity`] on the full distance matrix of `x`
+/// under `metric`. Large inputs are threaded; see
+/// [`neighbor_graph_with_threads`].
 ///
 /// # Panics
-/// Panics if a k-NN `k` is 0, an ε is not positive and finite, or a
+/// Panics if a k-NN or CAN `k` is 0, an ε is not positive and finite, or a
 /// `Global` bandwidth is not positive.
-pub fn neighbor_graph(x: &Matrix, metric: Metric, neighbors: Neighbors, bandwidth: &Bandwidth) -> CsrMatrix {
-    neighbor_graph_with_threads(default_threads(x.rows()), x, metric, neighbors, bandwidth)
+pub fn neighbor_graph(x: &Matrix, metric: Metric, neighbors: Neighbors) -> CsrMatrix {
+    neighbor_graph_with_threads(default_threads(x.rows()), x, metric, neighbors)
 }
 
 /// [`neighbor_graph`] with an explicit thread count. Threads split each
 /// tile's rows, and the selectors, into disjoint sets; the mean sum stays
 /// sequential, so the output is bitwise-identical for every thread count.
-pub fn neighbor_graph_with_threads(
-    threads: usize,
-    x: &Matrix,
-    metric: Metric,
-    neighbors: Neighbors,
-    bandwidth: &Bandwidth,
-) -> CsrMatrix {
+pub fn neighbor_graph_with_threads(threads: usize, x: &Matrix, metric: Metric, neighbors: Neighbors) -> CsrMatrix {
     let n = x.rows();
     let norms = metric.row_norms(x);
-    let mut b = Builder::new(n, neighbors, bandwidth);
+    let mut b = Builder::new(n, neighbors);
     let mut tile = vec![0.0; TILE_ROWS.min(n) * n];
     for lo in (0..n).step_by(TILE_ROWS) {
         let hi = (lo + TILE_ROWS).min(n);
@@ -318,9 +348,9 @@ pub fn neighbor_graph_with_threads(
 /// The precomputed-distance front-end: every row of `dist_sq` (which must
 /// be symmetric, as every distance builder here returns it) goes through
 /// the streamed builder's selector as one whole-matrix block.
-pub(crate) fn affinity_from_distances(dist_sq: &Matrix, neighbors: Neighbors, bandwidth: &Bandwidth) -> CsrMatrix {
+pub(crate) fn affinity_from_distances(dist_sq: &Matrix, neighbors: Neighbors) -> CsrMatrix {
     let n = dist_sq.rows();
-    let mut b = Builder::new(n, neighbors, bandwidth);
+    let mut b = Builder::new(n, neighbors);
     b.absorb(default_threads(n), 0, n, dist_sq.as_slice(), n);
     b.finish()
 }

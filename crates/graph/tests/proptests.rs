@@ -1,7 +1,7 @@
 //! Property tests: distance/affinity/Laplacian invariants on arbitrary
 //! point clouds, CSR ↔ dense agreement, and bitwise equality of the
-//! streamed k-NN / ε builder and the bounded selectors with the sort-based
-//! construction they replaced.
+//! streamed k-NN / ε / CAN builder and the bounded selectors with the
+//! sort-based and dense constructions they replaced.
 
 use umsc_graph::{
     adaptive_neighbor_affinity, anchor_weights, anchor_weights_sparse, cosine_distance_matrix, degrees, epsilon_affinity,
@@ -263,6 +263,8 @@ mod oracle {
         }
     }
 
+    /// The dense CAN graph the streamed CAN kind replaced: an `n × n`
+    /// simplex matrix `S`, row by row, then `(S + Sᵀ)/2` entrywise.
     pub fn can(d: &Matrix, k: usize) -> Matrix {
         let n = d.rows();
         let mut s = Matrix::zeros(n, n);
@@ -326,23 +328,40 @@ fn streamed_graph_matches_sort_based_oracle_bitwise() {
                 };
                 assert_eq!(dense.as_slice(), d.as_slice(), "half-flop distances, n={n} {what} {metric:?}");
                 // k = 1, the default 10, and k ≥ n−1 (clamped).
-                let graphs = [Neighbors::Knn(1), Neighbors::Knn(10), Neighbors::Knn(n + 5), Neighbors::Epsilon(0.9)];
-                for neighbors in graphs {
-                    for bw in bandwidths() {
-                        let expect = match neighbors {
-                            Neighbors::Knn(k) => oracle::knn(&d, k, &bw),
-                            Neighbors::Epsilon(eps) => oracle::epsilon(&d, eps, &bw),
+                for bandwidth in bandwidths() {
+                    let graphs = [
+                        Neighbors::Knn { k: 1, bandwidth },
+                        Neighbors::Knn { k: 10, bandwidth },
+                        Neighbors::Knn { k: n + 5, bandwidth },
+                        Neighbors::Epsilon { epsilon: 0.9, bandwidth },
+                    ];
+                    for neighbors in graphs {
+                        let (expect, front) = match neighbors {
+                            Neighbors::Knn { k, .. } => (oracle::knn(&d, k, &bandwidth), knn_affinity(&d, k, &bandwidth)),
+                            Neighbors::Epsilon { epsilon, .. } => {
+                                (oracle::epsilon(&d, epsilon, &bandwidth), epsilon_affinity(&d, epsilon, &bandwidth))
+                            }
+                            Neighbors::Adaptive { .. } => unreachable!("CAN is checked below"),
                         };
-                        let front = match neighbors {
-                            Neighbors::Knn(k) => knn_affinity(&d, k, &bw),
-                            Neighbors::Epsilon(eps) => epsilon_affinity(&d, eps, &bw),
-                        };
-                        let ctx = format!("n={n} {what} {metric:?} {neighbors:?} {bw:?}");
+                        let ctx = format!("n={n} {what} {metric:?} {neighbors:?}");
                         assert!(same_csr(&front, &expect), "precomputed front-end, {ctx}:\n{front:?}\n{expect:?}");
                         for threads in [1, 2, 3, 8] {
-                            let got = neighbor_graph_with_threads(threads, &x, metric, neighbors, &bw);
+                            let got = neighbor_graph_with_threads(threads, &x, metric, neighbors);
                             assert!(same_csr(&got, &expect), "streamed builder, {ctx}, threads={threads}");
                         }
+                    }
+                }
+                // CAN: the streamed kind and its dense front-end both equal
+                // the dense construction they replaced.
+                for k in [1, 10, n + 5] {
+                    let expect = oracle::can(&d, k.min(n - 1));
+                    let ctx = format!("CAN n={n} {what} {metric:?} k={k}");
+                    let front = adaptive_neighbor_affinity(&d, k.min(n - 1));
+                    assert_eq!(bits(&front), bits(&expect), "precomputed front-end, {ctx}");
+                    let expect = CsrMatrix::from_dense(&expect, 0.0);
+                    for threads in [1, 2, 3, 8] {
+                        let got = neighbor_graph_with_threads(threads, &x, metric, Neighbors::Adaptive { k });
+                        assert!(same_csr(&got, &expect), "streamed builder, {ctx}, threads={threads}");
                     }
                 }
             }
@@ -350,15 +369,22 @@ fn streamed_graph_matches_sort_based_oracle_bitwise() {
     }
 }
 
+/// The `to_bits` of every entry of a dense matrix.
+fn bits(m: &Matrix) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 #[test]
 fn streamed_graph_matches_oracle_on_random_clouds() {
     check(&cfg(), |rng| points(rng, 40, 3), |x| {
         let d = oracle::distances(x, Metric::Euclidean);
-        let bw = Bandwidth::SelfTuning { k: 7 };
-        let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Knn(5), &bw);
-        ensure!(got == oracle::knn(&d, 5, &bw));
-        let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Epsilon(6.0), &bw);
-        ensure!(got == oracle::epsilon(&d, 6.0, &bw));
+        let bandwidth = Bandwidth::SelfTuning { k: 7 };
+        let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Knn { k: 5, bandwidth });
+        ensure!(got == oracle::knn(&d, 5, &bandwidth));
+        let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Epsilon { epsilon: 6.0, bandwidth });
+        ensure!(got == oracle::epsilon(&d, 6.0, &bandwidth));
+        let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Adaptive { k: 5 });
+        ensure!(got == CsrMatrix::from_dense(&oracle::can(&d, 5), 0.0));
         Ok(())
     });
 }
