@@ -5,13 +5,18 @@
 //! (`graph.can`), Laplacians (`graph.laplacian`) — plus whole builds from
 //! features (`graph.build`): the streamed k-NN builder against the
 //! distance-matrix route it replaced, and the streamed CAN build that CAN
-//! fits run.
+//! fits run. The anchor graph's two builders, D² anchor selection
+//! (`graph.anchor_select`) and the sparse point→anchor weights
+//! (`graph.anchor_weights`), are timed at the gmm-anchor workload's
+//! largest view (n = 10 000, d = 128, 200 anchors, 5 per point) on 1 and
+//! 2 threads.
 
 use std::hint::black_box;
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_graph::{
-    adaptive_neighbor_affinity, gaussian_affinity, knn_affinity, neighbor_graph,
-    normalized_laplacian, pairwise_sq_distances, Bandwidth, Metric, Neighbors,
+    adaptive_neighbor_affinity, anchor_weights_sparse_with_threads, gaussian_affinity, knn_affinity,
+    neighbor_graph, normalized_laplacian, pairwise_sq_distances, select_anchors_with_threads, Bandwidth,
+    Metric, Neighbors,
 };
 use umsc_rt::bench::{smoke, Bench};
 
@@ -58,6 +63,22 @@ fn main() {
         });
         build.run(&format!("can_streamed/{n}"), || {
             neighbor_graph(black_box(x), Metric::Euclidean, Neighbors::Adaptive { k: 10 })
+        });
+    }
+    // The anchor graph at the gmm-anchor shape: 10 clusters of 1000
+    // points, its 128-dimensional view, m = 200 anchors, k = 5.
+    let (per, anchors, neighbors) = if smoke() { (20, 20, 5) } else { (1000, 200, 5) };
+    let data = MultiViewGmm::new("bench", 10, per, vec![ViewSpec::clean(128)]).generate(3);
+    let x = &data.views[0];
+    let n = x.rows();
+    let (mut select, mut weights) = (group("graph.anchor_select"), group("graph.anchor_weights"));
+    let a = select_anchors_with_threads(1, x, anchors, 0);
+    for threads in [1, 2] {
+        select.run(&format!("d2_sampling/{n}x{anchors}/t{threads}"), || {
+            select_anchors_with_threads(threads, black_box(x), anchors, 0)
+        });
+        weights.run(&format!("can_weights_k{neighbors}/{n}x{anchors}/t{threads}"), || {
+            anchor_weights_sparse_with_threads(threads, black_box(x), &a, neighbors)
         });
     }
 }

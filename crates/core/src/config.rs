@@ -64,7 +64,8 @@ pub enum GraphKind {
 pub struct UmscConfig {
     /// Number of clusters `c`.
     pub num_clusters: usize,
-    /// Trade-off between graph fusion and discretization alignment (λ).
+    /// Trade-off between graph fusion and discretization alignment (λ);
+    /// a fit rejects a negative or non-finite λ.
     pub lambda: f64,
     /// Discretization scheme.
     pub discretization: Discretization,
@@ -74,7 +75,7 @@ pub struct UmscConfig {
     pub graph: GraphKind,
     /// Distance metric fed to the graph builder.
     pub metric: Metric,
-    /// Outer BCD iteration cap.
+    /// Outer BCD iteration cap (at least 1).
     pub max_iter: usize,
     /// Relative objective-change stopping tolerance.
     pub tol: f64,

@@ -101,6 +101,12 @@ pub(crate) fn validate(
             return invalid(format!("view {v} is not symmetric"));
         }
     }
+    if !cfg.lambda.is_finite() || cfg.lambda < 0.0 {
+        return invalid(format!("lambda must be finite and non-negative, got {}", cfg.lambda));
+    }
+    if cfg.max_iter == 0 {
+        return invalid("max_iter is zero".into());
+    }
     if cfg.gpi_max_iter == 0 {
         return invalid("gpi_max_iter is zero".into());
     }

@@ -44,10 +44,16 @@ impl Inputs {
 
     /// Fits all three paths with `c` clusters and the given weighting.
     fn fit_all(&self, c: usize, weighting: &Weighting, disc: &Discretization) -> [umsc_core::Result<UmscResult>; 3] {
-        let cfg = UmscConfig::new(c).with_weighting(weighting.clone()).with_discretization(disc.clone());
+        self.fit_all_with(UmscConfig::new(c).with_weighting(weighting.clone()).with_discretization(disc.clone()))
+    }
+
+    /// Fits all three paths with `cfg`; the anchor fit takes its cluster
+    /// count, weighting, λ and sweep cap.
+    fn fit_all_with(&self, cfg: UmscConfig) -> [umsc_core::Result<UmscResult>; 3] {
+        let mut anchor_cfg = AnchorUmscConfig::new(cfg.num_clusters).with_lambda(cfg.lambda);
+        anchor_cfg.weighting = cfg.weighting.clone();
+        anchor_cfg.max_iter = cfg.max_iter;
         let model = Umsc::new(cfg);
-        let mut anchor_cfg = AnchorUmscConfig::new(c);
-        anchor_cfg.weighting = weighting.clone();
         [
             model.fit_laplacians(&self.dense),
             model.fit_laplacians_sparse(&self.sparse),
@@ -120,6 +126,38 @@ fn every_path_rejects_the_same_inputs() {
     // The valid baseline passes everywhere.
     for res in good.fit_all(3, &fixed(&[1.0, 2.0, 0.5]), &Discretization::Rotation) {
         assert_eq!(res.unwrap().labels.len(), n);
+    }
+}
+
+#[test]
+fn every_path_rejects_a_bad_lambda_or_no_sweeps() {
+    // A non-finite λ used to end in an opaque SVD non-convergence, a
+    // negative one in an `Ok` fit that rewards moving away from the
+    // indicator, and `max_iter = 0` in an `Ok` fit with no sweep, so no
+    // objective.
+    let good = Inputs::new(&gmm(3, 10, 1));
+    let cases = [
+        ("λ = NaN", f64::NAN, 50),
+        ("λ = ∞", f64::INFINITY, 50),
+        ("λ = −∞", f64::NEG_INFINITY, 50),
+        ("λ = −5", -5.0, 50),
+        ("max_iter = 0", 1.0, 0),
+    ];
+    for (case, lambda, max_iter) in cases {
+        let cfg = UmscConfig { lambda, max_iter, ..UmscConfig::new(3) };
+        let fits = catch_unwind(AssertUnwindSafe(|| good.fit_all_with(cfg)))
+            .unwrap_or_else(|_| panic!("{case}: a fit panicked"));
+        for (path, res) in ["dense", "sparse", "anchor"].iter().zip(fits) {
+            assert!(
+                matches!(res, Err(UmscError::InvalidInput(_))),
+                "{case}: {path} returned {:?} instead of InvalidInput",
+                res.map(|r| r.history.len())
+            );
+        }
+    }
+    // λ = 0 (no rotation term) and one sweep stay valid.
+    for res in good.fit_all_with(UmscConfig { lambda: 0.0, max_iter: 1, ..UmscConfig::new(3) }) {
+        assert_eq!(res.unwrap().history.len(), 1);
     }
 }
 

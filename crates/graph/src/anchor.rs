@@ -22,23 +22,54 @@
 //! O(n·k) per column. The dense [`anchor_weights`] / [`normalized_factor`]
 //! are densified views of the same builders.
 //!
+//! Both `O(n·m·d)` loops are threaded over contiguous row blocks and
+//! lane-blocked: [`umsc_linalg::ops::sq_dist4`] computes one row against
+//! four, each lane summing in `sq_dist`'s order. [`select_anchors`] runs
+//! its D² update on a scoped team that lives for the whole call, while the
+//! `O(n)` total and the draw stay sequential in index order;
+//! [`anchor_weights_sparse`] gives each block its own distance buffers and
+//! output slots. Every distance, draw and weight is therefore the bits of
+//! the sequential scalar loops at any thread count
+//! (`crates/graph/tests/proptests.rs` keeps those loops as oracles).
+//!
 //! This is the substrate of the large-scale one-stage solver in
 //! `umsc-core::anchor`.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 
 use crate::can::write_simplex_weights;
 use crate::sparse::CsrMatrix;
 use crate::stream::smallest;
+use umsc_linalg::ops::{sq_dist, sq_dist4};
 use umsc_linalg::Matrix;
-use umsc_op::SparseFactor;
+use umsc_op::{gate_threads, SparseFactor};
 use umsc_rt::SplitMix64;
 
 /// Selects `m` anchor rows from `x` by D² (k-means++) sampling.
 ///
 /// Deterministic in `seed`. Returns an `m × d` matrix of anchor positions.
+/// Each anchor's distance update is threaded past the flop gate; see
+/// [`select_anchors_with_threads`].
 ///
 /// # Panics
 /// Panics if `m == 0` or `m > x.rows()`.
 pub fn select_anchors(x: &Matrix, m: usize, seed: u64) -> Matrix {
+    select_anchors_with_threads(gate_threads(3 * x.rows() * x.cols()), x, m, seed)
+}
+
+/// [`select_anchors`] on `threads` threads (`<= 1` inline).
+///
+/// The `O(n·d)` update of every point's squared distance to its nearest
+/// anchor runs on contiguous row blocks, each entry computed alone, so the
+/// distances are the same bits at any thread count. The `O(n)` total and
+/// the scan that draws the next anchor stay sequential in index order:
+/// they decide which row is drawn. One scoped team serves all `m − 1`
+/// rounds, two barrier waits per round, instead of a spawn per anchor.
+///
+/// # Panics
+/// Panics if `m == 0` or `m > x.rows()`.
+pub fn select_anchors_with_threads(threads: usize, x: &Matrix, m: usize, seed: u64) -> Matrix {
     let _span = umsc_obs::span!("graph.anchor_select");
     let n = x.rows();
     assert!(m >= 1, "select_anchors: m must be >= 1");
@@ -49,75 +80,179 @@ pub fn select_anchors(x: &Matrix, m: usize, seed: u64) -> Matrix {
 
     let first = (rng.next_u64() % n as u64) as usize;
     anchors.row_mut(0).copy_from_slice(x.row(first));
-    let mut min_dist: Vec<f64> =
-        (0..n).map(|i| umsc_linalg::ops::sq_dist(x.row(i), anchors.row(0))).collect();
-
-    for j in 1..m {
-        let total: f64 = min_dist.iter().sum();
-        let pick = if total <= 0.0 {
-            (rng.next_u64() % n as u64) as usize
-        } else {
-            let mut target = rng.next_f64() * total;
-            let mut pick = n - 1;
-            for (i, &w) in min_dist.iter().enumerate() {
-                target -= w;
-                if target <= 0.0 {
-                    pick = i;
-                    break;
+    let mut min_dist = vec![0.0f64; n];
+    let block = n.div_ceil(threads.max(1));
+    let blocks: Vec<Mutex<&mut [f64]>> = min_dist.chunks_mut(block).map(Mutex::new).collect();
+    // The row of `x` that is the newest anchor. A barrier wait separates
+    // every store from the loads that read it, so `Relaxed` suffices.
+    let newest = AtomicUsize::new(first);
+    let barrier = &Barrier::new(blocks.len());
+    let poisoned = "a team member panicked holding its block";
+    // Round j: every member lowers its block to anchor j − 1 (anchor 0
+    // sets it), then member 0 draws anchor j.
+    let lower = |b: usize, j: usize| {
+        let a = x.row(newest.load(Ordering::Relaxed));
+        nearest_anchor_update(x, b * block, &mut blocks[b].lock().expect(poisoned), a, j == 1);
+    };
+    std::thread::scope(|s| {
+        for b in 1..blocks.len() {
+            s.spawn(move || {
+                for j in 1..m {
+                    lower(b, j);
+                    barrier.wait();
+                    barrier.wait();
                 }
-            }
-            pick
-        };
-        anchors.row_mut(j).copy_from_slice(x.row(pick));
-        for (i, md) in min_dist.iter_mut().enumerate() {
-            let dist = umsc_linalg::ops::sq_dist(x.row(i), anchors.row(j));
-            if dist < *md {
-                *md = dist;
-            }
+            });
+        }
+        for j in 1..m {
+            lower(0, j);
+            barrier.wait();
+            let guards: Vec<_> = blocks.iter().map(|b| b.lock().expect(poisoned)).collect();
+            let pick = draw(guards.iter().flat_map(|g| g.iter().copied()), n, &mut rng);
+            drop(guards);
+            anchors.row_mut(j).copy_from_slice(x.row(pick));
+            newest.store(pick, Ordering::Relaxed);
+            barrier.wait();
+        }
+    });
+    anchors
+}
+
+/// Lowers `md[r]` to the squared distance between row `lo + r` of `x` and
+/// the anchor `a` (`first`: sets it), four rows per [`sq_dist4`] pass.
+fn nearest_anchor_update(x: &Matrix, lo: usize, md: &mut [f64], a: &[f64], first: bool) {
+    let put = |md: &mut f64, dist: f64| {
+        if first || dist < *md {
+            *md = dist;
+        }
+    };
+    let mut quads = md.chunks_exact_mut(4);
+    let mut i = lo;
+    for q in &mut quads {
+        let dist = sq_dist4(a, [x.row(i), x.row(i + 1), x.row(i + 2), x.row(i + 3)]);
+        for (md, dist) in q.iter_mut().zip(dist) {
+            put(md, dist);
+        }
+        i += 4;
+    }
+    for md in quads.into_remainder() {
+        put(md, sq_dist(x.row(i), a));
+        i += 1;
+    }
+}
+
+/// D² draw of the next anchor among `n` points: row `i` with probability
+/// `min_dist[i] / Σ`, uniform when every point already sits on an anchor.
+fn draw(min_dist: impl Iterator<Item = f64> + Clone, n: usize, rng: &mut SplitMix64) -> usize {
+    let total: f64 = min_dist.clone().sum();
+    if total <= 0.0 {
+        return (rng.next_u64() % n as u64) as usize;
+    }
+    let mut target = rng.next_f64() * total;
+    for (i, w) in min_dist.enumerate() {
+        target -= w;
+        if target <= 0.0 {
+            return i;
         }
     }
-    anchors
+    n - 1
 }
 
 /// Builds the point→anchor weight matrix `Z` (`n × m`, rows sum to 1) in
 /// CSR: each point gets CAN-style closed-form weights over its `k`
-/// nearest anchors, so a row stores at most `k` entries. Rows are written
-/// through one reusable `m`-length buffer and stored with ascending
+/// nearest anchors, so a row stores at most `k` entries, with ascending
 /// columns and exact zeros (a tied `d_{k+1}`) dropped; no `n × m` matrix
-/// is ever allocated.
+/// is ever allocated. Rows are threaded past the flop gate; see
+/// [`anchor_weights_sparse_with_threads`].
 ///
 /// # Panics
 /// Panics if `k` is not in `1..=m`.
 pub fn anchor_weights_sparse(x: &Matrix, anchors: &Matrix, k: usize) -> CsrMatrix {
+    let threads = gate_threads(3 * x.rows() * anchors.rows() * x.cols());
+    anchor_weights_sparse_with_threads(threads, x, anchors, k)
+}
+
+/// [`anchor_weights_sparse`] on `threads` threads (`<= 1` inline).
+///
+/// Each contiguous block of rows computes its points' `m` anchor
+/// distances ([`sq_dist4`], four anchors per pass) into its own
+/// `m`-length buffers and writes each row into that row's own `k` slots
+/// of the output; one sequential pass then closes the gaps in row order.
+/// Every row is computed alone, so `Z` is the same bits at any thread
+/// count, and the output arrays are the only `O(n·k)` allocation.
+///
+/// # Panics
+/// Panics if `k` is not in `1..=m`.
+pub fn anchor_weights_sparse_with_threads(threads: usize, x: &Matrix, anchors: &Matrix, k: usize) -> CsrMatrix {
     let _span = umsc_obs::span!("graph.anchor_weights");
     let n = x.rows();
     let m = anchors.rows();
     assert!(k >= 1 && k <= m, "anchor_weights: need 1 <= k <= m, got k={k}, m={m}");
     assert_eq!(x.cols(), anchors.cols(), "anchor_weights: feature dimension mismatch");
 
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    row_ptr.push(0);
-    let mut col_idx = Vec::with_capacity(n * k);
-    let mut values = Vec::with_capacity(n * k);
+    // Row i owns slots [i·k, (i + 1)·k); row_ptr[i + 1] first holds its
+    // entry count.
+    let mut row_ptr = vec![0usize; n + 1];
+    let mut col_idx = vec![0usize; n * k];
+    let mut values = vec![0.0f64; n * k];
+    let block = n.div_ceil(threads.max(1)).max(1);
+    let mut blocks: Vec<(&mut [usize], &mut [usize], &mut [f64])> = row_ptr[1..]
+        .chunks_mut(block)
+        .zip(col_idx.chunks_mut(block * k))
+        .zip(values.chunks_mut(block * k))
+        .map(|((len, col), val)| (len, col, val))
+        .collect();
+    umsc_rt::par::parallel_chunks_mut_with(threads, &mut blocks, 1, |b, part| {
+        let (len, col, val) = &mut part[0];
+        weight_rows(x, anchors, k, b * block, len, col, val);
+    });
+
+    let mut nnz = 0;
+    for i in 0..n {
+        let (start, len) = (i * k, row_ptr[i + 1]);
+        col_idx.copy_within(start..start + len, nnz);
+        values.copy_within(start..start + len, nnz);
+        nnz += len;
+        row_ptr[i + 1] = nnz;
+    }
+    col_idx.truncate(nnz);
+    values.truncate(nnz);
+    CsrMatrix::from_sorted_parts(n, m, row_ptr, col_idx, values)
+}
+
+/// The weight rows `lo..lo + len.len()` of `Z`: row `lo + r` stores its
+/// entry count in `len[r]` and its entries, by ascending column, at the
+/// front of its slots `col/val[r·k..(r + 1)·k]`.
+fn weight_rows(x: &Matrix, anchors: &Matrix, k: usize, lo: usize, len: &mut [usize], col: &mut [usize], val: &mut [f64]) {
+    let m = anchors.rows();
+    let a = |j| anchors.row(j);
     let mut dist = vec![0.0f64; m];
     let mut row = vec![0.0f64; m];
-    for i in 0..n {
-        for (j, d) in dist.iter_mut().enumerate() {
-            *d = umsc_linalg::ops::sq_dist(x.row(i), anchors.row(j));
+    for (r, len) in len.iter_mut().enumerate() {
+        let xi = x.row(lo + r);
+        let mut quads = dist.chunks_exact_mut(4);
+        let mut j = 0;
+        for q in &mut quads {
+            q.copy_from_slice(&sq_dist4(xi, [a(j), a(j + 1), a(j + 2), a(j + 3)]));
+            j += 4;
+        }
+        for (d, j) in quads.into_remainder().iter_mut().zip(j..) {
+            *d = sq_dist(xi, a(j));
         }
         let kept = smallest(k + 1, dist.iter().enumerate().map(|(j, &d)| (d, j)));
         // CAN closed form over the k nearest anchors; d_{k+1} plays γ.
         write_simplex_weights(&kept, k, |j, w| row[j] = w);
+        let (col, val) = (&mut col[r * k..(r + 1) * k], &mut val[r * k..(r + 1) * k]);
+        *len = 0;
         for (j, w) in row.iter_mut().enumerate() {
             if *w != 0.0 {
-                col_idx.push(j);
-                values.push(*w);
+                col[*len] = j;
+                val[*len] = *w;
+                *len += 1;
                 *w = 0.0;
             }
         }
-        row_ptr.push(col_idx.len());
     }
-    CsrMatrix::from_sorted_parts(n, m, row_ptr, col_idx, values)
 }
 
 /// [`anchor_weights_sparse`] densified (small inputs and tests).

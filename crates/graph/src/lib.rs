@@ -34,8 +34,9 @@ pub mod stream;
 
 pub use affinity::{epsilon_affinity, gaussian_affinity, knn_affinity, Bandwidth};
 pub use anchor::{
-    anchor_view_factor, anchor_weights, anchor_weights_sparse, normalized_factor,
-    normalized_factor_sparse, normalized_factor_with, select_anchors,
+    anchor_view_factor, anchor_weights, anchor_weights_sparse, anchor_weights_sparse_with_threads,
+    normalized_factor, normalized_factor_sparse, normalized_factor_with, select_anchors,
+    select_anchors_with_threads,
 };
 pub use umsc_op::SparseFactor;
 pub use can::adaptive_neighbor_affinity;

@@ -4,10 +4,10 @@
 //! sort-based and dense constructions they replaced.
 
 use umsc_graph::{
-    adaptive_neighbor_affinity, anchor_weights, anchor_weights_sparse, cosine_distance_matrix, degrees, epsilon_affinity,
-    gaussian_affinity, knn_affinity, neighbor_graph, neighbor_graph_with_threads,
-    normalized_laplacian, pairwise_sq_distances, unnormalized_laplacian, Bandwidth, CsrMatrix,
-    Metric, Neighbors, TILE_ROWS,
+    adaptive_neighbor_affinity, anchor_weights, anchor_weights_sparse, anchor_weights_sparse_with_threads,
+    cosine_distance_matrix, degrees, epsilon_affinity, gaussian_affinity, knn_affinity, neighbor_graph,
+    neighbor_graph_with_threads, normalized_laplacian, pairwise_sq_distances, select_anchors,
+    select_anchors_with_threads, unnormalized_laplacian, Bandwidth, CsrMatrix, Metric, Neighbors, TILE_ROWS,
 };
 use umsc_linalg::{LinOp, Matrix, SymEigen};
 use umsc_rt::check::{check, Config};
@@ -128,11 +128,14 @@ mod oracle {
     //! The sort-based graph construction the streamed builder replaced:
     //! full-GEMM distance matrices, a dense Gaussian, and a stable sort of
     //! every row. Kept verbatim as the reference the selector must match.
+    //! The anchor graph's references are the sequential scalar loops the
+    //! threaded, lane-blocked builders replaced.
 
     use std::cmp::Ordering;
     use std::collections::HashMap;
     use umsc_graph::{Bandwidth, CsrMatrix, Metric};
     use umsc_linalg::Matrix;
+    use umsc_rt::SplitMix64;
 
     pub fn distances(x: &Matrix, metric: Metric) -> Matrix {
         let n = x.rows();
@@ -285,6 +288,45 @@ mod oracle {
         }
         z
     }
+
+    /// D² anchor sampling as one sequential loop of scalar distances.
+    pub fn select_anchors(x: &Matrix, m: usize, seed: u64) -> Matrix {
+        let n = x.rows();
+        let d = x.cols();
+        let mut rng = SplitMix64::new(seed);
+        let mut anchors = Matrix::zeros(m, d);
+
+        let first = (rng.next_u64() % n as u64) as usize;
+        anchors.row_mut(0).copy_from_slice(x.row(first));
+        let mut min_dist: Vec<f64> =
+            (0..n).map(|i| umsc_linalg::ops::sq_dist(x.row(i), anchors.row(0))).collect();
+
+        for j in 1..m {
+            let total: f64 = min_dist.iter().sum();
+            let pick = if total <= 0.0 {
+                (rng.next_u64() % n as u64) as usize
+            } else {
+                let mut target = rng.next_f64() * total;
+                let mut pick = n - 1;
+                for (i, &w) in min_dist.iter().enumerate() {
+                    target -= w;
+                    if target <= 0.0 {
+                        pick = i;
+                        break;
+                    }
+                }
+                pick
+            };
+            anchors.row_mut(j).copy_from_slice(x.row(pick));
+            for (i, md) in min_dist.iter_mut().enumerate() {
+                let dist = umsc_linalg::ops::sq_dist(x.row(i), anchors.row(j));
+                if dist < *md {
+                    *md = dist;
+                }
+            }
+        }
+        anchors
+    }
 }
 
 /// Bitwise CSR equality (NaN weights of degenerate bandwidths included).
@@ -411,6 +453,46 @@ fn can_and_anchor_selectors_match_sort_based_oracle_bitwise() {
                 let sparse = anchor_weights_sparse(&x, &anchors, k);
                 let expect_csr = CsrMatrix::from_dense(&expect, 0.0);
                 assert!(same_csr(&sparse, &expect_csr), "sparse anchor n={n} {what} k={k}");
+            }
+        }
+    }
+}
+
+/// Point sets where the D² draw and the anchor ranking meet ties: random,
+/// rows repeated from a few distinct grid rows, and all-equal rows, whose
+/// distances are all zero so every draw is the uniform one.
+fn anchor_cases(rng: &mut Rng, n: usize, d: usize) -> Vec<(&'static str, Matrix)> {
+    let random = Matrix::from_fn(n, d, |_, _| rng.normal());
+    let distinct = Matrix::from_fn(n.div_ceil(4), d, |_, _| rng.gen_range(0..3) as f64);
+    let picks: Vec<usize> = (0..n).map(|_| rng.gen_range(0..distinct.rows())).collect();
+    let duplicates = Matrix::from_fn(n, d, |i, j| distinct[(picks[i], j)]);
+    vec![("random", random), ("duplicate rows", duplicates), ("all equal", Matrix::filled(n, d, 1.5))]
+}
+
+#[test]
+fn threaded_anchor_graph_matches_sequential_oracle_bitwise() {
+    let mut rng = Rng::from_seed(0xa9c4);
+    for n in [1, 3, 4, 5, 127, 1001] {
+        for d in [1, 3, 64] {
+            for (what, x) in anchor_cases(&mut rng, n, d) {
+                for m in [1, 3, 4, 5, 9].into_iter().filter(|&m| m <= n) {
+                    let seed = rng.next_u64();
+                    let anchors = oracle::select_anchors(&x, m, seed);
+                    let ctx = format!("n={n} d={d} {what} m={m}");
+                    assert_eq!(bits(&select_anchors(&x, m, seed)), bits(&anchors), "select_anchors, {ctx}");
+                    for threads in [1, 2, 3, 8] {
+                        let got = select_anchors_with_threads(threads, &x, m, seed);
+                        assert_eq!(bits(&got), bits(&anchors), "select_anchors, {ctx}, threads={threads}");
+                    }
+                    for k in 1..=m {
+                        let expect = CsrMatrix::from_dense(&oracle::anchor_weights(&x, &anchors, k), 0.0);
+                        assert!(same_csr(&anchor_weights_sparse(&x, &anchors, k), &expect), "weights, {ctx} k={k}");
+                        for threads in [1, 2, 3, 8] {
+                            let got = anchor_weights_sparse_with_threads(threads, &x, &anchors, k);
+                            assert!(same_csr(&got, &expect), "weights, {ctx} k={k}, threads={threads}");
+                        }
+                    }
+                }
             }
         }
     }

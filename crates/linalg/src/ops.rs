@@ -30,6 +30,34 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
+/// [`sq_dist`] of `a` against four rows at once:
+/// `[sq_dist(a, b[0]), …, sq_dist(a, b[3])]`, bit for bit.
+///
+/// Each lane has its own accumulator and adds `(a_t − b_t)²` in ascending
+/// `t` starting from `-0.0`, the order and start of `sq_dist`'s `Sum`
+/// fold. The four add chains are independent, so they overlap in the
+/// pipeline where a single chain waits on every add. (`sq_dist` is also
+/// symmetric bit for bit: round-to-nearest gives `fl(x − y) = −fl(y − x)`.)
+///
+/// # Panics
+/// Panics if a row's length differs from `a`'s.
+#[inline]
+pub fn sq_dist4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
+    let d = a.len();
+    for r in &b {
+        assert_eq!(r.len(), d, "sq_dist4: length mismatch {d} vs {}", r.len());
+    }
+    let [b0, b1, b2, b3] = b;
+    let mut acc = [-0.0f64; 4];
+    for (t, &x) in a.iter().enumerate() {
+        let e = [x - b0[t], x - b1[t], x - b2[t], x - b3[t]];
+        for (s, e) in acc.iter_mut().zip(e) {
+            *s += e * e;
+        }
+    }
+    acc
+}
+
 /// `y += alpha * x`.
 ///
 /// # Panics
@@ -137,6 +165,22 @@ mod tests {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         assert_eq!(sq_dist(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
         assert_eq!(dot(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn sq_dist4_is_sq_dist_bit_for_bit() {
+        let mut rng = umsc_rt::Rng::from_seed(4);
+        for d in [0, 1, 2, 3, 5, 64, 129] {
+            let rows: Vec<Vec<f64>> = (0..5).map(|_| crate::testkit::vector(&mut rng, d, -1e3, 1e3)).collect();
+            let mut b = [rows[1].as_slice(), rows[2].as_slice(), rows[3].as_slice(), rows[4].as_slice()];
+            // A duplicate lane gives an exact-zero distance.
+            b[3] = &rows[0];
+            let got = sq_dist4(&rows[0], b);
+            for (l, r) in b.iter().enumerate() {
+                assert_eq!(got[l].to_bits(), sq_dist(&rows[0], r).to_bits(), "d = {d}, lane {l}");
+                assert_eq!(got[l].to_bits(), sq_dist(r, &rows[0]).to_bits(), "symmetry, d = {d}, lane {l}");
+            }
+        }
     }
 
     #[test]
