@@ -14,11 +14,11 @@
 use std::hint::black_box;
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_graph::{
-    adaptive_neighbor_affinity, anchor_weights_sparse_with_threads, gaussian_affinity, knn_affinity,
-    neighbor_graph, normalized_laplacian, pairwise_sq_distances, select_anchors_with_threads, Bandwidth,
-    Metric, Neighbors,
+    adaptive_neighbor_affinity, anchor_weights_sparse, gaussian_affinity, knn_affinity, neighbor_graph,
+    normalized_laplacian, pairwise_sq_distances, select_anchors, Bandwidth, Metric, Neighbors,
 };
 use umsc_rt::bench::{smoke, Bench};
+use umsc_rt::par::with_threads;
 
 fn main() {
     let (dense_sizes, knn_sizes): (&[usize], &[usize]) =
@@ -72,13 +72,13 @@ fn main() {
     let x = &data.views[0];
     let n = x.rows();
     let (mut select, mut weights) = (group("graph.anchor_select"), group("graph.anchor_weights"));
-    let a = select_anchors_with_threads(1, x, anchors, 0);
+    let a = select_anchors(x, anchors, 0);
     for threads in [1, 2] {
         select.run(&format!("d2_sampling/{n}x{anchors}/t{threads}"), || {
-            select_anchors_with_threads(threads, black_box(x), anchors, 0)
+            with_threads(threads, || select_anchors(black_box(x), anchors, 0))
         });
         weights.run(&format!("can_weights_k{neighbors}/{n}x{anchors}/t{threads}"), || {
-            anchor_weights_sparse_with_threads(threads, black_box(x), &a, neighbors)
+            with_threads(threads, || anchor_weights_sparse(black_box(x), &a, neighbors))
         });
     }
 }

@@ -15,13 +15,12 @@
 
 use std::hint::black_box;
 use umsc_core::indicator::{discretize_rows, labels_to_indicator};
-use umsc_core::pipeline::{
-    build_laplacians_threaded_with, build_view_laplacians, spectral_embedding, GraphConfig,
-};
+use umsc_core::pipeline::{build_view_laplacians, spectral_embedding, GraphConfig};
 use umsc_core::{gpi_stiefel_op_ws, init_rotation, GpiWorkspace};
 use umsc_data::synth::{MultiViewGmm, ViewSpec};
 use umsc_linalg::{polar_orthogonalize, polar_orthogonalize_into, procrustes, Matrix, Svd, SvdScratch};
 use umsc_rt::bench::{smoke, Bench};
+use umsc_rt::par::with_threads;
 
 fn setup(per_cluster: usize) -> (Vec<Matrix>, Matrix, Matrix, Matrix, umsc_data::MultiViewDataset) {
     let mut gen = MultiViewGmm::new(
@@ -84,10 +83,10 @@ fn bench_solver_blocks(samples: usize, per_cluster: usize) {
     let cfg = GraphConfig::default();
     let mut build = group("graph.build");
     let seq = build.run(&format!("per_view_laplacians/seq/{id}"), || {
-        build_laplacians_threaded_with(1, black_box(&data.views), &cfg)
+        with_threads(1, || build_view_laplacians(black_box(&data), &cfg))
     });
     let par = build.run(&format!("per_view_laplacians/threads_{threads}/{id}"), || {
-        build_laplacians_threaded_with(threads, black_box(&data.views), &cfg)
+        with_threads(threads, || build_view_laplacians(black_box(&data), &cfg))
     });
     println!(
         "per_view_laplacians speedup at {threads} threads: {:.2}x",

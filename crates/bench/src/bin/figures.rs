@@ -5,12 +5,23 @@
 //! ```
 
 use umsc_bench::figures;
-use umsc_bench::runner::BenchProfile;
+use umsc_bench::runner::{parse_cli, Cli};
+
+const USAGE: &str = "usage: figures [f1|f2|f3|f4|f5|all] [--full]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = BenchProfile::from_args(&args);
-    let what = args.iter().find(|a| !a.starts_with("--")).cloned().unwrap_or_else(|| "all".into());
+    let (what, profile) = match parse_cli(&args, false) {
+        Ok(Cli::Run { name, profile, .. }) => (name, profile),
+        Ok(Cli::Help) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     match what.as_str() {
         "f1" => figures::figure1(profile),
@@ -26,7 +37,7 @@ fn main() {
             figures::figure5(profile);
         }
         other => {
-            eprintln!("unknown figure '{other}': expected f1|f2|f3|f4|f5|all");
+            eprintln!("error: unknown figure '{other}'\n{USAGE}");
             std::process::exit(2);
         }
     }

@@ -1,17 +1,27 @@
 //! Regenerates the paper's tables. Usage:
 //!
 //! ```text
-//! cargo run --release -p umsc-bench --bin tables -- [t1|t2|t3|ablation|all] [--full] [--seeds N]
+//! cargo run --release -p umsc-bench --bin tables -- [t1|t2|t3|ablation|graph-ablation|all] [--full] [--seeds N]
 //! ```
 
-use umsc_bench::runner::{seeds_from_args, BenchProfile};
+use umsc_bench::runner::{parse_cli, Cli};
 use umsc_bench::tables;
+
+const USAGE: &str = "usage: tables [t1|t2|t3|ablation|graph-ablation|all] [--full] [--seeds N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = BenchProfile::from_args(&args);
-    let seeds = seeds_from_args(&args, profile);
-    let what = args.iter().find(|a| !a.starts_with("--")).cloned().unwrap_or_else(|| "all".into());
+    let (what, profile, seeds) = match parse_cli(&args, true) {
+        Ok(Cli::Run { name, profile, seeds }) => (name, profile, seeds),
+        Ok(Cli::Help) => {
+            println!("{USAGE}");
+            return;
+        }
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2);
+        }
+    };
 
     match what.as_str() {
         "t1" => tables::table1(profile),
@@ -26,7 +36,7 @@ fn main() {
             tables::graph_ablation(profile, seeds);
         }
         other => {
-            eprintln!("unknown table '{other}': expected t1|t2|t3|ablation|graph-ablation|all");
+            eprintln!("error: unknown table '{other}'\n{USAGE}");
             std::process::exit(2);
         }
     }

@@ -17,15 +17,6 @@ pub enum BenchProfile {
 }
 
 impl BenchProfile {
-    /// Parses `--full` from argv.
-    pub fn from_args(args: &[String]) -> BenchProfile {
-        if args.iter().any(|a| a == "--full") {
-            BenchProfile::Full
-        } else {
-            BenchProfile::Quick
-        }
-    }
-
     /// Point cap per dataset (None = published size).
     pub fn max_n(&self) -> Option<usize> {
         match self {
@@ -106,13 +97,49 @@ pub fn evaluate_method(
     }
 }
 
-/// Parses `--seeds N` from argv, defaulting per profile.
-pub fn seeds_from_args(args: &[String], profile: BenchProfile) -> usize {
-    args.iter()
-        .position(|a| a == "--seeds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| profile.default_seeds())
+/// A parsed `tables` / `figures` command line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Cli {
+    /// `--help` or `-h`: print the usage line.
+    Help,
+    /// Run the named table or figure (`all` when none is named).
+    Run {
+        /// The positional name.
+        name: String,
+        /// `--full` or the quick default.
+        profile: BenchProfile,
+        /// `--seeds N`, or the profile's default.
+        seeds: usize,
+    },
+}
+
+/// Parses a `tables` / `figures` command line: at most one positional
+/// name, in any position, plus `--full` and, when `takes_seeds`,
+/// `--seeds N`. Any other option, a second name or a bad seed count is an
+/// error naming it.
+pub fn parse_cli(args: &[String], takes_seeds: bool) -> Result<Cli, String> {
+    let (mut name, mut full, mut seeds) = (None, false, None);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--help" | "-h" => return Ok(Cli::Help),
+            "--full" => full = true,
+            "--seeds" if takes_seeds => {
+                let v = it.next().ok_or("--seeds expects a value")?;
+                let n = v.parse().ok().filter(|&n: &usize| n > 0);
+                seeds = Some(n.ok_or_else(|| format!("bad --seeds value '{v}'"))?);
+            }
+            opt if opt.starts_with('-') => return Err(format!("unknown option '{opt}'")),
+            pos if name.is_none() => name = Some(pos.to_string()),
+            pos => return Err(format!("unexpected argument '{pos}'")),
+        }
+    }
+    let profile = if full { BenchProfile::Full } else { BenchProfile::Quick };
+    Ok(Cli::Run {
+        name: name.unwrap_or_else(|| "all".into()),
+        profile,
+        seeds: seeds.unwrap_or_else(|| profile.default_seeds()),
+    })
 }
 
 #[cfg(test)]
@@ -120,13 +147,36 @@ mod tests {
     use super::*;
     use umsc_baselines::UmscMethod;
 
+    fn parse(args: &[&str], takes_seeds: bool) -> Result<Cli, String> {
+        parse_cli(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>(), takes_seeds)
+    }
+
+    fn run(name: &str, profile: BenchProfile, seeds: usize) -> Result<Cli, String> {
+        Ok(Cli::Run { name: name.into(), profile, seeds })
+    }
+
     #[test]
     fn profile_parsing() {
-        let args: Vec<String> = vec!["t2".into(), "--full".into()];
-        assert_eq!(BenchProfile::from_args(&args), BenchProfile::Full);
-        assert_eq!(BenchProfile::from_args(&["t2".to_string()]), BenchProfile::Quick);
-        assert_eq!(seeds_from_args(&["--seeds".into(), "3".into()], BenchProfile::Quick), 3);
-        assert_eq!(seeds_from_args(&[], BenchProfile::Quick), 5);
+        assert_eq!(parse(&["t2", "--full"], true), run("t2", BenchProfile::Full, 10));
+        assert_eq!(parse(&["t2"], true), run("t2", BenchProfile::Quick, 5));
+        assert_eq!(parse(&["--seeds", "3"], true), run("all", BenchProfile::Quick, 3));
+        assert_eq!(parse(&[], false), run("all", BenchProfile::Quick, 5));
+    }
+
+    #[test]
+    fn cli_takes_the_name_anywhere_and_rejects_unknown_options() {
+        // The name may follow an option's value.
+        assert_eq!(parse(&["--seeds", "2", "ablation"], true), run("ablation", BenchProfile::Quick, 2));
+        assert_eq!(parse(&["--full", "f4"], false), run("f4", BenchProfile::Full, 10));
+        assert_eq!(parse(&["t1", "--help"], true), Ok(Cli::Help));
+        assert_eq!(parse(&["-h"], false), Ok(Cli::Help));
+        // A misspelt flag is an error, not a silent run of `all`.
+        assert_eq!(parse(&["--seed", "2"], true), Err("unknown option '--seed'".into()));
+        assert_eq!(parse(&["--seeds", "2"], false), Err("unknown option '--seeds'".into()));
+        assert_eq!(parse(&["--seeds"], true), Err("--seeds expects a value".into()));
+        assert_eq!(parse(&["--seeds", "x"], true), Err("bad --seeds value 'x'".into()));
+        assert_eq!(parse(&["--seeds", "0"], true), Err("bad --seeds value '0'".into()));
+        assert_eq!(parse(&["t1", "t2"], true), Err("unexpected argument 't2'".into()));
     }
 
     #[test]

@@ -10,8 +10,16 @@ use umsc_core::{
 use umsc_data::{benchmark, BenchmarkId, MultiViewDataset};
 use umsc_metrics::MetricSuite;
 
+/// The usage block of the crate docs, printed by `umsc help`, `--help`,
+/// `-h` and a bare `umsc`.
+const USAGE: &str = include_str!("usage.txt");
+
 /// Routes a parsed command line to its implementation.
 pub fn dispatch(argv: &[String]) -> Result<(), String> {
+    if argv.first().is_none_or(|a| a == "help") || argv.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return Ok(());
+    }
     let args = Args::parse(argv)?;
     match args.command.as_deref() {
         Some("generate") => generate(&args),
@@ -28,13 +36,9 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             Ok(())
         }
         Some(other) => Err(format!(
-            "unknown command {other:?}; try: generate, info, cluster, assign, evaluate, trace-report, methods"
+            "unknown command {other:?}; try: generate, info, cluster, assign, evaluate, trace-report, methods, help"
         )),
-        None => {
-            println!("usage: umsc <generate|info|cluster|assign|evaluate|trace-report|methods> [--options]");
-            println!("see crate docs / README for details");
-            Ok(())
-        }
+        None => Err("no command given; see `umsc help`".into()),
     }
 }
 
@@ -457,6 +461,17 @@ mod tests {
         ]))
         .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn help_prints_the_usage_of_every_command() {
+        for help in [&["--help"][..], &["-h"], &["help"], &[], &["cluster", "--help"]] {
+            assert_eq!(dispatch(&argv(help)), Ok(()), "{help:?}");
+        }
+        for command in ["generate", "info", "cluster", "assign", "evaluate", "trace-report", "methods", "help"] {
+            let listed = USAGE.lines().any(|l| l.split_whitespace().take(2).eq(["umsc", command]));
+            assert!(listed, "usage omits {command}");
+        }
     }
 
     #[test]

@@ -1,20 +1,13 @@
 //! `umsc` — command-line front end for the workspace.
 //!
 //! ```text
-//! umsc generate  --benchmark MSRC-v1 [--seed N] --out DIR
-//! umsc info      --data DIR
-//! umsc cluster   --data DIR --clusters C [--method NAME] [--seed N]
-//!                [--out labels.csv] [--trace FILE] [--verbose]
-//!                [--lambda X]                       (umsc, anchor-umsc)
-//!                [--metric euclidean|cosine]        (umsc)
-//!                [--anchors M] [--save-model FILE]  (anchor-umsc)
-//! umsc assign    --model FILE --data DIR [--out labels.csv]
-//! umsc evaluate  --pred FILE --truth FILE
-//! umsc methods
+#![doc = include_str!("usage.txt")]
 //! ```
 //!
-//! `DIR` uses the CSV layout of `umsc_data::io` (`view_K.csv` + `labels.csv`).
-//! `cluster` rejects an option its method does not read.
+//! `umsc help`, `--help` and `-h` print the block above (from
+//! `usage.txt`). `DIR` uses the CSV layout of `umsc_data::io`
+//! (`view_K.csv` + `labels.csv`). `cluster` rejects an option its method
+//! does not read.
 
 mod args;
 mod commands;

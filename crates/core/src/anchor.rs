@@ -39,8 +39,8 @@ use crate::workspace::{SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_data::MultiViewDataset;
 use umsc_linalg::Matrix;
-use umsc_op::{gate_threads, LinOp, SparseFactor};
-use umsc_rt::par::PanelBuf;
+use umsc_op::{LinOp, SparseFactor};
+use umsc_rt::par::{threads_for, with_threads, PanelBuf};
 
 /// Iteration cap of the anchor F-step's GPI.
 const ANCHOR_GPI_ITERS: usize = 20;
@@ -97,17 +97,6 @@ impl AnchorLaplacian {
         }
         self.weight_sum = weights.iter().sum();
     }
-
-    /// [`LinOp::apply_block_into`] on `threads` threads (`<= 1` inline).
-    fn apply_with(&self, threads: usize, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let mut scratch = self.scratch.borrow_mut();
-        let t = scratch.ensure(self.stacked.cols() * ncols);
-        self.stacked.mul_transpose_into_with(threads, x, ncols, t);
-        for (row, &s) in t.chunks_exact_mut(ncols.max(1)).zip(&self.scale) {
-            row.iter_mut().for_each(|v| *v *= s);
-        }
-        self.stacked.mul_into_with(threads, t, ncols, y);
-    }
 }
 
 impl LinOp for AnchorLaplacian {
@@ -115,8 +104,18 @@ impl LinOp for AnchorLaplacian {
         self.stacked.rows()
     }
 
+    /// Both products run on the thread count gated on the whole apply's
+    /// flops.
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        self.apply_with(gate_threads(4 * self.stacked.nnz() * ncols), x, ncols, y);
+        let mut scratch = self.scratch.borrow_mut();
+        let t = scratch.ensure(self.stacked.cols() * ncols);
+        with_threads(threads_for(4 * self.stacked.nnz() * ncols), || {
+            self.stacked.mul_transpose_into(x, ncols, t);
+            for (row, &s) in t.chunks_exact_mut(ncols.max(1)).zip(&self.scale) {
+                row.iter_mut().for_each(|v| *v *= s);
+            }
+            self.stacked.mul_into(t, ncols, y);
+        });
     }
 }
 
@@ -679,7 +678,7 @@ mod tests {
             let expect = bd.matmul(&t);
             for threads in [1, 2] {
                 let mut y = vec![f64::NAN; n * ncols];
-                fused.apply_with(threads, x.as_slice(), ncols, &mut y);
+                with_threads(threads, || fused.apply_block_into(x.as_slice(), ncols, &mut y));
                 assert_eq!(y.as_slice(), expect.as_slice(), "ncols={ncols} threads={threads}");
             }
             let mut y = vec![f64::NAN; n * ncols];

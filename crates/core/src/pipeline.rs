@@ -86,14 +86,17 @@ fn check_dataset(data: &MultiViewDataset) -> Result<()> {
 /// baselines' graphs; [`crate::Umsc`] fits take
 /// [`build_view_laplacians_sparse`]).
 ///
-/// Validates the dataset first. Views are independent, so on multi-core
-/// machines they are built on scoped threads (one per view, capped by the
-/// available parallelism); the output order — and therefore every
+/// Validates the dataset first. Views are built in parallel past the flop
+/// gate, each whole on one thread; the output order — and therefore every
 /// downstream number — is identical to the sequential path.
 pub fn build_view_laplacians(data: &MultiViewDataset, cfg: &GraphConfig) -> Result<Vec<Matrix>> {
     check_dataset(data)?;
     let _span = umsc_obs::span!("graph.build");
-    Ok(build_laplacians_threaded_with(umsc_rt::par::max_threads(), &data.views, cfg))
+    Ok(map_views(&data.views, |x| {
+        let w = view_affinity(x, cfg);
+        let _span = umsc_obs::span!("graph.laplacian");
+        normalized_laplacian(&w)
+    }))
 }
 
 /// Builds **sparse** (CSR) symmetric-normalized Laplacians per view — the
@@ -108,7 +111,7 @@ pub fn build_view_laplacians_sparse(
 ) -> Result<Vec<CsrMatrix>> {
     check_dataset(data)?;
     let _span = umsc_obs::span!("graph.build");
-    Ok(umsc_rt::par::parallel_map(&data.views, |_, x| match sparse_view_affinity(x, cfg) {
+    Ok(map_views(&data.views, |x| match sparse_view_affinity(x, cfg) {
         Some(w) => {
             let _span = umsc_obs::span!("graph.laplacian");
             normalized_laplacian_sparse(&w)
@@ -121,16 +124,13 @@ pub fn build_view_laplacians_sparse(
     }))
 }
 
-/// Dense per-view Laplacians on up to `threads` threads (views are
-/// independent; output order — and therefore every downstream number —
-/// is identical to a sequential loop). The thread count is explicit so
-/// the determinism test can force parallelism on a single-core machine.
-pub fn build_laplacians_threaded_with(threads: usize, views: &[Matrix], cfg: &GraphConfig) -> Vec<Matrix> {
-    umsc_rt::par::parallel_map_with(threads, views, |_, x| {
-        let w = view_affinity(x, cfg);
-        let _span = umsc_obs::span!("graph.laplacian");
-        normalized_laplacian(&w)
-    })
+/// `f` over the views, in view order, threaded past the flop gate on the
+/// Gram tiles' `Σ_v n·n·d_v`. Each view's graph is built whole by one
+/// thread; a graph built inside a worker runs inline, so a view map never
+/// has more threads working than its own.
+fn map_views<U: Send>(views: &[Matrix], f: impl Fn(&Matrix) -> U + Sync) -> Vec<U> {
+    let flops = views.iter().map(|x| x.rows() * x.rows() * x.cols()).sum();
+    umsc_rt::par::parallel_map_with(umsc_rt::par::threads_for(flops), views, |_, x| f(x))
 }
 
 /// `k` smallest eigenvectors of a symmetric (Laplacian-like) operator.
@@ -330,9 +330,9 @@ mod tests {
             .map(|x| umsc_graph::normalized_laplacian(&view_affinity(x, &cfg)))
             .collect();
         // Force real parallelism (more threads than this machine may have),
-        // plus the implicit path.
+        // plus the gated path.
         for threaded in [
-            build_laplacians_threaded_with(4, &data.views, &cfg),
+            umsc_rt::par::with_threads(4, || build_view_laplacians(&data, &cfg)).unwrap(),
             build_view_laplacians(&data, &cfg).unwrap(),
         ] {
             assert_eq!(sequential.len(), threaded.len());

@@ -43,33 +43,26 @@ use crate::sparse::CsrMatrix;
 use crate::stream::smallest;
 use umsc_linalg::ops::{sq_dist, sq_dist4};
 use umsc_linalg::Matrix;
-use umsc_op::{gate_threads, SparseFactor};
+use umsc_op::SparseFactor;
+use umsc_rt::par::{parallel_chunks_mut_with, threads_for};
 use umsc_rt::SplitMix64;
 
 /// Selects `m` anchor rows from `x` by D² (k-means++) sampling.
 ///
 /// Deterministic in `seed`. Returns an `m × d` matrix of anchor positions.
-/// Each anchor's distance update is threaded past the flop gate; see
-/// [`select_anchors_with_threads`].
 ///
-/// # Panics
-/// Panics if `m == 0` or `m > x.rows()`.
-pub fn select_anchors(x: &Matrix, m: usize, seed: u64) -> Matrix {
-    select_anchors_with_threads(gate_threads(3 * x.rows() * x.cols()), x, m, seed)
-}
-
-/// [`select_anchors`] on `threads` threads (`<= 1` inline).
-///
-/// The `O(n·d)` update of every point's squared distance to its nearest
-/// anchor runs on contiguous row blocks, each entry computed alone, so the
-/// distances are the same bits at any thread count. The `O(n)` total and
+/// Threaded past the flop gate on one round's `3·n·d`: the `O(n·d)`
+/// update of every point's squared distance to its nearest anchor runs on
+/// contiguous row blocks, each entry computed alone, so the distances are
+/// the same bits at any thread count. The `O(n)` total and
 /// the scan that draws the next anchor stay sequential in index order:
 /// they decide which row is drawn. One scoped team serves all `m − 1`
 /// rounds, two barrier waits per round, instead of a spawn per anchor.
 ///
 /// # Panics
 /// Panics if `m == 0` or `m > x.rows()`.
-pub fn select_anchors_with_threads(threads: usize, x: &Matrix, m: usize, seed: u64) -> Matrix {
+pub fn select_anchors(x: &Matrix, m: usize, seed: u64) -> Matrix {
+    let threads = threads_for(3 * x.rows() * x.cols());
     let _span = umsc_obs::span!("graph.anchor_select");
     let n = x.rows();
     assert!(m >= 1, "select_anchors: m must be >= 1");
@@ -162,31 +155,23 @@ fn draw(min_dist: impl Iterator<Item = f64> + Clone, n: usize, rng: &mut SplitMi
 /// CSR: each point gets CAN-style closed-form weights over its `k`
 /// nearest anchors, so a row stores at most `k` entries, with ascending
 /// columns and exact zeros (a tied `d_{k+1}`) dropped; no `n × m` matrix
-/// is ever allocated. Rows are threaded past the flop gate; see
-/// [`anchor_weights_sparse_with_threads`].
+/// is ever allocated.
+///
+/// Rows are threaded past the flop gate on `3·n·m·d`: each contiguous
+/// block of rows computes its points' `m` anchor distances ([`sq_dist4`],
+/// four anchors per pass) into its own `m`-length buffers and writes each
+/// row into that row's own `k` slots of the output; one sequential pass
+/// then closes the gaps in row order. Every row is computed alone, so `Z`
+/// is the same bits at any thread count, and the output arrays are the
+/// only `O(n·k)` allocation.
 ///
 /// # Panics
 /// Panics if `k` is not in `1..=m`.
 pub fn anchor_weights_sparse(x: &Matrix, anchors: &Matrix, k: usize) -> CsrMatrix {
-    let threads = gate_threads(3 * x.rows() * anchors.rows() * x.cols());
-    anchor_weights_sparse_with_threads(threads, x, anchors, k)
-}
-
-/// [`anchor_weights_sparse`] on `threads` threads (`<= 1` inline).
-///
-/// Each contiguous block of rows computes its points' `m` anchor
-/// distances ([`sq_dist4`], four anchors per pass) into its own
-/// `m`-length buffers and writes each row into that row's own `k` slots
-/// of the output; one sequential pass then closes the gaps in row order.
-/// Every row is computed alone, so `Z` is the same bits at any thread
-/// count, and the output arrays are the only `O(n·k)` allocation.
-///
-/// # Panics
-/// Panics if `k` is not in `1..=m`.
-pub fn anchor_weights_sparse_with_threads(threads: usize, x: &Matrix, anchors: &Matrix, k: usize) -> CsrMatrix {
     let _span = umsc_obs::span!("graph.anchor_weights");
     let n = x.rows();
     let m = anchors.rows();
+    let threads = threads_for(3 * n * m * x.cols());
     assert!(k >= 1 && k <= m, "anchor_weights: need 1 <= k <= m, got k={k}, m={m}");
     assert_eq!(x.cols(), anchors.cols(), "anchor_weights: feature dimension mismatch");
 
@@ -202,7 +187,7 @@ pub fn anchor_weights_sparse_with_threads(threads: usize, x: &Matrix, anchors: &
         .zip(values.chunks_mut(block * k))
         .map(|((len, col), val)| (len, col, val))
         .collect();
-    umsc_rt::par::parallel_chunks_mut_with(threads, &mut blocks, 1, |b, part| {
+    parallel_chunks_mut_with(threads, &mut blocks, 1, |b, part| {
         let (len, col, val) = &mut part[0];
         weight_rows(x, anchors, k, b * block, len, col, val);
     });

@@ -15,11 +15,6 @@
 
 use umsc_linalg::Matrix;
 
-/// Row count below which the fills stay sequential (the post-GEMM
-/// transform is O(n²) cheap arithmetic; threading pays off only on large
-/// matrices).
-const PAR_ROW_THRESHOLD: usize = 256;
-
 /// Rows per upper-triangular Gram tile. A tile holds at most
 /// `TILE_ROWS · n` entries, which bounds the streamed builder's memory.
 pub const TILE_ROWS: usize = 128;
@@ -78,48 +73,32 @@ fn cosine_distance_from_gram(norm_i: f64, norm_j: f64, g: f64) -> f64 {
     }
 }
 
-/// Thread count for the implicit entry points: sequential below
-/// [`PAR_ROW_THRESHOLD`] rows.
-pub(crate) fn default_threads(n: usize) -> usize {
-    if n >= PAR_ROW_THRESHOLD {
-        umsc_rt::par::max_threads()
-    } else {
-        1
-    }
+/// Thread count for the Gram tiles of the rows of `x`: the flop gate on
+/// `n·n·d`.
+pub(crate) fn gram_threads(x: &Matrix) -> usize {
+    umsc_rt::par::threads_for(x.rows() * x.rows() * x.cols())
 }
 
 /// Pairwise **squared** Euclidean distances between the rows of `x`.
 ///
 /// Returns a symmetric `n × n` matrix with an exactly-zero diagonal.
-/// Large inputs are threaded; see [`pairwise_sq_distances_with_threads`].
+/// Threaded past the flop gate: each upper-triangular tile row is computed
+/// whole by one thread and the lower triangle is its mirror, so the result
+/// is bitwise symmetric and bitwise-identical for every thread count.
 pub fn pairwise_sq_distances(x: &Matrix) -> Matrix {
-    pairwise_sq_distances_with_threads(default_threads(x.rows()), x)
-}
-
-/// [`pairwise_sq_distances`] with an explicit thread count.
-///
-/// Each upper-triangular tile row is computed whole by one thread and the
-/// lower triangle is its mirror, so the result is bitwise symmetric and
-/// bitwise-identical for every thread count.
-pub fn pairwise_sq_distances_with_threads(threads: usize, x: &Matrix) -> Matrix {
     let sq_norms = Metric::Euclidean.row_norms(x);
-    symmetric_fill(threads, x, |i, j, g| sq_distance_from_gram(sq_norms[i], sq_norms[j], g))
+    symmetric_fill(x, |i, j, g| sq_distance_from_gram(sq_norms[i], sq_norms[j], g))
 }
 
 /// Pairwise cosine distances `1 − cos(x_i, x_j)` between the rows of `x`.
 ///
 /// Zero rows are treated as maximally distant (distance 1) from everything,
 /// including other zero rows — a safe convention for sparse text views.
+/// Threaded like [`pairwise_sq_distances`], with the same bits at any
+/// thread count.
 pub fn cosine_distance_matrix(x: &Matrix) -> Matrix {
-    cosine_distance_matrix_with_threads(default_threads(x.rows()), x)
-}
-
-/// [`cosine_distance_matrix`] with an explicit thread count; bitwise
-/// deterministic for the same reason as
-/// [`pairwise_sq_distances_with_threads`].
-pub fn cosine_distance_matrix_with_threads(threads: usize, x: &Matrix) -> Matrix {
     let norms = Metric::Cosine.row_norms(x);
-    symmetric_fill(threads, x, |i, j, g| cosine_distance_from_gram(norms[i], norms[j], g))
+    symmetric_fill(x, |i, j, g| cosine_distance_from_gram(norms[i], norms[j], g))
 }
 
 /// Row `i` of the upper-triangular tile that starts at column `lo`:
@@ -134,8 +113,9 @@ pub(crate) fn tile_row(x: &Matrix, i: usize, lo: usize, row: &mut [f64], dist: i
 /// Fills the symmetric `n × n` matrix `d[i][j] = f(i, j, xᵢ·xⱼ)` (zero
 /// diagonal) from upper-triangular Gram tiles written straight into `d`'s
 /// rows, then mirrors each finished tile into the rows below it.
-fn symmetric_fill(threads: usize, x: &Matrix, f: impl Fn(usize, usize, f64) -> f64 + Sync) -> Matrix {
+fn symmetric_fill(x: &Matrix, f: impl Fn(usize, usize, f64) -> f64 + Sync) -> Matrix {
     let n = x.rows();
+    let threads = gram_threads(x);
     let mut d = Matrix::zeros(n, n);
     let data = d.as_mut_slice();
     for lo in (0..n).step_by(TILE_ROWS) {
@@ -158,6 +138,7 @@ fn symmetric_fill(threads: usize, x: &Matrix, f: impl Fn(usize, usize, f64) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use umsc_rt::par::with_threads;
 
     #[test]
     fn sq_distances_match_definition() {
@@ -210,11 +191,11 @@ mod tests {
         // Odd n so row blocks split unevenly; one zero row for the cosine
         // convention branch.
         let x = Matrix::from_fn(53, 7, |i, _| if i == 13 { 0.0 } else { rng.normal() });
-        let seq_e = pairwise_sq_distances_with_threads(1, &x);
-        let seq_c = cosine_distance_matrix_with_threads(1, &x);
+        let seq_e = with_threads(1, || pairwise_sq_distances(&x));
+        let seq_c = with_threads(1, || cosine_distance_matrix(&x));
         for t in [2, 3, 4, 8] {
-            let par_e = pairwise_sq_distances_with_threads(t, &x);
-            let par_c = cosine_distance_matrix_with_threads(t, &x);
+            let par_e = with_threads(t, || pairwise_sq_distances(&x));
+            let par_c = with_threads(t, || cosine_distance_matrix(&x));
             assert_eq!(seq_e.as_slice(), par_e.as_slice(), "euclidean differs at {t} threads");
             assert_eq!(seq_c.as_slice(), par_c.as_slice(), "cosine differs at {t} threads");
         }

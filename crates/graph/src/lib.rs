@@ -34,17 +34,13 @@ pub mod stream;
 
 pub use affinity::{epsilon_affinity, gaussian_affinity, knn_affinity, Bandwidth};
 pub use anchor::{
-    anchor_view_factor, anchor_weights, anchor_weights_sparse, anchor_weights_sparse_with_threads,
-    normalized_factor, normalized_factor_sparse, normalized_factor_with, select_anchors,
-    select_anchors_with_threads,
+    anchor_view_factor, anchor_weights, anchor_weights_sparse, normalized_factor, normalized_factor_sparse,
+    normalized_factor_with, select_anchors,
 };
 pub use umsc_op::SparseFactor;
 pub use can::adaptive_neighbor_affinity;
 pub use components::{connected_components, num_components};
-pub use distance::{
-    cosine_distance_matrix, cosine_distance_matrix_with_threads, pairwise_sq_distances,
-    pairwise_sq_distances_with_threads, Metric, TILE_ROWS,
-};
+pub use distance::{cosine_distance_matrix, pairwise_sq_distances, Metric, TILE_ROWS};
 pub use laplacian::{degrees, normalized_laplacian, normalized_laplacian_sparse, unnormalized_laplacian};
 pub use sparse::CsrMatrix;
-pub use stream::{neighbor_graph, neighbor_graph_with_threads, Neighbors};
+pub use stream::{neighbor_graph, Neighbors};

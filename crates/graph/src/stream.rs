@@ -33,7 +33,7 @@
 
 use crate::affinity::Bandwidth;
 use crate::can::write_simplex_weights;
-use crate::distance::{default_threads, tile_row, Metric, TILE_ROWS};
+use crate::distance::{gram_threads, tile_row, Metric, TILE_ROWS};
 use crate::sparse::CsrMatrix;
 use umsc_linalg::Matrix;
 
@@ -310,21 +310,19 @@ impl Builder {
 /// upper-triangular distance tiles (see the module docs). Equal, entry for
 /// entry, to [`crate::knn_affinity`] / [`crate::epsilon_affinity`] /
 /// [`crate::adaptive_neighbor_affinity`] on the full distance matrix of `x`
-/// under `metric`. Large inputs are threaded; see
-/// [`neighbor_graph_with_threads`].
+/// under `metric`.
+///
+/// Threaded past the flop gate on the Gram tiles' `n·n·d`: threads split
+/// each tile's rows, and the selectors, into disjoint sets; the mean sum
+/// stays sequential, so the output is bitwise-identical for every thread
+/// count.
 ///
 /// # Panics
 /// Panics if a k-NN or CAN `k` is 0, an ε is not positive and finite, or a
 /// `Global` bandwidth is not positive.
 pub fn neighbor_graph(x: &Matrix, metric: Metric, neighbors: Neighbors) -> CsrMatrix {
-    neighbor_graph_with_threads(default_threads(x.rows()), x, metric, neighbors)
-}
-
-/// [`neighbor_graph`] with an explicit thread count. Threads split each
-/// tile's rows, and the selectors, into disjoint sets; the mean sum stays
-/// sequential, so the output is bitwise-identical for every thread count.
-pub fn neighbor_graph_with_threads(threads: usize, x: &Matrix, metric: Metric, neighbors: Neighbors) -> CsrMatrix {
     let n = x.rows();
+    let threads = gram_threads(x);
     let norms = metric.row_norms(x);
     let mut b = Builder::new(n, neighbors);
     let mut tile = vec![0.0; TILE_ROWS.min(n) * n];
@@ -351,7 +349,8 @@ pub fn neighbor_graph_with_threads(threads: usize, x: &Matrix, metric: Metric, n
 pub(crate) fn affinity_from_distances(dist_sq: &Matrix, neighbors: Neighbors) -> CsrMatrix {
     let n = dist_sq.rows();
     let mut b = Builder::new(n, neighbors);
-    b.absorb(default_threads(n), 0, n, dist_sq.as_slice(), n);
+    // Each of the n² entries is offered to a selector of kk slots.
+    b.absorb(umsc_rt::par::threads_for(n * n * b.kk), 0, n, dist_sq.as_slice(), n);
     b.finish()
 }
 

@@ -10,6 +10,7 @@ use umsc_graph::{
 use umsc_linalg::Matrix;
 use umsc_op::{dense_rows_into, LinOp, LowRankAnchor};
 use umsc_rt::check::{check, Config};
+use umsc_rt::par::with_threads;
 use umsc_rt::{ensure, Rng};
 
 fn cfg() -> Config {
@@ -158,11 +159,13 @@ fn sparse_low_rank_apply_matches_dense_kernel_bitwise() {
             for threads in 1..=4 {
                 // The built factor's own products, as the anchor fit runs them.
                 let (mut t, mut y) = (vec![f64::NAN; m * ncols], vec![f64::NAN; n * ncols]);
-                b.mul_transpose_into_with(threads, &x, ncols, &mut t);
-                b.mul_into_with(threads, &t, ncols, &mut y);
+                with_threads(threads, || {
+                    b.mul_transpose_into(&x, ncols, &mut t);
+                    b.mul_into(&t, ncols, &mut y);
+                });
                 assert_eq!(y, expect, "{what} ncols={ncols} threads={threads}");
                 let mut y = vec![f64::NAN; n * ncols];
-                compacted.apply_block_into_with(threads, &x, ncols, &mut y);
+                with_threads(threads, || compacted.apply_block_into(&x, ncols, &mut y));
                 assert_eq!(y, expect, "{what} ncols={ncols} threads={threads} compacted");
             }
             let mut y = vec![f64::NAN; n * ncols];
@@ -188,10 +191,10 @@ fn sparse_factor_products_match_dense_matmuls_bitwise() {
         let p = Matrix::from_fn(m, c, |_, _| rng.normal());
         for threads in 1..=4 {
             let mut btf = vec![f64::NAN; m * c];
-            b.mul_transpose_into_with(threads, f.as_slice(), c, &mut btf);
-            assert_eq!(btf, bd.matmul_transpose_a_with_threads(threads, &f).as_slice(), "{what} Bᵀ·F");
+            with_threads(threads, || b.mul_transpose_into(f.as_slice(), c, &mut btf));
+            assert_eq!(btf, with_threads(threads, || bd.matmul_transpose_a(&f)).as_slice(), "{what} Bᵀ·F");
             let mut bp = vec![f64::NAN; n * c];
-            b.mul_into_with(threads, p.as_slice(), c, &mut bp);
+            with_threads(threads, || b.mul_into(p.as_slice(), c, &mut bp));
             let mut dense_bp = vec![f64::NAN; n * c];
             dense_rows_into(threads, bd.as_slice(), m, p.as_slice(), c, &mut dense_bp);
             assert_eq!(bp, dense_bp, "{what} B·P");

@@ -4,13 +4,13 @@
 //! sort-based and dense constructions they replaced.
 
 use umsc_graph::{
-    adaptive_neighbor_affinity, anchor_weights, anchor_weights_sparse, anchor_weights_sparse_with_threads,
-    cosine_distance_matrix, degrees, epsilon_affinity, gaussian_affinity, knn_affinity, neighbor_graph,
-    neighbor_graph_with_threads, normalized_laplacian, pairwise_sq_distances, select_anchors,
-    select_anchors_with_threads, unnormalized_laplacian, Bandwidth, CsrMatrix, Metric, Neighbors, TILE_ROWS,
+    adaptive_neighbor_affinity, anchor_weights, anchor_weights_sparse, cosine_distance_matrix, degrees,
+    epsilon_affinity, gaussian_affinity, knn_affinity, neighbor_graph, normalized_laplacian, pairwise_sq_distances,
+    select_anchors, unnormalized_laplacian, Bandwidth, CsrMatrix, Metric, Neighbors, TILE_ROWS,
 };
 use umsc_linalg::{LinOp, Matrix, SymEigen};
 use umsc_rt::check::{check, Config};
+use umsc_rt::par::with_threads;
 use umsc_rt::{ensure, Rng};
 
 fn cfg() -> Config {
@@ -139,7 +139,7 @@ mod oracle {
 
     pub fn distances(x: &Matrix, metric: Metric) -> Matrix {
         let n = x.rows();
-        let gram = x.matmul_transpose_b_with_threads(1, x);
+        let gram = umsc_rt::par::with_threads(1, || x.matmul_transpose_b(x));
         let sq: Vec<f64> = (0..n).map(|i| umsc_linalg::ops::dot(x.row(i), x.row(i))).collect();
         let norms: Vec<f64> = (0..n).map(|i| umsc_linalg::ops::norm2(x.row(i))).collect();
         Matrix::from_fn(n, n, |i, j| {
@@ -388,7 +388,7 @@ fn streamed_graph_matches_sort_based_oracle_bitwise() {
                         let ctx = format!("n={n} {what} {metric:?} {neighbors:?}");
                         assert!(same_csr(&front, &expect), "precomputed front-end, {ctx}:\n{front:?}\n{expect:?}");
                         for threads in [1, 2, 3, 8] {
-                            let got = neighbor_graph_with_threads(threads, &x, metric, neighbors);
+                            let got = with_threads(threads, || neighbor_graph(&x, metric, neighbors));
                             assert!(same_csr(&got, &expect), "streamed builder, {ctx}, threads={threads}");
                         }
                     }
@@ -402,7 +402,7 @@ fn streamed_graph_matches_sort_based_oracle_bitwise() {
                     assert_eq!(bits(&front), bits(&expect), "precomputed front-end, {ctx}");
                     let expect = CsrMatrix::from_dense(&expect, 0.0);
                     for threads in [1, 2, 3, 8] {
-                        let got = neighbor_graph_with_threads(threads, &x, metric, Neighbors::Adaptive { k });
+                        let got = with_threads(threads, || neighbor_graph(&x, metric, Neighbors::Adaptive { k }));
                         assert!(same_csr(&got, &expect), "streamed builder, {ctx}, threads={threads}");
                     }
                 }
@@ -481,14 +481,14 @@ fn threaded_anchor_graph_matches_sequential_oracle_bitwise() {
                     let ctx = format!("n={n} d={d} {what} m={m}");
                     assert_eq!(bits(&select_anchors(&x, m, seed)), bits(&anchors), "select_anchors, {ctx}");
                     for threads in [1, 2, 3, 8] {
-                        let got = select_anchors_with_threads(threads, &x, m, seed);
+                        let got = with_threads(threads, || select_anchors(&x, m, seed));
                         assert_eq!(bits(&got), bits(&anchors), "select_anchors, {ctx}, threads={threads}");
                     }
                     for k in 1..=m {
                         let expect = CsrMatrix::from_dense(&oracle::anchor_weights(&x, &anchors, k), 0.0);
                         assert!(same_csr(&anchor_weights_sparse(&x, &anchors, k), &expect), "weights, {ctx} k={k}");
                         for threads in [1, 2, 3, 8] {
-                            let got = anchor_weights_sparse_with_threads(threads, &x, &anchors, k);
+                            let got = with_threads(threads, || anchor_weights_sparse(&x, &anchors, k));
                             assert!(same_csr(&got, &expect), "weights, {ctx} k={k}, threads={threads}");
                         }
                     }

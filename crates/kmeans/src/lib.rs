@@ -105,27 +105,16 @@ impl KMeansResult {
 /// assert!(res.inertia < 0.1);
 /// ```
 ///
+/// The assignment sweeps are threaded past the flop gate on a Lloyd
+/// sweep's `2·n·d·k`. Each point's nearest centroid is found independently
+/// and the inertia is summed sequentially in point order afterwards, so
+/// the result is bitwise-identical for every thread count.
+///
 /// # Panics
 /// Panics if `cfg.k == 0`, `cfg.k > x.rows()`, or `x` has no columns while
 /// having rows.
 pub fn kmeans(x: &Matrix, cfg: &KMeansConfig) -> KMeansResult {
-    // Assignment work per Lloyd iteration is ~n·k·d flops; below the
-    // threshold thread spawns cost more than they save.
-    let work = x.rows() * x.cols().max(1) * cfg.k;
-    let t = if work >= PAR_WORK_THRESHOLD { umsc_rt::par::max_threads() } else { 1 };
-    kmeans_with_threads(x, cfg, t)
-}
-
-/// Per-iteration assignment work (≈ `n·d·k`) below which [`kmeans`] stays
-/// sequential.
-const PAR_WORK_THRESHOLD: usize = 1 << 16;
-
-/// [`kmeans`] with an explicit thread count for the assignment sweeps.
-///
-/// Each point's nearest centroid is found independently and the inertia is
-/// summed sequentially in point order afterwards, so the result is
-/// bitwise-identical for every thread count.
-pub fn kmeans_with_threads(x: &Matrix, cfg: &KMeansConfig, threads: usize) -> KMeansResult {
+    let threads = umsc_rt::par::threads_for(2 * x.rows() * x.cols().max(1) * cfg.k);
     let n = x.rows();
     assert!(cfg.k >= 1, "kmeans: k must be >= 1");
     assert!(cfg.k <= n, "kmeans: k = {} exceeds n = {n}", cfg.k);
@@ -325,6 +314,7 @@ pub fn labeling_inertia(x: &Matrix, labels: &[usize], k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use umsc_rt::par::with_threads;
 
     fn three_blobs() -> (Matrix, Vec<usize>) {
         let mut rows = Vec::new();
@@ -431,9 +421,9 @@ mod tests {
     fn threaded_assignment_is_bitwise_identical() {
         let (x, _) = three_blobs();
         let cfg = KMeansConfig::new(3).with_seed(13);
-        let seq = kmeans_with_threads(&x, &cfg, 1);
+        let seq = with_threads(1, || kmeans(&x, &cfg));
         for t in [2, 3, 4, 8] {
-            let par = kmeans_with_threads(&x, &cfg, t);
+            let par = with_threads(t, || kmeans(&x, &cfg));
             assert_eq!(seq.labels, par.labels, "labels differ at {t} threads");
             assert_eq!(seq.inertia.to_bits(), par.inertia.to_bits(), "inertia differs at {t} threads");
             assert_eq!(seq.centroids.as_slice(), par.centroids.as_slice());
@@ -465,7 +455,7 @@ mod tests {
         let mut seeds_with_repair = 0usize;
         for seed in 0..50u64 {
             let cfg = KMeansConfig::new(k).with_seed(seed).with_restarts(1);
-            let res = kmeans_with_threads(&x, &cfg, 1);
+            let res = kmeans(&x, &cfg);
             if res.repairs > 0 {
                 seeds_with_repair += 1;
             }
@@ -485,8 +475,7 @@ mod tests {
             // point's inertia contribution).
             let mut prev = f64::INFINITY;
             for max_iter in 1..=4 {
-                let partial =
-                    kmeans_with_threads(&x, &KMeansConfig { max_iter, ..cfg.clone() }, 1);
+                let partial = kmeans(&x, &KMeansConfig { max_iter, ..cfg.clone() });
                 assert!(
                     partial.inertia <= prev + 1e-12,
                     "objective rose (seed {seed}, max_iter {max_iter}): {prev} -> {}",

@@ -229,7 +229,7 @@ impl Matrix {
     /// Matrix product `self · other`.
     ///
     /// Runs the workspace's dense row kernel [`umsc_op::dense_rows_into`],
-    /// threaded past the flop gate [`umsc_op::gate_threads`]. Every output
+    /// threaded past the flop gate [`umsc_rt::par::threads_for`]. Every output
     /// element is accumulated in the order of the sequential triple loop
     /// (`p` ascending from an exact `0.0`, skipping exact zeros of `self`),
     /// so the result is bitwise-identical for any thread count.
@@ -260,7 +260,7 @@ impl Matrix {
             "Matrix::matmul_into: out is {}x{}, expected {}x{}",
             out.rows, out.cols, self.rows, other.cols
         );
-        let threads = umsc_op::gate_threads(2 * self.rows * self.cols * other.cols);
+        let threads = umsc_rt::par::threads_for(2 * self.rows * self.cols * other.cols);
         umsc_op::dense_rows_into(threads, &self.data, self.cols, &other.data, other.cols, &mut out.data);
     }
 
@@ -271,15 +271,8 @@ impl Matrix {
     /// slice of `self`, so accumulation order per element is unchanged and
     /// the result is bitwise-identical for any thread count.
     pub fn matmul_transpose_a(&self, other: &Matrix) -> Matrix {
-        let flops = 2 * self.rows * self.cols * other.cols;
-        self.matmul_transpose_a_with_threads(umsc_op::gate_threads(flops), other)
-    }
-
-    /// [`Matrix::matmul_transpose_a`] with an explicit thread count
-    /// (`threads <= 1` runs inline; no work-size gate).
-    pub fn matmul_transpose_a_with_threads(&self, threads: usize, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.cols, other.cols);
-        self.matmul_transpose_a_impl(threads, other, &mut out);
+        self.matmul_transpose_a_into(other, &mut out);
         out
     }
 
@@ -290,16 +283,6 @@ impl Matrix {
     /// Panics if the row counts differ or `out` is not
     /// `self.cols × other.cols`.
     pub fn matmul_transpose_a_into(&self, other: &Matrix, out: &mut Matrix) {
-        let flops = 2 * self.rows * self.cols * other.cols;
-        out.data.fill(0.0);
-        self.matmul_transpose_a_impl(umsc_op::gate_threads(flops), other, out);
-    }
-
-    /// `out` must be `cols × other.cols` and zeroed. Each worker owns a
-    /// contiguous block of output rows `ilo..ihi` and runs the `p`-outer
-    /// sequential kernel reading the contiguous slice `self[p][ilo..ihi]`,
-    /// so both operands stream linearly.
-    fn matmul_transpose_a_impl(&self, threads: usize, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, other.rows,
             "Matrix::matmul_transpose_a: row mismatch ({}x{} vs {}x{})",
@@ -315,6 +298,11 @@ impl Matrix {
         if m == 0 || n == 0 {
             return;
         }
+        out.data.fill(0.0);
+        // Each worker owns a contiguous block of output rows `ilo..ihi` and
+        // runs the `p`-outer sequential kernel reading the contiguous slice
+        // `self[p][ilo..ihi]`, so both operands stream linearly.
+        let threads = umsc_rt::par::threads_for(2 * k * m * n);
         let rows_per = m.div_ceil(threads.max(1));
         let a_data = &self.data;
         let b_data = &other.data;
@@ -342,14 +330,8 @@ impl Matrix {
     /// Threaded by output row like [`Matrix::matmul`]; bitwise-identical
     /// to the sequential loop for any thread count.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
-        let flops = 2 * self.rows * self.cols * other.rows;
-        self.matmul_transpose_b_with_threads(umsc_op::gate_threads(flops), other)
-    }
-
-    /// [`Matrix::matmul_transpose_b`] with an explicit thread count.
-    pub fn matmul_transpose_b_with_threads(&self, threads: usize, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
-        self.matmul_transpose_b_impl(threads, other, &mut out);
+        self.matmul_transpose_b_into(other, &mut out);
         out
     }
 
@@ -360,12 +342,6 @@ impl Matrix {
     /// Panics if the column counts differ or `out` is not
     /// `self.rows × other.rows`.
     pub fn matmul_transpose_b_into(&self, other: &Matrix, out: &mut Matrix) {
-        let flops = 2 * self.rows * self.cols * other.rows;
-        self.matmul_transpose_b_impl(umsc_op::gate_threads(flops), other, out);
-    }
-
-    /// One [`abt_row`] per output row; `out` is fully overwritten.
-    fn matmul_transpose_b_impl(&self, threads: usize, other: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, other.cols,
             "Matrix::matmul_transpose_b: column mismatch ({}x{} vs {}x{})",
@@ -381,6 +357,7 @@ impl Matrix {
         if n == 0 {
             return;
         }
+        let threads = umsc_rt::par::threads_for(2 * m * k * n);
         let a_data = &self.data;
         let b_data = &other.data;
         umsc_rt::par::parallel_chunks_mut_with(threads, &mut out.data, n, |i, orow| {
@@ -704,6 +681,7 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use umsc_rt::par::with_threads;
 
     fn a23() -> Matrix {
         Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -783,7 +761,7 @@ mod tests {
     #[test]
     fn gram_blocks_match_full_gram_bitwise() {
         let x = Matrix::from_fn(23, 5, |i, j| ((i * 7 + j * 3) as f64).sin() * (i as f64 - 9.5));
-        let full = x.matmul_transpose_b_with_threads(1, &x);
+        let full = with_threads(1, || x.matmul_transpose_b(&x));
         for (rows, cols) in [(0..23, 0..23), (4..9, 4..23), (17..23, 0..6), (3..3, 0..5), (5..6, 22..23)] {
             // Stride wider than the block: the gaps must stay untouched.
             let ld = cols.len() + 3;
@@ -908,9 +886,9 @@ mod tests {
         let mut rng = umsc_rt::Rng::from_seed(32);
         let a = Matrix::from_fn(23, 17, |_, _| rng.normal());
         let c = Matrix::from_fn(31, 17, |_, _| rng.normal());
-        let seq = a.matmul_transpose_b_with_threads(1, &c);
+        let seq = with_threads(1, || a.matmul_transpose_b(&c));
         for t in [2, 4, 7] {
-            let par = a.matmul_transpose_b_with_threads(t, &c);
+            let par = with_threads(t, || a.matmul_transpose_b(&c));
             assert_eq!(seq.as_slice(), par.as_slice(), "matmul_transpose_b differs at {t} threads");
         }
         assert_eq!(a.matmul_transpose_b(&c).as_slice(), seq.as_slice());
@@ -964,17 +942,17 @@ mod tests {
     fn threaded_matmul_transpose_a_is_bitwise_identical() {
         let a = random_with_zeros(41, 27, 105);
         let b = random_with_zeros(41, 33, 106);
-        let seq = a.matmul_transpose_a_with_threads(1, &b);
+        let seq = with_threads(1, || a.matmul_transpose_a(&b));
         // Sequential path matches the naive definition.
         assert_eq!(seq.as_slice(), naive_matmul(&a.transpose(), &b).as_slice());
         for t in [2, 3, 5, 8] {
-            let par = a.matmul_transpose_a_with_threads(t, &b);
+            let par = with_threads(t, || a.matmul_transpose_a(&b));
             assert_eq!(seq.as_slice(), par.as_slice(), "matmul_transpose_a differs at {t} threads");
         }
         assert_eq!(a.matmul_transpose_a(&b).as_slice(), seq.as_slice());
         // Edge shapes.
-        assert_eq!(Matrix::zeros(0, 3).matmul_transpose_a_with_threads(4, &Matrix::zeros(0, 2)).shape(), (3, 2));
-        assert_eq!(Matrix::zeros(3, 0).matmul_transpose_a_with_threads(4, &Matrix::zeros(3, 2)).shape(), (0, 2));
+        assert_eq!(with_threads(4, || Matrix::zeros(0, 3).matmul_transpose_a(&Matrix::zeros(0, 2))).shape(), (3, 2));
+        assert_eq!(with_threads(4, || Matrix::zeros(3, 0).matmul_transpose_a(&Matrix::zeros(3, 2))).shape(), (0, 2));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Dense operator node: a borrowed row-major `n × n` matrix.
 
-use crate::{gate_threads, LinOp};
+use crate::LinOp;
+use umsc_rt::par::threads_for;
 
 /// A dense symmetric operator over a borrowed row-major `n × n` slice.
 ///
@@ -83,7 +84,7 @@ impl LinOp for DenseOp<'_> {
         let n = self.n;
         assert_eq!(x.len(), n * ncols, "DenseOp::apply_block_into: x length mismatch");
         assert_eq!(y.len(), n * ncols, "DenseOp::apply_block_into: y length mismatch");
-        dense_rows_into(gate_threads(2 * n * n * ncols), self.data, n, x, ncols, y);
+        dense_rows_into(threads_for(2 * n * n * ncols), self.data, n, x, ncols, y);
     }
 }
 

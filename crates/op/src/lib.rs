@@ -20,10 +20,10 @@
 //! [`dense_rows_into`] or [`csr_rows_into`] (`Matrix::matmul*` and the
 //! anchor factors call them too), and every node follows three rules:
 //!
-//! * **Parallel past a work-size gate.** Applies thread via
-//!   [`umsc_rt::par`] once [`gate_threads`] says the estimated flop count
-//!   pays for the spawn; below it they run inline so small problems never
-//!   pay thread-spawn latency. It is the workspace's one flop gate.
+//! * **Parallel past the flop gate.** Applies thread via [`umsc_rt::par`]
+//!   once [`umsc_rt::par::threads_for`] says the estimated flop count pays
+//!   for the spawn (a 2-thread call costs 78–87 µs on 2 cores); below it
+//!   they run inline, and so does an apply made inside a `par` worker.
 //! * **Bitwise identity.** Work is partitioned so that every output
 //!   element is accumulated in the same order (ascending index, from an
 //!   exact `0.0`) regardless of thread count. Parallel results are
@@ -49,21 +49,6 @@ pub use dense::{dense_rows_into, DenseOp};
 pub use lowrank::{LowRankAnchor, SparseFactor};
 pub use sparse::{csr_rows_into, CsrOp};
 
-/// Minimum estimated flop count before a product engages worker threads:
-/// a thread spawn costs ~10 µs, a flop well under a ns.
-const PAR_FLOP_THRESHOLD: usize = 1 << 18;
-
-/// Thread count for a job of `flops` floating-point operations: all
-/// available threads past the workspace's one flop gate, inline below it.
-/// Every gated product (the operator nodes, `Matrix::matmul*`) asks here.
-pub fn gate_threads(flops: usize) -> usize {
-    if flops >= PAR_FLOP_THRESHOLD {
-        umsc_rt::par::max_threads()
-    } else {
-        1
-    }
-}
-
 /// Elementwise map over `y` (with the element's index), threaded past
 /// the flop gate. Every element is computed independently, so the result
 /// is bitwise-identical for any thread count.
@@ -71,7 +56,7 @@ pub(crate) fn map_indexed_gated(flops: usize, y: &mut [f64], f: impl Fn(usize, &
     if y.is_empty() {
         return;
     }
-    let threads = gate_threads(flops);
+    let threads = umsc_rt::par::threads_for(flops);
     let chunk = y.len().div_ceil(threads.max(1));
     umsc_rt::par::parallel_chunks_mut_with(threads, y, chunk, |ci, ych| {
         let base = ci * chunk;

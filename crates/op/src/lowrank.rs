@@ -4,7 +4,8 @@
 use std::marker::PhantomData;
 
 use crate::sparse::csr_rows_into;
-use crate::{gate_threads, new_scratch, LinOp, Scratch};
+use crate::{new_scratch, LinOp, Scratch};
+use umsc_rt::par::{threads_for, with_threads};
 
 /// A sparse `n × m` factor `Z` (an anchor graph's `B = Z·Λ^{-1/2}`, with
 /// `k ≪ m` nonzeros per row), stored in CSR twice: by rows for `Z·T`, and
@@ -182,7 +183,10 @@ impl SparseFactor {
     /// # Panics
     /// Panics on length mismatch.
     pub fn mul_into(&self, t: &[f64], ncols: usize, y: &mut [f64]) {
-        self.mul_into_with(gate_threads(2 * self.nnz() * ncols), t, ncols, y);
+        assert_eq!(t.len(), self.m * ncols, "SparseFactor::mul_into: t length mismatch");
+        assert_eq!(y.len(), self.n * ncols, "SparseFactor::mul_into: y length mismatch");
+        let threads = threads_for(2 * self.nnz() * ncols);
+        csr_rows_into(threads, &self.row_ptr, &self.col_idx, &self.values, t, ncols, y);
     }
 
     /// `T = Zᵀ·X` for a row-major `n × ncols` block `X`; overwrites the
@@ -191,20 +195,9 @@ impl SparseFactor {
     /// # Panics
     /// Panics on length mismatch.
     pub fn mul_transpose_into(&self, x: &[f64], ncols: usize, t: &mut [f64]) {
-        self.mul_transpose_into_with(gate_threads(2 * self.nnz() * ncols), x, ncols, t);
-    }
-
-    /// [`SparseFactor::mul_into`] with an explicit thread count.
-    pub fn mul_into_with(&self, threads: usize, t: &[f64], ncols: usize, y: &mut [f64]) {
-        assert_eq!(t.len(), self.m * ncols, "SparseFactor::mul_into: t length mismatch");
-        assert_eq!(y.len(), self.n * ncols, "SparseFactor::mul_into: y length mismatch");
-        csr_rows_into(threads, &self.row_ptr, &self.col_idx, &self.values, t, ncols, y);
-    }
-
-    /// [`SparseFactor::mul_transpose_into`] with an explicit thread count.
-    pub fn mul_transpose_into_with(&self, threads: usize, x: &[f64], ncols: usize, t: &mut [f64]) {
         assert_eq!(x.len(), self.n * ncols, "SparseFactor::mul_transpose_into: x length mismatch");
         assert_eq!(t.len(), self.m * ncols, "SparseFactor::mul_transpose_into: t length mismatch");
+        let threads = threads_for(2 * self.nnz() * ncols);
         csr_rows_into(threads, &self.t_ptr, &self.t_idx, &self.t_values, x, ncols, t);
     }
 }
@@ -237,11 +230,16 @@ impl LowRankAnchor<'_> {
         assert_eq!(z.len(), n * m, "LowRankAnchor::new: factor is not n x m");
         LowRankAnchor { z: SparseFactor::from_dense(n, m, z), scratch: new_scratch(), _named: PhantomData }
     }
+}
 
-    /// [`LinOp::apply_block_into`] with an explicit thread count
-    /// (`threads <= 1` runs inline; no work-size gate). The vector apply
-    /// is the `ncols == 1` case. Exposed for the bitwise-identity tests.
-    pub fn apply_block_into_with(&self, threads: usize, x: &[f64], ncols: usize, y: &mut [f64]) {
+impl LinOp for LowRankAnchor<'_> {
+    fn dim(&self) -> usize {
+        self.z.n
+    }
+
+    /// Both products run on the thread count gated on the whole apply's
+    /// flops; the vector apply is the `ncols == 1` case.
+    fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
         let (n, m) = self.z.shape();
         assert_eq!(x.len(), n * ncols, "LowRankAnchor::apply_block_into: x length mismatch");
         assert_eq!(y.len(), n * ncols, "LowRankAnchor::apply_block_into: y length mismatch");
@@ -250,19 +248,10 @@ impl LowRankAnchor<'_> {
         }
         let mut scratch = self.scratch.borrow_mut();
         let t = scratch.ensure(m * ncols);
-        self.z.mul_transpose_into_with(threads, x, ncols, t);
-        self.z.mul_into_with(threads, t, ncols, y);
-    }
-}
-
-impl LinOp for LowRankAnchor<'_> {
-    fn dim(&self) -> usize {
-        self.z.n
-    }
-
-    fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        let flops = 4 * self.z.nnz() * ncols;
-        self.apply_block_into_with(gate_threads(flops), x, ncols, y);
+        with_threads(threads_for(4 * self.z.nnz() * ncols), || {
+            self.z.mul_transpose_into(x, ncols, t);
+            self.z.mul_into(t, ncols, y);
+        });
     }
 }
 
@@ -324,7 +313,7 @@ mod tests {
             let op = LowRankAnchor::new(n, m, &z);
 
             let mut reference = vec![f64::NAN; n * k];
-            op.apply_block_into_with(1, &x, k, &mut reference);
+            with_threads(1, || op.apply_block_into(&x, k, &mut reference));
             let expect = naive(n, m, &z, &x, k);
             for (r, e) in reference.iter().zip(expect.iter()) {
                 assert!((r - e).abs() < 1e-13, "n={n} m={m} k={k}");
@@ -332,7 +321,7 @@ mod tests {
 
             for threads in [2, 3, 7] {
                 let mut y = vec![f64::NAN; n * k];
-                op.apply_block_into_with(threads, &x, k, &mut y);
+                with_threads(threads, || op.apply_block_into(&x, k, &mut y));
                 assert_eq!(y, reference, "n={n} m={m} k={k} threads={threads}");
             }
         }

@@ -1,6 +1,7 @@
 //! CSR operator node: borrowed compressed-sparse-row storage.
 
-use crate::{gate_threads, LinOp};
+use crate::LinOp;
+use umsc_rt::par::threads_for;
 
 /// A sparse operator over borrowed CSR arrays.
 ///
@@ -98,7 +99,7 @@ impl LinOp for CsrOp<'_> {
         let n = self.n;
         assert_eq!(x.len(), n, "CsrOp::apply_into: x length mismatch");
         assert_eq!(y.len(), n, "CsrOp::apply_into: y length mismatch");
-        let threads = gate_threads(2 * self.nnz());
+        let threads = threads_for(2 * self.nnz());
         if n > 0 {
             // One contiguous run of rows per worker.
             umsc_obs::counter!("spmv.row_chunks", n.div_ceil(n.div_ceil(threads.max(1))));
@@ -110,7 +111,7 @@ impl LinOp for CsrOp<'_> {
         let n = self.n;
         assert_eq!(x.len(), n * ncols, "CsrOp::apply_block_into: x length mismatch");
         assert_eq!(y.len(), n * ncols, "CsrOp::apply_block_into: y length mismatch");
-        let threads = gate_threads(2 * self.nnz() * ncols);
+        let threads = threads_for(2 * self.nnz() * ncols);
         csr_rows_into(threads, self.row_ptr, self.col_idx, self.values, x, ncols, y);
     }
 }

@@ -2,12 +2,13 @@
 //! once warm: after one apply at a given shape (which sizes any internal
 //! scratch), repeated applies must not touch the heap at all.
 //!
-//! Threads are pinned to one (`UMSC_THREADS=1`): spawning workers
+//! Threads are pinned to one (`with_threads(1, ..)`): spawning workers
 //! allocates stacks, and the counters are thread-local — the point here
 //! is the nodes' own memory behavior, not the runtime's.
 
 use umsc_op::{CsrOp, DenseOp, DiagShift, LinOp, LowRankAnchor, WeightedSum};
 use umsc_rt::alloc_track::{measure, CountingAlloc};
+use umsc_rt::par::with_threads;
 use umsc_rt::Rng;
 
 #[global_allocator]
@@ -64,24 +65,25 @@ fn assert_warm_applies_are_alloc_free(op: &dyn LinOp, label: &str) {
 
 #[test]
 fn all_nodes_are_allocation_free_once_warm() {
-    std::env::set_var("UMSC_THREADS", "1");
-    let n = 60;
-    let m = 9;
+    with_threads(1, || {
+        let n = 60;
+        let m = 9;
 
-    let dense = random(n * n, 10);
-    assert_warm_applies_are_alloc_free(&DenseOp::new(n, &dense), "DenseOp");
+        let dense = random(n * n, 10);
+        assert_warm_applies_are_alloc_free(&DenseOp::new(n, &dense), "DenseOp");
 
-    let (rp, ci, vals) = random_csr(n, 6, 11);
-    assert_warm_applies_are_alloc_free(&CsrOp::new(n, &rp, &ci, &vals), "CsrOp");
+        let (rp, ci, vals) = random_csr(n, 6, 11);
+        assert_warm_applies_are_alloc_free(&CsrOp::new(n, &rp, &ci, &vals), "CsrOp");
 
-    let z = random(n * m, 12);
-    assert_warm_applies_are_alloc_free(&LowRankAnchor::new(n, m, &z), "LowRankAnchor");
+        let z = random(n * m, 12);
+        assert_warm_applies_are_alloc_free(&LowRankAnchor::new(n, m, &z), "LowRankAnchor");
 
-    // A composed operator: σI − Σ_v w_v A_v over CSR views.
-    let views: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> =
-        (0..3).map(|v| random_csr(n, 5, 20 + v)).collect();
-    let ops: Vec<CsrOp<'_>> =
-        views.iter().map(|(rp, ci, vals)| CsrOp::new(n, rp, ci, vals)).collect();
-    let fused = WeightedSum::with_weights(ops, &[0.3, 0.5, 0.2]);
-    assert_warm_applies_are_alloc_free(&DiagShift::new(2.0, &fused), "DiagShift(WeightedSum)");
+        // A composed operator: σI − Σ_v w_v A_v over CSR views.
+        let views: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> =
+            (0..3).map(|v| random_csr(n, 5, 20 + v)).collect();
+        let ops: Vec<CsrOp<'_>> =
+            views.iter().map(|(rp, ci, vals)| CsrOp::new(n, rp, ci, vals)).collect();
+        let fused = WeightedSum::with_weights(ops, &[0.3, 0.5, 0.2]);
+        assert_warm_applies_are_alloc_free(&DiagShift::new(2.0, &fused), "DiagShift(WeightedSum)");
+    })
 }

@@ -18,8 +18,8 @@
 //! libtest harness thread prints progress lines — lazily allocating its
 //! stdout buffer — in parallel with the test body, and a process-global
 //! counter would flake on that race. The flip side: work done on
-//! *spawned* threads is invisible to the counters, so callers pin
-//! `UMSC_THREADS=1` when measuring.
+//! *spawned* threads is invisible to the counters, so callers run the
+//! measured code under [`crate::par::with_threads`]`(1, ..)`.
 //!
 //! Peak tracking is relative to the [`measure`] entry point: live bytes
 //! start at zero when measurement begins, grow with every allocation

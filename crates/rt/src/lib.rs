@@ -13,13 +13,16 @@
 //!   sampling. Replaces `rand`.
 //!   The stream is pinned by golden-value tests: dataset seeds documented
 //!   in papers/experiments stay reproducible across refactors.
-//! * [`par`] — a std-only scoped thread pool capped at
-//!   `available_parallelism` (overridable via the `UMSC_THREADS`
-//!   environment variable), exposing [`par::parallel_map`] /
-//!   [`par::parallel_chunks_mut`]. The hot kernels (GEMM, pairwise
-//!   distances, per-view Laplacian construction, k-means assignment
-//!   sweeps) thread through it and are bitwise-identical to their
-//!   sequential paths by construction: work is partitioned into
+//! * [`par`] — std-only scoped threads capped at `available_parallelism`
+//!   (overridable via the `UMSC_THREADS` environment variable), exposing
+//!   [`par::parallel_map_with`] / [`par::parallel_chunks_mut_with`], and
+//!   the workspace's one thread policy: one flop gate
+//!   ([`par::threads_for`]), one level of parallelism (a call made inside
+//!   a worker runs inline) and one scoped override
+//!   ([`par::with_threads`]). The hot kernels (row products, distance
+//!   tiles, per-view graph construction, the anchor build, k-means
+//!   assignment sweeps) thread through it and are bitwise-identical to
+//!   their sequential paths by construction: work is partitioned into
 //!   contiguous, independently-computed blocks and reassembled in order.
 //! * [`check`] + [`bench`] — a seeded property-test harness (N random
 //!   cases, input minimization on failure) and a micro-bench timer.

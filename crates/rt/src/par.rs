@@ -1,33 +1,56 @@
-//! Std-only data parallelism over scoped threads.
+//! Std-only data parallelism over scoped threads, and the workspace's one
+//! thread policy.
 //!
-//! The workspace's hot kernels (GEMM, pairwise distances, per-view graph
-//! construction, k-means assignment sweeps) are all embarrassingly
-//! parallel over rows / items / views. This module gives them one shared
-//! vocabulary with two invariants:
+//! The workspace's hot kernels (row products, distance tiles, per-view
+//! graph construction, k-means assignment sweeps, the anchor build) are
+//! all embarrassingly parallel over rows / items / views. This module
+//! gives them one shared vocabulary and decides every thread count:
 //!
 //! 1. **Determinism.** Work is partitioned into *contiguous* blocks; each
 //!    block is computed independently (no shared accumulators, no
 //!    reduction-order dependence) and results are reassembled in index
 //!    order. A kernel threaded through here is therefore bitwise-identical
 //!    to its sequential execution — asserted by tests next to each kernel.
-//! 2. **Boundedness.** At most [`max_threads`] OS threads exist per call
-//!    (`std::thread::available_parallelism`, overridable with the
-//!    `UMSC_THREADS` environment variable, read once per process). Threads
-//!    are scoped (`std::thread::scope`), so borrows of the caller's data
-//!    need no `'static` bounds and panics propagate at the join.
+//! 2. **One gate.** A kernel asks [`threads_for`] with its estimated flop
+//!    count: all [`max_threads`] past 2¹⁸ flops, one thread below.
+//!    [`max_threads`] is `std::thread::available_parallelism`, overridable
+//!    with the `UMSC_THREADS` environment variable (read once per process).
+//! 3. **One level of parallelism.** Every thread a `parallel_*` call
+//!    spawns marks itself as a worker. Inside a worker, [`threads_for`]
+//!    returns 1 and every `parallel_*` call runs inline, so a call never
+//!    has more than its own thread count of threads working, however its
+//!    kernels nest (e.g. per-view graphs mapped over views, each graph
+//!    threaded over rows when built alone). Threads are scoped
+//!    (`std::thread::scope`), so borrows of the caller's data need no
+//!    `'static` bounds and panics propagate at the join.
+//! 4. **One override.** [`with_threads`] pins the thread count of every
+//!    gated call its closure makes on the calling thread, gate or no gate:
+//!    the determinism tests force parallelism on small inputs and
+//!    single-core machines with it, the allocation tests force one thread,
+//!    and an operator whose apply is two products runs both on the one
+//!    count gated on the whole apply.
 //!
-//! Thread spawn costs ~10µs; callers gate on a work-size threshold and
-//! fall back to the inline path for small inputs. The `*_with` variants
-//! take an explicit thread count — used by the determinism tests (forcing
-//! parallelism on single-core CI) and the speedup benches.
+//! A call that spawns two threads costs 78–87 µs (measured on 2 cores),
+//! which is what the gate pays for.
 
+use std::cell::Cell;
 use std::sync::OnceLock;
+
+/// Estimated flop count from which [`threads_for`] engages every thread.
+const PAR_FLOP_THRESHOLD: usize = 1 << 18;
 
 static MAX_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// Worker cap for the implicit-thread-count entry points: the
-/// `UMSC_THREADS` environment variable if set to a positive integer,
-/// otherwise `std::thread::available_parallelism()` (1 if unknown).
+thread_local! {
+    /// Set on every thread a `parallel_*` call spawns.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The thread count pinned by the innermost [`with_threads`].
+    static PINNED: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Worker cap: the `UMSC_THREADS` environment variable if set to a
+/// positive integer, otherwise `std::thread::available_parallelism()`
+/// (1 if unknown).
 pub fn max_threads() -> usize {
     *MAX_THREADS.get_or_init(|| {
         if let Ok(v) = std::env::var("UMSC_THREADS") {
@@ -41,24 +64,53 @@ pub fn max_threads() -> usize {
     })
 }
 
-/// `(0..n).map(f)` computed on up to [`max_threads`] threads, results in
-/// index order.
-pub fn parallel_map_range<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    parallel_map_range_with(max_threads(), n, f)
+/// Thread count for a job of `flops` floating-point operations: 1 inside
+/// a worker, the [`with_threads`] pin if one is in force, otherwise all
+/// [`max_threads`] from 2¹⁸ flops and 1 below. Every threaded kernel of
+/// the workspace asks here.
+pub fn threads_for(flops: usize) -> usize {
+    if IN_WORKER.get() {
+        1
+    } else if let Some(t) = PINNED.get() {
+        t
+    } else if flops >= PAR_FLOP_THRESHOLD {
+        max_threads()
+    } else {
+        1
+    }
 }
 
-/// [`parallel_map_range`] with an explicit thread count (`threads <= 1`
-/// runs inline).
+/// Runs `f` with [`threads_for`] pinned to `threads` (at least 1) on this
+/// thread. The previous pin is restored when `f` returns or panics.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PINNED.set(self.0);
+        }
+    }
+    let _restore = Restore(PINNED.replace(Some(threads.max(1))));
+    f()
+}
+
+/// Threads a call over `units` work units gets: `threads` clamped to
+/// `1..=units`, and 1 inside a worker.
+fn team(threads: usize, units: usize) -> usize {
+    if IN_WORKER.get() {
+        1
+    } else {
+        threads.max(1).min(units)
+    }
+}
+
+/// `(0..n).map(f)` on up to `threads` threads (`<= 1`, or inside a
+/// worker, runs inline), results in index order.
 pub fn parallel_map_range_with<U, F>(threads: usize, n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let t = threads.max(1).min(n);
+    let t = team(threads, n);
     if t <= 1 {
         return (0..n).map(f).collect();
     }
@@ -70,7 +122,10 @@ where
             .map(|ti| {
                 let lo = ti * block;
                 let hi = ((ti + 1) * block).min(n);
-                s.spawn(move || (lo..hi).map(f).collect::<Vec<U>>())
+                s.spawn(move || {
+                    IN_WORKER.set(true);
+                    (lo..hi).map(f).collect::<Vec<U>>()
+                })
             })
             .collect();
         for h in handles {
@@ -80,18 +135,8 @@ where
     out
 }
 
-/// Maps `f` over a slice on up to [`max_threads`] threads, results in
-/// input order. `f` receives `(index, &item)`.
-pub fn parallel_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    parallel_map_with(max_threads(), items, f)
-}
-
-/// [`parallel_map`] with an explicit thread count.
+/// Maps `f` over a slice on up to `threads` threads, results in input
+/// order. `f` receives `(index, &item)`.
 pub fn parallel_map_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -103,17 +148,9 @@ where
 
 /// Splits `data` into consecutive chunks of `chunk_len` elements (last
 /// chunk may be shorter) and calls `f(chunk_index, chunk)` for each, on up
-/// to [`max_threads`] threads. Chunks are assigned to threads in
-/// contiguous runs, so a chunk is always processed whole by one thread.
-pub fn parallel_chunks_mut<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    parallel_chunks_mut_with(max_threads(), data, chunk_len, f)
-}
-
-/// [`parallel_chunks_mut`] with an explicit thread count.
+/// to `threads` threads (`<= 1`, or inside a worker, runs inline). Chunks
+/// are assigned to threads in contiguous runs, so a chunk is always
+/// processed whole by one thread.
 ///
 /// # Panics
 /// Panics if `chunk_len == 0`.
@@ -124,7 +161,7 @@ where
 {
     assert!(chunk_len > 0, "parallel_chunks_mut: chunk_len must be positive");
     let n_chunks = data.len().div_ceil(chunk_len);
-    let t = threads.max(1).min(n_chunks.max(1));
+    let t = team(threads, n_chunks.max(1));
     if t <= 1 {
         for (i, c) in data.chunks_mut(chunk_len).enumerate() {
             f(i, c);
@@ -144,6 +181,7 @@ where
             let first_chunk = next_chunk;
             next_chunk += head.len().div_ceil(chunk_len);
             s.spawn(move || {
+                IN_WORKER.set(true);
                 for (k, c) in head.chunks_mut(chunk_len).enumerate() {
                     f(first_chunk + k, c);
                 }
@@ -281,5 +319,68 @@ mod tests {
     #[test]
     fn max_threads_is_positive() {
         assert!(max_threads() >= 1);
+    }
+
+    #[test]
+    fn gate_engages_every_thread_at_the_threshold() {
+        assert_eq!(threads_for(0), 1);
+        assert_eq!(threads_for(PAR_FLOP_THRESHOLD - 1), 1);
+        assert_eq!(threads_for(PAR_FLOP_THRESHOLD), max_threads());
+    }
+
+    #[test]
+    fn gated_call_inside_a_worker_sees_one_thread() {
+        let seen = parallel_map_range_with(2, 2, |_| threads_for(usize::MAX));
+        assert_eq!(seen, vec![1, 1]);
+        // A pin on the caller does not reach its workers.
+        let seen = with_threads(4, || {
+            let mut seen = vec![0; 3];
+            parallel_chunks_mut_with(3, &mut seen, 1, |_, s| s[0] = threads_for(usize::MAX));
+            seen
+        });
+        assert_eq!(seen, vec![1, 1, 1]);
+    }
+
+    #[test]
+    fn nested_map_uses_at_most_t_distinct_threads() {
+        use std::collections::HashSet;
+        use std::thread::{current, ThreadId};
+        for t in [2, 3] {
+            let ids: Vec<Vec<ThreadId>> =
+                parallel_map_range_with(t, 6, |_| parallel_map_range_with(t, 6, |_| current().id()));
+            let distinct: HashSet<ThreadId> = ids.into_iter().flatten().collect();
+            assert!(distinct.len() <= t, "{} threads worked for a {t}-thread call", distinct.len());
+            let mut rows = vec![None; 6];
+            parallel_chunks_mut_with(t, &mut rows, 1, |_, row| {
+                let mut inner = [None; 4];
+                parallel_chunks_mut_with(t, &mut inner, 1, |_, v| v[0] = Some(current().id()));
+                assert!(inner.iter().all(|&id| id == Some(current().id())), "nested call left its worker");
+                row[0] = Some(current().id());
+            });
+            assert!(rows.iter().flatten().collect::<HashSet<_>>().len() <= t);
+        }
+    }
+
+    #[test]
+    fn with_threads_overrides_the_gate() {
+        assert_eq!(threads_for(1), 1);
+        with_threads(3, || {
+            assert_eq!(threads_for(1), 3, "below the gate");
+            assert_eq!(threads_for(usize::MAX), 3, "past the gate");
+        });
+        with_threads(0, || assert_eq!(threads_for(usize::MAX), 1, "pins at least one thread"));
+    }
+
+    #[test]
+    fn with_threads_restores_the_previous_pin_after_return_and_panic() {
+        with_threads(5, || {
+            assert_eq!(with_threads(2, || threads_for(1)), 2);
+            assert_eq!(threads_for(1), 5, "after a return");
+            let caught = std::panic::catch_unwind(|| with_threads(7, || panic!("boom")));
+            assert!(caught.is_err());
+            assert_eq!(threads_for(1), 5, "after a panic");
+        });
+        assert_eq!(threads_for(1), 1);
+        assert_eq!(threads_for(usize::MAX), max_threads());
     }
 }

@@ -21,7 +21,7 @@
 //! below one `n × n` `f64` matrix; the example exits non-zero if it does
 //! not (a gate `scripts/verify.sh` relies on).
 //!
-//! The run is pinned to one thread (`UMSC_THREADS=1`): the allocation
+//! The run is pinned to one thread (`with_threads(1, ..)`): the allocation
 //! tracker's counters are thread-local, so worker threads would hide
 //! their share of the traffic and understate the peaks.
 //! Wall times are therefore sequential — relative, not best-case.
@@ -46,7 +46,10 @@ fn human(bytes: u64) -> String {
 }
 
 fn main() {
-    std::env::set_var("UMSC_THREADS", "1");
+    umsc_rt::par::with_threads(1, run)
+}
+
+fn run() {
     let smoke = std::env::var("UMSC_BENCH_SMOKE").is_ok();
     // Smoke n = 600 (~5 tiles): at n ≲ 2·TILE_ROWS the tile alone is most
     // of an n × n matrix and the graph gate would say nothing.
