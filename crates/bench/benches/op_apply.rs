@@ -51,9 +51,9 @@ fn spot_check(n: usize) {
     let x = test_vector(n);
     let (mut yd, mut ys, mut yw) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
     dense_op.apply_into(&x, &mut yd);
-    csr.as_op().apply_into(&x, &mut ys);
+    csr.apply_into(&x, &mut ys);
     assert_eq!(yd, ys, "CSR apply diverges from dense apply");
-    let fused = WeightedSum::with_weights(vec![csr.as_op()], &[1.0]);
+    let fused = WeightedSum::with_weights(vec![&csr], &[1.0]);
     fused.apply_into(&x, &mut yw);
     for (w, s) in yw.iter().zip(ys.iter()) {
         assert_eq!(w, s, "unit WeightedSum diverges from its single member");
@@ -70,10 +70,10 @@ fn bench_vector_apply(samples: usize, sizes: &[usize], anchor: (usize, usize)) {
 
         let dense_op = DenseOp::new(n, a.as_slice());
         g.run(&format!("dense/{n}"), || dense_op.apply_into(black_box(&x), &mut y));
-        let csr_op = csrs[0].as_op();
+        let csr_op = &csrs[0];
         g.run(&format!("csr/{n}"), || csr_op.apply_into(black_box(&x), &mut y));
         let fused =
-            WeightedSum::with_weights(csrs.iter().map(|c| c.as_op()).collect(), &[0.5, 0.3, 0.2]);
+            WeightedSum::with_weights(csrs.iter().collect(), &[0.5, 0.3, 0.2]);
         g.run(&format!("weighted_sum3/{n}"), || fused.apply_into(black_box(&x), &mut y));
     }
     let (n, m) = anchor;
@@ -95,12 +95,12 @@ fn bench_block_apply(samples: usize, sizes: &[usize], ncols: usize, anchor: (usi
         g.run(&format!("dense/{n}x{ncols}"), || {
             dense_op.apply_block_into(black_box(&x), ncols, &mut y)
         });
-        let csr_op = csrs[0].as_op();
+        let csr_op = &csrs[0];
         g.run(&format!("csr/{n}x{ncols}"), || {
             csr_op.apply_block_into(black_box(&x), ncols, &mut y)
         });
         let fused =
-            WeightedSum::with_weights(csrs.iter().map(|c| c.as_op()).collect(), &[0.5, 0.3, 0.2]);
+            WeightedSum::with_weights(csrs.iter().collect(), &[0.5, 0.3, 0.2]);
         g.run(&format!("weighted_sum3/{n}x{ncols}"), || {
             fused.apply_block_into(black_box(&x), ncols, &mut y)
         });
@@ -125,8 +125,8 @@ fn count_dispatch_rates(n: usize, ncols: usize, anchors: usize) {
     let anchor = anchor_operator(n, anchors);
     let x: Vec<f64> = (0..n * ncols).map(|i| ((i * 7 + 1) as f64).sin()).collect();
     let mut y = vec![0.0; n * ncols];
-    csr.as_op().apply_into(&x[..n], &mut y[..n]);
-    csr.as_op().apply_block_into(&x, ncols, &mut y);
+    csr.apply_into(&x[..n], &mut y[..n]);
+    csr.apply_block_into(&x, ncols, &mut y);
     DenseOp::new(n, a.as_slice()).apply_block_into(&x, ncols, &mut y);
     anchor.apply_block_into(&x, ncols, &mut y);
     for (name, value) in umsc_obs::counters_snapshot() {

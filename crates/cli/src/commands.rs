@@ -151,7 +151,7 @@ fn cluster(args: &Args) -> Result<(), String> {
             Some(_) => println!("(no convergence history: solver finished without iterating)"),
             None => println!("(no convergence history: baseline methods do not expose one)"),
         }
-        print_phase_breakdown();
+        print_obs_tables(&umsc_obs::spans_snapshot(), &umsc_obs::counters_snapshot());
     }
     if let Some(path) = args.get("trace") {
         println!("trace:   {path} (umsc-trace/v1; inspect with `umsc trace-report --trace {path}`)");
@@ -192,12 +192,13 @@ fn print_convergence(history: &[IterationStats]) {
     print!("{}", table.render());
 }
 
-/// `--verbose` phase/counter breakdown from the in-process obs registry.
-fn print_phase_breakdown() {
-    let spans = umsc_obs::spans_snapshot();
-    if !spans.is_empty() {
+/// The phases table (count, total, mean, max) and the counters table,
+/// each skipped when empty: `cluster --verbose` prints them from the
+/// in-process obs registry, `trace-report` from a trace file.
+fn print_obs_tables(phases: &[(String, umsc_obs::PhaseAgg)], counters: &[(String, u64)]) {
+    if !phases.is_empty() {
         let mut table = TextTable::new(&["phase", "count", "total", "mean", "max"]);
-        for (name, agg) in &spans {
+        for (name, agg) in phases {
             table.row(vec![
                 name.clone(),
                 agg.count.to_string(),
@@ -209,10 +210,9 @@ fn print_phase_breakdown() {
         println!("\nphases:");
         print!("{}", table.render());
     }
-    let counters = umsc_obs::counters_snapshot();
     if !counters.is_empty() {
         let mut table = TextTable::new(&["counter", "value"]);
-        for (name, value) in &counters {
+        for (name, value) in counters {
             table.row(vec![name.clone(), value.to_string()]);
         }
         println!("\ncounters:");
@@ -253,7 +253,7 @@ fn trace_report(args: &Args) -> Result<(), String> {
 
     // Phase/counter dumps are cumulative per fit, so the last record per
     // name wins; sweeps accumulate per solver.
-    let mut phases: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
+    let mut phases: BTreeMap<String, umsc_obs::PhaseAgg> = BTreeMap::new();
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     let mut sweeps: BTreeMap<String, (usize, f64, f64)> = BTreeMap::new();
     let mut fits: Vec<(String, u64, bool, u64)> = Vec::new();
@@ -286,9 +286,9 @@ fn trace_report(args: &Args) -> Result<(), String> {
             Some("phase") => {
                 let name = field_str(&v, "name").ok_or_else(|| bad("phase without name"))?;
                 let count = field_f64(&v, "count").unwrap_or(0.0) as u64;
-                let total = field_f64(&v, "total_ns").unwrap_or(0.0) as u64;
-                let max = field_f64(&v, "max_ns").unwrap_or(0.0) as u64;
-                phases.insert(name.to_string(), (count, total, max));
+                let total_ns = field_f64(&v, "total_ns").unwrap_or(0.0) as u64;
+                let max_ns = field_f64(&v, "max_ns").unwrap_or(0.0) as u64;
+                phases.insert(name.to_string(), umsc_obs::PhaseAgg { count, total_ns, max_ns });
             }
             Some("counter") => {
                 let name = field_str(&v, "name").ok_or_else(|| bad("counter without name"))?;
@@ -337,28 +337,7 @@ fn trace_report(args: &Args) -> Result<(), String> {
         println!("\nsweeps:");
         print!("{}", table.render());
     }
-    if !phases.is_empty() {
-        let mut table = TextTable::new(&["phase", "count", "total", "mean", "max"]);
-        for (name, (count, total, max)) in &phases {
-            table.row(vec![
-                name.clone(),
-                count.to_string(),
-                fmt_ns(*total as f64),
-                fmt_ns(*total as f64 / (*count).max(1) as f64),
-                fmt_ns(*max as f64),
-            ]);
-        }
-        println!("\nphases:");
-        print!("{}", table.render());
-    }
-    if !counters.is_empty() {
-        let mut table = TextTable::new(&["counter", "value"]);
-        for (name, value) in &counters {
-            table.row(vec![name.clone(), value.to_string()]);
-        }
-        println!("\ncounters:");
-        print!("{}", table.render());
-    }
+    print_obs_tables(&phases.into_iter().collect::<Vec<_>>(), &counters.into_iter().collect::<Vec<_>>());
     Ok(())
 }
 

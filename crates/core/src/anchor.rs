@@ -39,7 +39,7 @@ use crate::workspace::{SolverWorkspace, TraceScratch};
 use crate::Result;
 use umsc_data::MultiViewDataset;
 use umsc_linalg::Matrix;
-use umsc_op::{LinOp, SparseFactor};
+use umsc_op::{CsrMatrix, LinOp, SparseFactor};
 use umsc_rt::par::{threads_for, with_threads, PanelBuf};
 
 /// Iteration cap of the anchor F-step's GPI.
@@ -109,7 +109,7 @@ impl LinOp for AnchorLaplacian {
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
         let mut scratch = self.scratch.borrow_mut();
         let t = scratch.ensure(self.stacked.cols() * ncols);
-        with_threads(threads_for(4 * self.stacked.nnz() * ncols), || {
+        with_threads(threads_for(4 * self.stacked.csr().nnz() * ncols), || {
             self.stacked.mul_transpose_into(x, ncols, t);
             for (row, &s) in t.chunks_exact_mut(ncols.max(1)).zip(&self.scale) {
                 row.iter_mut().for_each(|v| *v *= s);
@@ -295,7 +295,7 @@ impl AnchorUmsc {
     /// Validates per-view factors and stacks them into the fused operator
     /// (at uniform weights); returns it with `n`.
     fn stack(&self, factors: &[SparseFactor]) -> Result<(AnchorLaplacian, usize)> {
-        let views = factors.iter().map(|b| (b.shape(), b.is_finite(), true));
+        let views = factors.iter().map(|b| (b.shape(), b.csr().is_finite(), true));
         let n = engine::validate(&self.solver_config(), views, false)?;
         Ok((anchor_fused_operator(factors, &vec![1.0 / factors.len() as f64; factors.len()]), n))
     }
@@ -305,7 +305,7 @@ impl AnchorUmsc {
     /// compacted once into a [`SparseFactor`]; the fit is then
     /// [`AnchorUmsc::fit_sparse_factors`], bit for bit.
     pub fn fit_factors(&self, factors: &[Matrix]) -> Result<UmscResult> {
-        let sparse = factors.iter().map(|b| SparseFactor::from_dense(b.rows(), b.cols(), b.as_slice()));
+        let sparse = factors.iter().map(|b| SparseFactor::new(CsrMatrix::from_dense(b.rows(), b.cols(), b.as_slice())));
         let (mut fused, n) = self.stack(&sparse.collect::<Vec<_>>())?;
         engine::fit(&self.solver_config(), &mut fused, n)
     }
@@ -618,7 +618,7 @@ mod tests {
         let sparse: Vec<SparseFactor> =
             data.views.iter().map(|x| umsc_graph::anchor_view_factor(x, 25, 5, 0).0).collect();
         let dense: Vec<Matrix> =
-            sparse.iter().map(|b| Matrix::from_vec(b.rows(), b.cols(), b.to_dense())).collect();
+            sparse.iter().map(|b| Matrix::from_vec(b.rows(), b.cols(), b.csr().to_dense())).collect();
         let a = model.fit_sparse_factors(&sparse).unwrap();
         let b = model.fit_factors(&dense).unwrap();
         assert_eq!(a.labels, b.labels);
@@ -667,7 +667,7 @@ mod tests {
         // Reference: the dense row kernels on the densified stack,
         // B̂d·(diag(−w)·(B̂dᵀX)).
         let (n, vm) = fused.stacked.shape();
-        let bd = Matrix::from_vec(n, vm, fused.stacked.to_dense());
+        let bd = Matrix::from_vec(n, vm, fused.stacked.csr().to_dense());
         for ncols in [1, 3] {
             let x = Matrix::from_fn(n, ncols, |i, j| ((i * 13 + j * 5 + 1) as f64).sin());
             let mut t = bd.matmul_transpose_a(&x);

@@ -70,7 +70,8 @@ pub fn view_affinity(x: &Matrix, cfg: &GraphConfig) -> Matrix {
     if let GraphKind::Dense(bw) = &cfg.kind {
         return gaussian_affinity(&view_distances(x, cfg.metric), bw);
     }
-    sparse_view_affinity(x, cfg).expect("every other kind is streamed").to_dense()
+    let w = sparse_view_affinity(x, cfg).expect("every other kind is streamed");
+    Matrix::from_vec(w.rows(), w.cols(), w.to_dense())
 }
 
 /// Checks a dataset before any graph is built from it.
@@ -119,7 +120,7 @@ pub fn build_view_laplacians_sparse(
         None => {
             let w = view_affinity(x, cfg);
             let _span = umsc_obs::span!("graph.laplacian");
-            CsrMatrix::from_dense(&normalized_laplacian(&w), 0.0)
+            crate::solver::compacted(&normalized_laplacian(&w))
         }
     }))
 }

@@ -139,7 +139,7 @@ impl Umsc {
             }
         }
         let laplacians: Vec<CsrMatrix> =
-            affinities.iter().map(|w| CsrMatrix::from_dense(&umsc_graph::normalized_laplacian(w), 0.0)).collect();
+            affinities.iter().map(|w| compacted(&umsc_graph::normalized_laplacian(w))).collect();
         self.fit_laplacians_sparse(&laplacians)
     }
 
@@ -148,7 +148,7 @@ impl Umsc {
     /// [`Umsc::fit_laplacians_sparse`]. Dropping exact zeros moves no
     /// bit of any product, so this is the fit of the dense matrices.
     pub fn fit_laplacians(&self, laplacians: &[Matrix]) -> Result<UmscResult> {
-        let compact: Vec<CsrMatrix> = laplacians.iter().map(|l| CsrMatrix::from_dense(l, 0.0)).collect();
+        let compact: Vec<CsrMatrix> = laplacians.iter().map(compacted).collect();
         self.fit_laplacians_sparse(&compact)
     }
 
@@ -196,6 +196,12 @@ impl Umsc {
     ) -> Result<StepStats> {
         engine::sweep(&self.config, fused, st, ws)
     }
+}
+
+/// A dense Laplacian compacted at its exact zeros: how every dense door
+/// enters the one CSR fit, moving no bit of any product.
+pub(crate) fn compacted(l: &Matrix) -> CsrMatrix {
+    CsrMatrix::from_dense(l.rows(), l.cols(), l.as_slice())
 }
 
 /// Yu–Shi initialization of the spectral rotation (Yu & Shi, *Multiclass

@@ -3,19 +3,20 @@
 //! The objective reaches the views only through the fused Laplacian
 //! `Σ_v w_v L⁽ᵛ⁾` (the embedding eigensolves and every GPI F-step) and the
 //! per-view traces `tr(Fᵀ L⁽ᵛ⁾ F)` (one CSR block apply per view). The
-//! fused Laplacian is one CSR matrix on the union of the views' patterns:
-//! a weight change merges each view's sorted row into the union row, in
-//! view order — the summation order of a dense `Σ_v w_v L⁽ᵛ⁾`, so dense
-//! Laplacians compacted at their exact zeros fit bit for bit as the dense
-//! matrices did. Its applies are [`umsc_op::csr_rows_into`], and its GPI
-//! shift is its Gershgorin bound, so any symmetric Laplacian is accepted.
+//! views and the fused Laplacian are all [`CsrMatrix`] values, the
+//! workspace's one CSR type; the sum is stored on the union of the views'
+//! patterns, and a weight change merges each view's sorted row into the
+//! union row, in view order — the summation order of a dense
+//! `Σ_v w_v L⁽ᵛ⁾`, so dense Laplacians compacted at their exact zeros fit
+//! bit for bit as the dense matrices did. Its applies are the sum's own
+//! ([`umsc_op::csr_rows_into`]), and its GPI shift is its Gershgorin
+//! bound, so any symmetric Laplacian is accepted.
 //! Memory is O(nnz + n·c); no `n × n` buffer (`tests/alloc_free.rs`).
 
 use crate::engine::ViewSet;
 use crate::workspace::TraceScratch;
 use umsc_graph::CsrMatrix;
 use umsc_linalg::{LinOp, Matrix};
-use umsc_op::CsrOp;
 
 /// `Σ_v w_v L⁽ᵛ⁾` over borrowed CSR Laplacians, stored as one CSR
 /// matrix on the union of their patterns. Build it with
@@ -25,9 +26,8 @@ use umsc_op::CsrOp;
 #[derive(Debug)]
 pub struct FusedLaplacian<'a> {
     views: &'a [CsrMatrix],
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
+    /// The union pattern, holding `Σ_v w_v L⁽ᵛ⁾`.
+    sum: CsrMatrix,
 }
 
 /// The fused Laplacian of `views` at `weights` — the operator every
@@ -52,7 +52,8 @@ pub fn sparse_fused_operator<'a>(views: &'a [CsrMatrix], weights: &[f64]) -> Fus
         col_idx[row_ptr[i]..].sort_unstable();
         row_ptr.push(col_idx.len());
     }
-    let mut fused = FusedLaplacian { views, row_ptr, values: vec![0.0; total], col_idx };
+    let sum = CsrMatrix::from_parts(n, n, row_ptr, col_idx, vec![0.0; total]);
+    let mut fused = FusedLaplacian { views, sum };
     fused.set_weights(weights);
     fused
 }
@@ -65,10 +66,10 @@ impl FusedLaplacian<'_> {
     /// Panics if `weights.len()` differs from the view count.
     pub fn set_weights(&mut self, weights: &[f64]) {
         assert_eq!(weights.len(), self.views.len(), "FusedLaplacian: weights length mismatch");
-        self.values.fill(0.0);
-        for i in 0..self.dim() {
-            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            let (cols, vals) = (&self.col_idx[lo..hi], &mut self.values[lo..hi]);
+        let (row_ptr, col_idx, values) = self.sum.parts_mut();
+        values.fill(0.0);
+        for (i, span) in row_ptr.windows(2).enumerate() {
+            let (cols, vals) = (&col_idx[span[0]..span[1]], &mut values[span[0]..span[1]]);
             for (l, &w) in self.views.iter().zip(weights) {
                 // Both rows ascend, so one forward cursor finds every entry.
                 let mut k = 0;
@@ -86,8 +87,7 @@ impl FusedLaplacian<'_> {
     /// matrix (0 when it is not finite).
     fn gershgorin_upper_bound(&self) -> f64 {
         let row_bound = |i: usize| {
-            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            let entries = self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]);
+            let entries = self.sum.row_entries(i);
             let diag = entries.clone().find(|(&j, _)| j == i).map_or(0.0, |(_, &v)| v);
             diag + entries.filter(|(&j, _)| j != i).map(|(_, v)| v.abs()).sum::<f64>()
         };
@@ -116,15 +116,15 @@ fn union_row(views: &[CsrMatrix], i: usize, seen: &mut [usize], mut push: impl F
 
 impl LinOp for FusedLaplacian<'_> {
     fn dim(&self) -> usize {
-        self.row_ptr.len() - 1
+        self.sum.rows()
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        CsrOp::new(self.dim(), &self.row_ptr, &self.col_idx, &self.values).apply_into(x, y);
+        self.sum.apply_into(x, y);
     }
 
     fn apply_block_into(&self, x: &[f64], ncols: usize, y: &mut [f64]) {
-        CsrOp::new(self.dim(), &self.row_ptr, &self.col_idx, &self.values).apply_block_into(x, ncols, y);
+        self.sum.apply_block_into(x, ncols, y);
     }
 }
 
@@ -190,7 +190,8 @@ mod tests {
         let data = gmm(25, 1);
         let model = Umsc::new(UmscConfig::new(3));
         let sparse_ls = sparse_laplacians(&data, 10);
-        let dense_ls: Vec<Matrix> = sparse_ls.iter().map(|l| l.to_dense()).collect();
+        let dense_ls: Vec<Matrix> =
+            sparse_ls.iter().map(|l| Matrix::from_vec(l.rows(), l.cols(), l.to_dense())).collect();
         let dense = model.fit_laplacians(&dense_ls).unwrap();
         let sparse = model.fit_laplacians_sparse(&sparse_ls).unwrap();
         assert_eq!(dense.labels, sparse.labels);
@@ -244,7 +245,7 @@ mod tests {
         let n = fused.dim();
         let mut dense = Matrix::zeros(n, n);
         for (l, w) in ls.iter().zip([0.6, 0.4]) {
-            dense.axpy(w, &l.to_dense());
+            dense.axpy(w, &Matrix::from_vec(n, n, l.to_dense()));
         }
         let x = Matrix::from_fn(n, 3, |i, j| ((i * 13 + j * 5 + 1) as f64).sin());
         let mut y = vec![0.0; n * 3];

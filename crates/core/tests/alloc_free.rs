@@ -145,7 +145,7 @@ fn every_laplacian_entry_solve_peaks_below_one_dense_matrix() {
         let n = data.n();
         let model = Umsc::new(UmscConfig::new(3));
         let sparse_ls = build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap();
-        let dense_ls: Vec<Matrix> = sparse_ls.iter().map(|l| l.to_dense()).collect();
+        let dense_ls: Vec<Matrix> = sparse_ls.iter().map(|l| Matrix::from_vec(l.rows(), l.cols(), l.to_dense())).collect();
 
         // Each door's input is allocated before its measurement starts, so
         // the peak is what the solve adds on top of it.

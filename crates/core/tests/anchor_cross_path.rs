@@ -21,7 +21,7 @@ fn dataset(seed: u64) -> umsc_data::MultiViewDataset {
 
 /// `L = I − B Bᵀ` as a dense matrix.
 fn densified_laplacian(b: &SparseFactor) -> Matrix {
-    let dense = Matrix::from_vec(b.rows(), b.cols(), b.to_dense());
+    let dense = Matrix::from_vec(b.rows(), b.cols(), b.csr().to_dense());
     let mut l = Matrix::identity(b.rows());
     l.axpy(-1.0, &dense.matmul_transpose_b(&dense));
     l

@@ -157,10 +157,11 @@ fn unnormalized_laplacians_stay_monotone_on_both_entries() {
             .iter()
             .map(|x| {
                 let k = 10.min(x.rows() - 1);
-                unnormalized_laplacian(&knn_affinity(&pairwise_sq_distances(x), k, &Bandwidth::SelfTuning { k: 7 }).to_dense())
+                let w = knn_affinity(&pairwise_sq_distances(x), k, &Bandwidth::SelfTuning { k: 7 });
+                unnormalized_laplacian(&Matrix::from_vec(w.rows(), w.cols(), w.to_dense()))
             })
             .collect();
-        let sparse: Vec<CsrMatrix> = dense.iter().map(|l| CsrMatrix::from_dense(l, 0.0)).collect();
+        let sparse: Vec<CsrMatrix> = dense.iter().map(|l| CsrMatrix::from_dense(l.rows(), l.cols(), l.as_slice())).collect();
         let model = Umsc::new(UmscConfig::new(s.c).with_lambda(s.lambda).with_seed(s.seed));
         ensure!(non_increasing(&model.fit_laplacians(&dense).unwrap()), "dense entry's objective rose");
         ensure!(non_increasing(&model.fit_laplacians_sparse(&sparse).unwrap()), "sparse entry's objective rose");

@@ -37,7 +37,7 @@ struct Inputs {
 impl Inputs {
     fn new(data: &MultiViewDataset) -> Self {
         let sparse = build_view_laplacians_sparse(data, &UmscConfig::new(2).graph_config()).unwrap();
-        let dense = sparse.iter().map(CsrMatrix::to_dense).collect();
+        let dense = sparse.iter().map(|l| Matrix::from_vec(l.rows(), l.cols(), l.to_dense())).collect();
         let factors = data.views.iter().map(|x| anchor_view_factor(x, 12, 4, 3).0).collect();
         Inputs { dense, sparse, factors }
     }
@@ -71,7 +71,7 @@ fn every_path_rejects_the_same_inputs() {
     let mismatched = Inputs {
         dense: vec![good.dense[0].clone(), Matrix::identity(n + 1)],
         sparse: vec![good.sparse[0].clone(), CsrMatrix::identity(n + 1)],
-        factors: vec![good.factors[0].clone(), SparseFactor::from_dense(n + 1, 12, &vec![0.0; (n + 1) * 12])],
+        factors: vec![good.factors[0].clone(), SparseFactor::new(CsrMatrix::zeros(n + 1, 12))],
     };
     let fixed = |w: &[f64]| Weighting::Fixed(w.to_vec());
     let cases: Vec<(&str, &Inputs, usize, Weighting)> = vec![
@@ -114,7 +114,7 @@ fn every_path_rejects_the_same_inputs() {
     // naming its view, on both Laplacian entries.
     let mut dense = good.dense.clone();
     dense[1][(ROW, ROW + 1)] += 1e-3;
-    let sparse: Vec<CsrMatrix> = dense.iter().map(|l| CsrMatrix::from_dense(l, 0.0)).collect();
+    let sparse: Vec<CsrMatrix> = dense.iter().map(|l| CsrMatrix::from_dense(l.rows(), l.cols(), l.as_slice())).collect();
     let model = Umsc::new(UmscConfig::new(3));
     let fits = catch_unwind(AssertUnwindSafe(|| {
         [("dense", model.fit_laplacians(&dense)), ("sparse", model.fit_laplacians_sparse(&sparse))]
@@ -235,14 +235,14 @@ fn sparse_fit_rejects_a_non_finite_laplacian() {
 fn anchor_fits_reject_a_non_finite_factor() {
     let inputs = Inputs::new(&gmm(3, 10, 4));
     let (n, m) = inputs.factors[1].shape();
-    let mut z = inputs.factors[1].to_dense();
+    let mut z = inputs.factors[1].csr().to_dense();
     let j = (0..m).find(|&j| z[ROW * m + j] != 0.0).expect("row has a stored entry");
     z[ROW * m + j] = f64::NAN;
     let mut dense: Vec<Matrix> =
-        inputs.factors.iter().map(|b| Matrix::from_vec(b.rows(), b.cols(), b.to_dense())).collect();
+        inputs.factors.iter().map(|b| Matrix::from_vec(b.rows(), b.cols(), b.csr().to_dense())).collect();
     dense[1] = Matrix::from_vec(n, m, z.clone());
     let mut sparse = inputs.factors.clone();
-    sparse[1] = SparseFactor::from_dense(n, m, &z);
+    sparse[1] = SparseFactor::new(CsrMatrix::from_dense(n, m, &z));
     let model = AnchorUmsc::new(AnchorUmscConfig::new(3));
     assert_rejects_view_one("anchor (dense factors)", model.fit_factors(&dense));
     assert_rejects_view_one("anchor (sparse factors)", model.fit_sparse_factors(&sparse));

@@ -6,7 +6,7 @@
 //! (Zelnik-Manor & Perona 2004), which adapts to per-view density without a
 //! global σ to tune. Affinities always have a zero diagonal (no self loops).
 
-use crate::sparse::CsrMatrix;
+use umsc_op::CsrMatrix;
 use crate::stream::{affinity_from_distances, smallest, Neighbors};
 use umsc_linalg::Matrix;
 
@@ -213,7 +213,7 @@ mod tests {
     fn knn_graph_sparsity_and_symmetry() {
         let d = pairwise_sq_distances(&two_blobs());
         let w = knn_affinity(&d, 2, &Bandwidth::Global(1.0));
-        let dense = w.to_dense();
+        let dense = crate::to_matrix(&w);
         assert!(dense.is_symmetric(1e-15));
         // k-NN with k=2 inside 3-point blobs: no cross-blob edges at all.
         for i in 0..3 {
@@ -250,7 +250,7 @@ mod tests {
         let d = pairwise_sq_distances(&two_blobs());
         // ε = 1: intra-blob edges (≈0.1 apart) kept, cross-blob (≈14) cut.
         let w = epsilon_affinity(&d, 1.0, &Bandwidth::Global(1.0));
-        let dense = w.to_dense();
+        let dense = crate::to_matrix(&w);
         assert!(dense.is_symmetric(0.0));
         assert!(dense[(0, 1)] > 0.9, "intra edge missing");
         assert_eq!(dense[(0, 3)], 0.0, "cross edge kept");

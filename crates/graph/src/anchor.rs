@@ -39,11 +39,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use crate::can::write_simplex_weights;
-use crate::sparse::CsrMatrix;
 use crate::stream::smallest;
 use umsc_linalg::ops::{sq_dist, sq_dist4};
 use umsc_linalg::Matrix;
-use umsc_op::SparseFactor;
+use umsc_op::{CsrMatrix, SparseFactor};
 use umsc_rt::par::{parallel_chunks_mut_with, threads_for};
 use umsc_rt::SplitMix64;
 
@@ -202,7 +201,7 @@ pub fn anchor_weights_sparse(x: &Matrix, anchors: &Matrix, k: usize) -> CsrMatri
     }
     col_idx.truncate(nnz);
     values.truncate(nnz);
-    CsrMatrix::from_sorted_parts(n, m, row_ptr, col_idx, values)
+    CsrMatrix::from_parts(n, m, row_ptr, col_idx, values)
 }
 
 /// The weight rows `lo..lo + len.len()` of `Z`: row `lo + r` stores its
@@ -242,7 +241,7 @@ fn weight_rows(x: &Matrix, anchors: &Matrix, k: usize, lo: usize, len: &mut [usi
 
 /// [`anchor_weights_sparse`] densified (small inputs and tests).
 pub fn anchor_weights(x: &Matrix, anchors: &Matrix, k: usize) -> Matrix {
-    anchor_weights_sparse(x, anchors, k).to_dense()
+    crate::to_matrix(&anchor_weights_sparse(x, anchors, k))
 }
 
 /// The normalized factor `B = Z·Λ^{-1/2}` with `Λ = diag(Zᵀ·1)`, as a
@@ -270,15 +269,18 @@ pub fn normalized_factor_sparse(z: &CsrMatrix) -> (SparseFactor, Vec<f64>) {
 /// Panics if `col_inv_sqrt.len() != z.cols()`.
 pub fn normalized_factor_with(z: &CsrMatrix, col_inv_sqrt: &[f64]) -> SparseFactor {
     assert_eq!(col_inv_sqrt.len(), z.cols(), "normalized_factor_with: one scale per anchor");
-    let (row_ptr, col_idx, values) = z.parts();
-    let scaled = col_idx.iter().zip(values).map(|(&j, &v)| v * col_inv_sqrt[j]).collect();
-    SparseFactor::from_csr(z.rows(), z.cols(), row_ptr.to_vec(), col_idx.to_vec(), scaled)
+    let mut b = z.clone();
+    let (_, col_idx, values) = b.parts_mut();
+    for (v, &j) in values.iter_mut().zip(col_idx) {
+        *v *= col_inv_sqrt[j];
+    }
+    SparseFactor::new(b)
 }
 
 /// [`normalized_factor_sparse`] of a dense `Z`, densified.
 pub fn normalized_factor(z: &Matrix) -> Matrix {
-    let (b, _) = normalized_factor_sparse(&CsrMatrix::from_dense(z, 0.0));
-    Matrix::from_vec(b.rows(), b.cols(), b.to_dense())
+    let (b, _) = normalized_factor_sparse(&CsrMatrix::from_dense(z.rows(), z.cols(), z.as_slice()));
+    crate::to_matrix(b.csr())
 }
 
 /// Convenience: distances → anchors → weights → normalized factor for one
@@ -296,7 +298,7 @@ mod tests {
     use super::*;
 
     fn dense(b: &SparseFactor) -> Matrix {
-        Matrix::from_vec(b.rows(), b.cols(), b.to_dense())
+        crate::to_matrix(b.csr())
     }
 
     fn blobs(n_per: usize) -> (Matrix, Vec<usize>) {
@@ -396,7 +398,7 @@ mod tests {
     fn degenerate_duplicates() {
         let x = Matrix::from_rows(&vec![vec![1.0, 1.0]; 10]);
         let (b, _) = anchor_view_factor(&x, 4, 2, 0);
-        assert!(b.to_dense().iter().all(|v| v.is_finite()));
+        assert!(b.csr().is_finite());
     }
 
     #[test]

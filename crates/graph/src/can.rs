@@ -50,7 +50,7 @@ pub fn adaptive_neighbor_affinity(dist_sq: &Matrix, k: usize) -> Matrix {
     assert!(dist_sq.is_square(), "adaptive_neighbor_affinity: distance matrix not square");
     let n = dist_sq.rows();
     assert!(k >= 1 && k < n, "adaptive_neighbor_affinity: need 1 <= k < n, got k={k}, n={n}");
-    affinity_from_distances(dist_sq, Neighbors::Adaptive { k }).to_dense()
+    crate::to_matrix(&affinity_from_distances(dist_sq, Neighbors::Adaptive { k }))
 }
 
 #[cfg(test)]

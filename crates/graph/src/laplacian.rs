@@ -16,7 +16,7 @@
 //! which leaves the corresponding row/column of the normalized Laplacian at
 //! `I`'s values — standard practice.
 
-use crate::sparse::CsrMatrix;
+use umsc_op::CsrMatrix;
 use umsc_linalg::Matrix;
 
 /// Weighted degree vector `d_i = Σ_j w_ij` of a dense affinity.
@@ -197,7 +197,7 @@ mod tests {
         assert!(ones >= 2, "expected ≥2 unit eigenvalues, spectrum {:?}", eig.eigenvalues);
 
         // Sparse + Lanczos path on the same graph: also NaN-free.
-        let ws = CsrMatrix::from_dense(&w, 0.0);
+        let ws = CsrMatrix::from_dense(w.rows(), w.cols(), w.as_slice());
         let ls = normalized_laplacian_sparse(&ws);
         let (vals, vecs) =
             umsc_linalg::lanczos_smallest(&ls, 3, &umsc_linalg::LanczosConfig::default()).unwrap();
@@ -215,7 +215,7 @@ mod tests {
             w[(j, i)] = v;
         }
         w[(1, 1)] = 0.4;
-        let ls = normalized_laplacian_sparse(&CsrMatrix::from_dense(&w, 0.0));
+        let ls = normalized_laplacian_sparse(&CsrMatrix::from_dense(5, 5, w.as_slice()));
         assert_eq!(ls.to_dense().as_slice(), normalized_laplacian(&w).as_slice());
     }
 

@@ -3,10 +3,11 @@
 //! Similarity-graph construction and graph Laplacians — the substrate every
 //! spectral clustering method in this workspace stands on.
 //!
-//! * [`CsrMatrix`] — compressed sparse row storage with dense bridging; its
-//!   products go only through its [`umsc_op::LinOp`] view
-//!   (`CsrMatrix::as_op`), so Lanczos and the matrix-free GPI run on sparse
-//!   Laplacians directly.
+//! Every sparse graph, Laplacian and anchor weight matrix is a
+//! [`CsrMatrix`], the one CSR type of `umsc-op`, re-exported here; a
+//! square one is a [`umsc_op::LinOp`], so Lanczos and the matrix-free GPI
+//! run on sparse Laplacians directly.
+//!
 //! * [`distance`] — pairwise squared-Euclidean / cosine distance matrices,
 //!   filled from upper-triangular Gram tiles.
 //! * [`stream`] — the one builder of every sparse graph kind (k-NN, ε,
@@ -29,7 +30,6 @@ pub mod can;
 pub mod components;
 pub mod distance;
 pub mod laplacian;
-pub mod sparse;
 pub mod stream;
 
 pub use affinity::{epsilon_affinity, gaussian_affinity, knn_affinity, Bandwidth};
@@ -37,10 +37,16 @@ pub use anchor::{
     anchor_view_factor, anchor_weights, anchor_weights_sparse, normalized_factor, normalized_factor_sparse,
     normalized_factor_with, select_anchors,
 };
-pub use umsc_op::SparseFactor;
+pub use umsc_op::{CsrMatrix, SparseFactor};
 pub use can::adaptive_neighbor_affinity;
 pub use components::{connected_components, num_components};
 pub use distance::{cosine_distance_matrix, pairwise_sq_distances, Metric, TILE_ROWS};
 pub use laplacian::{degrees, normalized_laplacian, normalized_laplacian_sparse, unnormalized_laplacian};
-pub use sparse::CsrMatrix;
 pub use stream::{neighbor_graph, Neighbors};
+
+use umsc_linalg::Matrix;
+
+/// `a` densified into a [`Matrix`] (small graphs and tests).
+pub(crate) fn to_matrix(a: &CsrMatrix) -> Matrix {
+    Matrix::from_vec(a.rows(), a.cols(), a.to_dense())
+}

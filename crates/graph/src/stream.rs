@@ -34,7 +34,7 @@
 use crate::affinity::Bandwidth;
 use crate::can::write_simplex_weights;
 use crate::distance::{gram_threads, tile_row, Metric, TILE_ROWS};
-use crate::sparse::CsrMatrix;
+use umsc_op::CsrMatrix;
 use umsc_linalg::Matrix;
 
 /// Which edges a sparse graph keeps, and how they are weighted.
@@ -265,8 +265,8 @@ impl Builder {
         }
     }
 
-    /// The kept edges' weights as CSR, rows sorted and exact zeros
-    /// dropped, then symmetrized: k-NN by the max rule, CAN by the mean
+    /// The kept edges' weights as CSR, rows sorted and compacted, then
+    /// symmetrized: k-NN by the max rule, CAN by the mean
     /// rule, the ε graph's upper triangle mirrored.
     fn finish(self) -> CsrMatrix {
         let n = self.n;
@@ -293,17 +293,36 @@ impl Builder {
                 Neighbors::Adaptive { .. } => {}
             }
             row.sort_unstable_by_key(|e| e.0);
-            entries.extend(row.iter().filter(|e| e.1 != 0.0));
+            entries.extend_from_slice(&row);
             row_ptr.push(entries.len());
         }
         let (col_idx, values) = entries.into_iter().unzip();
-        let w = CsrMatrix::from_sorted_parts(n, n, row_ptr, col_idx, values);
+        let w = CsrMatrix::from_parts(n, n, row_ptr, col_idx, values).compact();
         match self.neighbors {
             Neighbors::Knn { .. } => w.symmetrize_max(),
-            Neighbors::Epsilon { .. } => w.mirror_upper(),
+            Neighbors::Epsilon { .. } => mirror_upper(&w),
             Neighbors::Adaptive { .. } => w.symmetrize(),
         }
     }
+}
+
+/// `U + Uᵀ` for a strictly upper-triangular square `U`: row `i` is row
+/// `i` of `Uᵀ` (columns `< i`) followed by row `i` of `U`.
+fn mirror_upper(u: &CsrMatrix) -> CsrMatrix {
+    let n = u.rows();
+    let t = u.transpose();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(2 * u.nnz());
+    let mut values = Vec::with_capacity(2 * u.nnz());
+    for i in 0..n {
+        for (&j, &v) in t.row_entries(i).chain(u.row_entries(i)) {
+            col_idx.push(j);
+            values.push(v);
+        }
+        row_ptr.push(col_idx.len());
+    }
+    CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
 }
 
 /// Sparse k-NN, ε or CAN graph of the rows of `x`, streamed through

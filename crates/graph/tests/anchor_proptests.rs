@@ -22,7 +22,7 @@ fn points(rng: &mut Rng, n: usize, d: usize) -> Matrix {
 }
 
 fn dense(b: &SparseFactor) -> Matrix {
-    Matrix::from_vec(b.rows(), b.cols(), b.to_dense())
+    Matrix::from_vec(b.rows(), b.cols(), b.csr().to_dense())
 }
 
 #[test]

@@ -21,6 +21,16 @@ fn points(rng: &mut Rng, n: usize, d: usize) -> Matrix {
     Matrix::from_fn(n, d, |_, _| rng.gen_range_f64(-10.0, 10.0))
 }
 
+/// `m` compacted into CSR.
+fn csr(m: &Matrix) -> CsrMatrix {
+    CsrMatrix::from_dense(m.rows(), m.cols(), m.as_slice())
+}
+
+/// `a` densified.
+fn dense(a: &CsrMatrix) -> Matrix {
+    Matrix::from_vec(a.rows(), a.cols(), a.to_dense())
+}
+
 #[test]
 fn distances_are_a_metric_skeleton() {
     check(&cfg(), |rng| points(rng, 8, 3), |x| {
@@ -101,14 +111,14 @@ fn can_affinity_valid() {
 fn csr_round_trips_dense() {
     check(&cfg(), |rng| umsc_linalg::testkit::vector(rng, 30, -3.0, 3.0), |v| {
         let m = Matrix::from_vec(5, 6, v.clone());
-        let s = CsrMatrix::from_dense(&m, 0.0);
-        ensure!(s.to_dense().approx_eq(&m, 0.0));
+        let s = csr(&m);
+        ensure!(dense(&s).approx_eq(&m, 0.0));
         // Transpose twice is identity.
-        ensure!(s.transpose().transpose().to_dense().approx_eq(&m, 0.0));
+        ensure!(dense(&s.transpose().transpose()).approx_eq(&m, 0.0));
         // The operator apply (square only) agrees with the dense product
         // on the leading 5×5 block.
         let m5 = Matrix::from_fn(5, 5, |i, j| m[(i, j)]);
-        let s5 = CsrMatrix::from_dense(&m5, 0.0);
+        let s5 = csr(&m5);
         let x: Vec<f64> = (0..5).map(|i| i as f64 - 2.0).collect();
         let mut y = vec![0.0; 5];
         s5.apply_into(&x, &mut y);
@@ -400,7 +410,7 @@ fn streamed_graph_matches_sort_based_oracle_bitwise() {
                     let ctx = format!("CAN n={n} {what} {metric:?} k={k}");
                     let front = adaptive_neighbor_affinity(&d, k.min(n - 1));
                     assert_eq!(bits(&front), bits(&expect), "precomputed front-end, {ctx}");
-                    let expect = CsrMatrix::from_dense(&expect, 0.0);
+                    let expect = csr(&expect);
                     for threads in [1, 2, 3, 8] {
                         let got = with_threads(threads, || neighbor_graph(&x, metric, Neighbors::Adaptive { k }));
                         assert!(same_csr(&got, &expect), "streamed builder, {ctx}, threads={threads}");
@@ -426,7 +436,7 @@ fn streamed_graph_matches_oracle_on_random_clouds() {
         let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Epsilon { epsilon: 6.0, bandwidth });
         ensure!(got == oracle::epsilon(&d, 6.0, &bandwidth));
         let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Adaptive { k: 5 });
-        ensure!(got == CsrMatrix::from_dense(&oracle::can(&d, 5), 0.0));
+        ensure!(got == csr(&oracle::can(&d, 5)));
         Ok(())
     });
 }
@@ -451,7 +461,7 @@ fn can_and_anchor_selectors_match_sort_based_oracle_bitwise() {
                 assert_eq!(got.as_slice(), expect.as_slice(), "anchor n={n} {what} k={k}");
                 // The CSR builder stores exactly the oracle's nonzeros.
                 let sparse = anchor_weights_sparse(&x, &anchors, k);
-                let expect_csr = CsrMatrix::from_dense(&expect, 0.0);
+                let expect_csr = csr(&expect);
                 assert!(same_csr(&sparse, &expect_csr), "sparse anchor n={n} {what} k={k}");
             }
         }
@@ -485,7 +495,7 @@ fn threaded_anchor_graph_matches_sequential_oracle_bitwise() {
                         assert_eq!(bits(&got), bits(&anchors), "select_anchors, {ctx}, threads={threads}");
                     }
                     for k in 1..=m {
-                        let expect = CsrMatrix::from_dense(&oracle::anchor_weights(&x, &anchors, k), 0.0);
+                        let expect = csr(&oracle::anchor_weights(&x, &anchors, k));
                         assert!(same_csr(&anchor_weights_sparse(&x, &anchors, k), &expect), "weights, {ctx} k={k}");
                         for threads in [1, 2, 3, 8] {
                             let got = with_threads(threads, || anchor_weights_sparse(&x, &anchors, k));
@@ -503,7 +513,7 @@ fn symmetrize_max_matches_hash_map_reference() {
     check(&cfg(), |rng| umsc_linalg::testkit::vector(rng, 49, -1.0, 1.0), |v| {
         // Sparse-ish asymmetric pattern with some exact zeros.
         let m = Matrix::from_vec(7, 7, v.iter().map(|&a| if a < 0.2 { 0.0 } else { a }).collect());
-        let a = CsrMatrix::from_dense(&m, 0.0);
+        let a = csr(&m);
         ensure!(a.symmetrize_max() == oracle::symmetrize_max(&a));
         Ok(())
     });

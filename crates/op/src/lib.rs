@@ -4,15 +4,18 @@
 //! The one-stage solver and both eigensolvers only ever need the fused
 //! Laplacian through its action `x ↦ A·x`; nothing downstream requires
 //! the `n × n` entries themselves. This crate makes that observation a
-//! first-class abstraction: [`LinOp`] is the action. The fits' two
+//! first-class abstraction: [`LinOp`] is the action. It also owns the
+//! workspace's one sparse storage type, [`CsrMatrix`]: graphs,
+//! Laplacians, the fused Laplacian and the anchor factors are all CSR
+//! matrices, and a square one is a [`LinOp`] itself. The fits' two
 //! operators (in `umsc-core`) never materialize an `n × n` matrix: one
 //! CSR `Σ_v w_v L_v` for Laplacian views, and `−Σ_v w_v B_v B_vᵀ` for the
 //! anchor path as `B̂·diag(−w ⊗ 1_m)·B̂ᵀ` over one stacked factor
 //! `B̂ = [B_1 … B_V]` ([`SparseFactor::hstack`]). Anchor factors are
-//! [`SparseFactor`]s: `n × m` CSR with `k` nonzeros per row. The nodes
-//! ([`DenseOp`], [`CsrOp`], [`DiagShift`], [`WeightedSum`],
-//! [`LowRankAnchor`]) wrap raw storage and compose reference operators
-//! for tests and benchmarks.
+//! [`SparseFactor`]s: an `n × m` [`CsrMatrix`] with `k` nonzeros per row
+//! plus its transpose. The other nodes ([`DenseOp`], [`DiagShift`],
+//! [`WeightedSum`], [`LowRankAnchor`]) wrap dense storage or other
+//! operators and compose reference operators for tests and benchmarks.
 //!
 //! # Kernel discipline
 //!
@@ -47,7 +50,7 @@ mod sparse;
 pub use compose::{DiagShift, WeightedSum};
 pub use dense::{dense_rows_into, DenseOp};
 pub use lowrank::{LowRankAnchor, SparseFactor};
-pub use sparse::{csr_rows_into, CsrOp};
+pub use sparse::{csr_rows_into, CsrMatrix};
 
 /// Elementwise map over `y` (with the element's index), threaded past
 /// the flop gate. Every element is computed independently, so the result

@@ -6,7 +6,7 @@
 //! allocates stacks, and the counters are thread-local — the point here
 //! is the nodes' own memory behavior, not the runtime's.
 
-use umsc_op::{CsrOp, DenseOp, DiagShift, LinOp, LowRankAnchor, WeightedSum};
+use umsc_op::{CsrMatrix, DenseOp, DiagShift, LinOp, LowRankAnchor, WeightedSum};
 use umsc_rt::alloc_track::{measure, CountingAlloc};
 use umsc_rt::par::with_threads;
 use umsc_rt::Rng;
@@ -19,7 +19,7 @@ fn random(len: usize, seed: u64) -> Vec<f64> {
     (0..len).map(|_| rng.gen_range_f64(-1.0, 1.0)).collect()
 }
 
-fn random_csr(n: usize, per_row: usize, seed: u64) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+fn random_csr(n: usize, per_row: usize, seed: u64) -> CsrMatrix {
     let mut rng = Rng::from_seed(seed);
     let mut row_ptr = vec![0usize];
     let mut col_idx = Vec::new();
@@ -34,7 +34,7 @@ fn random_csr(n: usize, per_row: usize, seed: u64) -> (Vec<usize>, Vec<usize>, V
         }
         row_ptr.push(col_idx.len());
     }
-    (row_ptr, col_idx, values)
+    CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
 }
 
 /// Warm the op at both shapes, then assert zero allocations across
@@ -72,18 +72,14 @@ fn all_nodes_are_allocation_free_once_warm() {
         let dense = random(n * n, 10);
         assert_warm_applies_are_alloc_free(&DenseOp::new(n, &dense), "DenseOp");
 
-        let (rp, ci, vals) = random_csr(n, 6, 11);
-        assert_warm_applies_are_alloc_free(&CsrOp::new(n, &rp, &ci, &vals), "CsrOp");
+        assert_warm_applies_are_alloc_free(&random_csr(n, 6, 11), "CsrMatrix");
 
         let z = random(n * m, 12);
         assert_warm_applies_are_alloc_free(&LowRankAnchor::new(n, m, &z), "LowRankAnchor");
 
         // A composed operator: σI − Σ_v w_v A_v over CSR views.
-        let views: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> =
-            (0..3).map(|v| random_csr(n, 5, 20 + v)).collect();
-        let ops: Vec<CsrOp<'_>> =
-            views.iter().map(|(rp, ci, vals)| CsrOp::new(n, rp, ci, vals)).collect();
-        let fused = WeightedSum::with_weights(ops, &[0.3, 0.5, 0.2]);
+        let views: Vec<CsrMatrix> = (0..3).map(|v| random_csr(n, 5, 20 + v)).collect();
+        let fused = WeightedSum::with_weights(views.iter().collect(), &[0.3, 0.5, 0.2]);
         assert_warm_applies_are_alloc_free(&DiagShift::new(2.0, &fused), "DiagShift(WeightedSum)");
     })
 }

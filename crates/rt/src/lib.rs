@@ -24,10 +24,10 @@
 //!   assignment sweeps) thread through it and are bitwise-identical to
 //!   their sequential paths by construction: work is partitioned into
 //!   contiguous, independently-computed blocks and reassembled in order.
-//! * [`check`] + [`bench`] — a seeded property-test harness (N random
-//!   cases, input minimization on failure) and a micro-bench timer.
-//!   Replace `proptest` and `criterion` for the suites in
-//!   `crates/*/tests` and `crates/bench/benches`.
+//! * [`check`](mod@check) + [`bench`](mod@bench) — a seeded
+//!   property-test harness (N random cases, input minimization on
+//!   failure) and a micro-bench timer. Replace `proptest` and `criterion`
+//!   for the suites in `crates/*/tests` and `crates/bench/benches`.
 //! * [`alloc_track`] — a counting global allocator for the
 //!   allocation-freedom and peak-memory regression tests (event count +
 //!   live-bytes high-water mark; test binaries install it themselves).

@@ -28,7 +28,6 @@
 
 use std::time::Instant;
 use umsc::data::synth::{MultiViewGmm, ViewSpec};
-use umsc::graph::CsrMatrix;
 use umsc::linalg::Matrix;
 use umsc::metrics::clustering_accuracy;
 use umsc::{Umsc, UmscConfig};
@@ -79,7 +78,7 @@ fn run() {
         let sparse_ls = built.unwrap().expect("laplacians");
         let dense_matrix_bytes = (n * n * std::mem::size_of::<f64>()) as u64;
         graph_gate_failed |= graph_peak >= dense_matrix_bytes;
-        let dense_ls: Vec<Matrix> = sparse_ls.iter().map(CsrMatrix::to_dense).collect();
+        let dense_ls: Vec<Matrix> = sparse_ls.iter().map(|l| Matrix::from_vec(l.rows(), l.cols(), l.to_dense())).collect();
 
         let t0 = Instant::now();
         let mut dense_res = None;

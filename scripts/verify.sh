@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 cargo build --workspace --release --offline
 cargo test -q --workspace --offline
 cargo clippy --workspace --offline --all-targets -- -D warnings
+# Every intra-doc link must resolve, so a renamed or deleted item cannot
+# leave a dangling doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The end-to-end benchmark is its own cargo workspace over the public API:
 # it must keep compiling, so an API deletion that breaks it fails here.
@@ -72,4 +75,4 @@ grep -q '"schema":"umsc-trace/v1"' "$trace_json" \
 cargo run -q --release --offline -p umsc-cli -- trace-report --trace "$trace_json" \
     || { echo "verify: trace-report failed to parse the trace" >&2; exit 1; }
 
-echo "verify: OK (offline build + tests + clippy + perfbench build + bench smoke + sparse-scaling smoke + alloc gate + trace smoke)"
+echo "verify: OK (offline build + tests + clippy + rustdoc + perfbench build + bench smoke + sparse-scaling smoke + alloc gate + trace smoke)"
