@@ -1,6 +1,7 @@
 //! Microbench: graph construction per dataset size, each kernel under the
 //! trace span or perfbench layer of the fit phase it times — distances
-//! (`graph.distances`), the k-NN and Gaussian affinities
+//! (`graph.distances`, also at the Gram shapes of the handwritten-knn and
+//! orl-can workloads on one thread), the k-NN and Gaussian affinities
 //! (`graph.knn_select`), the CAN front-end over precomputed distances
 //! (`graph.can`), Laplacians (`graph.laplacian`) — plus whole builds from
 //! features (`graph.build`): the streamed k-NN builder against the
@@ -46,6 +47,20 @@ fn main() {
         can.run(&format!("can_adaptive_k10/{n}"), || adaptive_neighbor_affinity(black_box(&d), 10));
         let w = gaussian_affinity(&d, &Bandwidth::SelfTuning { k: 7 });
         laplacian.run(&format!("normalized_laplacian/{n}"), || normalized_laplacian(black_box(&w)));
+    }
+    // The Gram tiles at the workloads' shapes, on one thread:
+    // handwritten-knn's n = 2000 at its narrowest view, a middle one and
+    // its widest (d = 6, 76, 240), and orl-can's n = 400 at d = 3304 and
+    // 6750.
+    let shapes: [(usize, usize, &[usize]); 2] =
+        if smoke() { [(10, 5, &[6, 76, 240]), (4, 5, &[3304, 6750])] } else { [(10, 200, &[6, 76, 240]), (40, 10, &[3304, 6750])] };
+    for (c, per, dims) in shapes {
+        let data = MultiViewGmm::new("bench", c, per, dims.iter().map(|&d| ViewSpec::clean(d)).collect()).generate(4);
+        for x in &data.views {
+            distances.run(&format!("pairwise_sq/{}x{}/t1", x.rows(), x.cols()), || {
+                with_threads(1, || pairwise_sq_distances(black_box(x)))
+            });
+        }
     }
     // The default k-NN graph (k = 10, self-tuning σ) from features: the
     // streamed builder vs the full distance matrix plus the selector; and

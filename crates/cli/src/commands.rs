@@ -5,7 +5,7 @@ use std::path::Path;
 use umsc_baselines::standard_suite;
 use umsc_bench::report::TextTable;
 use umsc_core::{
-    AnchorAssigner, AnchorUmsc, AnchorUmscConfig, IterationStats, Metric, Umsc, UmscConfig,
+    AnchorAssigner, AnchorUmsc, AnchorUmscConfig, GraphKind, IterationStats, Metric, Umsc, UmscConfig,
 };
 use umsc_data::{benchmark, BenchmarkId, MultiViewDataset};
 use umsc_metrics::MetricSuite;
@@ -75,7 +75,8 @@ fn info(args: &Args) -> Result<(), String> {
 
 /// Every option `cluster` reads; anything else is an error.
 const CLUSTER_OPTIONS: &[&str] = &[
-    "data", "clusters", "method", "lambda", "metric", "anchors", "seed", "out", "save-model", "trace", "verbose",
+    "data", "clusters", "method", "lambda", "metric", "graph", "anchors", "seed", "out", "save-model", "trace",
+    "verbose",
 ];
 
 fn cluster(args: &Args) -> Result<(), String> {
@@ -101,6 +102,13 @@ fn cluster(args: &Args) -> Result<(), String> {
         "cosine" => Metric::Cosine,
         other => return Err(format!("unknown --metric {other:?} (euclidean|cosine)")),
     };
+    // `knn` is the default graph of `UmscConfig`; `can` the CAN graph with
+    // the same 10 neighbours per node.
+    let graph = match args.get("graph").unwrap_or("knn") {
+        "knn" => UmscConfig::new(c).graph,
+        "can" => GraphKind::Adaptive { k: 10 },
+        other => return Err(format!("unknown --graph {other:?} (knn|can)")),
+    };
 
     let t0 = std::time::Instant::now();
     let (labels, weights, history) = if method_name == "anchor-umsc" {
@@ -119,7 +127,7 @@ fn cluster(args: &Args) -> Result<(), String> {
         (res.labels, Some(res.view_weights), Some(res.history))
     } else if method_name == "umsc" {
         let lambda: f64 = args.get_parsed("lambda", 1.0)?;
-        let cfg = UmscConfig::new(c).with_lambda(lambda).with_metric(metric).with_seed(seed);
+        let cfg = UmscConfig::new(c).with_lambda(lambda).with_metric(metric).with_graph(graph).with_seed(seed);
         let res = Umsc::new(cfg).fit(&data).map_err(|e| e.to_string())?;
         (res.labels, Some(res.view_weights), Some(res.history))
     } else {
@@ -160,13 +168,14 @@ fn cluster(args: &Args) -> Result<(), String> {
 }
 
 /// Fails on an option of `cluster` that `method` does not read: the anchor
-/// graph is Euclidean, only `anchor-umsc` has anchors and a model to
-/// save, and the baselines take neither λ nor a metric.
+/// graph is Euclidean and has no graph kind, only `anchor-umsc` has
+/// anchors and a model to save, and the baselines take neither λ, a
+/// metric nor a graph kind.
 fn reject_unread(args: &Args, method: &str) -> Result<(), String> {
     let unread: &[&str] = match method {
-        "anchor-umsc" => &["metric"],
+        "anchor-umsc" => &["metric", "graph"],
         "umsc" => &["anchors", "save-model"],
-        _ => &["lambda", "metric", "anchors", "save-model"],
+        _ => &["lambda", "metric", "graph", "anchors", "save-model"],
     };
     match unread.iter().find(|&&key| args.get(key).is_some()) {
         Some(key) => Err(format!("--{key} is not read by --method {method}")),
@@ -466,10 +475,12 @@ mod tests {
     fn options_the_method_does_not_read_are_rejected() {
         for (method, name, value) in [
             ("anchor-umsc", "metric", "cosine"),
+            ("anchor-umsc", "graph", "can"),
             ("umsc", "anchors", "10"),
             ("umsc", "save-model", "model.bin"),
             ("amgl", "lambda", "2"),
             ("amgl", "metric", "cosine"),
+            ("amgl", "graph", "knn"),
         ] {
             let flag = format!("--{name}");
             let err = dispatch(&argv(&["cluster", "--data", "unused", "--method", method, &flag, value]))
@@ -592,6 +603,45 @@ mod tests {
         // The report must parse the very file the run just wrote.
         dispatch(&argv(&["trace-report", "--trace", trace.to_str().unwrap()])).unwrap();
         // Tracing is process-global; switch it back off for other tests.
+        umsc_obs::set_trace_path(None);
+        umsc_obs::set_enabled(false);
+        umsc_obs::reset();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `--graph can` fits through the streamed builder: its trace holds
+    /// the Gram tiles and the neighbour selection, and no `graph.can`
+    /// front-end over a distance matrix.
+    #[test]
+    fn traced_can_fit_records_the_streamed_graph_phases() {
+        let _obs = obs_lock();
+        umsc_obs::reset();
+        let dir = tmp("can");
+        let _ = std::fs::remove_dir_all(&dir);
+        let data = umsc_data::synth::MultiViewGmm::new(
+            "can",
+            2,
+            15,
+            vec![umsc_data::ViewSpec::clean(4), umsc_data::ViewSpec::clean(3)],
+        )
+        .generate(5);
+        umsc_data::io::save_csv(&data, &dir).unwrap();
+        let d = dir.to_str().unwrap();
+        let err = dispatch(&argv(&["cluster", "--data", d, "--graph", "dense"])).unwrap_err();
+        assert!(err.contains("unknown --graph"), "got {err:?}");
+        let trace = dir.join("trace.jsonl");
+        dispatch(&argv(&["cluster", "--data", d, "--clusters", "2", "--graph", "can", "--trace", trace.to_str().unwrap()]))
+            .unwrap();
+        let raw = std::fs::read_to_string(&trace).unwrap();
+        let phases: Vec<&str> = raw
+            .lines()
+            .filter(|l| l.contains("\"event\":\"phase\""))
+            .filter_map(|l| l.split("\"name\":\"").nth(1)?.split('"').next())
+            .collect();
+        for phase in ["graph.build", "graph.distances", "graph.knn_select"] {
+            assert!(phases.contains(&phase), "{phase} missing from {phases:?}");
+        }
+        assert!(!phases.contains(&"graph.can"), "{phases:?}");
         umsc_obs::set_trace_path(None);
         umsc_obs::set_enabled(false);
         umsc_obs::reset();

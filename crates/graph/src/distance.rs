@@ -7,12 +7,17 @@
 //!
 //! Distances are symmetric, so only the upper triangle is computed: row
 //! blocks of [`TILE_ROWS`] rows take their Gram tile `X[lo..hi]·X[lo..n]ᵀ`
-//! ([`Matrix::gram_block_into`]) and the lower triangle is mirrored. That
-//! halves the GEMM flops, and because the Gram is bitwise symmetric (dot
-//! products commute term by term) the result equals the full-GEMM fill.
-//! The streamed graph builder in [`crate::stream`] walks the same tiles
+//! and the lower triangle is mirrored. That halves the GEMM flops, and
+//! because the Gram is bitwise symmetric (dot products commute term by
+//! term) the result equals the full-GEMM fill. Each tile is computed by
+//! row quads: threads take contiguous runs of whole [`GRAM_TILE`]-row
+//! blocks, and each block is one [`Matrix::gram_block_into`] call (the
+//! 4 × 4 register-tiled kernel, every entry `ops::dot` of its rows bit
+//! for bit) followed by the distance formula. The streamed graph builder
+//! in [`crate::stream`] walks the same tiles, through the same helper,
 //! without ever holding the whole matrix.
 
+use umsc_linalg::matrix::GRAM_TILE;
 use umsc_linalg::Matrix;
 
 /// Rows per upper-triangular Gram tile. A tile holds at most
@@ -101,18 +106,37 @@ pub fn cosine_distance_matrix(x: &Matrix) -> Matrix {
     symmetric_fill(x, |i, j, g| cosine_distance_from_gram(norms[i], norms[j], g))
 }
 
-/// Row `i` of the upper-triangular tile that starts at column `lo`:
-/// `row[c] = dist(i, lo + c, xᵢ·x_{lo+c})`, with a zero on the diagonal.
-pub(crate) fn tile_row(x: &Matrix, i: usize, lo: usize, row: &mut [f64], dist: impl Fn(usize, usize, f64) -> f64) {
-    x.gram_block_into(i..i + 1, lo..x.rows(), row, row.len());
-    for (j, v) in (lo..).zip(row.iter_mut()) {
-        *v = if j == i { 0.0 } else { dist(i, j, *v) };
-    }
+/// The distances of rows `lo..` against columns `lo..n`, row `lo + r` at
+/// `out[r·ld..]` (as many rows as `out` reaches): `dist(i, j, xᵢ·xⱼ)`,
+/// with a zero on the diagonal. Threads take contiguous runs of whole
+/// [`GRAM_TILE`]-row blocks, and each block is one
+/// [`Matrix::gram_block_into`] call, so every quad runs through the
+/// register tile; the entries do not depend on the thread count.
+pub(crate) fn distance_tile(
+    x: &Matrix,
+    threads: usize,
+    lo: usize,
+    out: &mut [f64],
+    ld: usize,
+    dist: impl Fn(usize, usize, f64) -> f64 + Sync,
+) {
+    let n = x.rows();
+    umsc_rt::par::parallel_chunks_mut_with(threads, out, GRAM_TILE * ld, |q, block| {
+        let first = lo + q * GRAM_TILE;
+        let rows = first..first + block.len().div_ceil(ld);
+        x.gram_block_into(rows.clone(), lo..n, block, ld);
+        for (i, row) in rows.zip(block.chunks_mut(ld)) {
+            for (j, v) in (lo..n).zip(row.iter_mut()) {
+                *v = if j == i { 0.0 } else { dist(i, j, *v) };
+            }
+        }
+    });
 }
 
 /// Fills the symmetric `n × n` matrix `d[i][j] = f(i, j, xᵢ·xⱼ)` (zero
-/// diagonal) from upper-triangular Gram tiles written straight into `d`'s
-/// rows, then mirrors each finished tile into the rows below it.
+/// diagonal) from upper-triangular distance tiles ([`distance_tile`])
+/// written straight into `d`'s rows, then mirrors each finished tile into
+/// the rows below it.
 fn symmetric_fill(x: &Matrix, f: impl Fn(usize, usize, f64) -> f64 + Sync) -> Matrix {
     let n = x.rows();
     let threads = gram_threads(x);
@@ -121,9 +145,7 @@ fn symmetric_fill(x: &Matrix, f: impl Fn(usize, usize, f64) -> f64 + Sync) -> Ma
     for lo in (0..n).step_by(TILE_ROWS) {
         let hi = (lo + TILE_ROWS).min(n);
         let (top, bottom) = data.split_at_mut(hi * n);
-        umsc_rt::par::parallel_chunks_mut_with(threads, &mut top[lo * n..], n, |r, row| {
-            tile_row(x, lo + r, lo, &mut row[lo..], &f);
-        });
+        distance_tile(x, threads, lo, &mut top[lo * n + lo..], n, &f);
         let top = &*top;
         umsc_rt::par::parallel_chunks_mut_with(threads, bottom, n, |r, row| {
             let j = hi + r;

@@ -58,21 +58,36 @@ pub fn normalized_laplacian(w: &Matrix) -> Matrix {
 }
 
 /// Symmetric-normalized Laplacian of a sparse affinity, kept sparse.
+///
+/// Each row of `W` is merged straight into the result: `−(w_ij·(sᵢ·sⱼ))`
+/// for `j < i`, then the diagonal `1 + (−(w_ii·(sᵢ·sᵢ)))` (or `1` when `W`
+/// stores no `w_ii`), then `j > i`; entries that come out `±0.0` are
+/// dropped.
 pub fn normalized_laplacian_sparse(w: &CsrMatrix) -> CsrMatrix {
     assert_eq!(w.rows(), w.cols(), "normalized_laplacian_sparse: affinity not square");
+    let n = w.rows();
     let d = w.row_sums();
     let inv_sqrt: Vec<f64> = d.iter().map(|&x| if x > 0.0 { 1.0 / x.sqrt() } else { 0.0 }).collect();
-    let scaled = w.scale_symmetric(&inv_sqrt);
-    // I − scaled, as triplets.
-    let n = w.rows();
-    let mut triplets = Vec::with_capacity(scaled.nnz() + n);
+    let (ptr, cols, vals) = w.parts();
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0);
+    let mut col_idx = Vec::with_capacity(w.nnz() + n);
+    let mut values = Vec::with_capacity(w.nnz() + n);
     for i in 0..n {
-        triplets.push((i, i, 1.0));
-        for (&j, &v) in scaled.row_entries(i) {
-            triplets.push((i, j, -v));
-        }
+        let (cols, vals) = (&cols[ptr[i]..ptr[i + 1]], &vals[ptr[i]..ptr[i + 1]]);
+        let l = |e: usize| -(vals[e] * (inv_sqrt[i] * inv_sqrt[cols[e]]));
+        let below = cols.partition_point(|&j| j < i);
+        let (diag, above) = if cols.get(below) == Some(&i) { (1.0 + l(below), below + 1) } else { (1.0, below) };
+        let mut push = |j: usize, v: f64| {
+            col_idx.push(j);
+            values.push(v);
+        };
+        (0..below).for_each(|e| push(cols[e], l(e)));
+        push(i, diag);
+        (above..cols.len()).for_each(|e| push(cols[e], l(e)));
+        row_ptr.push(col_idx.len());
     }
-    CsrMatrix::from_triplets(n, n, &triplets)
+    CsrMatrix::from_parts(n, n, row_ptr, col_idx, values).compact()
 }
 
 #[cfg(test)]
@@ -217,6 +232,63 @@ mod tests {
         w[(1, 1)] = 0.4;
         let ls = normalized_laplacian_sparse(&CsrMatrix::from_dense(5, 5, w.as_slice()));
         assert_eq!(ls.to_dense().as_slice(), normalized_laplacian(&w).as_slice());
+    }
+
+    #[test]
+    fn sparse_row_merge_matches_triplet_route_bitwise() {
+        // The triplet route it replaced: `I − D^{-1/2} W D^{-1/2}` summed
+        // by `from_triplets`, whose stable sort adds the 1 first.
+        fn triplet_route(w: &CsrMatrix) -> CsrMatrix {
+            let d = w.row_sums();
+            let inv_sqrt: Vec<f64> = d.iter().map(|&x| if x > 0.0 { 1.0 / x.sqrt() } else { 0.0 }).collect();
+            let scaled = w.scale_symmetric(&inv_sqrt);
+            let n = w.rows();
+            let mut triplets = Vec::new();
+            for i in 0..n {
+                triplets.push((i, i, 1.0));
+                for (&j, &v) in scaled.row_entries(i) {
+                    triplets.push((i, j, -v));
+                }
+            }
+            CsrMatrix::from_triplets(n, n, &triplets)
+        }
+        let mut rng = umsc_rt::Rng::from_seed(61);
+        let n = 12;
+        let mut w = Matrix::zeros(n, n);
+        for _ in 0..30 {
+            let (i, j) = (rng.gen_range(0..9), rng.gen_range(0..9));
+            let v = rng.next_f64() + 0.05;
+            w[(i, j)] = v;
+            w[(j, i)] = v;
+        }
+        // Vertex 9 has only a self-loop, so its diagonal cancels to zero;
+        // vertices 10 and 11 are isolated; vertex 3 carries a self-loop
+        // beside its edges.
+        w[(9, 9)] = 4.0;
+        w[(3, 3)] = 0.6;
+        for i in 9..n {
+            for j in 0..n {
+                if i != j {
+                    w[(i, j)] = 0.0;
+                    w[(j, i)] = 0.0;
+                }
+            }
+        }
+        let sparse = CsrMatrix::from_dense(n, n, w.as_slice());
+        // A stored zero weight as well.
+        let (ptr, idx, vals) = sparse.parts();
+        let (ptr, idx, mut vals) = (ptr.to_vec(), idx.to_vec(), vals.to_vec());
+        vals[0] = 0.0;
+        let with_zero = CsrMatrix::from_parts(n, n, ptr, idx, vals);
+        for w in [sparse, with_zero] {
+            let (got, want) = (normalized_laplacian_sparse(&w), triplet_route(&w));
+            assert_eq!(got.parts().0, want.parts().0);
+            assert_eq!(got.parts().1, want.parts().1);
+            let bits = |m: &CsrMatrix| m.parts().2.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want));
+            assert!(got.row_entries(9).all(|(&j, _)| j != 9), "cancelled diagonal must be dropped");
+            assert_eq!(got.row_entries(10).collect::<Vec<_>>(), vec![(&10, &1.0)]);
+        }
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //!
 //! [`neighbor_graph`] walks the rows of a view in blocks of
 //! [`TILE_ROWS`]. For the block `[lo, hi)` it computes only the
-//! upper-triangular Gram tile `X[lo..hi]·X[lo..n]ᵀ`, turns it into
-//! distances in place (the exact formulas of [`crate::distance`]), and
+//! upper-triangular Gram tile `X[lo..hi]·X[lo..n]ᵀ` by row quads (four
+//! rows per [`Matrix::gram_block_into`] call, the 4 × 4 register-tiled
+//! kernel), turns it into distances in place (the exact formulas of
+//! [`crate::distance`], through the helper that also fills the dense
+//! distance matrices), and
 //! feeds it to per-row bounded top-`kk` selectors: the block's own rows
 //! take their columns `j ≥ lo`, the rows `j ≥ hi` take the transposed
 //! entries. The Gram is bitwise symmetric, so every row sees exactly the
@@ -33,7 +36,7 @@
 
 use crate::affinity::Bandwidth;
 use crate::can::write_simplex_weights;
-use crate::distance::{gram_threads, tile_row, Metric, TILE_ROWS};
+use crate::distance::{distance_tile, gram_threads, Metric, TILE_ROWS};
 use umsc_op::CsrMatrix;
 use umsc_linalg::Matrix;
 
@@ -332,7 +335,8 @@ fn mirror_upper(u: &CsrMatrix) -> CsrMatrix {
 /// under `metric`.
 ///
 /// Threaded past the flop gate on the Gram tiles' `n·n·d`: threads split
-/// each tile's rows, and the selectors, into disjoint sets; the mean sum
+/// each tile's rows (in whole row quads), and the selectors, into
+/// disjoint sets; the mean sum
 /// stays sequential, so the output is bitwise-identical for every thread
 /// count.
 ///
@@ -350,8 +354,8 @@ pub fn neighbor_graph(x: &Matrix, metric: Metric, neighbors: Neighbors) -> CsrMa
         let ld = n - lo;
         {
             let _span = umsc_obs::span!("graph.distances");
-            umsc_rt::par::parallel_chunks_mut_with(threads, &mut tile[..(hi - lo) * ld], ld, |r, row| {
-                tile_row(x, lo + r, lo, row, |i, j, g| metric.distance_from_gram(norms[i], norms[j], g));
+            distance_tile(x, threads, lo, &mut tile[..(hi - lo) * ld], ld, |i, j, g| {
+                metric.distance_from_gram(norms[i], norms[j], g)
             });
         }
         let _span = umsc_obs::span!("graph.knn_select");

@@ -149,7 +149,9 @@ mod oracle {
 
     pub fn distances(x: &Matrix, metric: Metric) -> Matrix {
         let n = x.rows();
-        let gram = umsc_rt::par::with_threads(1, || x.matmul_transpose_b(x));
+        // Entry by entry from the scalar dot product, not from the Gram
+        // kernel under test.
+        let gram = Matrix::from_fn(n, n, |i, j| umsc_linalg::ops::dot(x.row(i), x.row(j)));
         let sq: Vec<f64> = (0..n).map(|i| umsc_linalg::ops::dot(x.row(i), x.row(i))).collect();
         let norms: Vec<f64> = (0..n).map(|i| umsc_linalg::ops::norm2(x.row(i))).collect();
         Matrix::from_fn(n, n, |i, j| {

@@ -327,8 +327,8 @@ impl Matrix {
 
     /// Matrix product `self · otherᵀ` without forming the transpose.
     ///
-    /// Threaded by output row like [`Matrix::matmul`]; bitwise-identical
-    /// to the sequential loop for any thread count.
+    /// Threaded by blocks of four output rows; bitwise-identical to the
+    /// sequential loop for any thread count.
     pub fn matmul_transpose_b(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, other.rows);
         self.matmul_transpose_b_into(other, &mut out);
@@ -336,7 +336,9 @@ impl Matrix {
     }
 
     /// Writes `self · otherᵀ` into `out` without allocating. Every entry of
-    /// `out` is overwritten.
+    /// `out` is overwritten, entry `(i, j)` with
+    /// [`crate::ops::dot`]`(self.row(i), other.row(j))` bit for bit (see
+    /// [`Matrix::gram_block_into`] for the kernel).
     ///
     /// # Panics
     /// Panics if the column counts differ or `out` is not
@@ -358,25 +360,32 @@ impl Matrix {
             return;
         }
         let threads = umsc_rt::par::threads_for(2 * m * k * n);
-        let a_data = &self.data;
-        let b_data = &other.data;
-        umsc_rt::par::parallel_chunks_mut_with(threads, &mut out.data, n, |i, orow| {
-            abt_row(&a_data[i * k..(i + 1) * k], b_data, orow);
+        umsc_rt::par::parallel_chunks_mut_with(threads, &mut out.data, GRAM_TILE * n, |q, block| {
+            let lo = q * GRAM_TILE;
+            abt_block(self, lo..lo + block.len() / n, other, 0..n, block, n);
         });
     }
 
     /// One block of the Gram matrix `self · selfᵀ`: for every `i` in
-    /// `rows` and `j` in `cols`, writes `dot(self.row(i), self.row(j))` to
-    /// `out[(i − rows.start)·ld + (j − cols.start)]`. Entries of `out`
-    /// outside those positions are left untouched, so `ld` may exceed
-    /// `cols.len()` (e.g. to write straight into the rows of a larger
-    /// matrix). Sequential: callers thread over rows.
+    /// `rows` and `j` in `cols`, writes [`crate::ops::dot`]`(self.row(i),
+    /// self.row(j))`, bit for bit, to `out[(i − rows.start)·ld + (j −
+    /// cols.start)]`. Entries of `out` outside those positions are left
+    /// untouched, so `ld` may exceed `cols.len()` (e.g. to write straight
+    /// into the rows of a larger matrix). Sequential: callers thread over
+    /// blocks of rows, best in multiples of four.
     ///
-    /// This is the [`Matrix::matmul_transpose_b`] kernel on row ranges:
-    /// every entry is the same ascending-`k` dot product, and because
-    /// products commute term by term the block holding `(i, j)` and the
-    /// one holding `(j, i)` agree bitwise. That lets symmetric consumers
-    /// (pairwise distances, kNN graphs) compute only the upper triangle.
+    /// The kernel is a 4 × 4 register tile, the one A·Bᵀ kernel (it also
+    /// serves [`Matrix::matmul_transpose_b_into`]): each pass over `k`
+    /// reads four rows of `self` in `rows` and four in `cols` and updates
+    /// 16 accumulators, 8 loads for 16 multiply-adds. Rows and columns
+    /// left over from the quads take the same lanes one row or column at a
+    /// time. Every lane starts from `-0.0` and adds its products in
+    /// ascending `k`, the order and start of `ops::dot`'s `Sum`, so the
+    /// tile shape, the block bounds and the thread count move no bit, and
+    /// because products commute term by term the block holding `(i, j)`
+    /// and the one holding `(j, i)` agree bitwise. That lets symmetric
+    /// consumers (pairwise distances, kNN graphs) compute only the upper
+    /// triangle.
     ///
     /// # Panics
     /// Panics if a range exceeds `self.rows()`, `ld < cols.len()`, or
@@ -387,17 +396,7 @@ impl Matrix {
             "Matrix::gram_block_into: ranges {rows:?}, {cols:?} exceed {} rows",
             self.rows
         );
-        let (m, w, k) = (rows.len(), cols.len(), self.cols);
-        assert!(ld >= w, "Matrix::gram_block_into: ld {ld} < block width {w}");
-        if m == 0 || w == 0 {
-            return;
-        }
-        let need = (m - 1) * ld + w;
-        assert!(out.len() >= need, "Matrix::gram_block_into: out holds {} < {need} entries", out.len());
-        let b_data = &self.data[cols.start * k..cols.end * k];
-        for (r, i) in rows.enumerate() {
-            abt_row(&self.data[i * k..(i + 1) * k], b_data, &mut out[r * ld..r * ld + w]);
-        }
+        abt_block(self, rows, self, cols, out, ld);
     }
 
     /// In-place scaling by `s`.
@@ -545,43 +544,75 @@ impl Matrix {
     }
 }
 
-#[inline]
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
+/// Side of the A·Bᵀ register tile: rows of `A`, and rows of `B`, per
+/// pass. Callers that thread [`Matrix::gram_block_into`] hand each thread
+/// whole multiples of it.
+pub const GRAM_TILE: usize = 4;
+
+/// `out[r·ld + c] = dot(a.row(rows.start + r), b.row(cols.start + c))`
+/// for the rows in `rows` and the columns in `cols`: row quads through
+/// [`GRAM_TILE`] × [`GRAM_TILE`] register tiles ([`lanes`]), leftover
+/// rows one at a time. Sequential and allocation-free.
+fn abt_block(a: &Matrix, rows: std::ops::Range<usize>, b: &Matrix, cols: std::ops::Range<usize>, out: &mut [f64], ld: usize) {
+    let (m, w) = (rows.len(), cols.len());
+    assert!(ld >= w, "Matrix::gram_block_into: ld {ld} < block width {w}");
+    if m == 0 || w == 0 {
+        return;
+    }
+    let need = (m - 1) * ld + w;
+    assert!(out.len() >= need, "Matrix::gram_block_into: out holds {} < {need} entries", out.len());
+    let m4 = m - m % GRAM_TILE;
+    for r in (0..m4).step_by(GRAM_TILE) {
+        let ar: [&[f64]; GRAM_TILE] = std::array::from_fn(|s| a.row(rows.start + r + s));
+        abt_rows(ar, b, cols.clone(), &mut out[r * ld..], ld);
+    }
+    for r in m4..m {
+        abt_rows([a.row(rows.start + r)], b, cols.clone(), &mut out[r * ld..], ld);
+    }
 }
 
-/// `orow[j] = dot(arow, B[j])` for the rows `B[j]` of the row-major
-/// `b_data` (`orow.len()` rows of `arow.len()` columns). Each entry is an
-/// independent ascending-`k` dot product, so walking four `B` rows at once
-/// (better ILP, `B` rows hot in L1 across the group) changes nothing
-/// bitwise versus the one-row-at-a-time loop.
-fn abt_row(arow: &[f64], b_data: &[f64], orow: &mut [f64]) {
-    let k = arow.len();
-    let n = orow.len();
-    let mut j = 0;
-    while j + 4 <= n {
-        let b0 = &b_data[j * k..(j + 1) * k];
-        let b1 = &b_data[(j + 1) * k..(j + 2) * k];
-        let b2 = &b_data[(j + 2) * k..(j + 3) * k];
-        let b3 = &b_data[(j + 3) * k..(j + 4) * k];
-        let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        for ((((&a, &x0), &x1), &x2), &x3) in
-            arow.iter().zip(b0.iter()).zip(b1.iter()).zip(b2.iter()).zip(b3.iter())
-        {
-            a0 += a * x0;
-            a1 += a * x1;
-            a2 += a * x2;
-            a3 += a * x3;
+/// The `R` rows `ar` against the rows of `b` in `cols`: column quads
+/// through `R × 4` tiles, leftover columns one at a time, row `s` of the
+/// result written at `out[s·ld..]`.
+#[inline(always)]
+fn abt_rows<const R: usize>(ar: [&[f64]; R], b: &Matrix, cols: std::ops::Range<usize>, out: &mut [f64], ld: usize) {
+    fn store<const R: usize, const C: usize>(out: &mut [f64], ld: usize, c: usize, acc: [[f64; C]; R]) {
+        for (s, lane) in acc.iter().enumerate() {
+            out[s * ld + c..][..C].copy_from_slice(lane);
         }
-        orow[j] = a0;
-        orow[j + 1] = a1;
-        orow[j + 2] = a2;
-        orow[j + 3] = a3;
-        j += 4;
     }
-    for (jj, o) in orow.iter_mut().enumerate().skip(j) {
-        *o = dot(arow, &b_data[jj * k..(jj + 1) * k]);
+    let k = b.cols;
+    let w = cols.len();
+    let w4 = w - w % GRAM_TILE;
+    for c in (0..w4).step_by(GRAM_TILE) {
+        let bc: [&[f64]; GRAM_TILE] = std::array::from_fn(|t| b.row(cols.start + c + t));
+        store(out, ld, c, lanes(k, ar, bc));
     }
+    for c in w4..w {
+        store(out, ld, c, lanes(k, ar, [b.row(cols.start + c)]));
+    }
+}
+
+/// The `R × C` register tile: `acc[s][t] = Σ_p a[s][p]·b[t][p]` over
+/// `p = 0..k` in ascending order, every lane started from `-0.0` — bit
+/// for bit [`crate::ops::dot`]`(a[s], b[t])`. The `R·C` add chains are
+/// independent, so they overlap in the pipeline, and each step of `p`
+/// loads `R + C` values for `R·C` multiply-adds.
+#[inline(always)]
+fn lanes<const R: usize, const C: usize>(k: usize, a: [&[f64]; R], b: [&[f64]; C]) -> [[f64; C]; R] {
+    let a = a.map(|row| &row[..k]);
+    let b = b.map(|row| &row[..k]);
+    let mut acc = [[-0.0f64; C]; R];
+    for p in 0..k {
+        let bp: [f64; C] = std::array::from_fn(|t| b[t][p]);
+        for (lane, row) in acc.iter_mut().zip(a) {
+            let ap = row[p];
+            for (s, &x) in lane.iter_mut().zip(&bp) {
+                *s += ap * x;
+            }
+        }
+    }
+    acc
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -759,25 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_blocks_match_full_gram_bitwise() {
-        let x = Matrix::from_fn(23, 5, |i, j| ((i * 7 + j * 3) as f64).sin() * (i as f64 - 9.5));
-        let full = with_threads(1, || x.matmul_transpose_b(&x));
-        for (rows, cols) in [(0..23, 0..23), (4..9, 4..23), (17..23, 0..6), (3..3, 0..5), (5..6, 22..23)] {
-            // Stride wider than the block: the gaps must stay untouched.
-            let ld = cols.len() + 3;
-            let mut out = vec![f64::NAN; rows.len() * ld];
-            x.gram_block_into(rows.clone(), cols.clone(), &mut out, ld);
-            for (r, i) in rows.clone().enumerate() {
-                for (c, j) in cols.clone().enumerate() {
-                    assert_eq!(out[r * ld + c].to_bits(), full[(i, j)].to_bits(), "({i},{j})");
-                    assert_eq!(out[r * ld + c].to_bits(), full[(j, i)].to_bits(), "({j},{i})");
-                }
-                assert!(out[r * ld + cols.len()..(r + 1) * ld].iter().all(|v| v.is_nan()));
-            }
-        }
-    }
-
-    #[test]
     fn arithmetic_ops() {
         let a = Matrix::identity(2);
         let b = Matrix::filled(2, 2, 3.0);
@@ -879,6 +891,59 @@ mod tests {
         }
         // The gated path agrees as well (whatever thread count it picks).
         assert_eq!(a.matmul(&b).as_slice(), seq.as_slice());
+    }
+
+    /// Rows that mix random entries with sign-of-zero traps: a `[0, -1, …]`
+    /// row against a `[-1, 0, …]` row has only `-0.0` products, so its dot
+    /// product is `-0.0` only if the sum starts from `-0.0`, as `ops::dot`'s
+    /// does.
+    fn signed_zero_rows(rows: usize, k: usize, seed: u64) -> Matrix {
+        let mut rng = umsc_rt::Rng::from_seed(seed);
+        Matrix::from_fn(rows, k, |i, p| match i % 3 {
+            0 => [0.0, -1.0][p % 2],
+            1 => [-1.0, 0.0][p % 2],
+            _ => rng.normal(),
+        })
+    }
+
+    #[test]
+    fn gram_blocks_and_abt_equal_ops_dot_bitwise() {
+        use crate::ops::dot;
+        for k in [0, 1, 3, 4, 5, 600] {
+            let x = signed_zero_rows(16, k, 41);
+            for start in [0, 1, 3, 6] {
+                for m in 0..=9 {
+                    let rows = start..start + m;
+                    for cols in [0..16, 2..9, 5..6, 7..7, 3..16, 13..16] {
+                        let ld = cols.len() + 3;
+                        let mut out = vec![f64::NAN; m * ld];
+                        x.gram_block_into(rows.clone(), cols.clone(), &mut out, ld);
+                        for (r, i) in rows.clone().enumerate() {
+                            let row = &out[r * ld..(r + 1) * ld];
+                            for (c, j) in cols.clone().enumerate() {
+                                let want = dot(x.row(i), x.row(j));
+                                assert_eq!(row[c].to_bits(), want.to_bits(), "k={k} ({i},{j}) in {rows:?}×{cols:?}");
+                                // Symmetric consumers read (j, i) off this entry.
+                                assert_eq!(want.to_bits(), dot(x.row(j), x.row(i)).to_bits());
+                            }
+                            assert!(row[cols.len()..].iter().all(|v| v.is_nan()), "gap written at k={k}");
+                        }
+                    }
+                }
+            }
+            // The same kernel behind A·Bᵀ, on every thread count.
+            let b = signed_zero_rows(11, k, 42);
+            for t in [1, 3] {
+                let ab = with_threads(t, || x.matmul_transpose_b(&b));
+                for i in 0..x.rows() {
+                    for j in 0..b.rows() {
+                        assert_eq!(ab[(i, j)].to_bits(), dot(x.row(i), b.row(j)).to_bits(), "k={k} ({i},{j}) at {t}");
+                    }
+                }
+            }
+        }
+        // The traps do reach the sign: an all-(−0.0) dot product.
+        assert!(dot(&[0.0, -1.0], &[-1.0, 0.0]).is_sign_negative());
     }
 
     #[test]

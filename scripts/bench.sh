@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Perf-trajectory harness: runs the kernel microbenches and writes the
-# machine-readable snapshot BENCH_20.json (median ns per kernel, core
+# machine-readable snapshot BENCH_23.json (median ns per kernel, core
 # count, thread count, plus observability counter records such as the
 # GPI and Lanczos iteration counts and CSR row chunks) so future PRs can
 # track regressions against a committed baseline. Every group is named
@@ -8,12 +8,12 @@
 # rejects any other name.
 #
 # Usage:
-#   scripts/bench.sh            # full sizes, writes BENCH_20.json
+#   scripts/bench.sh            # full sizes, writes BENCH_23.json
 #   UMSC_BENCH_SMOKE=1 scripts/bench.sh out.json   # tiny sizes, custom path
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_20.json}"
+out="${1:-BENCH_23.json}"
 jsonl="$(mktemp /tmp/umsc-bench.XXXXXX.jsonl)"
 trap 'rm -f "$jsonl"' EXIT
 

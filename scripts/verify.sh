@@ -37,9 +37,9 @@ for group in $(grep -oE '"group":"[^"]*"' "$smoke_json" | sed 's/^"group":"//; s
     grep -qxF "$group" <<< "$phases" \
         || { echo "verify: bench group '$group' is neither a span nor a perfbench layer" >&2; exit 1; }
 done
-# The polar-step, eigensolve and anchor-graph kernels must stay in the
-# trajectory.
-for group in linalg.polar lanczos.solve graph.anchor_select graph.anchor_weights; do
+# The polar-step, eigensolve, Gram-tile and anchor-graph kernels must
+# stay in the trajectory.
+for group in linalg.polar lanczos.solve graph.distances graph.anchor_select graph.anchor_weights; do
     grep -q "\"group\":\"$group\"" "$smoke_json" \
         || { echo "verify: bench snapshot missing the $group kernels" >&2; exit 1; }
 done
