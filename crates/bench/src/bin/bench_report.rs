@@ -12,10 +12,9 @@
 //! shape failure exits 1 so `scripts/bench.sh` fails loudly instead of
 //! committing a corrupt snapshot.
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use umsc_bench::json::{parse, Json};
+use umsc_rt::json::{parse, Json};
 
 const SCHEMA: &str = "umsc-bench-trajectory/v1";
 
@@ -41,51 +40,31 @@ fn main() -> ExitCode {
         if line.trim().is_empty() {
             continue;
         }
-        let record = match parse(line) {
+        let at = |e: String| format!("bench_report: {jsonl_in}:{}: {e}", lineno + 1);
+        let record = match parse(line).map_err(at) {
             Ok(v) => v,
             Err(e) => {
-                eprintln!("bench_report: {jsonl_in}:{}: {e}", lineno + 1);
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
             }
         };
         // Counter records (from `umsc_rt::bench::record_counter`) carry a
         // `kind` tag and a different shape than timing records.
-        if record.get("kind").and_then(Json::as_str) == Some("counter") {
-            let mut counter = BTreeMap::new();
-            for key in ["group", "id"] {
-                let Some(s) = record.get(key).and_then(Json::as_str) else {
-                    eprintln!("bench_report: {jsonl_in}:{}: missing string {key:?}", lineno + 1);
-                    return ExitCode::FAILURE;
-                };
-                counter.insert(key.to_string(), Json::Str(s.to_string()));
+        let (kept, numbers) = if record.get("kind").and_then(Json::as_str) == Some("counter") {
+            (&mut counters, &["value"][..])
+        } else {
+            if let Some(t) = record.get("threads").and_then(Json::as_f64) {
+                threads_seen = Some(t);
             }
-            let Some(v) = record.get("value").and_then(Json::as_f64) else {
-                eprintln!("bench_report: {jsonl_in}:{}: missing number \"value\"", lineno + 1);
+            (&mut kernels, &["min_ns", "median_ns", "mean_ns", "max_ns", "samples"][..])
+        };
+        match pick(&record, numbers).map_err(at) {
+            Ok(v) => kept.push(v),
+            Err(e) => {
+                eprintln!("{e}");
                 return ExitCode::FAILURE;
-            };
-            counter.insert("value".to_string(), Json::Num(v));
-            counters.push(Json::Obj(counter));
-            continue;
+            }
         }
-        let mut kernel = BTreeMap::new();
-        for key in ["group", "id"] {
-            let Some(s) = record.get(key).and_then(Json::as_str) else {
-                eprintln!("bench_report: {jsonl_in}:{}: missing string {key:?}", lineno + 1);
-                return ExitCode::FAILURE;
-            };
-            kernel.insert(key.to_string(), Json::Str(s.to_string()));
-        }
-        for key in ["min_ns", "median_ns", "mean_ns", "max_ns", "samples"] {
-            let Some(x) = record.get(key).and_then(Json::as_f64) else {
-                eprintln!("bench_report: {jsonl_in}:{}: missing number {key:?}", lineno + 1);
-                return ExitCode::FAILURE;
-            };
-            kernel.insert(key.to_string(), Json::Num(x));
-        }
-        if let Some(t) = record.get("threads").and_then(Json::as_f64) {
-            threads_seen = Some(t);
-        }
-        kernels.push(Json::Obj(kernel));
     }
 
     if kernels.is_empty() {
@@ -96,13 +75,13 @@ fn main() -> ExitCode {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = threads_seen.unwrap_or(umsc_rt::par::max_threads() as f64);
 
-    let mut snapshot = BTreeMap::new();
-    snapshot.insert("schema".to_string(), Json::Str(SCHEMA.to_string()));
-    snapshot.insert("cores".to_string(), Json::Num(cores as f64));
-    snapshot.insert("threads".to_string(), Json::Num(threads));
-    snapshot.insert("kernels".to_string(), Json::Arr(kernels));
-    snapshot.insert("counters".to_string(), Json::Arr(counters));
-    let snapshot = Json::Obj(snapshot);
+    let snapshot = Json::obj([
+        ("schema", SCHEMA.into()),
+        ("cores", cores.into()),
+        ("threads", threads.into()),
+        ("kernels", Json::Arr(kernels)),
+        ("counters", Json::Arr(counters)),
+    ]);
 
     let rendered = format!("{}\n", snapshot.to_string_compact());
     if let Err(e) = std::fs::write(json_out, &rendered) {
@@ -130,4 +109,19 @@ fn main() -> ExitCode {
         "bench_report: wrote {json_out} ({n} kernels, {nc} counters, {cores} cores, {threads} threads)"
     );
     ExitCode::SUCCESS
+}
+
+/// The record's `group` and `id` strings and its `numbers`; an error
+/// names the first one missing.
+fn pick(record: &Json, numbers: &[&str]) -> Result<Json, String> {
+    let mut fields = Vec::new();
+    for key in ["group", "id"] {
+        let s = record.get(key).and_then(Json::as_str).ok_or(format!("missing string {key:?}"))?;
+        fields.push((key, s.into()));
+    }
+    for &key in numbers {
+        let x = record.get(key).and_then(Json::as_f64).ok_or(format!("missing number {key:?}"))?;
+        fields.push((key, x.into()));
+    }
+    Ok(Json::obj(fields))
 }

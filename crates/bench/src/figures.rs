@@ -2,18 +2,19 @@
 //! print their data series as aligned text columns (and JSON) — the shape
 //! of each curve is the reproduction target.
 
-use crate::report::{json_escape, save_json, TextTable};
+use crate::report::{save_json, TextTable};
 use crate::runner::BenchProfile;
-use std::fmt::Write as _;
+use std::collections::BTreeMap;
+use umsc_core::{Umsc, UmscConfig};
 use umsc_data::BenchmarkId;
 use umsc_metrics::clustering_accuracy;
-use umsc_core::{Umsc, UmscConfig};
+use umsc_rt::json::Json;
 
 /// F1 — convergence: objective (and ACC) vs outer iteration, per dataset.
 pub fn figure1(profile: BenchProfile) {
     println!("\n=== Figure 1: convergence of the unified solver ({:?} profile) ===", profile);
-    let mut json = String::from("{\n");
-    for (di, id) in BenchmarkId::ALL.into_iter().enumerate() {
+    let mut series = BTreeMap::new();
+    for id in BenchmarkId::ALL {
         let data = profile.load(id);
         let cfg = UmscConfig::new(data.num_clusters).with_max_iter(30).with_seed(0);
         // Disable early stopping by using a tiny tolerance so the full
@@ -36,22 +37,17 @@ pub fn figure1(profile: BenchProfile) {
         // Monotonicity check printed explicitly (the claim under test).
         let monotone = res.history.windows(2).all(|w| w[1].objective <= w[0].objective + 1e-6 * (1.0 + w[0].objective.abs()));
         println!("monotone non-increasing: {monotone}");
-        if di > 0 {
-            json.push_str(",\n");
-        }
-        let series: Vec<String> = res.history.iter().map(|s| format!("{:.6}", s.objective)).collect();
-        let _ = write!(json, "  \"{}\": [{}]", json_escape(&data.name), series.join(", "));
+        series.insert(data.name, res.history.iter().map(|s| s.objective).collect());
     }
-    json.push_str("\n}\n");
-    save_json("figure1_convergence", &json);
+    save_json("figure1_convergence", &Json::Obj(series));
 }
 
 /// F2 — parameter sensitivity: ACC vs λ over a log grid.
 pub fn figure2(profile: BenchProfile) {
     println!("\n=== Figure 2: sensitivity of ACC to λ ({:?} profile) ===", profile);
     let lambdas = [1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4];
-    let mut json = String::from("{\n");
-    for (di, id) in BenchmarkId::ALL.into_iter().enumerate() {
+    let mut curves = BTreeMap::new();
+    for id in BenchmarkId::ALL {
         let data = profile.load(id);
         println!("\n--- {} ---\n", data.name);
         let mut t = TextTable::new(&["lambda", "ACC", "iters"]);
@@ -61,16 +57,12 @@ pub fn figure2(profile: BenchProfile) {
             let res = Umsc::new(cfg).fit(&data).expect("fit failed");
             let acc = clustering_accuracy(&res.labels, &data.labels);
             t.row(vec![format!("{lambda:.0e}"), format!("{acc:.4}"), res.history.len().to_string()]);
-            series.push(format!("[{lambda:e}, {acc:.4}]"));
+            series.push([lambda, acc].into_iter().collect::<Json>());
         }
         print!("{}", t.render());
-        if di > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(json, "  \"{}\": [{}]", json_escape(&data.name), series.join(", "));
+        curves.insert(data.name, Json::Arr(series));
     }
-    json.push_str("\n}\n");
-    save_json("figure2_lambda", &json);
+    save_json("figure2_lambda", &Json::Obj(curves));
     println!("\nReading guide: ACC should be stable over the wide middle of the λ range\n(the paper's parameter-insensitivity claim); extremes may degrade.");
 }
 
@@ -102,13 +94,12 @@ pub fn figure3(profile: BenchProfile) {
          mimic, whose other views are themselves noisy, the drop is smaller."
     );
 
-    let mut json = String::from("{\n");
-    let _ = write!(
-        json,
-        "  \"clean_weights\": {:?},\n  \"corrupted_weights\": {:?},\n  \"clean_acc\": {clean_acc:.4},\n  \"corrupted_acc\": {noisy_acc:.4}\n",
-        clean.view_weights, noisy.view_weights
-    );
-    json.push_str("}\n");
+    let json = Json::obj([
+        ("clean_weights", clean.view_weights.iter().copied().collect()),
+        ("corrupted_weights", noisy.view_weights.iter().copied().collect()),
+        ("clean_acc", clean_acc.into()),
+        ("corrupted_acc", noisy_acc.into()),
+    ]);
     save_json("figure3_weights", &json);
 }
 
@@ -138,7 +129,7 @@ pub fn figure5(_profile: BenchProfile) {
     gen.separation = 4.0;
 
     let mut t = TextTable::new(&["#corrupted", "UMSC (auto)", "UMSC (uniform)", "SC (kernel-avg)"]);
-    let mut json = String::from("[\n");
+    let mut rows = Vec::new();
     for corrupt in 0..=3usize {
         let mut data = gen.generate(17);
         for v in 0..corrupt {
@@ -155,14 +146,15 @@ pub fn figure5(_profile: BenchProfile) {
         let acc = |labels: &[usize]| clustering_accuracy(labels, &data.labels);
         let (a, u, k) = (acc(&auto.labels), acc(&uniform.labels), acc(&kavg.labels));
         t.row(vec![corrupt.to_string(), format!("{a:.4}"), format!("{u:.4}"), format!("{k:.4}")]);
-        if corrupt > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(json, "  {{\"corrupted\": {corrupt}, \"auto\": {a:.4}, \"uniform\": {u:.4}, \"kernel_avg\": {k:.4}}}");
+        rows.push(Json::obj([
+            ("corrupted", corrupt.into()),
+            ("auto", a.into()),
+            ("uniform", u.into()),
+            ("kernel_avg", k.into()),
+        ]));
     }
-    json.push_str("\n]\n");
     print!("{}", t.render());
-    save_json("figure5_robustness", &json);
+    save_json("figure5_robustness", &Json::Arr(rows));
     println!("\nReading guide: all methods match with no corruption; as views turn to noise the\nauto-weighted unified method holds its accuracy while uniform fusion degrades.");
 }
 
@@ -182,8 +174,8 @@ pub fn figure4(profile: BenchProfile) {
         BenchProfile::Full => &[100, 200, 400, 800, 1600, 3200, 6400],
     };
     let mut t = TextTable::new(&["n", "exact s", "exact ACC", "anchor s", "anchor ACC"]);
-    let mut json = String::from("[\n");
-    for (i, &n_per4) in sizes.iter().enumerate() {
+    let mut rows = Vec::new();
+    for &n_per4 in sizes {
         let mut gen = MultiViewGmm::new(
             "scale",
             4,
@@ -212,16 +204,14 @@ pub fn figure4(profile: BenchProfile) {
             format!("{anchor_s:.3}"),
             format!("{anchor_acc:.4}"),
         ]);
-        if i > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "  {{\"n\": {}, \"exact_s\": {exact_s:.4}, \"exact_acc\": {exact_acc:.4}, \"anchor_s\": {anchor_s:.4}, \"anchor_acc\": {anchor_acc:.4}}}",
-            data.n()
-        );
+        rows.push(Json::obj([
+            ("n", data.n().into()),
+            ("exact_s", exact_s.into()),
+            ("exact_acc", exact_acc.into()),
+            ("anchor_s", anchor_s.into()),
+            ("anchor_acc", anchor_acc.into()),
+        ]));
     }
-    json.push_str("\n]\n");
     print!("{}", t.render());
-    save_json("figure4_scalability", &json);
+    save_json("figure4_scalability", &Json::Arr(rows));
 }

@@ -19,7 +19,6 @@
 
 pub mod figures;
 pub mod inputs;
-pub mod json;
 pub mod report;
 pub mod runner;
 pub mod tables;

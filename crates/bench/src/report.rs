@@ -5,6 +5,7 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
+use umsc_rt::json::Json;
 
 /// A rendered text table.
 pub struct TextTable {
@@ -73,19 +74,15 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Persists a JSON string under `target/bench-results/<name>.json`.
-pub fn save_json(name: &str, json: &str) {
+/// Persists `json` under `target/bench-results/<name>.json`, one compact
+/// line.
+pub fn save_json(name: &str, json: &Json) {
     let path = results_dir().join(format!("{name}.json"));
-    if let Err(e) = fs::write(&path, json) {
+    if let Err(e) = fs::write(&path, json.to_string_compact() + "\n") {
         eprintln!("warning: could not write {}: {e}", path.display());
     } else {
         println!("[saved {}]", path.display());
     }
-}
-
-/// Minimal JSON escaping for strings we embed in hand-built JSON.
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -117,10 +114,5 @@ mod tests {
     #[test]
     fn pm_formats() {
         assert_eq!(pm(0.91234, 0.0456), "0.912±0.046");
-    }
-
-    #[test]
-    fn json_escape_works() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
     }
 }

@@ -1,10 +1,10 @@
 //! Table generators (experiments T1, T2, T3, A1 in DESIGN.md §3).
 
-use crate::report::{json_escape, pm, save_json, TextTable};
+use crate::report::{pm, save_json, TextTable};
 use crate::runner::{evaluate_method, BenchProfile, RunSummary};
-use std::fmt::Write as _;
 use umsc_baselines::{ablation_suite, standard_suite};
 use umsc_data::BenchmarkId;
+use umsc_rt::json::Json;
 
 /// T1 — dataset statistics (the paper's dataset table).
 pub fn table1(profile: BenchProfile) {
@@ -184,32 +184,24 @@ fn print_winner_counts(all: &[RunSummary]) {
     println!("\nwins by mean ACC: {wins:?}");
 }
 
-/// Hand-built JSON (serde_json is outside the allowed dependency set).
-fn summaries_json(all: &[RunSummary]) -> String {
-    let mut out = String::from("[\n");
-    for (i, s) in all.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(
-            out,
-            "  {{\"method\": \"{}\", \"dataset\": \"{}\", \"acc_mean\": {:.6}, \"acc_std\": {:.6}, \
-             \"nmi_mean\": {:.6}, \"nmi_std\": {:.6}, \"purity_mean\": {:.6}, \"purity_std\": {:.6}, \
-             \"seconds\": {:.6}, \"runs\": {}}}",
-            json_escape(&s.method),
-            json_escape(&s.dataset),
-            s.acc.0,
-            s.acc.1,
-            s.nmi.0,
-            s.nmi.1,
-            s.purity.0,
-            s.purity.1,
-            s.seconds,
-            s.runs
-        );
-    }
-    out.push_str("\n]\n");
-    out
+/// One object per run summary.
+fn summaries_json(all: &[RunSummary]) -> Json {
+    all.iter()
+        .map(|s| {
+            Json::obj([
+                ("method", s.method.as_str().into()),
+                ("dataset", s.dataset.as_str().into()),
+                ("acc_mean", s.acc.0.into()),
+                ("acc_std", s.acc.1.into()),
+                ("nmi_mean", s.nmi.0.into()),
+                ("nmi_std", s.nmi.1.into()),
+                ("purity_mean", s.purity.0.into()),
+                ("purity_std", s.purity.1.into()),
+                ("seconds", s.seconds.into()),
+                ("runs", s.runs.into()),
+            ])
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -217,7 +209,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_is_wellformed_enough() {
+    fn summaries_round_trip_through_the_codec() {
         let s = RunSummary {
             method: "M".into(),
             dataset: "D\"q".into(),
@@ -227,9 +219,11 @@ mod tests {
             seconds: 1.0,
             runs: 3,
         };
-        let j = summaries_json(&[s]);
-        assert!(j.starts_with("[\n"));
-        assert!(j.contains("\\\"q"));
-        assert!(j.trim_end().ends_with(']'));
+        let text = summaries_json(&[s]).to_string_compact();
+        let back = umsc_rt::json::parse(&text).unwrap();
+        let row = &back.as_arr().unwrap()[0];
+        assert_eq!(row.get("dataset").and_then(Json::as_str), Some("D\"q"));
+        assert_eq!(row.get("acc_std").and_then(Json::as_f64), Some(0.1));
+        assert_eq!(row.get("runs").and_then(Json::as_f64), Some(3.0));
     }
 }

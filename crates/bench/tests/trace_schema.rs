@@ -1,10 +1,10 @@
 //! Schema round-trip: every `umsc-trace/v1` line that `umsc-obs` emits
-//! must parse with this crate's strict JSON parser (`umsc_bench::json`)
+//! must parse with the workspace's strict JSON parser (`umsc_rt::json`)
 //! and carry the fields the trace-report aggregation relies on. This is
 //! the contract test between the writer (obs) and the reader (bench/cli)
 //! — if the schema drifts on either side, this binary fails.
 
-use umsc_bench::json::{parse, Json};
+use umsc_rt::json::{parse, Json};
 
 /// The obs sink is process-global; the tests below each rebuild it, so
 /// they must not interleave.
@@ -23,7 +23,6 @@ fn emitted_trace() -> String {
         let _span = umsc_obs::span!("schema.phase");
         umsc_obs::counter!("schema.counter", 3);
     }
-    umsc_obs::flush_thread();
     umsc_obs::emit_sweep(&umsc_obs::SweepRecord {
         solver: "dense",
         iter: 0,

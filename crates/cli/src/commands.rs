@@ -243,12 +243,12 @@ fn fmt_ns(ns: f64) -> String {
 
 /// `trace-report`: aggregates an `umsc-trace/v1` JSONL file into
 /// per-phase time/count tables. Every line is run through the same
-/// strict parser the bench harness uses (`umsc_bench::json`), so a
+/// strict parser the bench harness uses (`umsc_rt::json`), so a
 /// malformed or wrong-schema trace fails the command instead of being
 /// silently skipped.
 fn trace_report(args: &Args) -> Result<(), String> {
     use std::collections::BTreeMap;
-    use umsc_bench::json::Json;
+    use umsc_rt::json::Json;
 
     let path = args.require("trace")?;
     let raw = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -273,7 +273,7 @@ fn trace_report(args: &Args) -> Result<(), String> {
             continue;
         }
         let bad = |what: &str| format!("{path}:{}: {what}", lineno + 1);
-        let v = umsc_bench::json::parse(line).map_err(|e| bad(&e))?;
+        let v = umsc_rt::json::parse(line).map_err(|e| bad(&e))?;
         match field_str(&v, "schema") {
             Some(umsc_obs::TRACE_SCHEMA) => {}
             Some(other) => return Err(bad(&format!("unsupported schema {other:?}"))),

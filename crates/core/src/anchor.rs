@@ -129,7 +129,7 @@ impl ViewSet for AnchorLaplacian {
     /// `c − ‖B_vᵀF‖²_F` per view, each `B_vᵀF` a row block of one `B̂ᵀF`.
     fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
         let c = f.cols();
-        TraceScratch::fit(&mut scratch.prod, self.stacked.cols(), c);
+        scratch.prod.ensure_shape(self.stacked.cols(), c);
         self.stacked.mul_transpose_into(f.as_slice(), c, scratch.prod.as_mut_slice());
         traces.clear();
         for block in self.offsets.windows(2) {

@@ -283,7 +283,8 @@ pub(crate) fn sweep<V: ViewSet>(
     // boundary rows cannot skew the rotation.
     {
         let _span = umsc_obs::span!("solve.r_step");
-        effective_indicator(&st.y, scaled, &mut ws.sizes, &mut ws.y_eff);
+        // `ws.y_eff` still holds the F-step's effective indicator: Y has
+        // not moved since.
         ws.f_tilde.copy_from(&st.f);
         for i in 0..n {
             umsc_linalg::ops::normalize(ws.f_tilde.row_mut(i));

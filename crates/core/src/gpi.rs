@@ -88,9 +88,11 @@ impl GpiWorkspace {
     }
 
     pub(crate) fn ensure(&mut self, n: usize, k: usize) {
-        crate::workspace::ensure_shape(&mut self.m, n, k);
-        crate::workspace::ensure_shape(&mut self.af, n, k);
-        crate::workspace::ensure_shape(&mut self.cc, k, k);
+        crate::workspace::count_reallocs(&[
+            self.m.ensure_shape(n, k),
+            self.af.ensure_shape(n, k),
+            self.cc.ensure_shape(k, k),
+        ]);
     }
 }
 

@@ -137,8 +137,8 @@ impl ViewSet for FusedLaplacian<'_> {
 
     fn traces_into(&self, f: &Matrix, scratch: &mut TraceScratch, traces: &mut Vec<f64>) {
         let (n, c) = f.shape();
-        TraceScratch::fit(&mut scratch.prod, n, c);
-        TraceScratch::fit(&mut scratch.cc, c, c);
+        scratch.prod.ensure_shape(n, c);
+        scratch.cc.ensure_shape(c, c);
         traces.clear();
         for l in self.views {
             l.apply_block_into(f.as_slice(), c, scratch.prod.as_mut_slice());

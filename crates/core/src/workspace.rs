@@ -16,11 +16,12 @@
 use crate::gpi::GpiWorkspace;
 use umsc_linalg::{Matrix, SvdScratch};
 
-/// Reallocates `m` only when its shape changes (contents unspecified).
-pub(crate) fn ensure_shape(m: &mut Matrix, rows: usize, cols: usize) {
-    if m.shape() != (rows, cols) {
-        umsc_obs::counter!("workspace.realloc", 1);
-        *m = Matrix::zeros(rows, cols);
+/// Counts the buffers in `reallocs` that [`Matrix::ensure_shape`] had to
+/// reallocate under `workspace.realloc`.
+pub(crate) fn count_reallocs(reallocs: &[bool]) {
+    let n = reallocs.iter().filter(|&&r| r).count();
+    if n > 0 {
+        umsc_obs::counter!("workspace.realloc", n);
     }
 }
 
@@ -40,13 +41,6 @@ pub(crate) struct TraceScratch {
 impl TraceScratch {
     pub(crate) fn new() -> Self {
         TraceScratch { prod: Matrix::zeros(0, 0), cc: Matrix::zeros(0, 0) }
-    }
-
-    /// Reallocates `m` when its shape differs.
-    pub(crate) fn fit(m: &mut Matrix, rows: usize, cols: usize) {
-        if m.shape() != (rows, cols) {
-            *m = Matrix::zeros(rows, cols);
-        }
     }
 }
 
@@ -107,11 +101,13 @@ impl SolverWorkspace {
     /// Sizes the sweep's `n × c` and `c × c` buffers. Reallocates only
     /// when shapes change.
     pub(crate) fn ensure(&mut self, n: usize, c: usize) {
-        ensure_shape(&mut self.cc, c, c);
-        ensure_shape(&mut self.y_eff, n, c);
-        ensure_shape(&mut self.b, n, c);
-        ensure_shape(&mut self.fr, n, c);
-        ensure_shape(&mut self.f_tilde, n, c);
+        count_reallocs(&[
+            self.cc.ensure_shape(c, c),
+            self.y_eff.ensure_shape(n, c),
+            self.b.ensure_shape(n, c),
+            self.fr.ensure_shape(n, c),
+            self.f_tilde.ensure_shape(n, c),
+        ]);
     }
 }
 

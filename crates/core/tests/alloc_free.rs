@@ -14,13 +14,19 @@
 //!    dense `n × m` anchor factor on top of its input (the sparse
 //!    factors);
 //! 6. a warm polar step (`polar_orthogonalize_into`) is allocation-free on
-//!    its Gram route and on its SVD fallback.
+//!    its Gram route and on its SVD fallback;
+//! 7. warm sweeps stay allocation-free with observability on: the obs
+//!    registry allocates only for a span or counter name it has not seen.
 //!
 //! Each test runs under `with_threads(1, ..)` because the counters are
 //! thread-local (see the module docs of `alloc_track` for why) and worker
 //! threads would both allocate stacks and hide their traffic. The pin is
 //! scoped to the test's own thread, so it holds whatever order the tests
-//! run in.
+//! run in. The obs switch is process-global, so the zero-allocation tests
+//! hold one lock: a test that turns obs on must not turn a concurrent
+//! one's first sight of a name into a heap allocation.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use umsc_core::{
     anchor_fused_operator, build_view_laplacians_sparse, sparse_fused_operator, AnchorUmsc,
@@ -36,12 +42,20 @@ use umsc_rt::par::with_threads;
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Serializes the zero-allocation tests against the one that turns obs on.
+static OBS_SWITCH: Mutex<()> = Mutex::new(());
+
+fn obs_switch() -> MutexGuard<'static, ()> {
+    OBS_SWITCH.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn gmm(per: usize, seed: u64) -> umsc_data::MultiViewDataset {
     MultiViewGmm::new("alloc", 3, per, vec![ViewSpec::clean(5), ViewSpec::clean(6)]).generate(seed)
 }
 
 #[test]
 fn one_step_solve_is_allocation_free_once_warm() {
+    let _obs = obs_switch();
     // Single-threaded kernels: thread spawns allocate stacks, and the flop
     // gates would engage threads on larger inputs.
     with_threads(1, || {
@@ -76,6 +90,7 @@ fn one_step_solve_is_allocation_free_once_warm() {
 
 #[test]
 fn anchor_one_step_solve_is_allocation_free_once_warm() {
+    let _obs = obs_switch();
     with_threads(1, || {
         let data = gmm(20, 11);
         let factors: Vec<SparseFactor> = data
@@ -105,6 +120,52 @@ fn anchor_one_step_solve_is_allocation_free_once_warm() {
     })
 }
 
+#[test]
+fn traced_warm_sweeps_are_allocation_free() {
+    let _obs = obs_switch();
+    with_threads(1, || {
+        let data = gmm(20, 7);
+        let model = Umsc::new(UmscConfig::new(3));
+        let laplacians = build_view_laplacians_sparse(&data, &model.config().graph_config()).unwrap();
+        let mut fused = sparse_fused_operator(&laplacians, &[0.5, 0.5]);
+        let mut st = model.init_solver_state(&mut fused).unwrap();
+        let mut ws = SolverWorkspace::new();
+
+        let factors: Vec<SparseFactor> = data
+            .views
+            .iter()
+            .enumerate()
+            .map(|(v, x)| umsc_graph::anchor_view_factor(x, 15, 4, v as u64).0)
+            .collect();
+        let anchor = AnchorUmsc::new(AnchorUmscConfig::new(3));
+        let mut anchor_st = state_of(anchor.fit_sparse_factors(&factors).unwrap());
+        let mut anchor_fused = anchor_fused_operator(&factors, &anchor_st.weights);
+        let mut anchor_ws = SolverWorkspace::new();
+
+        umsc_obs::set_enabled(true);
+        // One warm-up sweep each sizes the buffers and puts every span and
+        // counter name of a sweep in the registry.
+        model.one_step_solve(&mut fused, &mut st, &mut ws).unwrap();
+        anchor.one_step_solve(&mut anchor_fused, &mut anchor_st, &mut anchor_ws).unwrap();
+        let umsc = measure(|| {
+            model.one_step_solve(&mut fused, &mut st, &mut ws).unwrap();
+        });
+        let anchored = measure(|| {
+            anchor.one_step_solve(&mut anchor_fused, &mut anchor_st, &mut anchor_ws).unwrap();
+        });
+        let recorded = umsc_obs::spans_snapshot().iter().any(|(name, _)| name == "solve.f_step");
+        umsc_obs::set_enabled(false);
+
+        assert!(recorded, "the traced sweeps recorded no solve.f_step span");
+        assert_eq!(umsc.allocations, 0, "traced warm one_step_solve touched the heap {} times", umsc.allocations);
+        assert_eq!(
+            anchored.allocations, 0,
+            "traced warm anchor one_step_solve touched the heap {} times",
+            anchored.allocations
+        );
+    })
+}
+
 /// The BCD state a fit ended in — exactly what a sweep advances.
 fn state_of(res: UmscResult) -> SolverState {
     SolverState {
@@ -118,6 +179,7 @@ fn state_of(res: UmscResult) -> SolverState {
 
 #[test]
 fn warm_polar_step_is_allocation_free_on_both_routes() {
+    let _obs = obs_switch();
     with_threads(1, || {
         // A GPI-shaped, well-conditioned iterate takes the Gram route; a
         // rank-1 one of the same shape takes the SVD fallback.

@@ -126,6 +126,17 @@ impl Matrix {
         (self.rows, self.cols)
     }
 
+    /// Reallocates `self` as `rows × cols` zeros when its shape differs,
+    /// and returns whether it did. Contents are unspecified afterwards —
+    /// a scratch buffer's caller overwrites every entry it reads back.
+    pub fn ensure_shape(&mut self, rows: usize, cols: usize) -> bool {
+        let realloc = self.shape() != (rows, cols);
+        if realloc {
+            *self = Matrix::zeros(rows, cols);
+        }
+        realloc
+    }
+
     /// True when `rows == cols`.
     pub fn is_square(&self) -> bool {
         self.rows == self.cols

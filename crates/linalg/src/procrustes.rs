@@ -14,7 +14,7 @@
 
 use crate::eigen::tql2;
 use crate::matrix::Matrix;
-use crate::svd::{ensure_shape, Svd, SvdScratch};
+use crate::svd::{Svd, SvdScratch};
 use crate::tridiag::tridiagonalize_into;
 use crate::Result;
 
@@ -103,8 +103,8 @@ pub fn polar_orthogonalize_into(m: &Matrix, ws: &mut SvdScratch, out: &mut Matri
 /// eigenpairs, so the QL output is used unsorted.
 fn polar_from_gram(m: &Matrix, ws: &mut SvdScratch, out: &mut Matrix) -> bool {
     let k = m.cols();
-    ensure_shape(&mut ws.gram, k, k);
-    ensure_shape(&mut ws.w, k, k);
+    ws.gram.ensure_shape(k, k);
+    ws.w.ensure_shape(k, k);
     // Every entry of MᵀM sums the same products in the same order as its
     // mirror, so G is exactly symmetric.
     m.matmul_transpose_a_into(m, &mut ws.gram);

@@ -101,14 +101,6 @@ impl Default for SvdScratch {
     }
 }
 
-/// Reallocates `buf` only when its shape differs. Contents are unspecified
-/// afterwards — the caller must overwrite every entry it reads back.
-pub(crate) fn ensure_shape(buf: &mut Matrix, rows: usize, cols: usize) {
-    if buf.shape() != (rows, cols) {
-        *buf = Matrix::zeros(rows, cols);
-    }
-}
-
 impl Svd {
     /// Computes the thin SVD of `a` into fresh buffers: the test oracle
     /// form. Fits run [`Svd::compute_scratch`].
@@ -127,8 +119,8 @@ impl Svd {
         let (m, n) = a.shape();
         if m == 0 || n == 0 {
             let k = m.min(n);
-            ensure_shape(&mut ws.u, m, k);
-            ensure_shape(&mut ws.v, n, k);
+            ws.u.ensure_shape(m, k);
+            ws.v.ensure_shape(n, k);
             ws.s.clear();
             ws.s.resize(k, 0.0);
             return Ok(());
@@ -140,7 +132,7 @@ impl Svd {
             // swap the factors. `at` is moved out of the scratch for the
             // duration of the call to keep the borrows disjoint.
             let mut at = std::mem::replace(&mut ws.at, Matrix::zeros(0, 0));
-            ensure_shape(&mut at, n, m);
+            at.ensure_shape(n, m);
             a.transpose_into(&mut at);
             let result = svd_tall_scratch(&at, ws);
             ws.at = at;
@@ -169,10 +161,10 @@ fn svd_tall_scratch(a: &Matrix, ws: &mut SvdScratch) -> Result<()> {
 
     // Column views are strided in row-major storage, so work on transposed
     // buffers: rows of `ut` are the columns of the working copy of `a`.
-    ensure_shape(&mut ws.ut, n, m);
+    ws.ut.ensure_shape(n, m);
     a.transpose_into(&mut ws.ut);
     let ut = &mut ws.ut;
-    ensure_shape(&mut ws.vwork, n, n);
+    ws.vwork.ensure_shape(n, n);
     ws.vwork.as_mut_slice().fill(0.0);
     for i in 0..n {
         ws.vwork[(i, i)] = 1.0;
@@ -256,8 +248,8 @@ fn svd_tall_scratch(a: &Matrix, ws: &mut SvdScratch) -> Result<()> {
     }
     ws.s.clear();
     ws.s.resize(n, 0.0);
-    ensure_shape(&mut ws.ut_sorted, n, m);
-    ensure_shape(&mut ws.v, n, n);
+    ws.ut_sorted.ensure_shape(n, m);
+    ws.v.ensure_shape(n, n);
     for (new, &old) in ws.order.iter().enumerate() {
         ws.s[new] = ws.svals[old];
         ws.ut_sorted.row_mut(new).copy_from_slice(ws.ut.row(old));
@@ -267,7 +259,7 @@ fn svd_tall_scratch(a: &Matrix, ws: &mut SvdScratch) -> Result<()> {
     }
 
     complete_orthonormal_rows(&mut ws.ut_sorted, &ws.s, &mut ws.cand);
-    ensure_shape(&mut ws.u, m, n);
+    ws.u.ensure_shape(m, n);
     ws.ut_sorted.transpose_into(&mut ws.u);
     Ok(())
 }

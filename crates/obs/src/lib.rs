@@ -5,21 +5,24 @@
 //! touches the heap, a clock, or a lock:
 //!
 //! * **Spans** — [`span!`] returns an RAII guard that times a phase
-//!   with the monotonic clock and folds the measurement into a
-//!   thread-local table; tables merge into a global registry when the
-//!   guard's thread exits (or on [`flush_thread`]). Snapshots are
-//!   available any time via [`spans_snapshot`].
-//! * **Counters** — [`counter!`] expands to a per-call-site
-//!   `static` [`CounterSite`] holding an `AtomicU64`. Sites register
-//!   themselves on first hit through an intrusive lock-free list, so
-//!   incrementing is one atomic add and enumeration needs no
-//!   allocation-on-hot-path bookkeeping.
+//!   with the monotonic clock and, when it drops, folds the measurement
+//!   into the one registry under its mutex. A span closed on a worker
+//!   thread is in [`spans_snapshot`] as soon as the guard drops.
+//! * **Counters** — [`counter!`] adds to a named total in the same
+//!   registry, under the same lock.
 //! * **Traces** — versioned JSONL records (schema
-//!   [`TRACE_SCHEMA`] = `umsc-trace/v1`) appended line-atomically via
-//!   [`umsc_rt::jsonl`] to the path in `UMSC_TRACE_JSON` (or one set
-//!   programmatically with [`set_trace_path`]). Solvers emit one
-//!   [`SweepRecord`] per sweep plus a final `fit` record and a dump of
-//!   all phase/counter aggregates.
+//!   [`TRACE_SCHEMA`] = `umsc-trace/v1`) built with [`umsc_rt::json`]
+//!   and appended line-atomically via [`umsc_rt::jsonl`] to the path in
+//!   `UMSC_TRACE_JSON` (or one set programmatically with
+//!   [`set_trace_path`]). Solvers emit one [`SweepRecord`] per sweep
+//!   plus a final `fit` record and a dump of all phase/counter
+//!   aggregates.
+//!
+//! One mutex suffices: a traced fit closes at most a few hundred spans
+//! and adds under a thousand counter units, so an uncontended lock per
+//! event costs well under a millisecond per fit. The registry keys on
+//! `&'static str` names and allocates only the first time it sees a
+//! name, so warm traced sweeps stay allocation-free.
 //!
 //! Enabling rule: observability turns itself on lazily when
 //! `UMSC_TRACE_JSON` is set to a non-empty path or `UMSC_OBS=1`;
@@ -28,13 +31,12 @@
 //! Instrumented kernels must be bitwise-identical with observability
 //! on or off — instruments only *watch*, never steer.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+use umsc_rt::json::Json;
 
 /// Schema tag stamped on every emitted JSONL line.
 pub const TRACE_SCHEMA: &str = "umsc-trace/v1";
@@ -76,117 +78,7 @@ pub fn set_enabled(on: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Counters
-// ---------------------------------------------------------------------------
-
-/// One named counter, declared `static` by the [`counter!`] macro.
-///
-/// Sites link themselves into a global intrusive list on first
-/// increment; the list only ever grows and only ever holds `&'static`
-/// sites, so traversal is safe without synchronizing with writers.
-pub struct CounterSite {
-    name: &'static str,
-    value: AtomicU64,
-    next: AtomicPtr<CounterSite>,
-    registered: AtomicU8,
-}
-
-static COUNTER_HEAD: AtomicPtr<CounterSite> = AtomicPtr::new(ptr::null_mut());
-
-impl CounterSite {
-    /// Const constructor for `static` declaration.
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        CounterSite {
-            name,
-            value: AtomicU64::new(0),
-            next: AtomicPtr::new(ptr::null_mut()),
-            registered: AtomicU8::new(0),
-        }
-    }
-
-    /// Add `n` to the counter if observability is enabled.
-    #[inline]
-    pub fn add(&'static self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        if self.registered.load(Ordering::Acquire) == 0 {
-            self.register();
-        }
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[cold]
-    fn register(&'static self) {
-        // First caller claims registration and links the site.
-        if self.registered.swap(1, Ordering::AcqRel) != 0 {
-            return;
-        }
-        let me: *mut CounterSite = ptr::from_ref(self).cast_mut();
-        let mut head = COUNTER_HEAD.load(Ordering::Acquire);
-        loop {
-            self.next.store(head, Ordering::Relaxed);
-            match COUNTER_HEAD.compare_exchange_weak(
-                head,
-                me,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(h) => head = h,
-            }
-        }
-    }
-}
-
-fn for_each_counter(mut f: impl FnMut(&'static CounterSite)) {
-    let mut p = COUNTER_HEAD.load(Ordering::Acquire);
-    while !p.is_null() {
-        // SAFETY: only `&'static CounterSite`s are ever linked (see
-        // `register`, reachable solely through `add(&'static self)`),
-        // and the list is append-only, so every node pointer stays
-        // valid for the life of the process.
-        let site: &'static CounterSite = unsafe { &*p };
-        f(site);
-        p = site.next.load(Ordering::Acquire);
-    }
-}
-
-/// Snapshot of all counters that have fired at least once, summed per
-/// name (several call sites may share a name) and sorted by name.
-#[must_use]
-pub fn counters_snapshot() -> Vec<(String, u64)> {
-    let mut map: BTreeMap<&'static str, u64> = BTreeMap::new();
-    for_each_counter(|site| {
-        *map.entry(site.name).or_insert(0) += site.value.load(Ordering::Relaxed);
-    });
-    map.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
-}
-
-/// Zero every registered counter (sites stay registered).
-pub fn reset_counters() {
-    for_each_counter(|site| site.value.store(0, Ordering::Relaxed));
-}
-
-/// Increment a named counter from a hot path.
-///
-/// Expands to a per-call-site `static` [`CounterSite`]; the disabled
-/// path is a single relaxed atomic load and branch.
-///
-/// ```
-/// umsc_obs::counter!("spmv.row_chunks", 4);
-/// ```
-#[macro_export]
-macro_rules! counter {
-    ($name:literal, $n:expr) => {{
-        static __UMSC_OBS_SITE: $crate::CounterSite = $crate::CounterSite::new($name);
-        __UMSC_OBS_SITE.add($n as u64);
-    }};
-}
-
-// ---------------------------------------------------------------------------
-// Spans
+// The registry
 // ---------------------------------------------------------------------------
 
 /// Aggregate statistics for one named phase.
@@ -206,45 +98,55 @@ impl PhaseAgg {
         self.total_ns += ns;
         self.max_ns = self.max_ns.max(ns);
     }
+}
 
-    fn merge(&mut self, other: PhaseAgg) {
-        self.count += other.count;
-        self.total_ns += other.total_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
+/// Every span aggregate and counter total of the process.
+struct Registry {
+    spans: BTreeMap<&'static str, PhaseAgg>,
+    counters: BTreeMap<&'static str, u64>,
+}
+
+static REGISTRY: Mutex<Registry> =
+    Mutex::new(Registry { spans: BTreeMap::new(), counters: BTreeMap::new() });
+
+/// The registry, locked. A panic while it was held cannot leave it
+/// half-updated, so a poisoned lock is taken as is.
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Add `n` to the counter `name` if observability is enabled. Prefer
+/// the [`counter!`] macro, which takes the name as a literal.
+#[inline]
+pub fn add_to_counter(name: &'static str, n: u64) {
+    if enabled() {
+        *registry().counters.entry(name).or_insert(0) += n;
     }
 }
 
-static GLOBAL_SPANS: Mutex<BTreeMap<&'static str, PhaseAgg>> = Mutex::new(BTreeMap::new());
-
-struct LocalSpans {
-    table: RefCell<BTreeMap<&'static str, PhaseAgg>>,
+/// Increment a named counter from a hot path; the disabled path is a
+/// single relaxed atomic load and branch.
+///
+/// ```
+/// umsc_obs::counter!("spmv.row_chunks", 4);
+/// ```
+#[macro_export]
+macro_rules! counter {
+    ($name:literal, $n:expr) => {
+        $crate::add_to_counter($name, $n as u64)
+    };
 }
 
-impl Drop for LocalSpans {
-    fn drop(&mut self) {
-        merge_into_global(&mut self.table.borrow_mut());
-    }
+/// Snapshot of every counter added to since process start, sorted by
+/// name. A counter zeroed by [`reset_counters`] is still listed, at 0.
+#[must_use]
+pub fn counters_snapshot() -> Vec<(String, u64)> {
+    registry().counters.iter().map(|(k, &v)| ((*k).to_string(), v)).collect()
 }
 
-thread_local! {
-    static LOCAL_SPANS: LocalSpans =
-        const { LocalSpans { table: RefCell::new(BTreeMap::new()) } };
-}
-
-fn merge_into_global(local: &mut BTreeMap<&'static str, PhaseAgg>) {
-    if local.is_empty() {
-        return;
-    }
-    let mut global = GLOBAL_SPANS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    for (name, agg) in std::mem::take(local) {
-        global.entry(name).or_default().merge(agg);
-    }
-}
-
-fn record_span(name: &'static str, ns: u64) {
-    // During thread teardown the TLS slot may already be gone; drop the
-    // measurement rather than panic.
-    let _ = LOCAL_SPANS.try_with(|l| l.table.borrow_mut().entry(name).or_default().record(ns));
+/// Zero every counter (names stay listed).
+pub fn reset_counters() {
+    registry().counters.values_mut().for_each(|v| *v = 0);
 }
 
 /// RAII guard produced by [`span!`]. Timing starts at construction
@@ -267,7 +169,8 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(t0) = self.start {
-            record_span(self.name, u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            registry().spans.entry(self.name).or_default().record(ns);
         }
     }
 }
@@ -289,25 +192,15 @@ macro_rules! span {
     };
 }
 
-/// Merge the calling thread's pending span aggregates into the global
-/// registry (worker threads do this automatically at thread exit).
-pub fn flush_thread() {
-    let _ = LOCAL_SPANS.try_with(|l| merge_into_global(&mut l.table.borrow_mut()));
-}
-
-/// Snapshot of all phase aggregates (global registry plus the calling
-/// thread's pending table), sorted by name.
+/// Snapshot of all phase aggregates, sorted by name.
 #[must_use]
 pub fn spans_snapshot() -> Vec<(String, PhaseAgg)> {
-    flush_thread();
-    let global = GLOBAL_SPANS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    global.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+    registry().spans.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
 }
 
-/// Clear all span aggregates (global and the calling thread's).
+/// Clear all span aggregates.
 pub fn reset_spans() {
-    let _ = LOCAL_SPANS.try_with(|l| l.table.borrow_mut().clear());
-    GLOBAL_SPANS.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+    registry().spans.clear();
 }
 
 /// Reset counters and spans; used by tests and benches between runs.
@@ -328,7 +221,7 @@ struct TracePathSlot {
 }
 
 fn with_trace_slot<R>(f: impl FnOnce(&mut TracePathSlot) -> R) -> R {
-    let mut slot = TRACE_PATH.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut slot = TRACE_PATH.lock().unwrap_or_else(PoisonError::into_inner);
     if !slot.init {
         slot.init = true;
         slot.path = std::env::var("UMSC_TRACE_JSON").ok().filter(|p| !p.is_empty());
@@ -351,36 +244,23 @@ pub fn set_trace_path(path: Option<&str>) {
     }
 }
 
-fn emit_line(line: &str) {
-    if let Some(path) = trace_path() {
-        if let Err(err) = umsc_rt::jsonl::append_line(&path, line) {
-            eprintln!("umsc-obs: failed to append trace record to {path}: {err}");
-        }
-    }
-}
-
-/// Format a finite f64 as JSON; non-finite values become `null`.
-fn push_f64(out: &mut String, x: f64) {
-    if x.is_finite() {
-        let _ = write!(out, "{x}");
-        // Ensure a numeric token stays a JSON number (e.g. `1` not `1.`).
-        if !out.ends_with(|c: char| c.is_ascii_digit()) {
-            out.push('0');
-        }
+/// The trace sink, when instruments are on and a path is set.
+fn sink() -> Option<String> {
+    if enabled() {
+        trace_path()
     } else {
-        out.push_str("null");
+        None
     }
 }
 
-fn record_head(event: &str) -> String {
-    let mut s = String::with_capacity(160);
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{}\",\"event\":\"{}\"",
-        umsc_rt::jsonl::escape(TRACE_SCHEMA),
-        umsc_rt::jsonl::escape(event)
-    );
-    s
+/// Appends one `umsc-trace/v1` record of `event` from `solver`, plus
+/// `fields`, to the sink at `path`.
+fn emit(path: &str, event: &str, solver: &str, fields: impl IntoIterator<Item = (&'static str, Json)>) {
+    let head = [("schema", TRACE_SCHEMA.into()), ("event", event.into()), ("solver", solver.into())];
+    let line = Json::obj(head.into_iter().chain(fields)).to_string_compact();
+    if let Err(err) = umsc_rt::jsonl::append_line(path, &line) {
+        eprintln!("umsc-obs: failed to append trace record to {path}: {err}");
+    }
 }
 
 /// One solver sweep's telemetry, emitted as an `event: "sweep"` line.
@@ -410,49 +290,33 @@ pub struct SweepRecord<'a> {
 
 /// Append one sweep record to the trace sink, if any.
 pub fn emit_sweep(r: &SweepRecord<'_>) {
-    if !enabled() {
-        return;
-    }
-    let mut s = record_head("sweep");
-    let _ = write!(s, ",\"solver\":\"{}\",\"iter\":{}", umsc_rt::jsonl::escape(r.solver), r.iter);
-    s.push_str(",\"objective\":");
-    push_f64(&mut s, r.objective);
-    s.push_str(",\"embedding_term\":");
-    push_f64(&mut s, r.embedding_term);
-    s.push_str(",\"rotation_term\":");
-    push_f64(&mut s, r.rotation_term);
-    s.push_str(",\"residual\":");
-    push_f64(&mut s, r.residual);
-    s.push_str(",\"weights\":[");
-    for (i, &w) in r.weights.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_f64(&mut s, w);
-    }
-    let _ = write!(
-        s,
-        "],\"elapsed_ns\":{},\"peak_live_bytes\":{}}}",
-        r.elapsed_ns, r.peak_live_bytes
+    let Some(path) = sink() else { return };
+    emit(
+        &path,
+        "sweep",
+        r.solver,
+        [
+            ("iter", r.iter.into()),
+            ("objective", r.objective.into()),
+            ("embedding_term", r.embedding_term.into()),
+            ("rotation_term", r.rotation_term.into()),
+            ("residual", r.residual.into()),
+            ("weights", r.weights.iter().copied().collect()),
+            ("elapsed_ns", r.elapsed_ns.into()),
+            ("peak_live_bytes", r.peak_live_bytes.into()),
+        ],
     );
-    emit_line(&s);
 }
 
 /// Append a fit-summary record (`event: "fit"`) to the trace sink.
 pub fn emit_fit(solver: &str, iters: usize, converged: bool, elapsed_ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut s = record_head("fit");
-    let _ = write!(
-        s,
-        ",\"solver\":\"{}\",\"iters\":{},\"converged\":{},\"elapsed_ns\":{}}}",
-        umsc_rt::jsonl::escape(solver),
-        iters,
-        converged,
-        elapsed_ns
+    let Some(path) = sink() else { return };
+    emit(
+        &path,
+        "fit",
+        solver,
+        [("iters", iters.into()), ("converged", converged.into()), ("elapsed_ns", elapsed_ns.into())],
     );
-    emit_line(&s);
 }
 
 /// Dump every phase aggregate (`event: "phase"`) and counter
@@ -460,33 +324,22 @@ pub fn emit_fit(solver: &str, iters: usize, converged: bool, elapsed_ns: u64) {
 /// process start or the last [`reset`]; consumers (e.g. the CLI
 /// `trace-report`) keep the last record per name.
 pub fn emit_aggregates(solver: &str) {
-    if !enabled() || trace_path().is_none() {
-        return;
-    }
-    let solver = umsc_rt::jsonl::escape(solver);
+    let Some(path) = sink() else { return };
     for (name, agg) in spans_snapshot() {
-        let mut s = record_head("phase");
-        let _ = write!(
-            s,
-            ",\"solver\":\"{}\",\"name\":\"{}\",\"count\":{},\"total_ns\":{},\"max_ns\":{}}}",
+        emit(
+            &path,
+            "phase",
             solver,
-            umsc_rt::jsonl::escape(&name),
-            agg.count,
-            agg.total_ns,
-            agg.max_ns
+            [
+                ("name", name.into()),
+                ("count", agg.count.into()),
+                ("total_ns", agg.total_ns.into()),
+                ("max_ns", agg.max_ns.into()),
+            ],
         );
-        emit_line(&s);
     }
     for (name, value) in counters_snapshot() {
-        let mut s = record_head("counter");
-        let _ = write!(
-            s,
-            ",\"solver\":\"{}\",\"name\":\"{}\",\"value\":{}}}",
-            solver,
-            umsc_rt::jsonl::escape(&name),
-            value
-        );
-        emit_line(&s);
+        emit(&path, "counter", solver, [("name", name.into()), ("value", value.into())]);
     }
 }
 
@@ -498,8 +351,8 @@ mod tests {
     // them on one lock so enable/reset toggles don't race each other.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn locked() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
@@ -621,18 +474,5 @@ mod tests {
         }
         assert_eq!((sweeps, fits), (1, 1));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn push_f64_keeps_numbers_numeric() {
-        let mut s = String::new();
-        push_f64(&mut s, 2.0);
-        s.push(' ');
-        push_f64(&mut s, -0.125);
-        s.push(' ');
-        push_f64(&mut s, f64::INFINITY);
-        s.push(' ');
-        push_f64(&mut s, f64::NAN);
-        assert_eq!(s, "2 -0.125 null null");
     }
 }

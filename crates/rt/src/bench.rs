@@ -25,6 +25,8 @@
 
 use std::time::Instant;
 
+use crate::json::Json;
+
 /// True when `UMSC_BENCH_SMOKE` is set to `1`/`true`: bench binaries
 /// should use tiny problem sizes (CI smoke of the harness itself, not a
 /// measurement).
@@ -98,28 +100,17 @@ impl Bench {
     }
 }
 
-/// Appends one JSONL record to `$UMSC_BENCH_JSON` (no-op when unset).
-/// Failures are warnings, not panics — a broken trajectory file must not
-/// take the measurement down with it.
+/// Appends one timing record to `$UMSC_BENCH_JSON` (no-op when unset).
 fn record_json(group: &str, id: &str, samples: usize, stats: &Stats) {
-    let Ok(path) = std::env::var("UMSC_BENCH_JSON") else { return };
-    if path.is_empty() {
-        return;
-    }
-    let line = format!(
-        "{{\"group\":\"{}\",\"id\":\"{}\",\"min_ns\":{},\"median_ns\":{},\"mean_ns\":{},\"max_ns\":{},\"samples\":{},\"threads\":{}}}",
-        crate::jsonl::escape(group),
-        crate::jsonl::escape(id),
-        stats.min_ns,
-        stats.median_ns,
-        stats.mean_ns,
-        stats.max_ns,
-        samples,
-        crate::par::max_threads(),
-    );
-    if let Err(e) = crate::jsonl::append_line(&path, &line) {
-        eprintln!("warning: could not append to UMSC_BENCH_JSON={path}: {e}");
-    }
+    append_record([
+        ("group", group.into()),
+        ("id", id.into()),
+        ("min_ns", stats.min_ns.into()),
+        ("median_ns", stats.median_ns.into()),
+        ("mean_ns", stats.mean_ns.into()),
+        ("max_ns", stats.max_ns.into()),
+        ("samples", samples.into()),
+    ]);
 }
 
 /// Appends one counter record to `$UMSC_BENCH_JSON` (no-op when unset).
@@ -127,20 +118,28 @@ fn record_json(group: &str, id: &str, samples: usize, stats: &Stats) {
 /// Counter records carry `"kind":"counter"` so `bench_report` can route
 /// them into the snapshot's `counters` array instead of validating them
 /// as timing records. Bench binaries use this to publish observability
-/// counters (e.g. the blocked-GEMM dispatch tallies from `umsc-obs`)
-/// alongside their timings.
+/// counters (e.g. the `spmv.row_chunks` tally from `umsc-obs`) alongside
+/// their timings.
 pub fn record_counter(group: &str, id: &str, value: u64) {
+    append_record([
+        ("kind", "counter".into()),
+        ("group", group.into()),
+        ("id", id.into()),
+        ("value", value.into()),
+    ]);
+}
+
+/// Appends `fields` plus the thread count as one JSONL record to
+/// `$UMSC_BENCH_JSON` (no-op when unset). Failures are warnings, not
+/// panics — a broken trajectory file must not take the measurement down
+/// with it.
+fn append_record<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) {
     let Ok(path) = std::env::var("UMSC_BENCH_JSON") else { return };
     if path.is_empty() {
         return;
     }
-    let line = format!(
-        "{{\"kind\":\"counter\",\"group\":\"{}\",\"id\":\"{}\",\"value\":{},\"threads\":{}}}",
-        crate::jsonl::escape(group),
-        crate::jsonl::escape(id),
-        value,
-        crate::par::max_threads(),
-    );
+    let threads = ("threads", crate::par::max_threads().into());
+    let line = Json::obj(fields.into_iter().chain([threads])).to_string_compact();
     if let Err(e) = crate::jsonl::append_line(&path, &line) {
         eprintln!("warning: could not append to UMSC_BENCH_JSON={path}: {e}");
     }

@@ -1,10 +1,10 @@
-//! Shared JSONL sink: line-atomic appends plus minimal string escaping.
+//! Shared JSONL sink: line-atomic appends.
 //!
 //! Both machine-readable hooks in the workspace — the bench timer's
 //! `UMSC_BENCH_JSON` trajectory records and `umsc-obs`'s
 //! `UMSC_TRACE_JSON` solver traces — append one JSON object per line to
-//! a file named by an environment variable. This module is the one
-//! writer behind both.
+//! a file named by an environment variable. Records are built with
+//! [`crate::json`]; this module is the one sink behind both.
 //!
 //! Line atomicity: the file is opened with `O_APPEND` and each record
 //! (payload plus trailing `\n`) goes down in a **single** `write_all`
@@ -36,33 +36,9 @@ pub fn append_line(path: &str, line: &str) -> std::io::Result<()> {
         .write_all(buf.as_bytes())
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-/// Names in this workspace are code-controlled, but the output stays
-/// valid JSON regardless of input.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escaping() {
-        assert_eq!(escape("plain/kernel_512"), "plain/kernel_512");
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("tab\there"), "tab\\u0009here");
-    }
 
     #[test]
     fn append_creates_and_appends() {

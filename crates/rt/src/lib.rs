@@ -31,6 +31,8 @@
 //! * [`alloc_track`] — a counting global allocator for the
 //!   allocation-freedom and peak-memory regression tests (event count +
 //!   live-bytes high-water mark; test binaries install it themselves).
+//! * [`json`] — the one JSON codec (value type, compact writer, strict
+//!   parser) every machine-readable record is built and read with.
 //! * [`jsonl`] — the shared line-atomic JSONL append writer behind both
 //!   machine-readable hooks (`UMSC_BENCH_JSON` bench trajectories and
 //!   `umsc-obs`'s `UMSC_TRACE_JSON` solver traces).
@@ -38,6 +40,7 @@
 pub mod alloc_track;
 pub mod bench;
 pub mod check;
+pub mod json;
 pub mod jsonl;
 pub mod par;
 pub mod rng;

@@ -60,6 +60,12 @@ if [ "$realloc" -gt "$baseline" ]; then
     exit 1
 fi
 
+# A1 drift gate: the quick-profile ablation table (about 18 s on 2 cores)
+# must match crates/bench/tests/ablation_quick.json in every field but
+# `seconds`. The test's module docs give the re-record command.
+cargo run -q --release --offline -p umsc-bench --bin tables -- ablation > /dev/null
+cargo test -q --offline -p umsc-bench --test ablation_drift -- --ignored
+
 # Observability smoke: a traced fit must emit a parseable umsc-trace/v1
 # JSONL stream, and trace-report must aggregate it without errors.
 trace_dir="$(mktemp -d /tmp/umsc-verify-trace.XXXXXX)"
@@ -75,4 +81,4 @@ grep -q '"schema":"umsc-trace/v1"' "$trace_json" \
 cargo run -q --release --offline -p umsc-cli -- trace-report --trace "$trace_json" \
     || { echo "verify: trace-report failed to parse the trace" >&2; exit 1; }
 
-echo "verify: OK (offline build + tests + clippy + rustdoc + perfbench build + bench smoke + sparse-scaling smoke + alloc gate + trace smoke)"
+echo "verify: OK (offline build + tests + clippy + rustdoc + perfbench build + bench smoke + sparse-scaling smoke + alloc gate + A1 drift gate + trace smoke)"
