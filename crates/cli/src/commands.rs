@@ -9,6 +9,7 @@ use umsc_core::{
 };
 use umsc_data::{benchmark, BenchmarkId, MultiViewDataset};
 use umsc_metrics::MetricSuite;
+use umsc_rt::bench::fmt_ns;
 
 /// The usage block of the crate docs, printed by `umsc help`, `--help`,
 /// `-h` and a bare `umsc`.
@@ -226,18 +227,6 @@ fn print_obs_tables(phases: &[(String, umsc_obs::PhaseAgg)], counters: &[(String
         }
         println!("\ncounters:");
         print!("{}", table.render());
-    }
-}
-
-fn fmt_ns(ns: f64) -> String {
-    if ns < 1e3 {
-        format!("{ns:.0} ns")
-    } else if ns < 1e6 {
-        format!("{:.2} µs", ns / 1e3)
-    } else if ns < 1e9 {
-        format!("{:.2} ms", ns / 1e6)
-    } else {
-        format!("{:.3} s", ns / 1e9)
     }
 }
 

@@ -50,13 +50,6 @@ pub enum GraphKind {
         /// Neighbours kept per node.
         k: usize,
     },
-    /// ε-neighbourhood Gaussian graph (edges only within radius ε).
-    Epsilon {
-        /// Neighbourhood radius (non-squared distance units).
-        epsilon: f64,
-        /// Kernel bandwidth policy for the surviving edges.
-        bandwidth: Bandwidth,
-    },
 }
 
 /// Full configuration of the unified model.
@@ -87,7 +80,8 @@ pub struct UmscConfig {
 
 impl UmscConfig {
     /// Paper defaults for `c` clusters: λ=1, rotation discretization,
-    /// auto-weighting, k-NN self-tuning Gaussian graph (k = 10).
+    /// auto-weighting, and [`GraphConfig::default`]'s graph (k-NN
+    /// self-tuning Gaussian, k = 10, Euclidean).
     ///
     /// The k-NN graph matters: rotation-based discretization assumes the
     /// embedding's cluster directions are near-orthogonal, which holds for
@@ -95,13 +89,14 @@ impl UmscConfig {
     /// between clusters and can break that assumption — this literature
     /// uses k-NN or adaptive (CAN) graphs throughout.
     pub fn new(num_clusters: usize) -> Self {
+        let GraphConfig { kind: graph, metric } = GraphConfig::default();
         UmscConfig {
             num_clusters,
             lambda: 1.0,
             discretization: Discretization::Rotation,
             weighting: Weighting::Auto,
-            graph: GraphKind::Knn { k: 10, bandwidth: Bandwidth::SelfTuning { k: 7 } },
-            metric: Metric::Euclidean,
+            graph,
+            metric,
             max_iter: 50,
             tol: 1e-6,
             gpi_max_iter: 40,
@@ -187,5 +182,6 @@ mod tests {
         assert_eq!(c.weighting, Weighting::Auto);
         assert_eq!(c.lambda, 1.0);
         assert!(matches!(c.graph, GraphKind::Knn { k: 10, bandwidth: Bandwidth::SelfTuning { k: 7 } }));
+        assert_eq!(c.metric, Metric::Euclidean);
     }
 }

@@ -26,6 +26,9 @@ pub struct GraphConfig {
 }
 
 impl Default for GraphConfig {
+    /// The k-NN self-tuning Gaussian graph (k = 10, σ rank 7) on Euclidean
+    /// distances: the graph of [`crate::UmscConfig::new`] and of every
+    /// baseline, so the two cannot drift apart.
     fn default() -> Self {
         GraphConfig {
             kind: GraphKind::Knn { k: 10, bandwidth: umsc_graph::Bandwidth::SelfTuning { k: 7 } },
@@ -50,14 +53,13 @@ pub fn view_distances(x: &Matrix, metric: Metric) -> Matrix {
     }
 }
 
-/// The sparse graph a k-NN, ε or CAN kind describes, built straight from
+/// The sparse graph a k-NN or CAN kind describes, built straight from
 /// the features by the streamed builder ([`neighbor_graph`]); `None` for
 /// the dense Gaussian kind.
 fn sparse_view_affinity(x: &Matrix, cfg: &GraphConfig) -> Option<CsrMatrix> {
     let clamp = |k: usize| k.min(x.rows().saturating_sub(1)).max(1);
     let neighbors = match cfg.kind {
         GraphKind::Knn { k, bandwidth } => Neighbors::Knn { k: clamp(k), bandwidth },
-        GraphKind::Epsilon { epsilon, bandwidth } => Neighbors::Epsilon { epsilon, bandwidth },
         GraphKind::Adaptive { k } => Neighbors::Adaptive { k: clamp(k) },
         GraphKind::Dense(_) => return None,
     };
@@ -65,7 +67,7 @@ fn sparse_view_affinity(x: &Matrix, cfg: &GraphConfig) -> Option<CsrMatrix> {
 }
 
 /// Affinity matrix for one view: the dense Gaussian, or the streamed
-/// k-NN, ε or CAN graph densified.
+/// k-NN or CAN graph densified.
 pub fn view_affinity(x: &Matrix, cfg: &GraphConfig) -> Matrix {
     if let GraphKind::Dense(bw) = &cfg.kind {
         return gaussian_affinity(&view_distances(x, cfg.metric), bw);
@@ -101,7 +103,7 @@ pub fn build_view_laplacians(data: &MultiViewDataset, cfg: &GraphConfig) -> Resu
 }
 
 /// Builds **sparse** (CSR) symmetric-normalized Laplacians per view — the
-/// graphs of every [`crate::Umsc::fit`]. k-NN, ε and CAN graphs are
+/// graphs of every [`crate::Umsc::fit`]. k-NN and CAN graphs are
 /// streamed from the features and never form an `n × n` matrix; only the
 /// dense Gaussian kind builds the dense [`normalized_laplacian`] and
 /// compacts it at its exact zeros. Both Laplacians share one formula, so
@@ -232,10 +234,11 @@ mod tests {
     fn graph_kinds_all_work() {
         let data = MultiViewGmm::new("g", 2, 15, vec![ViewSpec::clean(3)]).generate(1);
         for kind in [
-            GraphKind::Dense(umsc_graph::Bandwidth::MeanDistance),
+            GraphKind::Dense(umsc_graph::Bandwidth::Global(1.0)),
+            GraphKind::Dense(umsc_graph::Bandwidth::SelfTuning { k: 7 }),
             GraphKind::Knn { k: 5, bandwidth: umsc_graph::Bandwidth::SelfTuning { k: 5 } },
+            GraphKind::Knn { k: 5, bandwidth: umsc_graph::Bandwidth::Global(1.0) },
             GraphKind::Adaptive { k: 5 },
-            GraphKind::Epsilon { epsilon: 1e6, bandwidth: umsc_graph::Bandwidth::MeanDistance },
         ] {
             let cfg = GraphConfig { kind, metric: Metric::Euclidean };
             let ls = build_view_laplacians(&data, &cfg).unwrap();
@@ -254,7 +257,7 @@ mod tests {
             vec![ViewSpec { kind: umsc_data::ViewKind::Text, ..ViewSpec::clean(40) }],
         )
         .generate(2);
-        let cfg = GraphConfig { kind: GraphKind::Dense(umsc_graph::Bandwidth::MeanDistance), metric: Metric::Cosine };
+        let cfg = GraphConfig { kind: GraphKind::Dense(umsc_graph::Bandwidth::SelfTuning { k: 7 }), metric: Metric::Cosine };
         let ls = build_view_laplacians(&data, &cfg).unwrap();
         assert!(ls[0].as_slice().iter().all(|v| v.is_finite()));
     }
@@ -307,9 +310,9 @@ mod tests {
         let data = two_moons_multiview(40, 0.05, 9);
         for kind in [
             GraphConfig::default().kind, // kNN
-            GraphKind::Epsilon { epsilon: 0.6, bandwidth: umsc_graph::Bandwidth::MeanDistance },
+            GraphKind::Knn { k: 6, bandwidth: umsc_graph::Bandwidth::Global(0.5) },
             GraphKind::Adaptive { k: 6 },
-            GraphKind::Dense(umsc_graph::Bandwidth::MeanDistance),
+            GraphKind::Dense(umsc_graph::Bandwidth::Global(0.5)),
         ] {
             let cfg = GraphConfig { kind, metric: Metric::Euclidean };
             let dense = build_view_laplacians(&data, &cfg).unwrap();

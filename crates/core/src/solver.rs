@@ -10,13 +10,12 @@
 //! 3. **R-step** — orthogonal Procrustes `R = UVᵀ` of `Fᵀ Y_eff`;
 //! 4. **Y-step** — exact row-wise argmax of `F·R` with empty-cluster repair.
 //!
-//! Every entry point — features, affinities, dense or CSR Laplacians —
-//! ends in one fit on CSR Laplacians, whose view set is the
+//! Every entry point — features, dense or CSR Laplacians — ends in one
+//! fit on CSR Laplacians, whose view set is the
 //! [`FusedLaplacian`] of `sparse_solver.rs`.
 
 use crate::config::UmscConfig;
 use crate::engine;
-use crate::error::UmscError;
 use crate::pipeline::build_view_laplacians_sparse;
 use crate::sparse_solver::{sparse_fused_operator, FusedLaplacian};
 use crate::workspace::SolverWorkspace;
@@ -117,30 +116,6 @@ impl Umsc {
     /// The same fit as [`Umsc::fit`], bit for bit.
     pub fn fit_auto(&self, data: &MultiViewDataset) -> Result<UmscResult> {
         self.fit(data)
-    }
-
-    /// Fits the model on precomputed per-view **affinity** matrices
-    /// (symmetric, non-negative, zero diagonal) — for users who build
-    /// their own graphs. Each affinity's symmetric-normalized Laplacian is
-    /// compacted at its exact zeros as soon as it is built (as in
-    /// [`Umsc::fit_laplacians`]) and the CSR views are fitted. The dense
-    /// and CSR Laplacians share one formula, so [`crate::pipeline::view_affinity`]'s
-    /// graphs fit to the bits of [`Umsc::fit`].
-    pub fn fit_affinities(&self, affinities: &[Matrix]) -> Result<UmscResult> {
-        for (v, w) in affinities.iter().enumerate() {
-            if !w.is_square() {
-                return Err(UmscError::InvalidInput(format!("affinity {v} is not square")));
-            }
-            if !w.is_symmetric(1e-8 * w.max_abs().max(1.0)) {
-                return Err(UmscError::InvalidInput(format!("affinity {v} is not symmetric")));
-            }
-            if w.as_slice().iter().any(|&x| x < 0.0 || !x.is_finite()) {
-                return Err(UmscError::InvalidInput(format!("affinity {v} has negative or non-finite entries")));
-            }
-        }
-        let laplacians: Vec<CsrMatrix> =
-            affinities.iter().map(|w| compacted(&umsc_graph::normalized_laplacian(w))).collect();
-        self.fit_laplacians_sparse(&laplacians)
     }
 
     /// Fits the model on precomputed dense per-view Laplacians: each is
@@ -378,25 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_affinities_matches_fit() {
-        let data = easy_gmm(15);
-        let model = Umsc::new(UmscConfig::new(3));
-        let direct = model.fit(&data).unwrap();
-        // Build the same affinities by hand and go through the other door.
-        let affinities: Vec<Matrix> = data
-            .views
-            .iter()
-            .map(|x| crate::pipeline::view_affinity(x, &model.config().graph_config()))
-            .collect();
-        let via_aff = model.fit_affinities(&affinities).unwrap();
-        // One Laplacian formula: the same fit, bit for bit.
-        assert_eq!(direct.labels, via_aff.labels);
-        let bits = |r: &UmscResult| r.history.iter().map(|h| h.objective.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&direct), bits(&via_aff), "objectives differ");
-        assert_eq!(direct.embedding.as_slice(), via_aff.embedding.as_slice(), "embeddings differ");
-    }
-
-    #[test]
     fn fit_and_fit_auto_agree_bit_for_bit() {
         let data = easy_gmm(16);
         for graph in [UmscConfig::new(3).graph, GraphKind::Adaptive { k: 8 }] {
@@ -407,17 +363,6 @@ mod tests {
             assert_eq!(bits(&a), bits(&b), "{graph:?}: objectives differ");
             assert_eq!(a.embedding.as_slice(), b.embedding.as_slice(), "{graph:?}: embeddings differ");
         }
-    }
-
-    #[test]
-    fn fit_affinities_validates() {
-        let model = Umsc::new(UmscConfig::new(2));
-        // Asymmetric.
-        let bad = Matrix::from_vec(2, 2, vec![0.0, 1.0, 0.0, 0.0]);
-        assert!(model.fit_affinities(&[bad]).is_err());
-        // Negative entry.
-        let neg = Matrix::from_vec(2, 2, vec![0.0, -1.0, -1.0, 0.0]);
-        assert!(model.fit_affinities(&[neg]).is_err());
     }
 
     #[test]

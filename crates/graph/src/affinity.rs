@@ -1,7 +1,7 @@
 //! Gaussian (RBF) affinity graphs.
 //!
 //! Converts a pairwise squared-distance matrix into edge weights
-//! `w_ij = exp(−d²_ij / bandwidth_ij)`. Three bandwidth policies are
+//! `w_ij = exp(−d²_ij / bandwidth_ij)`. Two bandwidth policies are
 //! provided; the paper family's default is **self-tuning** local scaling
 //! (Zelnik-Manor & Perona 2004), which adapts to per-view density without a
 //! global σ to tune. Affinities always have a zero diagonal (no self loops).
@@ -15,20 +15,13 @@ use umsc_linalg::Matrix;
 pub enum Bandwidth {
     /// Fixed global σ: `w_ij = exp(−d²_ij / (2σ²))`.
     Global(f64),
-    /// Global σ set to the mean pairwise (non-squared) distance.
-    MeanDistance,
     /// Self-tuning local scaling: `w_ij = exp(−d²_ij / (σ_i σ_j))` with
-    /// `σ_i` the distance from `i` to its `k`-th nearest neighbour.
+    /// `σ_i` the distance from `i` to its `k`-th nearest neighbour,
+    /// floored at `1e-8·max(σ̄, 1)` with `σ̄` the mean unfloored `σ_i`.
     SelfTuning {
         /// Neighbour rank used for the local scale (7 in the original paper).
         k: usize,
     },
-}
-
-impl Default for Bandwidth {
-    fn default() -> Self {
-        Bandwidth::SelfTuning { k: 7 }
-    }
 }
 
 /// Dense Gaussian affinity from squared distances.
@@ -53,11 +46,6 @@ pub fn gaussian_affinity(dist_sq: &Matrix, bandwidth: &Bandwidth) -> Matrix {
     match bandwidth {
         Bandwidth::Global(sigma) => {
             assert!(*sigma > 0.0, "gaussian_affinity: Global bandwidth must be positive, got {sigma}");
-            let denom = 2.0 * sigma * sigma;
-            fill_symmetric(&mut w, |i, j| (-dist_sq[(i, j)] / denom).exp());
-        }
-        Bandwidth::MeanDistance => {
-            let sigma = mean_distance(dist_sq).max(f64::MIN_POSITIVE);
             let denom = 2.0 * sigma * sigma;
             fill_symmetric(&mut w, |i, j| (-dist_sq[(i, j)] / denom).exp());
         }
@@ -88,24 +76,6 @@ pub fn knn_affinity(dist_sq: &Matrix, k: usize, bandwidth: &Bandwidth) -> CsrMat
     affinity_from_distances(dist_sq, Neighbors::Knn { k, bandwidth: *bandwidth })
 }
 
-/// ε-neighbourhood Gaussian affinity: keep only edges with (non-squared)
-/// distance ≤ ε, weighted by the Gaussian kernel. The classical third
-/// graph construction (von Luxburg's tutorial) next to k-NN and the full
-/// graph; best when the data has a meaningful absolute distance scale.
-///
-/// A non-positive or non-finite ε panics; an ε below the smallest
-/// pairwise distance yields an edgeless graph (callers should check
-/// connectivity via [`crate::num_components`]). `dist_sq` must be
-/// symmetric, as for [`knn_affinity`].
-///
-/// # Panics
-/// Panics if `dist_sq` is not square or `epsilon` is not a positive
-/// finite number.
-pub fn epsilon_affinity(dist_sq: &Matrix, epsilon: f64, bandwidth: &Bandwidth) -> CsrMatrix {
-    assert!(dist_sq.is_square(), "epsilon_affinity: distance matrix not square");
-    affinity_from_distances(dist_sq, Neighbors::Epsilon { epsilon, bandwidth: *bandwidth })
-}
-
 fn fill_symmetric(w: &mut Matrix, mut f: impl FnMut(usize, usize) -> f64) {
     let n = w.rows();
     for i in 0..n {
@@ -117,36 +87,34 @@ fn fill_symmetric(w: &mut Matrix, mut f: impl FnMut(usize, usize) -> f64) {
     }
 }
 
-/// Mean of the off-diagonal (non-squared) distances.
-fn mean_distance(dist_sq: &Matrix) -> f64 {
-    let n = dist_sq.rows();
+/// The self-tuning local scales of `n` nodes, from `kth_sq(i, rank)`, the
+/// squared distance from node `i` to its neighbour of 0-based `rank`
+/// (`k − 1`, clamped to the `n − 1` neighbours; `k = 0` reads as 1):
+/// `σ_i = max(sqrt(d_i,(k)), 1e-8·max(σ̄, 1))`, with `σ̄` the mean of the
+/// unfloored `σ_i` summed in index order. The floor gives a point with `k`
+/// or more duplicates a positive scale (see [`crate::stream`] for why it
+/// never binds on the benchmark inputs). Fewer
+/// than two nodes have no neighbour and get `σ = 1`. The dense kernel and
+/// the streamed builder both call this, so their scales are the same bits.
+pub(crate) fn self_tuning_scales(n: usize, k: usize, kth_sq: impl Fn(usize, usize) -> f64) -> Vec<f64> {
     if n < 2 {
-        return 1.0;
+        return vec![1.0; n];
     }
-    let mut sum = 0.0;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            sum += dist_sq[(i, j)].sqrt();
-        }
+    let rank = k.min(n - 1).saturating_sub(1);
+    let mut sigma: Vec<f64> = (0..n).map(|i| kth_sq(i, rank).sqrt()).collect();
+    let floor = 1e-8 * umsc_linalg::ops::mean(&sigma).max(1.0);
+    for s in &mut sigma {
+        *s = s.max(floor);
     }
-    sum / (n * (n - 1) / 2) as f64
+    sigma
 }
 
-/// σ_i = distance to the k-th nearest neighbour of node i (clamped to the
-/// available number of neighbours; tiny floor keeps duplicates harmless).
+/// [`self_tuning_scales`] over the rows of a dense distance matrix.
 fn local_scales(dist_sq: &Matrix, k: usize) -> Vec<f64> {
-    let n = dist_sq.rows();
-    let mean = mean_distance(dist_sq);
-    let rank = k.min(n.saturating_sub(1)).saturating_sub(1);
-    (0..n)
-        .map(|i| {
-            let row = dist_sq.row(i).iter().enumerate().filter(|&(j, _)| j != i);
-            match smallest(rank + 1, row.map(|(j, &d)| (d, j))).get(rank) {
-                Some(&(d, _)) => d.sqrt().max(1e-8 * mean.max(1.0)),
-                None => 1.0,
-            }
-        })
-        .collect()
+    self_tuning_scales(dist_sq.rows(), k, |i, rank| {
+        let row = dist_sq.row(i).iter().enumerate().filter(|&(j, _)| j != i);
+        smallest(rank + 1, row.map(|(j, &d)| (d, j)))[rank].0
+    })
 }
 
 #[cfg(test)]
@@ -202,14 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_distance_bandwidth_runs() {
-        let d = pairwise_sq_distances(&two_blobs());
-        let w = gaussian_affinity(&d, &Bandwidth::MeanDistance);
-        assert!(w.is_symmetric(0.0));
-        assert!(w[(0, 1)] > w[(0, 3)]);
-    }
-
-    #[test]
     fn knn_graph_sparsity_and_symmetry() {
         let d = pairwise_sq_distances(&two_blobs());
         let w = knn_affinity(&d, 2, &Bandwidth::Global(1.0));
@@ -243,26 +203,5 @@ mod tests {
     fn zero_global_bandwidth_panics() {
         let d = Matrix::zeros(2, 2);
         let _ = gaussian_affinity(&d, &Bandwidth::Global(0.0));
-    }
-
-    #[test]
-    fn epsilon_graph_cuts_at_radius() {
-        let d = pairwise_sq_distances(&two_blobs());
-        // ε = 1: intra-blob edges (≈0.1 apart) kept, cross-blob (≈14) cut.
-        let w = epsilon_affinity(&d, 1.0, &Bandwidth::Global(1.0));
-        let dense = crate::to_matrix(&w);
-        assert!(dense.is_symmetric(0.0));
-        assert!(dense[(0, 1)] > 0.9, "intra edge missing");
-        assert_eq!(dense[(0, 3)], 0.0, "cross edge kept");
-        assert_eq!(crate::components::num_components(&dense, 0.0), 2);
-        // Tiny ε: edgeless graph, every node its own component.
-        let w = epsilon_affinity(&d, 1e-6, &Bandwidth::Global(1.0));
-        assert_eq!(w.nnz(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive finite epsilon")]
-    fn epsilon_must_be_positive() {
-        let _ = epsilon_affinity(&Matrix::zeros(2, 2), 0.0, &Bandwidth::Global(1.0));
     }
 }

@@ -10,12 +10,12 @@
 //!
 //! * [`distance`] — pairwise squared-Euclidean / cosine distance matrices,
 //!   filled from upper-triangular Gram tiles.
-//! * [`stream`] — the one builder of every sparse graph kind (k-NN, ε,
+//! * [`stream`] — the one builder of every sparse graph kind (k-NN and
 //!   CAN): it streams those tiles through bounded per-row top-k selectors
 //!   into CSR, never holding an `n × n` matrix.
 //! * [`affinity`] — Gaussian (RBF) affinities with global or self-tuning
-//!   (Zelnik-Manor & Perona) bandwidths: the dense kernel, and the k-NN /
-//!   ε front-ends over precomputed distances.
+//!   (Zelnik-Manor & Perona) bandwidths: the dense kernel, and the k-NN
+//!   front-end over precomputed distances.
 //! * [`can`] — CAN adaptive-neighbor graphs (Nie et al. 2014): closed-form
 //!   simplex-projected neighbor weights, the parameter-light alternative the
 //!   paper family favours; a streamed kind plus its dense front-end.
@@ -32,7 +32,7 @@ pub mod distance;
 pub mod laplacian;
 pub mod stream;
 
-pub use affinity::{epsilon_affinity, gaussian_affinity, knn_affinity, Bandwidth};
+pub use affinity::{gaussian_affinity, knn_affinity, Bandwidth};
 pub use anchor::{
     anchor_view_factor, anchor_weights, anchor_weights_sparse, normalized_factor, normalized_factor_sparse,
     normalized_factor_with, select_anchors,

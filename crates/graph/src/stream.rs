@@ -1,4 +1,4 @@
-//! Streamed k-NN / ε / CAN graph construction: no `n × n` matrix per view.
+//! Streamed k-NN / CAN graph construction: no `n × n` matrix per view.
 //!
 //! [`neighbor_graph`] walks the rows of a view in blocks of
 //! [`TILE_ROWS`]. For the block `[lo, hi)` it computes only the
@@ -16,25 +16,29 @@
 //!   `(distance, index)` — the order a stable sort of the index-ordered
 //!   row produces — so the kept set never depends on feeding order,
 //!   thread count or block size.
-//! * **Mean distance.** Where the bandwidth needs it (`MeanDistance`, and
-//!   the `SelfTuning` floor), the sum of `sqrt(d)` over `j > i` runs
-//!   sequentially in row-major order, the summation order of the dense
-//!   `mean_distance`.
-//! * **Edges.** Gaussian kinds take `σᵢ` from the kept distances and
-//!   evaluate the kernel only on kept k-NN edges (or the ε edges); CAN
-//!   keeps `k + 1` per row and puts its closed-form simplex weights on the
-//!   `k` nearest. Edges go straight into CSR and are symmetrized there:
-//!   k-NN by the max rule, CAN by the mean rule `(S + Sᵀ)/2`, ε by
-//!   mirroring its upper triangle.
+//! * **Self-tuning scales.** `σᵢ = max(sqrt(d_i,(k)), 1e-8·max(σ̄, 1))`,
+//!   `σ̄` the mean of the unfloored `σᵢ` in index order, read off the
+//!   kept distances by `affinity::self_tuning_scales`, the dense route's
+//!   function, so the two routes hold the same bits. The selectors are
+//!   the only pass over the tiles. The floor used to scale with the mean
+//!   of all pairwise distances, a sequential all-pairs sum; the switch
+//!   moved no bit on the gated inputs, because neither floor binds there:
+//!   on 32 gated and benchmarked inputs (the six mimics at data seed 2026,
+//!   quick and full, and Handwritten and ORL seeds 1–10) every view's
+//!   smallest `σᵢ` is more than 10⁷× either floor.
+//! * **Edges.** The k-NN kind evaluates the kernel only on kept edges;
+//!   CAN keeps `k + 1` per row and puts its closed-form simplex weights on
+//!   the `k` nearest. Edges go straight into CSR and are symmetrized
+//!   there: k-NN by the max rule, CAN by the mean rule `(S + Sᵀ)/2`.
 //!
 //! Memory per view in flight is one tile plus the selectors,
 //! `O(TILE_ROWS·n + n·kk)`, against the `n²` doubles of each distance,
 //! affinity or Laplacian matrix of the dense route. The precomputed-distance
-//! entry points [`crate::knn_affinity`], [`crate::epsilon_affinity`] and
+//! entry points [`crate::knn_affinity`] and
 //! [`crate::adaptive_neighbor_affinity`] feed whole rows of a matrix
 //! through the same selector, so there is one selection implementation.
 
-use crate::affinity::Bandwidth;
+use crate::affinity::{self_tuning_scales, Bandwidth};
 use crate::can::write_simplex_weights;
 use crate::distance::{distance_tile, gram_threads, Metric, TILE_ROWS};
 use umsc_op::CsrMatrix;
@@ -51,29 +55,12 @@ pub enum Neighbors {
         /// Kernel bandwidth policy.
         bandwidth: Bandwidth,
     },
-    /// Gaussian weights on every pair within (non-squared) distance ε.
-    Epsilon {
-        /// The radius ε.
-        epsilon: f64,
-        /// Kernel bandwidth policy.
-        bandwidth: Bandwidth,
-    },
     /// CAN simplex weights (see [`crate::can`]) on each node's `k` nearest
     /// neighbours (clamped to `n − 1`), symmetrized as `(S + Sᵀ)/2`.
     Adaptive {
         /// Neighbours kept per node.
         k: usize,
     },
-}
-
-impl Neighbors {
-    /// The Gaussian kinds' bandwidth; `None` for CAN.
-    fn bandwidth(&self) -> Option<&Bandwidth> {
-        match self {
-            Neighbors::Knn { bandwidth, .. } | Neighbors::Epsilon { bandwidth, .. } => Some(bandwidth),
-            Neighbors::Adaptive { .. } => None,
-        }
-    }
 }
 
 /// Rows of the transposed feed handled per work chunk: their selectors
@@ -148,52 +135,28 @@ struct Builder {
     kk: usize,
     /// `n × kk` selector slots, row-major.
     slots: Vec<(f64, usize)>,
-    /// Running `Σ sqrt(d_ij)` over `i < j`, row-major; `None` when the
-    /// bandwidth does not need the mean.
-    mean_sum: Option<f64>,
-    /// ε graphs: the upper triangle's kept `(j, d)` per row, in CSR form.
-    upper_ptr: Vec<usize>,
-    upper: Vec<(usize, f64)>,
 }
 
 impl Builder {
     fn new(n: usize, neighbors: Neighbors) -> Self {
-        let edges = match neighbors {
-            Neighbors::Knn { k, .. } => {
+        let width = match neighbors {
+            Neighbors::Knn { k, bandwidth } => {
                 assert!(k >= 1, "knn_affinity: k must be >= 1");
-                k
-            }
-            Neighbors::Epsilon { epsilon, .. } => {
-                assert!(
-                    epsilon > 0.0 && epsilon.is_finite(),
-                    "epsilon_affinity: need a positive finite epsilon, got {epsilon}"
-                );
-                0
+                match bandwidth {
+                    Bandwidth::Global(sigma) => {
+                        assert!(sigma > 0.0, "gaussian_affinity: Global bandwidth must be positive, got {sigma}");
+                        k
+                    }
+                    Bandwidth::SelfTuning { k: rank } => k.max(rank),
+                }
             }
             Neighbors::Adaptive { k } => {
                 assert!(k >= 1, "adaptive_neighbor_affinity: k must be >= 1");
                 k.saturating_add(1)
             }
         };
-        let bandwidth = neighbors.bandwidth();
-        if let Some(Bandwidth::Global(sigma)) = bandwidth {
-            assert!(*sigma > 0.0, "gaussian_affinity: Global bandwidth must be positive, got {sigma}");
-        }
-        let rank = match bandwidth {
-            Some(Bandwidth::SelfTuning { k }) => (*k).max(1),
-            _ => 0,
-        };
-        let kk = edges.max(rank).min(n.saturating_sub(1));
-        let needs_mean = matches!(bandwidth, Some(Bandwidth::MeanDistance | Bandwidth::SelfTuning { .. }));
-        Builder {
-            n,
-            neighbors,
-            kk,
-            slots: vec![EMPTY; n * kk],
-            mean_sum: needs_mean.then_some(0.0),
-            upper_ptr: vec![0],
-            upper: Vec::new(),
-        }
+        let kk = width.min(n.saturating_sub(1));
+        Builder { n, neighbors, kk, slots: vec![EMPTY; n * kk] }
     }
 
     /// Absorbs the distances of rows `[lo, hi)` against columns `[lo, n)`:
@@ -201,42 +164,28 @@ impl Builder {
     /// Blocks must arrive in ascending order, covering every row once.
     fn absorb(&mut self, threads: usize, lo: usize, hi: usize, tile: &[f64], ld: usize) {
         let (n, kk) = (self.n, self.kk);
-        if kk > 0 {
-            let (own, below) = self.slots[lo * kk..].split_at_mut((hi - lo) * kk);
-            umsc_rt::par::parallel_chunks_mut_with(threads, own, kk, |r, slots| {
-                let i = lo + r;
-                for (c, &d) in tile[r * ld..r * ld + (n - lo)].iter().enumerate() {
-                    if lo + c != i {
-                        offer(slots, d, lo + c);
-                    }
-                }
-            });
-            umsc_rt::par::parallel_chunks_mut_with(threads, below, FEED_ROWS * kk, |ci, chunk| {
-                let j0 = hi + ci * FEED_ROWS;
-                let rows = chunk.len() / kk;
-                for r in 0..hi - lo {
-                    let seg = &tile[r * ld + (j0 - lo)..r * ld + (j0 - lo) + rows];
-                    for (slots, &d) in chunk.chunks_exact_mut(kk).zip(seg) {
-                        offer(slots, d, lo + r);
-                    }
-                }
-            });
+        if kk == 0 {
+            return;
         }
-        for r in 0..hi - lo {
+        let (own, below) = self.slots[lo * kk..].split_at_mut((hi - lo) * kk);
+        umsc_rt::par::parallel_chunks_mut_with(threads, own, kk, |r, slots| {
             let i = lo + r;
-            let above = &tile[r * ld + (i + 1 - lo)..r * ld + (n - lo)];
-            if let Some(sum) = self.mean_sum.as_mut() {
-                for &d in above {
-                    *sum += d.sqrt();
+            for (c, &d) in tile[r * ld..r * ld + (n - lo)].iter().enumerate() {
+                if lo + c != i {
+                    offer(slots, d, lo + c);
                 }
             }
-            if let Neighbors::Epsilon { epsilon, .. } = self.neighbors {
-                let eps_sq = epsilon * epsilon;
-                let kept = above.iter().enumerate().filter(|&(_, &d)| d <= eps_sq);
-                self.upper.extend(kept.map(|(c, &d)| (i + 1 + c, d)));
-                self.upper_ptr.push(self.upper.len());
+        });
+        umsc_rt::par::parallel_chunks_mut_with(threads, below, FEED_ROWS * kk, |ci, chunk| {
+            let j0 = hi + ci * FEED_ROWS;
+            let rows = chunk.len() / kk;
+            for r in 0..hi - lo {
+                let seg = &tile[r * ld + (j0 - lo)..r * ld + (j0 - lo) + rows];
+                for (slots, &d) in chunk.chunks_exact_mut(kk).zip(seg) {
+                    offer(slots, d, lo + r);
+                }
             }
-        }
+        });
     }
 
     /// The kept `(distance, index)` pairs of row `i`, ascending.
@@ -244,56 +193,36 @@ impl Builder {
         &self.slots[i * self.kk..(i + 1) * self.kk]
     }
 
-    fn kernel(&self, bandwidth: &Bandwidth) -> Kernel {
-        let n = self.n;
-        let mean = match self.mean_sum {
-            Some(sum) if n >= 2 => sum / (n * (n - 1) / 2) as f64,
-            _ => 1.0,
-        };
+    fn kernel(&self, bandwidth: Bandwidth) -> Kernel {
         match bandwidth {
             Bandwidth::Global(sigma) => Kernel::Global(2.0 * sigma * sigma),
-            Bandwidth::MeanDistance => {
-                let sigma = mean.max(f64::MIN_POSITIVE);
-                Kernel::Global(2.0 * sigma * sigma)
-            }
-            Bandwidth::SelfTuning { k } => {
-                let rank = (*k).min(n.saturating_sub(1)).saturating_sub(1);
-                let floor = 1e-8 * mean.max(1.0);
-                Kernel::Local(
-                    (0..n)
-                        .map(|i| if n < 2 { 1.0 } else { self.kept(i)[rank].0.sqrt().max(floor) })
-                        .collect(),
-                )
-            }
+            Bandwidth::SelfTuning { k } => Kernel::Local(self_tuning_scales(self.n, k, |i, rank| self.kept(i)[rank].0)),
         }
     }
 
     /// The kept edges' weights as CSR, rows sorted and compacted, then
-    /// symmetrized: k-NN by the max rule, CAN by the mean
-    /// rule, the ε graph's upper triangle mirrored.
+    /// symmetrized: k-NN by the max rule, CAN by the mean rule.
     fn finish(self) -> CsrMatrix {
         let n = self.n;
-        let kernel = self.neighbors.bandwidth().map(|bw| self.kernel(bw));
-        let gaussian = |i: usize, j: usize, d: f64| kernel.as_ref().expect("a Gaussian kind").weight(i, j, d);
+        let kernel = match self.neighbors {
+            Neighbors::Knn { bandwidth, .. } => Some(self.kernel(bandwidth)),
+            Neighbors::Adaptive { .. } => None,
+        };
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0);
         let mut entries: Vec<(usize, f64)> = Vec::with_capacity(n * self.kk);
         let mut row: Vec<(usize, f64)> = Vec::new();
         for i in 0..n {
             row.clear();
-            match self.neighbors {
-                Neighbors::Knn { k, .. } => {
+            match (self.neighbors, &kernel) {
+                (Neighbors::Knn { k, .. }, Some(kernel)) => {
                     let kept = &self.kept(i)[..k.min(n - 1)];
-                    row.extend(kept.iter().map(|&(d, j)| (j, gaussian(i, j, d))));
+                    row.extend(kept.iter().map(|&(d, j)| (j, kernel.weight(i, j, d))));
                 }
-                Neighbors::Epsilon { .. } => {
-                    let upper = &self.upper[self.upper_ptr[i]..self.upper_ptr[i + 1]];
-                    row.extend(upper.iter().map(|&(j, d)| (j, gaussian(i, j, d))));
-                }
-                Neighbors::Adaptive { k } if n >= 2 => {
+                (Neighbors::Adaptive { k }, _) if n >= 2 => {
                     write_simplex_weights(self.kept(i), k.min(n - 1), |j, s| row.push((j, s)));
                 }
-                Neighbors::Adaptive { .. } => {}
+                _ => {}
             }
             row.sort_unstable_by_key(|e| e.0);
             entries.extend_from_slice(&row);
@@ -303,46 +232,24 @@ impl Builder {
         let w = CsrMatrix::from_parts(n, n, row_ptr, col_idx, values).compact();
         match self.neighbors {
             Neighbors::Knn { .. } => w.symmetrize_max(),
-            Neighbors::Epsilon { .. } => mirror_upper(&w),
             Neighbors::Adaptive { .. } => w.symmetrize(),
         }
     }
 }
 
-/// `U + Uᵀ` for a strictly upper-triangular square `U`: row `i` is row
-/// `i` of `Uᵀ` (columns `< i`) followed by row `i` of `U`.
-fn mirror_upper(u: &CsrMatrix) -> CsrMatrix {
-    let n = u.rows();
-    let t = u.transpose();
-    let mut row_ptr = Vec::with_capacity(n + 1);
-    row_ptr.push(0);
-    let mut col_idx = Vec::with_capacity(2 * u.nnz());
-    let mut values = Vec::with_capacity(2 * u.nnz());
-    for i in 0..n {
-        for (&j, &v) in t.row_entries(i).chain(u.row_entries(i)) {
-            col_idx.push(j);
-            values.push(v);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
-}
-
-/// Sparse k-NN, ε or CAN graph of the rows of `x`, streamed through
+/// Sparse k-NN or CAN graph of the rows of `x`, streamed through
 /// upper-triangular distance tiles (see the module docs). Equal, entry for
-/// entry, to [`crate::knn_affinity`] / [`crate::epsilon_affinity`] /
-/// [`crate::adaptive_neighbor_affinity`] on the full distance matrix of `x`
-/// under `metric`.
+/// entry, to [`crate::knn_affinity`] / [`crate::adaptive_neighbor_affinity`]
+/// on the full distance matrix of `x` under `metric`.
 ///
 /// Threaded past the flop gate on the Gram tiles' `n·n·d`: threads split
 /// each tile's rows (in whole row quads), and the selectors, into
-/// disjoint sets; the mean sum
-/// stays sequential, so the output is bitwise-identical for every thread
+/// disjoint sets, so the output is bitwise-identical for every thread
 /// count.
 ///
 /// # Panics
-/// Panics if a k-NN or CAN `k` is 0, an ε is not positive and finite, or a
-/// `Global` bandwidth is not positive.
+/// Panics if a k-NN or CAN `k` is 0 or a `Global` bandwidth is not
+/// positive.
 pub fn neighbor_graph(x: &Matrix, metric: Metric, neighbors: Neighbors) -> CsrMatrix {
     let n = x.rows();
     let threads = gram_threads(x);

@@ -1,11 +1,11 @@
 //! Property tests: distance/affinity/Laplacian invariants on arbitrary
 //! point clouds, CSR ↔ dense agreement, and bitwise equality of the
-//! streamed k-NN / ε / CAN builder and the bounded selectors with the
+//! streamed k-NN / CAN builder and the bounded selectors with the
 //! sort-based and dense constructions they replaced.
 
 use umsc_graph::{
     adaptive_neighbor_affinity, anchor_weights, anchor_weights_sparse, cosine_distance_matrix, degrees,
-    epsilon_affinity, gaussian_affinity, knn_affinity, neighbor_graph, normalized_laplacian, pairwise_sq_distances,
+    gaussian_affinity, knn_affinity, neighbor_graph, normalized_laplacian, pairwise_sq_distances,
     select_anchors, unnormalized_laplacian, Bandwidth, CsrMatrix, Metric, Neighbors, TILE_ROWS,
 };
 use umsc_linalg::{LinOp, Matrix, SymEigen};
@@ -59,7 +59,7 @@ fn distances_are_a_metric_skeleton() {
 fn affinity_in_unit_interval_and_symmetric() {
     check(&cfg(), |rng| points(rng, 7, 2), |x| {
         let d = pairwise_sq_distances(x);
-        for bw in [Bandwidth::Global(1.0), Bandwidth::MeanDistance, Bandwidth::SelfTuning { k: 3 }] {
+        for bw in [Bandwidth::Global(1.0), Bandwidth::SelfTuning { k: 3 }] {
             let w = gaussian_affinity(&d, &bw);
             ensure!(w.is_symmetric(1e-12));
             ensure!(w.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v) && v.is_finite()));
@@ -75,7 +75,7 @@ fn affinity_in_unit_interval_and_symmetric() {
 fn laplacians_are_psd_with_zero_eigenvalue() {
     check(&cfg(), |rng| points(rng, 8, 2), |x| {
         let d = pairwise_sq_distances(x);
-        let w = gaussian_affinity(&d, &Bandwidth::MeanDistance);
+        let w = gaussian_affinity(&d, &Bandwidth::SelfTuning { k: 3 });
         for l in [unnormalized_laplacian(&w), normalized_laplacian(&w)] {
             let eig = SymEigen::compute(&l).unwrap();
             ensure!(eig.eigenvalues[0].abs() < 1e-8, "λ_min = {}", eig.eigenvalues[0]);
@@ -131,7 +131,7 @@ fn csr_round_trips_dense() {
 }
 
 // ---------------------------------------------------------------------------
-// Streamed k-NN / ε builder vs the sort-based reference construction
+// Streamed k-NN / CAN builder vs the sort-based reference construction
 // ---------------------------------------------------------------------------
 
 mod oracle {
@@ -175,20 +175,6 @@ mod oracle {
         order
     }
 
-    fn mean_distance(d: &Matrix) -> f64 {
-        let n = d.rows();
-        if n < 2 {
-            return 1.0;
-        }
-        let mut sum = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                sum += d[(i, j)].sqrt();
-            }
-        }
-        sum / (n * (n - 1) / 2) as f64
-    }
-
     pub fn gaussian(d: &Matrix, bw: &Bandwidth) -> Matrix {
         let n = d.rows();
         let denom: Box<dyn Fn(usize, usize) -> f64> = match bw {
@@ -196,23 +182,27 @@ mod oracle {
                 let v = 2.0 * s * s;
                 Box::new(move |_, _| v)
             }
-            Bandwidth::MeanDistance => {
-                let s = mean_distance(d).max(f64::MIN_POSITIVE);
-                let v = 2.0 * s * s;
-                Box::new(move |_, _| v)
-            }
             Bandwidth::SelfTuning { k } => {
-                let mean = mean_distance(d);
-                let local: Vec<f64> = (0..n)
+                // σ_i from the sorted row, then floored at 1e-8·max(σ̄, 1)
+                // with σ̄ the mean of the unfloored σ_i in index order.
+                let mut local: Vec<f64> = (0..n)
                     .map(|i| {
                         let order = sorted_neighbors(d.row(i), Some(i));
                         if order.is_empty() {
                             return 1.0;
                         }
                         let idx = (*k).min(order.len()).saturating_sub(1);
-                        d[(i, order[idx])].sqrt().max(1e-8 * mean.max(1.0))
+                        d[(i, order[idx])].sqrt()
                     })
                     .collect();
+                let mut sum = 0.0;
+                for &s in &local {
+                    sum += s;
+                }
+                let floor = 1e-8 * (sum / n as f64).max(1.0);
+                for s in &mut local {
+                    *s = s.max(floor);
+                }
                 Box::new(move |i, j| (local[i] * local[j]).max(f64::MIN_POSITIVE))
             }
         };
@@ -251,21 +241,6 @@ mod oracle {
             }
         }
         symmetrize_max(&CsrMatrix::from_triplets(n, n, &triplets))
-    }
-
-    pub fn epsilon(d: &Matrix, eps: f64, bw: &Bandwidth) -> CsrMatrix {
-        let n = d.rows();
-        let dense = gaussian(d, bw);
-        let mut triplets = Vec::new();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if d[(i, j)] <= eps * eps {
-                    triplets.push((i, j, dense[(i, j)]));
-                    triplets.push((j, i, dense[(i, j)]));
-                }
-            }
-        }
-        CsrMatrix::from_triplets(n, n, &triplets)
     }
 
     /// CAN closed form over the sorted candidates of one row.
@@ -356,16 +331,27 @@ fn tie_cases(rng: &mut Rng, n: usize) -> Vec<(&'static str, Matrix)> {
     let grid = Matrix::from_fn(n, 2, |_, _| rng.gen_range(0..3) as f64);
     let mut zero_row = Matrix::from_fn(n, 4, |_, _| rng.gen_range_f64(-1.0, 1.0));
     zero_row.row_mut(n / 2).fill(0.0);
+    // Nine copies of the origin and a row 1e-7 from them, in a wide cloud:
+    // the copies' self-tuning σ is the floor, and their edges to the near
+    // row weigh exp(−1e-7/floor), so the floor's value shows in the bits.
+    let mut near = Matrix::from_fn(n, 2, |_, _| 10.0 * rng.normal());
+    for i in 0..n.min(10) {
+        near.row_mut(i).fill(0.0);
+    }
+    if n > 9 {
+        near[(9, 0)] = 1e-7;
+    }
     vec![
         ("random", random),
         ("grid duplicates", grid),
         ("all equal", Matrix::filled(n, 2, 1.5)),
         ("zero row", zero_row),
+        ("near duplicates", near),
     ]
 }
 
-fn bandwidths() -> [Bandwidth; 4] {
-    [Bandwidth::Global(0.8), Bandwidth::MeanDistance, Bandwidth::SelfTuning { k: 7 }, Bandwidth::SelfTuning { k: 0 }]
+fn bandwidths() -> [Bandwidth; 3] {
+    [Bandwidth::Global(0.8), Bandwidth::SelfTuning { k: 7 }, Bandwidth::SelfTuning { k: 0 }]
 }
 
 #[test]
@@ -383,20 +369,10 @@ fn streamed_graph_matches_sort_based_oracle_bitwise() {
                 assert_eq!(dense.as_slice(), d.as_slice(), "half-flop distances, n={n} {what} {metric:?}");
                 // k = 1, the default 10, and k ≥ n−1 (clamped).
                 for bandwidth in bandwidths() {
-                    let graphs = [
-                        Neighbors::Knn { k: 1, bandwidth },
-                        Neighbors::Knn { k: 10, bandwidth },
-                        Neighbors::Knn { k: n + 5, bandwidth },
-                        Neighbors::Epsilon { epsilon: 0.9, bandwidth },
-                    ];
-                    for neighbors in graphs {
-                        let (expect, front) = match neighbors {
-                            Neighbors::Knn { k, .. } => (oracle::knn(&d, k, &bandwidth), knn_affinity(&d, k, &bandwidth)),
-                            Neighbors::Epsilon { epsilon, .. } => {
-                                (oracle::epsilon(&d, epsilon, &bandwidth), epsilon_affinity(&d, epsilon, &bandwidth))
-                            }
-                            Neighbors::Adaptive { .. } => unreachable!("CAN is checked below"),
-                        };
+                    for k in [1, 10, n + 5] {
+                        let neighbors = Neighbors::Knn { k, bandwidth };
+                        let expect = oracle::knn(&d, k, &bandwidth);
+                        let front = knn_affinity(&d, k, &bandwidth);
                         let ctx = format!("n={n} {what} {metric:?} {neighbors:?}");
                         assert!(same_csr(&front, &expect), "precomputed front-end, {ctx}:\n{front:?}\n{expect:?}");
                         for threads in [1, 2, 3, 8] {
@@ -435,8 +411,6 @@ fn streamed_graph_matches_oracle_on_random_clouds() {
         let bandwidth = Bandwidth::SelfTuning { k: 7 };
         let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Knn { k: 5, bandwidth });
         ensure!(got == oracle::knn(&d, 5, &bandwidth));
-        let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Epsilon { epsilon: 6.0, bandwidth });
-        ensure!(got == oracle::epsilon(&d, 6.0, &bandwidth));
         let got = neighbor_graph(x, Metric::Euclidean, Neighbors::Adaptive { k: 5 });
         ensure!(got == csr(&oracle::can(&d, 5)));
         Ok(())

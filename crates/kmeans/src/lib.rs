@@ -63,35 +63,6 @@ pub struct KMeansResult {
     pub repairs: usize,
 }
 
-impl KMeansResult {
-    /// Assigns new rows to the nearest learned centroid.
-    ///
-    /// # Panics
-    /// Panics if the feature dimension differs from the centroids'.
-    pub fn predict(&self, x: &Matrix) -> Vec<usize> {
-        assert_eq!(
-            x.cols(),
-            self.centroids.cols(),
-            "KMeansResult::predict: {} features, trained with {}",
-            x.cols(),
-            self.centroids.cols()
-        );
-        (0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mut best = (0usize, f64::INFINITY);
-                for j in 0..self.centroids.rows() {
-                    let d = sq_dist(row, self.centroids.row(j));
-                    if d < best.1 {
-                        best = (j, d);
-                    }
-                }
-                best.0
-            })
-            .collect()
-    }
-}
-
 /// Runs multi-restart K-means on the rows of `x`.
 ///
 /// ```
@@ -495,32 +466,5 @@ mod tests {
     fn k_larger_than_n_panics() {
         let x = Matrix::from_rows(&[vec![0.0]]);
         let _ = kmeans(&x, &KMeansConfig::new(2));
-    }
-
-    #[test]
-    fn predict_assigns_nearest_centroid() {
-        let (x, _) = three_blobs();
-        let res = kmeans(&x, &KMeansConfig::new(3).with_seed(1));
-        // Training points map back to their own labels.
-        assert_eq!(res.predict(&x), res.labels);
-        // A fresh point near (10, 0) joins that blob's cluster.
-        let probe = Matrix::from_rows(&[vec![10.2, -0.1]]);
-        let assigned = res.predict(&probe)[0];
-        let near_idx = (0..x.rows())
-            .min_by(|&a, &b| {
-                let da = umsc_linalg::ops::sq_dist(x.row(a), probe.row(0));
-                let db = umsc_linalg::ops::sq_dist(x.row(b), probe.row(0));
-                da.partial_cmp(&db).unwrap()
-            })
-            .unwrap();
-        assert_eq!(assigned, res.labels[near_idx]);
-    }
-
-    #[test]
-    #[should_panic(expected = "features")]
-    fn predict_dimension_checked() {
-        let (x, _) = three_blobs();
-        let res = kmeans(&x, &KMeansConfig::new(2).with_seed(0));
-        let _ = res.predict(&Matrix::zeros(1, 5));
     }
 }

@@ -147,12 +147,13 @@ pub fn mean(x: &[f64]) -> f64 {
 }
 
 /// Unbiased sample standard deviation (0.0 for fewer than two values).
+///
+/// Works on the shifted values `v − x[0]`, so equal values give exactly
+/// 0: their plain mean can miss the value itself by an ulp.
 pub fn std_dev(x: &[f64]) -> f64 {
-    if x.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(x);
-    (x.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / (x.len() - 1) as f64).sqrt()
+    let Some(&x0) = x.first().filter(|_| x.len() >= 2) else { return 0.0 };
+    let m = x.iter().map(|v| v - x0).sum::<f64>() / x.len() as f64;
+    (x.iter().map(|v| (v - x0 - m) * (v - x0 - m)).sum::<f64>() / (x.len() - 1) as f64).sqrt()
 }
 
 #[cfg(test)]
@@ -228,5 +229,16 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
         assert_eq!(std_dev(&[1.0]), 0.0);
         assert!((std_dev(&[2.0, 4.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
+    }
+
+    #[test]
+    fn std_dev_of_equal_values_is_zero() {
+        // Five equal values whose plain mean is one ulp off (238/240, an
+        // accuracy on 240 points): centring on it gave 1.24e-16.
+        assert_eq!(std_dev(&[238.0 / 240.0; 5]), 0.0);
+        for v in [0.1, 0.7, 0.95, 0.8833333333333333, 1e300, -3.5] {
+            assert_eq!(std_dev(&[v; 3]), 0.0, "{v}");
+            assert_eq!(std_dev(&[v; 5]), 0.0, "{v}");
+        }
     }
 }

@@ -87,14 +87,14 @@ pub fn hungarian(cost: &Matrix) -> Vec<usize> {
     assignment
 }
 
-/// Total cost of an assignment under `cost`.
-pub fn assignment_cost(cost: &Matrix, assignment: &[usize]) -> f64 {
-    assignment.iter().enumerate().map(|(i, &j)| cost[(i, j)]).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Total cost of an assignment under `cost`.
+    fn assignment_cost(cost: &Matrix, assignment: &[usize]) -> f64 {
+        assignment.iter().enumerate().map(|(i, &j)| cost[(i, j)]).sum()
+    }
 
     fn brute_force_min(cost: &Matrix) -> f64 {
         // Exhaustive over column permutations (square, tiny n).

@@ -473,6 +473,6 @@ mod tests {
             }
         }
         assert_eq!((sweeps, fits), (1, 1));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

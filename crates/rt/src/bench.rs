@@ -145,8 +145,9 @@ fn append_record<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) {
     }
 }
 
-/// Human-readable duration from nanoseconds.
-fn fmt_ns(ns: f64) -> String {
+/// Human-readable duration from nanoseconds: `"500 ns"`, `"1.50 µs"`,
+/// `"2.50 ms"`, `"3.200 s"`.
+pub fn fmt_ns(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.0} ns")
     } else if ns < 1e6 {

@@ -132,19 +132,6 @@ impl Rng {
         lo + (hi - lo) * self.next_f64()
     }
 
-    /// Uniform `u64` in `0..hi` (bias-free).
-    #[inline]
-    pub fn gen_u64_below(&mut self, hi: u64) -> u64 {
-        assert!(hi > 0, "Rng::gen_u64_below: empty range");
-        let zone = u64::MAX - u64::MAX % hi;
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % hi;
-            }
-        }
-    }
-
     /// Standard normal via Box–Muller (cosine branch, one value per call —
     /// matches the convention the dataset generators have always used, so
     /// draw counts per sample are easy to reason about).
